@@ -41,22 +41,17 @@ func FinYieldCurve(tech Technology, sp Species, energiesMeV []float64, iters int
 	return out, nil
 }
 
-// POFCurve estimates the array POF at each energy (the paper's Fig. 8
+// POFCurveCtx estimates the array POF at each energy (the paper's Fig. 8
 // series): the probability of at least one bit flip given a particle of
-// that energy striking the array footprint.
-func POFCurve(e *Engine, sp Species, energiesMeV []float64, itersPerEnergy int, seed uint64) ([]POFPoint, error) {
-	return POFCurveCtx(context.Background(), e, sp, energiesMeV, itersPerEnergy, seed)
-}
-
-// POFCurveCtx is POFCurve with cooperative cancellation between (and
+// that energy striking the array footprint. It is cancellable between (and
 // inside) energy points; a worker panic fails the curve with a stack-
 // carrying error instead of crashing the process.
 func POFCurveCtx(ctx context.Context, e *Engine, sp Species, energiesMeV []float64, itersPerEnergy int, seed uint64) ([]POFPoint, error) {
 	if len(energiesMeV) == 0 {
-		return nil, errors.New("finser: POFCurve needs energies")
+		return nil, errors.New("finser: POFCurveCtx needs energies")
 	}
 	if itersPerEnergy <= 0 {
-		return nil, errors.New("finser: POFCurve needs positive iterations")
+		return nil, errors.New("finser: POFCurveCtx needs positive iterations")
 	}
 	src := rng.New(seed)
 	out := make([]POFPoint, 0, len(energiesMeV))

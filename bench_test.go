@@ -10,6 +10,7 @@
 package finser
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,26 @@ import (
 	"finser/internal/phys"
 	"finser/internal/sram"
 )
+
+// mustPOF is POFAtEnergyCtx under a background context, failing tb on error.
+func mustPOF(tb testing.TB, e *Engine, sp Species, energyMeV float64, iters int, seed uint64) POFPoint {
+	tb.Helper()
+	pt, err := e.POFAtEnergyCtx(context.Background(), sp, energyMeV, iters, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pt
+}
+
+// mustMBU is MBUStatsAtEnergyCtx under a background context.
+func mustMBU(tb testing.TB, e *Engine, sp Species, energyMeV float64, iters, maxK int, seed uint64) MBUReport {
+	tb.Helper()
+	rep, err := e.MBUStatsAtEnergyCtx(context.Background(), sp, energyMeV, iters, maxK, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
 
 // Shared bench fixtures (characterizations dominate setup cost).
 var (
@@ -31,7 +52,7 @@ func benchFixtures(b *testing.B) map[string]*Characterization {
 	benchOnce.Do(func() {
 		benchChar = map[string]*Characterization{}
 		for _, v := range []float64{0.7, 0.8, 1.1} {
-			ch, err := Characterize(CharConfig{
+			ch, err := CharacterizeCtx(context.Background(), CharConfig{
 				Tech: Default14nmSOI(), Vdd: v,
 				ProcessVariation: true, Samples: 60, Seed: 1,
 			})
@@ -41,7 +62,7 @@ func benchFixtures(b *testing.B) map[string]*Characterization {
 			}
 			benchChar[key(v, true)] = ch
 		}
-		nom, err := Characterize(CharConfig{
+		nom, err := CharacterizeCtx(context.Background(), CharConfig{
 			Tech: Default14nmSOI(), Vdd: 0.7, ProcessVariation: false, Seed: 1,
 		})
 		if err != nil {
@@ -155,8 +176,8 @@ func BenchmarkFig8POFvsEnergy(b *testing.B) {
 	e08 := benchEngine(b, chars[key(0.8, true)])
 	var p07, p08 POFPoint
 	for i := 0; i < b.N; i++ {
-		p07 = e07.POFAtEnergy(phys.Alpha, 1, 8000, 3)
-		p08 = e08.POFAtEnergy(phys.Alpha, 1, 8000, 3)
+		p07 = mustPOF(b, e07, phys.Alpha, 1, 8000, 3)
+		p08 = mustPOF(b, e08, phys.Alpha, 1, 8000, 3)
 	}
 	b.ReportMetric(p07.Tot, "pof-0.7V")
 	if p08.Tot > 0 {
@@ -177,16 +198,16 @@ func BenchmarkFig9FITvsVdd(b *testing.B) {
 		e07 := benchEngine(b, chars[key(0.7, true)])
 		e11 := benchEngine(b, chars[key(1.1, true)])
 		var err error
-		if a07, err = e07.FIT(alphaSpec, ab, 6000, 5); err != nil {
+		if a07, err = e07.FITCtx(context.Background(), alphaSpec, ab, 6000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if a11, err = e11.FIT(alphaSpec, ab, 6000, 5); err != nil {
+		if a11, err = e11.FITCtx(context.Background(), alphaSpec, ab, 6000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if p07, err = e07.FIT(protonSpec, pb, 6000, 6); err != nil {
+		if p07, err = e07.FITCtx(context.Background(), protonSpec, pb, 6000, 6); err != nil {
 			b.Fatal(err)
 		}
-		if p11, err = e11.FIT(protonSpec, pb, 6000, 6); err != nil {
+		if p11, err = e11.FITCtx(context.Background(), protonSpec, pb, 6000, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,11 +244,11 @@ func BenchmarkAdaptiveFIT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t0 := nowNano()
 		var err error
-		if flat, err = mk(0).FIT(alphaSpec, ab, itersPerBin, 5); err != nil {
+		if flat, err = mk(0).FITCtx(context.Background(), alphaSpec, ab, itersPerBin, 5); err != nil {
 			b.Fatal(err)
 		}
 		t1 := nowNano()
-		if ad, err = mk(0.02).FIT(alphaSpec, ab, itersPerBin, 5); err != nil {
+		if ad, err = mk(0.02).FITCtx(context.Background(), alphaSpec, ab, itersPerBin, 5); err != nil {
 			b.Fatal(err)
 		}
 		flatNs += t1 - t0
@@ -269,10 +290,10 @@ func BenchmarkFig10MBUSEU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := benchEngine(b, chars[key(0.7, true)])
 		var err error
-		if fa, err = e.FIT(alphaSpec, ab, 8000, 5); err != nil {
+		if fa, err = e.FITCtx(context.Background(), alphaSpec, ab, 8000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if fp, err = e.FIT(protonSpec, pb, 8000, 6); err != nil {
+		if fp, err = e.FITCtx(context.Background(), protonSpec, pb, 8000, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,10 +312,10 @@ func BenchmarkFig11ProcessVariation(b *testing.B) {
 		ePV := benchEngine(b, chars[key(0.7, true)])
 		eNom := benchEngine(b, chars[key(0.7, false)])
 		var err error
-		if pv, err = ePV.FIT(alphaSpec, ab, 10000, 5); err != nil {
+		if pv, err = ePV.FITCtx(context.Background(), alphaSpec, ab, 10000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if nom, err = eNom.FIT(alphaSpec, ab, 10000, 5); err != nil {
+		if nom, err = eNom.FITCtx(context.Background(), alphaSpec, ab, 10000, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +331,7 @@ func BenchmarkPulseShapeEquivalence(b *testing.B) {
 		worst = 1.0
 		var qRect float64
 		for _, shape := range []PulseShape{ShapeRect, ShapeTriangle, ShapeDoubleExp} {
-			ch, err := Characterize(CharConfig{
+			ch, err := CharacterizeCtx(context.Background(), CharConfig{
 				Tech: Default14nmSOI(), Vdd: 0.8,
 				ProcessVariation: false, Seed: 1, Shape: shape,
 			})
@@ -342,7 +363,7 @@ func BenchmarkArrayMCThroughput(b *testing.B) {
 	const batch = 2000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.POFAtEnergy(phys.Alpha, 1, batch, uint64(i))
+		mustPOF(b, e, phys.Alpha, 1, batch, uint64(i))
 	}
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "strikes/s")
 }
@@ -366,7 +387,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.POFAtEnergy(phys.Alpha, 1, batch, uint64(i))
+			mustPOF(b, e, phys.Alpha, 1, batch, uint64(i))
 		}
 		rate := float64(batch) * float64(b.N) / b.Elapsed().Seconds()
 		b.ReportMetric(rate, "strikes/s")
@@ -390,8 +411,8 @@ func BenchmarkIncidenceModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		iso := incidenceEngine(b, chars[key(0.8, true)], IncidenceIsotropic)
 		cos := incidenceEngine(b, chars[key(0.8, true)], IncidenceCosine)
-		pi := iso.POFAtEnergy(phys.Alpha, 1, 12000, 3)
-		pc := cos.POFAtEnergy(phys.Alpha, 1, 12000, 3)
+		pi := mustPOF(b, iso, phys.Alpha, 1, 12000, 3)
+		pc := mustPOF(b, cos, phys.Alpha, 1, 12000, 3)
 		if pc.MBU > 0 {
 			ratio = pi.MBU / pc.MBU
 		}
@@ -428,10 +449,10 @@ func BenchmarkNeutronSER(b *testing.B) {
 	var nRes, aRes FITResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if nRes, err = e.NeutronFIT(nSpec, rx, nBins, 20000, 5); err != nil {
+		if nRes, err = e.NeutronFITCtx(context.Background(), nSpec, rx, nBins, 20000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if aRes, err = e.FIT(aSpec, aBins, 8000, 6); err != nil {
+		if aRes, err = e.FITCtx(context.Background(), aSpec, aBins, 8000, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -457,8 +478,8 @@ func BenchmarkDepositModes(b *testing.B) {
 	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		a := full.POFAtEnergy(phys.Alpha, 1, 10000, 3)
-		l := lutEng.POFAtEnergy(phys.Alpha, 1, 10000, 3)
+		a := mustPOF(b, full, phys.Alpha, 1, 10000, 3)
+		l := mustPOF(b, lutEng, phys.Alpha, 1, 10000, 3)
 		if a.Tot > 0 {
 			ratio = l.Tot / a.Tot
 		}
@@ -473,7 +494,7 @@ func BenchmarkECCInterleave(b *testing.B) {
 	e := benchEngine(b, chars[key(0.7, true)])
 	var share float64
 	for i := 0; i < b.N; i++ {
-		rep := e.MBUStatsAtEnergy(phys.Alpha, 1, 30000, 6, 11)
+		rep := mustMBU(b, e, phys.Alpha, 1, 30000, 6, 11)
 		as, err := ECCInterleaveSweep(rep, []int{1, 4}, true)
 		if err != nil {
 			b.Fatal(err)
@@ -498,7 +519,7 @@ func BenchmarkLargeArray(b *testing.B) {
 	const batch = 2000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.POFAtEnergy(phys.Alpha, 1, batch, uint64(i))
+		mustPOF(b, e, phys.Alpha, 1, batch, uint64(i))
 	}
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "strikes/s")
 }

@@ -51,26 +51,49 @@ func chaosEngine(t *testing.T, mode GuardMode, reg *Metrics) *Engine {
 // TestChaosCorruptedLUTStrictFailsBeforeOutput: with the LUT corrupted
 // mid-run, a strict guard must fail the stage with a typed InvariantError
 // naming the invariant and the stage — a NaN must never reach the POF (and
-// hence FIT) output.
+// hence FIT) output. Every strike kernel is held to this: the direct-
+// ionization POF point and the neutron FIT.
 func TestChaosCorruptedLUTStrictFailsBeforeOutput(t *testing.T) {
-	reg := NewMetrics()
-	eng := chaosEngine(t, GuardStrict, reg)
-	pt, err := eng.POFAtEnergyCtx(context.Background(), Alpha, 1, 20000, 1)
-	if err == nil {
-		t.Fatalf("corrupted LUT produced a POF point without error: %+v", pt)
+	nSpec, err := NewNeutronSpectrum(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var inv *InvariantError
-	if !errors.As(err, &inv) {
-		t.Fatalf("error is %T (%v), want *InvariantError", err, err)
+	nBins, err := Bins(nSpec, 2, 1000, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if inv.Invariant != "pof-range" {
-		t.Errorf("invariant = %q, want pof-range", inv.Invariant)
-	}
-	if inv.Stage != "core.strike" {
-		t.Errorf("stage = %q, want core.strike", inv.Stage)
-	}
-	if !math.IsNaN(inv.Value) {
-		t.Errorf("offending value = %v, want NaN", inv.Value)
+	for _, tc := range []struct {
+		name string
+		run  func(eng *Engine) (any, error)
+	}{
+		{"alpha POF", func(eng *Engine) (any, error) {
+			return eng.POFAtEnergyCtx(context.Background(), Alpha, 1, 20000, 1)
+		}},
+		{"neutron FIT", func(eng *Engine) (any, error) {
+			return eng.NeutronFITCtx(context.Background(), nSpec, NewNeutronReactions(), nBins, 20000, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewMetrics()
+			eng := chaosEngine(t, GuardStrict, reg)
+			pt, err := tc.run(eng)
+			if err == nil {
+				t.Fatalf("corrupted LUT produced a result without error: %+v", pt)
+			}
+			var inv *InvariantError
+			if !errors.As(err, &inv) {
+				t.Fatalf("error is %T (%v), want *InvariantError", err, err)
+			}
+			if inv.Invariant != "pof-range" {
+				t.Errorf("invariant = %q, want pof-range", inv.Invariant)
+			}
+			if inv.Stage != "core.strike" {
+				t.Errorf("stage = %q, want core.strike", inv.Stage)
+			}
+			if !math.IsNaN(inv.Value) {
+				t.Errorf("offending value = %v, want NaN", inv.Value)
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	log.SetPrefix("cellchar: ")
 
@@ -93,7 +95,7 @@ func main() {
 		Metrics:          finser.NewCharMetrics(reg),
 		Guard:            finser.NewGuard(guardMode, reg, log.Printf),
 	}
-	ch, err := finser.Characterize(cfg)
+	ch, err := finser.CharacterizeCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func runAdaptiveFITSummary(ch *finser.Characterization, vdd float64, samples int
 		Seed:             seed,
 		Obs:              reg,
 	}
-	res, err := finser.RunFlowWithChar(cfg, ch)
+	res, err := finser.RunFlowWithCharCtx(context.Background(), cfg, ch)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -101,7 +102,7 @@ func (r *runner) char(vdd float64, pv bool) (*finser.Characterization, error) {
 	if ch, ok := r.chars[key]; ok {
 		return ch, nil
 	}
-	ch, err := finser.Characterize(finser.CharConfig{
+	ch, err := finser.CharacterizeCtx(context.Background(), finser.CharConfig{
 		Tech: finser.Default14nmSOI(), Vdd: vdd,
 		Samples: r.samples, ProcessVariation: pv, Seed: r.seed,
 		Metrics: finser.NewCharMetrics(r.obs),
@@ -248,7 +249,7 @@ func (r *runner) fig8() error {
 		if err != nil {
 			return err
 		}
-		pts, err := finser.POFCurve(eng, s.sp, energies, r.iters, r.seed+uint64(si))
+		pts, err := finser.POFCurveCtx(context.Background(), eng, s.sp, energies, r.iters, r.seed+uint64(si))
 		if err != nil {
 			return err
 		}
@@ -288,7 +289,7 @@ func (r *runner) vddSweep(pv bool) ([]*finser.FlowResult, []float64, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := finser.RunFlowWithChar(finser.FlowConfig{
+		res, err := finser.RunFlowWithCharCtx(context.Background(), finser.FlowConfig{
 			Vdd: v, ItersPerBin: r.iters, Seed: r.seed,
 			Samples: r.samples, ProcessVariation: pv,
 			Obs: r.obs,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,6 +24,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	log.SetPrefix("layoutviz: ")
 
@@ -68,7 +70,7 @@ func main() {
 	default:
 		log.Fatalf("unknown species %q", *species)
 	}
-	char, err := finser.Characterize(finser.CharConfig{
+	char, err := finser.CharacterizeCtx(ctx, finser.CharConfig{
 		Tech: tech, Vdd: *vdd, ProcessVariation: true, Samples: 60, Seed: *seed,
 	})
 	if err != nil {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	log.SetPrefix("report: ")
 
@@ -60,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	char, err := finser.Characterize(finser.CharConfig{
+	char, err := finser.CharacterizeCtx(ctx, finser.CharConfig{
 		Tech: tech, Vdd: *vdd, ProcessVariation: true, Samples: *samples, Seed: *seed,
 	})
 	if err != nil {
@@ -81,7 +83,7 @@ func main() {
 	// Environment FIT.
 	w("## Failure rates by environment")
 	w("")
-	flow, err := finser.RunFlowWithChar(finser.FlowConfig{
+	flow, err := finser.RunFlowWithCharCtx(ctx, finser.FlowConfig{
 		Vdd: *vdd, Rows: *rows, Cols: *cols, ItersPerBin: *iters, Seed: *seed,
 	}, char)
 	if err != nil {
@@ -102,7 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nRes, err := eng.NeutronFIT(nSpec, finser.NewNeutronReactions(), nBins, *iters, *seed+7)
+	nRes, err := eng.NeutronFITCtx(ctx, nSpec, finser.NewNeutronReactions(), nBins, *iters, *seed+7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +125,10 @@ func main() {
 	// MBU geometry + ECC.
 	w("## MBU geometry and ECC")
 	w("")
-	rep := eng.MBUStatsAtEnergy(finser.Alpha, 1, (*iters)*4, 6, *seed+9)
+	rep, err := eng.MBUStatsAtEnergyCtx(ctx, finser.Alpha, 1, (*iters)*4, 6, *seed+9)
+	if err != nil {
+		log.Fatal(err)
+	}
 	w("Upset multiplicity per alpha strike (1 MeV):")
 	w("")
 	w("| bits flipped | probability |")

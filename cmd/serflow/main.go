@@ -170,35 +170,36 @@ func main() {
 		"Vdd", "alphaFIT", "alphaSEU", "alphaMBU", "MBU/SEU%", "protonFIT", "protonSEU", "protonMBU", "MBU/SEU%")
 
 	var results []*finser.FlowResult
+	// fail ends the run on a stage error at vdd, flushing the completed
+	// voltages first: an interrupt exits 130 and a deadline 124, each with a
+	// resume hint; any other failure exits 1.
+	fail := func(vdd float64, err error) {
+		flush(results, reg, *jsonOut, *metrics)
+		code := 0
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			// The wrapped error names the stage (and bin) the budget expired
+			// in, e.g. "core: fit/alpha bin 7: context deadline exceeded".
+			log.Printf("timed out after %s at vdd %g: %v", *timeout, vdd, err)
+			code = timeoutExitCode
+		case errors.Is(err, context.Canceled):
+			log.Printf("interrupted at vdd %g: %v", vdd, err)
+			code = interruptExitCode
+		default:
+			log.Fatalf("vdd %g: %v", vdd, err)
+		}
+		if *ckPath != "" {
+			log.Printf("rerun with -checkpoint %s -resume to continue", *ckPath)
+		}
+		os.Exit(code)
+	}
 	for _, vdd := range vdds {
 		c := cfg
 		c.Vdd = vdd
 		start := time.Now()
 		res, err := finser.RunFlowCtx(ctx, c)
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				flush(results, reg, *jsonOut, *metrics)
-				// The wrapped error names the stage (and bin) the budget
-				// expired in, e.g. "core: fit/alpha bin 7: context deadline
-				// exceeded".
-				log.Printf("timed out after %s at vdd %g: %v", *timeout, vdd, err)
-				if *ckPath != "" {
-					log.Printf("rerun with -checkpoint %s -resume to continue", *ckPath)
-				}
-				os.Exit(timeoutExitCode)
-			}
-			if errors.Is(err, context.Canceled) {
-				flush(results, reg, *jsonOut, *metrics)
-				log.Printf("interrupted at vdd %g: %v", vdd, err)
-				if *ckPath != "" {
-					log.Printf("rerun with -checkpoint %s -resume to continue", *ckPath)
-				}
-				os.Exit(interruptExitCode)
-			}
-			// A stage failure still salvages the completed voltages before
-			// exiting nonzero.
-			flush(results, reg, *jsonOut, *metrics)
-			log.Fatalf("vdd %g: %v", vdd, err)
+			fail(vdd, err)
 		}
 		results = append(results, res)
 		fmt.Printf("%6.2f  %14.5g %12.5g %12.5g %9.3f  %14.5g %12.5g %12.5g %9.3f   (%s)\n",
@@ -208,12 +209,14 @@ func main() {
 			time.Since(start).Round(time.Millisecond))
 
 		if *neut {
-			nFIT, err := neutronFIT(c, res)
+			// Same engine configuration, context and checkpoint store as
+			// the alpha and proton stages.
+			nFIT, err := finser.NeutronFITCtx(ctx, c, res.Char)
 			if err != nil {
-				log.Fatalf("vdd %g neutron: %v", vdd, err)
+				fail(vdd, err)
 			}
-			fmt.Printf("%6s  neutron: total=%.5g SEU=%.5g MBU=%.5g MBU/SEU=%.3f%%\n",
-				"", nFIT.TotalFIT, nFIT.SEUFIT, nFIT.MBUFIT, nFIT.MBUToSEU)
+			fmt.Printf("%6s  neutron: total=%.5g±%.2g SEU=%.5g MBU=%.5g MBU/SEU=%.3f%%\n",
+				"", nFIT.TotalFIT, nFIT.TotalFITErr, nFIT.SEUFIT, nFIT.MBUFIT, nFIT.MBUToSEU)
 		}
 	}
 
@@ -312,30 +315,6 @@ func buildConfig(vddList string, rows, cols int, pv bool, samples, iters int, re
 		Pattern:          pat,
 		Seed:             seed,
 	}, vdds, nil
-}
-
-// neutronFIT runs the indirect-ionization extension with the flow's
-// already-built characterization.
-func neutronFIT(cfg finser.FlowConfig, res *finser.FlowResult) (finser.FITResult, error) {
-	tr := finser.DefaultTransport()
-	tr.Metrics = finser.NewTransportMetrics(cfg.Obs)
-	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: finser.Default14nmSOI(), Rows: cfg.Rows, Cols: cfg.Cols,
-		Char: res.Char, Transport: tr, Pattern: cfg.Pattern,
-		Metrics: finser.NewEngineMetrics(cfg.Obs), Progress: cfg.Progress,
-	})
-	if err != nil {
-		return finser.FITResult{}, err
-	}
-	spec, err := finser.NewNeutronSpectrum(1)
-	if err != nil {
-		return finser.FITResult{}, err
-	}
-	bins, err := finser.Bins(spec, 2, 1000, 10)
-	if err != nil {
-		return finser.FITResult{}, err
-	}
-	return eng.NeutronFIT(spec, finser.NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
 }
 
 func parseVdds(s string) ([]float64, error) {

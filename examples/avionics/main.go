@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,9 +15,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const vdd = 0.8
 	tech := finser.Default14nmSOI()
-	char, err := finser.Characterize(finser.CharConfig{
+	char, err := finser.CharacterizeCtx(ctx, finser.CharConfig{
 		Tech: tech, Vdd: vdd, ProcessVariation: true, Samples: 120, Seed: 1,
 	})
 	if err != nil {
@@ -47,7 +49,7 @@ func main() {
 	for _, site := range sites {
 		scale := finser.AltitudeScale(site.altitude)
 
-		flow, err := finser.RunFlowWithChar(finser.FlowConfig{
+		flow, err := finser.RunFlowWithCharCtx(ctx, finser.FlowConfig{
 			Vdd: vdd, ItersPerBin: 8000, Seed: 1, ProtonScale: scale,
 		}, char)
 		if err != nil {
@@ -61,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		nRes, err := eng.NeutronFIT(nSpec, rx, nBins, 20000, 7)
+		nRes, err := eng.NeutronFITCtx(ctx, nSpec, rx, nBins, 20000, 7)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,9 +17,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const vdd = 0.7 // worst case: low-power operation
 	tech := finser.Default14nmSOI()
-	char, err := finser.Characterize(finser.CharConfig{
+	char, err := finser.CharacterizeCtx(ctx, finser.CharConfig{
 		Tech: tech, Vdd: vdd, ProcessVariation: true, Samples: 150, Seed: 1,
 	})
 	if err != nil {
@@ -36,7 +38,10 @@ func main() {
 
 	// MBU geometry at the alpha energies that dominate the emission
 	// spectrum.
-	rep := eng.MBUStatsAtEnergy(finser.Alpha, 1, 120000, 6, 11)
+	rep, err := eng.MBUStatsAtEnergyCtx(ctx, finser.Alpha, 1, 120000, 6, 11)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nalpha (1 MeV) upset multiplicity per strike:\n")
 	for k, p := range rep.MultiplicityPMF {
 		if k == 0 || p == 0 {
@@ -56,7 +61,7 @@ func main() {
 	}
 
 	// Interleave sweep: how much MBU FIT survives SEC-DED.
-	flow, err := finser.RunFlowWithChar(finser.FlowConfig{
+	flow, err := finser.RunFlowWithCharCtx(ctx, finser.FlowConfig{
 		Vdd: vdd, ItersPerBin: 15000, Seed: 1,
 	}, char)
 	if err != nil {

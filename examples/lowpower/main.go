@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,8 +16,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	vdds := []float64{0.7, 0.8, 0.9, 1.0, 1.1}
-	results, err := finser.RunVddSweep(finser.FlowConfig{
+	results, err := finser.RunVddSweepCtx(ctx, finser.FlowConfig{
 		ProcessVariation: true,
 		Samples:          120,
 		ItersPerBin:      10000,

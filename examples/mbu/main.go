@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,8 +16,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	tech := finser.Default14nmSOI()
-	char, err := finser.Characterize(finser.CharConfig{
+	char, err := finser.CharacterizeCtx(ctx, finser.CharConfig{
 		Tech: tech, Vdd: 0.8, ProcessVariation: true, Samples: 150, Seed: 1,
 	})
 	if err != nil {
@@ -32,7 +34,7 @@ func main() {
 	eng := mustEngine(tech, char, finser.PatternZeros)
 	for _, sp := range []finser.Species{finser.Alpha, finser.Proton} {
 		for _, e := range []float64{0.5, 1, 5} {
-			pts, err := finser.POFCurve(eng, sp, []float64{e}, 40000, 7)
+			pts, err := finser.POFCurveCtx(ctx, eng, sp, []float64{e}, 40000, 7)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -58,7 +60,7 @@ func main() {
 		{"checkerboard", finser.PatternCheckerboard},
 	} {
 		e := mustEngine(tech, char, pc.pat)
-		pts, err := finser.POFCurve(e, finser.Alpha, []float64{1}, 40000, 9)
+		pts, err := finser.POFCurveCtx(ctx, e, finser.Alpha, []float64{1}, 40000, 9)
 		if err != nil {
 			log.Fatal(err)
 		}

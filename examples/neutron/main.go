@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,9 +19,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const vdd = 0.8
 	tech := finser.Default14nmSOI()
-	char, err := finser.Characterize(finser.CharConfig{
+	char, err := finser.CharacterizeCtx(ctx, finser.CharConfig{
 		Tech: tech, Vdd: vdd, ProcessVariation: true, Samples: 150, Seed: 1,
 	})
 	if err != nil {
@@ -49,7 +51,10 @@ func main() {
 	// Per-energy picture: weighted POF and per-interaction severity.
 	fmt.Printf("%10s %16s %18s\n", "E (MeV)", "weighted POF", "POF per interaction")
 	for _, e := range []float64{2, 5, 14, 50, 200} {
-		pt := eng.NeutronPOFAtEnergy(rx, e, 60000, 3)
+		pt, err := eng.NeutronPOFAtEnergyCtx(ctx, rx, e, 60000, 3)
+		if err != nil {
+			log.Fatal(err)
+		}
 		cond := 0.0
 		if pt.InteractionWeight > 0 {
 			cond = pt.Tot / pt.InteractionWeight
@@ -58,11 +63,11 @@ func main() {
 	}
 
 	// Spectrum-integrated FIT vs the directly ionizing environments.
-	nRes, err := eng.NeutronFIT(nSpec, rx, nBins, 60000, 5)
+	nRes, err := eng.NeutronFITCtx(ctx, nSpec, rx, nBins, 60000, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	flow, err := finser.RunFlowWithChar(finser.FlowConfig{
+	flow, err := finser.RunFlowWithCharCtx(ctx, finser.FlowConfig{
 		Vdd: vdd, ItersPerBin: 15000, Seed: 1,
 	}, char)
 	if err != nil {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,7 +14,8 @@ import (
 )
 
 func main() {
-	res, err := finser.RunFlow(finser.FlowConfig{
+	ctx := context.Background()
+	res, err := finser.RunFlowCtx(ctx, finser.FlowConfig{
 		Vdd:              0.8,  // nominal supply
 		ProcessVariation: true, // paper-style Vth Monte Carlo
 		Samples:          150,  // variation samples (paper: 1000)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	base := finser.Default14nmSOI()
 
 	variants := []struct {
@@ -46,13 +48,13 @@ func main() {
 
 	for _, v := range variants {
 		tech := v.mod(base)
-		char, err := finser.Characterize(finser.CharConfig{
+		char, err := finser.CharacterizeCtx(ctx, finser.CharConfig{
 			Tech: tech, Vdd: 0.8, ProcessVariation: true, Samples: 100, Seed: 1,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", v.name, err)
 		}
-		res, err := finser.RunFlowWithChar(finser.FlowConfig{
+		res, err := finser.RunFlowWithCharCtx(ctx, finser.FlowConfig{
 			Tech: tech, Vdd: 0.8, ItersPerBin: 8000, Seed: 1,
 		}, char)
 		if err != nil {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const vdd = 0.8
 	base := finser.FlowConfig{
 		Vdd:         vdd,
@@ -25,14 +27,14 @@ func main() {
 
 	withPV := base
 	withPV.ProcessVariation = true
-	pv, err := finser.RunFlow(withPV)
+	pv, err := finser.RunFlowCtx(ctx, withPV)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	noPV := base
 	noPV.ProcessVariation = false
-	nom, err := finser.RunFlow(noPV)
+	nom, err := finser.RunFlowCtx(ctx, noPV)
 	if err != nil {
 		log.Fatal(err)
 	}

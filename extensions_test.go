@@ -1,6 +1,7 @@
 package finser
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -29,7 +30,7 @@ func TestNeutronFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nRes, err := eng.NeutronFIT(spec, NewNeutronReactions(), bins, 15000, 3)
+	nRes, err := eng.NeutronFITCtx(context.Background(), spec, NewNeutronReactions(), bins, 15000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestMBUAndECCFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := eng.MBUStatsAtEnergy(Alpha, 1, 30000, 6, 5)
+	rep := mustMBU(t, eng, Alpha, 1, 30000, 6, 5)
 	if rep.TotalPairWeight() <= 0 {
 		t.Fatal("no MBU pairs through the facade")
 	}
@@ -81,7 +82,7 @@ func TestDepositModeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := POFCurve(lutEng, Alpha, []float64{1}, 8000, 7)
+	pts, err := POFCurveCtx(context.Background(), lutEng, Alpha, []float64{1}, 8000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,19 +115,30 @@ func TestAdaptiveFacade(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(),
+		Char: res.Char, Transport: DefaultTransport(), FITRelErr: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := eng.POFAtEnergyAdaptive(Alpha, 1, AdaptiveSpec{
-		TargetRelErr: 0.1, BatchSize: 4000, MaxStrikes: 200000,
-	}, 9)
+	spec, err := NewAlphaSpectrum(DefaultAlphaRate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ad.Converged {
-		t.Errorf("adaptive estimate did not converge in %d strikes", ad.Strikes)
+	bins, err := Bins(spec, 0.5, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit, err := eng.FITCtx(context.Background(), spec, bins, 40000, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fit.Conv) != len(bins) {
+		t.Fatalf("adaptive FIT carries %d convergence records for %d bins", len(fit.Conv), len(bins))
+	}
+	for i, c := range fit.Conv {
+		if !c.Converged {
+			t.Errorf("bin %d did not converge in %d strikes", i, fit.Points[i].Strikes)
+		}
 	}
 }
 
@@ -147,7 +159,7 @@ func TestGridLUTFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := POFCurve(eng, Alpha, []float64{1}, 8000, 3)
+	pts, err := POFCurveCtx(context.Background(), eng, Alpha, []float64{1}, 8000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

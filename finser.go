@@ -13,7 +13,7 @@
 // The package is a façade over the substrate packages in internal/: it
 // re-exports the types a downstream user needs (technology cards, cell
 // characterization, the array engine, spectra) and provides the one-call
-// orchestration (RunFlow, RunVddSweep) used by the examples, the command-
+// orchestration (RunFlowCtx, RunVddSweepCtx) used by the examples, the command-
 // line tools, and the paper-figure benchmarks.
 //
 // # Performance and determinism contract
@@ -96,11 +96,6 @@ type (
 	NeutronPoint = core.NeutronPoint
 	// MBUReport summarizes upset multiplicity and geometry at one energy.
 	MBUReport = core.MBUReport
-	// AdaptiveSpec controls the run-until-precision Monte-Carlo stopping
-	// rule.
-	AdaptiveSpec = core.AdaptiveSpec
-	// AdaptivePOF is a POF estimate with convergence metadata.
-	AdaptivePOF = core.AdaptivePOF
 	// BinConv is one FIT energy bin's convergence record under the adaptive
 	// mode (FlowConfig.FITRelErr > 0): achieved relative error, weight-scaled
 	// tolerance, consumed batches, and strikes saved versus the flat budget.
@@ -192,7 +187,7 @@ func ParseGuardMode(s string) (GuardMode, error) { return guard.ParseMode(s) }
 // NewGuard builds a guard at the given mode, counting violations on reg
 // (nil disables counting) and logging warn-mode hits through logf (nil
 // discards). Returns nil — the zero-cost representation — for GuardOff.
-// RunFlow and friends call this internally from FlowConfig.Guard; use it
+// RunFlowCtx and friends call this internally from FlowConfig.Guard; use it
 // directly when assembling CharConfig or EngineConfig by hand.
 func NewGuard(mode GuardMode, reg *Metrics, logf GuardLogf) *Guard {
 	return guard.New(mode, reg, logf)
@@ -217,11 +212,11 @@ var ErrCheckpointMismatch = checkpoint.ErrConfigMismatch
 
 // NewMetrics returns an empty metrics registry for FlowConfig.Obs (and for
 // the layer-level Metrics fields in CharConfig / EngineConfig /
-// TransportConfig, via the internal constructors RunFlow wires up).
+// TransportConfig, via the internal constructors RunFlowCtx wires up).
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // Layer-level metric bundles, for callers that assemble CharConfig or
-// EngineConfig directly instead of going through RunFlow.
+// EngineConfig directly instead of going through RunFlowCtx.
 type (
 	// EngineMetrics is the array engine's counter bundle (EngineConfig.Metrics).
 	EngineMetrics = core.Metrics
@@ -296,14 +291,10 @@ func Default14nmSOI() Technology { return finfet.Default14nmSOI() }
 // DefaultTransport returns the default device-level physics configuration.
 func DefaultTransport() TransportConfig { return transport.DefaultConfig() }
 
-// Characterize runs the circuit-level cell POF characterization.
-func Characterize(cfg CharConfig) (*Characterization, error) {
-	return sram.Characterize(cfg)
-}
-
-// CharacterizeCtx is Characterize with cooperative cancellation and worker
-// panic isolation: a cancelled context stops the variation Monte Carlo
-// within a sample and returns ctx.Err() wrapped with the stage identity.
+// CharacterizeCtx runs the circuit-level cell POF characterization with
+// cooperative cancellation and worker panic isolation: a cancelled context
+// stops the variation Monte Carlo within a sample and returns ctx.Err()
+// wrapped with the stage identity.
 func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, error) {
 	return sram.CharacterizeCtx(ctx, cfg)
 }
@@ -336,7 +327,7 @@ func NewNeutronSpectrum(scale float64) (Spectrum, error) {
 }
 
 // NewNeutronReactions builds the neutron–silicon reaction model used by
-// Engine.NeutronFIT.
+// Engine.NeutronFITCtx.
 func NewNeutronReactions() *NeutronReactions { return neutron.NewReactions() }
 
 // AnalyzeECC classifies an MBU report's pair statistics under a word
@@ -553,15 +544,10 @@ type FlowResult struct {
 	Char *Characterization
 }
 
-// RunFlow executes the complete paper flow at one Vdd: characterize the
+// RunFlowCtx executes the complete paper flow at one Vdd: characterize the
 // cell, build the array engine, and integrate FIT rates for both the alpha
-// and proton environments.
-func RunFlow(cfg FlowConfig) (*FlowResult, error) {
-	return RunFlowCtx(context.Background(), cfg)
-}
-
-// RunFlowCtx is RunFlow with cooperative cancellation threaded through
-// every long-running stage: a cancelled or expired context stops the
+// and proton environments. Cancellation is threaded through every
+// long-running stage: a cancelled or expired context stops the
 // characterization and FIT worker loops within milliseconds, and the
 // returned error wraps ctx.Err() with the identity of the stage that was
 // interrupted. With cfg.Checkpoint set, completed FIT bins survive the
@@ -573,6 +559,17 @@ func RunFlowCtx(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
 	}
 	flow := cfg.Obs.StartSpan("flow")
 	defer flow.End()
+	char, err := characterize(ctx, cfg, flow)
+	if err != nil {
+		return nil, err
+	}
+	return runFlowWithChar(ctx, cfg, char, flow)
+}
+
+// characterize runs the flow's characterization stage under the flow span
+// — the one FlowConfig → CharConfig mapping. cfg must already carry
+// defaults.
+func characterize(ctx context.Context, cfg FlowConfig, flow *obs.Span) (*Characterization, error) {
 	charSpan := flow.Child("characterize")
 	char, err := CharacterizeCtx(ctx, CharConfig{
 		Tech:             cfg.Tech,
@@ -590,16 +587,11 @@ func RunFlowCtx(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("finser: characterize: %w", err)
 	}
-	return runFlowWithChar(ctx, cfg, char, flow)
+	return char, nil
 }
 
-// RunFlowWithChar is RunFlow with a pre-built characterization — useful for
-// sweeps that vary only the environment.
-func RunFlowWithChar(cfg FlowConfig, char *Characterization) (*FlowResult, error) {
-	return RunFlowWithCharCtx(context.Background(), cfg, char)
-}
-
-// RunFlowWithCharCtx is RunFlowWithChar with cooperative cancellation.
+// RunFlowWithCharCtx is RunFlowCtx with a pre-built characterization —
+// useful for sweeps that vary only the environment.
 func RunFlowWithCharCtx(ctx context.Context, cfg FlowConfig, char *Characterization) (*FlowResult, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -629,7 +621,7 @@ func runFlowWithChar(ctx context.Context, cfg FlowConfig, char *Characterization
 	return res, nil
 }
 
-// buildFlowEngine assembles the array engine exactly as RunFlow does; cfg
+// buildFlowEngine assembles the array engine exactly as RunFlowCtx does; cfg
 // must already carry defaults.
 func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*Engine, error) {
 	transportCfg := DefaultTransport()
@@ -664,10 +656,10 @@ func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*E
 	return eng, nil
 }
 
-// speciesEnv resolves one species' environment exactly as the historical
-// RunFlow did: the spectrum, its Eq. 8 energy-bin discretization, and the
+// speciesEnv resolves one species' environment exactly as RunFlowCtx
+// integrates it: the spectrum, its Eq. 8 energy-bin discretization, and the
 // per-species seed offset (alpha: Seed+1, proton: Seed+2) matching the
-// RunFlow stream split. cfg must already carry defaults. Every FIT surface
+// RunFlowCtx stream split. cfg must already carry defaults. Every FIT surface
 // — single-node, staged, and distributed shards — plans through this one
 // function, so they all agree on the bins and seed schedule to the bit.
 func speciesEnv(cfg FlowConfig, sp Species) (spec Spectrum, bins []EnergyBin, seed uint64, err error) {
@@ -734,24 +726,7 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 	}
 	flow := cfg.Obs.StartSpan("flow")
 	defer flow.End()
-	charSpan := flow.Child("characterize")
-	char, err := CharacterizeCtx(ctx, CharConfig{
-		Tech:             cfg.Tech,
-		Vdd:              cfg.Vdd,
-		Samples:          cfg.Samples,
-		ProcessVariation: cfg.ProcessVariation,
-		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
-		Metrics:          sram.NewMetrics(cfg.Obs),
-		Progress:         cfg.Progress,
-		Faults:           cfg.Faults,
-		Guard:            cfg.newGuard(),
-	})
-	charSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("finser: characterize: %w", err)
-	}
-	return char, nil
+	return characterize(ctx, cfg, flow)
 }
 
 // SpeciesFITCtx runs the single-species environment half of the flow —
@@ -773,6 +748,41 @@ func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, 
 		return FITResult{}, err
 	}
 	return fitSpecies(ctx, cfg, eng, flow, sp)
+}
+
+// NeutronFITCtx runs the neutron (indirect-ionization) stage with a
+// pre-built characterization, on the engine SpeciesFITCtx would build — same
+// workers, guard, adaptive tolerance, checkpoint store, and telemetry hooks.
+// The plan is fixed: the sea-level neutron spectrum over 10 bins from 2 to
+// 1000 MeV, seeded Seed+3, checkpointed as stage "vdd<V>/fit/neutron". It
+// depends only on fields the flow fingerprint already covers, so a
+// checkpointed sweep resumes its neutron stage like any other.
+func NeutronFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization) (FITResult, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return FITResult{}, err
+	}
+	flow := cfg.Obs.StartSpan("flow")
+	defer flow.End()
+	eng, err := buildFlowEngine(cfg, char, flow)
+	if err != nil {
+		return FITResult{}, err
+	}
+	spec, err := NewNeutronSpectrum(1)
+	if err != nil {
+		return FITResult{}, err
+	}
+	bins, err := Bins(spec, 2, 1000, 10)
+	if err != nil {
+		return FITResult{}, fmt.Errorf("finser: neutron bins: %w", err)
+	}
+	fitSpan := flow.Child("fit-neutron")
+	res, err := eng.NeutronFITCtx(ctx, spec, NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
+	fitSpan.End()
+	if err != nil {
+		return FITResult{}, fmt.Errorf("finser: neutron FIT: %w", err)
+	}
+	return res, nil
 }
 
 // SpeciesBins returns the Eq. 8 energy-bin discretization one species' FIT
@@ -805,22 +815,15 @@ func SpeciesSeedSchedule(cfg FlowConfig, sp Species) ([]uint64, error) {
 	return core.FITSeedSchedule(seed, len(bins)), nil
 }
 
-// SpeciesShardPOFCtx computes the POF points of one species' energy bins
-// [from,to) with a pre-built characterization — the unit of work a
+// SpeciesShardPOFConvCtx computes the POF points of one species' energy
+// bins [from,to) with a pre-built characterization — the unit of work a
 // distributed worker serd executes. The engine construction, bin plan, and
 // per-bin seeds are exactly those of SpeciesFITCtx, so the returned points
-// are bit-identical to the slice the single-node integration would
-// produce for the same bins; a coordinator merges complete shard sets with
-// AssembleSpeciesFIT.
-func SpeciesShardPOFCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species, from, to int) ([]POFPoint, error) {
-	pts, _, err := SpeciesShardPOFConvCtx(ctx, cfg, char, sp, from, to)
-	return pts, err
-}
-
-// SpeciesShardPOFConvCtx is SpeciesShardPOFCtx returning the per-bin
-// convergence records alongside the points when cfg.FITRelErr > 0 (nil
-// under the flat budget) — the shard entry a distributed worker uses so the
-// coordinator can carry each bin's convergence state through the merge.
+// are bit-identical to the slice the single-node integration would produce
+// for the same bins; a coordinator merges complete shard sets with
+// AssembleSpeciesFIT. The per-bin convergence records come alongside when
+// cfg.FITRelErr > 0 (nil under the flat budget), so the coordinator can
+// carry each bin's convergence state through the merge.
 func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species, from, to int) ([]POFPoint, []BinConv, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -891,7 +894,7 @@ func AssembleSpeciesFIT(cfg FlowConfig, sp Species, binIdx []int, points []POFPo
 	return core.AssembleFIT(sp, cfg.Vdd, sel, points, area), nil
 }
 
-// SweepError reports the voltage at which a Vdd sweep failed. RunVddSweep
+// SweepError reports the voltage at which a Vdd sweep failed. RunVddSweepCtx
 // returns it alongside the results of every voltage completed before the
 // failure, so hours of finished characterization and FIT work survive a
 // late fault. Unwrap exposes the underlying stage error (including
@@ -911,17 +914,11 @@ func (e *SweepError) Error() string {
 
 func (e *SweepError) Unwrap() error { return e.Err }
 
-// RunVddSweep runs the flow across supply voltages (the Figs. 9–11 sweep).
-// Each voltage gets its own cell characterization. On failure it returns
-// the results of every completed voltage together with a *SweepError
-// naming the voltage that failed — partial work is never discarded.
-func RunVddSweep(cfg FlowConfig, vdds []float64) ([]*FlowResult, error) {
-	return RunVddSweepCtx(context.Background(), cfg, vdds)
-}
-
-// RunVddSweepCtx is RunVddSweep with cooperative cancellation; an
-// interrupted sweep returns the completed voltages plus a *SweepError
-// wrapping ctx.Err().
+// RunVddSweepCtx runs the flow across supply voltages (the Figs. 9–11
+// sweep). Each voltage gets its own cell characterization. On failure —
+// including cancellation — it returns the results of every completed
+// voltage together with a *SweepError naming the voltage that failed, so
+// partial work is never discarded.
 func RunVddSweepCtx(ctx context.Context, cfg FlowConfig, vdds []float64) ([]*FlowResult, error) {
 	if len(vdds) == 0 {
 		return nil, errors.New("finser: empty vdd sweep")

@@ -1,6 +1,7 @@
 package finser
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func smallFlowConfig() FlowConfig {
 func sharedFlow(t *testing.T) *FlowResult {
 	t.Helper()
 	flowOnce.Do(func() {
-		flowRes, flowErr = RunFlow(smallFlowConfig())
+		flowRes, flowErr = RunFlowCtx(context.Background(), smallFlowConfig())
 	})
 	if flowErr != nil {
 		t.Fatal(flowErr)
@@ -37,10 +38,10 @@ func sharedFlow(t *testing.T) *FlowResult {
 }
 
 func TestFlowConfigValidation(t *testing.T) {
-	if _, err := RunFlow(FlowConfig{}); err == nil {
+	if _, err := RunFlowCtx(context.Background(), FlowConfig{}); err == nil {
 		t.Error("zero Vdd accepted")
 	}
-	if _, err := RunVddSweep(FlowConfig{}, nil); err == nil {
+	if _, err := RunVddSweepCtx(context.Background(), FlowConfig{}, nil); err == nil {
 		t.Error("empty sweep accepted")
 	}
 }
@@ -74,7 +75,7 @@ func TestRunFlowProducesPositiveRates(t *testing.T) {
 
 func TestRunFlowDeterministic(t *testing.T) {
 	res := sharedFlow(t)
-	again, err := RunFlow(smallFlowConfig())
+	again, err := RunFlowCtx(context.Background(), smallFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRunFlowDeterministic(t *testing.T) {
 func TestRunFlowWithCharReuses(t *testing.T) {
 	res := sharedFlow(t)
 	cfg := smallFlowConfig()
-	again, err := RunFlowWithChar(cfg, res.Char)
+	again, err := RunFlowWithCharCtx(context.Background(), cfg, res.Char)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestVddSweepOrdering(t *testing.T) {
 	cfg := smallFlowConfig()
 	cfg.Samples = 30
 	cfg.ItersPerBin = 3000
-	results, err := RunVddSweep(cfg, []float64{0.7, 1.1})
+	results, err := RunVddSweepCtx(context.Background(), cfg, []float64{0.7, 1.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,17 +163,17 @@ func TestPOFCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := POFCurve(eng, Alpha, []float64{1, 10}, 5000, 5)
+	pts, err := POFCurveCtx(context.Background(), eng, Alpha, []float64{1, 10}, 5000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 || pts[0].Tot <= pts[1].Tot {
 		t.Errorf("POF curve wrong: %+v", pts)
 	}
-	if _, err := POFCurve(eng, Alpha, nil, 10, 1); err == nil {
+	if _, err := POFCurveCtx(context.Background(), eng, Alpha, nil, 10, 1); err == nil {
 		t.Error("empty energies accepted")
 	}
-	if _, err := POFCurve(eng, Alpha, []float64{1}, 0, 1); err == nil {
+	if _, err := POFCurveCtx(context.Background(), eng, Alpha, []float64{1}, 0, 1); err == nil {
 		t.Error("zero iters accepted")
 	}
 }

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"context"
-	"errors"
-
-	"finser/internal/phys"
-	"finser/internal/rng"
-	"finser/internal/stats"
-)
+import "finser/internal/stats"
 
 // Adaptive Monte-Carlo: instead of a fixed particle budget, run batches
 // until the POF estimate reaches a requested relative precision. Rare-event
@@ -16,10 +9,9 @@ import (
 // under-resolve. The paper side-steps this with a flat 10 M iterations —
 // this estimator gets equal precision for a fraction of the strikes.
 //
-// BinEstimator below is the one convergence implementation: the single-point
-// POFAtEnergyAdaptive API and the whole-integration adaptive FIT mode
-// (Config.FITRelErr, see adaptivefit.go) both stream their batches through
-// it.
+// BinEstimator below is the convergence implementation the adaptive FIT
+// mode (Config.FITRelErr, see adaptivefit.go) streams every bin's batches
+// through.
 
 // BinEstimator is a streaming per-bin convergence estimator: it folds
 // fixed-size Monte-Carlo batch estimates into pooled Welford moments of
@@ -90,75 +82,4 @@ func (b *BinEstimator) Point() POFPoint {
 		Strikes:   b.strikes,
 		HitFrac:   b.sumHits / nf,
 	}
-}
-
-// AdaptiveSpec controls the stopping rule.
-type AdaptiveSpec struct {
-	// TargetRelErr stops when stderr/mean of POFtot falls below this
-	// (default 0.05).
-	TargetRelErr float64
-	// BatchSize is the number of particles per convergence check
-	// (default 20000).
-	BatchSize int
-	// MaxStrikes bounds the total work (default 5e6). If the target
-	// precision is not reached by then, the estimate is returned with
-	// Converged=false.
-	MaxStrikes int
-	// MinStrikes guards against lucky early stops (default 2×BatchSize).
-	MinStrikes int
-}
-
-func (s AdaptiveSpec) withDefaults() AdaptiveSpec {
-	if s.TargetRelErr <= 0 {
-		s.TargetRelErr = 0.05
-	}
-	if s.BatchSize <= 0 {
-		s.BatchSize = 20000
-	}
-	if s.MaxStrikes <= 0 {
-		s.MaxStrikes = 5_000_000
-	}
-	if s.MinStrikes <= 0 {
-		s.MinStrikes = 2 * s.BatchSize
-	}
-	return s
-}
-
-// AdaptivePOF is a POFPoint with convergence metadata.
-type AdaptivePOF struct {
-	POFPoint
-	Converged bool
-	RelErr    float64
-}
-
-// POFAtEnergyAdaptive estimates the POF at one energy to the requested
-// relative precision, batching until converged or the strike budget is
-// exhausted.
-func (e *Engine) POFAtEnergyAdaptive(sp phys.Species, energyMeV float64, spec AdaptiveSpec, seed uint64) (AdaptivePOF, error) {
-	return e.POFAtEnergyAdaptiveCtx(context.Background(), sp, energyMeV, spec, seed)
-}
-
-// POFAtEnergyAdaptiveCtx is POFAtEnergyAdaptive with cooperative
-// cancellation between (and inside) batches; worker panics surface as
-// stack-carrying errors instead of crashing the process. Batch seeds are
-// drawn sequentially from rng.New(seed), so the estimate for a fixed
-// (spec, seed, workers) is bit-identical across runs.
-func (e *Engine) POFAtEnergyAdaptiveCtx(ctx context.Context, sp phys.Species, energyMeV float64, spec AdaptiveSpec, seed uint64) (AdaptivePOF, error) {
-	spec = spec.withDefaults()
-	if energyMeV <= 0 {
-		return AdaptivePOF{}, errors.New("core: adaptive POF needs positive energy")
-	}
-	src := rng.New(seed)
-	var est BinEstimator
-	for est.Strikes() < spec.MaxStrikes {
-		pt, err := e.POFAtEnergyCtx(ctx, sp, energyMeV, spec.BatchSize, src.Uint64())
-		if err != nil {
-			return AdaptivePOF{}, err
-		}
-		est.AddBatch(pt)
-		if est.Strikes() >= spec.MinStrikes && est.Mean() > 0 && est.RelErr() <= spec.TargetRelErr {
-			return AdaptivePOF{POFPoint: est.Point(), Converged: true, RelErr: est.RelErr()}, nil
-		}
-	}
-	return AdaptivePOF{POFPoint: est.Point(), Converged: false, RelErr: est.RelErr()}, nil
 }

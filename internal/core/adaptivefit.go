@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/spectra"
 )
@@ -148,13 +147,13 @@ func adaptiveHopeless(est *BinEstimator, tol float64) bool {
 // (config, bin seed), never on which worker, shard, resume attempt, or
 // reallocation order ran it; stopping early merely leaves later draws
 // untaken.
-func (e *Engine) adaptivePOFBin(ctx context.Context, sp phys.Species, energyMeV float64, itersPerBin int, binSeed uint64, tol float64) (POFPoint, BinConv, error) {
+func (e *Engine) adaptivePOFBin(ctx context.Context, k kernel, energyMeV float64, itersPerBin int, binSeed uint64, tol float64) (POFPoint, BinConv, error) {
 	batch := adaptiveBatchSize(itersPerBin)
 	src := rng.New(binSeed)
 	var est BinEstimator
 	conv := BinConv{Tol: tol}
 	for est.Batches() < adaptiveCapBatches {
-		pt, err := e.POFAtEnergyCtx(ctx, sp, energyMeV, batch, src.Uint64())
+		pt, _, err := e.estimate(ctx, k, energyMeV, batch, src.Uint64())
 		if err != nil {
 			return POFPoint{}, BinConv{}, err
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,11 +71,11 @@ func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
 	e := adaptiveEngine(t, 0.05, nil)
 
-	r1, err := e.FIT(spec, bins, 3000, 42)
+	r1, err := e.FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.FIT(spec, bins, 3000, 42)
+	r2, err := e.FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestAdaptiveFITConvRecords(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
 	itersPerBin := 3000
 	e := adaptiveEngine(t, 0.1, nil)
-	r, err := e.FIT(spec, bins, itersPerBin, 42)
+	r, err := e.FITCtx(context.Background(), spec, bins, itersPerBin, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestAdaptiveFITConvRecords(t *testing.T) {
 		t.Errorf("adaptive run saved %d strikes on an easy spectrum", saved)
 	}
 
-	flat, err := adaptiveEngine(t, 0, nil).FIT(spec, bins, itersPerBin, 42)
+	flat, err := adaptiveEngine(t, 0, nil).FITCtx(context.Background(), spec, bins, itersPerBin, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,11 @@ func TestAdaptiveFITConvRecords(t *testing.T) {
 // wall-clock, never bias.
 func TestAdaptiveFITMatchesFlatWithinError(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
-	ad, err := adaptiveEngine(t, 0.05, nil).FIT(spec, bins, 3000, 42)
+	ad, err := adaptiveEngine(t, 0.05, nil).FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := adaptiveEngine(t, 0, nil).FIT(spec, bins, 3000, 42)
+	flat, err := adaptiveEngine(t, 0, nil).FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +184,13 @@ func TestAdaptiveFITMatchesFlatWithinError(t *testing.T) {
 func TestAdaptiveFITCheckpointResume(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
 	e := adaptiveEngine(t, 0.05, nil)
-	want, err := e.FIT(spec, bins, 3000, 42)
+	want, err := e.FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	store := newMemStore()
-	if _, err := adaptiveEngine(t, 0.05, store).FIT(spec, bins, 3000, 42); err != nil {
+	if _, err := adaptiveEngine(t, 0.05, store).FITCtx(context.Background(), spec, bins, 3000, 42); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate the persisted state to the first two bins — the on-disk
@@ -204,7 +205,7 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 	if err := store.Save(stage, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := adaptiveEngine(t, 0.05, store).FIT(spec, bins, 3000, 42)
+	got, err := adaptiveEngine(t, 0.05, store).FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 
 	// Tolerance is result-determining: a flat resume over an adaptive
 	// checkpoint (and vice versa) must fail loudly.
-	if _, err := adaptiveEngine(t, 0, store).FIT(spec, bins, 3000, 42); err == nil || !strings.Contains(err.Error(), "tolerance") {
+	if _, err := adaptiveEngine(t, 0, store).FITCtx(context.Background(), spec, bins, 3000, 42); err == nil || !strings.Contains(err.Error(), "tolerance") {
 		t.Errorf("flat resume over adaptive checkpoint: err = %v", err)
 	}
 	// A checkpoint with conv records stripped is corrupt, not flat.
@@ -222,8 +223,86 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 	if err := store.Save(stage, st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := adaptiveEngine(t, 0.05, store).FIT(spec, bins, 3000, 42); err == nil {
+	if _, err := adaptiveEngine(t, 0.05, store).FITCtx(context.Background(), spec, bins, 3000, 42); err == nil {
 		t.Error("adaptive resume accepted checkpoint without convergence records")
+	}
+}
+
+// adaptiveOneBin runs one energy bin through the bin runner: the shard
+// entry over a one-bin plan, where the bin's tolerance is FITRelErr itself.
+func adaptiveOneBin(t *testing.T, relErr float64, sp phys.Species, energyMeV float64, itersPerBin int, seed uint64) (POFPoint, BinConv) {
+	t.Helper()
+	bins := []spectra.EnergyBin{{Rep: energyMeV, IntFlux: 1}}
+	pts, conv, err := adaptiveEngine(t, relErr, nil).POFBinsConvCtx(context.Background(), sp, bins, itersPerBin, FITSeedSchedule(seed, 1), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conv[0].Tol != relErr {
+		t.Fatalf("one-bin tolerance %g, want %g", conv[0].Tol, relErr)
+	}
+	if err := CheckBinConv(conv[0], pts[0]); err != nil {
+		t.Fatal(err)
+	}
+	return pts[0], conv[0]
+}
+
+// A reachable tolerance converges, and the converged estimate agrees with a
+// big fixed-budget run.
+func TestAdaptivePOFConverges(t *testing.T) {
+	pt, c := adaptiveOneBin(t, 0.05, phys.Alpha, 1, 50000, 3)
+	if !c.Converged || c.RelErr > c.Tol {
+		t.Fatalf("alpha at 1 MeV: converged=%v rel err %g (tol %g) after %d strikes", c.Converged, c.RelErr, c.Tol, pt.Strikes)
+	}
+	ref := mustPOF(t, adaptiveEngine(t, 0, nil), phys.Alpha, 1, 100000, 17)
+	if diff := math.Abs(pt.Tot - ref.Tot); diff > 5*(pt.TotStdErr+ref.TotStdErr) {
+		t.Errorf("adaptive %v vs fixed %v beyond noise", pt.Tot, ref.Tot)
+	}
+}
+
+// An unreachable tolerance must come back flagged unconverged, in whole
+// batches within the per-bin cap, rather than looping.
+func TestAdaptivePOFBudgetExhaustion(t *testing.T) {
+	pt, c := adaptiveOneBin(t, 0.001, phys.Alpha, 1, 2000, 5)
+	if c.Converged {
+		t.Errorf("impossible precision reported as converged (rel err %g)", c.RelErr)
+	}
+	if c.Batches > adaptiveCapBatches || pt.Strikes != c.Batches*adaptiveBatchSize(2000) {
+		t.Errorf("%d strikes over %d batches, want whole batches within the %d-batch cap", pt.Strikes, c.Batches, adaptiveCapBatches)
+	}
+}
+
+// The whole point: a rare-event point must consume more strikes than a
+// saturated point at the same tolerance.
+func TestAdaptivePOFRareEventNeedsMoreStrikes(t *testing.T) {
+	common, _ := adaptiveOneBin(t, 0.1, phys.Alpha, 1, 40000, 7)
+	rare, _ := adaptiveOneBin(t, 0.1, phys.Proton, 0.5, 40000, 7)
+	if rare.Strikes <= common.Strikes {
+		t.Errorf("rare event used %d strikes, saturated used %d", rare.Strikes, common.Strikes)
+	}
+}
+
+// The shard entry is a trust boundary (its bin range and seed schedule
+// arrive over the wire), so the bin runner must reject malformed plans
+// instead of indexing past them.
+func TestAdaptivePOFValidation(t *testing.T) {
+	_, bins := alphaEnv(t, 4)
+	seeds := FITSeedSchedule(42, len(bins))
+	e := adaptiveEngine(t, 0.05, nil)
+	for _, tc := range []struct {
+		name     string
+		seeds    []uint64
+		from, to int
+		iters    int
+	}{
+		{"seed count mismatch", seeds[:3], 0, 4, 100},
+		{"empty range", seeds, 2, 2, 100},
+		{"negative start", seeds, -1, 2, 100},
+		{"range past plan", seeds, 2, 5, 100},
+		{"zero iterations", seeds, 0, 4, 0},
+	} {
+		if _, _, err := e.POFBinsConvCtx(context.Background(), phys.Alpha, bins, tc.iters, tc.seeds, tc.from, tc.to); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"finser/internal/faultinject"
 	"finser/internal/finfet"
@@ -34,7 +33,6 @@ import (
 	"finser/internal/rng"
 	"finser/internal/spectra"
 	"finser/internal/sram"
-	"finser/internal/stats"
 	"finser/internal/transport"
 )
 
@@ -546,174 +544,19 @@ type POFPoint struct {
 	HitFrac float64
 }
 
-// POFAtEnergy runs iters Monte-Carlo particles of the species at one energy
-// in parallel and returns the averaged POFs. It is the legacy non-
-// cancellable surface over POFAtEnergyCtx: with a background context and no
-// fault hooks the only possible failures are worker panics, which are
-// re-raised to preserve the historical crash behaviour. New code should
-// prefer POFAtEnergyCtx.
-func (e *Engine) POFAtEnergy(sp phys.Species, energyMeV float64, iters int, seed uint64) POFPoint {
-	pt, err := e.POFAtEnergyCtx(context.Background(), sp, energyMeV, iters, seed)
-	if err != nil {
-		panic(err)
-	}
-	return pt
-}
-
-// cancelCheckEvery is the worker-loop particle stride between context
-// checks. Strikes cost microseconds, so this bounds cancellation latency
-// well under a millisecond per worker.
-const cancelCheckEvery = 64
-
-// FaultSiteParticle is the engine's per-particle fault-injection site.
-const FaultSiteParticle = "core.particle"
-
-// POFAtEnergyCtx is POFAtEnergy with cooperative cancellation and panic
-// isolation: workers check ctx every cancelCheckEvery particles, a panic in
-// any worker is recovered into a stack-carrying *faultinject.PanicError
-// that fails this energy point instead of the process, and the returned
-// error wraps ctx.Err() (with stage identity) when the run was cancelled.
-// Worker partials are merged in worker order, so the result is bit-
-// deterministic for a fixed (seed, worker count).
+// POFAtEnergyCtx runs iters Monte-Carlo particles of the species at one
+// energy through the shared worker fan-out and returns the averaged POFs.
+// Workers check ctx every cancelCheckEvery particles; a worker panic fails
+// this energy point with a stack-carrying *faultinject.PanicError instead
+// of crashing the process. Worker partials merge in worker order, so the
+// result is bit-deterministic for a fixed (seed, worker count).
 func (e *Engine) POFAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV float64, iters int, seed uint64) (POFPoint, error) {
-	var yieldTab *lut.Table1D
-	if e.cfg.Deposits == DepositLUT {
-		t, err := e.ensureYieldLUT(ctx, sp)
-		if err != nil {
-			return POFPoint{}, err
-		}
-		yieldTab = t
-	}
-	workers := e.cfg.Workers
-	if iters < workers {
-		workers = 1
-	}
-	srcs := rng.New(seed).ForkN(workers)
-
-	m := e.cfg.Metrics
-	var wallStart time.Time
-	if m != nil {
-		wallStart = time.Now()
-	}
-
-	type acc struct {
-		tot, seu, mbu stats.Welford
-		hits          int
-		busyNs        int64
-	}
-	accs := make([]acc, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	per := iters / workers
-	extra := iters % workers
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		wg.Add(1)
-		go func(w int, src *rng.Source, n int) {
-			defer wg.Done()
-			defer faultinject.Recover("core.worker", &errs[w])
-			scr := e.getScratch()
-			defer e.putScratch(scr)
-			a := &accs[w]
-			var busyStart time.Time
-			if m != nil {
-				busyStart = time.Now()
-			}
-			for i := 0; i < n; i++ {
-				if i%cancelCheckEvery == 0 {
-					if err := ctx.Err(); err != nil {
-						errs[w] = err
-						break
-					}
-				}
-				if fi := e.cfg.Faults; fi != nil {
-					if err := fi.Hit(FaultSiteParticle); err != nil {
-						errs[w] = err
-						break
-					}
-				}
-				o, err := e.strike(src, sp, energyMeV, yieldTab, scr)
-				if err != nil {
-					errs[w] = err
-					break
-				}
-				a.tot.Add(o.pofTot)
-				a.seu.Add(o.pofSEU)
-				a.mbu.Add(o.pofMBU)
-				if o.struckCells > 0 {
-					a.hits++
-					if m != nil {
-						m.StruckCellMultiplicity.Observe(float64(o.struckCells))
-					}
-				}
-			}
-			if m != nil {
-				a.busyNs = time.Since(busyStart).Nanoseconds()
-			}
-		}(w, srcs[w], n)
-	}
-	wg.Wait()
-
-	// Surface the most informative failure: a real fault (panic, injected
-	// error) over a bare cancellation, then by worker index for
-	// determinism.
-	var ctxErr, hardErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if ctxErr == nil {
-				ctxErr = err
-			}
-		} else if hardErr == nil {
-			hardErr = err
-		}
-	}
-	if err := hardErr; err != nil || ctxErr != nil {
-		if err == nil {
-			err = ctxErr
-		}
-		return POFPoint{}, fmt.Errorf("core: POF %v @%g MeV: %w", sp, energyMeV, err)
-	}
-
-	var tot, seu, mbu stats.Welford
-	hits := 0
-	busyNs := int64(0)
-	for i := range accs {
-		tot.Merge(accs[i].tot)
-		seu.Merge(accs[i].seu)
-		mbu.Merge(accs[i].mbu)
-		hits += accs[i].hits
-		busyNs += accs[i].busyNs
-	}
-	if m != nil {
-		m.Particles.Add(int64(iters))
-		m.Hits.Add(int64(hits))
-		m.Misses.Add(int64(iters - hits))
-		m.WorkerBusyNs.Add(busyNs)
-		wallNs := time.Since(wallStart).Nanoseconds() * int64(workers)
-		m.WallNs.Add(wallNs)
-		if wallNs > 0 {
-			m.WorkerUtilization.Set(float64(busyNs) / float64(wallNs))
-		}
-	}
-	pt := POFPoint{
-		EnergyMeV: energyMeV,
-		Tot:       tot.Mean(),
-		SEU:       seu.Mean(),
-		MBU:       mbu.Mean(),
-		TotStdErr: tot.StdErr(),
-		Strikes:   iters,
-		HitFrac:   float64(hits) / float64(iters),
-	}
-	if err := checkPOFPoint(e.cfg.Guard, "core.pof", pt); err != nil {
+	k, err := e.directKernel(ctx, sp)
+	if err != nil {
 		return POFPoint{}, err
 	}
-	return pt, nil
+	pt, _, err := e.estimate(ctx, k, energyMeV, iters, seed)
+	return pt, err
 }
 
 // checkPOFPoint runs the guard's probability invariants over one energy
@@ -807,157 +650,17 @@ type fitState struct {
 	Conv []BinConv `json:"conv,omitempty"`
 }
 
-// FIT runs the full Eq. 8 integration: per energy bin, estimate the POF
-// with itersPerBin Monte-Carlo particles, multiply by the bin's integral
-// flux and the array area, and sum. It is FITCtx with a background
-// context.
-func (e *Engine) FIT(spec spectra.Spectrum, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
-	return e.FITCtx(context.Background(), spec, bins, itersPerBin, seed)
-}
-
-// FITCtx is the resilient FIT integration. Cancellation: ctx is checked
-// before every bin and every cancelCheckEvery particles inside the bin;
-// on cancellation the error wraps ctx.Err() with the stage identity.
-// Checkpointing: when Config.Checkpoint is set, every completed bin is
-// persisted, and a later call with the same configuration resumes from the
-// last completed bin, reproducing the uninterrupted result bit-identically
-// (per-bin seeds are pre-drawn from seed, so bin k's substream does not
-// depend on how many bins ran in this process).
+// FITCtx runs the full Eq. 8 integration for a directly ionizing species:
+// per energy bin, estimate the POF with itersPerBin Monte-Carlo particles
+// (or adaptively, with Config.FITRelErr > 0), multiply by the bin's integral
+// flux and the array area, and sum. It is cancellable and checkpointed bin
+// by bin; see integrate.
 func (e *Engine) FITCtx(ctx context.Context, spec spectra.Spectrum, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
-	if len(bins) == 0 {
-		return FITResult{}, errors.New("core: FIT needs at least one energy bin")
+	k, err := e.directKernel(ctx, spec.Species())
+	if err != nil {
+		return FITResult{}, err
 	}
-	if itersPerBin <= 0 {
-		return FITResult{}, errors.New("core: FIT needs positive iterations per bin")
-	}
-	res := FITResult{
-		Species: spec.Species(),
-		Vdd:     e.cfg.Char.SupplyVoltage(),
-		Bins:    bins,
-	}
-	stage := "fit/" + spec.Species().String()
-	fitSpan := e.cfg.Metrics.span(stage)
-	defer fitSpan.End()
-
-	// Pre-draw the per-bin seed schedule. Drawing all seeds up front (in
-	// bin order, exactly as the sequential code consumed them) is what
-	// makes a resumed run bit-identical: bin k's substream is a pure
-	// function of (seed, k).
-	seeds := FITSeedSchedule(seed, len(bins))
-
-	adaptive := e.cfg.FITRelErr > 0
-	var tols []float64
-	if adaptive {
-		tols = adaptiveTols(bins, e.cfg.FITRelErr)
-	}
-
-	state := fitState{ItersPerBin: itersPerBin, Seeds: seeds, RelErr: e.cfg.FITRelErr}
-	ckStage := e.cfg.CheckpointPrefix + stage
-	if e.cfg.Checkpoint != nil {
-		var prev fitState
-		ok, err := e.cfg.Checkpoint.Load(ckStage, &prev)
-		if err != nil {
-			return FITResult{}, fmt.Errorf("core: %s: checkpoint: %w", ckStage, err)
-		}
-		if ok {
-			if err := compatibleFITState(prev, state, len(bins)); err != nil {
-				return FITResult{}, fmt.Errorf("core: %s: checkpoint: %w", ckStage, err)
-			}
-			// Restored points crossed a disk boundary: re-check them as if
-			// they were freshly computed.
-			for i, pt := range prev.Points {
-				if err := checkPOFPoint(e.cfg.Guard, stage+" (resumed)", pt); err != nil {
-					return FITResult{}, err
-				}
-				if adaptive {
-					if err := CheckBinConv(prev.Conv[i], pt); err != nil {
-						return FITResult{}, fmt.Errorf("core: %s: checkpoint: %w", ckStage, err)
-					}
-				}
-			}
-			state.Points = prev.Points
-			state.Conv = prev.Conv
-		}
-	}
-
-	tracker := obs.NewTracker(e.cfg.Progress, stage, int64(len(bins)*itersPerBin), 0)
-	defer tracker.Finish()
-	for _, pt := range state.Points { // bins restored from checkpoint
-		tracker.Add(int64(pt.Strikes))
-	}
-
-	lx, ly := e.arr.DimsCm()
-	area := lx * ly
-	emitBin := e.cfg.OnBinDone
-	fitSoFar := 0.0
-	if emitBin != nil {
-		// Replay restored bins through the callback so a consumer joining a
-		// resumed run still sees the full bin sequence and a correct partial
-		// sum.
-		for i, pt := range state.Points {
-			fitSoFar += pt.Tot * bins[i].IntFlux * area * fitScale
-			ev := BinEvent{Stage: stage, Bin: i + 1, Bins: len(bins), Point: pt, FITSoFar: fitSoFar, Resumed: true}
-			if adaptive {
-				ev.Adaptive, ev.Conv = true, state.Conv[i]
-			}
-			emitBin(ev)
-		}
-	}
-
-	for i := len(state.Points); i < len(bins); i++ {
-		if err := ctx.Err(); err != nil {
-			return FITResult{}, fmt.Errorf("core: %s bin %d: %w", stage, i, err)
-		}
-		b := bins[i]
-		binSpan := fitSpan.Child(fmt.Sprintf("bin%02d@%.3gMeV", i, b.Rep))
-		var pt POFPoint
-		var conv BinConv
-		var err error
-		if adaptive {
-			pt, conv, err = e.adaptivePOFBin(ctx, spec.Species(), b.Rep, itersPerBin, seeds[i], tols[i])
-		} else {
-			pt, err = e.POFAtEnergyCtx(ctx, spec.Species(), b.Rep, itersPerBin, seeds[i])
-		}
-		binSpan.End()
-		if err != nil {
-			return FITResult{}, fmt.Errorf("core: %s bin %d: %w", stage, i, err)
-		}
-		tracker.Add(int64(pt.Strikes))
-		state.Points = append(state.Points, pt)
-		if adaptive {
-			state.Conv = append(state.Conv, conv)
-		}
-		if emitBin != nil {
-			fitSoFar += pt.Tot * b.IntFlux * area * fitScale
-			emitBin(BinEvent{Stage: stage, Bin: i + 1, Bins: len(bins), Point: pt, FITSoFar: fitSoFar, Adaptive: adaptive, Conv: conv})
-		}
-		if e.cfg.Checkpoint != nil {
-			if err := e.cfg.Checkpoint.Save(ckStage, state); err != nil {
-				return FITResult{}, fmt.Errorf("core: %s bin %d: checkpoint: %w", ckStage, i, err)
-			}
-		}
-	}
-
-	// Accumulate from the ordered points — the same float operations in
-	// the same order whether the points were computed here, restored from a
-	// checkpoint, or (via AssembleFIT's other callers) merged from
-	// distributed shards.
-	res = AssembleFIT(spec.Species(), res.Vdd, bins, state.Points, area)
-	res.Conv = state.Conv
-	if g := e.cfg.Guard; g.Enabled() {
-		for _, c := range []struct {
-			name string
-			v    float64
-		}{
-			{"TotalFIT", res.TotalFIT}, {"SEUFIT", res.SEUFIT},
-			{"MBUFIT", res.MBUFIT}, {"TotalFITErr", res.TotalFITErr},
-		} {
-			if err := g.NonNegativeFinite(stage, c.name, c.v); err != nil {
-				return FITResult{}, err
-			}
-		}
-	}
-	return res, nil
+	return e.integrate(ctx, k, spec.Species(), bins, itersPerBin, seed)
 }
 
 // FITSeedSchedule returns the per-bin seed schedule FITCtx pre-draws from
@@ -975,68 +678,36 @@ func FITSeedSchedule(seed uint64, nBins int) []uint64 {
 	return seeds
 }
 
-// POFBinsCtx is the shard-scoped FIT entry: it estimates the POF points of
-// bins[from:to) using the given pre-drawn seed schedule (aligned with bins,
-// typically FITSeedSchedule output), exactly as FITCtx would for those
-// bins. A worker computing bins [from,to) with the job's seed schedule
-// produces points bit-identical to the single-node integration, so a
-// coordinator can merge shards from many machines with AssembleFIT and land
-// on the same FITResult to the last bit. It is POFBinsConvCtx minus the
-// convergence records.
-func (e *Engine) POFBinsCtx(ctx context.Context, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seeds []uint64, from, to int) ([]POFPoint, error) {
-	pts, _, err := e.POFBinsConvCtx(ctx, sp, bins, itersPerBin, seeds, from, to)
-	return pts, err
-}
-
-// POFBinsConvCtx is POFBinsCtx returning per-bin convergence records
-// alongside the points when the engine runs in adaptive mode
-// (Config.FITRelErr > 0); conv is nil under the flat budget. The adaptive
-// stopping rule depends only on each bin's own batch stream plus the flux
-// weights of the full bin plan — both pure functions of the job config — so
-// a shard worker reaches exactly the decisions the single-node adaptive
-// FITCtx loop reaches, and the merge stays bit-identical.
+// POFBinsConvCtx is the shard-scoped FIT entry: the bin runner over
+// bins[from:to) with the given pre-drawn seed schedule (aligned with bins,
+// typically FITSeedSchedule output), exactly as FITCtx runs those bins. A
+// worker computing bins [from,to) with the job's seed schedule produces
+// points bit-identical to the single-node integration, so a coordinator can
+// merge shards from many machines with AssembleFIT and land on the same
+// FITResult to the last bit. conv carries the per-bin convergence records
+// in adaptive mode (Config.FITRelErr > 0) and is nil under the flat budget.
 func (e *Engine) POFBinsConvCtx(ctx context.Context, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seeds []uint64, from, to int) ([]POFPoint, []BinConv, error) {
-	if len(seeds) != len(bins) {
-		return nil, nil, fmt.Errorf("core: POF bins: %d seeds for %d bins", len(seeds), len(bins))
-	}
-	if from < 0 || to > len(bins) || from >= to {
+	if from >= to {
 		return nil, nil, fmt.Errorf("core: POF bins: bad shard range [%d,%d) over %d bins", from, to, len(bins))
 	}
-	if itersPerBin <= 0 {
-		return nil, nil, errors.New("core: POF bins needs positive iterations per bin")
+	k, err := e.directKernel(ctx, sp)
+	if err != nil {
+		return nil, nil, err
 	}
 	adaptive := e.cfg.FITRelErr > 0
-	var tols []float64
-	if adaptive {
-		tols = adaptiveTols(bins, e.cfg.FITRelErr)
-	}
-	stage := "fit/" + sp.String()
-	out := make([]POFPoint, 0, to-from)
+	pts := make([]POFPoint, 0, to-from)
 	var convs []BinConv
-	if adaptive {
-		convs = make([]BinConv, 0, to-from)
-	}
-	for i := from; i < to; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("core: %s bin %d: %w", stage, i, err)
-		}
-		var pt POFPoint
-		var err error
+	err = e.runBins(ctx, k, bins, itersPerBin, seeds, from, to, nil, func(_ int, pt POFPoint, conv BinConv) error {
+		pts = append(pts, pt)
 		if adaptive {
-			var conv BinConv
-			pt, conv, err = e.adaptivePOFBin(ctx, sp, bins[i].Rep, itersPerBin, seeds[i], tols[i])
-			if err == nil {
-				convs = append(convs, conv)
-			}
-		} else {
-			pt, err = e.POFAtEnergyCtx(ctx, sp, bins[i].Rep, itersPerBin, seeds[i])
+			convs = append(convs, conv)
 		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s bin %d: %w", stage, i, err)
-		}
-		out = append(out, pt)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, convs, nil
+	return pts, convs, nil
 }
 
 // AssembleFIT folds per-bin POF points into the Eq. 8 FIT integral —

@@ -49,12 +49,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 	// NOTE: worker goroutines own distinct substreams, so the estimate
 	// depends on the worker count by design; what must hold is determinism
 	// per (seed, workers) pair and statistical agreement across counts.
-	a1 := mk(1).POFAtEnergy(phys.Alpha, 1, 20000, 5)
-	a2 := mk(1).POFAtEnergy(phys.Alpha, 1, 20000, 5)
+	a1 := mustPOF(t, mk(1), phys.Alpha, 1, 20000, 5)
+	a2 := mustPOF(t, mk(1), phys.Alpha, 1, 20000, 5)
 	if a1.Tot != a2.Tot {
 		t.Fatal("single-worker runs not deterministic")
 	}
-	b := mk(4).POFAtEnergy(phys.Alpha, 1, 20000, 5)
+	b := mustPOF(t, mk(4), phys.Alpha, 1, 20000, 5)
 	if b.Tot <= 0 {
 		t.Fatal("multi-worker run returned zero POF")
 	}
@@ -86,8 +86,8 @@ func TestSubstrateDepthAblation(t *testing.T) {
 		return e
 	}
 	rx := neutron.NewReactions()
-	shallow := mk(1).NeutronPOFAtEnergy(rx, 14, 30000, 7)
-	deep := mk(3000).NeutronPOFAtEnergy(rx, 14, 30000, 7)
+	shallow := mustNeutronPOF(t, mk(1), rx, 14, 30000, 7)
+	deep := mustNeutronPOF(t, mk(3000), rx, 14, 30000, 7)
 	if deep.InteractionWeight <= shallow.InteractionWeight {
 		t.Errorf("deep substrate weight %v not above shallow %v",
 			deep.InteractionWeight, shallow.InteractionWeight)
@@ -191,8 +191,8 @@ func TestMultiFinArrayStrikes(t *testing.T) {
 		// 6 roles: PD×2 + PG×2 + PU×1 ×2 sides = 10 fins/cell vs 6.
 		t.Logf("fin counts: base %d, multi %d", len(base.boxes), len(e2.boxes))
 	}
-	pBase := base.POFAtEnergy(phys.Alpha, 1, 30000, 3)
-	pMulti := e2.POFAtEnergy(phys.Alpha, 1, 30000, 3)
+	pBase := mustPOF(t, base, phys.Alpha, 1, 30000, 3)
+	pMulti := mustPOF(t, e2, phys.Alpha, 1, 30000, 3)
 	if pMulti.HitFrac <= pBase.HitFrac {
 		t.Errorf("multi-fin hit fraction %v not above base %v", pMulti.HitFrac, pBase.HitFrac)
 	}
@@ -218,8 +218,8 @@ func TestAsymmetricProvidersPerState(t *testing.T) {
 		}
 		return e
 	}
-	both := mk(nil).POFAtEnergy(phys.Alpha, 1, 40000, 3)
-	half := mk(deadProvider{vdd: ch.Vdd}).POFAtEnergy(phys.Alpha, 1, 40000, 3)
+	both := mustPOF(t, mk(nil), phys.Alpha, 1, 40000, 3)
+	half := mustPOF(t, mk(deadProvider{vdd: ch.Vdd}), phys.Alpha, 1, 40000, 3)
 	if half.Tot <= 0 {
 		t.Fatal("zero POF with dead provider on half the cells")
 	}

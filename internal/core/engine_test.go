@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"finser/internal/finfet"
+	"finser/internal/neutron"
 	"finser/internal/phys"
 	"finser/internal/spectra"
 	"finser/internal/sram"
@@ -59,6 +61,36 @@ func engineWith(t *testing.T, ch *sram.Characterization) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// mustPOF is POFAtEnergyCtx under a background context, failing tb on error.
+func mustPOF(tb testing.TB, e *Engine, sp phys.Species, energyMeV float64, iters int, seed uint64) POFPoint {
+	tb.Helper()
+	pt, err := e.POFAtEnergyCtx(context.Background(), sp, energyMeV, iters, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pt
+}
+
+// mustNeutronPOF is NeutronPOFAtEnergyCtx under a background context.
+func mustNeutronPOF(tb testing.TB, e *Engine, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) NeutronPoint {
+	tb.Helper()
+	pt, err := e.NeutronPOFAtEnergyCtx(context.Background(), rx, energyMeV, iters, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pt
+}
+
+// mustMBU is MBUStatsAtEnergyCtx under a background context.
+func mustMBU(tb testing.TB, e *Engine, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) MBUReport {
+	tb.Helper()
+	rep, err := e.MBUStatsAtEnergyCtx(context.Background(), sp, energyMeV, iters, maxK, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
 }
 
 func TestNewValidation(t *testing.T) {
@@ -149,12 +181,12 @@ func TestCombinePOFsProperties(t *testing.T) {
 func TestPOFDeterministicAcrossRuns(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
-	a := e.POFAtEnergy(phys.Alpha, 1, 5000, 99)
-	b := e.POFAtEnergy(phys.Alpha, 1, 5000, 99)
+	a := mustPOF(t, e, phys.Alpha, 1, 5000, 99)
+	b := mustPOF(t, e, phys.Alpha, 1, 5000, 99)
 	if a.Tot != b.Tot || a.SEU != b.SEU || a.MBU != b.MBU {
 		t.Error("same seed gave different POFs")
 	}
-	c := e.POFAtEnergy(phys.Alpha, 1, 5000, 100)
+	c := mustPOF(t, e, phys.Alpha, 1, 5000, 100)
 	if a.Tot == c.Tot {
 		t.Error("different seeds gave identical POFs (suspicious)")
 	}
@@ -165,8 +197,8 @@ func TestPOFAlphaExceedsProton(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
 	for _, en := range []float64{0.5, 1, 5} {
-		a := e.POFAtEnergy(phys.Alpha, en, 15000, 7)
-		p := e.POFAtEnergy(phys.Proton, en, 15000, 8)
+		a := mustPOF(t, e, phys.Alpha, en, 15000, 7)
+		p := mustPOF(t, e, phys.Proton, en, 15000, 8)
 		if a.Tot <= 3*p.Tot {
 			t.Errorf("at %v MeV alpha POF %v not ≫ proton %v", en, a.Tot, p.Tot)
 		}
@@ -178,8 +210,8 @@ func TestPOFDecreasesWithEnergy(t *testing.T) {
 	// peak, fewer e-h pairs are generated).
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
-	low := e.POFAtEnergy(phys.Alpha, 2, 15000, 3)
-	high := e.POFAtEnergy(phys.Alpha, 10, 15000, 3)
+	low := mustPOF(t, e, phys.Alpha, 2, 15000, 3)
+	high := mustPOF(t, e, phys.Alpha, 10, 15000, 3)
 	if low.Tot <= high.Tot {
 		t.Errorf("alpha POF not decreasing: %v at 2 MeV vs %v at 10 MeV", low.Tot, high.Tot)
 	}
@@ -190,8 +222,8 @@ func TestPOFIncreasesAtLowerVdd(t *testing.T) {
 	ch07, ch11, _ := fixtures(t)
 	e07 := engineWith(t, ch07)
 	e11 := engineWith(t, ch11)
-	p07 := e07.POFAtEnergy(phys.Alpha, 5, 15000, 4)
-	p11 := e11.POFAtEnergy(phys.Alpha, 5, 15000, 4)
+	p07 := mustPOF(t, e07, phys.Alpha, 5, 15000, 4)
+	p11 := mustPOF(t, e11, phys.Alpha, 5, 15000, 4)
 	if p07.Tot <= p11.Tot {
 		t.Errorf("POF(0.7V)=%v not above POF(1.1V)=%v", p07.Tot, p11.Tot)
 	}
@@ -201,8 +233,8 @@ func TestAlphaMBUExceedsProtonMBU(t *testing.T) {
 	// Fig. 10 mechanism: MBU/SEU ratio much higher for alphas.
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
-	a := e.POFAtEnergy(phys.Alpha, 1, 40000, 5)
-	p := e.POFAtEnergy(phys.Proton, 0.3, 40000, 6)
+	a := mustPOF(t, e, phys.Alpha, 1, 40000, 5)
+	p := mustPOF(t, e, phys.Proton, 0.3, 40000, 6)
 	aRatio := a.MBU / a.SEU
 	var pRatio float64
 	if p.SEU > 0 {
@@ -224,8 +256,8 @@ func TestProcessVariationRaisesPOF(t *testing.T) {
 	ePV := engineWith(t, chPV)
 	eNom := engineWith(t, chNom)
 	// 10 MeV alphas deposit near threshold (lower stopping power).
-	pv := ePV.POFAtEnergy(phys.Alpha, 10, 40000, 9)
-	nom := eNom.POFAtEnergy(phys.Alpha, 10, 40000, 9)
+	pv := mustPOF(t, ePV, phys.Alpha, 10, 40000, 9)
+	nom := mustPOF(t, eNom, phys.Alpha, 10, 40000, 9)
 	if pv.Tot <= nom.Tot {
 		t.Errorf("PV POF %v not above nominal %v", pv.Tot, nom.Tot)
 	}
@@ -235,11 +267,11 @@ func TestFITValidation(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
 	spec, _ := spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
-	if _, err := e.FIT(spec, nil, 100, 1); err == nil {
+	if _, err := e.FITCtx(context.Background(), spec, nil, 100, 1); err == nil {
 		t.Error("empty bins accepted")
 	}
 	bins, _ := spectra.Bins(spec, 0.5, 10, 4)
-	if _, err := e.FIT(spec, bins, 0, 1); err == nil {
+	if _, err := e.FITCtx(context.Background(), spec, bins, 0, 1); err == nil {
 		t.Error("zero iterations accepted")
 	}
 }
@@ -249,7 +281,7 @@ func TestFITConsistency(t *testing.T) {
 	e := engineWith(t, ch)
 	spec, _ := spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
 	bins, _ := spectra.Bins(spec, 0.5, 10, 6)
-	res, err := e.FIT(spec, bins, 8000, 11)
+	res, err := e.FITCtx(context.Background(), spec, bins, 8000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +307,11 @@ func TestFITLinearInFlux(t *testing.T) {
 	s2, _ := spectra.NewAlphaEmission(0.002)
 	b1, _ := spectra.Bins(s1, 0.5, 10, 4)
 	b2, _ := spectra.Bins(s2, 0.5, 10, 4)
-	r1, err := e.FIT(s1, b1, 6000, 13)
+	r1, err := e.FITCtx(context.Background(), s1, b1, 6000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.FIT(s2, b2, 6000, 13)
+	r2, err := e.FITCtx(context.Background(), s2, b2, 6000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +334,8 @@ func TestPatternSymmetry(t *testing.T) {
 		}
 		return e
 	}
-	z := mk(PatternZeros).POFAtEnergy(phys.Alpha, 1, 30000, 17)
-	o := mk(PatternOnes).POFAtEnergy(phys.Alpha, 1, 30000, 18)
+	z := mustPOF(t, mk(PatternZeros), phys.Alpha, 1, 30000, 17)
+	o := mustPOF(t, mk(PatternOnes), phys.Alpha, 1, 30000, 18)
 	if z.Tot == 0 || o.Tot == 0 {
 		t.Fatal("zero POF in symmetry test")
 	}
@@ -332,8 +364,8 @@ func TestIncidenceOverride(t *testing.T) {
 	}
 	// Isotropic incidence has more grazing tracks → more multi-fin strikes
 	// → at minimum, a different POF than cosine-law.
-	pi := e.POFAtEnergy(phys.Proton, 0.3, 30000, 21)
-	pc := e2.POFAtEnergy(phys.Proton, 0.3, 30000, 21)
+	pi := mustPOF(t, e, phys.Proton, 0.3, 30000, 21)
+	pc := mustPOF(t, e2, phys.Proton, 0.3, 30000, 21)
 	if pi.Tot == pc.Tot {
 		t.Error("incidence override had no effect")
 	}
@@ -352,11 +384,11 @@ func TestFITErrorPropagation(t *testing.T) {
 	e := engineWith(t, ch)
 	spec, _ := spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
 	bins, _ := spectra.Bins(spec, 0.5, 10, 6)
-	small, err := e.FIT(spec, bins, 4000, 21)
+	small, err := e.FITCtx(context.Background(), spec, bins, 4000, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := e.FIT(spec, bins, 32000, 21)
+	big, err := e.FITCtx(context.Background(), spec, bins, 32000, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,12 @@ func lutEngine(t *testing.T) *Engine {
 
 func TestLUTModeProducesPOF(t *testing.T) {
 	e := lutEngine(t)
-	pt := e.POFAtEnergy(phys.Alpha, 1, 10000, 3)
+	pt := mustPOF(t, e, phys.Alpha, 1, 10000, 3)
 	if pt.Tot <= 0 {
 		t.Fatal("LUT mode produced zero POF")
 	}
 	// Determinism holds in LUT mode too.
-	again := e.POFAtEnergy(phys.Alpha, 1, 10000, 3)
+	again := mustPOF(t, e, phys.Alpha, 1, 10000, 3)
 	if pt.Tot != again.Tot {
 		t.Error("LUT mode not deterministic")
 	}
@@ -45,8 +45,8 @@ func TestLUTModeTracksTransportMode(t *testing.T) {
 	full := engineWith(t, ch)
 	lutE := lutEngine(t)
 	for _, en := range []float64{0.5, 1} {
-		a := full.POFAtEnergy(phys.Alpha, en, 20000, 5)
-		b := lutE.POFAtEnergy(phys.Alpha, en, 20000, 5)
+		a := mustPOF(t, full, phys.Alpha, en, 20000, 5)
+		b := mustPOF(t, lutE, phys.Alpha, en, 20000, 5)
 		if b.Tot <= 0 {
 			t.Fatalf("LUT mode zero at %v MeV", en)
 		}
@@ -55,8 +55,8 @@ func TestLUTModeTracksTransportMode(t *testing.T) {
 		}
 	}
 	// Ordering preserved: alpha ≫ proton in both modes.
-	ap := lutE.POFAtEnergy(phys.Alpha, 1, 20000, 7)
-	pp := lutE.POFAtEnergy(phys.Proton, 1, 20000, 7)
+	ap := mustPOF(t, lutE, phys.Alpha, 1, 20000, 7)
+	pp := mustPOF(t, lutE, phys.Proton, 1, 20000, 7)
 	if ap.Tot <= pp.Tot {
 		t.Error("LUT mode lost the alpha ≫ proton ordering")
 	}
@@ -66,15 +66,15 @@ func TestLUTModeFasterSetupReuse(t *testing.T) {
 	// The LUT is built once per species and reused; a second call must not
 	// rebuild (observable as identical results with a warm engine).
 	e := lutEngine(t)
-	_ = e.POFAtEnergy(phys.Alpha, 1, 2000, 1)
+	_ = mustPOF(t, e, phys.Alpha, 1, 2000, 1)
 	if len(e.yieldLUTs) != 1 {
 		t.Fatalf("expected 1 cached LUT, got %d", len(e.yieldLUTs))
 	}
-	_ = e.POFAtEnergy(phys.Alpha, 5, 2000, 1)
+	_ = mustPOF(t, e, phys.Alpha, 5, 2000, 1)
 	if len(e.yieldLUTs) != 1 {
 		t.Fatalf("second energy rebuilt the LUT table map: %d", len(e.yieldLUTs))
 	}
-	_ = e.POFAtEnergy(phys.Proton, 1, 2000, 1)
+	_ = mustPOF(t, e, phys.Proton, 1, 2000, 1)
 	if len(e.yieldLUTs) != 2 {
 		t.Fatalf("expected 2 cached LUTs after proton run, got %d", len(e.yieldLUTs))
 	}
@@ -99,8 +99,8 @@ func TestEngineWithGridLUTProvider(t *testing.T) {
 		}
 		return e
 	}
-	a := mk(ch).POFAtEnergy(phys.Alpha, 1, 20000, 3)
-	b := mk(grid).POFAtEnergy(phys.Alpha, 1, 20000, 3)
+	a := mustPOF(t, mk(ch), phys.Alpha, 1, 20000, 3)
+	b := mustPOF(t, mk(grid), phys.Alpha, 1, 20000, 3)
 	if b.Tot <= 0 {
 		t.Fatal("grid-LUT provider produced zero POF")
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"sort"
-	"sync"
 
 	"finser/internal/geom"
 	"finser/internal/phys"
@@ -40,36 +42,24 @@ type MBUReport struct {
 	MeanFlips float64
 }
 
-// MBUStatsAtEnergy runs iters strikes at one energy and gathers multiplicity
-// and pair-separation statistics. maxK bounds the multiplicity PMF length
-// (use 5-8; events beyond that are vanishingly rare).
-func (e *Engine) MBUStatsAtEnergy(sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) MBUReport {
+// MBUStatsAtEnergyCtx runs iters strikes at one energy through the shared
+// worker fan-out and gathers multiplicity and pair-separation statistics.
+// maxK bounds the multiplicity PMF length (use 5-8; events beyond that are
+// vanishingly rare). Worker sums merge in worker order, so the report is
+// bit-deterministic for a fixed (seed, worker count).
+func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) (MBUReport, error) {
+	if iters <= 0 {
+		return MBUReport{}, errors.New("core: MBU stats need positive iterations")
+	}
 	if maxK < 2 {
 		maxK = 2
 	}
-	workers := e.cfg.Workers
-	if iters < workers {
-		workers = 1
+	accs, _, err := fanOut(ctx, e, iters, seed, func(src *rng.Source, scr *strikeScratch, a *mbuTally) (int, error) {
+		return e.mbuTrial(src, sp, energyMeV, maxK, scr, a)
+	})
+	if err != nil {
+		return MBUReport{}, fmt.Errorf("core: MBU stats %v @%g MeV: %w", sp, energyMeV, err)
 	}
-	srcs := rng.New(seed).ForkN(workers)
-	results := make(chan MBUReport, workers)
-	var wg sync.WaitGroup
-	per := iters / workers
-	extra := iters % workers
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		wg.Add(1)
-		go func(src *rng.Source, n int) {
-			defer wg.Done()
-			results <- e.mbuStatsWorker(src, sp, energyMeV, n, maxK)
-		}(srcs[w], n)
-	}
-	wg.Wait()
-	close(results)
-
 	rep := MBUReport{
 		Species:         sp,
 		EnergyMeV:       energyMeV,
@@ -77,14 +67,14 @@ func (e *Engine) MBUStatsAtEnergy(sp phys.Species, energyMeV float64, iters, max
 		MultiplicityPMF: make([]float64, maxK+1),
 		PairWeights:     map[PairKey]float64{},
 	}
-	for part := range results {
-		for k, v := range part.MultiplicityPMF {
+	for _, part := range accs {
+		for k, v := range part.pmf {
 			rep.MultiplicityPMF[k] += v
 		}
-		for key, wgt := range part.PairWeights {
+		for key, wgt := range part.pairs {
 			rep.PairWeights[key] += wgt
 		}
-		rep.MeanFlips += part.MeanFlips
+		rep.MeanFlips += part.flips
 	}
 	inv := 1 / float64(iters)
 	for k := range rep.MultiplicityPMF {
@@ -94,80 +84,95 @@ func (e *Engine) MBUStatsAtEnergy(sp phys.Species, energyMeV float64, iters, max
 	for k := range rep.PairWeights {
 		rep.PairWeights[k] *= inv
 	}
-	return rep
+	return rep, nil
 }
 
-// mbuStatsWorker accumulates UNNORMALIZED sums over n strikes.
-func (e *Engine) mbuStatsWorker(src *rng.Source, sp phys.Species, energyMeV float64, n, maxK int) MBUReport {
-	rep := MBUReport{
-		MultiplicityPMF: make([]float64, maxK+1),
-		PairWeights:     map[PairKey]float64{},
-	}
-	pmf := make([]float64, maxK+1)
-	next := make([]float64, maxK+1)
-	type upset struct {
-		row, col int
-		p        float64
-	}
-	var ups []upset
-	scr := e.getScratch()
-	defer e.putScratch(scr)
+// mbuTally is one worker's UNNORMALIZED MBU sums plus its per-strike
+// scratch.
+type mbuTally struct {
+	pmf   []float64 // Σ per-strike multiplicity PMFs
+	pairs map[PairKey]float64
+	flips float64
 
-	for it := 0; it < n; it++ {
-		ups = ups[:0]
-		// Re-run the strike but keep per-cell identities.
-		ray := e.sampleRay(src, sp)
-		scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
-		scr.beginCells()
-		if len(scr.candidate) > 0 {
-			boxes := e.candidateBoxes(scr, scr.candidate)
-			scr.deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, ray, boxes, src, &scr.tr, scr.deps[:0])
-			e.accumulateCharges(scr, scr.candidate, scr.deps)
-			scr.sortTouched()
-			for _, ci := range scr.touched {
-				if p := e.providerFor(ci).POF(scr.cellQ[ci]); p > 0 {
-					ups = append(ups, upset{row: ci / e.arr.Cols, col: ci % e.arr.Cols, p: p})
-				}
-			}
-		}
+	strikePMF, next []float64
+	ups             []upset
+}
 
-		// Poisson-binomial multiplicity PMF for this strike.
-		for i := range pmf {
-			pmf[i] = 0
+// upset is one struck cell's flip probability and position.
+type upset struct {
+	row, col int
+	p        float64
+}
+
+// mbuTrial runs one strike keeping per-cell identities and folds its
+// multiplicity PMF, expected flips, and pair weights into a.
+func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, maxK int, scr *strikeScratch, a *mbuTally) (int, error) {
+	if a.pmf == nil {
+		a.pmf = make([]float64, maxK+1)
+		a.pairs = map[PairKey]float64{}
+		a.strikePMF = make([]float64, maxK+1)
+		a.next = make([]float64, maxK+1)
+	}
+	ups := a.ups[:0]
+	ray := e.sampleRay(src, sp)
+	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
+	scr.beginCells()
+	if len(scr.candidate) > 0 {
+		boxes := e.candidateBoxes(scr, scr.candidate)
+		scr.deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, ray, boxes, src, &scr.tr, scr.deps[:0])
+		if err := transport.CheckDeposits(e.cfg.Guard, "core.strike", scr.deps); err != nil {
+			return 0, err
 		}
-		pmf[0] = 1
-		for _, u := range ups {
-			for i := range next {
-				next[i] = 0
+		e.accumulateCharges(scr, scr.candidate, scr.deps)
+		scr.sortTouched()
+		for _, ci := range scr.touched {
+			p := e.providerFor(ci).POF(scr.cellQ[ci])
+			if err := e.cfg.Guard.Probability("core.strike", "cell POF", p); err != nil {
+				return 0, err
 			}
-			for k := 0; k <= maxK; k++ {
-				if pmf[k] == 0 {
-					continue
-				}
-				next[k] += pmf[k] * (1 - u.p)
-				if k+1 <= maxK {
-					next[k+1] += pmf[k] * u.p
-				} else {
-					next[maxK] += pmf[k] * u.p // aggregate overflow
-				}
-			}
-			copy(pmf, next)
-		}
-		for k := range pmf {
-			rep.MultiplicityPMF[k] += pmf[k]
-		}
-		for _, u := range ups {
-			rep.MeanFlips += u.p
-		}
-		// Pairwise separations weighted by joint flip probability.
-		for i := 0; i < len(ups); i++ {
-			for j := i + 1; j < len(ups); j++ {
-				rep.PairWeights[pairKey(ups[i].row, ups[i].col, ups[j].row, ups[j].col)] +=
-					ups[i].p * ups[j].p
+			if p > 0 {
+				ups = append(ups, upset{row: ci / e.arr.Cols, col: ci % e.arr.Cols, p: p})
 			}
 		}
 	}
-	return rep
+	a.ups = ups
+
+	// Poisson-binomial multiplicity PMF for this strike.
+	pmf, next := a.strikePMF, a.next
+	for i := range pmf {
+		pmf[i] = 0
+	}
+	pmf[0] = 1
+	for _, u := range ups {
+		for i := range next {
+			next[i] = 0
+		}
+		for k := 0; k <= maxK; k++ {
+			if pmf[k] == 0 {
+				continue
+			}
+			next[k] += pmf[k] * (1 - u.p)
+			if k+1 <= maxK {
+				next[k+1] += pmf[k] * u.p
+			} else {
+				next[maxK] += pmf[k] * u.p // aggregate overflow
+			}
+		}
+		copy(pmf, next)
+	}
+	for k := range pmf {
+		a.pmf[k] += pmf[k]
+	}
+	for _, u := range ups {
+		a.flips += u.p
+	}
+	// Pairwise separations weighted by joint flip probability.
+	for i := 0; i < len(ups); i++ {
+		for j := i + 1; j < len(ups); j++ {
+			a.pairs[pairKey(ups[i].row, ups[i].col, ups[j].row, ups[j].col)] += ups[i].p * ups[j].p
+		}
+	}
+	return len(scr.touched), nil
 }
 
 func pairKey(r1, c1, r2, c2 int) PairKey {

@@ -2,15 +2,18 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"finser/internal/finfet"
 	"finser/internal/phys"
+	"finser/internal/transport"
 )
 
 func TestMBUStatsBasics(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
-	rep := e.MBUStatsAtEnergy(phys.Alpha, 1, 40000, 6, 3)
+	rep := mustMBU(t, e, phys.Alpha, 1, 40000, 6, 3)
 	if rep.Species != phys.Alpha || rep.EnergyMeV != 1 || rep.Strikes != 40000 {
 		t.Fatalf("metadata wrong: %+v", rep)
 	}
@@ -50,7 +53,7 @@ func TestMBUPairsAreLocal(t *testing.T) {
 	// only reaches adjacent cells.
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
-	rep := e.MBUStatsAtEnergy(phys.Alpha, 1, 40000, 6, 5)
+	rep := mustMBU(t, e, phys.Alpha, 1, 40000, 6, 5)
 	if len(rep.PairWeights) == 0 {
 		t.Fatal("no pairs recorded")
 	}
@@ -82,8 +85,8 @@ func TestMBUStatsMatchPOFAtEnergy(t *testing.T) {
 	// P(≥1 flip) from the PMF ≈ POFtot, and the pair-derived MBU ≈ POFMBU.
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
-	rep := e.MBUStatsAtEnergy(phys.Alpha, 1, 60000, 6, 7)
-	pt := e.POFAtEnergy(phys.Alpha, 1, 60000, 7)
+	rep := mustMBU(t, e, phys.Alpha, 1, 60000, 6, 7)
+	pt := mustPOF(t, e, phys.Alpha, 1, 60000, 7)
 	pGe1 := 1 - rep.MultiplicityPMF[0]
 	if pt.Tot == 0 {
 		t.Fatal("zero POF in cross-check")
@@ -100,8 +103,30 @@ func TestMBUStatsMatchPOFAtEnergy(t *testing.T) {
 func TestMBUMaxKClamp(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
-	rep := e.MBUStatsAtEnergy(phys.Alpha, 1, 2000, 1, 11) // maxK below minimum
-	if len(rep.MultiplicityPMF) != 3 {                    // clamped to 2 → entries 0,1,2
+	rep := mustMBU(t, e, phys.Alpha, 1, 2000, 1, 11) // maxK below minimum
+	if len(rep.MultiplicityPMF) != 3 {               // clamped to 2 → entries 0,1,2
 		t.Errorf("PMF length = %d, want 3", len(rep.MultiplicityPMF))
+	}
+}
+
+// MBU statistics at 8 workers must be bit-identical across runs: worker
+// sums merge in worker order, not in the order workers finish.
+func TestMBUStatsBitIdenticalAcrossRuns(t *testing.T) {
+	ch, _, _ := fixtures(t)
+	e, err := New(Config{
+		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+		Char: ch, Transport: transport.DefaultConfig(), Workers: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mustMBU(t, e, phys.Alpha, 1, 4000, 6, 3)
+	for run := 1; run < 20; run++ {
+		rep := mustMBU(t, e, phys.Alpha, 1, 4000, 6, 3)
+		if rep.MeanFlips != first.MeanFlips ||
+			!reflect.DeepEqual(rep.MultiplicityPMF, first.MultiplicityPMF) ||
+			!reflect.DeepEqual(rep.PairWeights, first.PairWeights) {
+			t.Fatalf("run %d differs from run 0", run)
+		}
 	}
 }

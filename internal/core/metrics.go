@@ -25,7 +25,7 @@ type Metrics struct {
 	// WorkerBusyNs accumulates per-worker busy wall time; WallNs
 	// accumulates (wall time × workers) per parallel region. Their ratio
 	// is the fleet utilization, published in WorkerUtilization after every
-	// POFAtEnergy call.
+	// Monte-Carlo estimate.
 	WorkerBusyNs      *obs.Counter
 	WallNs            *obs.Counter
 	WorkerUtilization *obs.Gauge

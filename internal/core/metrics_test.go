@@ -26,7 +26,7 @@ func TestMetricsConservation(t *testing.T) {
 	}
 
 	const iters = 20000
-	e.POFAtEnergy(phys.Alpha, 1, iters, 42)
+	mustPOF(t, e, phys.Alpha, 1, iters, 42)
 
 	if got := m.Particles.Value(); got != iters {
 		t.Errorf("particles generated = %d, want %d", got, iters)
@@ -65,8 +65,8 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := plain.POFAtEnergy(phys.Alpha, 2, 10000, 7)
-	b := inst.POFAtEnergy(phys.Alpha, 2, 10000, 7)
+	a := mustPOF(t, plain, phys.Alpha, 2, 10000, 7)
+	b := mustPOF(t, inst, phys.Alpha, 2, 10000, 7)
 	if a != b {
 		t.Errorf("metrics perturbed results: %+v vs %+v", a, b)
 	}

@@ -1,15 +1,13 @@
 package core
 
 import (
-	"errors"
-	"sync"
+	"context"
 
 	"finser/internal/geom"
 	"finser/internal/neutron"
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/spectra"
-	"finser/internal/stats"
 	"finser/internal/transport"
 )
 
@@ -27,73 +25,28 @@ import (
 // the expected POF per neutron crossing the array footprint (interaction
 // probability folded in).
 type NeutronPoint struct {
-	EnergyMeV float64
-	Tot       float64
-	SEU       float64
-	MBU       float64
-	TotStdErr float64
-	Strikes   int
+	POFPoint
 	// InteractionWeight is the mean per-track interaction probability —
 	// a diagnostic for the forced-interaction variance reduction.
 	InteractionWeight float64
 }
 
-// NeutronPOFAtEnergy estimates the weighted POFs with iters forced-
-// interaction trials at one neutron energy.
-func (e *Engine) NeutronPOFAtEnergy(rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) NeutronPoint {
-	workers := e.cfg.Workers
-	if iters < workers {
-		workers = 1
+// NeutronPOFAtEnergyCtx estimates the weighted POFs with iters forced-
+// interaction trials at one neutron energy, through the same worker
+// fan-out, cancellation, guards, and worker-order merge as POFAtEnergyCtx.
+func (e *Engine) NeutronPOFAtEnergyCtx(ctx context.Context, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) (NeutronPoint, error) {
+	pt, weight, err := e.estimate(ctx, e.neutronKernel(rx), energyMeV, iters, seed)
+	if err != nil {
+		return NeutronPoint{}, err
 	}
-	srcs := rng.New(seed).ForkN(workers)
+	return NeutronPoint{POFPoint: pt, InteractionWeight: weight}, nil
+}
 
-	type acc struct {
-		tot, seu, mbu, weight stats.Welford
-	}
-	results := make(chan acc, workers)
-	var wg sync.WaitGroup
-	per := iters / workers
-	extra := iters % workers
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		wg.Add(1)
-		go func(src *rng.Source, n int) {
-			defer wg.Done()
-			scr := e.getScratch()
-			defer e.putScratch(scr)
-			var a acc
-			for i := 0; i < n; i++ {
-				o, wgt := e.neutronStrike(rx, src, energyMeV, scr)
-				a.tot.Add(wgt * o.pofTot)
-				a.seu.Add(wgt * o.pofSEU)
-				a.mbu.Add(wgt * o.pofMBU)
-				a.weight.Add(wgt)
-			}
-			results <- a
-		}(srcs[w], n)
-	}
-	wg.Wait()
-	close(results)
-
-	var tot, seu, mbu, weight stats.Welford
-	for a := range results {
-		tot.Merge(a.tot)
-		seu.Merge(a.seu)
-		mbu.Merge(a.mbu)
-		weight.Merge(a.weight)
-	}
-	return NeutronPoint{
-		EnergyMeV:         energyMeV,
-		Tot:               tot.Mean(),
-		SEU:               seu.Mean(),
-		MBU:               mbu.Mean(),
-		TotStdErr:         tot.StdErr(),
-		Strikes:           iters,
-		InteractionWeight: weight.Mean(),
-	}
+// neutronKernel is the forced-interaction strike kernel.
+func (e *Engine) neutronKernel(rx *neutron.Reactions) kernel {
+	return kernel{name: "neutron", strike: func(src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
+		return e.neutronStrike(rx, src, energyMeV, scr)
+	}}
 }
 
 // substrateSlab returns the handle-wafer silicon volume under the BOX that
@@ -120,8 +73,10 @@ func (e *Engine) substrateSlab() (geom.AABB, bool) {
 // proportionally to silicon path length, which is exact for σ·n·L ≪ 1.
 // scr holds the worker's reusable buffers; per-cell charges accumulate in
 // its dense epoch-cleared accumulator and are reduced in sorted cell order
-// so the weighted POFs are bit-identical across runs.
-func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64) {
+// so the weighted POFs are bit-identical across runs. The guard checks the
+// secondaries' deposits and every cell POF exactly as strike does; the
+// error is non-nil only under a strict guard.
+func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
 	ray := e.sampleRay(src, phys.Proton) // cosine-law, like any atmospheric particle
 	// Chords through each candidate fin plus the substrate slab.
 	chords := scr.chords[:0]
@@ -142,11 +97,11 @@ func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV
 	}
 	scr.chords = chords
 	if totalLen <= 0 {
-		return strikeOutcome{}, 0
+		return strikeOutcome{}, 0, nil
 	}
 	weight := rx.InteractionProbability(energyMeV, totalLen)
 	if weight <= 0 {
-		return strikeOutcome{}, 0
+		return strikeOutcome{}, 0, nil
 	}
 
 	// Force the interaction: pick a silicon segment proportional to chord
@@ -163,7 +118,7 @@ func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV
 
 	secs := rx.SampleInteraction(src, energyMeV)
 	if len(secs) == 0 {
-		return strikeOutcome{}, 0
+		return strikeOutcome{}, 0, nil
 	}
 
 	// Transport every charged secondary and merge the per-cell charges.
@@ -176,55 +131,35 @@ func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV
 		}
 		boxes := e.candidateBoxes(scr, scr.candidate)
 		scr.deps = transport.TraceAppend(e.cfg.Transport, sec.Species, sec.EnergyMeV, secRay, boxes, src, &scr.tr, scr.deps[:0])
+		if err := transport.CheckDeposits(e.cfg.Guard, "core.strike", scr.deps); err != nil {
+			return strikeOutcome{}, 0, err
+		}
 		e.accumulateCharges(scr, scr.candidate, scr.deps)
 	}
 	if len(scr.touched) == 0 {
-		return strikeOutcome{}, weight
+		return strikeOutcome{}, weight, nil
 	}
 	scr.sortTouched()
 	pofs := scr.pofs[:0]
 	for _, ci := range scr.touched {
-		if p := e.providerFor(ci).POF(scr.cellQ[ci]); p > 0 {
+		p := e.providerFor(ci).POF(scr.cellQ[ci])
+		if err := e.cfg.Guard.Probability("core.strike", "cell POF", p); err != nil {
+			scr.pofs = pofs
+			return strikeOutcome{}, 0, err
+		}
+		if p > 0 {
 			pofs = append(pofs, p)
 		}
 	}
 	scr.pofs = pofs
-	return combinePOFs(pofs, len(scr.touched)), weight
+	return combinePOFs(pofs, len(scr.touched)), weight, nil
 }
 
-// NeutronFIT integrates the weighted POFs over the neutron spectrum into
-// FIT rates, exactly as Eq. 8 does for directly ionizing particles.
-func (e *Engine) NeutronFIT(spec spectra.Spectrum, rx *neutron.Reactions, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
-	if len(bins) == 0 {
-		return FITResult{}, errors.New("core: neutron FIT needs at least one energy bin")
-	}
-	if itersPerBin <= 0 {
-		return FITResult{}, errors.New("core: neutron FIT needs positive iterations per bin")
-	}
-	lx, ly := e.arr.DimsCm()
-	area := lx * ly
-	res := FITResult{
-		Species: phys.SiliconIon, // dominant secondary; neutrons are uncharged
-		Vdd:     e.cfg.Char.SupplyVoltage(),
-		Bins:    bins,
-	}
-	src := rng.New(seed)
-	for _, b := range bins {
-		pt := e.NeutronPOFAtEnergy(rx, b.Rep, itersPerBin, src.Uint64())
-		res.Points = append(res.Points, POFPoint{
-			EnergyMeV: pt.EnergyMeV,
-			Tot:       pt.Tot,
-			SEU:       pt.SEU,
-			MBU:       pt.MBU,
-			TotStdErr: pt.TotStdErr,
-			Strikes:   pt.Strikes,
-		})
-		res.TotalFIT += pt.Tot * b.IntFlux * area * fitScale
-		res.SEUFIT += pt.SEU * b.IntFlux * area * fitScale
-		res.MBUFIT += pt.MBU * b.IntFlux * area * fitScale
-	}
-	if res.SEUFIT > 0 {
-		res.MBUToSEU = 100 * res.MBUFIT / res.SEUFIT
-	}
-	return res, nil
+// NeutronFITCtx integrates the weighted POFs over the neutron spectrum into
+// FIT rates, exactly as Eq. 8 does for directly ionizing particles: the
+// same checkpointed bin runner as FITCtx (stage "fit/neutron"), so the
+// integration is cancellable, resumable, guarded, optionally adaptive, and
+// reports a propagated 1σ TotalFITErr.
+func (e *Engine) NeutronFITCtx(ctx context.Context, spec spectra.Spectrum, rx *neutron.Reactions, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
+	return e.integrate(ctx, e.neutronKernel(rx), spec.Species(), bins, itersPerBin, seed)
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"finser/internal/finfet"
@@ -14,7 +17,7 @@ func TestNeutronPOFBasics(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
 	rx := neutron.NewReactions()
-	pt := e.NeutronPOFAtEnergy(rx, 14, 60000, 3)
+	pt := mustNeutronPOF(t, e, rx, 14, 60000, 3)
 	// The weighted POF must be positive but tiny (interaction probability
 	// ~1e-7 per crossing fin chord, and most tracks miss fins entirely).
 	if pt.Tot <= 0 {
@@ -37,8 +40,8 @@ func TestNeutronPOFDeterministic(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
 	rx := neutron.NewReactions()
-	a := e.NeutronPOFAtEnergy(rx, 14, 20000, 9)
-	b := e.NeutronPOFAtEnergy(rx, 14, 20000, 9)
+	a := mustNeutronPOF(t, e, rx, 14, 20000, 9)
+	b := mustNeutronPOF(t, e, rx, 14, 20000, 9)
 	if a.Tot != b.Tot || a.MBU != b.MBU {
 		t.Error("neutron POF not deterministic for equal seeds")
 	}
@@ -51,8 +54,8 @@ func TestNeutronEnergyDependence(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
 	rx := neutron.NewReactions()
-	low := e.NeutronPOFAtEnergy(rx, 1, 80000, 5)
-	high := e.NeutronPOFAtEnergy(rx, 14, 80000, 5)
+	low := mustNeutronPOF(t, e, rx, 1, 80000, 5)
+	high := mustNeutronPOF(t, e, rx, 14, 80000, 5)
 	if low.InteractionWeight <= 0 || high.InteractionWeight <= 0 {
 		t.Fatal("zero interaction weights")
 	}
@@ -75,7 +78,7 @@ func TestNeutronFIT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.NeutronFIT(spec, rx, bins, 30000, 7)
+	res, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 30000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +92,10 @@ func TestNeutronFIT(t *testing.T) {
 		t.Errorf("points = %d", len(res.Points))
 	}
 	// Validation errors.
-	if _, err := e.NeutronFIT(spec, rx, nil, 10, 1); err == nil {
+	if _, err := e.NeutronFITCtx(context.Background(), spec, rx, nil, 10, 1); err == nil {
 		t.Error("empty bins accepted")
 	}
-	if _, err := e.NeutronFIT(spec, rx, bins, 0, 1); err == nil {
+	if _, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 0, 1); err == nil {
 		t.Error("zero iterations accepted")
 	}
 }
@@ -106,13 +109,13 @@ func TestNeutronVsAlphaMagnitude(t *testing.T) {
 	rx := neutron.NewReactions()
 	nSpec, _ := neutron.NewSeaLevel(1)
 	nBins, _ := spectra.Bins(nSpec, 2, 1000, 8)
-	nRes, err := e.NeutronFIT(nSpec, rx, nBins, 40000, 11)
+	nRes, err := e.NeutronFITCtx(context.Background(), nSpec, rx, nBins, 40000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aSpec, _ := spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
 	aBins, _ := spectra.Bins(aSpec, 0.5, 10, 8)
-	aRes, err := e.FIT(aSpec, aBins, 20000, 12)
+	aRes, err := e.FITCtx(context.Background(), aSpec, aBins, 20000, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +138,124 @@ func TestNeutronMBUOccurs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rx := neutron.NewReactions()
-	pt := e.NeutronPOFAtEnergy(rx, 100, 150000, 13)
+	pt := mustNeutronPOF(t, e, rx, 100, 150000, 13)
 	if pt.Tot <= 0 {
 		t.Skip("no interactions sampled at this budget")
 	}
 	if pt.MBU <= 0 {
 		t.Error("no neutron MBU at 100 MeV")
+	}
+}
+
+// neutronEnv is a small neutron FIT plan: the sea-level spectrum over four
+// bins.
+func neutronEnv(t *testing.T) (spectra.Spectrum, []spectra.EnergyBin) {
+	t.Helper()
+	spec, err := neutron.NewSeaLevel(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins, err := spectra.Bins(spec, 2, 1000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, bins
+}
+
+// A neutron FIT at 8 workers must be a pure function of its configuration:
+// worker partials merge in worker order, not in the order workers finish.
+func TestNeutronFITBitIdenticalAcrossRuns(t *testing.T) {
+	ch, _, _ := fixtures(t)
+	spec, bins := neutronEnv(t)
+	rx := neutron.NewReactions()
+	e, err := New(Config{
+		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+		Char: ch, Transport: transport.DefaultConfig(), Workers: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first FITResult
+	for run := 0; run < 20; run++ {
+		res, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 2000, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d differs from run 0:\n%+v\n%+v", run, res, first)
+		}
+	}
+}
+
+// The neutron FIT reports an honest 1σ error: the per-bin standard errors
+// propagated through Eq. 8, exactly as AssembleFIT does for α and p.
+func TestNeutronFITErr(t *testing.T) {
+	ch, _, _ := fixtures(t)
+	spec, bins := neutronEnv(t)
+	e := engineWith(t, ch)
+	res, err := e.NeutronFITCtx(context.Background(), spec, neutron.NewReactions(), bins, 4000, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(res.TotalFITErr > 0) {
+		t.Fatalf("neutron TotalFITErr = %g, want > 0", res.TotalFITErr)
+	}
+	lx, ly := e.Array().DimsCm()
+	want := AssembleFIT(res.Species, res.Vdd, bins, res.Points, lx*ly)
+	if res.TotalFITErr != want.TotalFITErr {
+		t.Errorf("TotalFITErr %g, AssembleFIT propagation gives %g", res.TotalFITErr, want.TotalFITErr)
+	}
+}
+
+// A neutron FIT cancelled mid-run and resumed from its checkpoint must be
+// bit-identical to an uninterrupted run, flat and adaptive alike.
+func TestNeutronFITCheckpointResume(t *testing.T) {
+	ch, _, _ := fixtures(t)
+	spec, bins := neutronEnv(t)
+	rx := neutron.NewReactions()
+	for _, relErr := range []float64{0, 0.1} {
+		mk := func(ck CheckpointStore, onBin func(BinEvent)) *Engine {
+			e, err := New(Config{
+				Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+				Char: ch, Transport: transport.DefaultConfig(), Workers: 2,
+				FITRelErr: relErr, Checkpoint: ck, OnBinDone: onBin,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		want, err := mk(nil, nil).NeutronFITCtx(context.Background(), spec, rx, bins, 3000, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		store := newMemStore()
+		ctx, cancel := context.WithCancel(context.Background())
+		stopAfterTwo := func(ev BinEvent) {
+			if ev.Bin == 2 {
+				cancel()
+			}
+		}
+		if _, err := mk(store, stopAfterTwo).NeutronFITCtx(ctx, spec, rx, bins, 3000, 42); !errors.Is(err, context.Canceled) {
+			t.Fatalf("relErr %g: interrupted run: err = %v, want context.Canceled", relErr, err)
+		}
+		var st fitState
+		if ok, err := store.Load("fit/neutron", &st); err != nil || !ok || len(st.Points) != 2 {
+			t.Fatalf("relErr %g: checkpoint after cancel: ok=%v err=%v bins=%d, want 2", relErr, ok, err, len(st.Points))
+		}
+		var resumed []bool
+		got, err := mk(store, func(ev BinEvent) { resumed = append(resumed, ev.Resumed) }).NeutronFITCtx(context.Background(), spec, rx, bins, 3000, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("relErr %g: resumed neutron FIT differs from uninterrupted run", relErr)
+		}
+		if !reflect.DeepEqual(resumed, []bool{true, true, false, false}) {
+			t.Errorf("relErr %g: bin events resumed=%v, want the two restored bins first", relErr, resumed)
+		}
 	}
 }

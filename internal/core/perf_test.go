@@ -22,7 +22,7 @@ import (
 func TestPOFAtEnergyBitIdentical(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	run := func() POFPoint {
-		return engineWith(t, ch).POFAtEnergy(phys.Alpha, 1, 20000, 42)
+		return mustPOF(t, engineWith(t, ch), phys.Alpha, 1, 20000, 42)
 	}
 	a, b := run(), run()
 	if a != b {

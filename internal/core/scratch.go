@@ -17,7 +17,7 @@ import (
 //
 // A scratch must not be shared between concurrent strikes. Workers obtain
 // one from Engine.getScratch at loop start and return it with putScratch;
-// the pool keeps warm buffers across POFAtEnergy calls.
+// the pool keeps warm buffers across estimates.
 type strikeScratch struct {
 	candidate []int               // broad-phase candidate fin indices
 	boxes     []geom.AABB         // candidate fin boxes handed to transport

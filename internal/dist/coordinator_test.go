@@ -153,7 +153,20 @@ func TestChaosWorkerKilledMidShard(t *testing.T) {
 		if dead.Load() {
 			panic(http.ErrAbortHandler) // dead worker: abort the connection
 		}
-		srv.Handler().ServeHTTP(w, r)
+		// Answer only after the inner handler is done, and only if the
+		// worker is still alive: a killed process cannot finish the shard
+		// it was computing, so that response must never race the
+		// connection slicing below to the coordinator.
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, r)
+		if dead.Load() {
+			panic(http.ErrAbortHandler)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
 	}))
 	defer ts1.Close()
 	// Kill worker 1 in the middle of its first shard's Monte Carlo: after

@@ -75,9 +75,9 @@ func TestWorkerPanicIsolatedCore(t *testing.T) {
 	hooks.PanicAt(FaultSiteParticle, 300, "injected array-MC panic")
 	cfg.Faults = hooks
 
-	_, err := RunFlow(cfg)
+	_, err := RunFlowCtx(context.Background(), cfg)
 	if err == nil {
-		t.Fatal("RunFlow returned nil error despite injected worker panic")
+		t.Fatal("RunFlowCtx returned nil error despite injected worker panic")
 	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -102,9 +102,9 @@ func TestWorkerPanicIsolatedCharacterize(t *testing.T) {
 	hooks.PanicAt(FaultSiteSample, 3, "injected solver panic")
 	cfg.Faults = hooks
 
-	_, err := RunFlow(cfg)
+	_, err := RunFlowCtx(context.Background(), cfg)
 	if err == nil {
-		t.Fatal("RunFlow returned nil error despite injected sample panic")
+		t.Fatal("RunFlowCtx returned nil error despite injected sample panic")
 	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -127,7 +127,7 @@ func TestResumeDeterminism(t *testing.T) {
 	path := t.TempDir() + "/run.ck.json"
 
 	// Uninterrupted baseline (no checkpoint wiring at all).
-	base, err := RunVddSweep(cfg, vdds)
+	base, err := RunVddSweepCtx(context.Background(), cfg, vdds)
 	if err != nil {
 		t.Fatalf("baseline sweep: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestResumeDeterminism(t *testing.T) {
 	}
 	c3 := cfg
 	c3.Checkpoint = store2
-	resumed, err := RunVddSweep(c3, vdds)
+	resumed, err := RunVddSweepCtx(context.Background(), c3, vdds)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestAdaptiveResumeDeterminism(t *testing.T) {
 	vdds := []float64{cfg.Vdd}
 	path := t.TempDir() + "/run.ck.json"
 
-	base, err := RunVddSweep(cfg, vdds)
+	base, err := RunVddSweepCtx(context.Background(), cfg, vdds)
 	if err != nil {
 		t.Fatalf("baseline sweep: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestAdaptiveResumeDeterminism(t *testing.T) {
 	}
 	c3 := cfg
 	c3.Checkpoint = store2
-	resumed, err := RunVddSweep(c3, vdds)
+	resumed, err := RunVddSweepCtx(context.Background(), c3, vdds)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
@@ -274,12 +274,12 @@ func assertConvEqual(t *testing.T, label string, a, b []BinConv) {
 func TestAdaptiveMatchesFlatReference(t *testing.T) {
 	cfg := resilienceFlowConfig()
 	cfg.Vdd = 0.8
-	flat, err := RunFlow(cfg)
+	flat, err := RunFlowCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("flat reference: %v", err)
 	}
 	cfg.FITRelErr = 0.02
-	ad, err := RunFlow(cfg)
+	ad, err := RunFlowCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}
@@ -338,7 +338,7 @@ func TestVddSweepPartialResults(t *testing.T) {
 	hooks.ErrorAt(FaultSiteSample, 14, errBoom)
 	cfg.Faults = hooks
 
-	out, err := RunVddSweep(cfg, vdds)
+	out, err := RunVddSweepCtx(context.Background(), cfg, vdds)
 	if err == nil {
 		t.Fatal("sweep returned nil error despite injected failure")
 	}
@@ -381,7 +381,7 @@ func TestFlowConfigNamedFieldValidation(t *testing.T) {
 	for _, tc := range cases {
 		c := base
 		tc.mutate(&c)
-		_, err := RunFlow(c)
+		_, err := RunFlowCtx(context.Background(), c)
 		if err == nil {
 			t.Errorf("%s: negative value accepted", tc.name)
 			continue
@@ -393,13 +393,13 @@ func TestFlowConfigNamedFieldValidation(t *testing.T) {
 
 	c := base
 	c.Pattern = DataPattern(99)
-	if _, err := RunFlow(c); err == nil || !strings.Contains(err.Error(), "Pattern") {
+	if _, err := RunFlowCtx(context.Background(), c); err == nil || !strings.Contains(err.Error(), "Pattern") {
 		t.Errorf("unknown pattern accepted or unnamed: %v", err)
 	}
 
 	c = base
 	c.Vdd = 0
-	if _, err := RunFlow(c); err == nil || !strings.Contains(err.Error(), "Vdd") {
+	if _, err := RunFlowCtx(context.Background(), c); err == nil || !strings.Contains(err.Error(), "Vdd") {
 		t.Errorf("zero Vdd accepted or unnamed: %v", err)
 	}
 }
@@ -445,7 +445,7 @@ func TestConfigErrorsTyped(t *testing.T) {
 
 // TestStagedFlowMatchesRunFlow checks the serving layer's staged pipeline
 // (CharacterizeFlowCtx + per-species SpeciesFITCtx) reproduces the
-// monolithic RunFlow bit-identically — the invariant that makes daemon
+// monolithic RunFlowCtx bit-identically — the invariant that makes daemon
 // results interchangeable with CLI results.
 func TestStagedFlowMatchesRunFlow(t *testing.T) {
 	cfg := resilienceFlowConfig()
@@ -454,9 +454,9 @@ func TestStagedFlowMatchesRunFlow(t *testing.T) {
 	cfg.AlphaBins = 2
 	cfg.ProtonBins = 2
 
-	base, err := RunFlow(cfg)
+	base, err := RunFlowCtx(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunFlow: %v", err)
+		t.Fatalf("RunFlowCtx: %v", err)
 	}
 
 	ctx := context.Background()
