@@ -71,6 +71,12 @@ type TransientSpec struct {
 	// ExtraBreakpoints are times the stepper must land on exactly, in
 	// addition to breakpoints collected from source waveforms.
 	ExtraBreakpoints []float64
+	// Settled, when non-nil, may end the analysis before TStop. Once every
+	// breakpoint is behind the stepper, it is asked after each accepted
+	// step whether the solution x at time t has reached its final state,
+	// and the analysis ends at the first step where it answers true. x is
+	// valid only during the call. Nil runs to TStop.
+	Settled func(t float64, x Solution) bool
 }
 
 // TransientStats aggregates solver diagnostics over one transient run —
@@ -141,8 +147,9 @@ func (r *TransientResult) MaxAbs(n Node) float64 {
 
 // Transient runs a backward-Euler transient analysis from the given initial
 // condition (typically a DC operating point). The stepper grows the step
-// geometrically, lands exactly on waveform breakpoints, and retries with a
-// halved step when Newton fails to converge.
+// geometrically, lands exactly on waveform breakpoints, retries with a
+// halved step when Newton fails to converge, and ends early when
+// spec.Settled says the trajectory has settled.
 func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientResult, error) {
 	c.assignBranches()
 	n := c.unknowns()
@@ -256,6 +263,9 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 			dt = spec.InitStep
 		} else {
 			dt = math.Min(dt*spec.Growth, spec.MaxStep)
+		}
+		if spec.Settled != nil && bpIdx >= len(bps) && spec.Settled(t, x) {
+			break
 		}
 	}
 	return res, nil

@@ -220,3 +220,57 @@ func TestGrowthCapsAtMaxStep(t *testing.T) {
 		}
 	}
 }
+
+// TestSettledAfterLastBreakpoint checks that the settle predicate is first
+// consulted on the last breakpoint (a source corner or an extra one),
+// never before it, and that the analysis ends at the first step it
+// accepts. A nil predicate runs to TStop.
+func TestSettledAfterLastBreakpoint(t *testing.T) {
+	c := New()
+	n := c.Node("n")
+	c.AddResistor("r", n, Ground, 1e3)
+	c.AddCapacitor("c", n, Ground, 1e-15)
+	c.AddISource("i", Ground, n, TriPulse{T0: 2e-12, Width: 3e-12, Amp: 1e-3})
+	const last = 8e-12
+	spec := TransientSpec{
+		TStop: 1e-10, InitStep: 1e-13, MaxStep: 2e-12,
+		ExtraBreakpoints: []float64{last},
+	}
+	full, err := c.Transient(make(Solution, 1), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := full.Times[len(full.Times)-1]; end != spec.TStop {
+		t.Fatalf("nil predicate ended at %v, want TStop", end)
+	}
+
+	var asked []float64
+	spec.Settled = func(tt float64, x Solution) bool {
+		asked = append(asked, tt)
+		return len(asked) == 3
+	}
+	res, err := c.Transient(make(Solution, 1), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 3 {
+		t.Fatalf("predicate consulted %d times, want 3", len(asked))
+	}
+	if asked[0] != last {
+		t.Errorf("first consultation at t=%v, want the last breakpoint %v", asked[0], last)
+	}
+	for _, tt := range asked {
+		if tt < last {
+			t.Errorf("predicate consulted at t=%v, before the last breakpoint %v", tt, last)
+		}
+	}
+	if end := res.Times[len(res.Times)-1]; end != asked[2] {
+		t.Errorf("analysis ended at %v, want the settled step %v", end, asked[2])
+	}
+	// Up to the settled step, the trajectory is the full run's.
+	for i := range res.Times {
+		if res.Times[i] != full.Times[i] || res.Values[i][n] != full.Values[i][n] {
+			t.Fatalf("point %d differs from the full run", i)
+		}
+	}
+}

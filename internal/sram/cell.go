@@ -4,6 +4,14 @@
 // characterization under threshold-voltage process variation — the data the
 // paper stores in POF LUTs.
 //
+// Characterization cost. A strike transient from a finite pulse stops once
+// both storage nodes have settled near a stable state instead of running
+// the whole window. Characterization bisects I1 once and reuses it for I3,
+// whose transient is the same circuit, and guides every variation sample's
+// bisection with sample 0's critical charges. None of this changes a
+// critical charge: a bisected Qcrit depends only on the sequence of
+// flip/no-flip outcomes, and each shortcut keeps that sequence.
+//
 // Sensitive transistors. In hold mode with Q = 0 / QB = 1, three devices
 // are OFF with |Vds| = Vdd and therefore collect radiation charge (the
 // paper's Fig. 5a):
@@ -157,6 +165,11 @@ type Cell struct {
 	vddNode circuit.Node
 	blNode  circuit.Node
 	init    circuit.Solution
+	// mirror is the stable DC state with the stored bit flipped (Q high),
+	// nil when buildCell found none. With it, SimulateStrike can stop a
+	// transient once the cell has settled. Only its Q and QB entries are
+	// read, so an 8T cell shares its 6T core's.
+	mirror  circuit.Solution
 	strikes [NumAxes]*settableWaveform
 	metrics *Metrics // nil = uninstrumented (see SetMetrics)
 }
@@ -257,17 +270,25 @@ func buildCell(tech finfet.Technology, vdd float64, shifts VthShifts, wlVoltage 
 	// I3: from BL into Q (through the struck PGL).
 	c.AddISource("i3", cell.blNode, cell.q, cell.strikes[AxisI3])
 
-	sol, err := c.OperatingPoint(map[circuit.Node]float64{
+	nodeset := map[circuit.Node]float64{
 		cell.q:       0,
 		cell.qb:      vdd,
 		cell.vddNode: vdd,
 		cell.blNode:  vdd,
 		blb:          vdd,
-	})
+	}
+	sol, err := c.OperatingPoint(nodeset)
 	if err != nil {
 		return nil, fmt.Errorf("sram: cell DC failed: %w", err)
 	}
 	cell.init = sol
+	// The mirrored state. A solve that fails or lands anywhere but a
+	// flipped state (a read-unstable mirror, the metastable saddle) leaves
+	// it unset, and strikes then run the full window.
+	nodeset[cell.q], nodeset[cell.qb] = vdd, 0
+	if m, err := c.OperatingPoint(nodeset); err == nil && m[cell.q]-m[cell.qb] > vdd/2 {
+		cell.mirror = m
+	}
 	return cell, nil
 }
 
@@ -276,7 +297,9 @@ func (c *Cell) HoldVoltages() (q, qb float64) {
 	return c.init[c.q], c.init[c.qb]
 }
 
-// StrikeResult reports one simulated strike.
+// StrikeResult reports one simulated strike. QFinal and QBFinal are the
+// storage-node voltages where the transient ended: at the end of the
+// window, or once the cell had settled (see SimulateStrike).
 type StrikeResult struct {
 	Flipped bool
 	QFinal  float64
@@ -287,6 +310,10 @@ type StrikeResult struct {
 // feedback resolves within a few ps, so 200 ps is decisively settled.
 const simWindow = 200e-12
 
+// settleTol is how close to a stable state, as a fraction of Vdd, both
+// storage nodes must be for a finished strike to count as settled.
+const settleTol = 0.02
+
 // strikeStart is when the pulse begins, leaving a clean pre-strike
 // baseline.
 const strikeStart = 1e-12
@@ -295,6 +322,13 @@ const strikeStart = 1e-12
 // pulses of the given shape and reports whether the cell flipped. A zero
 // charge disables that axis. The pulse width is the paper's transit time
 // τ = L²/(µe·Vdd).
+//
+// A rectangular or triangular pulse ends, after which the cell is
+// autonomous. The transient then stops as soon as both storage nodes are
+// within settleTol·Vdd of the held or the mirrored stable state, which
+// decides the outcome. A double-exponential pulse never ends and runs the
+// full window, as does every strike on a cell without a mirrored state (a
+// cell from a SPICE deck, or one whose flipped state is not stable).
 func (c *Cell) SimulateStrike(charges [NumAxes]float64, shape PulseShape) (StrikeResult, error) {
 	tau := c.Tech.TransitTime(c.Vdd)
 	for a := AxisI1; a < NumAxes; a++ {
@@ -306,11 +340,15 @@ func (c *Cell) SimulateStrike(charges [NumAxes]float64, shape PulseShape) (Strik
 		}
 	}()
 
-	res, err := c.ckt.Transient(c.init, circuit.TransientSpec{
+	spec := circuit.TransientSpec{
 		TStop:    simWindow,
 		InitStep: tau / 8,
 		MaxStep:  simWindow / 40,
-	})
+	}
+	if c.mirror != nil && shape != ShapeDoubleExp {
+		spec.Settled = c.settled
+	}
+	res, err := c.ckt.Transient(c.init, spec)
 	if err != nil {
 		return StrikeResult{}, fmt.Errorf("sram: strike transient: %w", err)
 	}
@@ -323,6 +361,22 @@ func (c *Cell) SimulateStrike(charges [NumAxes]float64, shape PulseShape) (Strik
 		}
 	}
 	return out, nil
+}
+
+// settled reports whether both storage nodes of x are within settleTol·Vdd
+// of the held or the mirrored stable state. In the netlists buildCell
+// makes, the charge on Q and QB is all that drives them: the transistors
+// hold none, and an 8T read stack sees QB only through a gate. So a cell
+// that close to a stable state relaxes into it. Asking instead whether the
+// state has stopped moving would be wrong: a near-critical strike lingers
+// at the metastable saddle, far from both stable states, before it
+// resolves.
+func (c *Cell) settled(_ float64, x circuit.Solution) bool {
+	tol := settleTol * c.Vdd
+	near := func(s circuit.Solution) bool {
+		return math.Abs(x[c.q]-s[c.q]) <= tol && math.Abs(x[c.qb]-s[c.qb]) <= tol
+	}
+	return near(c.init) || near(c.mirror)
 }
 
 // buildPulse constructs a charge-carrying pulse of the requested shape.
@@ -346,17 +400,71 @@ func buildPulse(shape PulseShape, charge, tau float64) circuit.Waveform {
 // the given axis that flips the cell. It returns +Inf when even hi cannot
 // flip the cell, and lo when lo already flips it.
 func (c *Cell) CriticalCharge(axis Axis, lo, hi float64, shape PulseShape) (float64, error) {
+	return c.criticalCharge(axis, lo, hi, shape, 0)
+}
+
+// guessStep is the ratio of the first probe outward from a bisection's
+// guess; each further probe squares it (×/÷1.1, 1.21, 1.46, …).
+const guessStep = 1.1
+
+// criticalCharge is CriticalCharge's log-bisection, optionally replayed
+// from a guess. Its flip oracle remembers the largest charge simulated
+// without a flip and the smallest simulated with one, and simulates only
+// charges between the two: flip is monotone in charge, which bisection
+// assumes anyway. The bisection's probes, and so its result, are the same
+// whatever the oracle learned before it.
+//
+// A guess inside (lo, hi), such as another variation sample's critical
+// charge, is simulated first, followed by probes outward from it until the
+// outcome changes. That brackets the answer tightly, so most bisection
+// probes are answered without a simulation. Any other guess (0, +Inf)
+// makes exactly the plain bisection's simulations.
+func (c *Cell) criticalCharge(axis Axis, lo, hi float64, shape PulseShape, guess float64) (float64, error) {
 	if lo <= 0 || hi <= lo {
 		return 0, fmt.Errorf("sram: need 0 < lo < hi, got %g, %g", lo, hi)
 	}
+	noFlip, flip := 0.0, math.Inf(1)
 	flipAt := func(q float64) (bool, error) {
+		if q <= noFlip {
+			return false, nil
+		}
+		if q >= flip {
+			return true, nil
+		}
 		if m := c.metrics; m != nil {
 			m.BisectionSteps.Inc()
 		}
 		var ch [NumAxes]float64
 		ch[axis] = q
 		r, err := c.SimulateStrike(ch, shape)
-		return r.Flipped, err
+		if err != nil {
+			return false, err
+		}
+		if r.Flipped {
+			flip = q
+		} else {
+			noFlip = q
+		}
+		return r.Flipped, nil
+	}
+	if guess > lo && guess < hi {
+		guessFlips, err := flipAt(guess)
+		if err != nil {
+			return 0, err
+		}
+		for step := guessStep; ; step *= step {
+			q := math.Min(guess*step, hi)
+			if guessFlips {
+				q = math.Max(guess/step, lo)
+			}
+			f, err := flipAt(q)
+			if err != nil {
+				return 0, err
+			}
+			if f != guessFlips || q == lo || q == hi {
+				break
+			}
+		}
 	}
 	hiFlips, err := flipAt(hi)
 	if err != nil {

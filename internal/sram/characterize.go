@@ -99,7 +99,8 @@ const FaultSiteSample = "sram.sample"
 
 // Characterize runs the process-variation Monte Carlo: for each variation
 // sample it builds the cell and bisects the critical charge of each
-// sensitive axis. Samples run in parallel on cfg.Workers goroutines with
+// sensitive axis. Sample 0 runs first and guides the other samples'
+// bisections, which then run in parallel on cfg.Workers goroutines with
 // deterministic per-sample random substreams. It is CharacterizeCtx with a
 // background context.
 func Characterize(cfg CharConfig) (*Characterization, error) {
@@ -135,8 +136,9 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 		qcrit [NumAxes]float64
 		err   error
 	}
-	// sample runs one variation sample with panic isolation.
-	sample := func(idx int) (qc [NumAxes]float64, err error) {
+	// sample runs one variation sample with panic isolation, bisecting each
+	// axis from the guess for it (0 for none).
+	sample := func(idx int, guess [NumAxes]float64) (qc [NumAxes]float64, err error) {
 		defer faultinject.Recover("sram.worker", &err)
 		if fi := cfg.Faults; fi != nil {
 			if err := fi.Hit(FaultSiteSample); err != nil {
@@ -150,8 +152,13 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 		cell.SetMetrics(cfg.Metrics)
 		cell.SetGuard(cfg.Guard)
 		for a := AxisI1; a < NumAxes; a++ {
-			q, err := cell.CriticalCharge(a, cfg.ChargeLo, cfg.ChargeHi, cfg.Shape)
-			if err != nil {
+			var q float64
+			if a == AxisI3 {
+				// I1 and I3 are ideal current sources into Q from nodes
+				// that ideal DC sources pin at Vdd, so their transients are
+				// the same circuit and I3 inherits I1's critical charge.
+				q = qc[AxisI1]
+			} else if q, err = cell.criticalCharge(a, cfg.ChargeLo, cfg.ChargeHi, cfg.Shape, guess[a]); err != nil {
 				return qc, err
 			}
 			// +Inf is the legal "unflippable at any charge" sentinel; NaN or
@@ -166,25 +173,38 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 		return qc, nil
 	}
 
-	jobs := make(chan int)
-	results := make(chan result)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				var res result
-				res.idx = idx
-				if res.err = ctx.Err(); res.err == nil {
-					res.qcrit, res.err = sample(idx)
-				}
-				results <- res
-			}
-		}()
+	run := func(idx int, guess [NumAxes]float64) result {
+		res := result{idx: idx}
+		if res.err = ctx.Err(); res.err == nil {
+			res.qcrit, res.err = sample(idx, guess)
+		}
+		return res
 	}
+	results := make(chan result)
 	go func() {
-		for i := 0; i < cfg.Samples; i++ {
+		defer close(results)
+		// Sample 0 runs alone, and its critical charges guide every other
+		// sample's bisection. A guess changes which probes are simulated,
+		// never a result, and it depends on sample 0 alone, so neither
+		// depends on Workers.
+		first := run(0, [NumAxes]float64{})
+		results <- first
+		var guess [NumAxes]float64
+		if first.err == nil {
+			guess = first.qcrit
+		}
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < cfg.Workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for idx := range jobs {
+					results <- run(idx, guess)
+				}
+			}()
+		}
+		for i := 1; i < cfg.Samples; i++ {
 			select {
 			case jobs <- i:
 			case <-ctx.Done():
@@ -194,7 +214,6 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 		}
 		close(jobs)
 		wg.Wait()
-		close(results)
 	}()
 
 	ch := &Characterization{Vdd: cfg.Vdd, Samples: cfg.Samples, PV: cfg.ProcessVariation, Shifts: shifts}
@@ -357,12 +376,20 @@ func ReadCharacterization(r io.Reader) (*Characterization, error) {
 // ValidateFlipSurface checks the linear multi-strike flip-surface
 // approximation against direct circuit simulation: it draws trials random
 // (sample, charge-vector) points near the surface and reports the fraction
-// where the surface model and the simulator agree. cfg must be the config
-// the characterization was built with (it supplies technology and shape).
+// of evaluated trials where the surface model and the simulator agree. A
+// trial drawing a sample that no charge flips has no surface and is
+// skipped; when every trial is skipped there is nothing to report, which
+// is an error. So is a characterization without per-sample Vth shifts
+// (one read from JSON may lack them). cfg must be the config the
+// characterization was built with (it supplies technology and shape).
 func (ch *Characterization) ValidateFlipSurface(cfg CharConfig, trials int, seed uint64) (agreement float64, err error) {
+	if len(ch.Shifts) != ch.Samples {
+		return 0, fmt.Errorf("sram: validate flip surface: %d Vth shift records for %d samples; the per-sample shifts are missing",
+			len(ch.Shifts), ch.Samples)
+	}
 	cfg = cfg.withDefaults()
 	src := rng.New(seed)
-	agree := 0
+	agree, evaluated := 0, 0
 	for t := 0; t < trials; t++ {
 		idx := src.Intn(ch.Samples)
 		cell, err := NewCell(cfg.Tech, ch.Vdd, ch.Shifts[idx])
@@ -392,9 +419,13 @@ func (ch *Characterization) ValidateFlipSurface(cfg CharConfig, trials int, seed
 		if err != nil {
 			return 0, err
 		}
+		evaluated++
 		if res.Flipped == predicted {
 			agree++
 		}
 	}
-	return float64(agree) / float64(trials), nil
+	if evaluated == 0 {
+		return 0, fmt.Errorf("sram: validate flip surface: no trial of %d drew a flippable sample", trials)
+	}
+	return float64(agree) / float64(evaluated), nil
 }

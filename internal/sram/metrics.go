@@ -14,8 +14,9 @@ import (
 type Metrics struct {
 	// VariationSamples counts completed process-variation samples.
 	VariationSamples *obs.Counter
-	// BisectionSteps counts critical-charge bisection probes (each one a
-	// full strike transient).
+	// BisectionSteps counts the critical-charge probes that ran a strike
+	// transient, guess probes included. Outcomes a bisection infers from
+	// earlier probes are not counted.
 	BisectionSteps *obs.Counter
 	// FlipSims counts strike transient simulations.
 	FlipSims *obs.Counter

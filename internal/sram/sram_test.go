@@ -313,19 +313,25 @@ func TestCharacterizePV(t *testing.T) {
 }
 
 func TestCharacterizeDeterministic(t *testing.T) {
-	cfg := CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 10, Seed: 42}
+	// Identical runs, and runs on any number of workers, agree bit for bit:
+	// the guide every sample's bisection starts from depends on sample 0
+	// alone.
+	cfg := CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 10, Seed: 42, Workers: 1}
 	a, err := Characterize(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Characterize(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ax := range a.Axis {
-		for i := range a.Axis[ax] {
-			if a.Axis[ax][i] != b.Axis[ax][i] {
-				t.Fatalf("axis %d sample %d differs between identical runs", ax, i)
+	for _, workers := range []int{1, 2, 8} {
+		cfg.Workers = workers
+		b, err := Characterize(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ax := range a.Axis {
+			for i := range a.Axis[ax] {
+				if math.Float64bits(a.Axis[ax][i]) != math.Float64bits(b.Axis[ax][i]) {
+					t.Fatalf("workers=%d: axis %d sample %d differs from the 1-worker run", workers, ax, i)
+				}
 			}
 		}
 	}
