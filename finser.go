@@ -978,16 +978,19 @@ type flowFingerprint struct {
 	ItersPerBin      int
 	// FITRelErr selects the adaptive FIT mode and its tolerance; it decides
 	// which batches each bin consumes, so it is result-determining.
-	FITRelErr float64
-	AlphaRate float64
-	ProtonScale      float64
-	AlphaBins        int
-	ProtonBins       int
-	Pattern          DataPattern
-	Seed             uint64
+	FITRelErr   float64
+	AlphaRate   float64
+	ProtonScale float64
+	AlphaBins   int
+	ProtonBins  int
+	Pattern     DataPattern
+	Seed        uint64
 	// Workers changes the per-worker RNG substream split, so a checkpoint
 	// is only bit-exact when resumed with the same effective parallelism.
 	Workers int
+	// Physics is core.PhysicsRevision: a checkpoint written before a
+	// change to the strike physics is refused rather than resumed.
+	Physics int
 }
 
 // fingerprint hashes the result-determining subset of cfg and the voltage
@@ -1019,6 +1022,7 @@ func flowConfigFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
 		Pattern:          c.Pattern,
 		Seed:             c.Seed,
 		Workers:          workers,
+		Physics:          core.PhysicsRevision,
 	})
 }
 

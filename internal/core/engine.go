@@ -109,6 +109,14 @@ const (
 	DepositLUT
 )
 
+// PhysicsRevision names the revision of the strike physics behind every
+// FIT this module computes. Checkpoint and shard fingerprints include it,
+// so results computed under another revision are rejected, never mixed.
+// Raise it with any change that moves FIT bits for a fixed configuration.
+// Revision 1: each inter-fin gap's energy loss is a CSDA range lookup, no
+// longer integrated in 2 nm steps.
+const PhysicsRevision = 1
+
 // Config assembles an Engine.
 type Config struct {
 	Tech       finfet.Technology

@@ -404,13 +404,23 @@ func (d *dispatcher) next(ctx context.Context, wi int) (s *shardState, stolen bo
 		// Nothing dispatchable yet: arm a wake-up for the nearest backoff
 		// or steal-eligibility horizon, then sleep on the condition.
 		if !wake.IsZero() {
-			t := time.AfterFunc(wake.Sub(now), d.cond.Broadcast)
+			t := time.AfterFunc(wake.Sub(now), d.broadcast)
 			d.cond.Wait()
 			t.Stop()
 		} else {
 			d.cond.Wait()
 		}
 	}
+}
+
+// broadcast wakes every waiter on behalf of a timer or a cancellation,
+// which change no dispatcher state. Taking the lock orders the wake-up
+// after a waiter's last check of the clock and context: a bare Broadcast
+// could fire between that check and the waiter's cond.Wait and be lost.
+func (d *dispatcher) broadcast() {
+	d.mu.Lock()
+	d.cond.Broadcast()
+	d.mu.Unlock()
 }
 
 // release drops worker wi's outstanding attempt on s without judging it
@@ -590,7 +600,7 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 	d := newDispatcher(shards, c.cfg.now, c.cfg.StealAfter)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stopWake := context.AfterFunc(runCtx, d.cond.Broadcast)
+	stopWake := context.AfterFunc(runCtx, d.broadcast)
 	defer stopWake()
 
 	var wg sync.WaitGroup
@@ -706,7 +716,7 @@ func (c *Coordinator) pause(ctx context.Context, d *dispatcher, dur time.Duratio
 		dur = 50 * time.Millisecond
 	}
 	deadline := c.cfg.now().Add(dur)
-	t := time.AfterFunc(dur, d.cond.Broadcast)
+	t := time.AfterFunc(dur, d.broadcast)
 	defer t.Stop()
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -213,15 +213,17 @@ type ShardResult struct {
 }
 
 // ShardFingerprint digests the shard's result-determining identity: the
-// job spec, the shard coordinates, and the seed slice. Two shards with the
-// same fingerprint are interchangeable, which is what makes duplicate
-// dispatch (work stealing) safe to dedup.
+// job spec, the shard coordinates, the seed slice, and the strike physics
+// revision (core.PhysicsRevision). Two shards with the same fingerprint
+// are interchangeable, which is what makes duplicate dispatch (work
+// stealing) safe to dedup.
 func ShardFingerprint(spec JobSpec, id ShardID, seeds []uint64) (string, error) {
 	return checkpoint.Fingerprint(struct {
-		Job   JobSpec  `json:"job"`
-		Shard ShardID  `json:"shard"`
-		Seeds []uint64 `json:"seeds"`
-	}{spec, id, seeds})
+		Job     JobSpec  `json:"job"`
+		Shard   ShardID  `json:"shard"`
+		Seeds   []uint64 `json:"seeds"`
+		Physics int      `json:"physics"`
+	}{spec, id, seeds, core.PhysicsRevision})
 }
 
 // maxShardBins bounds how many bins one shard request may name — far above
@@ -232,8 +234,9 @@ const maxShardBins = 4096
 // DecodeShardRequest parses and validates a coordinator's shard request at
 // the worker's trust boundary. Every failure is a typed *WireError; the
 // seed schedule is re-derived from the job seed and must match the carried
-// slice, so a coordinator/worker version skew fails loudly instead of
-// merging bins from a different random stream.
+// slice, and the fingerprint is recomputed and must match the carried one,
+// so a coordinator/worker version skew (a different random stream or
+// physics revision) fails loudly instead of merging.
 func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	var req ShardRequest
 	dec := json.NewDecoder(strings.NewReader(string(data)))
@@ -249,9 +252,6 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	}
 	if len(req.Seeds) != req.Shard.End-req.Shard.Start {
 		return nil, &WireError{Field: "seeds", Reason: fmt.Sprintf("%d seeds for a %d-bin shard", len(req.Seeds), req.Shard.End-req.Shard.Start)}
-	}
-	if req.Fingerprint == "" {
-		return nil, &WireError{Field: "fingerprint", Reason: "missing"}
 	}
 	cfg, err := req.Job.FlowConfig()
 	if err != nil {
@@ -276,6 +276,13 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 		if sched[req.Shard.Start+k] != s {
 			return nil, &WireError{Field: "seeds", Reason: fmt.Sprintf("seed schedule diverges at bin %d (coordinator and worker disagree)", req.Shard.Start+k)}
 		}
+	}
+	fp, err := ShardFingerprint(req.Job, req.Shard, req.Seeds)
+	if err != nil {
+		return nil, &WireError{Field: "fingerprint", Reason: err.Error()}
+	}
+	if req.Fingerprint != fp {
+		return nil, &WireError{Field: "fingerprint", Reason: fmt.Sprintf("%q does not match this worker's %q (physics revision %d)", req.Fingerprint, fp, core.PhysicsRevision)}
 	}
 	return &req, nil
 }

@@ -103,8 +103,11 @@ func TestDecodeShardRequestRejects(t *testing.T) {
 		"seed count":     mutate(func(r *dist.ShardRequest) { r.Seeds = r.Seeds[:1] }),
 		"seed skew":      mutate(func(r *dist.ShardRequest) { r.Seeds[0]++ }),
 		"no fingerprint": mutate(func(r *dist.ShardRequest) { r.Fingerprint = "" }),
-		"bad job":        mutate(func(r *dist.ShardRequest) { r.Job.Vdd = -1 }),
-		"unpinned":       mutate(func(r *dist.ShardRequest) { r.Job.Workers = 0 }),
+		// A coordinator on another physics revision (or any skew the
+		// fingerprint covers) hashes the same shard differently.
+		"wrong fingerprint": mutate(func(r *dist.ShardRequest) { r.Fingerprint = strings.Repeat("0", len(r.Fingerprint)) }),
+		"bad job":           mutate(func(r *dist.ShardRequest) { r.Job.Vdd = -1 }),
+		"unpinned":          mutate(func(r *dist.ShardRequest) { r.Job.Workers = 0 }),
 	}
 	for name, data := range cases {
 		if _, err := dist.DecodeShardRequest(data); err == nil {

@@ -5,7 +5,8 @@
 // chord in sub-steps, applies Bohr energy-loss straggling and Fano
 // pair-count fluctuation, and reports the electron–hole pairs generated in
 // that fin — the exact quantity the paper extracts from Geant4 and stores
-// in LUTs (its Fig. 4).
+// in LUTs (its Fig. 4). Between fins the mean energy loss is solved in one
+// step from the species' CSDA range table, whatever the gap's length.
 package transport
 
 import (
@@ -26,20 +27,23 @@ import (
 
 // Config controls the transport physics fidelity.
 type Config struct {
-	// Stopping is the electronic stopping model. Nil selects the tabulated
-	// NIST-style model.
-	Stopping phys.StoppingModel
-	// StepNm is the sub-step length for integrating dE/dx along a chord.
-	// Zero selects 2 nm, fine enough that S(E) is constant per step for the
-	// fin dimensions in play.
+	// Stopping is the electronic stopping model, densely resampled. Nil
+	// selects the tabulated NIST-style model; wrap another model with
+	// phys.NewFastStopping.
+	Stopping *phys.FastStopping
+	// StepNm is the sub-step length for integrating dE/dx along a fin
+	// chord. Zero selects 2 nm, fine enough that S(E) is constant per step
+	// for the fin dimensions in play.
 	StepNm float64
 	// Straggling enables Bohr energy-loss fluctuation per step.
 	Straggling bool
 	// FanoFluctuation enables sub-Poissonian pair-count fluctuation.
 	FanoFluctuation bool
 	// InterFinStoppingScale scales silicon stopping for the material between
-	// fins (spacer/oxide stack). 0 treats gaps as lossless; 1 as silicon.
-	// The default config uses 0.5, a reasonable oxide/nitride average.
+	// fins (spacer/oxide stack): a gap integrates dE/dx = −scale·S(E), so a
+	// particle whose range ends inside it stops there. 0 treats gaps as
+	// lossless; 1 as silicon. The default config uses 0.5, a reasonable
+	// oxide/nitride average.
 	InterFinStoppingScale float64
 	// CollectionEfficiency scales generated pairs to collected pairs,
 	// covering carriers lost to the BOX or recombined at interfaces.
@@ -77,9 +81,9 @@ func NewMetrics(r *obs.Registry) *Metrics {
 // defaultStopping returns the shared default stopping model: the tabulated
 // NIST-style anchors behind a dense log-uniform resampling, so the per-
 // sub-step evaluation in the hot loop costs one logarithm instead of three
-// plus an exponential. Both layers are immutable, so one instance serves
-// every Config.
-var defaultStopping = sync.OnceValue(func() phys.StoppingModel {
+// plus an exponential. Both layers are safe for concurrent use, so one
+// instance serves every Config.
+var defaultStopping = sync.OnceValue(func() *phys.FastStopping {
 	return phys.NewFastStopping(phys.NewTabulatedStopping())
 })
 
@@ -231,7 +235,7 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, ray geom.Ray, f
 		}
 		// Lossy gap between the previous exit and this fin's entry.
 		if gap := h.tIn - cursor; gap > 0 && cfg.InterFinStoppingScale > 0 {
-			energyEV -= cfg.InterFinStoppingScale * meanLoss(cfg, sp, energyEV, gap)
+			energyEV = cfg.Stopping.Residual(sp, energyEV*1e-6, cfg.InterFinStoppingScale*gap) * 1e6
 			if energyEV <= 0 {
 				break
 			}
@@ -254,23 +258,6 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, ray geom.Ray, f
 		m.SegmentsDeposited.Add(int64(len(out) - nBefore))
 	}
 	return out
-}
-
-// meanLoss integrates the mean total (electronic + nuclear) dE/dx over a
-// path without fluctuations, used for inter-fin gaps.
-func meanLoss(cfg Config, sp phys.Species, energyEV, pathNm float64) float64 {
-	lost := 0.0
-	remaining := pathNm
-	for remaining > 0 && energyEV > lost {
-		step := math.Min(cfg.StepNm, remaining)
-		s := phys.CombinedStopping(cfg.Stopping, sp, (energyEV-lost)*1e-6)
-		if s <= 0 {
-			break
-		}
-		lost += s * step
-		remaining -= step
-	}
-	return math.Min(lost, energyEV)
 }
 
 // depositInSegment walks a chord through silicon in sub-steps, depleting

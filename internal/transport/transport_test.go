@@ -95,19 +95,23 @@ func TestTraceEnergyConservation(t *testing.T) {
 }
 
 func TestTraceLowEnergyRangesOut(t *testing.T) {
-	// A 10 keV alpha ranges out within ~150 nm of silicon: through a
-	// full-density 500 nm gap it must not reach the far fin.
+	// A 10 keV alpha ranges out within ~150 nm of silicon. A 500 nm gap is
+	// 500 nm of silicon-equivalent path at full density and 250 nm at half
+	// density: either way the particle stops inside it and must not reach
+	// the far fin.
 	far := geom.BoxAt(geom.V(500, 0, 0), geom.V(10, 20, 30))
 	ray := geom.Ray{Origin: geom.V(0, 10, 15), Dir: geom.V(1, 0, 0)}
-	cfg := detConfig()
-	cfg.InterFinStoppingScale = 1
-	deps := Trace(cfg, phys.Alpha, 0.01, ray, []geom.AABB{far}, nil)
-	total := 0.0
-	for _, d := range deps {
-		total += d.EnergyEV
-	}
-	if total > 1 {
-		t.Errorf("ranged-out particle deposited %v eV in far fin", total)
+	for _, scale := range []float64{1, 0.5} {
+		cfg := detConfig()
+		cfg.InterFinStoppingScale = scale
+		deps := Trace(cfg, phys.Alpha, 0.01, ray, []geom.AABB{far}, nil)
+		total := 0.0
+		for _, d := range deps {
+			total += d.EnergyEV
+		}
+		if total > 1 {
+			t.Errorf("gap scale %g: ranged-out particle deposited %v eV in far fin", scale, total)
+		}
 	}
 }
 

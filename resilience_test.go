@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"finser/internal/checkpoint"
 )
 
 // resilienceFlowConfig is a deliberately small flow whose FIT stage still
@@ -515,5 +517,29 @@ func TestResumeCheckpointRejectsConfigChange(t *testing.T) {
 	// A missing file is a plain error, not a silent fresh start.
 	if _, err := ResumeCheckpoint(path+".nope", cfg, vdds); err == nil {
 		t.Error("resume of a missing checkpoint file succeeded")
+	}
+}
+
+// TestFlowFingerprintCoversPhysicsRevision pins that the strike-physics
+// revision enters the flow fingerprint: the CI interrupt-resume
+// configuration no longer hashes to its digest from before the inter-fin
+// range lookup, and a checkpoint stamped with that digest is refused.
+func TestFlowFingerprintCoversPhysicsRevision(t *testing.T) {
+	const beforeRangeLookup = "eb887a74b6c46009ca4dddc33bc472b390f6f11d60551d10fdbafbfd7639392e"
+	cfg := FlowConfig{Vdd: 0.8, ProcessVariation: true, Samples: 40, ItersPerBin: 400000, Workers: 2, Seed: 7}
+	vdds := []float64{0.8}
+	fp, err := FlowFingerprint(cfg, vdds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp == beforeRangeLookup {
+		t.Fatalf("fingerprint %s does not cover the physics revision", fp)
+	}
+	path := t.TempDir() + "/old.ck.json"
+	if _, err := checkpoint.Create(path, beforeRangeLookup); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeCheckpoint(path, cfg, vdds); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Errorf("resume of a checkpoint from an older physics revision: err = %v, want ErrCheckpointMismatch", err)
 	}
 }
