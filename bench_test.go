@@ -11,6 +11,7 @@ package finser
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -186,7 +187,8 @@ func BenchmarkFig8POFvsEnergy(b *testing.B) {
 }
 
 // BenchmarkFig9FITvsVdd regenerates the FIT-vs-Vdd endpoints and reports
-// the proton/alpha crossover ratio at 0.7 V and the species' Vdd slopes.
+// the proton/alpha crossover ratios and the species' Vdd slopes, each with
+// its 1σ Monte-Carlo error propagated from the two TotalFITErrs.
 func BenchmarkFig9FITvsVdd(b *testing.B) {
 	chars := benchFixtures(b)
 	alphaSpec, _ := NewAlphaSpectrum(DefaultAlphaRate)
@@ -211,10 +213,19 @@ func BenchmarkFig9FITvsVdd(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(p07.TotalFIT/a07.TotalFIT, "proton/alpha@0.7V")
-	b.ReportMetric(p11.TotalFIT/a11.TotalFIT, "proton/alpha@1.1V")
-	b.ReportMetric(a07.TotalFIT/a11.TotalFIT, "alpha-vdd-slope")
-	b.ReportMetric(p07.TotalFIT/p11.TotalFIT, "proton-vdd-slope")
+	for _, r := range []struct {
+		name     string
+		num, den FITResult
+	}{
+		{"proton/alpha@0.7V", p07, a07},
+		{"proton/alpha@1.1V", p11, a11},
+		{"alpha-vdd-slope", a07, a11},
+		{"proton-vdd-slope", p07, p11},
+	} {
+		ratio := r.num.TotalFIT / r.den.TotalFIT
+		b.ReportMetric(ratio, r.name)
+		b.ReportMetric(ratio*math.Hypot(r.num.TotalFITErr/r.num.TotalFIT, r.den.TotalFITErr/r.den.TotalFIT), r.name+"-1sigma")
+	}
 }
 
 // BenchmarkAdaptiveFIT times the confidence-driven sampler on the Fig. 9

@@ -36,9 +36,10 @@
 // and fanned out to the listed worker serds (plain serds; /shards is always
 // served) with work stealing, per-worker circuit breakers, and retry on
 // another worker when one crashes or times out. The merged FIT is
-// bit-identical to a single-node run of the same config/seed (jobs must pin
-// "workers"). Shard lifecycle events appear on the job's SSE stream, and
-// /readyz reports 503 while every worker's breaker is open.
+// bit-identical to a single-node run of the same config/seed; each worker
+// serd runs its shards on its own cores. Shard lifecycle events appear on
+// the job's SSE stream, and /readyz reports 503 while every worker's
+// breaker is open.
 //
 // Multi-tenant QoS: submissions carry an X-Tenant header (absent = the
 // anonymous tenant) and an optional "class" field (interactive|batch,

@@ -76,7 +76,7 @@ func main() {
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
 		ckPath   = flag.String("checkpoint", "", "persist completed FIT energy bins to this JSON file so the run can be resumed")
 		resume   = flag.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
-		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); a resumed checkpoint requires the same effective value")
+		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); results do not depend on it")
 		timeout  = flag.Duration("timeout", 0, "overall wall-clock budget (e.g. 30m); on expiry partial results are flushed and the exit code is 124")
 		guardStr = flag.String("guard", "warn", "physics-invariant enforcement: off|warn|strict (strict fails the run on the first violation)")
 	)

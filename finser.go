@@ -22,11 +22,13 @@
 // transport, per-cell charge accumulation, and POF reduction — allocates
 // nothing: each worker owns a reusable scratch buffer, and the circuit
 // solver reuses one workspace across Newton iterations and timesteps. The
-// per-strike reduction iterates struck cells in sorted cell order, so every
-// estimate (POF points, FIT rates, checkpoint-resumed sweeps) is
-// bit-identical for a given (seed, workers) pair — not merely statistically
-// reproducible. See README.md's "Performance" section for profiling and
-// benchmark-reproduction instructions.
+// per-strike reduction iterates struck cells in sorted cell order, and each
+// strike draws from a random stream keyed by (seed, strike index), so every
+// estimate (POF points, FIT rates, checkpoint-resumed sweeps, shard merges)
+// is bit-identical for a given configuration and seed, whatever the worker
+// count — not merely statistically reproducible. See README.md's
+// "Performance" section for profiling and benchmark-reproduction
+// instructions.
 package finser
 
 import (
@@ -35,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 
 	"finser/internal/checkpoint"
@@ -385,9 +386,8 @@ type FlowConfig struct {
 	// bin's flux weight in the FIT integral), up to a hard per-bin cap of 4×
 	// the flat budget. ItersPerBin becomes the flat reference budget. Valid
 	// values are in (0, 0.5]; the tolerance is result-determining and part
-	// of the flow fingerprint, so a fixed config stays bit-identical across
-	// runs, worker counts, checkpoint resume, and distributed shard merges.
-	// Zero (the default) keeps the exact flat-budget integration.
+	// of the flow fingerprint. Zero (the default) keeps the exact
+	// flat-budget integration.
 	FITRelErr float64
 	// AlphaRate is the alpha emission rate in α/(cm²·h); zero selects the
 	// paper's 0.001.
@@ -401,7 +401,8 @@ type FlowConfig struct {
 	Pattern DataPattern
 	// Seed makes the whole flow deterministic.
 	Seed uint64
-	// Workers bounds parallelism (0 = GOMAXPROCS).
+	// Workers bounds parallelism (0 = GOMAXPROCS). It is a speed setting
+	// only: no result depends on it.
 	Workers int
 	// Obs, when non-nil, collects cross-layer metrics and stage spans for
 	// the whole flow (circuit Newton work, transport rays, characterization
@@ -985,9 +986,6 @@ type flowFingerprint struct {
 	ProtonBins  int
 	Pattern     DataPattern
 	Seed        uint64
-	// Workers changes the per-worker RNG substream split, so a checkpoint
-	// is only bit-exact when resumed with the same effective parallelism.
-	Workers int
 	// Physics is core.PhysicsRevision: a checkpoint written before a
 	// change to the strike physics is refused rather than resumed.
 	Physics int
@@ -1001,10 +999,6 @@ func flowConfigFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
 	c, err := c.withDefaults()
 	if err != nil {
 		return "", err
-	}
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	return checkpoint.Fingerprint(flowFingerprint{
 		Tech:             c.Tech,
@@ -1021,7 +1015,6 @@ func flowConfigFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
 		ProtonBins:       c.ProtonBins,
 		Pattern:          c.Pattern,
 		Seed:             c.Seed,
-		Workers:          workers,
 		Physics:          core.PhysicsRevision,
 	})
 }
@@ -1048,8 +1041,8 @@ func CreateCheckpoint(path string, cfg FlowConfig, vdds []float64) (*CheckpointS
 
 // ResumeCheckpoint opens the checkpoint file of an interrupted sweep. It
 // rejects a file written under a different configuration (different
-// physics, budgets, seed, voltage list, or effective worker count), since
-// resuming such a run could silently mix incompatible Monte-Carlo data.
+// physics, budgets, seed, or voltage list), since resuming such a run could
+// silently mix incompatible Monte-Carlo data. The worker count may differ.
 func ResumeCheckpoint(path string, cfg FlowConfig, vdds []float64) (*CheckpointStore, error) {
 	hash, err := flowConfigFingerprint(cfg, vdds)
 	if err != nil {

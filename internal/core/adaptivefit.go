@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"finser/internal/rng"
 	"finser/internal/spectra"
 )
 
@@ -24,9 +23,9 @@ import (
 // statically derivable flux weights, the outcome is identical to a greedy
 // marginal-error-reduction scheduler no matter what order bins execute in.
 // That order-independence is what keeps a fixed config bit-identical across
-// worker counts, checkpoint resume, and the distributed shard merge: shards
-// and the single-node loop run the exact same per-bin decision procedure on
-// the exact same batch streams.
+// checkpoint resume and the distributed shard merge: shards and the
+// single-node loop run the exact same per-bin decision procedure on the
+// exact same strikes.
 
 const (
 	// adaptiveFlatBatches splits the flat per-bin budget (ItersPerBin) into
@@ -141,19 +140,17 @@ func adaptiveHopeless(est *BinEstimator, tol float64) bool {
 
 // adaptivePOFBin runs one energy bin's batched stream until its confidence
 // interval enters tol, convergence within the cap becomes provably
-// unreachable, or the per-bin cap is reached. Batch seeds are drawn
-// strictly in sequence from rng.New(binSeed) — the same consumption order
-// as FITSeedSchedule gives the bin — so the result depends only on
-// (config, bin seed), never on which worker, shard, resume attempt, or
-// reallocation order ran it; stopping early merely leaves later draws
-// untaken.
+// unreachable, or the per-bin cap is reached. Batch b is strikes
+// [b·batch, (b+1)·batch) of the bin's own stream keyed by binSeed, so the
+// result depends only on (config, bin seed), and a flat bin's strikes are
+// the first strikes of the same bin run adaptively; stopping early merely
+// leaves later strikes untaken.
 func (e *Engine) adaptivePOFBin(ctx context.Context, k kernel, energyMeV float64, itersPerBin int, binSeed uint64, tol float64) (POFPoint, BinConv, error) {
 	batch := adaptiveBatchSize(itersPerBin)
-	src := rng.New(binSeed)
 	var est BinEstimator
 	conv := BinConv{Tol: tol}
-	for est.Batches() < adaptiveCapBatches {
-		pt, _, err := e.estimate(ctx, k, energyMeV, batch, src.Uint64())
+	for b := 0; b < adaptiveCapBatches; b++ {
+		pt, _, err := e.estimate(ctx, k, energyMeV, b*batch, (b+1)*batch, binSeed)
 		if err != nil {
 			return POFPoint{}, BinConv{}, err
 		}

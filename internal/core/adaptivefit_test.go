@@ -64,9 +64,10 @@ func alphaEnv(t *testing.T, nBins int) (spectra.Spectrum, []spectra.EnergyBin) {
 }
 
 // Adaptive FIT must be a pure function of the configuration: re-running the
-// identical config reproduces every point and convergence record bit for
-// bit, and any shard partitioning of the bin range concatenates to the
-// exact single-call result (what the distributed merge relies on).
+// identical config — under any worker count — reproduces every point and
+// convergence record bit for bit, and any shard partitioning of the bin
+// range concatenates to the exact single-call result (what the distributed
+// merge relies on).
 func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
 	e := adaptiveEngine(t, 0.05, nil)
@@ -81,6 +82,24 @@ func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1.Points, r2.Points) || !reflect.DeepEqual(r1.Conv, r2.Conv) || r1.TotalFIT != r2.TotalFIT {
 		t.Fatal("adaptive FIT not deterministic across re-runs")
+	}
+	for _, workers := range []int{1, 8} {
+		ch, _, _ := fixtures(t)
+		ew, err := New(Config{
+			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+			Char: ch, Transport: transport.DefaultConfig(),
+			Workers: workers, FITRelErr: 0.05,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw, err := ew.FITCtx(context.Background(), spec, bins, 3000, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rw.Points, r1.Points) || !reflect.DeepEqual(rw.Conv, r1.Conv) || rw.TotalFIT != r1.TotalFIT {
+			t.Fatalf("adaptive FIT under %d workers differs from 2 workers", workers)
+		}
 	}
 
 	ctx := context.Background()

@@ -115,7 +115,10 @@ const (
 // Raise it with any change that moves FIT bits for a fixed configuration.
 // Revision 1: each inter-fin gap's energy loss is a CSDA range lookup, no
 // longer integrated in 2 nm steps.
-const PhysicsRevision = 1
+// Revision 2: the random stream is keyed per strike — strike i of an
+// estimate draws from the stream keyed by (seed, i), and strikes merge in
+// fixed chunks — so no result depends on the worker count.
+const PhysicsRevision = 2
 
 // Config assembles an Engine.
 type Config struct {
@@ -556,14 +559,14 @@ type POFPoint struct {
 // energy through the shared worker fan-out and returns the averaged POFs.
 // Workers check ctx every cancelCheckEvery particles; a worker panic fails
 // this energy point with a stack-carrying *faultinject.PanicError instead
-// of crashing the process. Worker partials merge in worker order, so the
-// result is bit-deterministic for a fixed (seed, worker count).
+// of crashing the process. The result is a pure function of the
+// configuration and seed, whatever the worker count.
 func (e *Engine) POFAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV float64, iters int, seed uint64) (POFPoint, error) {
 	k, err := e.directKernel(ctx, sp)
 	if err != nil {
 		return POFPoint{}, err
 	}
-	pt, _, err := e.estimate(ctx, k, energyMeV, iters, seed)
+	pt, _, err := e.estimate(ctx, k, energyMeV, 0, iters, seed)
 	return pt, err
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"finser/internal/finfet"
@@ -32,8 +33,9 @@ func TestBroadPhaseComplete(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance: the POF estimate must be identical regardless
-// of how many workers execute it (per-sample substreams are pre-assigned).
+// TestWorkerCountInvariance: every estimate must be identical regardless
+// of how many workers execute it (strike i draws from the stream keyed by
+// (seed, i), and chunks merge in chunk order).
 func TestWorkerCountInvariance(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	mk := func(workers int) *Engine {
@@ -46,26 +48,24 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 		return e
 	}
-	// NOTE: worker goroutines own distinct substreams, so the estimate
-	// depends on the worker count by design; what must hold is determinism
-	// per (seed, workers) pair and statistical agreement across counts.
+	rx := neutron.NewReactions()
 	a1 := mustPOF(t, mk(1), phys.Alpha, 1, 20000, 5)
-	a2 := mustPOF(t, mk(1), phys.Alpha, 1, 20000, 5)
-	if a1.Tot != a2.Tot {
-		t.Fatal("single-worker runs not deterministic")
+	if a1.Tot <= 0 {
+		t.Fatal("single-worker run returned zero POF")
 	}
-	b := mustPOF(t, mk(4), phys.Alpha, 1, 20000, 5)
-	if b.Tot <= 0 {
-		t.Fatal("multi-worker run returned zero POF")
-	}
-	// Statistical agreement within 5 combined standard errors.
-	diff := a1.Tot - b.Tot
-	if diff < 0 {
-		diff = -diff
-	}
-	band := 5 * (a1.TotStdErr + b.TotStdErr)
-	if diff > band {
-		t.Errorf("worker counts disagree beyond noise: %v vs %v (band %v)", a1.Tot, b.Tot, band)
+	n1 := mustNeutronPOF(t, mk(1), rx, 14, 3000, 7)
+	m1 := mustMBU(t, mk(1), phys.Alpha, 1, 3000, 6, 9)
+	for _, workers := range []int{1, 2, 4, 8} {
+		e := mk(workers)
+		if a := mustPOF(t, e, phys.Alpha, 1, 20000, 5); a != a1 {
+			t.Errorf("POF under %d workers = %+v, want %+v", workers, a, a1)
+		}
+		if n := mustNeutronPOF(t, e, rx, 14, 3000, 7); n != n1 {
+			t.Errorf("neutron POF under %d workers = %+v, want %+v", workers, n, n1)
+		}
+		if m := mustMBU(t, e, phys.Alpha, 1, 3000, 6, 9); !reflect.DeepEqual(m, m1) {
+			t.Errorf("MBU report under %d workers differs from 1 worker: mean flips %v, want %v", workers, m.MeanFlips, m1.MeanFlips)
+		}
 	}
 }
 

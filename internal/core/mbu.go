@@ -45,8 +45,8 @@ type MBUReport struct {
 // MBUStatsAtEnergyCtx runs iters strikes at one energy through the shared
 // worker fan-out and gathers multiplicity and pair-separation statistics.
 // maxK bounds the multiplicity PMF length (use 5-8; events beyond that are
-// vanishingly rare). Worker sums merge in worker order, so the report is
-// bit-deterministic for a fixed (seed, worker count).
+// vanishingly rare). Chunk sums merge in chunk order, so the report is a
+// pure function of the configuration and seed, whatever the worker count.
 func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) (MBUReport, error) {
 	if iters <= 0 {
 		return MBUReport{}, errors.New("core: MBU stats need positive iterations")
@@ -54,7 +54,7 @@ func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, sp phys.Species, energ
 	if maxK < 2 {
 		maxK = 2
 	}
-	accs, _, err := fanOut(ctx, e, iters, seed, func(src *rng.Source, scr *strikeScratch, a *mbuTally) (int, error) {
+	accs, _, err := fanOut(ctx, e, 0, iters, seed, func(src *rng.Source, scr *strikeScratch, a *mbuTally) (int, error) {
 		return e.mbuTrial(src, sp, energyMeV, maxK, scr, a)
 	})
 	if err != nil {
@@ -87,7 +87,7 @@ func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, sp phys.Species, energ
 	return rep, nil
 }
 
-// mbuTally is one worker's UNNORMALIZED MBU sums plus its per-strike
+// mbuTally is one chunk's UNNORMALIZED MBU sums plus its per-strike
 // scratch.
 type mbuTally struct {
 	pmf   []float64 // Σ per-strike multiplicity PMFs

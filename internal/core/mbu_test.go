@@ -109,8 +109,8 @@ func TestMBUMaxKClamp(t *testing.T) {
 	}
 }
 
-// MBU statistics at 8 workers must be bit-identical across runs: worker
-// sums merge in worker order, not in the order workers finish.
+// MBU statistics at 8 workers must be bit-identical across runs: chunk
+// sums merge in chunk order, not in the order workers finish.
 func TestMBUStatsBitIdenticalAcrossRuns(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e, err := New(Config{

@@ -33,9 +33,9 @@ type NeutronPoint struct {
 
 // NeutronPOFAtEnergyCtx estimates the weighted POFs with iters forced-
 // interaction trials at one neutron energy, through the same worker
-// fan-out, cancellation, guards, and worker-order merge as POFAtEnergyCtx.
+// fan-out, cancellation, guards, and chunk-order merge as POFAtEnergyCtx.
 func (e *Engine) NeutronPOFAtEnergyCtx(ctx context.Context, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) (NeutronPoint, error) {
-	pt, weight, err := e.estimate(ctx, e.neutronKernel(rx), energyMeV, iters, seed)
+	pt, weight, err := e.estimate(ctx, e.neutronKernel(rx), energyMeV, 0, iters, seed)
 	if err != nil {
 		return NeutronPoint{}, err
 	}

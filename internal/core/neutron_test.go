@@ -163,7 +163,7 @@ func neutronEnv(t *testing.T) (spectra.Spectrum, []spectra.EnergyBin) {
 }
 
 // A neutron FIT at 8 workers must be a pure function of its configuration:
-// worker partials merge in worker order, not in the order workers finish.
+// chunk partials merge in chunk order, not in the order workers finish.
 func TestNeutronFITBitIdenticalAcrossRuns(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	spec, bins := neutronEnv(t)

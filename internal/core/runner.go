@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"finser/internal/faultinject"
@@ -56,46 +57,46 @@ const cancelCheckEvery = 64
 // FaultSiteParticle is the engine's per-particle fault-injection site.
 const FaultSiteParticle = "core.particle"
 
-// fanOut is the one Monte-Carlo worker fan-out in core. It splits iters
-// particles across the engine's workers, each drawing from its own
-// substream forked from seed, and calls trial once per particle with the
-// worker's scratch and accumulator; trial reports how many cells the
-// particle charged. Workers check ctx every cancelCheckEvery particles and
-// hit FaultSiteParticle before each one. A worker panic is recovered into
-// a stack-carrying *faultinject.PanicError that fails this estimate instead
-// of the process; on cancellation the error wraps ctx.Err(). The
-// accumulators come back in worker order, so merging them in slice order
-// is bit-deterministic for a fixed (seed, worker count). hits counts the
-// particles that charged at least one cell; the engine metrics record the
-// run.
-func fanOut[A any](ctx context.Context, e *Engine, iters int, seed uint64, trial func(src *rng.Source, scr *strikeScratch, acc *A) (struck int, err error)) (accs []A, hits int, err error) {
-	workers := e.cfg.Workers
-	if iters < workers {
-		workers = 1
-	}
-	srcs := rng.New(seed).ForkN(workers)
+// strikeChunk is the number of consecutive strikes that share one
+// accumulator. It fixes the merge order of every estimate, so changing it
+// moves FIT bits (raise PhysicsRevision with it).
+const strikeChunk = 256
+
+// fanOut is the one Monte-Carlo worker fan-out in core. It runs strikes
+// [from, to) of the estimate keyed by seed: strike i draws from the random
+// stream keyed by (seed, i), and consecutive strikes share one accumulator
+// per strikeChunk. Workers take chunks from a shared counter and call trial
+// once per strike with their scratch and the chunk's accumulator; trial
+// reports how many cells the strike charged. The accumulators come back in
+// chunk order, so merging them in slice order makes every estimate a pure
+// function of (seed, from, to), whatever the worker count. Workers check
+// ctx every cancelCheckEvery strikes and hit FaultSiteParticle before each
+// one. A worker panic is recovered into a stack-carrying
+// *faultinject.PanicError that fails this estimate instead of the process;
+// on cancellation the error wraps ctx.Err(). hits counts the strikes that
+// charged at least one cell; the engine metrics record the run.
+func fanOut[A any](ctx context.Context, e *Engine, from, to int, seed uint64, trial func(src *rng.Source, scr *strikeScratch, acc *A) (struck int, err error)) (accs []A, hits int, err error) {
+	iters := to - from
+	chunks := max(0, (iters+strikeChunk-1)/strikeChunk)
+	workers := min(e.cfg.Workers, chunks)
 
 	m := e.cfg.Metrics
 	var wallStart time.Time
 	if m != nil {
 		wallStart = time.Now()
 	}
-	accs = make([]A, workers)
+	accs = make([]A, chunks)
 	type workerStats struct {
 		hits   int
 		busyNs int64
 	}
 	ws := make([]workerStats, workers)
 	errs := make([]error, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	per, extra := iters/workers, iters%workers
 	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
 		wg.Add(1)
-		go func(w int, src *rng.Source, n int) {
+		go func(w int) {
 			defer wg.Done()
 			defer faultinject.Recover("core.worker", &errs[w])
 			scr := e.getScratch()
@@ -104,37 +105,49 @@ func fanOut[A any](ctx context.Context, e *Engine, iters int, seed uint64, trial
 			if m != nil {
 				busyStart = time.Now()
 			}
-			h := 0
-			for i := 0; i < n; i++ {
-				if i%cancelCheckEvery == 0 {
-					if err := ctx.Err(); err != nil {
+			var src rng.Source
+			var acc, zero A
+			h, n := 0, 0
+		chunkLoop:
+			for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
+				acc = zero
+				for i := from + c*strikeChunk; i < min(from+(c+1)*strikeChunk, to); i++ {
+					if n%cancelCheckEvery == 0 {
+						if err := ctx.Err(); err != nil {
+							errs[w] = err
+							break chunkLoop
+						}
+					}
+					n++
+					if fi := e.cfg.Faults; fi != nil {
+						if err := fi.Hit(FaultSiteParticle); err != nil {
+							errs[w] = err
+							break chunkLoop
+						}
+					}
+					src.Reset(seed, uint64(i))
+					struck, err := trial(&src, scr, &acc)
+					if err != nil {
 						errs[w] = err
-						break
+						break chunkLoop
+					}
+					if struck > 0 {
+						h++
+						if m != nil {
+							m.StruckCellMultiplicity.Observe(float64(struck))
+						}
 					}
 				}
-				if fi := e.cfg.Faults; fi != nil {
-					if err := fi.Hit(FaultSiteParticle); err != nil {
-						errs[w] = err
-						break
-					}
-				}
-				struck, err := trial(src, scr, &accs[w])
-				if err != nil {
-					errs[w] = err
-					break
-				}
-				if struck > 0 {
-					h++
-					if m != nil {
-						m.StruckCellMultiplicity.Observe(float64(struck))
-					}
-				}
+				accs[c] = acc
+			}
+			if errs[w] != nil {
+				next.Store(int64(chunks)) // the estimate has failed: hand out no more chunks
 			}
 			ws[w].hits = h
 			if m != nil {
 				ws[w].busyNs = time.Since(busyStart).Nanoseconds()
 			}
-		}(w, srcs[w], n)
+		}(w)
 	}
 	wg.Wait()
 
@@ -176,16 +189,17 @@ func fanOut[A any](ctx context.Context, e *Engine, iters int, seed uint64, trial
 	return accs, hits, nil
 }
 
-// tally is one worker's running weighted POF moments.
+// tally is one chunk's running weighted POF moments.
 type tally struct {
 	tot, seu, mbu, weight stats.Welford
 }
 
-// estimate runs iters trials of the kernel at one energy through the
-// fan-out and merges the worker tallies in worker order. It returns the
-// POF point and the mean trial weight.
-func (e *Engine) estimate(ctx context.Context, k kernel, energyMeV float64, iters int, seed uint64) (POFPoint, float64, error) {
-	accs, hits, err := fanOut(ctx, e, iters, seed, func(src *rng.Source, scr *strikeScratch, a *tally) (int, error) {
+// estimate runs strikes [from, to) of the kernel's estimate keyed by seed
+// at one energy through the fan-out and merges the chunk tallies in chunk
+// order. It returns the POF point and the mean trial weight.
+func (e *Engine) estimate(ctx context.Context, k kernel, energyMeV float64, from, to int, seed uint64) (POFPoint, float64, error) {
+	iters := to - from
+	accs, hits, err := fanOut(ctx, e, from, to, seed, func(src *rng.Source, scr *strikeScratch, a *tally) (int, error) {
 		o, w, err := k.strike(src, energyMeV, scr)
 		if err != nil {
 			return 0, err
@@ -253,7 +267,7 @@ func (e *Engine) runBins(ctx context.Context, k kernel, bins []spectra.EnergyBin
 		if tols != nil {
 			pt, conv, err = e.adaptivePOFBin(ctx, k, bins[i].Rep, itersPerBin, seeds[i], tols[i])
 		} else {
-			pt, _, err = e.estimate(ctx, k, bins[i].Rep, itersPerBin, seeds[i])
+			pt, _, err = e.estimate(ctx, k, bins[i].Rep, 0, itersPerBin, seeds[i])
 		}
 		binSpan.End()
 		if err != nil {

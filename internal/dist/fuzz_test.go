@@ -60,7 +60,7 @@ func FuzzShardRequestDecode(f *testing.F) {
 	if b, err := json.Marshal(req); err == nil {
 		f.Add(b)
 	}
-	f.Add([]byte(`{"job":{"vdd":0.7,"workers":1},"shard":{"species":"alpha","start":0,"end":1},"seeds":[1],"fingerprint":"x"}`))
+	f.Add([]byte(`{"job":{"vdd":0.7},"shard":{"species":"alpha","start":0,"end":1},"seeds":[1],"fingerprint":"x"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
 

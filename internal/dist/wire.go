@@ -46,9 +46,9 @@ func (e *WireError) Error() string {
 // JobSpec is the result-determining job configuration on the shard wire:
 // the scalar subset of finser.FlowConfig a coordinator serializes to its
 // workers. Field meanings and JSON spellings match the serd job request;
-// zero values select the same finser defaults. Workers is required — the
-// per-worker RNG substream split depends on it, so a distributed run is
-// only bit-identical to the single-node run when both pin it explicitly.
+// zero values select the same finser defaults. Parallelism is not on the
+// wire: no result depends on it, so each worker serd runs a shard on its
+// own cores.
 type JobSpec struct {
 	Vdd              float64 `json:"vdd"`
 	Rows             int     `json:"rows,omitempty"`
@@ -67,7 +67,6 @@ type JobSpec struct {
 	ProtonBins  int     `json:"proton_bins,omitempty"`
 	Pattern     string  `json:"pattern,omitempty"`
 	Seed        uint64  `json:"seed,omitempty"`
-	Workers     int     `json:"workers"`
 }
 
 // SpecFromFlow projects a validated finser.FlowConfig onto the wire spec.
@@ -88,9 +87,6 @@ func SpecFromFlow(cfg finser.FlowConfig) (JobSpec, error) {
 	default:
 		return JobSpec{}, &WireError{Field: "pattern", Reason: fmt.Sprintf("unknown (%d)", cfg.Pattern)}
 	}
-	if cfg.Workers <= 0 {
-		return JobSpec{}, &WireError{Field: "workers", Reason: "must be pinned (> 0) for a bit-identical distributed run"}
-	}
 	return JobSpec{
 		Vdd:              cfg.Vdd,
 		Rows:             cfg.Rows,
@@ -105,7 +101,6 @@ func SpecFromFlow(cfg finser.FlowConfig) (JobSpec, error) {
 		ProtonBins:       cfg.ProtonBins,
 		Pattern:          pat,
 		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
 	}, nil
 }
 
@@ -122,9 +117,6 @@ func (s JobSpec) FlowConfig() (finser.FlowConfig, error) {
 	default:
 		return finser.FlowConfig{}, &WireError{Field: "pattern", Reason: fmt.Sprintf("unknown %q", s.Pattern)}
 	}
-	if s.Workers <= 0 {
-		return finser.FlowConfig{}, &WireError{Field: "workers", Reason: "must be pinned (> 0) for a bit-identical distributed run"}
-	}
 	return finser.FlowConfig{
 		Vdd:              s.Vdd,
 		Rows:             s.Rows,
@@ -139,7 +131,6 @@ func (s JobSpec) FlowConfig() (finser.FlowConfig, error) {
 		ProtonBins:       s.ProtonBins,
 		Pattern:          pat,
 		Seed:             s.Seed,
-		Workers:          s.Workers,
 	}, nil
 }
 

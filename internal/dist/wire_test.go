@@ -11,7 +11,7 @@ import (
 )
 
 // tinyFlow is the shared fast-but-real job configuration: full physics,
-// minimal Monte-Carlo budget, workers pinned (required for distribution).
+// minimal Monte-Carlo budget, one worker.
 func tinyFlow() finser.FlowConfig {
 	return finser.FlowConfig{
 		Vdd:         0.7,
@@ -56,17 +56,9 @@ func TestSpecFlowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Vdd != flow.Vdd || back.Seed != flow.Seed || back.Workers != flow.Workers ||
+	if back.Vdd != flow.Vdd || back.Seed != flow.Seed ||
 		back.Pattern != flow.Pattern || back.AlphaBins != flow.AlphaBins {
 		t.Fatalf("round trip mutated the config: %+v vs %+v", back, flow)
-	}
-}
-
-func TestSpecFromFlowRejectsUnpinnedWorkers(t *testing.T) {
-	flow := tinyFlow()
-	flow.Workers = 0
-	if _, err := dist.SpecFromFlow(flow); !dist.IsWire(err) {
-		t.Fatalf("want *WireError for unpinned workers, got %v", err)
 	}
 }
 
@@ -94,6 +86,7 @@ func TestDecodeShardRequestRejects(t *testing.T) {
 		b, _ := json.Marshal(&r)
 		return b
 	}
+	parentWire := strings.Replace(string(mutate(func(*dist.ShardRequest) {})), `"job":{`, `"job":{"workers":2,`, 1)
 	cases := map[string][]byte{
 		"garbage":        []byte("{nope"),
 		"unknown field":  []byte(`{"job":{},"shard":{},"bogus":1}`),
@@ -107,7 +100,9 @@ func TestDecodeShardRequestRejects(t *testing.T) {
 		// fingerprint covers) hashes the same shard differently.
 		"wrong fingerprint": mutate(func(r *dist.ShardRequest) { r.Fingerprint = strings.Repeat("0", len(r.Fingerprint)) }),
 		"bad job":           mutate(func(r *dist.ShardRequest) { r.Job.Vdd = -1 }),
-		"unpinned":          mutate(func(r *dist.ShardRequest) { r.Job.Workers = 0 }),
+		// A coordinator that still puts the worker count on the wire draws
+		// another random stream.
+		"workers on the wire": []byte(parentWire),
 	}
 	for name, data := range cases {
 		if _, err := dist.DecodeShardRequest(data); err == nil {

@@ -1,19 +1,20 @@
 // Package rng provides the deterministic pseudo-random machinery used by
 // every Monte-Carlo stage of the SER flow: a small, fast 64-bit generator
-// with reproducible substreams (so parallel workers draw independent,
-// seed-stable sequences), plus the variate and direction samplers the
-// transport and characterization layers need.
+// with reproducible substreams (keyed by a trial index, so a trial's draws
+// do not depend on which worker runs it or what ran before it), plus the
+// variate and direction samplers the transport and characterization layers
+// need.
 //
 // The generator is SplitMix64 followed by an xorshift* scramble — adequate
 // statistical quality for radiation-transport MC, tiny state, and trivially
-// forkable. math/rand is deliberately not used so that substream forking is
+// forkable. math/rand is deliberately not used so that substreams are
 // explicit and stable across Go releases.
 package rng
 
 import "math"
 
 // Source is a deterministic stream of pseudo-random numbers.
-// The zero value is NOT usable; construct with New or Fork.
+// The zero value is NOT usable; construct with New or Fork, or Reset it.
 type Source struct {
 	state uint64
 	gamma uint64 // odd increment; distinct gammas give distinct streams
@@ -39,13 +40,12 @@ func (s *Source) Fork() *Source {
 	return &Source{state: st, gamma: g}
 }
 
-// ForkN returns n independent substreams.
-func (s *Source) ForkN(n int) []*Source {
-	out := make([]*Source, n)
-	for i := range out {
-		out[i] = s.Fork()
-	}
-	return out
+// Reset rewinds s in place to the start of the substream keyed by (seed,
+// key). The stream is a pure function of the pair, so trial key of a
+// Monte-Carlo estimate draws the same numbers whichever worker runs it and
+// in whatever order; resetting a worker-owned value allocates nothing.
+func (s *Source) Reset(seed, key uint64) {
+	*s = Source{state: mix(seed ^ mix(key+goldenGamma)), gamma: goldenGamma}
 }
 
 func mix(z uint64) uint64 {

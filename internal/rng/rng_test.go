@@ -40,15 +40,74 @@ func TestForkReproducible(t *testing.T) {
 
 func TestForkIndependence(t *testing.T) {
 	p := New(7)
-	kids := p.ForkN(4)
-	// Crude independence check: no two children share their first 8 draws.
+	// Crude independence check: no two children share their first draw.
 	first := map[uint64]int{}
-	for i, k := range kids {
-		v := k.Uint64()
+	for i := 0; i < 4; i++ {
+		v := p.Fork().Uint64()
 		if j, dup := first[v]; dup {
 			t.Fatalf("children %d and %d share first draw", i, j)
 		}
 		first[v] = i
+	}
+}
+
+// TestResetKeyedStreams: the streams keyed by consecutive trial indices
+// start on distinct, uniform, serially uncorrelated draws; a reset stream
+// replays its key's stream exactly (cached normal variate included); and
+// resetting allocates nothing.
+func TestResetKeyedStreams(t *testing.T) {
+	const n = 1 << 20
+	var s Source
+	first := make(map[uint64]uint64, n)
+	var buckets [64]float64
+	var prev, sum, sum2, lag float64
+	for i := uint64(0); i < n; i++ {
+		s.Reset(7, i)
+		v := s.Uint64()
+		if j, dup := first[v]; dup {
+			t.Fatalf("keys %d and %d share their first draw", j, i)
+		}
+		first[v] = i
+		buckets[v>>58]++
+		x := float64(v>>11) / (1 << 53)
+		sum += x
+		sum2 += x * x
+		lag += prev * x
+		prev = x
+	}
+	chi2 := 0.0
+	for _, c := range buckets {
+		chi2 += (c - n/64) * (c - n/64) / (n / 64)
+	}
+	if chi2 > 103.4 { // 63 degrees of freedom, p = 0.001
+		t.Errorf("first draws over %d keys: 64-bucket chi2 = %.1f", n, chi2)
+	}
+	mean := sum / n
+	if r := (lag/(n-1) - mean*mean) / (sum2/n - mean*mean); math.Abs(r) > 3/math.Sqrt(n) {
+		t.Errorf("first draws of consecutive keys: lag-1 correlation %.5f", r)
+	}
+
+	var a, b Source
+	a.Reset(7, 12345)
+	a.Normal() // leaves a cached spare that Reset must drop
+	a.Reset(7, 12345)
+	b.Reset(7, 12345)
+	for i := 0; i < 100; i++ {
+		if x, y := a.Normal(), b.Normal(); x != y {
+			t.Fatalf("reset stream diverged at draw %d: %v vs %v", i, x, y)
+		}
+	}
+	a.Reset(8, 12345)
+	b.Reset(7, 12345)
+	if a.Uint64() == b.Uint64() {
+		t.Error("seeds 7 and 8 share the first draw of key 12345")
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Reset(7, 99)
+		s.Float64()
+	}); allocs != 0 {
+		t.Errorf("Reset allocates %v per call", allocs)
 	}
 }
 

@@ -186,9 +186,10 @@ func TestRecoveryCorruptMiddleRecord(t *testing.T) {
 }
 
 // TestIdempotentSubmission checks retry dedupe on a durable server: an
-// identical resubmission while the original is queued, running, or done
-// returns the original job with 200, while failed/canceled originals — and
-// any submission on a non-durable server — admit fresh jobs.
+// identical resubmission (or one differing only in workers) while the
+// original is queued, running, or done returns the original job with 200,
+// while failed/canceled originals — and any submission on a non-durable
+// server — admit fresh jobs.
 func TestIdempotentSubmission(t *testing.T) {
 	reg := obs.NewRegistry()
 	started := make(chan string, 4)
@@ -223,6 +224,19 @@ func TestIdempotentSubmission(t *testing.T) {
 	}
 	if got := reg.Counter("serd/jobs/deduped").Value(); got != 1 {
 		t.Errorf("jobs/deduped = %d, want 1", got)
+	}
+
+	// The worker count changes no result, so a resubmission that differs
+	// only in it is the same job.
+	resp, out = postJob(t, ts, `{"vdd": 0.7, "seed": 11, "workers": 4}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("retry with other workers = %d: %s, want 200", resp.StatusCode, out)
+	}
+	if err := json.Unmarshal(out, &dup); err != nil {
+		t.Fatal(err)
+	}
+	if dup.ID != "job-1" {
+		t.Errorf("retry with other workers landed on %s, want job-1", dup.ID)
 	}
 
 	// A canceled original does not dedupe: resubmitting is an explicit

@@ -52,9 +52,9 @@ type JobRequest struct {
 	// checkerboard.
 	Pattern string `json:"pattern,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
-	// Workers bounds the flow's internal parallelism (0 = GOMAXPROCS).
-	// Checkpointed jobs resume bit-identically only under the same
-	// effective value, so heavy users pin it explicitly.
+	// Workers bounds a local job's internal parallelism (0 = GOMAXPROCS).
+	// No result depends on it, so it is not part of the job fingerprint,
+	// and a coordinator does not forward it to its worker serds.
 	Workers int `json:"workers,omitempty"`
 	// FitRelErr enables adaptive FIT sampling: each energy bin stops once
 	// its POF confidence interval is inside this relative tolerance (0

@@ -160,7 +160,6 @@ type Config struct {
 	// Distributor, when non-nil, switches the server into coordinator
 	// mode: jobs run by sharding across a worker-serd pool (dist.New fits)
 	// instead of the local pipeline. Runner still wins when both are set.
-	// Coordinator mode requires submissions to pin workers > 0, and
 	// /readyz reflects Ready() so a pool with every breaker open reports
 	// 503.
 	Distributor Distributor
@@ -511,10 +510,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		if cerr == nil {
 			cerr = cfg.Validate()
 		}
-		if cerr == nil && s.cfg.Distributor != nil && req.Workers <= 0 {
-			cerr = &RequestError{Field: "workers",
-				Reason: "must be pinned (> 0) for distributed execution: the Monte-Carlo substream split depends on it"}
-		}
 		switch {
 		case cerr != nil:
 			stats.Invalid++
@@ -791,13 +786,6 @@ func (s *Server) SubmitTenant(req JobRequest, idemKey, tenant string) (JobStatus
 	}
 	if err := cfg.Validate(); err != nil {
 		return JobStatus{}, false, err
-	}
-	// A distributed run is bit-identical to single-node only under a pinned
-	// worker count (the per-bin RNG substream split depends on it), so
-	// coordinator mode refuses the "whatever GOMAXPROCS is" default.
-	if s.cfg.Distributor != nil && req.Workers <= 0 {
-		return JobStatus{}, false, &RequestError{Field: "workers",
-			Reason: "must be pinned (> 0) for distributed execution: the Monte-Carlo substream split depends on it"}
 	}
 	// The guard configuration is the server's policy, not the client's:
 	// attach it at admission so every execution path (including injected

@@ -121,8 +121,8 @@ func TestWorkerPanicIsolatedCharacterize(t *testing.T) {
 }
 
 // TestResumeDeterminism is the ISSUE's checkpoint acceptance test: a run
-// interrupted mid-FIT and resumed from its checkpoint must reproduce the
-// uninterrupted result bit-identically.
+// interrupted mid-FIT and resumed from its checkpoint — under another
+// worker count — must reproduce the uninterrupted result bit-identically.
 func TestResumeDeterminism(t *testing.T) {
 	cfg := resilienceFlowConfig()
 	vdds := []float64{cfg.Vdd}
@@ -162,15 +162,16 @@ func TestResumeDeterminism(t *testing.T) {
 		t.Fatalf("interrupted sweep completed %d voltages, want 0", len(partial))
 	}
 
-	// Resume under the same configuration and finish the run.
-	store2, err := ResumeCheckpoint(path, cfg, vdds)
+	// Resume on one worker instead of two and finish the run.
+	c3 := cfg
+	c3.Workers = 1
+	store2, err := ResumeCheckpoint(path, c3, vdds)
 	if err != nil {
 		t.Fatalf("ResumeCheckpoint: %v", err)
 	}
 	if len(store2.Stages()) == 0 {
 		t.Fatal("checkpoint holds no completed stages; interruption landed before any bin finished")
 	}
-	c3 := cfg
 	c3.Checkpoint = store2
 	resumed, err := RunVddSweepCtx(context.Background(), c3, vdds)
 	if err != nil {
@@ -504,7 +505,6 @@ func TestResumeCheckpointRejectsConfigChange(t *testing.T) {
 	}{
 		{"seed", func() FlowConfig { c := cfg; c.Seed++; return c }(), vdds},
 		{"iters", func() FlowConfig { c := cfg; c.ItersPerBin *= 2; return c }(), vdds},
-		{"workers", func() FlowConfig { c := cfg; c.Workers = cfg.Workers + 1; return c }(), vdds},
 		{"fit tolerance", func() FlowConfig { c := cfg; c.FITRelErr = 0.1; return c }(), vdds},
 		{"vdd list", cfg, []float64{0.7, 0.8}},
 	}
@@ -521,25 +521,39 @@ func TestResumeCheckpointRejectsConfigChange(t *testing.T) {
 }
 
 // TestFlowFingerprintCoversPhysicsRevision pins that the strike-physics
-// revision enters the flow fingerprint: the CI interrupt-resume
-// configuration no longer hashes to its digest from before the inter-fin
-// range lookup, and a checkpoint stamped with that digest is refused.
+// revision enters the flow fingerprint and the worker count does not: the
+// CI interrupt-resume configuration no longer hashes to its digests from
+// before the inter-fin range lookup or from before the per-strike random
+// stream, a checkpoint stamped with either is refused, and every worker
+// count hashes alike.
 func TestFlowFingerprintCoversPhysicsRevision(t *testing.T) {
-	const beforeRangeLookup = "eb887a74b6c46009ca4dddc33bc472b390f6f11d60551d10fdbafbfd7639392e"
+	old := map[string]string{
+		"before the inter-fin range lookup": "eb887a74b6c46009ca4dddc33bc472b390f6f11d60551d10fdbafbfd7639392e",
+		"before the per-strike stream":      "b9018e22b9c890574bc9b56cf2a8665f7454b9a54a99a98d5e9cccc92230232b",
+	}
 	cfg := FlowConfig{Vdd: 0.8, ProcessVariation: true, Samples: 40, ItersPerBin: 400000, Workers: 2, Seed: 7}
 	vdds := []float64{0.8}
 	fp, err := FlowFingerprint(cfg, vdds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp == beforeRangeLookup {
-		t.Fatalf("fingerprint %s does not cover the physics revision", fp)
+	for _, workers := range []int{1, 8} {
+		c := cfg
+		c.Workers = workers
+		if got, err := FlowFingerprint(c, vdds); err != nil || got != fp {
+			t.Errorf("fingerprint under %d workers = %s (err %v), want %s as under 2", workers, got, err, fp)
+		}
 	}
-	path := t.TempDir() + "/old.ck.json"
-	if _, err := checkpoint.Create(path, beforeRangeLookup); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeCheckpoint(path, cfg, vdds); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Errorf("resume of a checkpoint from an older physics revision: err = %v, want ErrCheckpointMismatch", err)
+	for name, digest := range old {
+		if fp == digest {
+			t.Errorf("fingerprint %s is the one from %s", fp, name)
+		}
+		path := t.TempDir() + "/old.ck.json"
+		if _, err := checkpoint.Create(path, digest); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResumeCheckpoint(path, cfg, vdds); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("resume of a checkpoint from %s: err = %v, want ErrCheckpointMismatch", name, err)
+		}
 	}
 }
