@@ -21,10 +21,11 @@ func poisonGrid(g *GridLUT) {
 }
 
 // chaosEngine builds a single-worker engine over a private GridLUT copy of
-// the shared characterization, with the LUT poisoned at the nth particle.
-// One worker keeps the mutation race-free: the corrupting callback runs on
-// the same goroutine that reads the LUT.
-func chaosEngine(t *testing.T, mode GuardMode, reg *Metrics) *Engine {
+// the shared characterization, with the LUT poisoned at the 25th particle
+// of the worker fan-out, and returns the engine and its LUT. One worker
+// keeps the mutation race-free: the corrupting callback runs on the same
+// goroutine that reads the LUT.
+func chaosEngine(t *testing.T, mode GuardMode, reg *Metrics) (*Engine, *GridLUT) {
 	t.Helper()
 	grid, err := BuildGridLUT(sharedFlow(t).Char, 0, 0, 0, 0)
 	if err != nil {
@@ -45,14 +46,15 @@ func chaosEngine(t *testing.T, mode GuardMode, reg *Metrics) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng
+	return eng, grid
 }
 
 // TestChaosCorruptedLUTStrictFailsBeforeOutput: with the LUT corrupted
 // mid-run, a strict guard must fail the stage with a typed InvariantError
 // naming the invariant and the stage — a NaN must never reach the POF (and
-// hence FIT) output. Every strike kernel is held to this: the direct-
-// ionization POF point and the neutron FIT.
+// hence FIT) output. Every strike consumer is held to this: the direct-
+// ionization POF point, the neutron FIT, the MBU statistics and the sampled
+// tracks.
 func TestChaosCorruptedLUTStrictFailsBeforeOutput(t *testing.T) {
 	nSpec, err := NewNeutronSpectrum(1)
 	if err != nil {
@@ -64,19 +66,27 @@ func TestChaosCorruptedLUTStrictFailsBeforeOutput(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		run  func(eng *Engine) (any, error)
+		run  func(eng *Engine, grid *GridLUT) (any, error)
 	}{
-		{"alpha POF", func(eng *Engine) (any, error) {
+		{"alpha POF", func(eng *Engine, _ *GridLUT) (any, error) {
 			return eng.POFAtEnergyCtx(context.Background(), Alpha, 1, 20000, 1)
 		}},
-		{"neutron FIT", func(eng *Engine) (any, error) {
+		{"neutron FIT", func(eng *Engine, _ *GridLUT) (any, error) {
 			return eng.NeutronFITCtx(context.Background(), nSpec, NewNeutronReactions(), nBins, 20000, 1)
+		}},
+		{"MBU stats", func(eng *Engine, _ *GridLUT) (any, error) {
+			return eng.MBUStatsAtEnergyCtx(context.Background(), Alpha, 1, 20000, 6, 1)
+		}},
+		{"sample tracks", func(eng *Engine, grid *GridLUT) (any, error) {
+			// The sequential track loop hits no fault site: corrupt up front.
+			poisonGrid(grid)
+			return eng.SampleTracksCtx(context.Background(), Alpha, 1, 2000, 1)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewMetrics()
-			eng := chaosEngine(t, GuardStrict, reg)
-			pt, err := tc.run(eng)
+			eng, grid := chaosEngine(t, GuardStrict, reg)
+			pt, err := tc.run(eng, grid)
 			if err == nil {
 				t.Fatalf("corrupted LUT produced a result without error: %+v", pt)
 			}
@@ -102,7 +112,7 @@ func TestChaosCorruptedLUTStrictFailsBeforeOutput(t *testing.T) {
 // the metrics registry.
 func TestChaosCorruptedLUTWarnCompletesAndCounts(t *testing.T) {
 	reg := NewMetrics()
-	eng := chaosEngine(t, GuardWarn, reg)
+	eng, _ := chaosEngine(t, GuardWarn, reg)
 	if _, err := eng.POFAtEnergyCtx(context.Background(), Alpha, 1, 20000, 1); err != nil {
 		t.Fatalf("warn mode failed the run: %v", err)
 	}

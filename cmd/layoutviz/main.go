@@ -39,6 +39,9 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
+	if *strikes < 0 {
+		log.Fatalf("-strikes %d: want a track count ≥ 0 (0 = layout only)", *strikes)
+	}
 
 	tech := finfet.Default14nmSOI()
 	arr, err := layout.NewArray(layout.ThinCellLayout(tech), *rows, *cols)
@@ -83,7 +86,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	infos := eng.SampleTracks(sp, *energy, *strikes, *seed)
+	infos, err := eng.SampleTracksCtx(ctx, sp, *energy, *strikes, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	tracks := make([]svg.Track, 0, len(infos))
 	nHit, nFlip := 0, 0
 	for _, ti := range infos {

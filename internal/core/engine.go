@@ -290,11 +290,16 @@ func (e *Engine) providerFor(ci int) sram.POFProvider {
 	return e.cfg.Char
 }
 
-// ensureYieldLUT returns (building on first use) the single-fin mean-yield
-// table for the species — the paper's Geant4 LUT. The build honours ctx,
-// so a cancelled run does not pay for an unused table; inputs are
-// validated at New, so a completed build cannot fail.
-func (e *Engine) ensureYieldLUT(ctx context.Context, sp phys.Species) (*lut.Table1D, error) {
+// yieldTable returns the species' single-fin mean-yield table — the
+// paper's Geant4 LUT — in DepositLUT mode, building it on first use, and
+// nil in transport mode. Every α/p strike path takes its deposit mode from
+// here. The build honours ctx, so a cancelled run does not pay for an
+// unused table; inputs are validated at New, so a completed build cannot
+// fail.
+func (e *Engine) yieldTable(ctx context.Context, sp phys.Species) (*lut.Table1D, error) {
+	if e.cfg.Deposits != DepositLUT {
+		return nil, nil
+	}
 	e.yieldMu.Lock()
 	defer e.yieldMu.Unlock()
 	if e.yieldLUTs == nil {
@@ -319,65 +324,78 @@ func (e *Engine) ensureYieldLUT(ctx context.Context, sp phys.Species) (*lut.Tabl
 	return t, nil
 }
 
-// strike runs steps 1–5 of the paper's §5.1 for one particle. yield is the
-// pre-built mean-yield table in DepositLUT mode (resolved once per energy
-// point, outside the hot loop) and nil in transport mode. scr holds the
-// worker's reusable buffers; the steady-state path allocates nothing. The
-// error is non-nil only under a strict guard, when a physics invariant
-// (finite deposits, POF ∈ [0,1], charge conservation) is violated.
+// strike runs steps 1–5 of the paper's §5.1 for one particle: one track
+// through the strike body (chargeTrack, cellPOFs), folded by Eqs. 4–6.
+// yieldTab is the yieldTable result, resolved once per estimate outside
+// the hot loop. scr holds the worker's reusable buffers; the steady-state
+// path allocates nothing. The error is non-nil only under a strict guard.
 func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, yieldTab *lut.Table1D, scr *strikeScratch) (strikeOutcome, error) {
-	ray := e.sampleRay(src, sp)
+	scr.beginCells()
+	deposited, err := e.chargeTrack(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
+	if err == nil {
+		err = e.cellPOFs(scr, deposited)
+	}
+	if err != nil {
+		return strikeOutcome{}, err
+	}
+	return combinePOFs(scr.pofs, len(scr.touched)), nil
+}
 
+// chargeTrack is the per-track half of the one strike body. It runs the
+// broad phase for ray, resolves the candidate fins' deposits — by full
+// transport, or from the mean-yield table when yieldTab is non-nil —
+// checks them under the guard, and adds their sensitive-axis charge to the
+// strike's cells in scr. It returns the charge landed on sensitive
+// transistors. scr.candidate and scr.deps keep this track's broad phase and
+// deposits until the next call. Several tracks may charge one strike: the
+// caller opens it with scr.beginCells and closes it with cellPOFs.
+func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (float64, error) {
 	// Broad phase: only trace fins of cells whose bounds the ray crosses.
 	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
-	candidate := scr.candidate
-	if len(candidate) == 0 {
-		return strikeOutcome{}, nil
-	}
 	deps := scr.deps[:0]
-	if e.cfg.Deposits == DepositLUT {
+	switch {
+	case len(scr.candidate) == 0: // the ray misses the array
+	case yieldTab != nil:
 		// Paper-style: every struck fin receives the mean yield at this
 		// energy, regardless of chord geometry.
 		yield := yieldTab.Eval(energyMeV)
-		for i, fi := range candidate {
+		for i, fi := range scr.candidate {
 			if _, _, ok := e.boxes[fi].Intersect(ray); ok {
 				deps = append(deps, transport.Deposit{Fin: i, Pairs: yield})
 			}
 		}
-	} else {
-		boxes := e.candidateBoxes(scr, candidate)
+	default:
+		boxes := e.candidateBoxes(scr, scr.candidate)
 		deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, ray, boxes, src, &scr.tr, deps)
 	}
 	scr.deps = deps
 	if len(deps) == 0 {
-		return strikeOutcome{}, nil
+		return 0, nil // the common track: it crosses no fin
 	}
 	if err := transport.CheckDeposits(e.cfg.Guard, "core.strike", deps); err != nil {
-		return strikeOutcome{}, err
+		return 0, err
 	}
-	if m := e.cfg.Metrics; m != nil {
-		if e.cfg.Deposits == DepositLUT {
-			m.DepositsLUT.Inc()
-		} else {
-			m.DepositsTransport.Inc()
-		}
-	}
+	return e.accumulateCharges(scr, scr.candidate, deps), nil
+}
 
-	// Accumulate per-cell sensitive-axis charges into the dense epoch-
-	// cleared accumulator, then order the struck cells by cell index: the
-	// POF product/sum reductions below are float-order-sensitive, and the
-	// sorted order makes them bit-identical across runs (the old per-strike
-	// map iterated cells in randomized order).
-	scr.beginCells()
-	deposited := e.accumulateCharges(scr, candidate, deps)
+// cellPOFs closes a strike whose tracks landed deposited on sensitive
+// transistors. It checks that the cells received exactly that charge,
+// orders the struck cells by cell index, and evaluates each cell's POF
+// under the probability guard. The positive POFs land in scr.pofs with
+// their cells in scr.pofCells; scr.touched lists every struck cell. The
+// sorted order makes the float-order-sensitive reductions downstream
+// (Eqs. 4–6, the MBU multiplicity PMF) bit-identical across runs. The
+// error is non-nil only under a strict guard.
+func (e *Engine) cellPOFs(scr *strikeScratch, deposited float64) error {
+	scr.pofs, scr.pofCells = scr.pofs[:0], scr.pofCells[:0]
 	if len(scr.touched) == 0 {
-		return strikeOutcome{}, nil
+		return nil // nothing charged, so nothing to conserve or look up
 	}
 	scr.sortTouched()
 	if g := e.cfg.Guard; g.Enabled() {
 		// Charge conservation: what the cells are about to see must equal
-		// what transport deposited on sensitive transistors. The sums run in
-		// different orders, so allow float round-off.
+		// what the tracks deposited on sensitive transistors. The sums run
+		// in different orders, so allow float round-off.
 		injected := 0.0
 		for _, ci := range scr.touched {
 			for a := range scr.cellQ[ci] {
@@ -385,30 +403,20 @@ func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, yie
 			}
 		}
 		if err := g.Conserved("core.strike", "injected charge", injected, deposited, 1e-9, 1e-30); err != nil {
-			return strikeOutcome{}, err
+			return err
 		}
 	}
-
-	// Per-cell POFs and the paper's Eqs. 4–6, in sorted cell order.
-	pofs := scr.pofs[:0]
 	for _, ci := range scr.touched {
 		p := e.providerFor(ci).POF(scr.cellQ[ci])
 		if err := e.cfg.Guard.Probability("core.strike", "cell POF", p); err != nil {
-			scr.pofs = pofs
-			return strikeOutcome{}, err
+			return err
 		}
 		if p > 0 {
-			pofs = append(pofs, p)
+			scr.pofs = append(scr.pofs, p)
+			scr.pofCells = append(scr.pofCells, ci)
 		}
 	}
-	scr.pofs = pofs
-	return combinePOFs(pofs, len(scr.touched)), nil
-}
-
-// candidateFins returns indices of fins in cells the ray can reach. It is
-// the allocating convenience form of appendCandidateFins for cold callers.
-func candidateFins(e *Engine, ray geom.Ray) []int {
-	return appendCandidateFins(e, ray, nil)
+	return nil
 }
 
 // appendCandidateFins appends the indices of fins in cells the ray can

@@ -13,8 +13,8 @@ import (
 )
 
 // TestBroadPhaseComplete verifies that the cell-bounds culling never drops
-// a fin the ray would actually hit: candidateFins must be a superset of the
-// brute-force hit set for random rays.
+// a fin the ray would actually hit: appendCandidateFins must return a
+// superset of the brute-force hit set for random rays.
 func TestBroadPhaseComplete(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
@@ -22,7 +22,7 @@ func TestBroadPhaseComplete(t *testing.T) {
 	for trial := 0; trial < 5000; trial++ {
 		ray := e.sampleRay(src, phys.Alpha)
 		inCandidate := map[int]bool{}
-		for _, fi := range candidateFins(e, ray) {
+		for _, fi := range appendCandidateFins(e, ray, nil) {
 			inCandidate[fi] = true
 		}
 		for fi, box := range e.boxes {

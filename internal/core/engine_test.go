@@ -276,6 +276,30 @@ func TestFITValidation(t *testing.T) {
 	}
 }
 
+// Every strike entry point must reject an empty strike count with an
+// error, never return an estimate over no strikes or panic.
+func TestStrikeEntryPointsRejectEmptyCount(t *testing.T) {
+	ch, _, _ := fixtures(t)
+	e := engineWith(t, ch)
+	ctx := context.Background()
+	rx := neutron.NewReactions()
+	for _, n := range []int{0, -5} {
+		for _, tc := range []struct {
+			name string
+			run  func() (any, error)
+		}{
+			{"POF", func() (any, error) { return e.POFAtEnergyCtx(ctx, phys.Alpha, 1, n, 1) }},
+			{"neutron POF", func() (any, error) { return e.NeutronPOFAtEnergyCtx(ctx, rx, 14, n, 1) }},
+			{"MBU", func() (any, error) { return e.MBUStatsAtEnergyCtx(ctx, phys.Alpha, 1, n, 6, 1) }},
+			{"tracks", func() (any, error) { return e.SampleTracksCtx(ctx, phys.Alpha, 1, n, 1) }},
+		} {
+			if got, err := tc.run(); err == nil {
+				t.Errorf("%s with %d strikes: accepted, got %+v", tc.name, n, got)
+			}
+		}
+	}
+}
+
 func TestFITConsistency(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)

@@ -2,15 +2,14 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
 	"finser/internal/geom"
+	"finser/internal/lut"
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 // MBU spatial statistics. Beyond the paper's scalar MBU/SEU ratio, system
@@ -43,19 +42,23 @@ type MBUReport struct {
 }
 
 // MBUStatsAtEnergyCtx runs iters strikes at one energy through the shared
-// worker fan-out and gathers multiplicity and pair-separation statistics.
-// maxK bounds the multiplicity PMF length (use 5-8; events beyond that are
-// vanishingly rare). Chunk sums merge in chunk order, so the report is a
-// pure function of the configuration and seed, whatever the worker count.
+// worker fan-out and strike body and gathers multiplicity and
+// pair-separation statistics. maxK bounds the multiplicity PMF length (use
+// 5-8; events beyond that are vanishingly rare). Strike i is strike i of
+// POFAtEnergyCtx with the same seed, in either deposit mode, so the PMF's
+// marginals reproduce that point's POFtot and POFMBU. Chunk sums merge in
+// chunk order, so the report is a pure function of the configuration and
+// seed, whatever the worker count.
 func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) (MBUReport, error) {
-	if iters <= 0 {
-		return MBUReport{}, errors.New("core: MBU stats need positive iterations")
-	}
 	if maxK < 2 {
 		maxK = 2
 	}
+	yieldTab, err := e.yieldTable(ctx, sp)
+	if err != nil {
+		return MBUReport{}, err
+	}
 	accs, _, err := fanOut(ctx, e, 0, iters, seed, func(src *rng.Source, scr *strikeScratch, a *mbuTally) (int, error) {
-		return e.mbuTrial(src, sp, energyMeV, maxK, scr, a)
+		return e.mbuTrial(src, sp, energyMeV, yieldTab, maxK, scr, a)
 	})
 	if err != nil {
 		return MBUReport{}, fmt.Errorf("core: MBU stats %v @%g MeV: %w", sp, energyMeV, err)
@@ -95,47 +98,26 @@ type mbuTally struct {
 	flips float64
 
 	strikePMF, next []float64
-	ups             []upset
 }
 
-// upset is one struck cell's flip probability and position.
-type upset struct {
-	row, col int
-	p        float64
-}
-
-// mbuTrial runs one strike keeping per-cell identities and folds its
+// mbuTrial runs one strike through the strike body and folds its
 // multiplicity PMF, expected flips, and pair weights into a.
-func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, maxK int, scr *strikeScratch, a *mbuTally) (int, error) {
+func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, yieldTab *lut.Table1D, maxK int, scr *strikeScratch, a *mbuTally) (int, error) {
 	if a.pmf == nil {
 		a.pmf = make([]float64, maxK+1)
 		a.pairs = map[PairKey]float64{}
 		a.strikePMF = make([]float64, maxK+1)
 		a.next = make([]float64, maxK+1)
 	}
-	ups := a.ups[:0]
-	ray := e.sampleRay(src, sp)
-	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
 	scr.beginCells()
-	if len(scr.candidate) > 0 {
-		boxes := e.candidateBoxes(scr, scr.candidate)
-		scr.deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, ray, boxes, src, &scr.tr, scr.deps[:0])
-		if err := transport.CheckDeposits(e.cfg.Guard, "core.strike", scr.deps); err != nil {
-			return 0, err
-		}
-		e.accumulateCharges(scr, scr.candidate, scr.deps)
-		scr.sortTouched()
-		for _, ci := range scr.touched {
-			p := e.providerFor(ci).POF(scr.cellQ[ci])
-			if err := e.cfg.Guard.Probability("core.strike", "cell POF", p); err != nil {
-				return 0, err
-			}
-			if p > 0 {
-				ups = append(ups, upset{row: ci / e.arr.Cols, col: ci % e.arr.Cols, p: p})
-			}
-		}
+	deposited, err := e.chargeTrack(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
+	if err == nil {
+		err = e.cellPOFs(scr, deposited)
 	}
-	a.ups = ups
+	if err != nil {
+		return 0, err
+	}
+	pofs, cells := scr.pofs, scr.pofCells
 
 	// Poisson-binomial multiplicity PMF for this strike.
 	pmf, next := a.strikePMF, a.next
@@ -143,7 +125,7 @@ func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, m
 		pmf[i] = 0
 	}
 	pmf[0] = 1
-	for _, u := range ups {
+	for _, p := range pofs {
 		for i := range next {
 			next[i] = 0
 		}
@@ -151,11 +133,11 @@ func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, m
 			if pmf[k] == 0 {
 				continue
 			}
-			next[k] += pmf[k] * (1 - u.p)
+			next[k] += pmf[k] * (1 - p)
 			if k+1 <= maxK {
-				next[k+1] += pmf[k] * u.p
+				next[k+1] += pmf[k] * p
 			} else {
-				next[maxK] += pmf[k] * u.p // aggregate overflow
+				next[maxK] += pmf[k] * p // aggregate overflow
 			}
 		}
 		copy(pmf, next)
@@ -163,20 +145,22 @@ func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, m
 	for k := range pmf {
 		a.pmf[k] += pmf[k]
 	}
-	for _, u := range ups {
-		a.flips += u.p
+	for _, p := range pofs {
+		a.flips += p
 	}
 	// Pairwise separations weighted by joint flip probability.
-	for i := 0; i < len(ups); i++ {
-		for j := i + 1; j < len(ups); j++ {
-			a.pairs[pairKey(ups[i].row, ups[i].col, ups[j].row, ups[j].col)] += ups[i].p * ups[j].p
+	for i := range cells {
+		for j := i + 1; j < len(cells); j++ {
+			a.pairs[pairKey(cells[i], cells[j], e.arr.Cols)] += pofs[i] * pofs[j]
 		}
 	}
 	return len(scr.touched), nil
 }
 
-func pairKey(r1, c1, r2, c2 int) PairKey {
-	dr, dc := r2-r1, c2-c1
+// pairKey returns the canonical separation of two cells given by dense
+// index in an array of cols columns.
+func pairKey(c1, c2, cols int) PairKey {
+	dr, dc := c2/cols-c1/cols, c2%cols-c1%cols
 	if dr < 0 || (dr == 0 && dc < 0) {
 		dr, dc = -dr, -dc
 	}
@@ -221,9 +205,19 @@ type TrackInfo struct {
 	POF         float64
 }
 
-// SampleTracks runs n strikes at one energy and returns their geometric
-// detail — the input for the SVG strike overlay.
-func (e *Engine) SampleTracks(sp phys.Species, energyMeV float64, n int, seed uint64) []TrackInfo {
+// SampleTracksCtx runs n strikes at one energy through the strike body and
+// returns their geometric detail — the input for the SVG strike overlay.
+// Tracks draw from one sequential stream seeded by seed. Like every other
+// entry point it honours the deposit mode and the guard and checks ctx
+// every cancelCheckEvery tracks.
+func (e *Engine) SampleTracksCtx(ctx context.Context, sp phys.Species, energyMeV float64, n int, seed uint64) ([]TrackInfo, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("core: tracks: need a positive track count, got %d", n)
+	}
+	yieldTab, err := e.yieldTable(ctx, sp)
+	if err != nil {
+		return nil, err
+	}
 	src := rng.New(seed)
 	out := make([]TrackInfo, 0, n)
 	fins := e.arr.Fins()
@@ -231,37 +225,34 @@ func (e *Engine) SampleTracks(sp phys.Species, energyMeV float64, n int, seed ui
 	scr := e.getScratch()
 	defer e.putScratch(scr)
 	for i := 0; i < n; i++ {
+		if i%cancelCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("core: tracks %v @%g MeV: %w", sp, energyMeV, err)
+			}
+		}
 		ray := e.sampleRay(src, sp)
-		info := TrackInfo{Entry: ray.Origin}
+		info := TrackInfo{Entry: ray.Origin, Exit: ray.Origin}
 		if tIn, tOut, ok := bounds.Intersect(ray); ok {
 			info.Entry = ray.At(tIn)
 			info.Exit = ray.At(tOut)
-		} else {
-			info.Exit = ray.Origin
 		}
-		scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
 		scr.beginCells()
-		if candidate := scr.candidate; len(candidate) > 0 {
-			boxes := e.candidateBoxes(scr, candidate)
-			scr.deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, ray, boxes, src, &scr.tr, scr.deps[:0])
-			for _, d := range scr.deps {
-				f := fins[candidate[d.Fin]]
-				if _, sensitive := sram.SensitiveAxisForRole(f.Role, e.cfg.Pattern.Bit(f.Row, f.Col)); sensitive {
-					info.StruckFins = append(info.StruckFins, candidate[d.Fin])
-				}
-			}
-			e.accumulateCharges(scr, candidate, scr.deps)
-			scr.sortTouched()
-			pofs := scr.pofs[:0]
-			for _, ci := range scr.touched {
-				if p := e.providerFor(ci).POF(scr.cellQ[ci]); p > 0 {
-					pofs = append(pofs, p)
-				}
-			}
-			scr.pofs = pofs
-			info.POF = combinePOFs(pofs, len(scr.touched)).pofTot
+		deposited, err := e.chargeTrack(src, sp, energyMeV, ray, yieldTab, scr)
+		if err == nil {
+			err = e.cellPOFs(scr, deposited)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("core: tracks %v @%g MeV: %w", sp, energyMeV, err)
+		}
+		for _, d := range scr.deps {
+			fi := scr.candidate[d.Fin]
+			f := fins[fi]
+			if _, sensitive := sram.SensitiveAxisForRole(f.Role, e.cfg.Pattern.Bit(f.Row, f.Col)); sensitive {
+				info.StruckFins = append(info.StruckFins, fi)
+			}
+		}
+		info.POF = combinePOFs(scr.pofs, len(scr.touched)).pofTot
 		out = append(out, info)
 	}
-	return out
+	return out, nil
 }

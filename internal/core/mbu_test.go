@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
 	"finser/internal/finfet"
+	"finser/internal/geom"
 	"finser/internal/phys"
+	"finser/internal/sram"
 	"finser/internal/transport"
 )
 
@@ -81,22 +84,97 @@ func TestMBUPairsAreLocal(t *testing.T) {
 }
 
 func TestMBUStatsMatchPOFAtEnergy(t *testing.T) {
-	// The marginal quantities must agree with the primary estimator:
-	// P(≥1 flip) from the PMF ≈ POFtot, and the pair-derived MBU ≈ POFMBU.
+	// MBU stats and POFAtEnergyCtx run the same keyed strikes through the
+	// same strike body, in either deposit mode, so the PMF's marginals
+	// reproduce the primary estimator up to summation order: P(≥1 flip) is
+	// POFtot and P(≥2 flips) is POFMBU.
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	rep := mustMBU(t, e, phys.Alpha, 1, 60000, 6, 7)
-	pt := mustPOF(t, e, phys.Alpha, 1, 60000, 7)
-	pGe1 := 1 - rep.MultiplicityPMF[0]
-	if pt.Tot == 0 {
-		t.Fatal("zero POF in cross-check")
+	for _, e := range []struct {
+		name string
+		e    *Engine
+	}{{"transport", engineWith(t, ch)}, {"lut", lutEngine(t)}} {
+		rep := mustMBU(t, e.e, phys.Alpha, 1, 60000, 6, 7)
+		pt := mustPOF(t, e.e, phys.Alpha, 1, 60000, 7)
+		if pt.Tot == 0 || pt.MBU == 0 {
+			t.Fatalf("%s: zero POF in cross-check: %+v", e.name, pt)
+		}
+		pGe1 := 1 - rep.MultiplicityPMF[0]
+		if d := math.Abs(pGe1 - pt.Tot); d > 1e-12 {
+			t.Errorf("%s: PMF P(≥1) = %v, POFtot = %v (off by %g)", e.name, pGe1, pt.Tot, d)
+		}
+		pGe2 := pGe1 - rep.MultiplicityPMF[1]
+		if d := math.Abs(pGe2 - pt.MBU); d > 1e-12 {
+			t.Errorf("%s: PMF P(≥2) = %v, POFMBU = %v (off by %g)", e.name, pGe2, pt.MBU, d)
+		}
 	}
-	if r := pGe1 / pt.Tot; r < 0.9 || r > 1.1 {
-		t.Errorf("PMF P(≥1) / POFtot = %v, want ≈ 1", r)
+}
+
+// TestSampleTracksGeometry: every sampled track enters and leaves through
+// the array bounds, records only fins that are sensitive under the stored
+// pattern, and carries a probability that is positive only when it charged
+// a sensitive fin — in both deposit modes.
+func TestSampleTracksGeometry(t *testing.T) {
+	ch, _, _ := fixtures(t)
+	checker, err := New(Config{
+		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+		Char: ch, Transport: transport.DefaultConfig(), Pattern: PatternCheckerboard,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pGe2 := pGe1 - rep.MultiplicityPMF[1]
-	if r := pGe2 / pt.MBU; r < 0.8 || r > 1.25 {
-		t.Errorf("PMF P(≥2) / POFMBU = %v, want ≈ 1", r)
+	onFace := func(b geom.AABB, p geom.Vec3) bool {
+		const tol = 1e-6
+		in := p.X >= b.Min.X-tol && p.X <= b.Max.X+tol && p.Y >= b.Min.Y-tol &&
+			p.Y <= b.Max.Y+tol && p.Z >= b.Min.Z-tol && p.Z <= b.Max.Z+tol
+		near := func(a, b float64) bool { return math.Abs(a-b) <= tol }
+		return in && (near(p.X, b.Min.X) || near(p.X, b.Max.X) || near(p.Y, b.Min.Y) ||
+			near(p.Y, b.Max.Y) || near(p.Z, b.Min.Z) || near(p.Z, b.Max.Z))
+	}
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		sp   phys.Species
+	}{
+		{"transport/zeros/alpha", engineWith(t, ch), phys.Alpha},
+		{"transport/checkerboard/proton", checker, phys.Proton},
+		{"lut/zeros/alpha", lutEngine(t), phys.Alpha},
+	} {
+		tracks, err := tc.e.SampleTracksCtx(context.Background(), tc.sp, 1, 3000, 5)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(tracks) != 3000 {
+			t.Fatalf("%s: %d tracks, want 3000", tc.name, len(tracks))
+		}
+		bounds := tc.e.Array().Bounds()
+		fins := tc.e.Array().Fins()
+		charged, flipping := 0, 0
+		for i, tr := range tracks {
+			if !onFace(bounds, tr.Entry) || !onFace(bounds, tr.Exit) {
+				t.Fatalf("%s: track %d chord %+v → %+v off the array bounds %+v", tc.name, i, tr.Entry, tr.Exit, bounds)
+			}
+			for _, fi := range tr.StruckFins {
+				f := fins[fi]
+				if _, ok := sram.SensitiveAxisForRole(f.Role, tc.e.cfg.Pattern.Bit(f.Row, f.Col)); !ok {
+					t.Fatalf("%s: track %d records fin %d, not sensitive under the pattern", tc.name, i, fi)
+				}
+			}
+			if !(tr.POF >= 0 && tr.POF <= 1) {
+				t.Fatalf("%s: track %d POF %v outside [0,1]", tc.name, i, tr.POF)
+			}
+			if tr.POF > 0 && len(tr.StruckFins) == 0 {
+				t.Fatalf("%s: track %d has POF %v without a struck sensitive fin", tc.name, i, tr.POF)
+			}
+			if len(tr.StruckFins) > 0 {
+				charged++
+			}
+			if tr.POF > 0 {
+				flipping++
+			}
+		}
+		if charged == 0 || flipping == 0 {
+			t.Errorf("%s: %d tracks charged a sensitive fin, %d have POF > 0; want some of each", tc.name, charged, flipping)
+		}
 	}
 }
 

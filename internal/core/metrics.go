@@ -3,7 +3,7 @@ package core
 import "finser/internal/obs"
 
 // Metrics is the array engine's observability hook: per-particle statistics
-// (hit/miss, struck-cell multiplicity, deposit mode), per-worker busy time,
+// (hit/miss, struck-cell multiplicity), per-worker busy time,
 // and — through the owning registry — per-stage spans for the FIT
 // integration. Leave Config.Metrics nil (the default) for the zero-cost
 // uninstrumented engine; the hot strike loop performs a single nil check.
@@ -18,10 +18,6 @@ type Metrics struct {
 	// particle (buckets 1..8, overflow beyond) — Gomi-style event-wise
 	// multiplicity statistics.
 	StruckCellMultiplicity *obs.Histogram
-	// DepositsTransport / DepositsLUT count particles whose fin deposits
-	// were resolved by full transport vs the paper's mean-yield LUT.
-	DepositsTransport *obs.Counter
-	DepositsLUT       *obs.Counter
 	// WorkerBusyNs accumulates per-worker busy wall time; WallNs
 	// accumulates (wall time × workers) per parallel region. Their ratio
 	// is the fleet utilization, published in WorkerUtilization after every
@@ -52,8 +48,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Hits:                   r.Counter("core.hits"),
 		Misses:                 r.Counter("core.misses"),
 		StruckCellMultiplicity: r.Histogram("core.struck_cell_multiplicity", obs.LinearBuckets(1, 1, 8)),
-		DepositsTransport:      r.Counter("core.deposits_transport"),
-		DepositsLUT:            r.Counter("core.deposits_lut"),
 		WorkerBusyNs:           r.Counter("core.worker_busy_ns"),
 		WallNs:                 r.Counter("core.wall_ns"),
 		WorkerUtilization:      r.Gauge("core.worker_utilization"),

@@ -8,7 +8,6 @@ import (
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/spectra"
-	"finser/internal/transport"
 )
 
 // Neutron-induced SER: the paper's future-work extension. Neutrons do not
@@ -71,11 +70,10 @@ func (e *Engine) substrateSlab() (geom.AABB, bool) {
 // outcome plus its probability weight. Interaction targets are the fin
 // silicon plus the substrate slab; the interaction point is sampled
 // proportionally to silicon path length, which is exact for σ·n·L ≪ 1.
-// scr holds the worker's reusable buffers; per-cell charges accumulate in
-// its dense epoch-cleared accumulator and are reduced in sorted cell order
-// so the weighted POFs are bit-identical across runs. The guard checks the
-// secondaries' deposits and every cell POF exactly as strike does; the
-// error is non-nil only under a strict guard.
+// Each secondary charges the cells through chargeTrack and cellPOFs closes
+// the strike, so the guard checks deposits, charge conservation and every
+// cell POF exactly as strike does; the error is non-nil only under a
+// strict guard.
 func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
 	ray := e.sampleRay(src, phys.Proton) // cosine-law, like any atmospheric particle
 	// Chords through each candidate fin plus the substrate slab.
@@ -121,38 +119,22 @@ func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV
 		return strikeOutcome{}, 0, nil
 	}
 
-	// Transport every charged secondary and merge the per-cell charges.
+	// Charge the cells with every secondary, through transport: they start
+	// inside silicon, where the whole-fin mean yield of DepositLUT does not
+	// apply, and no table exists for the recoil ions.
 	scr.beginCells()
+	deposited := 0.0
 	for _, sec := range secs {
-		secRay := geom.Ray{Origin: at, Dir: sec.Dir}
-		scr.candidate = appendCandidateFins(e, secRay, scr.candidate[:0])
-		if len(scr.candidate) == 0 {
-			continue
-		}
-		boxes := e.candidateBoxes(scr, scr.candidate)
-		scr.deps = transport.TraceAppend(e.cfg.Transport, sec.Species, sec.EnergyMeV, secRay, boxes, src, &scr.tr, scr.deps[:0])
-		if err := transport.CheckDeposits(e.cfg.Guard, "core.strike", scr.deps); err != nil {
+		q, err := e.chargeTrack(src, sec.Species, sec.EnergyMeV, geom.Ray{Origin: at, Dir: sec.Dir}, nil, scr)
+		if err != nil {
 			return strikeOutcome{}, 0, err
 		}
-		e.accumulateCharges(scr, scr.candidate, scr.deps)
+		deposited += q
 	}
-	if len(scr.touched) == 0 {
-		return strikeOutcome{}, weight, nil
+	if err := e.cellPOFs(scr, deposited); err != nil {
+		return strikeOutcome{}, 0, err
 	}
-	scr.sortTouched()
-	pofs := scr.pofs[:0]
-	for _, ci := range scr.touched {
-		p := e.providerFor(ci).POF(scr.cellQ[ci])
-		if err := e.cfg.Guard.Probability("core.strike", "cell POF", p); err != nil {
-			scr.pofs = pofs
-			return strikeOutcome{}, 0, err
-		}
-		if p > 0 {
-			pofs = append(pofs, p)
-		}
-	}
-	scr.pofs = pofs
-	return combinePOFs(pofs, len(scr.touched)), weight, nil
+	return combinePOFs(scr.pofs, len(scr.touched)), weight, nil
 }
 
 // NeutronFITCtx integrates the weighted POFs over the neutron spectrum into

@@ -6,7 +6,6 @@ import (
 
 	"finser/internal/finfet"
 	"finser/internal/guard"
-	"finser/internal/lut"
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/sram"
@@ -61,11 +60,9 @@ func TestStrikeZeroAlloc(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var yieldTab *lut.Table1D
-				if mode.deposits == DepositLUT {
-					if yieldTab, err = e.ensureYieldLUT(context.Background(), phys.Alpha); err != nil {
-						t.Fatal(err)
-					}
+				yieldTab, err := e.yieldTable(context.Background(), phys.Alpha)
+				if err != nil {
+					t.Fatal(err)
 				}
 				src := rng.New(7)
 				scr := e.getScratch()

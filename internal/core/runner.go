@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"finser/internal/faultinject"
-	"finser/internal/lut"
 	"finser/internal/obs"
 	"finser/internal/phys"
 	"finser/internal/rng"
@@ -31,17 +30,12 @@ type kernel struct {
 	strike func(src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error)
 }
 
-// directKernel is the α/p kernel. In DepositLUT mode it resolves the
-// species' mean-yield table up front, so the hot loop never touches the
-// table cache.
+// directKernel is the α/p kernel. It resolves the deposit mode up front
+// (yieldTable), so the hot loop never touches the table cache.
 func (e *Engine) directKernel(ctx context.Context, sp phys.Species) (kernel, error) {
-	var yieldTab *lut.Table1D
-	if e.cfg.Deposits == DepositLUT {
-		t, err := e.ensureYieldLUT(ctx, sp)
-		if err != nil {
-			return kernel{}, err
-		}
-		yieldTab = t
+	yieldTab, err := e.yieldTable(ctx, sp)
+	if err != nil {
+		return kernel{}, err
 	}
 	return kernel{name: sp.String(), strike: func(src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
 		o, err := e.strike(src, sp, energyMeV, yieldTab, scr)
@@ -73,11 +67,16 @@ const strikeChunk = 256
 // ctx every cancelCheckEvery strikes and hit FaultSiteParticle before each
 // one. A worker panic is recovered into a stack-carrying
 // *faultinject.PanicError that fails this estimate instead of the process;
-// on cancellation the error wraps ctx.Err(). hits counts the strikes that
-// charged at least one cell; the engine metrics record the run.
+// on cancellation the error wraps ctx.Err(). An empty range is an error,
+// so no entry point reports an estimate over zero strikes. hits counts the
+// strikes that charged at least one cell; the engine metrics record the
+// run.
 func fanOut[A any](ctx context.Context, e *Engine, from, to int, seed uint64, trial func(src *rng.Source, scr *strikeScratch, acc *A) (struck int, err error)) (accs []A, hits int, err error) {
 	iters := to - from
-	chunks := max(0, (iters+strikeChunk-1)/strikeChunk)
+	if iters <= 0 {
+		return nil, 0, fmt.Errorf("empty strike range [%d,%d): need at least one strike", from, to)
+	}
+	chunks := (iters + strikeChunk - 1) / strikeChunk
 	workers := min(e.cfg.Workers, chunks)
 
 	m := e.cfg.Metrics

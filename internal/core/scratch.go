@@ -36,7 +36,10 @@ type strikeScratch struct {
 	epoch     uint64
 	touched   []int
 
-	pofs []float64 // per-cell POFs fed to combinePOFs
+	// The strike's positive cell POFs in sorted cell order, and their
+	// cells (cellPOFs).
+	pofs     []float64
+	pofCells []int
 }
 
 // chordSeg is one silicon chord of a neutron track (entry parameter and
