@@ -1,9 +1,9 @@
 // Command serd is the SER-as-a-service daemon: a long-running HTTP/JSON
 // server that accepts FlowConfig-shaped soft-error jobs, runs them on a
 // bounded worker pool behind an admission queue, and survives the failures
-// a batch CLI cannot — transient stage errors are retried with jittered
-// backoff, persistently failing species stages are circuit-broken, and a
-// saturated queue sheds load with 503 + Retry-After instead of melting.
+// a batch CLI cannot — a saturated queue sheds load with 503 + Retry-After
+// instead of melting, and a drained, crashed or failed job resumes from
+// its checkpoint when resubmitted.
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 //	                        202 with the job record, 400 on invalid config,
 //	                        503 + Retry-After when the queue is full
 //	GET  /jobs              list all jobs in admission order
-//	GET  /jobs/{id}         poll one job (state, retries, result)
+//	GET  /jobs/{id}         poll one job (state, error, result)
 //	GET  /jobs/{id}/events  live SSE telemetry: state transitions, throttled
 //	                        progress, per-bin FIT results, guard violations;
 //	                        reconnect with Last-Event-ID (or ?from=N) to
@@ -34,12 +34,14 @@
 // Distributed mode: -coordinator "http://w1:8080,http://w2:8080" turns this
 // serd into a coordinator — submitted jobs are split into energy-bin shards
 // and fanned out to the listed worker serds (plain serds; /shards is always
-// served) with work stealing, per-worker circuit breakers, and retry on
-// another worker when one crashes or times out. The merged FIT is
-// bit-identical to a single-node run of the same config/seed; each worker
-// serd runs its shards on its own cores. Shard lifecycle events appear on
-// the job's SSE stream, and /readyz reports 503 while every worker's
-// breaker is open.
+// served) with work stealing, per-worker circuit breakers
+// (-breaker-threshold, -breaker-cooldown), and retry on another worker
+// when one crashes or times out. The coordinator characterizes the cell
+// once per job and ships it in every shard request; workers keep no
+// characterization state. The merged FIT is bit-identical to a single-node
+// run of the same config/seed; each worker serd runs its shards on its own
+// cores. Shard lifecycle events appear on the job's SSE stream, and
+// /readyz reports 503 while every worker's breaker is open.
 //
 // Multi-tenant QoS: submissions carry an X-Tenant header (absent = the
 // anonymous tenant) and an optional "class" field (interactive|batch,
@@ -54,9 +56,9 @@
 // interactive arrival that finds every worker busy on batch jobs asks the
 // longest-running one to yield at its next checkpoint boundary: the victim
 // requeues, later resumes from its per-bin checkpoint, and its final FIT is
-// bit-identical to an uninterrupted run. Per-tenant counters, latency
-// histograms, and circuit breakers appear in /metrics with tenant/class
-// labels in the Prometheus exposition.
+// bit-identical to an uninterrupted run. Per-tenant counters and latency
+// histograms appear in /metrics with tenant/class labels in the Prometheus
+// exposition.
 //
 // Every job-scoped log line is structured (JSON by default, -log-format
 // text for key=value) and stamped with the job ID and configuration
@@ -104,7 +106,6 @@ import (
 	"finser/internal/dist"
 	"finser/internal/obs"
 	"finser/internal/qos"
-	"finser/internal/retry"
 	"finser/internal/server"
 )
 
@@ -139,10 +140,8 @@ func main() {
 		workers      = flag.Int("workers", server.DefaultWorkers, "worker pool size (concurrent jobs)")
 		jobTimeout   = flag.Duration("job-timeout", server.DefaultJobTimeout, "default per-job deadline (jobs may override via timeout_seconds)")
 		retryAfter   = flag.Duration("retry-after", server.DefaultRetryAfter, "Retry-After hint returned with 503 rejections")
-		maxAttempts  = flag.Int("retries", 4, "per-stage attempt budget (1 = no retries)")
-		baseDelay    = flag.Duration("retry-base", 100*time.Millisecond, "base retry backoff (grows exponentially with full jitter)")
-		brkThreshold = flag.Int("breaker-threshold", 5, "consecutive stage failures that trip a species breaker")
-		brkCooldown  = flag.Duration("breaker-cooldown", 30*time.Second, "open-breaker cooldown before a half-open probe")
+		brkThreshold = flag.Int("breaker-threshold", 5, "coordinator: consecutive failed shard attempts that trip a worker's breaker")
+		brkCooldown  = flag.Duration("breaker-cooldown", 30*time.Second, "coordinator: open worker-breaker cooldown before a half-open probe")
 		ckDir        = flag.String("checkpoint-dir", "", "directory for per-job checkpoints; identical resubmissions resume bit-identically")
 		dataDir      = flag.String("data-dir", "", "durable state root: job journal (journal.wal) plus default checkpoint dir; on restart the journal replays and interrupted jobs resume")
 		jobTTL       = flag.Duration("job-ttl", 0, "evict terminal jobs (and orphaned checkpoints) this long after they finish; 0 keeps them forever")
@@ -258,20 +257,6 @@ func main() {
 		Logger:           logger,
 		Distributor:      distributor,
 		ShardConcurrency: *shardConc,
-		Retry: retry.Policy{
-			MaxAttempts: *maxAttempts,
-			BaseDelay:   *baseDelay,
-			OnRetry: func(attempt int, err error, delay time.Duration) {
-				log.Printf("stage attempt %d failed (%v); retrying in %s", attempt, err, delay.Round(time.Millisecond))
-			},
-		},
-		Breaker: breaker.Config{
-			FailureThreshold: *brkThreshold,
-			Cooldown:         *brkCooldown,
-			OnStateChange: func(name string, from, to breaker.State) {
-				log.Printf("breaker %s: %s → %s", name, from, to)
-			},
-		},
 	})
 	if *dataDir != "" {
 		stats, err := srv.Recover()

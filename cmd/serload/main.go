@@ -316,15 +316,15 @@ func main() {
 	log.SetPrefix("serload: ")
 
 	var (
-		addr     = flag.String("addr", "http://localhost:8080", "serd base URL")
-		rate     = flag.Float64("rate", 2, "open-loop arrival rate, jobs/second")
-		duration = flag.Duration("duration", 15*time.Second, "how long to keep submitting")
-		mixStr   = flag.String("mix", "tiny=3,small=1", "weighted job mix, e.g. tiny=3,small=1")
+		addr       = flag.String("addr", "http://localhost:8080", "serd base URL")
+		rate       = flag.Float64("rate", 2, "open-loop arrival rate, jobs/second")
+		duration   = flag.Duration("duration", 15*time.Second, "how long to keep submitting")
+		mixStr     = flag.String("mix", "tiny=3,small=1", "weighted job mix, e.g. tiny=3,small=1")
 		tenantsStr = flag.String("tenants", "", `per-tenant QoS traffic mix, e.g. "ui=interactive:1,bulk=batch:8"; empty = anonymous single-tenant traffic`)
 		outPath    = flag.String("out", "", "report file (default stdout)")
-		seed     = flag.Int64("seed", 1, "mix-choice and job-seed RNG seed")
-		jobWait  = flag.Duration("job-wait", 5*time.Minute, "how long to wait for in-flight jobs after the last submission")
-		resubmit = flag.Int("resubmit-budget", 2, "how many times one shed (503) submission honors Retry-After and resubmits before counting as a terminal shed; 0 never resubmits")
+		seed       = flag.Int64("seed", 1, "mix-choice and job-seed RNG seed")
+		jobWait    = flag.Duration("job-wait", 5*time.Minute, "how long to wait for in-flight jobs after the last submission")
+		resubmit   = flag.Int("resubmit-budget", 2, "how many times one shed (503) submission honors Retry-After and resubmits before counting as a terminal shed; 0 never resubmits")
 	)
 	flag.Parse()
 

@@ -456,8 +456,7 @@ func (c FlowConfig) newGuard() *guard.Guard {
 
 // ConfigError reports an invalid FlowConfig field — a caller mistake that
 // no amount of retrying can fix. A serving layer maps it to HTTP 400
-// (everything else stays a 500-class job failure), and retry policies
-// treat it as fail-fast. Match with errors.As.
+// (everything else stays a 500-class job failure). Match with errors.As.
 type ConfigError struct {
 	// Field is the FlowConfig field name at fault.
 	Field string
@@ -717,9 +716,8 @@ func speciesName(sp Species) string {
 }
 
 // CharacterizeFlowCtx runs only the characterization stage of the flow,
-// with the exact configuration mapping RunFlowCtx uses — the serving
-// layer's first pipeline stage, so the expensive cell model can be retried
-// (or reused) independently of the per-species FIT stages.
+// with the exact configuration mapping RunFlowCtx uses — how a distributed
+// coordinator builds a job's cell model once and ships it to every shard.
 func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -732,11 +730,11 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 
 // SpeciesFITCtx runs the single-species environment half of the flow —
 // engine build, spectrum, bins, FIT integration — with a pre-built
-// characterization. It is the unit a serving layer wraps in per-species
-// retry and circuit-breaker policy: alpha and proton integrate with the
-// same seed substreams RunFlowCtx would use (alpha: Seed+1, proton:
-// Seed+2), so composing the two stages reproduces RunFlowCtx's FlowResult
-// bit-identically, checkpoint-compatible with an uninterrupted run.
+// characterization. Alpha and proton integrate with the same seed
+// substreams RunFlowCtx would use (alpha: Seed+1, proton: Seed+2), so
+// composing CharacterizeFlowCtx with the two species reproduces
+// RunFlowCtx's FlowResult bit-identically, checkpoint-compatible with an
+// uninterrupted run; each call builds its own engine.
 func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species) (FITResult, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {

@@ -60,7 +60,8 @@ type ShardEvent struct {
 }
 
 // Result is the merged outcome of a distributed FIT job — the distributed
-// twin of finser.FlowResult, minus the characterization (workers own those).
+// twin of finser.FlowResult, minus the characterization the coordinator
+// built and shipped to its workers.
 type Result struct {
 	Vdd    float64
 	Alpha  finser.FITResult
@@ -531,26 +532,26 @@ func (c *Coordinator) plan(spec JobSpec, flow finser.FlowConfig) ([]*shardState,
 				return nil, fmt.Errorf("dist: fingerprint %v: %w", id, err)
 			}
 			req := &ShardRequest{Job: spec, Shard: id, Seeds: seeds, Fingerprint: fp}
-			body, err := encodeJSON(req)
-			if err != nil {
-				return nil, fmt.Errorf("dist: encode %v: %w", id, err)
-			}
-			shards = append(shards, &shardState{id: id, seeds: seeds, req: req, body: body})
+			shards = append(shards, &shardState{id: id, seeds: seeds, req: req})
 		}
 	}
 	return shards, nil
 }
 
 // Run executes one distributed FIT job: plan shards, restore any from the
-// checkpoint, fan the rest out across the worker pool with stealing and
-// retry, and merge in deterministic shard order. The merged Result is
-// bit-identical to the single-node run of the same flow config. emit, when
-// non-nil, observes every shard lifecycle transition.
+// checkpoint, characterize the cell once for the rest (under flow's Obs,
+// Faults, Guard and Progress) and ship it in every shard request, fan them
+// out across the worker pool with stealing and retry, and merge in
+// deterministic shard order. A job whose every shard is restored
+// characterizes nothing. The merged Result is bit-identical to the
+// single-node run of the same flow config. emit, when non-nil, observes
+// every shard lifecycle transition.
 //
-// Failure modes: an invalid flow config fails fast; cancellation of ctx
-// returns its error with completed shards checkpointed (a resubmission
-// resumes only the missing ones); shards that exhaust their attempt budget
-// yield a *PartialError carrying the partial FIT and the missing bins.
+// Failure modes: an invalid flow config or a failed characterization fails
+// fast; cancellation of ctx returns its error with completed shards
+// checkpointed (a resubmission resumes only the missing ones); shards that
+// exhaust their attempt budget yield a *PartialError carrying the partial
+// FIT and the missing bins.
 func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func(ShardEvent)) (*Result, error) {
 	if emit == nil {
 		emit = func(ShardEvent) {}
@@ -596,6 +597,9 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 			emit(ShardEvent{Kind: EventResumed, Shard: s.id, Worker: s.worker})
 		}
 	}
+	if err := c.ship(ctx, flow, shards); err != nil {
+		return nil, err
+	}
 
 	d := newDispatcher(shards, c.cfg.now, c.cfg.StealAfter)
 	runCtx, cancel := context.WithCancel(ctx)
@@ -617,6 +621,33 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 		return nil, fmt.Errorf("dist: run interrupted: %w", err)
 	}
 	return c.merge(flow, shards, emit)
+}
+
+// ship characterizes the job once, if any shard is left to compute, and
+// encodes every such shard's request with the characterization in it.
+func (c *Coordinator) ship(ctx context.Context, flow finser.FlowConfig, shards []*shardState) error {
+	var char *finser.Characterization
+	for _, s := range shards {
+		if s.done {
+			continue
+		}
+		if char == nil {
+			full, err := finser.CharacterizeFlowCtx(ctx, flow)
+			if err != nil {
+				return fmt.Errorf("dist: %w", err)
+			}
+			shipped := *full
+			shipped.Shifts = nil // read only by flip-surface validation
+			char = &shipped
+		}
+		s.req.Char = char
+		body, err := encodeJSON(s.req)
+		if err != nil {
+			return fmt.Errorf("dist: encode %v: %w", s.id, err)
+		}
+		s.body = body
+	}
+	return nil
 }
 
 // runWorker is one worker goroutine: claim, attempt, judge, repeat.

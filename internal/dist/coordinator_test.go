@@ -24,10 +24,10 @@ import (
 )
 
 // newWorker boots one real worker serd behind httptest and returns its URL.
-// faults, when non-nil, is threaded into every shard's flow.
-func newWorker(t *testing.T, faults *faultinject.Hooks) *httptest.Server {
+// reg, when non-nil, receives the worker's metrics.
+func newWorker(t *testing.T, reg *finser.Metrics) *httptest.Server {
 	t.Helper()
-	srv := server.New(server.Config{Workers: 2, Faults: faults})
+	srv := server.New(server.Config{Workers: 2, Metrics: reg})
 	srv.Start()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -132,6 +132,53 @@ func TestRunTwoWorkersBitIdentical(t *testing.T) {
 	}
 	if n := ev.count(dist.EventFailed); n != 0 {
 		t.Errorf("want 0 failed shards, got %d", n)
+	}
+}
+
+// TestCoordinatorCharacterizesOnce: the coordinator builds the job's
+// characterization once and ships it, so no worker characterizes, the
+// merge stays bit-identical, and a rerun whose every shard is restored
+// from the checkpoint characterizes nothing.
+func TestCoordinatorCharacterizesOnce(t *testing.T) {
+	flow := tinyFlow()
+	flow.ProcessVariation = true
+	want := singleNode(t, flow)
+
+	workerRegs := []*finser.Metrics{finser.NewMetrics(), finser.NewMetrics()}
+	w1, w2 := newWorker(t, workerRegs[0]), newWorker(t, workerRegs[1])
+	store, err := finser.CreateCheckpoint(filepath.Join(t.TempDir(), "dist.ck.json"), flow, []float64{flow.Vdd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow.Checkpoint = store
+	flow.Obs = finser.NewMetrics()
+	samples := func(reg *finser.Metrics) int64 { return reg.Counter("sram.variation_samples").Value() }
+
+	co := testCoordinator(t, dist.Config{Workers: []string{w1.URL, w2.URL}})
+	for run := 0; run < 2; run++ {
+		before := samples(flow.Obs)
+		var ev eventCollector
+		got, err := co.Run(context.Background(), flow, ev.emit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, got, want)
+		wantSamples := int64(flow.Samples)
+		if run == 1 {
+			// Every shard restored: nothing left to characterize for.
+			if n := ev.count(dist.EventResumed); n != 4 {
+				t.Errorf("rerun restored %d shards, want 4", n)
+			}
+			wantSamples = 0
+		}
+		if n := samples(flow.Obs) - before; n != wantSamples {
+			t.Errorf("run %d: coordinator characterized %d samples, want %d", run, n, wantSamples)
+		}
+		for i, reg := range workerRegs {
+			if n := samples(reg); n != 0 {
+				t.Errorf("run %d: worker %d characterized %d samples, want 0", run, i, n)
+			}
+		}
 	}
 }
 

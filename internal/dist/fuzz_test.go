@@ -7,6 +7,7 @@ import (
 
 	"finser"
 	"finser/internal/dist"
+	"finser/internal/sram"
 )
 
 // FuzzShardResultDecode hammers the coordinator's trust boundary: whatever
@@ -54,9 +55,12 @@ func FuzzShardResultDecode(f *testing.F) {
 }
 
 // FuzzShardRequestDecode is the worker-side twin: arbitrary coordinator
-// bytes must never panic the /shards decoder.
+// bytes must never panic the /shards decoder, and an accepted request's
+// shipped characterization must be usable: a probability at its median
+// critical charge on every axis.
 func FuzzShardRequestDecode(f *testing.F) {
 	_, req := fuzzSeedResult(f)
+	req.Char = shippedChar(f, tinyFlow())
 	if b, err := json.Marshal(req); err == nil {
 		f.Add(b)
 	}
@@ -66,8 +70,16 @@ func FuzzShardRequestDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := dist.DecodeShardRequest(data)
-		if err == nil && got == nil {
-			t.Fatal("nil request with nil error")
+		if err != nil {
+			return
+		}
+		if got == nil || got.Char == nil {
+			t.Fatalf("accepted request without a characterization: %+v", got)
+		}
+		for a := sram.AxisI1; a < sram.NumAxes; a++ {
+			if p := got.Char.POFSingle(a, got.Char.QcritQuantile(a, 0.5)); !(p >= 0 && p <= 1) {
+				t.Fatalf("accepted characterization answers POF %v on axis %v", p, a)
+			}
 		}
 	})
 }

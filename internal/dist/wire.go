@@ -3,7 +3,9 @@
 // run. The shard axis is the job's natural one: energy bins × pre-drawn
 // seed-schedule slices (core.FITSeedSchedule makes bin k's Monte-Carlo
 // substream a pure function of the job seed, so a shard computes the same
-// numbers on any machine). Robustness is the point — a worker crash,
+// numbers on any machine). The coordinator characterizes the cell once per
+// job and ships that POF model in every shard request, so workers keep no
+// characterization state. Robustness is the point — a worker crash,
 // timeout, or 5xx re-enqueues the shard for another worker, a breaker-open
 // worker is drained from rotation until its cooldown probe, stragglers are
 // duplicated with first-result-wins dedup, and shards that exhaust their
@@ -184,6 +186,12 @@ type ShardRequest struct {
 	// Fingerprint is the shard identity digest (ShardFingerprint); results
 	// are deduplicated, first-result-wins merged, and checkpointed under it.
 	Fingerprint string `json:"fingerprint"`
+	// Char is the job's cell characterization, built once by the
+	// coordinator, so every shard of a job runs on the same POF model and
+	// workers build none. It is a pure function of Job, so it stays out of
+	// the fingerprint. The coordinator leaves off the per-sample Vth shifts:
+	// only flip-surface validation reads them.
+	Char *finser.Characterization `json:"char"`
 }
 
 // ShardResult is the worker → coordinator message: the shard's POF points,
@@ -225,16 +233,24 @@ const maxShardBins = 4096
 // DecodeShardRequest parses and validates a coordinator's shard request at
 // the worker's trust boundary. Every failure is a typed *WireError; the
 // seed schedule is re-derived from the job seed and must match the carried
-// slice, and the fingerprint is recomputed and must match the carried one,
-// so a coordinator/worker version skew (a different random stream or
-// physics revision) fails loudly instead of merging.
+// slice, the fingerprint is recomputed and must match the carried one, and
+// the characterization must be valid and built for the job's Vdd,
+// variation mode and sample count, so a coordinator/worker version skew (a
+// different random stream or physics revision, or a coordinator that ships
+// no characterization) fails loudly instead of merging.
 func DecodeShardRequest(data []byte) (*ShardRequest, error) {
-	var req ShardRequest
+	// The characterization decodes on its own, so that any fault in it is
+	// reported as field "char" rather than as an undecodable body.
+	var wire struct {
+		ShardRequest
+		Char json.RawMessage `json:"char"`
+	}
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&wire); err != nil {
 		return nil, &WireError{Field: "body", Reason: "undecodable: " + err.Error()}
 	}
+	req := wire.ShardRequest
 	if err := req.Shard.valid(); err != nil {
 		return nil, err
 	}
@@ -275,7 +291,39 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	if req.Fingerprint != fp {
 		return nil, &WireError{Field: "fingerprint", Reason: fmt.Sprintf("%q does not match this worker's %q (physics revision %d)", req.Fingerprint, fp, core.PhysicsRevision)}
 	}
+	if req.Char, err = decodeChar(wire.Char, req.Job); err != nil {
+		return nil, err
+	}
 	return &req, nil
+}
+
+// decodeChar decodes a shipped characterization (decoding validates it)
+// and checks that it was built for spec: same Vdd, same variation mode,
+// and the sample count sram.CharConfig resolves for the job (1 without
+// variation, 1000 when unset).
+func decodeChar(raw json.RawMessage, spec JobSpec) (*finser.Characterization, error) {
+	if len(raw) == 0 || string(raw) == "null" {
+		return nil, &WireError{Field: "char", Reason: "missing (the coordinator characterizes each job and ships the result)"}
+	}
+	var ch finser.Characterization
+	if err := json.Unmarshal(raw, &ch); err != nil {
+		return nil, &WireError{Field: "char", Reason: err.Error()}
+	}
+	samples := spec.Samples
+	if !spec.ProcessVariation {
+		samples = 1
+	} else if samples == 0 {
+		samples = 1000
+	}
+	switch {
+	case ch.Vdd != spec.Vdd:
+		return nil, &WireError{Field: "char", Reason: fmt.Sprintf("built at Vdd %g for a %g V job", ch.Vdd, spec.Vdd)}
+	case ch.PV != spec.ProcessVariation:
+		return nil, &WireError{Field: "char", Reason: fmt.Sprintf("process variation %t for a job with %t", ch.PV, spec.ProcessVariation)}
+	case ch.Samples != samples:
+		return nil, &WireError{Field: "char", Reason: fmt.Sprintf("%d samples for a job of %d", ch.Samples, samples)}
+	}
+	return &ch, nil
 }
 
 // DecodeShardResult parses and validates a worker's shard result against

@@ -1,8 +1,10 @@
 package dist_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,8 +26,20 @@ func tinyFlow() finser.FlowConfig {
 	}
 }
 
+// shippedChar characterizes flow the way a coordinator does before
+// shipping it: once, without the per-sample Vth shifts.
+func shippedChar(tb testing.TB, flow finser.FlowConfig) *finser.Characterization {
+	tb.Helper()
+	ch, err := finser.CharacterizeFlowCtx(context.Background(), flow)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ch.Shifts = nil
+	return ch
+}
+
 // tinyShardRequest builds a valid wire request for the first alpha shard
-// of tinyFlow.
+// of tinyFlow, carrying its characterization.
 func tinyShardRequest(t *testing.T) *dist.ShardRequest {
 	t.Helper()
 	flow := tinyFlow()
@@ -42,7 +56,7 @@ func tinyShardRequest(t *testing.T) *dist.ShardRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &dist.ShardRequest{Job: spec, Shard: id, Seeds: sched[0:2], Fingerprint: fp}
+	return &dist.ShardRequest{Job: spec, Shard: id, Seeds: sched[0:2], Fingerprint: fp, Char: shippedChar(t, flow)}
 }
 
 func TestSpecFlowRoundTrip(t *testing.T) {
@@ -72,7 +86,8 @@ func TestDecodeShardRequestValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shard != req.Shard || got.Fingerprint != req.Fingerprint {
+	if got.Shard != req.Shard || got.Fingerprint != req.Fingerprint ||
+		!reflect.DeepEqual(got.Char.Axis, req.Char.Axis) {
 		t.Fatalf("decode mutated the request: %+v", got)
 	}
 }
@@ -87,6 +102,15 @@ func TestDecodeShardRequestRejects(t *testing.T) {
 		return b
 	}
 	parentWire := strings.Replace(string(mutate(func(*dist.ShardRequest) {})), `"job":{`, `"job":{"workers":2,`, 1)
+	// withChar swaps in a characterization changed by f.
+	withChar := func(f func(*finser.Characterization)) []byte {
+		return mutate(func(r *dist.ShardRequest) {
+			ch := *valid.Char
+			f(&ch)
+			r.Char = &ch
+		})
+	}
+	q := valid.Char.Axis[0][0]
 	cases := map[string][]byte{
 		"garbage":        []byte("{nope"),
 		"unknown field":  []byte(`{"job":{},"shard":{},"bogus":1}`),
@@ -109,6 +133,26 @@ func TestDecodeShardRequestRejects(t *testing.T) {
 			t.Errorf("%s: decode accepted invalid request", name)
 		} else if !dist.IsWire(err) && name != "bad job" {
 			t.Errorf("%s: want *WireError, got %T %v", name, err, err)
+		}
+	}
+
+	// Every fault in the shipped characterization is reported as field
+	// "char".
+	charCases := map[string][]byte{
+		// A coordinator that predates shipping sends none.
+		"no char":         mutate(func(r *dist.ShardRequest) { r.Char = nil }),
+		"zero qcrit":      withChar(func(c *finser.Characterization) { c.Axis = [3][]float64{{0}, {q}, {q}} }),
+		"axis length":     withChar(func(c *finser.Characterization) { c.Axis = [3][]float64{{q, q}, {q}, {q}} }),
+		"samples vs job":  withChar(func(c *finser.Characterization) { c.Samples = 2; c.Axis = [3][]float64{{q, q}, {q, q}, {q, q}} }),
+		"vdd vs job":      withChar(func(c *finser.Characterization) { c.Vdd += 0.1 }),
+		"variation flag":  withChar(func(c *finser.Characterization) { c.PV = !c.PV }),
+		"char field typo": []byte(strings.Replace(string(mutate(func(*dist.ShardRequest) {})), `"char":{`, `"char":{"bogus":1,`, 1)),
+	}
+	for name, data := range charCases {
+		_, err := dist.DecodeShardRequest(data)
+		var we *dist.WireError
+		if !errors.As(err, &we) || we.Field != "char" {
+			t.Errorf("%s: want *WireError on field char, got %T %v", name, err, err)
 		}
 	}
 }

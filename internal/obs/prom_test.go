@@ -162,9 +162,9 @@ func TestPromName(t *testing.T) {
 // Lint negative cases: each corruption the CI gate must catch.
 func TestLintExpositionRejects(t *testing.T) {
 	for name, payload := range map[string]string{
-		"type without help": "# TYPE m counter\nm 1\n",
+		"type without help":   "# TYPE m counter\nm 1\n",
 		"sample without type": "m 1\n",
-		"duplicate type": "# HELP m x\n# TYPE m counter\n# TYPE m counter\nm 1\n",
+		"duplicate type":      "# HELP m x\n# TYPE m counter\n# TYPE m counter\nm 1\n",
 		"non-cumulative buckets": "# HELP h x\n# TYPE h histogram\n" +
 			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
 		"le out of order": "# HELP h x\n# TYPE h histogram\n" +

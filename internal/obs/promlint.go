@@ -37,9 +37,9 @@ func LintExposition(r io.Reader) error {
 	lastBucket := map[string]float64{} // labelset → last cumulative bucket count
 	lastLe := map[string]float64{}     // labelset → last le bound (+Inf = Inf)
 	sawInf := map[string]bool{}
-	counts := map[string]float64{}   // labelset → _count sample
-	histSets := map[string]string{}  // labelset key → family (for final checks)
-	histFams := map[string]bool{}    // family → saw any bucket sample
+	counts := map[string]float64{}  // labelset → _count sample
+	histSets := map[string]string{} // labelset key → family (for final checks)
+	histFams := map[string]bool{}   // family → saw any bucket sample
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

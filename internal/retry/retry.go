@@ -1,40 +1,36 @@
-// Package retry runs fallible operations under an attempt budget with
-// exponentially growing, fully jittered backoff — the serving layer's
-// answer to transient failures (checkpoint I/O hiccups, injected faults,
-// briefly open circuit breakers) that a bare one-shot call would surface
-// as a failed job.
+// Package retry shapes the backoff between a distributed shard's failed
+// attempts and marks the errors no further attempt can fix. The
+// coordinator (internal/dist) owns the attempt budget; this package only
+// answers "how long until the next try" and "is it worth one".
 //
 // Full jitter (delay drawn uniformly from [0, cap]) is deliberate: a fleet
 // of workers retrying a shared dependency with synchronized backoff
 // re-creates the thundering herd it is trying to escape; spreading each
 // delay over the whole window decorrelates them at no cost in expected
 // wait.
-//
-// Errors that retrying cannot fix — context cancellation, configuration
-// mistakes marked with Permanent — fail fast on the first attempt.
 package retry
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"time"
 )
 
-// Defaults applied by Do when the corresponding Policy field is zero.
+// Defaults applied by Backoff when the corresponding Policy field is zero.
 const (
-	DefaultMaxAttempts = 4
-	DefaultBaseDelay   = 100 * time.Millisecond
-	DefaultMaxDelay    = 5 * time.Second
-	DefaultMultiplier  = 2.0
+	DefaultBaseDelay  = 100 * time.Millisecond
+	DefaultMaxDelay   = 5 * time.Second
+	DefaultMultiplier = 2.0
 )
 
-// Policy bounds the retry loop. The zero value is usable: 4 attempts,
-// 100 ms base delay doubling to a 5 s cap, full jitter, default
-// classifier.
+// Policy shapes the backoff. The zero value is usable: 100 ms base delay
+// doubling to a 5 s cap, full jitter.
 type Policy struct {
-	// MaxAttempts is the total attempt budget including the first try.
+	// MaxAttempts is read by nothing.
+	//
+	// Deprecated: it budgeted serd's per-stage retry of in-process
+	// compute, which is gone; a failed job is resubmitted and resumes from
+	// its checkpoint. The field stays only because the checked-in
+	// benchmark (perfbench) still sets it.
 	MaxAttempts int
 	// BaseDelay is the backoff cap after the first failure.
 	BaseDelay time.Duration
@@ -42,20 +38,6 @@ type Policy struct {
 	MaxDelay time.Duration
 	// Multiplier grows the cap per failed attempt (default 2).
 	Multiplier float64
-	// Retryable decides whether an error is worth another attempt. Nil
-	// selects Retryable (permanent-marked and context errors fail fast,
-	// everything else retries).
-	Retryable func(error) bool
-	// OnRetry, when non-nil, observes each scheduled retry: the attempt
-	// that just failed (1-based), its error, and the chosen backoff.
-	OnRetry func(attempt int, err error, delay time.Duration)
-	// Rand supplies the jitter draw in [0, 1). Nil selects math/rand;
-	// tests inject a deterministic source.
-	Rand func() float64
-	// Sleep waits out a backoff, returning early with ctx.Err() on
-	// cancellation. Nil selects a timer-based wait; tests inject a
-	// recorder.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // permanentError marks an error as not worth retrying.
@@ -64,9 +46,8 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// Permanent marks err as non-retryable: the default classifier (and any
-// classifier that consults IsPermanent) fails fast on it. A nil err stays
-// nil.
+// Permanent marks err as non-retryable: a caller that consults
+// IsPermanent fails fast on it. A nil err stays nil.
 func Permanent(err error) error {
 	if err == nil {
 		return nil
@@ -81,41 +62,8 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// Retryable is the default classifier: context cancellation and deadline
-// expiry are not retryable (the caller is gone), Permanent-marked errors
-// are not retryable (retrying cannot fix a config mistake), everything
-// else — I/O errors, injected faults, open breakers — is transient until
-// the budget says otherwise.
-func Retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return !IsPermanent(err)
-}
-
-// ExhaustedError reports an attempt budget spent without success; Unwrap
-// exposes the last attempt's error for errors.Is/As.
-type ExhaustedError struct {
-	// Attempts is the number of attempts made.
-	Attempts int
-	// Err is the error of the final attempt.
-	Err error
-}
-
-func (e *ExhaustedError) Error() string {
-	return fmt.Sprintf("retry: budget exhausted after %d attempt(s): %v", e.Attempts, e.Err)
-}
-
-func (e *ExhaustedError) Unwrap() error { return e.Err }
-
 // withDefaults resolves the zero-value conveniences.
 func (p Policy) withDefaults() Policy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = DefaultMaxAttempts
-	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = DefaultBaseDelay
 	}
@@ -124,15 +72,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Multiplier <= 1 {
 		p.Multiplier = DefaultMultiplier
-	}
-	if p.Retryable == nil {
-		p.Retryable = Retryable
-	}
-	if p.Rand == nil {
-		p.Rand = rand.Float64
-	}
-	if p.Sleep == nil {
-		p.Sleep = sleep
 	}
 	return p
 }
@@ -152,51 +91,4 @@ func (p Policy) Backoff(attempt int, r float64) time.Duration {
 		}
 	}
 	return time.Duration(r * cap)
-}
-
-// sleep is the production Sleep: a timer that loses to ctx.
-func sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// Do runs op under the policy: on a retryable error it backs off and
-// tries again until the attempt budget is spent, returning the last
-// error wrapped in *ExhaustedError. Non-retryable errors and context
-// cancellation (including cancellation during a backoff) return
-// immediately.
-func Do(ctx context.Context, p Policy, op func(context.Context) error) error {
-	p = p.withDefaults()
-	var err error
-	for attempt := 1; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("retry: attempt %d: %w", attempt, cerr)
-		}
-		err = op(ctx)
-		if err == nil {
-			return nil
-		}
-		if !p.Retryable(err) {
-			return err
-		}
-		if attempt >= p.MaxAttempts {
-			return &ExhaustedError{Attempts: attempt, Err: err}
-		}
-		delay := p.Backoff(attempt, p.Rand())
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err, delay)
-		}
-		if serr := p.Sleep(ctx, delay); serr != nil {
-			return fmt.Errorf("retry: backoff after attempt %d: %w", attempt, serr)
-		}
-	}
 }

@@ -1,19 +1,11 @@
 package retry
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
-
-// recordingSleep returns a Sleep that records every delay and never waits.
-func recordingSleep(delays *[]time.Duration) func(context.Context, time.Duration) error {
-	return func(ctx context.Context, d time.Duration) error {
-		*delays = append(*delays, d)
-		return ctx.Err()
-	}
-}
 
 // TestBackoffJitterWithinBounds checks the full-jitter invariant: every
 // delay lies in [0, cap] where cap follows the exponential schedule
@@ -54,165 +46,37 @@ func TestBackoffJitterWithinBounds(t *testing.T) {
 	}
 }
 
-// TestDoBudgetExhaustionReturnsLastError checks that a spent budget
-// surfaces the final attempt's error (via errors.Is) inside an
-// *ExhaustedError carrying the attempt count.
-func TestDoBudgetExhaustionReturnsLastError(t *testing.T) {
-	errFirst := errors.New("transient A")
-	errLast := errors.New("transient B")
-	var delays []time.Duration
-	calls := 0
-	p := Policy{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-		Rand:        func() float64 { return 0.5 },
-		Sleep:       recordingSleep(&delays),
-	}
-	err := Do(context.Background(), p, func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errFirst
-		}
-		return errLast
-	})
-	if calls != 3 {
-		t.Fatalf("op called %d times, want 3", calls)
-	}
-	var ee *ExhaustedError
-	if !errors.As(err, &ee) {
-		t.Fatalf("error is not *ExhaustedError: %v", err)
-	}
-	if ee.Attempts != 3 {
-		t.Errorf("ExhaustedError.Attempts = %d, want 3", ee.Attempts)
-	}
-	if !errors.Is(err, errLast) {
-		t.Errorf("exhausted error does not wrap the last error: %v", err)
-	}
-	if errors.Is(err, errFirst) {
-		t.Errorf("exhausted error wraps an earlier attempt's error: %v", err)
-	}
-	if len(delays) != 2 {
-		t.Errorf("slept %d times, want 2 (between 3 attempts)", len(delays))
-	}
-}
-
-// TestDoSucceedsAfterTransientFailures checks the happy recovery path and
-// the OnRetry observer contract.
-func TestDoSucceedsAfterTransientFailures(t *testing.T) {
-	var delays []time.Duration
-	var retried []int
-	calls := 0
-	p := Policy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		Rand:        func() float64 { return 0.99 },
-		Sleep:       recordingSleep(&delays),
-		OnRetry:     func(attempt int, err error, d time.Duration) { retried = append(retried, attempt) },
-	}
-	err := Do(context.Background(), p, func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("flaky")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if calls != 3 {
-		t.Errorf("op called %d times, want 3", calls)
-	}
-	if len(retried) != 2 || retried[0] != 1 || retried[1] != 2 {
-		t.Errorf("OnRetry saw attempts %v, want [1 2]", retried)
-	}
-}
-
-// TestDoPermanentFailsFast checks that a Permanent-marked error stops the
-// loop on the first attempt.
-func TestDoPermanentFailsFast(t *testing.T) {
+// TestPermanentSurvivesWrapping checks that a Permanent mark, which the
+// coordinator reads to fail a shard without spending its budget, survives
+// error wrapping and keeps the cause reachable.
+func TestPermanentSurvivesWrapping(t *testing.T) {
 	errCfg := errors.New("bad config")
-	calls := 0
-	err := Do(context.Background(), Policy{MaxAttempts: 5, Sleep: recordingSleep(&[]time.Duration{})},
-		func(context.Context) error {
-			calls++
-			return Permanent(errCfg)
-		})
-	if calls != 1 {
-		t.Errorf("permanent error retried: %d calls", calls)
+	err := fmt.Errorf("dist: shard: %w", Permanent(errCfg))
+	if !IsPermanent(err) {
+		t.Errorf("IsPermanent = false for wrapped %v", err)
 	}
 	if !errors.Is(err, errCfg) {
 		t.Errorf("error lost the cause: %v", err)
 	}
-	if !IsPermanent(err) {
-		t.Errorf("IsPermanent = false for returned error %v", err)
+	if IsPermanent(errCfg) || IsPermanent(nil) {
+		t.Error("an unmarked error reads as permanent")
 	}
-	var ee *ExhaustedError
-	if errors.As(err, &ee) {
-		t.Errorf("fail-fast error wrapped in ExhaustedError: %v", err)
-	}
-}
-
-// TestDoContextErrorsNotRetried checks the default classifier refuses to
-// retry an op that surfaces its context's cancellation.
-func TestDoContextErrorsNotRetried(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	err := Do(ctx, Policy{MaxAttempts: 5, Sleep: recordingSleep(&[]time.Duration{})},
-		func(context.Context) error {
-			calls++
-			cancel()
-			return ctx.Err()
-		})
-	if calls != 1 {
-		t.Errorf("cancelled op retried: %d calls", calls)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error does not wrap context.Canceled: %v", err)
-	}
-}
-
-// TestDoCancelledDuringBackoff checks the production Sleep loses to ctx,
-// surfacing the cancellation instead of the transient error.
-func TestDoCancelledDuringBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{
-		MaxAttempts: 3,
-		BaseDelay:   10 * time.Second, // would stall the test if ctx lost
-		Rand:        func() float64 { return 1 },
-	}
-	start := time.Now()
-	err := Do(ctx, p, func(context.Context) error {
-		cancel()
-		return errors.New("transient")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error does not wrap context.Canceled: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("backoff ignored cancellation for %v", elapsed)
+	if Permanent(nil) != nil {
+		t.Error("Permanent(nil) is not nil")
 	}
 }
 
 // TestZeroPolicyDefaults checks the zero value resolves to the documented
-// defaults rather than a zero-attempt no-op.
+// defaults rather than a zero delay.
 func TestZeroPolicyDefaults(t *testing.T) {
-	var delays []time.Duration
-	calls := 0
-	err := Do(context.Background(), Policy{Sleep: recordingSleep(&delays)},
-		func(context.Context) error {
-			calls++
-			return errors.New("always fails")
-		})
-	if calls != DefaultMaxAttempts {
-		t.Errorf("zero policy made %d attempts, want %d", calls, DefaultMaxAttempts)
+	var p Policy
+	if got := p.Backoff(1, 1); got != DefaultBaseDelay {
+		t.Errorf("first backoff cap %v, want %v", got, DefaultBaseDelay)
 	}
-	for _, d := range delays {
-		if d < 0 || d > DefaultMaxDelay {
-			t.Errorf("delay %v outside [0, %v]", d, DefaultMaxDelay)
-		}
+	if got := p.Backoff(2, 1); got != time.Duration(DefaultMultiplier*float64(DefaultBaseDelay)) {
+		t.Errorf("second backoff cap %v, want %v×%v", got, DefaultMultiplier, DefaultBaseDelay)
 	}
-	var ee *ExhaustedError
-	if !errors.As(err, &ee) {
-		t.Fatalf("error is not *ExhaustedError: %v", err)
+	if got := p.Backoff(30, 1); got != DefaultMaxDelay {
+		t.Errorf("late backoff cap %v, want %v", got, DefaultMaxDelay)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"finser"
@@ -23,8 +22,9 @@ const (
 	StateRunning JobState = "running"
 	// StateDone means the flow completed; Result is populated.
 	StateDone JobState = "done"
-	// StateFailed means the flow failed after exhausting its retry
-	// budget (or on a non-retryable error).
+	// StateFailed means the flow failed; Error names why. Resubmitting
+	// the identical request runs it again, resuming from its checkpoint
+	// when checkpointing is on.
 	StateFailed JobState = "failed"
 	// StateCanceled means the job was canceled by the API or a drain.
 	StateCanceled JobState = "canceled"
@@ -52,9 +52,11 @@ type JobRequest struct {
 	// checkerboard.
 	Pattern string `json:"pattern,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
-	// Workers bounds a local job's internal parallelism (0 = GOMAXPROCS).
-	// No result depends on it, so it is not part of the job fingerprint,
-	// and a coordinator does not forward it to its worker serds.
+	// Workers bounds a job's parallelism on this serd (0 = GOMAXPROCS): a
+	// local job's whole flow, or a coordinator's one characterization of a
+	// distributed job. No result depends on it, so it is not part of the
+	// job fingerprint, and a coordinator does not forward it to its worker
+	// serds.
 	Workers int `json:"workers,omitempty"`
 	// FitRelErr enables adaptive FIT sampling: each energy bin stops once
 	// its POF confidence interval is inside this relative tolerance (0
@@ -146,9 +148,6 @@ type JobStatus struct {
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
-	// Retries counts stage attempts beyond the first across the whole
-	// pipeline.
-	Retries int64 `json:"retries,omitempty"`
 	// ResumedStages is how many checkpointed FIT stages the job restored
 	// at start (a resubmitted drained job reports > 0).
 	ResumedStages int `json:"resumed_stages,omitempty"`
@@ -171,7 +170,7 @@ type JobStatus struct {
 }
 
 // job is the server-internal record. The owning Server's mutex guards all
-// fields except the atomics.
+// fields.
 type job struct {
 	id        string
 	req       JobRequest
@@ -184,7 +183,6 @@ type job struct {
 	result    *JobResult
 	cancel    func()
 	ctx       context.Context // the job's base context; cancel() and drains cut it
-	retries   atomic.Int64
 	resumed   int
 
 	// tenant and class are the QoS identity (tenant from X-Tenant, class
@@ -226,7 +224,6 @@ func (j *job) status() JobStatus {
 		ID:            j.id,
 		State:         j.state,
 		SubmittedAt:   j.submitted,
-		Retries:       j.retries.Load(),
 		ResumedStages: j.resumed,
 		Fingerprint:   j.fingerprint,
 		Recovered:     j.recovered,

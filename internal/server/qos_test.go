@@ -428,27 +428,6 @@ func TestRetryAfterHintLoadAware(t *testing.T) {
 	}
 }
 
-// TestBreakerTenantIsolation: named tenants get their own breaker
-// instances (tenant/species keys), the anonymous tenant keeps the legacy
-// bare-species breakers.
-func TestBreakerTenantIsolation(t *testing.T) {
-	s := New(Config{})
-	anon := s.breakerFor(qos.DefaultTenant, "alpha")
-	if anon != s.breakers["alpha"] {
-		t.Error("anon tenant must reuse the legacy bare-species breaker")
-	}
-	acme := s.breakerFor("acme", "alpha")
-	if acme == anon {
-		t.Error("named tenant shares the anon breaker; want isolation")
-	}
-	if again := s.breakerFor("acme", "alpha"); again != acme {
-		t.Error("breakerFor not memoized per tenant/species")
-	}
-	if other := s.breakerFor("other", "alpha"); other == acme {
-		t.Error("two named tenants share a breaker; want isolation")
-	}
-}
-
 // TestRecoveryRestoresTenantAccounting: a journaled tenant job survives a
 // crash with its tenant identity and quota slot restored.
 func TestRecoveryRestoresTenantAccounting(t *testing.T) {

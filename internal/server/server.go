@@ -1,9 +1,7 @@
 // Package server is the SER-as-a-service layer: a bounded admission queue
-// with load shedding, a fixed worker pool driving the staged finser flow,
-// and the resilience policy around it — per-stage retries with jittered
-// backoff, per-species circuit breakers, per-job deadlines, cancelable
-// queryable job states, and a graceful drain that preserves checkpoints so
-// a resubmitted job resumes bit-identically.
+// with load shedding, a fixed worker pool driving the finser flow, per-job
+// deadlines, cancelable queryable job states, and a graceful drain that
+// preserves checkpoints so a resubmitted job resumes bit-identically.
 //
 // The queue is the backpressure boundary: when it is full (or the server
 // is draining) a submission is rejected immediately with ErrQueueFull /
@@ -19,9 +17,10 @@
 // on batch work asks the longest-running batch job to yield at its next
 // checkpoint boundary; the preempted job requeues and later resumes from
 // its fingerprint-keyed checkpoint bit-identically. Each job runs
-// characterize → alpha FIT → proton FIT, every stage under the retry
-// policy, and each tenant × species stage behind its own circuit breaker
-// so one tenant's failing workload class is shed without tripping others.
+// characterize → alpha FIT → proton FIT, in process (finser.RunFlowCtx) or
+// sharded across a worker pool (Config.Distributor), with no retry around
+// it: in-process compute fails deterministically or on I/O, and a failed
+// job resubmitted with checkpointing on resumes from its completed bins.
 //
 // With Config.DataDir set the job layer is durable: every lifecycle
 // transition is appended to a CRC-framed fsync'd journal
@@ -94,19 +93,8 @@ const (
 // job's per-run context, distinguishing a yield from a user cancel.
 var errPreempted = errors.New("server: preempted for interactive work")
 
-// speciesStages are the per-species workload classes, each behind its own
-// circuit breaker.
-var speciesStages = []struct {
-	name string
-	sp   finser.Species
-}{
-	{"alpha", finser.Alpha},
-	{"proton", finser.Proton},
-}
-
 // Config assembles a Server. The zero value is usable: a 16-deep queue,
-// 2 workers, 1 h job deadline, default retry and breaker policy, no
-// metrics, no checkpointing.
+// 2 workers, 1 h job deadline, no metrics, no checkpointing.
 type Config struct {
 	// QueueDepth bounds the number of admitted-but-not-running jobs.
 	QueueDepth int
@@ -117,12 +105,20 @@ type Config struct {
 	JobTimeout time.Duration
 	// RetryAfter is the back-off hint returned with 503 rejections.
 	RetryAfter time.Duration
-	// Retry is the per-stage retry policy template (zero value: retry
-	// defaults). The server installs its own classifier unless one is
-	// set: finser.ConfigError fails fast, everything else is transient.
+	// Retry is read by nothing.
+	//
+	// Deprecated: it shaped a per-stage retry around in-process compute,
+	// which is gone: that compute fails deterministically (a retry repeats
+	// the failure) or on I/O (a resubmission resumes from the checkpoint).
+	// The field stays only because the checked-in benchmark (perfbench)
+	// still sets it.
 	Retry retry.Policy
-	// Breaker is the per-species circuit-breaker template (zero value:
-	// breaker defaults). Name is overwritten per species.
+	// Breaker is read by nothing.
+	//
+	// Deprecated: it templated per-tenant × species circuit breakers
+	// around in-process compute, which are gone for the reason Retry
+	// gives. A coordinator's per-worker breakers are dist.Config.Breaker.
+	// The field stays only because perfbench still sets it.
 	Breaker breaker.Config
 	// CheckpointDir, when non-empty, stores one checkpoint file per job
 	// configuration fingerprint, so a drained or crashed job's completed
@@ -151,15 +147,14 @@ type Config struct {
 	// step, each stamped with the job ID and configuration fingerprint
 	// (obs.NewJSONLogger / NewTextLogger fit). Nil disables logging.
 	Logger *slog.Logger
-	// Runner overrides the production staged pipeline — tests inject
-	// blocking or instant runners. Nil selects the real flow. Injected
-	// runners receive the same telemetry-instrumented FlowConfig (BinDone,
-	// GuardEvent, Progress wired to the job's event stream) the real
-	// pipeline gets.
+	// Runner overrides the production flow — tests inject blocking or
+	// instant runners. Nil selects the real flow. Injected runners receive
+	// the same telemetry-instrumented FlowConfig (BinDone, GuardEvent,
+	// Progress wired to the job's event stream) the real flow gets.
 	Runner func(ctx context.Context, cfg finser.FlowConfig) (*JobResult, error)
 	// Distributor, when non-nil, switches the server into coordinator
 	// mode: jobs run by sharding across a worker-serd pool (dist.New fits)
-	// instead of the local pipeline. Runner still wins when both are set.
+	// instead of in process. Runner still wins when both are set.
 	// /readyz reflects Ready() so a pool with every breaker open reports
 	// 503.
 	Distributor Distributor
@@ -167,10 +162,6 @@ type Config struct {
 	// /shards endpoint; excess shard requests shed with 503 so the
 	// coordinator routes them elsewhere. Zero selects Workers.
 	ShardConcurrency int
-	// CharCache bounds the worker-side characterization cache (distinct
-	// job fingerprints kept warm for shard requests). Zero selects
-	// DefaultCharCache.
-	CharCache int
 	// DataDir, when non-empty, makes the job layer durable: a write-ahead
 	// journal of job lifecycle records lives under it (journal.wal), and —
 	// unless CheckpointDir is set — per-job checkpoints default to its
@@ -229,14 +220,12 @@ type Server struct {
 	reg      *obs.Registry
 	sched    *qos.Scheduler
 	limiter  *qos.Limiter
-	breakers map[string]*breaker.Breaker
 	mux      *http.ServeMux
 	wg       sync.WaitGroup
 	running  atomic.Int64
 	started  time.Time
 	build    buildInfo
 	shardSem chan struct{}
-	chars    *charCache
 
 	// journal is the durable job log (nil until Recover enables it).
 	// degradedErr holds the latest journal write failure while durability
@@ -294,22 +283,17 @@ func New(cfg Config) *Server {
 			Burst: cfg.TenantBurst,
 			Quota: cfg.TenantQuota,
 		}),
-		breakers: map[string]*breaker.Breaker{},
-		jobs:     map[string]*job{},
-		idem:     map[string]string{},
-		baseCtx:  baseCtx,
-		stop:     stop,
-		started:  time.Now(),
-		build:    readBuildInfo(),
-	}
-	for _, st := range speciesStages {
-		s.breakers[st.name] = s.newBreaker(st.name)
+		jobs:    map[string]*job{},
+		idem:    map[string]string{},
+		baseCtx: baseCtx,
+		stop:    stop,
+		started: time.Now(),
+		build:   readBuildInfo(),
 	}
 	if cfg.ShardConcurrency <= 0 {
 		cfg.ShardConcurrency = cfg.Workers
 	}
 	s.shardSem = make(chan struct{}, cfg.ShardConcurrency)
-	s.chars = newCharCache(cfg.CharCache)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /shards", s.handleShard)
@@ -321,44 +305,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
-}
-
-// newBreaker clones the breaker template for one species, layering the
-// trip/state metrics under any user callback.
-func (s *Server) newBreaker(name string) *breaker.Breaker {
-	bc := s.cfg.Breaker
-	bc.Name = name
-	user := bc.OnStateChange
-	bc.OnStateChange = func(n string, from, to breaker.State) {
-		s.reg.Gauge("serd/breaker/" + n + "/state").Set(float64(to))
-		if to == breaker.Open {
-			s.reg.Counter("serd/breaker/" + n + "/trips").Inc()
-		}
-		if user != nil {
-			user(n, from, to)
-		}
-	}
-	return breaker.New(bc)
-}
-
-// breakerFor returns the circuit breaker guarding one tenant × species
-// workload class, creating it on first use. The anonymous tenant keeps the
-// bare species keys (and metric names) the server has always used; named
-// tenants get isolated "tenant/species" breakers, so one tenant's failing
-// configs trip shedding only for that tenant.
-func (s *Server) breakerFor(tenant, species string) *breaker.Breaker {
-	key := species
-	if tenant != "" && tenant != qos.DefaultTenant {
-		key = tenant + "/" + species
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	br, ok := s.breakers[key]
-	if !ok {
-		br = s.newBreaker(key)
-		s.breakers[key] = br
-	}
-	return br
 }
 
 // RecoveryStats summarizes one journal replay.
@@ -1088,7 +1034,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // RetryAfter returns the 503 back-off hint.
 func (s *Server) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
-// runJob drives one admitted job through the pipeline and finalizes it.
+// runJob drives one admitted job through its flow and finalizes it.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	if j.state != StateQueued { // canceled while queued
@@ -1139,13 +1085,10 @@ func (s *Server) runJob(j *job) {
 
 	var res *JobResult
 	var err error
-	switch {
-	case s.cfg.Runner != nil:
+	if s.cfg.Runner != nil {
 		res, err = s.cfg.Runner(ctx, j.cfg)
-	case s.cfg.Distributor != nil:
-		res, err = s.runDistributed(ctx, j)
-	default:
-		res, err = s.runPipeline(ctx, j)
+	} else {
+		res, err = s.runFlow(ctx, j)
 	}
 
 	s.mu.Lock()
@@ -1187,8 +1130,8 @@ func (s *Server) runJob(j *job) {
 
 // instrumentFlow wires the job's flow callbacks to its event stream, so
 // per-bin FIT results, guard violations, and throttled progress reach
-// streaming clients as they happen. Both the production pipeline and
-// injected test runners run under the instrumented config.
+// streaming clients as they happen. Both the production flow and injected
+// test runners run under the instrumented config.
 func (s *Server) instrumentFlow(j *job) {
 	j.cfg.BinDone = func(be finser.BinEvent) {
 		ev := events.Event{
@@ -1270,14 +1213,16 @@ func (s *Server) finalizeLocked(j *job, state JobState, msg string) {
 	s.publish(j, events.Event{Type: events.TypeState, State: string(state), Error: msg})
 	j.events.Close()
 	j.logInfo("job "+string(state),
-		"total_seconds", j.finished.Sub(j.submitted).Seconds(),
-		"retries", j.retries.Load(), "error", msg)
+		"total_seconds", j.finished.Sub(j.submitted).Seconds(), "error", msg)
 }
 
-// runPipeline is the production staged flow: characterize, then each
-// species' FIT stage behind its circuit breaker, every stage under the
-// retry policy, all against the job's (possibly resumed) checkpoint.
-func (s *Server) runPipeline(ctx context.Context, j *job) (*JobResult, error) {
+// runFlow runs one job under the server's telemetry and faults, against
+// its fingerprint-keyed checkpoint when checkpointing is on: in process
+// with finser.RunFlowCtx, or, with a Distributor, sharded across the
+// worker pool, whose shard lifecycle transitions become TypeShard events
+// on the job's SSE stream (a *dist.PartialError surfaces as a failed job
+// whose error names the missing bins).
+func (s *Server) runFlow(ctx context.Context, j *job) (*JobResult, error) {
 	cfg := j.cfg
 	cfg.Obs = s.reg
 	cfg.Faults = s.cfg.Faults
@@ -1291,59 +1236,12 @@ func (s *Server) runPipeline(ctx context.Context, j *job) (*JobResult, error) {
 		j.resumed = resumed
 		s.mu.Unlock()
 	}
-
-	var char *finser.Characterization
-	if err := s.retryStage(ctx, j, "characterize", func(ctx context.Context) error {
-		c, err := finser.CharacterizeFlowCtx(ctx, cfg)
+	if s.cfg.Distributor == nil {
+		res, err := finser.RunFlowCtx(ctx, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		char = c
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("characterize stage: %w", err)
-	}
-
-	res := &JobResult{Vdd: cfg.Vdd}
-	dst := map[string]*finser.FITResult{"alpha": &res.Alpha, "proton": &res.Proton}
-	for _, st := range speciesStages {
-		br := s.breakerFor(j.tenant, st.name)
-		sp := st.sp
-		out := dst[st.name]
-		if err := s.retryStage(ctx, j, st.name, func(ctx context.Context) error {
-			return br.Do(ctx, func(ctx context.Context) error {
-				fit, err := finser.SpeciesFITCtx(ctx, cfg, char, sp)
-				if err != nil {
-					return err
-				}
-				*out = fit
-				return nil
-			})
-		}); err != nil {
-			return nil, fmt.Errorf("%s stage: %w", st.name, err)
-		}
-	}
-	return res, nil
-}
-
-// runDistributed drives one job through the coordinator: same checkpoint
-// store and telemetry stream as the local pipeline, but execution is
-// sharded across the worker pool. Shard lifecycle transitions become
-// TypeShard events on the job's SSE stream; a *dist.PartialError surfaces
-// as a failed job whose error names the missing bins.
-func (s *Server) runDistributed(ctx context.Context, j *job) (*JobResult, error) {
-	cfg := j.cfg
-	cfg.Obs = s.reg
-	cfg.Faults = s.cfg.Faults
-	if s.cfg.CheckpointDir != "" {
-		store, resumed, err := s.openCheckpoint(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		cfg.Checkpoint = store
-		s.mu.Lock()
-		j.resumed = resumed
-		s.mu.Unlock()
+		return &JobResult{Vdd: res.Vdd, Alpha: res.Alpha, Proton: res.Proton}, nil
 	}
 	emit := func(ev dist.ShardEvent) {
 		e := events.Event{
@@ -1388,38 +1286,6 @@ func (s *Server) openCheckpoint(cfg finser.FlowConfig) (*finser.CheckpointStore,
 		return nil, 0, err
 	}
 	return store, 0, nil
-}
-
-// retryStage runs one pipeline stage under the server's retry policy,
-// counting retries on the job and the registry.
-func (s *Server) retryStage(ctx context.Context, j *job, stage string, op func(context.Context) error) error {
-	pol := s.cfg.Retry
-	if pol.Retryable == nil {
-		pol.Retryable = stageRetryable
-	}
-	user := pol.OnRetry
-	pol.OnRetry = func(attempt int, err error, delay time.Duration) {
-		j.retries.Add(1)
-		s.reg.Counter("serd/retries").Inc()
-		s.reg.Counter("serd/retries/" + stage).Inc()
-		if user != nil {
-			user(attempt, err, delay)
-		}
-	}
-	return retry.Do(ctx, pol, op)
-}
-
-// stageRetryable is the server's transient/permanent classifier:
-// configuration mistakes fail fast (they map to 400 at admission, and to a
-// non-retryable failure if one slips through to run time); context errors
-// follow the caller; everything else — checkpoint I/O, injected faults,
-// open breakers — is transient.
-func stageRetryable(err error) bool {
-	var ce *finser.ConfigError
-	if errors.As(err, &ce) {
-		return false
-	}
-	return retry.Retryable(err)
 }
 
 // ---- HTTP layer ----
@@ -1526,8 +1392,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrDraining):
 		s.writeUnavailable(w, err.Error())
 	default:
-		// Validation errors are the caller's fault: 400, not 500, and
-		// never retried server-side.
+		// Validation errors are the caller's fault: 400, not 500.
 		var ce *finser.ConfigError
 		var re *RequestError
 		if errors.As(err, &ce) || errors.As(err, &re) {

@@ -15,10 +15,8 @@ import (
 	"time"
 
 	"finser"
-	"finser/internal/breaker"
 	"finser/internal/faultinject"
 	"finser/internal/obs"
-	"finser/internal/retry"
 )
 
 // postJob submits a request body and returns the decoded status (or error
@@ -252,12 +250,12 @@ func TestValidationErrorsMapTo400(t *testing.T) {
 	}
 }
 
-// TestRetryBreakerEndToEnd is the fault-injection acceptance test: two
-// injected transient failures in the alpha FIT stage trip the alpha
-// breaker, the retry policy's backoff outlasts the cooldown, the half-open
-// probe completes the stage, and the finished job's FIT numbers are
+// TestFaultFailsJobResubmitResumes is the recovery story for a fault in
+// in-process compute: nothing retries it, so the job fails with an error
+// naming the fault, and resubmitting the identical body to the same server
+// resumes from the bin the failed run checkpointed and finishes
 // byte-identical to an undisturbed run.
-func TestRetryBreakerEndToEnd(t *testing.T) {
+func TestFaultFailsJobResubmitResumes(t *testing.T) {
 	req := JobRequest{
 		Vdd: 0.7, Samples: 8, ItersPerBin: 200,
 		AlphaBins: 2, ProtonBins: 2, Seed: 7, Workers: 1,
@@ -271,28 +269,12 @@ func TestRetryBreakerEndToEnd(t *testing.T) {
 		t.Fatalf("baseline flow: %v", err)
 	}
 
-	// With Workers=1 the particle site is hit deterministically: alpha is
-	// hits 1..400 (2 bins × 200 iters). Fail attempt 1 at hit 50 and
-	// attempt 2 at hit 100 — two consecutive countable failures trip the
-	// threshold-2 breaker. The deterministic backoff after attempt 2 is
-	// 0.99·(4 ms·2) ≈ 7.9 ms, past the 1 ms cooldown, so attempt 3 is the
-	// half-open probe and runs clean.
+	// Alpha strikes are particle-site hits 1..400 (2 bins × 200), so hit
+	// 250 falls in bin 1, after bin 0 is checkpointed. The fault fires
+	// once: the resubmission's hits count on from 401.
 	faults := faultinject.New()
-	faults.ErrorAt(finser.FaultSiteParticle, 50, errors.New("transient device fault A"))
-	faults.ErrorAt(finser.FaultSiteParticle, 100, errors.New("transient device fault B"))
-
-	reg := obs.NewRegistry()
-	s := New(Config{
-		Workers: 1,
-		Metrics: reg,
-		Faults:  faults,
-		Retry: retry.Policy{
-			MaxAttempts: 6,
-			BaseDelay:   4 * time.Millisecond,
-			Rand:        func() float64 { return 0.99 },
-		},
-		Breaker: breaker.Config{FailureThreshold: 2, Cooldown: time.Millisecond},
-	})
+	faults.ErrorAt(finser.FaultSiteParticle, 250, errors.New("injected device fault"))
+	s := New(Config{Workers: 1, CheckpointDir: t.TempDir(), Faults: faults})
 	s.Start()
 	defer s.Drain(context.Background())
 	ts := httptest.NewServer(s.Handler())
@@ -303,23 +285,19 @@ func TestRetryBreakerEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d: %s", resp.StatusCode, out)
 	}
-	st := waitState(t, ts, "job-1", StateDone)
-
-	if st.Retries < 2 {
-		t.Errorf("Retries = %d, want >= 2 (two injected failures)", st.Retries)
-	}
-	if got := reg.Counter("serd/breaker/alpha/trips").Value(); got < 1 {
-		t.Errorf("alpha breaker trips = %d, want >= 1", got)
-	}
-	if got := s.breakers["alpha"].State(); got != breaker.Closed {
-		t.Errorf("alpha breaker finished %v, want closed (recovered)", got)
-	}
-	if got := reg.Counter("serd/retries").Value(); got != st.Retries {
-		t.Errorf("registry retries = %d, job retries = %d", got, st.Retries)
+	st := waitState(t, ts, "job-1", StateFailed)
+	if !strings.Contains(st.Error, "injected device fault") {
+		t.Errorf("failed job's error %q does not name the fault", st.Error)
 	}
 
-	// Bit-identical despite the mid-stage failures: the successful
-	// attempt reran the whole stage from its deterministic seeds.
+	resp, out = postJob(t, ts, string(body))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit status = %d: %s", resp.StatusCode, out)
+	}
+	st = waitState(t, ts, "job-2", StateDone)
+	if st.ResumedStages < 1 {
+		t.Errorf("ResumedStages = %d, want >= 1 (bin 0 checkpointed before the fault)", st.ResumedStages)
+	}
 	assertResultEqual(t, st.Result, baseline)
 }
 

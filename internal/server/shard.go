@@ -6,94 +6,29 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sync"
 
 	"finser"
 	"finser/internal/dist"
 )
 
-// DefaultCharCache is the worker-side characterization cache bound: how
-// many distinct job configurations' characterizations a worker keeps warm
-// for shard requests. Shards of one job all share one entry, so a small
-// bound covers realistic coordinator fan-in.
-const DefaultCharCache = 4
-
-// charEntry is one in-flight or completed characterization, keyed by the
-// job's flow fingerprint. ready closes when char/err are set.
-type charEntry struct {
-	ready chan struct{}
-	char  *finser.Characterization
-	err   error
-}
-
-// charCache deduplicates characterization work across the shards of one
-// job (singleflight): the first shard request builds, the rest wait on the
-// same entry. Failed builds are evicted so the next shard retries.
-type charCache struct {
-	mu      sync.Mutex
-	entries map[string]*charEntry
-	order   []string
-	bound   int
-}
-
-func newCharCache(bound int) *charCache {
-	if bound <= 0 {
-		bound = DefaultCharCache
-	}
-	return &charCache{entries: map[string]*charEntry{}, bound: bound}
-}
-
-// get returns the entry for key, creating it (and reporting created=true,
-// meaning the caller must build and complete it) on first sight.
-func (c *charCache) get(key string) (e *charEntry, created bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e, false
-	}
-	e = &charEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	for len(c.order) > c.bound {
-		old := c.order[0]
-		c.order = c.order[1:]
-		if old != key {
-			delete(c.entries, old)
-		}
-	}
-	return e, true
-}
-
-// complete publishes the build outcome; failures are evicted immediately so
-// a transient characterization fault is not cached forever.
-func (c *charCache) complete(key string, e *charEntry, char *finser.Characterization, err error) {
-	e.char, e.err = char, err
-	close(e.ready)
-	if err != nil {
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-			for i, k := range c.order {
-				if k == key {
-					c.order = append(c.order[:i], c.order[i+1:]...)
-					break
-				}
-			}
-		}
-		c.mu.Unlock()
-	}
-}
+// maxShardRequestBytes bounds the /shards request body. The shipped
+// characterization dominates it: 3 axes × samples × at most 24 bytes per
+// critical charge (17 significant digits, point, exponent, comma),
+// about 72 B per sample. 8 MiB carries 116,000 samples, over 100× the
+// paper's 1,000; the job spec, seeds and fingerprint add well under 1 KB.
+const maxShardRequestBytes = 8 << 20
 
 // handleShard is the worker half of the distributed protocol: compute the
-// POF points of one energy-bin shard. The endpoint is stateless beyond the
-// characterization cache — shard identity, seeds, and merge order all live
-// with the coordinator — so any worker can serve any shard of any job.
+// POF points of one energy-bin shard on the characterization the
+// coordinator shipped with it. The endpoint is stateless — shard identity,
+// seeds, the cell model and merge order all live with the coordinator —
+// so any worker can serve any shard of any job.
 //
 // Status mapping: invalid shard messages are 400 (permanent — the request
 // is wrong everywhere); a saturated worker sheds with 503 + Retry-After
 // (transient — try another worker); compute faults are 500 (transient).
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxShardRequestBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -141,13 +76,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	char, err := s.shardChar(ctx, cfg)
-	if err != nil {
-		s.shardError(w, req, err)
-		return
-	}
 	sp, _ := dist.Species(req.Shard.Species)
-	pts, conv, err := finser.SpeciesShardPOFConvCtx(ctx, cfg, char, sp, req.Shard.Start, req.Shard.End)
+	pts, conv, err := finser.SpeciesShardPOFConvCtx(ctx, cfg, req.Char, sp, req.Shard.Start, req.Shard.End)
 	if err != nil {
 		s.shardError(w, req, err)
 		return
@@ -162,29 +92,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
-}
-
-// shardChar returns the job's characterization, building it at most once
-// per fingerprint (singleflight under the worker's base context, so one
-// disconnected coordinator cannot poison the build for waiting shards).
-func (s *Server) shardChar(ctx context.Context, cfg finser.FlowConfig) (*finser.Characterization, error) {
-	fp, err := finser.FlowFingerprint(cfg, []float64{cfg.Vdd})
-	if err != nil {
-		return nil, err
-	}
-	e, created := s.chars.get(fp)
-	if created {
-		go func() {
-			char, cerr := finser.CharacterizeFlowCtx(s.baseCtx, cfg)
-			s.chars.complete(fp, e, char, cerr)
-		}()
-	}
-	select {
-	case <-e.ready:
-		return e.char, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // shardError maps a shard compute failure onto the wire: cancellation is a

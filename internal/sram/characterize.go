@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -82,13 +83,13 @@ func (c CharConfig) withDefaults() CharConfig {
 // Characterization is the POF model for one (technology, Vdd): per-sample
 // critical charges along the three sensitive axes. It plays the role of the
 // paper's POF LUTs: cheap POF evaluation for arbitrary strike charge
-// combinations at array-MC time.
+// combinations at array-MC time. Its JSON form is charJSON.
 type Characterization struct {
-	Vdd     float64            `json:"vdd"`
-	Samples int                `json:"samples"`
-	PV      bool               `json:"process_variation"`
-	Axis    [NumAxes][]float64 `json:"axis_qcrit"` // per-sample Qcrit, C (+Inf = unflippable)
-	Shifts  []VthShifts        `json:"vth_shifts"` // per-sample Vth shifts (for validation)
+	Vdd     float64
+	Samples int
+	PV      bool
+	Axis    [NumAxes][]float64 // per-sample Qcrit, C (+Inf = unflippable)
+	Shifts  []VthShifts        // per-sample Vth shifts (for validation)
 	ecdf    [NumAxes]*stats.ECDF
 	recip   [][NumAxes]float64
 }
@@ -336,39 +337,93 @@ func (ch *Characterization) WriteJSON(w io.Writer) error {
 	return enc.Encode(ch)
 }
 
-// ReadCharacterization deserializes a characterization, re-runs the
-// validation a freshly built one satisfies by construction, and rebuilds
-// its lookup structures. A characterization from disk is untrusted input:
-// NaN or negative critical charges would silently poison every downstream
-// POF, so they are rejected here. (+Inf stays legal — it is the
-// "unflippable" sentinel.)
-func ReadCharacterization(r io.Reader) (*Characterization, error) {
-	var ch Characterization
-	if err := json.NewDecoder(r).Decode(&ch); err != nil {
-		return nil, fmt.Errorf("sram: decode characterization: %w", err)
+// charJSON is the JSON form of a Characterization. JSON has no infinity,
+// so an unflippable sample's +Inf critical charge is spelled null.
+type charJSON struct {
+	Vdd     float64             `json:"vdd"`
+	Samples int                 `json:"samples"`
+	PV      bool                `json:"process_variation"`
+	Axis    [NumAxes][]*float64 `json:"axis_qcrit"`
+	Shifts  []VthShifts         `json:"vth_shifts,omitempty"`
+}
+
+// MarshalJSON writes the characterization with +Inf critical charges as
+// null.
+func (ch *Characterization) MarshalJSON() ([]byte, error) {
+	out := charJSON{Vdd: ch.Vdd, Samples: ch.Samples, PV: ch.PV, Shifts: ch.Shifts}
+	for a := range ch.Axis {
+		out.Axis[a] = make([]*float64, len(ch.Axis[a]))
+		for i := range ch.Axis[a] {
+			if !math.IsInf(ch.Axis[a][i], 1) {
+				out.Axis[a][i] = &ch.Axis[a][i]
+			}
+		}
 	}
+	return json.Marshal(out)
+}
+
+// UnmarshalJSON decodes a characterization strictly (an unknown field is
+// an error, null reads back as +Inf) and then validates it, so no decoded
+// characterization skips the checks ReadCharacterization promises.
+func (ch *Characterization) UnmarshalJSON(data []byte) error {
+	var in charJSON
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
+		return err
+	}
+	out := Characterization{Vdd: in.Vdd, Samples: in.Samples, PV: in.PV, Shifts: in.Shifts}
+	for a := range in.Axis {
+		out.Axis[a] = make([]float64, len(in.Axis[a]))
+		for i, q := range in.Axis[a] {
+			out.Axis[a][i] = math.Inf(1)
+			if q != nil {
+				out.Axis[a][i] = *q
+			}
+		}
+	}
+	if err := out.validate(); err != nil {
+		return err
+	}
+	*ch = out
+	return nil
+}
+
+// validate re-runs the checks a freshly built characterization satisfies
+// by construction, then builds its lookup structures. NaN, zero or
+// negative critical charges would silently poison every downstream POF, so
+// they are rejected; +Inf stays legal as the "unflippable" sentinel.
+func (ch *Characterization) validate() error {
 	if math.IsNaN(ch.Vdd) || math.IsInf(ch.Vdd, 0) || ch.Vdd <= 0 {
-		return nil, fmt.Errorf("sram: characterization Vdd %g is not a positive voltage", ch.Vdd)
+		return fmt.Errorf("sram: characterization Vdd %g is not a positive voltage", ch.Vdd)
 	}
 	if ch.Samples <= 0 {
-		return nil, fmt.Errorf("sram: characterization claims %d samples", ch.Samples)
+		return fmt.Errorf("sram: characterization claims %d samples", ch.Samples)
 	}
 	for a := range ch.Axis {
 		if len(ch.Axis[a]) != ch.Samples {
-			return nil, fmt.Errorf("sram: axis %d has %d samples, want %d",
+			return fmt.Errorf("sram: axis %d has %d samples, want %d",
 				a, len(ch.Axis[a]), ch.Samples)
 		}
 		for i, q := range ch.Axis[a] {
 			if math.IsNaN(q) || q <= 0 || math.IsInf(q, -1) {
-				return nil, fmt.Errorf("sram: axis %d sample %d has critical charge %g, want positive (or +Inf)", a, i, q)
+				return fmt.Errorf("sram: axis %d sample %d has critical charge %g, want positive (or +Inf)", a, i, q)
 			}
 		}
 	}
 	if len(ch.Shifts) != 0 && len(ch.Shifts) != ch.Samples {
-		return nil, fmt.Errorf("sram: %d Vth shift records for %d samples", len(ch.Shifts), ch.Samples)
+		return fmt.Errorf("sram: %d Vth shift records for %d samples", len(ch.Shifts), ch.Samples)
 	}
-	if err := ch.finish(); err != nil {
-		return nil, err
+	return ch.finish()
+}
+
+// ReadCharacterization deserializes a characterization. A characterization
+// from disk is untrusted input, so decoding validates it (UnmarshalJSON)
+// and rebuilds its lookup structures.
+func ReadCharacterization(r io.Reader) (*Characterization, error) {
+	var ch Characterization
+	if err := json.NewDecoder(r).Decode(&ch); err != nil {
+		return nil, fmt.Errorf("sram: decode characterization: %w", err)
 	}
 	return &ch, nil
 }

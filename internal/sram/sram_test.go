@@ -2,7 +2,9 @@ package sram
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"finser/internal/circuit"
@@ -370,25 +372,44 @@ func TestPOFVectorConsistency(t *testing.T) {
 	}
 }
 
+// TestCharacterizationJSONRoundTrip writes and reads back a variation
+// characterization and a mixed one whose second sample no charge flips
+// (+Inf, spelled null in JSON): every Qcrit and every POF survives.
 func TestCharacterizationJSONRoundTrip(t *testing.T) {
-	ch, err := Characterize(CharConfig{
+	pv, err := Characterize(CharConfig{
 		Tech: tech(), Vdd: 0.7, ProcessVariation: true, Samples: 12, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ch.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCharacterization(&buf)
+	nom, err := Characterize(CharConfig{Tech: tech(), Vdd: 0.8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	med := ch.QcritQuantile(AxisI3, 0.5)
-	for _, f := range []float64{0.5, 1, 1.5} {
-		if got.POFSingle(AxisI3, med*f) != ch.POFSingle(AxisI3, med*f) {
-			t.Errorf("round-trip POF differs at %v×median", f)
+	mixed := &Characterization{Vdd: 0.8, Samples: 2, Shifts: make([]VthShifts, 2)}
+	for a := range mixed.Axis {
+		mixed.Axis[a] = []float64{nom.Axis[a][0], math.Inf(1)}
+	}
+	if err := mixed.finish(); err != nil {
+		t.Fatal(err)
+	}
+	for name, ch := range map[string]*Characterization{"variation": pv, "mixed +Inf": mixed} {
+		var buf bytes.Buffer
+		if err := ch.WriteJSON(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := ReadCharacterization(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Axis, ch.Axis) || got.Vdd != ch.Vdd || got.PV != ch.PV {
+			t.Errorf("%s: round trip changed the characterization:\n got  %v\n want %v", name, got.Axis, ch.Axis)
+		}
+		med := ch.QcritQuantile(AxisI3, 0.5)
+		for _, f := range []float64{0.5, 1, 1.5} {
+			if got.POFSingle(AxisI3, med*f) != ch.POFSingle(AxisI3, med*f) {
+				t.Errorf("%s: round-trip POF differs at %v×median", name, f)
+			}
 		}
 	}
 }
@@ -399,6 +420,24 @@ func TestReadCharacterizationRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCharacterization(bytes.NewBufferString(`{"samples":5,"axis_qcrit":[[1],[1],[1]]}`)); err == nil {
 		t.Error("inconsistent sample count accepted")
+	}
+	for name, body := range map[string]string{
+		"zero":          `{"vdd":0.8,"samples":1,"axis_qcrit":[[0],[1e-16],[1e-16]]}`,
+		"negative":      `{"vdd":0.8,"samples":1,"axis_qcrit":[[-1e-16],[1e-16],[1e-16]]}`,
+		"unknown field": `{"vdd":0.8,"samples":1,"axis_qcrit":[[1e-16],[1e-16],[1e-16]],"bogus":1}`,
+	} {
+		if _, err := ReadCharacterization(bytes.NewBufferString(body)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	ch := &Characterization{Vdd: 0.8, Samples: 1}
+	for _, q := range []float64{math.NaN(), math.Inf(-1)} {
+		for a := range ch.Axis {
+			ch.Axis[a] = []float64{q}
+		}
+		if _, err := json.Marshal(ch); err == nil {
+			t.Errorf("critical charge %v marshaled", q)
+		}
 	}
 }
 
