@@ -3,6 +3,7 @@ package finser
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"finser/internal/geom"
 	"finser/internal/lut"
@@ -18,16 +19,16 @@ type YieldPoint struct {
 	StdPairs  float64
 }
 
-// FinYieldCurve runs the device-level Monte Carlo (the paper's Geant4
+// FinYieldCurveCtx runs the device-level Monte Carlo (the paper's Geant4
 // stage) for one fin of the technology: for each energy it samples iters
 // flux-uniform secants through the fin and records the electron–hole yield
-// statistics.
-func FinYieldCurve(tech Technology, sp Species, energiesMeV []float64, iters int, seed uint64) ([]YieldPoint, error) {
+// statistics. It is cancellable inside every energy point.
+func FinYieldCurveCtx(ctx context.Context, tech Technology, sp Species, energiesMeV []float64, iters int, seed uint64) ([]YieldPoint, error) {
 	if len(energiesMeV) == 0 {
-		return nil, errors.New("finser: FinYieldCurve needs energies")
+		return nil, errors.New("finser: FinYieldCurveCtx needs energies")
 	}
 	if iters <= 0 {
-		return nil, errors.New("finser: FinYieldCurve needs positive iters")
+		return nil, errors.New("finser: FinYieldCurveCtx needs positive iters")
 	}
 	fin := geom.BoxAt(geom.V(0, 0, 0),
 		geom.V(tech.FinWidthNm, tech.GateLengthNm, tech.FinHeightNm))
@@ -35,7 +36,10 @@ func FinYieldCurve(tech Technology, sp Species, energiesMeV []float64, iters int
 	src := rng.New(seed)
 	out := make([]YieldPoint, 0, len(energiesMeV))
 	for _, e := range energiesMeV {
-		ys := transport.FinYield(cfg, sp, e, fin, iters, src)
+		ys, err := transport.FinYieldCtx(ctx, cfg, sp, e, fin, iters, src)
+		if err != nil {
+			return nil, fmt.Errorf("finser: fin yield @%g MeV: %w", e, err)
+		}
 		out = append(out, YieldPoint{EnergyMeV: e, MeanPairs: ys.MeanPairs, StdPairs: ys.StdPairs})
 	}
 	return out, nil

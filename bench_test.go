@@ -156,11 +156,11 @@ func BenchmarkFig4ElectronLUT(b *testing.B) {
 	energies := []float64{0.1, 0.5, 1, 5, 10, 50, 100}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		a, err := FinYieldCurve(tech, Alpha, energies, 2000, 1)
+		a, err := FinYieldCurveCtx(context.Background(), tech, Alpha, energies, 2000, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := FinYieldCurve(tech, Proton, energies, 2000, 2)
+		p, err := FinYieldCurveCtx(context.Background(), tech, Proton, energies, 2000, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

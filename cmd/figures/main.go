@@ -200,11 +200,11 @@ func (r *runner) fig4() error {
 	header("Fig. 4 — normalized electrons generated in a single fin")
 	tech := finser.Default14nmSOI()
 	energies := finser.LogSpace(0.1, 100, 13)
-	alpha, err := finser.FinYieldCurve(tech, finser.Alpha, energies, r.iters/2, r.seed)
+	alpha, err := finser.FinYieldCurveCtx(context.Background(), tech, finser.Alpha, energies, r.iters/2, r.seed)
 	if err != nil {
 		return err
 	}
-	proton, err := finser.FinYieldCurve(tech, finser.Proton, energies, r.iters/2, r.seed+1)
+	proton, err := finser.FinYieldCurveCtx(context.Background(), tech, finser.Proton, energies, r.iters/2, r.seed+1)
 	if err != nil {
 		return err
 	}

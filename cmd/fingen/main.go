@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -61,12 +62,15 @@ func main() {
 
 	src := rng.New(*seed)
 	for _, e := range energies {
-		ys := transport.FinYield(cfg, sp, e, fin, *iters, src)
+		ys, err := transport.FinYieldCtx(context.Background(), cfg, sp, e, fin, *iters, src)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%12.4g %14.2f %12.2f %12.0f\n", e, ys.MeanPairs, ys.StdPairs, ys.MaxPairs)
 	}
 
 	if *out != "" {
-		table, err := transport.BuildFinYieldLUT(cfg, sp, energies, fin, *iters, rng.New(*seed))
+		table, err := transport.BuildFinYieldLUTCtx(context.Background(), cfg, sp, energies, fin, *iters, rng.New(*seed))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,8 +14,9 @@
 // the flow cooperatively, flushes whatever completed (partial JSON results,
 // metrics snapshot) and exits nonzero. With -checkpoint, every completed
 // FIT energy bin is persisted, and rerunning with -resume continues from
-// the last completed bin, reproducing the uninterrupted result
-// bit-identically:
+// the completed bins, reproducing the uninterrupted result
+// bit-identically. The file may also be a serd job checkpoint, written in
+// process or by a distributed coordinator:
 //
 //	serflow -vdd 0.8 -checkpoint run.ck.json -json out.json   # interrupted…
 //	serflow -vdd 0.8 -checkpoint run.ck.json -resume -json out.json

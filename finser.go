@@ -158,6 +158,9 @@ type (
 	// naming the invariant, the stage, and the offending value. Match with
 	// errors.As.
 	InvariantError = guard.InvariantError
+	// Ledger holds one species' completed FIT energy bins, single-node or
+	// distributed alike (SpeciesLedger).
+	Ledger = core.Ledger
 	// BinEvent reports one completed FIT energy bin to FlowConfig.BinDone
 	// (and EngineConfig.OnBinDone): the 1-based bin index, the bin's POF
 	// point, and the Eq. 8 partial FIT sum so far.
@@ -413,10 +416,11 @@ type FlowConfig struct {
 	// from the characterization and FIT stages.
 	Progress ProgressFunc
 	// Checkpoint, when non-nil, persists every completed FIT energy bin so
-	// an interrupted run resumes bit-identically from the last completed
-	// bin. Build it with CreateCheckpoint (fresh run) or ResumeCheckpoint
-	// (continue an interrupted one); the store rejects resuming under a
-	// different configuration.
+	// an interrupted run — single-node or distributed, SpeciesLedger —
+	// resumes bit-identically from its completed bins. Build it with
+	// CreateCheckpoint (fresh run) or ResumeCheckpoint (continue an
+	// interrupted one); the store rejects resuming under a different
+	// configuration.
 	Checkpoint *CheckpointStore
 	// Faults, when non-nil, injects deterministic failures into the worker
 	// loops — robustness tests only. Nil (the default) is zero-cost.
@@ -646,7 +650,7 @@ func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*E
 		// Guarded assignment: a typed-nil *CheckpointStore must not become
 		// a non-nil interface inside the engine.
 		engCfg.Checkpoint = cfg.Checkpoint
-		engCfg.CheckpointPrefix = fmt.Sprintf("vdd%g/", cfg.Vdd)
+		engCfg.CheckpointPrefix = checkpointPrefix(cfg)
 	}
 	eng, err := NewEngine(engCfg)
 	buildSpan.End()
@@ -784,43 +788,13 @@ func NeutronFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization) 
 	return res, nil
 }
 
-// SpeciesBins returns the Eq. 8 energy-bin discretization one species' FIT
-// stage integrates over, with cfg defaults resolved — the shard axis of a
-// distributed run. The bins are a pure function of the configuration, so a
-// coordinator and its workers independently derive identical plans.
-func SpeciesBins(cfg FlowConfig, sp Species) ([]EnergyBin, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	_, bins, _, err := speciesEnv(cfg, sp)
-	return bins, err
-}
-
-// SpeciesSeedSchedule returns the pre-drawn per-bin seed schedule of one
-// species' FIT stage (aligned with SpeciesBins): bin k's Monte-Carlo
-// substream is a pure function of (cfg.Seed, species, k), which is what
-// lets an energy-bin shard run on any machine and still reproduce the
-// single-node integration bit-identically.
-func SpeciesSeedSchedule(cfg FlowConfig, sp Species) ([]uint64, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	_, bins, seed, err := speciesEnv(cfg, sp)
-	if err != nil {
-		return nil, err
-	}
-	return core.FITSeedSchedule(seed, len(bins)), nil
-}
-
 // SpeciesShardPOFConvCtx computes the POF points of one species' energy
 // bins [from,to) with a pre-built characterization — the unit of work a
 // distributed worker serd executes. The engine construction, bin plan, and
 // per-bin seeds are exactly those of SpeciesFITCtx, so the returned points
 // are bit-identical to the slice the single-node integration would produce
-// for the same bins; a coordinator merges complete shard sets with
-// AssembleSpeciesFIT. The per-bin convergence records come alongside when
+// for the same bins; a coordinator records them in the species'
+// SpeciesLedger. The per-bin convergence records come alongside when
 // cfg.FITRelErr > 0 (nil under the flat budget), so the coordinator can
 // carry each bin's convergence state through the merge.
 func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species, from, to int) ([]POFPoint, []BinConv, error) {
@@ -830,8 +804,8 @@ func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Character
 	}
 	flow := cfg.Obs.StartSpan("flow")
 	defer flow.End()
-	// Shards never checkpoint worker-side: the coordinator owns shard-level
-	// checkpoints, and a worker-local store would fracture the fingerprint
+	// Shards never checkpoint worker-side: the coordinator owns the job's
+	// checkpoint, and a worker-local store would fracture the fingerprint
 	// namespace.
 	cfg.Checkpoint = nil
 	eng, err := buildFlowEngine(cfg, char, flow)
@@ -851,47 +825,37 @@ func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Character
 	return pts, conv, nil
 }
 
-// AssembleSpeciesFIT folds per-bin POF points into one species' FIT result
-// without running any Monte Carlo — the distributed coordinator's merge
-// step. binIdx names the energy bin of each point (nil means all bins, in
-// order). With the complete bin set the accumulation runs the same float
-// operations in the same order as the single-node FITCtx, so the merged
-// FITResult is bit-identical to SpeciesFITCtx's; with a subset it is the
-// partial FIT sum over just those bins (what a *dist.PartialError reports).
-func AssembleSpeciesFIT(cfg FlowConfig, sp Species, binIdx []int, points []POFPoint) (FITResult, error) {
+// SpeciesLedger returns one species' empty bin ledger for cfg — the plan
+// SpeciesFITCtx integrates, checkpointed in cfg.Checkpoint at the stage it
+// uses ("vdd<V>/fit/<species>") and reporting to cfg.BinDone — without an
+// engine or a characterization, so a distributed coordinator restores
+// before it characterizes and folds the FIT in the single-node ledger.
+func SpeciesLedger(cfg FlowConfig, sp Species) (*Ledger, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return FITResult{}, err
+		return nil, err
 	}
-	_, bins, _, err := speciesEnv(cfg, sp)
+	_, bins, seed, err := speciesEnv(cfg, sp)
 	if err != nil {
-		return FITResult{}, err
-	}
-	if binIdx == nil {
-		binIdx = make([]int, len(bins))
-		for i := range binIdx {
-			binIdx[i] = i
-		}
-	}
-	if len(binIdx) != len(points) {
-		return FITResult{}, fmt.Errorf("finser: assemble %s FIT: %d bin indices for %d points", speciesName(sp), len(binIdx), len(points))
-	}
-	sel := make([]EnergyBin, len(binIdx))
-	for k, i := range binIdx {
-		if i < 0 || i >= len(bins) {
-			return FITResult{}, fmt.Errorf("finser: assemble %s FIT: bin index %d outside %d-bin plan", speciesName(sp), i, len(bins))
-		}
-		if k > 0 && i <= binIdx[k-1] {
-			return FITResult{}, fmt.Errorf("finser: assemble %s FIT: bin indices must be strictly increasing", speciesName(sp))
-		}
-		sel[k] = bins[i]
+		return nil, err
 	}
 	area, err := core.ArrayAreaCm2(cfg.Tech, cfg.Rows, cfg.Cols)
 	if err != nil {
-		return FITResult{}, fmt.Errorf("finser: assemble %s FIT: %w", speciesName(sp), err)
+		return nil, fmt.Errorf("finser: %s ledger: %w", speciesName(sp), err)
 	}
-	return core.AssembleFIT(sp, cfg.Vdd, sel, points, area), nil
+	plan := core.BinPlan{
+		Name: speciesName(sp), Species: sp, Vdd: cfg.Vdd, Bins: bins, Seeds: core.FITSeedSchedule(seed, len(bins)),
+		ItersPerBin: cfg.ItersPerBin, RelErr: cfg.FITRelErr, AreaCm2: area, CheckpointPrefix: checkpointPrefix(cfg),
+	}
+	if cfg.Checkpoint == nil { // a typed-nil store must not become a non-nil interface
+		return core.NewLedger(plan, nil, cfg.BinDone)
+	}
+	return core.NewLedger(plan, cfg.Checkpoint, cfg.BinDone)
 }
+
+// checkpointPrefix namespaces a flow's checkpoint stages by voltage, so one
+// store carries a whole sweep.
+func checkpointPrefix(cfg FlowConfig) string { return fmt.Sprintf("vdd%g/", cfg.Vdd) }
 
 // SweepError reports the voltage at which a Vdd sweep failed. RunVddSweepCtx
 // returns it alongside the results of every voltage completed before the
@@ -989,9 +953,13 @@ type flowFingerprint struct {
 	Physics int
 }
 
-// fingerprint hashes the result-determining subset of cfg and the voltage
-// list. cfg.Vdd itself is ignored (the list is authoritative).
-func flowConfigFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
+// FlowFingerprint returns the hex digest identifying the result-
+// determining subset of cfg (defaults resolved) and the voltage list — the
+// identity CreateCheckpoint stamps into checkpoint files. cfg.Vdd itself
+// is ignored (the list is authoritative). Serving layers use it to key
+// per-job checkpoint files, so a resubmitted identical job finds (and
+// resumes) its predecessor's partial work.
+func FlowFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
 	c := cfg
 	c.Vdd = 1 // withDefaults requires a positive Vdd; the value is not hashed
 	c, err := c.withDefaults()
@@ -1017,20 +985,11 @@ func flowConfigFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
 	})
 }
 
-// FlowFingerprint returns the hex digest identifying the result-
-// determining configuration of a sweep — the same identity CreateCheckpoint
-// stamps into checkpoint files. Serving layers use it to key per-job
-// checkpoint files, so a resubmitted identical job finds (and resumes) its
-// predecessor's partial work.
-func FlowFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
-	return flowConfigFingerprint(cfg, vdds)
-}
-
 // CreateCheckpoint starts a fresh checkpoint file at path for the given
 // sweep configuration, overwriting any existing file. Assign the returned
 // store to FlowConfig.Checkpoint before running.
 func CreateCheckpoint(path string, cfg FlowConfig, vdds []float64) (*CheckpointStore, error) {
-	hash, err := flowConfigFingerprint(cfg, vdds)
+	hash, err := FlowFingerprint(cfg, vdds)
 	if err != nil {
 		return nil, err
 	}
@@ -1042,7 +1001,7 @@ func CreateCheckpoint(path string, cfg FlowConfig, vdds []float64) (*CheckpointS
 // physics, budgets, seed, or voltage list), since resuming such a run could
 // silently mix incompatible Monte-Carlo data. The worker count may differ.
 func ResumeCheckpoint(path string, cfg FlowConfig, vdds []float64) (*CheckpointStore, error) {
-	hash, err := flowConfigFingerprint(cfg, vdds)
+	hash, err := FlowFingerprint(cfg, vdds)
 	if err != nil {
 		return nil, err
 	}

@@ -128,11 +128,11 @@ func TestVddSweepOrdering(t *testing.T) {
 func TestFinYieldCurve(t *testing.T) {
 	tech := Default14nmSOI()
 	energies := []float64{0.5, 1, 2, 5, 10}
-	alpha, err := FinYieldCurve(tech, Alpha, energies, 2000, 3)
+	alpha, err := FinYieldCurveCtx(context.Background(), tech, Alpha, energies, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proton, err := FinYieldCurve(tech, Proton, energies, 2000, 3)
+	proton, err := FinYieldCurveCtx(context.Background(), tech, Proton, energies, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,10 @@ func TestFinYieldCurve(t *testing.T) {
 	if alpha[0].MeanPairs <= alpha[len(alpha)-1].MeanPairs {
 		t.Error("alpha yield not decreasing with energy")
 	}
-	if _, err := FinYieldCurve(tech, Alpha, nil, 10, 1); err == nil {
+	if _, err := FinYieldCurveCtx(context.Background(), tech, Alpha, nil, 10, 1); err == nil {
 		t.Error("empty energies accepted")
 	}
-	if _, err := FinYieldCurve(tech, Alpha, energies, 0, 1); err == nil {
+	if _, err := FinYieldCurveCtx(context.Background(), tech, Alpha, energies, 0, 1); err == nil {
 		t.Error("zero iters accepted")
 	}
 }

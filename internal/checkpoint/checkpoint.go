@@ -1,9 +1,9 @@
 // Package checkpoint persists the completed units of a long-running sweep
 // to a JSON file so an interrupted run can resume without re-acquiring
 // Monte-Carlo data. The store is deliberately generic: stages are named
-// slots holding arbitrary JSON states (the array engine stores its
-// completed per-bin POF points plus the per-bin RNG seeds), and the whole
-// file is stamped with a fingerprint of the run configuration so a
+// slots holding arbitrary JSON states (each species' bin ledger stores its
+// plan's seeds and budget with whichever bins have completed), and the
+// whole file is stamped with a fingerprint of the run configuration so a
 // checkpoint can never silently resume under different physics.
 //
 // Writes are atomic (temp file + rename in the same directory), so a crash

@@ -177,9 +177,8 @@ func (e *Engine) adaptivePOFBin(ctx context.Context, k kernel, energyMeV float64
 	return est.Point(), conv, nil
 }
 
-// CheckBinConv validates one convergence record against its POF point —
-// used on records restored from checkpoints and decoded from distributed
-// shard responses, both trust boundaries.
+// CheckBinConv validates one convergence record against its POF point:
+// CheckBin's check of an adaptive bin at a trust boundary.
 func CheckBinConv(c BinConv, pt POFPoint) error {
 	if !(c.RelErr >= 0) || math.IsInf(c.RelErr, 0) {
 		return fmt.Errorf("core: invalid bin convergence record: rel_err %g", c.RelErr)

@@ -215,7 +215,7 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 	// Truncate the persisted state to the first two bins — the on-disk
 	// shape of a run killed mid-flight — then resume.
 	const stage = "fit/alpha"
-	var st fitState
+	var st binRecord
 	if ok, err := store.Load(stage, &st); err != nil || !ok {
 		t.Fatalf("checkpoint missing: ok=%v err=%v", ok, err)
 	}

@@ -170,10 +170,10 @@ type Config struct {
 	// POF point and the FIT accumulated so far. It fires once per bin (not
 	// per particle), on the integration goroutine; keep it non-blocking.
 	OnBinDone func(BinEvent)
-	// Checkpoint, when non-nil, persists each completed FIT energy bin
-	// (POF point + RNG seed schedule) so an interrupted integration can
-	// resume bit-identically from the last completed bin. Nil disables
-	// checkpointing.
+	// Checkpoint, when non-nil, holds each species' Ledger record (plan
+	// identity plus every completed bin), so an interrupted integration
+	// resumes bit-identically from whichever bins it holds, written in
+	// process or by a distributed coordinator. Nil disables checkpointing.
 	Checkpoint CheckpointStore
 	// CheckpointPrefix namespaces this engine's checkpoint stages (e.g.
 	// "vdd0.8/") so one store can carry a whole sweep.
@@ -578,9 +578,9 @@ func (e *Engine) POFAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV 
 	return pt, err
 }
 
-// checkPOFPoint runs the guard's probability invariants over one energy
-// point — used both on freshly computed points and on points restored from
-// a checkpoint file, which is a disk trust boundary.
+// checkPOFPoint runs the guard's probability invariants over one freshly
+// computed energy point. Points that cross a trust boundary (a checkpoint
+// or the shard wire) pass CheckBin instead, whatever the guard mode.
 func checkPOFPoint(g *guard.Guard, stage string, pt POFPoint) error {
 	if !g.Enabled() {
 		return nil
@@ -652,23 +652,6 @@ type BinEvent struct {
 	Conv     BinConv
 }
 
-// fitState is the per-stage checkpoint payload: the full pre-drawn per-bin
-// seed schedule plus the POF points of the bins completed so far, in bin
-// order. The seed schedule doubles as a consistency check on resume — a
-// checkpoint taken under a different seed or binning is rejected.
-type fitState struct {
-	ItersPerBin int        `json:"iters_per_bin"`
-	Seeds       []uint64   `json:"seeds"`
-	Points      []POFPoint `json:"points"`
-	// RelErr records the adaptive tolerance the run was taken under (0 for
-	// the flat budget); resuming under a different tolerance is rejected.
-	RelErr float64 `json:"rel_err,omitempty"`
-	// Conv records per-bin consumed-batch counts and convergence state in
-	// adaptive mode, aligned with Points — what makes a resumed adaptive
-	// integration replay the interrupted one bit-identically.
-	Conv []BinConv `json:"conv,omitempty"`
-}
-
 // FITCtx runs the full Eq. 8 integration for a directly ionizing species:
 // per energy bin, estimate the POF with itersPerBin Monte-Carlo particles
 // (or adaptively, with Config.FITRelErr > 0), multiply by the bin's integral
@@ -701,40 +684,33 @@ func FITSeedSchedule(seed uint64, nBins int) []uint64 {
 // bins[from:to) with the given pre-drawn seed schedule (aligned with bins,
 // typically FITSeedSchedule output), exactly as FITCtx runs those bins. A
 // worker computing bins [from,to) with the job's seed schedule produces
-// points bit-identical to the single-node integration, so a coordinator can
-// merge shards from many machines with AssembleFIT and land on the same
-// FITResult to the last bit. conv carries the per-bin convergence records
-// in adaptive mode (Config.FITRelErr > 0) and is nil under the flat budget.
+// points bit-identical to the single-node integration, so a coordinator
+// that records shards from many machines in the species' Ledger lands on
+// the same FITResult to the last bit. conv carries the per-bin convergence
+// records in adaptive mode (Config.FITRelErr > 0) and is nil under the
+// flat budget.
 func (e *Engine) POFBinsConvCtx(ctx context.Context, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seeds []uint64, from, to int) ([]POFPoint, []BinConv, error) {
-	if from >= to {
-		return nil, nil, fmt.Errorf("core: POF bins: bad shard range [%d,%d) over %d bins", from, to, len(bins))
-	}
 	k, err := e.directKernel(ctx, sp)
 	if err != nil {
 		return nil, nil, err
 	}
-	adaptive := e.cfg.FITRelErr > 0
-	pts := make([]POFPoint, 0, to-from)
-	var convs []BinConv
-	err = e.runBins(ctx, k, bins, itersPerBin, seeds, from, to, nil, func(_ int, pt POFPoint, conv BinConv) error {
-		pts = append(pts, pt)
-		if adaptive {
-			convs = append(convs, conv)
-		}
-		return nil
-	})
+	l, err := NewLedger(BinPlan{Name: k.name, Species: sp, Bins: bins, Seeds: seeds, ItersPerBin: itersPerBin, RelErr: e.cfg.FITRelErr}, nil, nil)
+	if err == nil {
+		err = e.runBins(ctx, k, l, from, to, nil)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return pts, convs, nil
+	// The fold of a ledger holding just the shard lists its bins in order.
+	res := l.FIT()
+	return res.Points, res.Conv, nil
 }
 
-// AssembleFIT folds per-bin POF points into the Eq. 8 FIT integral —
-// exactly the accumulation FITCtx performs, factored out so a distributed
-// merge runs the same float operations in the same (bin) order and is
-// therefore bit-identical to the single-node result. points must align
-// with bins; passing a completed subset of (bins, points) pairs yields the
-// partial FIT sum over just those bins.
+// AssembleFIT folds per-bin POF points into the Eq. 8 FIT integral, in bin
+// order: the fold behind Ledger.FIT, so every FIT runs the same float
+// operations in the same order however its bins were computed. points must
+// align with bins; passing a completed subset of (bins, points) pairs
+// yields the partial FIT sum over just those bins.
 func AssembleFIT(sp phys.Species, vdd float64, bins []spectra.EnergyBin, points []POFPoint, areaCm2 float64) FITResult {
 	res := FITResult{Species: sp, Vdd: vdd, Bins: bins, Points: points}
 	for i, b := range bins {
@@ -752,8 +728,8 @@ func AssembleFIT(sp phys.Species, vdd float64, bins []spectra.EnergyBin, points 
 }
 
 // ArrayAreaCm2 returns the die area of the tiled array in cm² — the Eq. 8
-// area factor — without building a full engine, so a coordinator that never
-// touches a characterization can still run the FIT merge.
+// area factor — without building a full engine, so a coordinator can plan
+// a bin ledger before it characterizes.
 func ArrayAreaCm2(tech finfet.Technology, rows, cols int) (float64, error) {
 	arr, err := layout.NewArray(layout.ThinCellLayout(tech), rows, cols)
 	if err != nil {
@@ -761,34 +737,4 @@ func ArrayAreaCm2(tech finfet.Technology, rows, cols int) (float64, error) {
 	}
 	lx, ly := arr.DimsCm()
 	return lx * ly, nil
-}
-
-// compatibleFITState verifies a restored checkpoint stage matches this
-// run's integration plan: same particle budget, same seed schedule, and no
-// more completed bins than the plan has.
-func compatibleFITState(prev, cur fitState, nBins int) error {
-	if prev.ItersPerBin != cur.ItersPerBin {
-		return fmt.Errorf("iters per bin changed: checkpoint %d, run %d", prev.ItersPerBin, cur.ItersPerBin)
-	}
-	if prev.RelErr != cur.RelErr {
-		// The adaptive tolerance is result-determining: a flat checkpoint
-		// cannot seed an adaptive run or vice versa, and two tolerances
-		// consume different batch streams.
-		return fmt.Errorf("FIT tolerance changed: checkpoint %g, run %g", prev.RelErr, cur.RelErr)
-	}
-	if cur.RelErr > 0 && len(prev.Conv) != len(prev.Points) {
-		return fmt.Errorf("checkpoint has %d convergence records for %d completed bins", len(prev.Conv), len(prev.Points))
-	}
-	if len(prev.Seeds) != len(cur.Seeds) {
-		return fmt.Errorf("bin count changed: checkpoint %d, run %d", len(prev.Seeds), len(cur.Seeds))
-	}
-	for i := range prev.Seeds {
-		if prev.Seeds[i] != cur.Seeds[i] {
-			return fmt.Errorf("seed schedule diverges at bin %d", i)
-		}
-	}
-	if len(prev.Points) > nBins {
-		return fmt.Errorf("checkpoint has %d completed bins for a %d-bin plan", len(prev.Points), nBins)
-	}
-	return nil
 }

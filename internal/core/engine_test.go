@@ -29,19 +29,19 @@ func fixtures(t *testing.T) (*sram.Characterization, *sram.Characterization, *sr
 	t.Helper()
 	fixOnce.Do(func() {
 		tech := finfet.Default14nmSOI()
-		char07, fixError = sram.Characterize(sram.CharConfig{
+		char07, fixError = sram.CharacterizeCtx(context.Background(), sram.CharConfig{
 			Tech: tech, Vdd: 0.7, ProcessVariation: true, Samples: 50, Seed: 1,
 		})
 		if fixError != nil {
 			return
 		}
-		char11, fixError = sram.Characterize(sram.CharConfig{
+		char11, fixError = sram.CharacterizeCtx(context.Background(), sram.CharConfig{
 			Tech: tech, Vdd: 1.1, ProcessVariation: true, Samples: 50, Seed: 1,
 		})
 		if fixError != nil {
 			return
 		}
-		charNom, fixError = sram.Characterize(sram.CharConfig{
+		charNom, fixError = sram.CharacterizeCtx(context.Background(), sram.CharConfig{
 			Tech: tech, Vdd: 0.7, ProcessVariation: false, Seed: 1,
 		})
 	})

@@ -242,7 +242,7 @@ func TestNeutronFITCheckpointResume(t *testing.T) {
 		if _, err := mk(store, stopAfterTwo).NeutronFITCtx(ctx, spec, rx, bins, 3000, 42); !errors.Is(err, context.Canceled) {
 			t.Fatalf("relErr %g: interrupted run: err = %v, want context.Canceled", relErr, err)
 		}
-		var st fitState
+		var st binRecord
 		if ok, err := store.Load("fit/neutron", &st); err != nil || !ok || len(st.Points) != 2 {
 			t.Fatalf("relErr %g: checkpoint after cancel: ok=%v err=%v bins=%d, want 2", relErr, ok, err, len(st.Points))
 		}

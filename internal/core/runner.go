@@ -234,45 +234,42 @@ func (e *Engine) estimate(ctx context.Context, k kernel, energyMeV float64, from
 	return pt, t.weight.Mean(), nil
 }
 
-// runBins is the one bin runner: it estimates bins[from:to) with the
-// pre-drawn seed schedule (aligned with bins), sampling each bin flat or
-// adaptively per Config.FITRelErr, and hands every finished bin to done in
-// bin order. Bin i's estimate is a pure function of (config, seeds[i]), so
-// any split of the range — shards, resumed runs — reproduces the one-call
-// result bit for bit. Bin spans hang under span (nil disables them).
-func (e *Engine) runBins(ctx context.Context, k kernel, bins []spectra.EnergyBin, itersPerBin int, seeds []uint64, from, to int, span *obs.Span, done func(i int, pt POFPoint, conv BinConv) error) error {
-	if itersPerBin <= 0 {
-		return errors.New("core: FIT needs positive iterations per bin")
-	}
-	if len(seeds) != len(bins) {
-		return fmt.Errorf("core: POF bins: %d seeds for %d bins", len(seeds), len(bins))
-	}
-	if from < 0 || to > len(bins) || from > to {
-		return fmt.Errorf("core: POF bins: bad shard range [%d,%d) over %d bins", from, to, len(bins))
+// runBins is the one bin runner: it estimates the bins of l's plan in
+// [from, to) that l does not hold yet, sampling each flat or adaptively
+// per the plan's tolerance, and completes each into l in bin order. Bin
+// i's estimate is a pure function of (config, seeds[i]), so any split of
+// the range — shards, resumed runs — reproduces the one-call result bit
+// for bit. Bin spans hang under span (nil disables them).
+func (e *Engine) runBins(ctx context.Context, k kernel, l *Ledger, from, to int, span *obs.Span) error {
+	p := l.Plan()
+	if from < 0 || to > len(p.Bins) || from >= to {
+		return fmt.Errorf("core: POF bins: bad shard range [%d,%d) over %d bins", from, to, len(p.Bins))
 	}
 	var tols []float64
-	if e.cfg.FITRelErr > 0 {
-		tols = adaptiveTols(bins, e.cfg.FITRelErr)
+	if p.RelErr > 0 {
+		tols = adaptiveTols(p.Bins, p.RelErr)
 	}
-	stage := "fit/" + k.name
 	for i := from; i < to; i++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: %s bin %d: %w", stage, i, err)
+		if l.Done(i) {
+			continue
 		}
-		binSpan := span.Child(fmt.Sprintf("bin%02d@%.3gMeV", i, bins[i].Rep))
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: %s bin %d: %w", l.stage, i, err)
+		}
+		binSpan := span.Child(fmt.Sprintf("bin%02d@%.3gMeV", i, p.Bins[i].Rep))
 		var pt POFPoint
 		var conv BinConv
 		var err error
 		if tols != nil {
-			pt, conv, err = e.adaptivePOFBin(ctx, k, bins[i].Rep, itersPerBin, seeds[i], tols[i])
+			pt, conv, err = e.adaptivePOFBin(ctx, k, p.Bins[i].Rep, p.ItersPerBin, p.Seeds[i], tols[i])
 		} else {
-			pt, _, err = e.estimate(ctx, k, bins[i].Rep, 0, itersPerBin, seeds[i])
+			pt, _, err = e.estimate(ctx, k, p.Bins[i].Rep, 0, p.ItersPerBin, p.Seeds[i])
 		}
 		binSpan.End()
 		if err != nil {
-			return fmt.Errorf("core: %s bin %d: %w", stage, i, err)
+			return fmt.Errorf("core: %s bin %d: %w", l.stage, i, err)
 		}
-		if err := done(i, pt, conv); err != nil {
+		if err := l.Complete(i, []POFPoint{pt}, []BinConv{conv}); err != nil {
 			return err
 		}
 	}
@@ -280,102 +277,43 @@ func (e *Engine) runBins(ctx context.Context, k kernel, bins []spectra.EnergyBin
 }
 
 // integrate is the checkpointed Eq. 8 driver behind FITCtx and
-// NeutronFITCtx: restore the completed bins from the checkpoint, run the
-// bin runner over the rest, fold the points with AssembleFIT, and guard the
-// totals.
+// NeutronFITCtx: restore the species' bin ledger, run the bin runner over
+// its missing bins, fold them with the ledger, and guard the totals.
 //
 // Cancellation: ctx is checked before every bin and every cancelCheckEvery
 // particles inside it; the error wraps ctx.Err() with the stage identity.
-// Checkpointing: with Config.Checkpoint set every completed bin is
-// persisted, and a later call with the same configuration resumes from the
-// last completed bin bit-identically (per-bin seeds are pre-drawn from
-// seed, so bin k's substream does not depend on how many bins ran in this
-// process).
+// Checkpointing: with Config.Checkpoint set the ledger saves every
+// completed bin, and a later call with the same configuration resumes from
+// the saved bins bit-identically; a record that fails the ledger's restore
+// checks fails the stage.
 func (e *Engine) integrate(ctx context.Context, k kernel, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
-	if len(bins) == 0 {
-		return FITResult{}, errors.New("core: FIT needs at least one energy bin")
-	}
 	stage := "fit/" + k.name
 	fitSpan := e.cfg.Metrics.span(stage)
 	defer fitSpan.End()
-
-	seeds := FITSeedSchedule(seed, len(bins))
-	adaptive := e.cfg.FITRelErr > 0
-	state := fitState{ItersPerBin: itersPerBin, Seeds: seeds, RelErr: e.cfg.FITRelErr}
-	ckStage := e.cfg.CheckpointPrefix + stage
-	if e.cfg.Checkpoint != nil {
-		var prev fitState
-		ok, err := e.cfg.Checkpoint.Load(ckStage, &prev)
-		if err != nil {
-			return FITResult{}, fmt.Errorf("core: %s: checkpoint: %w", ckStage, err)
-		}
-		if ok {
-			if err := compatibleFITState(prev, state, len(bins)); err != nil {
-				return FITResult{}, fmt.Errorf("core: %s: checkpoint: %w", ckStage, err)
-			}
-			// Restored points crossed a disk boundary: re-check them as if
-			// they were freshly computed.
-			for i, pt := range prev.Points {
-				if err := checkPOFPoint(e.cfg.Guard, stage+" (resumed)", pt); err != nil {
-					return FITResult{}, err
-				}
-				if adaptive {
-					if err := CheckBinConv(prev.Conv[i], pt); err != nil {
-						return FITResult{}, fmt.Errorf("core: %s: checkpoint: %w", ckStage, err)
-					}
-				}
-			}
-			state.Points = prev.Points
-			state.Conv = prev.Conv
-		}
-	}
-
 	tracker := obs.NewTracker(e.cfg.Progress, stage, int64(len(bins)*itersPerBin), 0)
 	defer tracker.Finish()
-	lx, ly := e.arr.DimsCm()
-	area := lx * ly
-	fitSoFar := 0.0
-	emit := func(i int, pt POFPoint, conv BinConv, resumed bool) {
-		tracker.Add(int64(pt.Strikes))
-		if e.cfg.OnBinDone == nil {
-			return
-		}
-		fitSoFar += pt.Tot * bins[i].IntFlux * area * fitScale
-		e.cfg.OnBinDone(BinEvent{Stage: stage, Bin: i + 1, Bins: len(bins), Point: pt, FITSoFar: fitSoFar,
-			Resumed: resumed, Adaptive: adaptive, Conv: conv})
-	}
-	// Replay restored bins so a consumer joining a resumed run still sees
-	// the full bin sequence and a correct partial sum.
-	for i, pt := range state.Points {
-		var conv BinConv
-		if adaptive {
-			conv = state.Conv[i]
-		}
-		emit(i, pt, conv, true)
-	}
 
-	err := e.runBins(ctx, k, bins, itersPerBin, seeds, len(state.Points), len(bins), fitSpan, func(i int, pt POFPoint, conv BinConv) error {
-		state.Points = append(state.Points, pt)
-		if adaptive {
-			state.Conv = append(state.Conv, conv)
+	lx, ly := e.arr.DimsCm()
+	l, err := NewLedger(BinPlan{
+		Name: k.name, Species: sp, Vdd: e.cfg.Char.SupplyVoltage(), Bins: bins, Seeds: FITSeedSchedule(seed, len(bins)),
+		ItersPerBin: itersPerBin, RelErr: e.cfg.FITRelErr, AreaCm2: lx * ly, CheckpointPrefix: e.cfg.CheckpointPrefix,
+	}, e.cfg.Checkpoint, func(ev BinEvent) {
+		tracker.Add(int64(ev.Point.Strikes))
+		if e.cfg.OnBinDone != nil {
+			e.cfg.OnBinDone(ev)
 		}
-		emit(i, pt, conv, false)
-		if e.cfg.Checkpoint != nil {
-			if err := e.cfg.Checkpoint.Save(ckStage, state); err != nil {
-				return fmt.Errorf("core: %s bin %d: checkpoint: %w", ckStage, i, err)
-			}
-		}
-		return nil
 	})
 	if err != nil {
 		return FITResult{}, err
 	}
+	if err := l.Restore(); err != nil {
+		return FITResult{}, err
+	}
+	if err := e.runBins(ctx, k, l, 0, len(bins), fitSpan); err != nil {
+		return FITResult{}, err
+	}
 
-	// Accumulate from the ordered points — the same float operations in the
-	// same order whether the points were computed here, restored from a
-	// checkpoint, or merged from distributed shards.
-	res := AssembleFIT(sp, e.cfg.Char.SupplyVoltage(), bins, state.Points, area)
-	res.Conv = state.Conv
+	res := l.FIT()
 	if g := e.cfg.Guard; g.Enabled() {
 		for _, c := range []struct {
 			name string

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,13 +17,14 @@ import (
 
 	"finser"
 	"finser/internal/breaker"
+	"finser/internal/core"
 	"finser/internal/obs"
 	"finser/internal/retry"
 )
 
 // Shard lifecycle event kinds, in the order a shard typically sees them.
 const (
-	// EventResumed: the shard's result was restored from a coordinator
+	// EventResumed: the shard's bins were restored from the job's
 	// checkpoint; it will not be dispatched.
 	EventResumed = "resumed"
 	// EventDispatched: the shard was handed to a worker for the first
@@ -303,10 +303,10 @@ const maxConcurrentAttempts = 2
 // shardState is one shard's dispatcher bookkeeping. All mutable fields are
 // guarded by the dispatcher mutex.
 type shardState struct {
-	id    ShardID
-	seeds []uint64
-	req   *ShardRequest
-	body  []byte
+	id     ShardID
+	ledger *core.Ledger // the species' bin ledger the shard completes into
+	req    *ShardRequest
+	body   []byte
 
 	attempts      int          // dispatches started (1-based Attempt in events)
 	failures      int          // failed attempts
@@ -315,10 +315,7 @@ type shardState struct {
 	notBefore     time.Time    // backoff gate for the next dispatch
 	done          bool         // terminal (succeeded or failed)
 	succeeded     bool
-	worker        string // worker that produced the accepted result
-	points        []finser.POFPoint
-	conv          []finser.BinConv // per-bin convergence state (adaptive jobs)
-	err           error            // last attempt error
+	err           error // last attempt error
 }
 
 // dispatcher owns the shard queue shared by the per-worker goroutines.
@@ -467,7 +464,7 @@ func (d *dispatcher) fail(s *shardState, wi int, err error, budget int, backoffF
 
 // accept records a successful attempt. first is true when this result won
 // the shard (merge it); false when a twin already did (discard as dup).
-func (d *dispatcher) accept(s *shardState, wi int, pts []finser.POFPoint, conv []finser.BinConv, workerName string) (first bool) {
+func (d *dispatcher) accept(s *shardState, wi int) (first bool) {
 	d.mu.Lock()
 	defer func() {
 		d.mu.Unlock()
@@ -486,72 +483,67 @@ func (d *dispatcher) accept(s *shardState, wi int, pts []finser.POFPoint, conv [
 		d.open--
 	}
 	s.done, s.succeeded = true, true
-	s.points = pts
-	s.conv = conv
-	s.worker = workerName
 	s.err = nil
 	return true
 }
 
-// shardCheckpoint is the per-shard payload in the coordinator's checkpoint
-// store, keyed by stage "dist/<species>/<start>-<end>".
-type shardCheckpoint struct {
-	Fingerprint string            `json:"fingerprint"`
-	Worker      string            `json:"worker,omitempty"`
-	Points      []finser.POFPoint `json:"points"`
-	Conv        []finser.BinConv  `json:"conv,omitempty"`
-}
-
-func shardStage(id ShardID) string {
-	return fmt.Sprintf("dist/%s/%d-%d", id.Species, id.Start, id.End)
-}
-
-// plan splits the job into its shard list: per species, consecutive
-// ShardBins-sized bin ranges in deterministic order (alpha first).
-func (c *Coordinator) plan(spec JobSpec, flow finser.FlowConfig) ([]*shardState, error) {
+// plan restores each species' bin ledger and splits the job into shards:
+// per species, alpha first, ShardBins-sized blocks of bins, each cut into
+// maximal runs of restored bins (EventResumed) and of missing bins.
+func (c *Coordinator) plan(spec JobSpec, flow finser.FlowConfig, emit func(ShardEvent)) ([]*core.Ledger, []*shardState, error) {
+	var ledgers []*core.Ledger
 	var shards []*shardState
 	for _, name := range []string{SpeciesAlpha, SpeciesProton} {
 		sp, _ := Species(name)
-		bins, err := finser.SpeciesBins(flow, sp)
+		l, err := finser.SpeciesLedger(flow, sp)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		sched, err := finser.SpeciesSeedSchedule(flow, sp)
-		if err != nil {
-			return nil, err
-		}
-		for start := 0; start < len(bins); start += c.cfg.ShardBins {
-			end := start + c.cfg.ShardBins
-			if end > len(bins) {
-				end = len(bins)
+		_ = l.Restore() // a record failing the checks is recomputed
+		ledgers = append(ledgers, l)
+		sched := l.Plan().Seeds
+		for start := 0; start < len(sched); start += c.cfg.ShardBins {
+			end := min(start+c.cfg.ShardBins, len(sched))
+			for from, to := start, start+1; from < end; from, to = to, to+1 {
+				for to < end && l.Done(to) == l.Done(from) {
+					to++
+				}
+				s := &shardState{id: ShardID{Species: name, Start: from, End: to}, ledger: l}
+				shards = append(shards, s)
+				if l.Done(from) {
+					s.done, s.succeeded = true, true
+					if c.resumed != nil {
+						c.resumed.Inc()
+					}
+					emit(ShardEvent{Kind: EventResumed, Shard: s.id})
+					continue
+				}
+				seeds := sched[from:to:to]
+				fp, err := ShardFingerprint(spec, s.id, seeds)
+				if err != nil {
+					return nil, nil, fmt.Errorf("dist: fingerprint %v: %w", s.id, err)
+				}
+				s.req = &ShardRequest{Job: spec, Shard: s.id, Seeds: seeds, Fingerprint: fp}
 			}
-			id := ShardID{Species: name, Start: start, End: end}
-			seeds := sched[start:end:end]
-			fp, err := ShardFingerprint(spec, id, seeds)
-			if err != nil {
-				return nil, fmt.Errorf("dist: fingerprint %v: %w", id, err)
-			}
-			req := &ShardRequest{Job: spec, Shard: id, Seeds: seeds, Fingerprint: fp}
-			shards = append(shards, &shardState{id: id, seeds: seeds, req: req})
 		}
 	}
-	return shards, nil
+	return ledgers, shards, nil
 }
 
-// Run executes one distributed FIT job: plan shards, restore any from the
-// checkpoint, characterize the cell once for the rest (under flow's Obs,
-// Faults, Guard and Progress) and ship it in every shard request, fan them
-// out across the worker pool with stealing and retry, and merge in
-// deterministic shard order. A job whose every shard is restored
-// characterizes nothing. The merged Result is bit-identical to the
-// single-node run of the same flow config. emit, when non-nil, observes
-// every shard lifecycle transition.
+// Run executes one distributed FIT job: restore each species' bin ledger
+// and plan shards over its missing bins, characterize the cell once for
+// them (under flow's Obs, Faults, Guard and Progress) and ship it in every
+// shard request, fan them out across the worker pool with stealing and
+// retry, and record each accepted shard in its ledger, which checkpoints
+// it and fires flow.BinDone per bin. A job whose every bin is restored
+// characterizes nothing. The ledgers fold a Result bit-identical to the
+// single-node run. emit, when non-nil, observes every shard transition.
 //
 // Failure modes: an invalid flow config or a failed characterization fails
 // fast; cancellation of ctx returns its error with completed shards
-// checkpointed (a resubmission resumes only the missing ones); shards that
+// checkpointed (a resubmission resumes only the missing bins); shards that
 // exhaust their attempt budget yield a *PartialError carrying the partial
-// FIT and the missing bins.
+// FIT and the missing bins. A failed checkpoint write fails nothing.
 func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func(ShardEvent)) (*Result, error) {
 	if emit == nil {
 		emit = func(ShardEvent) {}
@@ -563,39 +555,9 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 	if err != nil {
 		return nil, err
 	}
-	shards, err := c.plan(spec, flow)
+	ledgers, shards, err := c.plan(spec, flow, emit)
 	if err != nil {
 		return nil, err
-	}
-
-	if flow.Checkpoint != nil {
-		for _, s := range shards {
-			var prev shardCheckpoint
-			ok, err := flow.Checkpoint.Load(shardStage(s.id), &prev)
-			if err != nil {
-				return nil, fmt.Errorf("dist: checkpoint %v: %w", s.id, err)
-			}
-			if !ok {
-				continue
-			}
-			// A restored shard crossed a disk boundary: hold it to the same
-			// validation as one that crossed the network, and ignore stale
-			// entries from a different job shape.
-			if prev.Fingerprint != s.req.Fingerprint ||
-				len(prev.Points) != s.id.End-s.id.Start ||
-				ValidatePoints(prev.Points) != nil ||
-				ValidateConv(prev.Points, prev.Conv, flow.FITRelErr > 0) != nil {
-				continue
-			}
-			s.done, s.succeeded = true, true
-			s.points = prev.Points
-			s.conv = prev.Conv
-			s.worker = prev.Worker
-			if c.resumed != nil {
-				c.resumed.Inc()
-			}
-			emit(ShardEvent{Kind: EventResumed, Shard: s.id, Worker: s.worker})
-		}
 	}
 	if err := c.ship(ctx, flow, shards); err != nil {
 		return nil, err
@@ -612,7 +574,7 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			c.runWorker(runCtx, d, wi, flow, emit)
+			c.runWorker(runCtx, d, wi, emit)
 		}(wi)
 	}
 	wg.Wait()
@@ -620,7 +582,22 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: run interrupted: %w", err)
 	}
-	return c.merge(flow, shards, emit)
+	// Each ledger folds the full FIT, or the partial sum over its bins.
+	res := &Result{Vdd: flow.Vdd, Alpha: ledgers[0].FIT(), Proton: ledgers[1].FIT()}
+	var missing []ShardID
+	lastErr := errors.New("shard attempts exhausted")
+	for _, s := range shards {
+		if !s.succeeded {
+			missing = append(missing, s.id)
+			if s.err != nil {
+				lastErr = s.err
+			}
+		}
+	}
+	if len(missing) > 0 {
+		return nil, &PartialError{Missing: missing, Partial: res, Err: lastErr}
+	}
+	return res, nil
 }
 
 // ship characterizes the job once, if any shard is left to compute, and
@@ -651,7 +628,7 @@ func (c *Coordinator) ship(ctx context.Context, flow finser.FlowConfig, shards [
 }
 
 // runWorker is one worker goroutine: claim, attempt, judge, repeat.
-func (c *Coordinator) runWorker(ctx context.Context, d *dispatcher, wi int, flow finser.FlowConfig, emit func(ShardEvent)) {
+func (c *Coordinator) runWorker(ctx context.Context, d *dispatcher, wi int, emit func(ShardEvent)) {
 	w := c.workers[wi]
 	for {
 		s, stolen, attempt := d.next(ctx, wi)
@@ -679,13 +656,15 @@ func (c *Coordinator) runWorker(ctx context.Context, d *dispatcher, wi int, flow
 
 		switch {
 		case err == nil:
-			if d.accept(s, wi, pts, conv, w.url) {
+			if d.accept(s, wi) {
 				if c.completed != nil {
 					c.completed.Inc()
 				}
 				emit(ShardEvent{Kind: EventCompleted, Shard: s.id, Worker: w.url, Attempt: attempt})
-				c.persist(flow, s, d)
-				c.emitBins(flow, s.id, d)
+				// Best effort: a checkpoint write failure must not fail the
+				// shard the workers just computed; the merge reads the
+				// ledger in memory.
+				_ = s.ledger.Complete(s.id.Start, pts, conv)
 			} else {
 				if c.duplicate != nil {
 					c.duplicate.Inc()
@@ -807,153 +786,6 @@ func (c *Coordinator) attempt(ctx context.Context, w *worker, s *shardState) ([]
 		return nil, nil, err
 	}
 	return pts, conv, nil
-}
-
-// persist saves a completed shard to the job checkpoint so a coordinator
-// restart resumes only the missing shards.
-func (c *Coordinator) persist(flow finser.FlowConfig, s *shardState, d *dispatcher) {
-	if flow.Checkpoint == nil {
-		return
-	}
-	d.mu.Lock()
-	rec := shardCheckpoint{Fingerprint: s.req.Fingerprint, Worker: s.worker, Points: s.points, Conv: s.conv}
-	d.mu.Unlock()
-	// Best effort: a checkpoint write failure must not fail the shard the
-	// workers just computed; the merge only needs the in-memory points.
-	_ = flow.Checkpoint.Save(shardStage(s.id), rec)
-}
-
-// emitBins replays a completed shard's bins through flow.BinDone so the
-// live telemetry stream sees per-bin progress in distributed mode too.
-// FITSoFar is the partial FIT over all bins completed so far — note bins
-// complete out of bin order in a distributed run.
-func (c *Coordinator) emitBins(flow finser.FlowConfig, id ShardID, d *dispatcher) {
-	if flow.BinDone == nil {
-		return
-	}
-	sp, _ := Species(id.Species)
-	binsTotal := 0
-	if b, err := finser.SpeciesBins(flow, sp); err == nil {
-		binsTotal = len(b)
-	}
-	// Snapshot the species' completed bins under the dispatcher lock.
-	adaptive := flow.FITRelErr > 0
-	type binPt struct {
-		idx  int
-		pt   finser.POFPoint
-		conv finser.BinConv
-	}
-	var completedBins []binPt
-	d.mu.Lock()
-	for _, s := range d.shards {
-		if s.id.Species != id.Species || !s.succeeded {
-			continue
-		}
-		for k, pt := range s.points {
-			b := binPt{idx: s.id.Start + k, pt: pt}
-			if adaptive && k < len(s.conv) {
-				b.conv = s.conv[k]
-			}
-			completedBins = append(completedBins, b)
-		}
-	}
-	d.mu.Unlock()
-	sort.Slice(completedBins, func(i, j int) bool { return completedBins[i].idx < completedBins[j].idx })
-	for _, b := range completedBins {
-		if b.idx < id.Start || b.idx >= id.End {
-			continue
-		}
-		// Partial FIT over every completed bin up to and including this one
-		// (the distributed analogue of FITCtx's running sum).
-		var binIdx []int
-		var pts []finser.POFPoint
-		for _, cb := range completedBins {
-			if cb.idx > b.idx {
-				break
-			}
-			binIdx = append(binIdx, cb.idx)
-			pts = append(pts, cb.pt)
-		}
-		soFar := 0.0
-		if fit, err := finser.AssembleSpeciesFIT(flow, sp, binIdx, pts); err == nil {
-			soFar = fit.TotalFIT
-		}
-		flow.BinDone(finser.BinEvent{
-			Stage:    "fit/" + id.Species,
-			Bin:      b.idx + 1,
-			Bins:     binsTotal,
-			Point:    b.pt,
-			FITSoFar: soFar,
-			Adaptive: adaptive,
-			Conv:     b.conv,
-		})
-	}
-}
-
-// merge folds the shard results into the job Result in deterministic plan
-// order. With every shard complete the assembly runs the same float
-// operations in the same order as single-node FITCtx — bit-identical by
-// construction. With missing shards it returns a *PartialError carrying
-// the partial FIT over the completed bins.
-func (c *Coordinator) merge(flow finser.FlowConfig, shards []*shardState, emit func(ShardEvent)) (*Result, error) {
-	res := &Result{Vdd: flow.Vdd}
-	var missing []ShardID
-	var lastErr error
-	for _, out := range []struct {
-		name string
-		dst  *finser.FITResult
-	}{
-		{SpeciesAlpha, &res.Alpha},
-		{SpeciesProton, &res.Proton},
-	} {
-		sp, _ := Species(out.name)
-		adaptive := flow.FITRelErr > 0
-		var binIdx []int
-		var pts []finser.POFPoint
-		var conv []finser.BinConv
-		complete := true
-		for _, s := range shards {
-			if s.id.Species != out.name {
-				continue
-			}
-			if !s.succeeded {
-				complete = false
-				missing = append(missing, s.id)
-				if s.err != nil {
-					lastErr = s.err
-				}
-				continue
-			}
-			for k, pt := range s.points {
-				binIdx = append(binIdx, s.id.Start+k)
-				pts = append(pts, pt)
-				if adaptive && k < len(s.conv) {
-					conv = append(conv, s.conv[k])
-				}
-			}
-		}
-		if complete {
-			binIdx = nil // full set: assemble exactly as single-node
-		}
-		if len(pts) == 0 && !complete {
-			continue // species entirely missing; leave zero FITResult
-		}
-		fit, err := finser.AssembleSpeciesFIT(flow, sp, binIdx, pts)
-		if err != nil {
-			return nil, fmt.Errorf("dist: merge %s: %w", out.name, err)
-		}
-		if adaptive {
-			fit.Conv = conv
-		}
-		*out.dst = fit
-	}
-	if len(missing) > 0 {
-		if lastErr == nil {
-			lastErr = errors.New("shard attempts exhausted")
-		}
-		return nil, &PartialError{Missing: missing, Partial: res, Err: lastErr}
-	}
-	return res, nil
 }
 
 // encodeJSON marshals v (a shard wire message) to its request body.

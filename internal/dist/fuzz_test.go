@@ -92,10 +92,11 @@ func fuzzSeedResult(f *testing.F) ([]byte, *dist.ShardRequest) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sched, err := finser.SpeciesSeedSchedule(flow, finser.Alpha)
+	alpha, err := finser.SpeciesLedger(flow, finser.Alpha)
 	if err != nil {
 		f.Fatal(err)
 	}
+	sched := alpha.Plan().Seeds
 	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 2}
 	fp, err := dist.ShardFingerprint(spec, id, sched[0:2])
 	if err != nil {

@@ -5,19 +5,21 @@
 // substream a pure function of the job seed, so a shard computes the same
 // numbers on any machine). The coordinator characterizes the cell once per
 // job and ships that POF model in every shard request, so workers keep no
-// characterization state. Robustness is the point — a worker crash,
-// timeout, or 5xx re-enqueues the shard for another worker, a breaker-open
-// worker is drained from rotation until its cooldown probe, stragglers are
-// duplicated with first-result-wins dedup, and shards that exhaust their
-// retry budget degrade the job to a typed *PartialError naming the missing
-// bins with the partial FIT sum, never to a lost job.
+// characterization state. It records each accepted shard in the bin
+// ledger (core.Ledger) a single-node run uses, so either resumes the
+// other's checkpoint, under any ShardBins. Robustness is the point — a
+// worker crash, timeout, or 5xx re-enqueues the shard for another worker,
+// a breaker-open worker is drained from rotation until its cooldown probe,
+// stragglers are duplicated with first-result-wins dedup, and shards that
+// exhaust their retry budget degrade the job to a typed *PartialError
+// naming the missing bins with the partial FIT sum, never to a lost job.
 package dist
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 
 	"finser"
@@ -268,21 +270,16 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 		return nil, &WireError{Field: "job", Reason: err.Error()}
 	}
 	sp, _ := Species(req.Shard.Species)
-	bins, err := finser.SpeciesBins(cfg, sp)
+	l, err := finser.SpeciesLedger(cfg, sp)
 	if err != nil {
 		return nil, &WireError{Field: "job", Reason: err.Error()}
 	}
-	if req.Shard.End > len(bins) {
-		return nil, &WireError{Field: "shard", Reason: fmt.Sprintf("range [%d,%d) outside the %d-bin %s plan", req.Shard.Start, req.Shard.End, len(bins), req.Shard.Species)}
+	sched := l.Plan().Seeds
+	if req.Shard.End > len(sched) {
+		return nil, &WireError{Field: "shard", Reason: fmt.Sprintf("range [%d,%d) outside the %d-bin %s plan", req.Shard.Start, req.Shard.End, len(sched), req.Shard.Species)}
 	}
-	sched, err := finser.SpeciesSeedSchedule(cfg, sp)
-	if err != nil {
-		return nil, &WireError{Field: "job", Reason: err.Error()}
-	}
-	for k, s := range req.Seeds {
-		if sched[req.Shard.Start+k] != s {
-			return nil, &WireError{Field: "seeds", Reason: fmt.Sprintf("seed schedule diverges at bin %d (coordinator and worker disagree)", req.Shard.Start+k)}
-		}
+	if !slices.Equal(req.Seeds, sched[req.Shard.Start:req.Shard.End]) {
+		return nil, &WireError{Field: "seeds", Reason: "seed schedule diverges (coordinator and worker disagree)"}
 	}
 	fp, err := ShardFingerprint(req.Job, req.Shard, req.Seeds)
 	if err != nil {
@@ -328,9 +325,10 @@ func decodeChar(raw json.RawMessage, spec JobSpec) (*finser.Characterization, er
 
 // DecodeShardResult parses and validates a worker's shard result against
 // the request it answers. Corrupt or truncated payloads, mismatched
-// identities, and non-finite or out-of-range physics all return a typed
-// *WireError — nothing unvalidated ever reaches the merge, and a NaN can
-// never poison the FIT sum.
+// identities, and bins failing core.CheckBin (the check a restored
+// checkpoint bin passes too) all return a typed *WireError — nothing
+// unvalidated ever reaches the merge, and a NaN can never poison the FIT
+// sum.
 func DecodeShardResult(data []byte, want *ShardRequest) (*ShardResult, error) {
 	var res ShardResult
 	dec := json.NewDecoder(strings.NewReader(string(data)))
@@ -352,67 +350,25 @@ func DecodeShardResult(data []byte, want *ShardRequest) (*ShardResult, error) {
 	if len(res.Points) != res.Shard.End-res.Shard.Start {
 		return nil, &WireError{Field: "points", Reason: fmt.Sprintf("%d points for a %d-bin shard", len(res.Points), res.Shard.End-res.Shard.Start)}
 	}
-	if err := ValidatePoints(res.Points); err != nil {
-		return nil, err
-	}
+	// An adaptive job needs a convergence record per point (a result
+	// without them ran the flat budget); a flat job must carry none.
+	adaptive := len(res.Conv) > 0
 	if want != nil {
-		if err := ValidateConv(res.Points, res.Conv, want.Job.FITRelErr > 0); err != nil {
-			return nil, err
+		adaptive = want.Job.FITRelErr > 0
+	}
+	if len(res.Conv) > 0 && len(res.Conv) != len(res.Points) {
+		return nil, &WireError{Field: "conv", Reason: fmt.Sprintf("%d convergence records for %d points", len(res.Conv), len(res.Points))}
+	}
+	for i, pt := range res.Points {
+		var conv *core.BinConv
+		if len(res.Conv) > 0 {
+			conv = &res.Conv[i]
+		}
+		if err := core.CheckBin(pt, conv, adaptive); err != nil {
+			return nil, &WireError{Field: fmt.Sprintf("points[%d]", i), Reason: err.Error()}
 		}
 	}
 	return &res, nil
-}
-
-// ValidateConv checks a shard's convergence records against its points at a
-// trust boundary (wire or checkpoint restore). An adaptive job requires one
-// valid record per point — a result without them came from a worker that
-// does not understand the adaptive mode and silently ran the flat budget,
-// which must never merge. A flat job must not carry any records.
-func ValidateConv(pts []finser.POFPoint, conv []finser.BinConv, adaptive bool) error {
-	if !adaptive {
-		if len(conv) != 0 {
-			return &WireError{Field: "conv", Reason: fmt.Sprintf("%d convergence records on a flat-budget job", len(conv))}
-		}
-		return nil
-	}
-	if len(conv) != len(pts) {
-		return &WireError{Field: "conv", Reason: fmt.Sprintf("%d convergence records for %d points on an adaptive job (worker ran the flat budget?)", len(conv), len(pts))}
-	}
-	for i := range conv {
-		if err := core.CheckBinConv(conv[i], pts[i]); err != nil {
-			return &WireError{Field: fmt.Sprintf("conv[%d]", i), Reason: err.Error()}
-		}
-	}
-	return nil
-}
-
-// ValidatePoints checks shard POF points at a trust boundary (wire or
-// checkpoint restore): probabilities in [0,1], errors and energies finite,
-// strike counts positive. It is the same class of invariant the engine's
-// guard enforces on freshly computed points.
-func ValidatePoints(pts []finser.POFPoint) error {
-	for i, pt := range pts {
-		if !(pt.EnergyMeV > 0) || math.IsInf(pt.EnergyMeV, 0) {
-			return &WireError{Field: fmt.Sprintf("points[%d].energy_mev", i), Reason: fmt.Sprintf("must be positive and finite, got %v", pt.EnergyMeV)}
-		}
-		for _, p := range []struct {
-			name string
-			v    float64
-		}{
-			{"tot", pt.Tot}, {"seu", pt.SEU}, {"mbu", pt.MBU}, {"hit_frac", pt.HitFrac},
-		} {
-			if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
-				return &WireError{Field: fmt.Sprintf("points[%d].%s", i, p.name), Reason: fmt.Sprintf("must be a probability in [0,1], got %v", p.v)}
-			}
-		}
-		if !(pt.TotStdErr >= 0) || math.IsInf(pt.TotStdErr, 0) {
-			return &WireError{Field: fmt.Sprintf("points[%d].tot_stderr", i), Reason: fmt.Sprintf("must be non-negative and finite, got %v", pt.TotStdErr)}
-		}
-		if pt.Strikes <= 0 {
-			return &WireError{Field: fmt.Sprintf("points[%d].strikes", i), Reason: fmt.Sprintf("must be positive, got %d", pt.Strikes)}
-		}
-	}
-	return nil
 }
 
 // IsWire reports whether err is (or wraps) a *WireError.

@@ -47,10 +47,11 @@ func tinyShardRequest(t *testing.T) *dist.ShardRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := finser.SpeciesSeedSchedule(flow, finser.Alpha)
+	alpha, err := finser.SpeciesLedger(flow, finser.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := alpha.Plan().Seeds
 	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 2}
 	fp, err := dist.ShardFingerprint(spec, id, sched[0:2])
 	if err != nil {
@@ -157,6 +158,17 @@ func TestDecodeShardRequestRejects(t *testing.T) {
 	}
 }
 
+// invalidPoints are the point corruptions every trust boundary rejects:
+// the shard wire (TestDecodeShardResultRejects) and a checkpoint restore
+// (TestRestoreRejectsInvalidBins).
+var invalidPoints = map[string]func(*finser.POFPoint){
+	"negative stderr":   func(p *finser.POFPoint) { p.TotStdErr = -1 },
+	"pof above one":     func(p *finser.POFPoint) { p.SEU = 1.5 },
+	"negative energy":   func(p *finser.POFPoint) { p.EnergyMeV = -3 },
+	"zero strikes":      func(p *finser.POFPoint) { p.Strikes = 0 },
+	"tot 7, strikes -3": func(p *finser.POFPoint) { p.Tot, p.Strikes = 7, -3 },
+}
+
 // validShardResult fabricates a structurally valid result for the tiny
 // alpha shard (points need not come from real Monte Carlo to test the wire).
 func validShardResult(t *testing.T) ([]byte, *dist.ShardRequest) {
@@ -209,11 +221,10 @@ func TestDecodeShardResultRejects(t *testing.T) {
 		// json.Marshal refuses NaN/Inf, so splice raw tokens in: a bare NaN
 		// is a JSON syntax error (rejected at decode), and a huge literal
 		// overflows float64 to +Inf inside the decoder.
-		"nan tot":         []byte(strings.Replace(string(data), `"Tot":0.5`, `"Tot":NaN`, 1)),
-		"overflow stderr": []byte(strings.Replace(string(data), `"TotStdErr":0.01`, `"TotStdErr":-1`, 1)),
-		"pof above one":   mutate(func(r *dist.ShardResult) { r.Points[0].SEU = 1.5 }),
-		"negative energy": mutate(func(r *dist.ShardResult) { r.Points[0].EnergyMeV = -3 }),
-		"zero strikes":    mutate(func(r *dist.ShardResult) { r.Points[0].Strikes = 0 }),
+		"nan tot": []byte(strings.Replace(string(data), `"Tot":0.5`, `"Tot":NaN`, 1)),
+	}
+	for name, corrupt := range invalidPoints {
+		cases[name] = mutate(func(r *dist.ShardResult) { corrupt(&r.Points[0]) })
 	}
 	for name, body := range cases {
 		_, err := dist.DecodeShardResult(body, req)
@@ -237,10 +248,11 @@ func adaptiveShardRequest(t *testing.T) *dist.ShardRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := finser.SpeciesSeedSchedule(flow, finser.Alpha)
+	alpha, err := finser.SpeciesLedger(flow, finser.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := alpha.Plan().Seeds
 	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 2}
 	fp, err := dist.ShardFingerprint(spec, id, sched[0:2])
 	if err != nil {

@@ -62,10 +62,11 @@ func TestShardRequestBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := finser.SpeciesSeedSchedule(flow, finser.Alpha)
+	alpha, err := finser.SpeciesLedger(flow, finser.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := alpha.Plan().Seeds
 	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 1}
 	fp, err := dist.ShardFingerprint(spec, id, sched[:1])
 	if err != nil {

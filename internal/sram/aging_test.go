@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -125,13 +126,13 @@ func TestCharacterizeWithBaseShifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Characterize(CharConfig{
+	fresh, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 30, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := Characterize(CharConfig{
+	old, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 30, Seed: 1,
 		BaseShifts: aged,
 	})

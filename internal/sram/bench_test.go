@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"testing"
 
 	"finser/internal/finfet"
@@ -40,7 +41,7 @@ func BenchmarkCriticalChargeBisection(b *testing.B) {
 // BenchmarkPOFEvaluation times the hot array-MC path: POF lookup for a
 // single-axis strike against a 1000-sample characterization.
 func BenchmarkPOFEvaluation(b *testing.B) {
-	ch, err := Characterize(CharConfig{
+	ch, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: finfet.Default14nmSOI(), Vdd: 0.8,
 		ProcessVariation: true, Samples: 100, Seed: 1,
 	})
@@ -58,7 +59,7 @@ func BenchmarkPOFEvaluation(b *testing.B) {
 
 // BenchmarkPOFMultiAxis times the linear flip-surface path.
 func BenchmarkPOFMultiAxis(b *testing.B) {
-	ch, err := Characterize(CharConfig{
+	ch, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: finfet.Default14nmSOI(), Vdd: 0.8,
 		ProcessVariation: true, Samples: 100, Seed: 1,
 	})

@@ -98,21 +98,15 @@ type Characterization struct {
 // site.
 const FaultSiteSample = "sram.sample"
 
-// Characterize runs the process-variation Monte Carlo: for each variation
-// sample it builds the cell and bisects the critical charge of each
-// sensitive axis. Sample 0 runs first and guides the other samples'
+// CharacterizeCtx runs the process-variation Monte Carlo: for each
+// variation sample it builds the cell and bisects the critical charge of
+// each sensitive axis. Sample 0 runs first and guides the other samples'
 // bisections, which then run in parallel on cfg.Workers goroutines with
-// deterministic per-sample random substreams. It is CharacterizeCtx with a
-// background context.
-func Characterize(cfg CharConfig) (*Characterization, error) {
-	return CharacterizeCtx(context.Background(), cfg)
-}
-
-// CharacterizeCtx is the resilient characterization: workers check ctx
-// before every variation sample (cancellation surfaces as the context
-// error wrapped with the stage identity), and a panic inside a sample —
-// solver bug or injected fault — is recovered into a stack-carrying error
-// that fails the characterization instead of the process.
+// deterministic per-sample random substreams. Workers check ctx before
+// every variation sample (cancellation surfaces as the context error
+// wrapped with the stage identity), and a panic inside a sample — solver
+// bug or injected fault — is recovered into a stack-carrying error that
+// fails the characterization instead of the process.
 func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Vdd <= 0 {

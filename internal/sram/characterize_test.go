@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -67,7 +68,7 @@ func TestCharacterizeMatchesFullWindowBisection(t *testing.T) {
 			t.Run(fmt.Sprintf("vdd=%v/seed=%d", vdd, seed), func(t *testing.T) {
 				t.Parallel()
 				cfg := CharConfig{Tech: tech(), Vdd: vdd, ProcessVariation: true, Samples: 40, Seed: seed, Workers: 1}.withDefaults()
-				ch, err := Characterize(cfg)
+				ch, err := CharacterizeCtx(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +185,7 @@ func TestCriticalChargePlainProbes(t *testing.T) {
 // critical charge and 60 accepted steps per strike transient.
 func TestCharacterizeWorkBudget(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
-	_, err := Characterize(CharConfig{
+	_, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 40, Seed: 11, Metrics: m,
 	})
 	if err != nil {
@@ -228,7 +229,7 @@ func TestValidateFlipSurfaceSkippedTrials(t *testing.T) {
 	// Beside the nominal cell, a sample no charge flips draws about half
 	// the trials. Skipped, they must not count as disagreements, so the
 	// agreement stays at the bar TestValidateFlipSurface sets.
-	nom, err := Characterize(CharConfig{Tech: tech(), Vdd: 0.8, Seed: 1})
+	nom, err := CharacterizeCtx(context.Background(), CharConfig{Tech: tech(), Vdd: 0.8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

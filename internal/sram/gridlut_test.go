@@ -2,13 +2,14 @@ package sram
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
 
 func buildTestLUT(t *testing.T) (*Characterization, *GridLUT) {
 	t.Helper()
-	ch, err := Characterize(CharConfig{
+	ch, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 50, Seed: 1,
 	})
 	if err != nil {
@@ -112,7 +113,7 @@ func TestReadGridLUTRejectsGarbage(t *testing.T) {
 
 func TestBuildGridLUTNominal(t *testing.T) {
 	// A nominal (binary) characterization yields a step-like LUT.
-	ch, err := Characterize(CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: false, Seed: 1})
+	ch, err := CharacterizeCtx(context.Background(), CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: false, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sram
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -260,7 +261,7 @@ func TestVthShiftMovesQcrit(t *testing.T) {
 }
 
 func TestCharacterizeNominal(t *testing.T) {
-	ch, err := Characterize(CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: false, Seed: 1})
+	ch, err := CharacterizeCtx(context.Background(), CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: false, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestCharacterizeNominal(t *testing.T) {
 }
 
 func TestCharacterizePV(t *testing.T) {
-	ch, err := Characterize(CharConfig{
+	ch, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 60, Seed: 7,
 	})
 	if err != nil {
@@ -319,13 +320,13 @@ func TestCharacterizeDeterministic(t *testing.T) {
 	// the guide every sample's bisection starts from depends on sample 0
 	// alone.
 	cfg := CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 10, Seed: 42, Workers: 1}
-	a, err := Characterize(cfg)
+	a, err := CharacterizeCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		cfg.Workers = workers
-		b, err := Characterize(cfg)
+		b, err := CharacterizeCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +341,7 @@ func TestCharacterizeDeterministic(t *testing.T) {
 }
 
 func TestPOFVectorConsistency(t *testing.T) {
-	ch, err := Characterize(CharConfig{
+	ch, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 40, Seed: 3,
 	})
 	if err != nil {
@@ -376,13 +377,13 @@ func TestPOFVectorConsistency(t *testing.T) {
 // characterization and a mixed one whose second sample no charge flips
 // (+Inf, spelled null in JSON): every Qcrit and every POF survives.
 func TestCharacterizationJSONRoundTrip(t *testing.T) {
-	pv, err := Characterize(CharConfig{
+	pv, err := CharacterizeCtx(context.Background(), CharConfig{
 		Tech: tech(), Vdd: 0.7, ProcessVariation: true, Samples: 12, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nom, err := Characterize(CharConfig{Tech: tech(), Vdd: 0.8, Seed: 1})
+	nom, err := CharacterizeCtx(context.Background(), CharConfig{Tech: tech(), Vdd: 0.8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +444,7 @@ func TestReadCharacterizationRejectsGarbage(t *testing.T) {
 
 func TestValidateFlipSurface(t *testing.T) {
 	cfg := CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 15, Seed: 5}
-	ch, err := Characterize(cfg)
+	ch, err := CharacterizeCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -354,22 +354,16 @@ type YieldStats struct {
 	HitFrac   float64 // fraction of sampled tracks that deposited anything
 }
 
-// FinYield runs iters random secants through a single fin at the given
-// energy and returns the yield statistics. This is the paper's
-// "10 million MC simulations ... for each particular energy" step.
-func FinYield(cfg Config, sp phys.Species, energyMeV float64, fin geom.AABB, iters int, src *rng.Source) YieldStats {
-	ys, _ := finYieldCtx(context.Background(), cfg, sp, energyMeV, fin, iters, src)
-	return ys
-}
-
 // yieldCancelCheckEvery is the secant stride between context checks while
 // building yield statistics — fine enough that a cancelled LUT build stops
 // within a few hundred microseconds.
 const yieldCancelCheckEvery = 256
 
-// finYieldCtx is FinYield with cooperative cancellation; on cancellation it
-// returns the context error and partial (unusable) statistics.
-func finYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV float64, fin geom.AABB, iters int, src *rng.Source) (YieldStats, error) {
+// FinYieldCtx runs iters random secants through a single fin at the given
+// energy and returns the yield statistics — the paper's "10 million MC
+// simulations ... for each particular energy" step. It checks ctx every
+// yieldCancelCheckEvery secants and returns its error on cancellation.
+func FinYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV float64, fin geom.AABB, iters int, src *rng.Source) (YieldStats, error) {
 	var w stats.Welford
 	maxPairs := 0.0
 	hits := 0
@@ -402,14 +396,9 @@ func finYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV flo
 	}, nil
 }
 
-// BuildFinYieldLUT sweeps the energy grid and returns the mean-pairs LUT
-// used by the array-level stage (and plotted, normalized, as Fig. 4).
-func BuildFinYieldLUT(cfg Config, sp phys.Species, energiesMeV []float64, fin geom.AABB, itersPerEnergy int, src *rng.Source) (*lut.Table1D, error) {
-	return BuildFinYieldLUTCtx(context.Background(), cfg, sp, energiesMeV, fin, itersPerEnergy, src)
-}
-
-// BuildFinYieldLUTCtx is BuildFinYieldLUT with cooperative cancellation:
-// the sweep checks ctx between secant batches, so a cancelled run abandons
+// BuildFinYieldLUTCtx sweeps the energy grid and returns the mean-pairs
+// LUT used by the array-level stage (and plotted, normalized, as Fig. 4).
+// The sweep checks ctx between secant batches, so a cancelled run abandons
 // the (potentially hundreds of ms) LUT construction promptly.
 func BuildFinYieldLUTCtx(ctx context.Context, cfg Config, sp phys.Species, energiesMeV []float64, fin geom.AABB, itersPerEnergy int, src *rng.Source) (*lut.Table1D, error) {
 	if len(energiesMeV) < 2 {
@@ -423,7 +412,7 @@ func BuildFinYieldLUTCtx(ctx context.Context, cfg Config, sp phys.Species, energ
 		if e <= 0 {
 			return nil, fmt.Errorf("transport: non-positive energy %g", e)
 		}
-		stat, err := finYieldCtx(ctx, cfg, sp, e, fin, itersPerEnergy, src)
+		stat, err := FinYieldCtx(ctx, cfg, sp, e, fin, itersPerEnergy, src)
 		if err != nil {
 			return nil, fmt.Errorf("transport: yield LUT at %g MeV: %w", e, err)
 		}

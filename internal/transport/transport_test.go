@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -184,8 +185,8 @@ func TestFinYieldDecreasingInEnergy(t *testing.T) {
 	src := rng.New(11)
 	cfg := detConfig()
 	fin := testFin()
-	yLow := FinYield(cfg, phys.Alpha, 1, fin, 4000, src)
-	yHigh := FinYield(cfg, phys.Alpha, 10, fin, 4000, src)
+	yLow := finYield(t, cfg, phys.Alpha, 1, fin, 4000, src)
+	yHigh := finYield(t, cfg, phys.Alpha, 10, fin, 4000, src)
 	if yLow.MeanPairs <= yHigh.MeanPairs {
 		t.Errorf("alpha yield not decreasing: %v at 1 MeV vs %v at 10 MeV",
 			yLow.MeanPairs, yHigh.MeanPairs)
@@ -200,8 +201,8 @@ func TestFinYieldAlphaExceedsProton(t *testing.T) {
 	cfg := detConfig()
 	fin := testFin()
 	for _, e := range []float64{0.5, 1, 5} {
-		a := FinYield(cfg, phys.Alpha, e, fin, 3000, src).MeanPairs
-		p := FinYield(cfg, phys.Proton, e, fin, 3000, src).MeanPairs
+		a := finYield(t, cfg, phys.Alpha, e, fin, 3000, src).MeanPairs
+		p := finYield(t, cfg, phys.Proton, e, fin, 3000, src).MeanPairs
 		if a <= p {
 			t.Errorf("at %v MeV alpha pairs %v <= proton %v", e, a, p)
 		}
@@ -210,9 +211,9 @@ func TestFinYieldAlphaExceedsProton(t *testing.T) {
 
 func TestFinYieldStragglingWidensDistribution(t *testing.T) {
 	fin := testFin()
-	det := FinYield(detConfig(), phys.Alpha, 1, fin, 3000, rng.New(17))
+	det := finYield(t, detConfig(), phys.Alpha, 1, fin, 3000, rng.New(17))
 	fl := DefaultConfig()
-	stoch := FinYield(fl, phys.Alpha, 1, fin, 3000, rng.New(17))
+	stoch := finYield(t, fl, phys.Alpha, 1, fin, 3000, rng.New(17))
 	if stoch.StdPairs <= det.StdPairs {
 		t.Errorf("straggling should widen the yield spread: %v <= %v",
 			stoch.StdPairs, det.StdPairs)
@@ -226,7 +227,7 @@ func TestFinYieldStragglingWidensDistribution(t *testing.T) {
 func TestBuildFinYieldLUT(t *testing.T) {
 	src := rng.New(19)
 	energies := []float64{0.5, 1, 2, 5, 10}
-	tb, err := BuildFinYieldLUT(detConfig(), phys.Alpha, energies, testFin(), 1000, src)
+	tb, err := BuildFinYieldLUTCtx(context.Background(), detConfig(), phys.Alpha, energies, testFin(), 1000, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +245,23 @@ func TestBuildFinYieldLUT(t *testing.T) {
 
 func TestBuildFinYieldLUTErrors(t *testing.T) {
 	src := rng.New(23)
-	if _, err := BuildFinYieldLUT(detConfig(), phys.Alpha, []float64{1}, testFin(), 10, src); err == nil {
+	if _, err := BuildFinYieldLUTCtx(context.Background(), detConfig(), phys.Alpha, []float64{1}, testFin(), 10, src); err == nil {
 		t.Error("single energy accepted")
 	}
-	if _, err := BuildFinYieldLUT(detConfig(), phys.Alpha, []float64{1, 2}, testFin(), 0, src); err == nil {
+	if _, err := BuildFinYieldLUTCtx(context.Background(), detConfig(), phys.Alpha, []float64{1, 2}, testFin(), 0, src); err == nil {
 		t.Error("zero iterations accepted")
 	}
-	if _, err := BuildFinYieldLUT(detConfig(), phys.Alpha, []float64{-1, 2}, testFin(), 10, src); err == nil {
+	if _, err := BuildFinYieldLUTCtx(context.Background(), detConfig(), phys.Alpha, []float64{-1, 2}, testFin(), 10, src); err == nil {
 		t.Error("negative energy accepted")
 	}
+}
+
+// finYield runs FinYieldCtx to completion.
+func finYield(t *testing.T, cfg Config, sp phys.Species, energyMeV float64, fin geom.AABB, iters int, src *rng.Source) YieldStats {
+	t.Helper()
+	ys, err := FinYieldCtx(context.Background(), cfg, sp, energyMeV, fin, iters, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ys
 }
