@@ -302,9 +302,9 @@ func buildConfig(vddList string, rows, cols int, pv bool, samples, iters int, re
 	if relErr != 0 && !(relErr > 0 && relErr <= 0.5) {
 		return finser.FlowConfig{}, nil, fmt.Errorf("-fit-rel-err must be in (0, 0.5], got %g", relErr)
 	}
-	pat, err := parsePattern(pattern)
-	if err != nil {
-		return finser.FlowConfig{}, nil, err
+	pat, ok := finser.ParseDataPattern(pattern)
+	if !ok {
+		return finser.FlowConfig{}, nil, fmt.Errorf("-pattern must be zeros, ones or checkerboard, got %q", pattern)
 	}
 	return finser.FlowConfig{
 		Rows:             rows,
@@ -329,17 +329,4 @@ func parseVdds(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parsePattern(s string) (finser.DataPattern, error) {
-	switch s {
-	case "zeros":
-		return finser.PatternZeros, nil
-	case "ones":
-		return finser.PatternOnes, nil
-	case "checkerboard":
-		return finser.PatternCheckerboard, nil
-	default:
-		return 0, fmt.Errorf("unknown pattern %q", s)
-	}
 }

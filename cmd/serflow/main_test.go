@@ -28,6 +28,12 @@ func TestParseVdds(t *testing.T) {
 	}
 }
 
+// pattern builds a config from default flags with the given -pattern.
+func pattern(s string) (finser.DataPattern, error) {
+	cfg, _, err := buildConfig("0.8", 9, 9, false, 10, 100, 0, s, 1)
+	return cfg.Pattern, err
+}
+
 func TestParsePattern(t *testing.T) {
 	cases := map[string]finser.DataPattern{
 		"zeros":        finser.PatternZeros,
@@ -35,7 +41,7 @@ func TestParsePattern(t *testing.T) {
 		"checkerboard": finser.PatternCheckerboard,
 	}
 	for s, want := range cases {
-		got, err := parsePattern(s)
+		got, err := pattern(s)
 		if err != nil {
 			t.Errorf("%s: %v", s, err)
 		}
@@ -43,7 +49,7 @@ func TestParsePattern(t *testing.T) {
 			t.Errorf("%s → %v, want %v", s, got, want)
 		}
 	}
-	if _, err := parsePattern("stripes"); err == nil {
+	if _, err := pattern("stripes"); err == nil {
 		t.Error("unknown pattern accepted")
 	}
 }

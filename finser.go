@@ -270,6 +270,10 @@ const (
 	PatternCheckerboard = core.PatternCheckerboard
 )
 
+// ParseDataPattern reads a pattern name (zeros, ones or checkerboard)
+// case-insensitively; "" is zeros. ok is false for anything else.
+func ParseDataPattern(s string) (DataPattern, bool) { return core.ParseDataPattern(s) }
+
 // Pulse shapes.
 const (
 	ShapeRect      = sram.ShapeRect
@@ -472,15 +476,10 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("finser: FlowConfig.%s %s", e.Field, e.Reason)
 }
 
-// Validate resolves defaults and reports the first invalid field as a
-// *ConfigError — the admission-time check a serving layer runs before
-// queueing hours of work.
-func (c FlowConfig) Validate() error {
-	_, err := c.withDefaults()
-	return err
-}
-
-func (c FlowConfig) withDefaults() (FlowConfig, error) {
+// Validate resolves defaults, returning the config the flow would run,
+// and reports the first invalid field as a *ConfigError — the
+// admission-time check a serving layer runs before queueing hours of work.
+func (c FlowConfig) Validate() (FlowConfig, error) {
 	if c.Vdd <= 0 {
 		return c, &ConfigError{Field: "Vdd", Reason: "must be positive"}
 	}
@@ -557,7 +556,7 @@ type FlowResult struct {
 // interrupted. With cfg.Checkpoint set, completed FIT bins survive the
 // interruption and a rerun resumes from them.
 func RunFlowCtx(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
@@ -597,7 +596,7 @@ func characterize(ctx context.Context, cfg FlowConfig, flow *obs.Span) (*Charact
 // RunFlowWithCharCtx is RunFlowCtx with a pre-built characterization —
 // useful for sweeps that vary only the environment.
 func RunFlowWithCharCtx(ctx context.Context, cfg FlowConfig, char *Characterization) (*FlowResult, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
@@ -723,7 +722,7 @@ func speciesName(sp Species) string {
 // with the exact configuration mapping RunFlowCtx uses — how a distributed
 // coordinator builds a job's cell model once and ships it to every shard.
 func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
@@ -740,7 +739,7 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 // RunFlowCtx's FlowResult bit-identically, checkpoint-compatible with an
 // uninterrupted run; each call builds its own engine.
 func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species) (FITResult, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return FITResult{}, err
 	}
@@ -761,7 +760,7 @@ func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, 
 // depends only on fields the flow fingerprint already covers, so a
 // checkpointed sweep resumes its neutron stage like any other.
 func NeutronFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization) (FITResult, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return FITResult{}, err
 	}
@@ -798,7 +797,7 @@ func NeutronFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization) 
 // cfg.FITRelErr > 0 (nil under the flat budget), so the coordinator can
 // carry each bin's convergence state through the merge.
 func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species, from, to int) ([]POFPoint, []BinConv, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -831,7 +830,7 @@ func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Character
 // engine or a characterization, so a distributed coordinator restores
 // before it characterizes and folds the FIT in the single-node ledger.
 func SpeciesLedger(cfg FlowConfig, sp Species) (*Ledger, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
@@ -961,8 +960,8 @@ type flowFingerprint struct {
 // resumes) its predecessor's partial work.
 func FlowFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
 	c := cfg
-	c.Vdd = 1 // withDefaults requires a positive Vdd; the value is not hashed
-	c, err := c.withDefaults()
+	c.Vdd = 1 // Validate requires a positive Vdd; the value is not hashed
+	c, err := c.Validate()
 	if err != nil {
 		return "", err
 	}

@@ -1,11 +1,12 @@
-// Package breaker implements a closed → open → half-open circuit breaker
-// for the serving layer's per-workload-class flow stages. When a class of
-// work (say, proton FIT integration) fails repeatedly, the breaker opens
-// and sheds further attempts of that class immediately — a fast ErrOpen
-// instead of minutes of doomed Monte-Carlo burning a worker — while other
-// classes keep flowing. After a cooldown the breaker lets a single probe
-// through (half-open); a healthy probe closes the circuit, a failed one
-// re-opens it for another cooldown.
+// Package breaker implements a closed → open → half-open circuit breaker.
+// The distributed coordinator (internal/dist) keeps one per worker serd
+// around its shard attempts. When a worker fails repeatedly, its breaker
+// opens and sheds further attempts on it immediately — a fast ErrOpen
+// instead of round trips to a dead or sick node — so its shards go to the
+// other workers; with every breaker open, the coordinator's /readyz
+// reports 503. After a cooldown the breaker lets a single probe through
+// (half-open); a healthy probe closes the circuit, a failed one re-opens
+// it for another cooldown.
 package breaker
 
 import (

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 
 	"finser/internal/faultinject"
@@ -51,10 +52,36 @@ const (
 	PatternCheckerboard
 )
 
+// patternNames spells each pattern, indexed by its value.
+var patternNames = [...]string{"zeros", "ones", "checkerboard"}
+
 // Valid reports whether p is one of the defined patterns. New rejects
 // invalid patterns up front, making the panic in Bit unreachable.
 func (p DataPattern) Valid() bool {
 	return p >= PatternZeros && p <= PatternCheckerboard
+}
+
+// String is the pattern's name: zeros, ones or checkerboard. Fingerprints
+// encode a pattern as its integer value, not as this name.
+func (p DataPattern) String() string {
+	if !p.Valid() {
+		return fmt.Sprintf("DataPattern(%d)", int(p))
+	}
+	return patternNames[p]
+}
+
+// ParseDataPattern reads a pattern name case-insensitively; "" is zeros.
+// ok is false for anything else.
+func ParseDataPattern(s string) (p DataPattern, ok bool) {
+	if s == "" {
+		return PatternZeros, true
+	}
+	for i, name := range patternNames {
+		if strings.EqualFold(s, name) {
+			return DataPattern(i), true
+		}
+	}
+	return 0, false
 }
 
 // Bit returns the stored bit at (row, col).

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -109,6 +110,27 @@ func TestDataPattern(t *testing.T) {
 	}
 	if PatternCheckerboard.Bit(0, 0) || !PatternCheckerboard.Bit(0, 1) || !PatternCheckerboard.Bit(1, 0) || PatternCheckerboard.Bit(1, 1) {
 		t.Error("checkerboard wrong")
+	}
+}
+
+// TestDataPatternNames: every pattern's name parses back to it, parsing
+// ignores case and reads "" as zeros, and anything else is rejected.
+func TestDataPatternNames(t *testing.T) {
+	for _, p := range []DataPattern{PatternZeros, PatternOnes, PatternCheckerboard} {
+		for _, s := range []string{p.String(), strings.ToUpper(p.String())} {
+			if got, ok := ParseDataPattern(s); !ok || got != p {
+				t.Errorf("ParseDataPattern(%q) = %d, %v; want %d", s, got, ok, p)
+			}
+		}
+	}
+	if got, ok := ParseDataPattern(""); !ok || got != PatternZeros {
+		t.Errorf(`ParseDataPattern("") = %d, %v; want zeros`, got, ok)
+	}
+	if _, ok := ParseDataPattern("stripes"); ok {
+		t.Error("unknown pattern accepted")
+	}
+	if s := DataPattern(7).String(); s != "DataPattern(7)" {
+		t.Errorf("invalid pattern prints %q", s)
 	}
 }
 

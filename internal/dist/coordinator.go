@@ -548,7 +548,7 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 	if emit == nil {
 		emit = func(ShardEvent) {}
 	}
-	if err := flow.Validate(); err != nil {
+	if _, err := flow.Validate(); err != nil {
 		return nil, err
 	}
 	spec, err := SpecFromFlow(flow)

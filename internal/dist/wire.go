@@ -80,16 +80,12 @@ func SpecFromFlow(cfg finser.FlowConfig) (JobSpec, error) {
 	if cfg.Tech.Name != "" && cfg.Tech.Name != finser.Default14nmSOI().Name {
 		return JobSpec{}, &WireError{Field: "tech", Reason: fmt.Sprintf("custom technology %q cannot be distributed", cfg.Tech.Name)}
 	}
-	var pat string
-	switch cfg.Pattern {
-	case finser.PatternZeros:
-		pat = "" // wire default
-	case finser.PatternOnes:
-		pat = "ones"
-	case finser.PatternCheckerboard:
-		pat = "checkerboard"
-	default:
+	if !cfg.Pattern.Valid() {
 		return JobSpec{}, &WireError{Field: "pattern", Reason: fmt.Sprintf("unknown (%d)", cfg.Pattern)}
+	}
+	pat := "" // zeros is the wire default
+	if cfg.Pattern != finser.PatternZeros {
+		pat = cfg.Pattern.String()
 	}
 	return JobSpec{
 		Vdd:              cfg.Vdd,
@@ -110,15 +106,8 @@ func SpecFromFlow(cfg finser.FlowConfig) (JobSpec, error) {
 
 // FlowConfig maps the wire spec back onto a finser.FlowConfig.
 func (s JobSpec) FlowConfig() (finser.FlowConfig, error) {
-	var pat finser.DataPattern
-	switch strings.ToLower(s.Pattern) {
-	case "", "zeros":
-		pat = finser.PatternZeros
-	case "ones":
-		pat = finser.PatternOnes
-	case "checkerboard":
-		pat = finser.PatternCheckerboard
-	default:
+	pat, ok := finser.ParseDataPattern(s.Pattern)
+	if !ok {
 		return finser.FlowConfig{}, &WireError{Field: "pattern", Reason: fmt.Sprintf("unknown %q", s.Pattern)}
 	}
 	return finser.FlowConfig{
@@ -266,7 +255,7 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
+	if cfg, err = cfg.Validate(); err != nil {
 		return nil, &WireError{Field: "job", Reason: err.Error()}
 	}
 	sp, _ := Species(req.Shard.Species)
@@ -288,17 +277,17 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	if req.Fingerprint != fp {
 		return nil, &WireError{Field: "fingerprint", Reason: fmt.Sprintf("%q does not match this worker's %q (physics revision %d)", req.Fingerprint, fp, core.PhysicsRevision)}
 	}
-	if req.Char, err = decodeChar(wire.Char, req.Job); err != nil {
+	if req.Char, err = decodeChar(wire.Char, cfg); err != nil {
 		return nil, err
 	}
 	return &req, nil
 }
 
 // decodeChar decodes a shipped characterization (decoding validates it)
-// and checks that it was built for spec: same Vdd, same variation mode,
-// and the sample count sram.CharConfig resolves for the job (1 without
-// variation, 1000 when unset).
-func decodeChar(raw json.RawMessage, spec JobSpec) (*finser.Characterization, error) {
+// and checks that it was built for the job's resolved config: same Vdd,
+// same variation mode, and the sample count characterization runs (1
+// without variation).
+func decodeChar(raw json.RawMessage, job finser.FlowConfig) (*finser.Characterization, error) {
 	if len(raw) == 0 || string(raw) == "null" {
 		return nil, &WireError{Field: "char", Reason: "missing (the coordinator characterizes each job and ships the result)"}
 	}
@@ -306,17 +295,15 @@ func decodeChar(raw json.RawMessage, spec JobSpec) (*finser.Characterization, er
 	if err := json.Unmarshal(raw, &ch); err != nil {
 		return nil, &WireError{Field: "char", Reason: err.Error()}
 	}
-	samples := spec.Samples
-	if !spec.ProcessVariation {
-		samples = 1
-	} else if samples == 0 {
-		samples = 1000
+	samples := 1
+	if job.ProcessVariation {
+		samples = job.Samples
 	}
 	switch {
-	case ch.Vdd != spec.Vdd:
-		return nil, &WireError{Field: "char", Reason: fmt.Sprintf("built at Vdd %g for a %g V job", ch.Vdd, spec.Vdd)}
-	case ch.PV != spec.ProcessVariation:
-		return nil, &WireError{Field: "char", Reason: fmt.Sprintf("process variation %t for a job with %t", ch.PV, spec.ProcessVariation)}
+	case ch.Vdd != job.Vdd:
+		return nil, &WireError{Field: "char", Reason: fmt.Sprintf("built at Vdd %g for a %g V job", ch.Vdd, job.Vdd)}
+	case ch.PV != job.ProcessVariation:
+		return nil, &WireError{Field: "char", Reason: fmt.Sprintf("process variation %t for a job with %t", ch.PV, job.ProcessVariation)}
 	case ch.Samples != samples:
 		return nil, &WireError{Field: "char", Reason: fmt.Sprintf("%d samples for a job of %d", ch.Samples, samples)}
 	}

@@ -239,6 +239,35 @@ func TestSchedulerCapacityAndClose(t *testing.T) {
 	}
 }
 
+// TestSchedulerRemoveFreesCapacity: removing a queued item frees its slot
+// at once and keeps the rest of its flow in order; an item no longer
+// queued is not found.
+func TestSchedulerRemoveFreesCapacity(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Capacity: 2})
+	for _, it := range []int{1, 2} {
+		if err := s.Push("a", ClassBatch, 1, it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Remove("a", ClassBatch, 1)
+	if n := s.Len(); n != 1 {
+		t.Fatalf("Len after removing a queued item = %d, want 1", n)
+	}
+	s.Remove("a", ClassBatch, 1)
+	s.Remove("b", ClassBatch, 2)
+	if n := s.Len(); n != 1 {
+		t.Fatalf("Len after removing items not queued in those flows = %d, want 1", n)
+	}
+	if err := s.Push("a", ClassBatch, 1, 3); err != nil {
+		t.Fatalf("push after remove = %v, want the freed slot", err)
+	}
+	for _, want := range []int{2, 3} {
+		if got, _ := s.Pop(); got.(int) != want {
+			t.Fatalf("pop = %v, want %d", got, want)
+		}
+	}
+}
+
 // TestSchedulerBlockingPop: Pop blocks until a push arrives, and Close
 // wakes blocked pops. Run with -race to catch signaling bugs.
 func TestSchedulerBlockingPop(t *testing.T) {

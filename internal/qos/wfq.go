@@ -2,6 +2,7 @@ package qos
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -22,12 +23,8 @@ type SchedulerConfig struct {
 	// ClassWeights maps priority-class names to weights. Missing classes
 	// weigh 1. Nil selects DefaultClassWeights.
 	ClassWeights map[string]float64
-	// TenantWeights maps tenant names to weights. Missing tenants weigh
-	// DefaultTenantWeight (or 1 when that too is zero).
+	// TenantWeights maps tenant names to weights. Missing tenants weigh 1.
 	TenantWeights map[string]float64
-	// DefaultTenantWeight applies to tenants absent from TenantWeights;
-	// <= 0 selects 1.
-	DefaultTenantWeight float64
 }
 
 // flowKey identifies one tenant × class queue.
@@ -76,9 +73,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.ClassWeights == nil {
 		cfg.ClassWeights = DefaultClassWeights()
 	}
-	if cfg.DefaultTenantWeight <= 0 {
-		cfg.DefaultTenantWeight = 1
-	}
 	s := &Scheduler{cfg: cfg, flows: map[flowKey]*flow{}}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -88,7 +82,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 // at a tiny positive value so a zero-configured weight cannot divide by
 // zero or park a flow forever.
 func (s *Scheduler) weight(k flowKey) float64 {
-	tw := s.cfg.DefaultTenantWeight
+	tw := 1.0
 	if w, ok := s.cfg.TenantWeights[k.tenant]; ok && w > 0 {
 		tw = w
 	}
@@ -148,6 +142,25 @@ func (s *Scheduler) push(tenant, class string, cost float64, item any, force boo
 	s.size++
 	s.cond.Signal()
 	return nil
+}
+
+// Remove takes a still-queued item out of its tenant × class flow; an
+// item that is not queued there (a worker already popped it) is ignored.
+// The flow keeps the virtual time the item was charged at Push.
+func (s *Scheduler) Remove(tenant, class string, item any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.flows[flowKey{tenant, class}]
+	if f == nil {
+		return
+	}
+	for i, e := range f.items {
+		if e.item == item {
+			f.items = slices.Delete(f.items, i, i+1)
+			s.size--
+			return
+		}
+	}
 }
 
 // Pop blocks until an item is available and returns the one with the

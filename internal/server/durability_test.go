@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,6 +98,195 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if got := regB.Counter("serd/recovery/requeued").Value(); got != 1 {
 		t.Errorf("recovery/requeued = %d, want 1", got)
 	}
+}
+
+// TestRecoveryRederivesStaleFingerprint replays a journal written when the
+// flow fingerprint was derived differently (as after a physics revision
+// bump). The recovered job reports the fingerprint this build computes,
+// which names the checkpoint it runs against; an identical resubmission
+// dedupes onto it through the default idempotency key, which moved with
+// the fingerprint; and eviction removes the checkpoint file the job wrote.
+func TestRecoveryRederivesStaleFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Vdd: 0.7, Samples: 4, ItersPerBin: 100,
+		AlphaBins: 2, ProtonBins: 2, Seed: 41, Workers: 1,
+	}
+	cfg, err := req.flowConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := finser.FlowFingerprint(cfg, []float64{cfg.Vdd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := strings.Repeat("5a", 32)
+	body, _ := json.Marshal(req)
+	writeJournal(t, dir,
+		journal.Record{Kind: journal.KindSubmitted, Job: "job-1", TimeMs: 1000, Request: body,
+			Fingerprint: stale, IdempotencyKey: stale, Tenant: "anon", Class: "batch"},
+		journal.Record{Kind: journal.KindState, Job: "job-1", TimeMs: 1001, State: string(StateRunning)},
+	)
+
+	s, stats := durableServer(t, Config{Workers: 1, JobTTL: time.Hour}, dir)
+	if stats.Requeued != 1 {
+		t.Fatalf("recovery stats = %+v, want one requeued job", stats)
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	st := waitState(t, ts, "job-1", StateDone)
+	if st.Fingerprint != fp {
+		t.Errorf("recovered fingerprint = %.16s…, want this build's %.16s…", st.Fingerprint, fp)
+	}
+	ckPath := filepath.Join(dir, "checkpoints", "ser-"+fp[:16]+".ck.json")
+	if _, err := os.Stat(ckPath); err != nil {
+		t.Fatalf("no checkpoint at %s: %v", ckPath, err)
+	}
+
+	resp, out := postJob(t, ts, string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("identical resubmission = %d: %s, want 200 (deduped)", resp.StatusCode, out)
+	}
+	var dup JobStatus
+	if err := json.Unmarshal(out, &dup); err != nil {
+		t.Fatal(err)
+	}
+	if dup.ID != "job-1" {
+		t.Errorf("resubmission landed on %s, want the recovered job-1", dup.ID)
+	}
+
+	if n := s.evictExpired(time.Now().Add(2 * time.Hour)); n != 1 {
+		t.Fatalf("evicted %d jobs after TTL, want 1", n)
+	}
+	if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
+		t.Errorf("the job's checkpoint survived its eviction: %v", err)
+	}
+}
+
+// TestRecoveryKeepsDoneJobFingerprint replays a done job journaled under
+// a stale fingerprint, as after a physics revision: its result belongs to
+// the old physics. It will not run again, so it keeps its journaled
+// fingerprint and key. An identical resubmission is admitted as a new job
+// under this build's fingerprint instead of deduping onto the old result,
+// and evicting the done job collects the checkpoint file it wrote.
+func TestRecoveryKeepsDoneJobFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Vdd: 0.7, Samples: 4, ItersPerBin: 100,
+		AlphaBins: 2, ProtonBins: 2, Seed: 41, Workers: 1,
+	}
+	stale := strings.Repeat("5a", 32)
+	body, _ := json.Marshal(req)
+	res, _ := json.Marshal(JobResult{Vdd: 0.7})
+	writeJournal(t, dir,
+		journal.Record{Kind: journal.KindSubmitted, Job: "job-1", TimeMs: 1000, Request: body,
+			Fingerprint: stale, IdempotencyKey: stale, Tenant: "anon", Class: "batch"},
+		journal.Record{Kind: journal.KindState, Job: "job-1", TimeMs: 1001, State: string(StateDone), Result: res},
+	)
+	ckPath := writeCheckpointFile(t, dir, stale)
+
+	s, stats := durableServer(t, Config{JobTTL: time.Hour}, dir)
+	if stats.RestoredTerminal != 1 {
+		t.Fatalf("recovery stats = %+v, want one restored terminal job", stats)
+	}
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if st, err := s.Status("job-1"); err != nil || st.State != StateDone || st.Fingerprint != stale {
+		t.Fatalf("recovered job-1 = %+v (%v), want done under its journaled fingerprint", st, err)
+	}
+
+	resp, out := postJob(t, ts, string(body))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("identical resubmission = %d: %s, want 202 (a new job under this build's physics)", resp.StatusCode, out)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(out, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "job-2" || st.Fingerprint == stale {
+		t.Errorf("resubmission = %s under %.16s…, want job-2 under this build's fingerprint", st.ID, st.Fingerprint)
+	}
+
+	if n := s.evictExpired(time.Now()); n != 1 {
+		t.Fatalf("evicted %d jobs after TTL, want 1", n)
+	}
+	if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
+		t.Errorf("the done job's checkpoint survived its eviction: %v", err)
+	}
+}
+
+// TestRecoveryInvalidSpecKeepsFingerprint replays a job whose spec this
+// server rejects. It is restored as failed under its journaled
+// fingerprint, which the compacted journal keeps for later restarts, and
+// evicting it collects the checkpoint it wrote before the first restart.
+func TestRecoveryInvalidSpecKeepsFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	fp := strings.Repeat("6b", 32)
+	writeJournal(t, dir,
+		journal.Record{Kind: journal.KindSubmitted, Job: "job-1", TimeMs: 1000,
+			Request:     []byte(`{"vdd":0.7,"pattern":"stripes"}`),
+			Fingerprint: fp, IdempotencyKey: fp, Tenant: "anon", Class: "batch"},
+		journal.Record{Kind: journal.KindState, Job: "job-1", TimeMs: 1001, State: string(StateRunning)},
+	)
+	ckPath := writeCheckpointFile(t, dir, fp)
+
+	for restart := 1; restart <= 2; restart++ {
+		s, stats := durableServer(t, Config{JobTTL: time.Hour}, dir)
+		if stats.Invalid != 1 {
+			t.Fatalf("restart %d: recovery stats = %+v, want one invalid spec", restart, stats)
+		}
+		st, err := s.Status("job-1")
+		if err != nil || st.State != StateFailed || st.Fingerprint != fp {
+			t.Fatalf("restart %d: job-1 = %+v (%v), want failed under its journaled fingerprint", restart, st, err)
+		}
+		if restart == 2 {
+			if n := s.evictExpired(time.Now().Add(2 * time.Hour)); n != 1 {
+				t.Fatalf("evicted %d jobs after TTL, want 1", n)
+			}
+			if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
+				t.Errorf("the invalid job's checkpoint survived its eviction: %v", err)
+			}
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// writeJournal writes recs as the journal a dead serd left in dir.
+func writeJournal(t *testing.T, dir string, recs ...journal.Record) {
+	t.Helper()
+	jnl, _, _, err := journal.Open(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeCheckpointFile stands in for the checkpoint a job under fingerprint
+// fp wrote in dir's default checkpoint directory, returning its path.
+func writeCheckpointFile(t *testing.T, dir, fp string) string {
+	t.Helper()
+	ckDir := filepath.Join(dir, "checkpoints")
+	if err := os.MkdirAll(ckDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(ckDir, "ser-"+fp[:16]+".ck.json")
+	if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // corruptFrame flips one payload byte of the n-th (0-based) journal frame
@@ -286,18 +476,18 @@ func TestIdempotentSubmission(t *testing.T) {
 	}})
 	plain.Start()
 	defer plain.Drain(context.Background())
-	a, _ := plain.Submit(JobRequest{Vdd: 0.7})
-	b, _ := plain.Submit(JobRequest{Vdd: 0.7})
+	a, _, _ := plain.Submit(JobRequest{Vdd: 0.7}, "", "")
+	b, _, _ := plain.Submit(JobRequest{Vdd: 0.7}, "", "")
 	if a.ID == b.ID {
 		t.Errorf("non-durable server deduped identical submissions to %s", a.ID)
 	}
 
 	// An explicit Idempotency-Key dedupes even without a journal.
-	c, deduped, err := plain.SubmitIdem(JobRequest{Vdd: 0.7}, "client-key-1")
+	c, deduped, err := plain.Submit(JobRequest{Vdd: 0.7}, "client-key-1", "")
 	if err != nil || deduped {
 		t.Fatalf("keyed submit = (%+v, %v, %v)", c, deduped, err)
 	}
-	d, deduped, err := plain.SubmitIdem(JobRequest{Vdd: 0.7}, "client-key-1")
+	d, deduped, err := plain.Submit(JobRequest{Vdd: 0.7}, "client-key-1", "")
 	if err != nil || !deduped || d.ID != c.ID {
 		t.Errorf("keyed retry = (%s, deduped=%v, %v), want dedupe to %s", d.ID, deduped, err, c.ID)
 	}

@@ -38,7 +38,7 @@ func FuzzJobRequest(f *testing.F) {
 			}
 			return
 		}
-		if err := cfg.Validate(); err != nil {
+		if _, err := cfg.Validate(); err != nil {
 			var ce *finser.ConfigError
 			if !errors.As(err, &ce) {
 				t.Fatalf("Validate returned untyped error %T: %v", err, err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"finser"
 	"finser/internal/events"
+	"finser/internal/journal"
 	"finser/internal/qos"
 )
 
@@ -95,15 +97,8 @@ func (e *RequestError) Error() string {
 // flowConfig maps the wire request onto a finser.FlowConfig. Field-level
 // validation beyond the mapping itself is finser's job (Validate).
 func (r JobRequest) flowConfig() (finser.FlowConfig, error) {
-	var pat finser.DataPattern
-	switch strings.ToLower(r.Pattern) {
-	case "", "zeros":
-		pat = finser.PatternZeros
-	case "ones":
-		pat = finser.PatternOnes
-	case "checkerboard":
-		pat = finser.PatternCheckerboard
-	default:
+	pat, ok := finser.ParseDataPattern(r.Pattern)
+	if !ok {
 		return finser.FlowConfig{}, &RequestError{Field: "pattern", Reason: fmt.Sprintf("unknown %q", r.Pattern)}
 	}
 	if r.TimeoutSeconds < 0 {
@@ -186,7 +181,7 @@ type job struct {
 	resumed   int
 
 	// tenant and class are the QoS identity (tenant from X-Tenant, class
-	// from the request), fixed at admission; cost is the WFQ cost estimate.
+	// from the request), fixed at admission; cost is the fair-queue cost.
 	tenant string
 	class  string
 	cost   float64
@@ -197,18 +192,86 @@ type job struct {
 	preemptCancel  context.CancelCauseFunc
 	preemptPending bool
 	preempts       int
-	// fingerprint is the FlowFingerprint digest, computed at admission.
+	// fingerprint is the FlowFingerprint digest naming the job's
+	// checkpoint file: the one this build computes for cfg, or, for a
+	// replayed job that will not run again, the one it was journaled under.
 	fingerprint string
 	// idemKey is the idempotency key this job was admitted under ("" when
 	// dedupe is off); it indexes the server's idem table.
 	idemKey string
 	// recovered marks a job rebuilt from the journal after a restart.
 	recovered bool
-	// events is the job's live telemetry stream, created at admission and
+	// events is the job's live telemetry stream, created by addLocked and
 	// closed at finalization so SSE clients see a clean end-of-stream.
 	events *events.Stream
 	// log is the job-scoped structured logger (nil when logging is off).
 	log *slog.Logger
+}
+
+// newJob is the one job constructor, shared by admission and journal
+// replay. It validates req, attaches the server's guard policy, computes
+// the fingerprint (checkpoint file, default idempotency key, log and event
+// correlation), sets the QoS identity ("" tenant selects
+// qos.DefaultTenant, the class is the request's), prices the fair-queue
+// cost from the resolved FlowConfig, and wires the flow's callbacks to the
+// job's event stream. A job that fails validation carries only its
+// request, identity and submission time, beside the error.
+func (s *Server) newJob(req JobRequest, idemKey, tenant string, submitted time.Time) (*job, error) {
+	if tenant == "" {
+		tenant = qos.DefaultTenant
+	}
+	j := &job{req: req, submitted: submitted, idemKey: idemKey, tenant: tenant, class: req.class()}
+	cfg, err := req.flowConfig()
+	if err != nil {
+		return j, err
+	}
+	resolved, err := cfg.Validate()
+	if err != nil {
+		return j, err
+	}
+	if j.fingerprint, err = finser.FlowFingerprint(cfg, []float64{cfg.Vdd}); err != nil {
+		return j, err
+	}
+	if j.idemKey == "" && s.journal != nil {
+		j.idemKey = j.fingerprint
+	}
+	// The guard is the server's policy, not the client's: every execution
+	// path (injected runners too) sees it.
+	cfg.Guard = s.cfg.Guard
+	cfg.GuardLog = s.cfg.GuardLog
+	j.cfg = cfg
+	s.instrumentFlow(j)
+	// Monte-Carlo work units: the fair queue only needs costs that scale
+	// with runtime, so a small interactive job's finish tag stays far below
+	// a million-particle batch job's.
+	j.cost = float64(resolved.Samples) + float64(resolved.ItersPerBin)*float64(resolved.AlphaBins+resolved.ProtonBins)
+	return j, nil
+}
+
+// submittedRecord is the job's admission record in the journal: its
+// request, fingerprint, idempotency key and QoS identity.
+func (j *job) submittedRecord() (journal.Record, error) {
+	req, err := json.Marshal(j.req)
+	return journal.Record{
+		Kind: journal.KindSubmitted, Job: j.id, TimeMs: j.submitted.UnixMilli(),
+		Request: req, Fingerprint: j.fingerprint, IdempotencyKey: j.idemKey,
+		Tenant: j.tenant, Class: j.class,
+	}, err
+}
+
+// stateRecord is the job's current state in the journal. A done job's
+// carries its result, so replay restores it without re-running.
+func (j *job) stateRecord() journal.Record {
+	rec := journal.Record{
+		Kind: journal.KindState, Job: j.id, State: string(j.state), Error: j.err,
+		TimeMs: j.finished.UnixMilli(),
+	}
+	if j.state == StateDone && j.result != nil {
+		if res, err := json.Marshal(j.result); err == nil {
+			rec.Result = res
+		}
+	}
+	return rec
 }
 
 // logInfo emits one structured line on the job's logger; no-op without one.

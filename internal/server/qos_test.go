@@ -189,16 +189,16 @@ func TestInteractiveOvertakesBatchBacklog(t *testing.T) {
 
 	// Seed 100 occupies the worker; seeds 101-104 are the batch backlog;
 	// seed 200 is the late interactive arrival.
-	if _, err := s.Submit(JobRequest{Vdd: 0.7, Seed: 100}); err != nil {
+	if _, _, err := s.Submit(JobRequest{Vdd: 0.7, Seed: 100}, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	<-first
 	for seed := uint64(101); seed <= 104; seed++ {
-		if _, _, err := s.SubmitTenant(JobRequest{Vdd: 0.7, Seed: seed}, "", "bulk"); err != nil {
+		if _, _, err := s.Submit(JobRequest{Vdd: 0.7, Seed: seed}, "", "bulk"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := s.SubmitTenant(JobRequest{Vdd: 0.7, Seed: 200, Class: "interactive"}, "", "ui"); err != nil {
+	if _, _, err := s.Submit(JobRequest{Vdd: 0.7, Seed: 200, Class: "interactive"}, "", "ui"); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
@@ -312,13 +312,13 @@ func TestPreemptDuringDrain(t *testing.T) {
 	})
 	s.Start()
 
-	if _, _, err := s.SubmitTenant(JobRequest{Vdd: 0.7}, "", "bulk"); err != nil {
+	if _, _, err := s.Submit(JobRequest{Vdd: 0.7}, "", "bulk"); err != nil {
 		t.Fatal(err)
 	}
 	<-started // batch job holds the lone worker
 
 	// Interactive arrival requests the preemption; drain lands right after.
-	if _, _, err := s.SubmitTenant(JobRequest{Vdd: 0.7, Class: "interactive"}, "", "ui"); err != nil {
+	if _, _, err := s.Submit(JobRequest{Vdd: 0.7, Class: "interactive"}, "", "ui"); err != nil {
 		t.Fatal(err)
 	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -352,11 +352,11 @@ func TestPreemptThenCancel(t *testing.T) {
 	s.Start()
 	defer s.Drain(context.Background()) // also unblocks the runner via ctx on early failure
 
-	if _, _, err := s.SubmitTenant(JobRequest{Vdd: 0.7}, "", "bulk"); err != nil {
+	if _, _, err := s.Submit(JobRequest{Vdd: 0.7}, "", "bulk"); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if _, _, err := s.SubmitTenant(JobRequest{Vdd: 0.7, Class: "interactive"}, "", "ui"); err != nil {
+	if _, _, err := s.Submit(JobRequest{Vdd: 0.7, Class: "interactive"}, "", "ui"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Cancel("job-1"); err != nil {
@@ -394,6 +394,65 @@ func TestPreemptThenCancel(t *testing.T) {
 			t.Fatal("job-2 never finished")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPreemptedJobReportsProgressOnce: every progress report reaches the
+// job's stream exactly once, on a run resumed after a preemption too.
+func TestPreemptedJobReportsProgressOnce(t *testing.T) {
+	started := make(chan struct{}, 3) // one send per run: batch, interactive, resumed batch
+	release := make(chan struct{})
+	run := func(ctx context.Context, cfg finser.FlowConfig) (*JobResult, error) {
+		cfg.Progress(finser.Progress{Stage: "fit/alpha", Done: 1, Total: 2})
+		started <- struct{}{}
+		select {
+		case <-release:
+			return &JobResult{Vdd: cfg.Vdd}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	s := New(Config{Workers: 1, Preempt: true, CheckpointDir: t.TempDir(), Runner: run})
+	s.Start()
+	defer s.Drain(context.Background())
+
+	if _, _, err := s.Submit(JobRequest{Vdd: 0.7}, "", "bulk"); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, _, err := s.Submit(JobRequest{Vdd: 0.7, Class: "interactive"}, "", "ui"); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the interactive job holds the worker the batch job yielded
+	close(release)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, err := s.Status("job-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == StateDone {
+			if st.Preemptions != 1 {
+				t.Fatalf("job-1 preemptions = %d, want 1", st.Preemptions)
+			}
+			break
+		}
+		if st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job-1 = %s (err=%q), want done", st.State, st.Error)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	s.mu.Lock()
+	stream := s.jobs["job-1"].events
+	s.mu.Unlock()
+	progress := 0
+	for e := range stream.Subscribe(0).C() {
+		if e.Type == events.TypeProgress {
+			progress++
+		}
+	}
+	if progress != 2 {
+		t.Errorf("job-1 published %d progress events over its two runs, want 2", progress)
 	}
 }
 
@@ -442,7 +501,7 @@ func TestRecoveryRestoresTenantAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Start()
-	if _, _, err := s1.SubmitTenant(JobRequest{Vdd: 0.7, Seed: 3}, "", "acme"); err != nil {
+	if _, _, err := s1.Submit(JobRequest{Vdd: 0.7, Seed: 3}, "", "acme"); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -462,7 +521,7 @@ func TestRecoveryRestoresTenantAccounting(t *testing.T) {
 		t.Fatalf("requeued = %d, want 1", stats.Requeued)
 	}
 	// The requeued job occupies acme's quota before Start even runs it.
-	if _, _, err := s2.SubmitTenant(JobRequest{Vdd: 0.8, Seed: 4}, "", "acme"); err == nil {
+	if _, _, err := s2.Submit(JobRequest{Vdd: 0.8, Seed: 4}, "", "acme"); err == nil {
 		t.Fatal("over-quota submit after recovery succeeded; quota accounting not restored")
 	}
 	s2.Start()
@@ -488,7 +547,7 @@ func TestRecoveryRestoresTenantAccounting(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// With the job done, acme's slot frees and a new submit is admitted.
-	if _, _, err := s2.SubmitTenant(JobRequest{Vdd: 0.8, Seed: 4}, "", "acme"); err != nil {
+	if _, _, err := s2.Submit(JobRequest{Vdd: 0.8, Seed: 4}, "", "acme"); err != nil {
 		t.Fatalf("post-completion submit refused: %v", err)
 	}
 }

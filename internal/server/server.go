@@ -82,12 +82,13 @@ const (
 	// enough to defeat common idle-connection timeouts, rare enough to cost
 	// nothing.
 	DefaultHeartbeat = 15 * time.Second
-	// DefaultJournalMaxBytes is the journal size past which the retention
-	// sweeper compacts it by atomic rotation.
-	DefaultJournalMaxBytes = 4 << 20
 	// DefaultRetryAfterMax caps the load-aware 503 Retry-After hint.
 	DefaultRetryAfterMax = 60 * time.Second
 )
+
+// journalMaxBytes is the journal size past which the retention sweeper
+// compacts it by atomic rotation.
+const journalMaxBytes = 4 << 20
 
 // errPreempted is the cancel cause a preemption attaches to the running
 // job's per-run context, distinguishing a yield from a user cancel.
@@ -173,9 +174,6 @@ type Config struct {
 	// sustained traffic cannot grow the job map without bound. Zero keeps
 	// terminal jobs forever.
 	JobTTL time.Duration
-	// JournalMaxBytes triggers compacting journal rotation once the log
-	// exceeds it. Zero selects DefaultJournalMaxBytes.
-	JournalMaxBytes int64
 	// TenantWeights gives named tenants a fair-queue weight (unlisted
 	// tenants weigh 1). A tenant's share under contention is proportional
 	// to its weight.
@@ -260,9 +258,6 @@ func New(cfg Config) *Server {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
 	}
-	if cfg.JournalMaxBytes <= 0 {
-		cfg.JournalMaxBytes = DefaultJournalMaxBytes
-	}
 	if cfg.RetryAfterMax <= 0 {
 		cfg.RetryAfterMax = DefaultRetryAfterMax
 	}
@@ -333,12 +328,15 @@ type RecoveryStats struct {
 // resume from their fingerprint-keyed checkpoints, reproducing the
 // uninterrupted FIT bit-identically), and the idempotency table is rebuilt
 // so client retries of pre-crash submissions dedupe instead of
-// double-running. Every replayed spec goes through the same validation
-// path as a fresh submission — the guard policy is re-attached, and a spec
-// the current server no longer accepts is restored as a failed job rather
-// than run. Corrupt journal records are skipped and counted, never fatal;
-// only an unopenable journal fails Recover. Call between New and Start;
-// without DataDir it is a no-op.
+// double-running. Every replayed job is built by the same constructor as a
+// fresh submission and re-validated under the server's guard policy (a
+// spec the current server no longer accepts is restored as a failed job
+// rather than run). A requeued job takes the fingerprint this build
+// derives, so it resumes the checkpoint this build keys, and a default
+// idempotency key follows it; a job that will not run again keeps its
+// journaled fingerprint and key. Corrupt journal records are skipped and
+// counted, never fatal; only an unopenable journal fails Recover. Call
+// between New and Start; without DataDir it is a no-op.
 func (s *Server) Recover() (RecoveryStats, error) {
 	var stats RecoveryStats
 	if s.cfg.DataDir == "" {
@@ -405,7 +403,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		}
 	}
 
-	var requeue []*job
 	maxID := 0
 	s.mu.Lock()
 	for _, id := range ord {
@@ -424,96 +421,58 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			s.reg.Counter("serd/recovery/invalid_specs").Inc()
 			continue
 		}
-		tenant := f.sub.Tenant
-		if tenant == "" {
-			tenant = qos.DefaultTenant
+		j, cerr := s.newJob(req, f.sub.IdempotencyKey, f.sub.Tenant, time.UnixMilli(f.sub.TimeMs))
+		j.recovered = true
+		restored := cerr == nil && (f.state == string(StateFailed) || f.state == string(StateCanceled) ||
+			f.state == string(StateDone) && len(f.result) > 0 && json.Unmarshal(f.result, &j.result) == nil)
+		if cerr != nil || restored {
+			// A job that will not run again keeps its journaled identity,
+			// so eviction collects the checkpoint it wrote and its result,
+			// perhaps from other physics, never dedupes a new submission.
+			j.fingerprint = f.sub.Fingerprint
+			j.idemKey = f.sub.IdempotencyKey
+		} else if f.sub.IdempotencyKey == f.sub.Fingerprint {
+			// A default idempotency key follows the fingerprint the
+			// requeued job now runs under.
+			j.idemKey = j.fingerprint
 		}
-		class := f.sub.Class
-		if class == "" {
-			class = req.class()
-		}
-		j := &job{
-			id:          id,
-			req:         req,
-			submitted:   time.UnixMilli(f.sub.TimeMs),
-			fingerprint: f.sub.Fingerprint,
-			idemKey:     f.sub.IdempotencyKey,
-			recovered:   true,
-			tenant:      tenant,
-			class:       class,
-			cost:        estimateCost(req),
-		}
-		j.events = events.NewStream(s.cfg.EventBuffer, func() {
-			s.reg.Counter("serd/events/dropped_subscribers").Inc()
-		})
-		j.log = obs.JobLogger(s.cfg.Logger, j.id, j.fingerprint)
-
-		// Replay goes through the same admission validation as a live
-		// submission: re-derive the flow config and re-attach the server's
-		// guard policy. A spec this server no longer accepts is restored as
-		// a failed job — queryable, never run.
-		cfg, cerr := req.flowConfig()
-		if cerr == nil {
-			cerr = cfg.Validate()
-		}
+		s.addLocked(j, id)
 		switch {
 		case cerr != nil:
+			// A spec this server no longer accepts is restored as a failed
+			// job: queryable, never run.
 			stats.Invalid++
 			s.reg.Counter("serd/recovery/invalid_specs").Inc()
 			j.state = StateFailed
 			j.err = "recovery re-validation: " + cerr.Error()
 			j.finished = time.Now()
 			s.publish(j, events.Event{Type: events.TypeRecovery, State: "failed-validation", Error: j.err})
-			s.publish(j, events.Event{Type: events.TypeState, State: string(StateFailed), Error: j.err})
-			j.events.Close()
-		case f.state == string(StateDone) && len(f.result) > 0 && json.Unmarshal(f.result, &j.result) == nil:
-			j.state = StateDone
-			j.finished = time.UnixMilli(f.lastMs)
-			stats.RestoredTerminal++
-			s.publish(j, events.Event{Type: events.TypeRecovery, State: "restored"})
-			s.publish(j, events.Event{Type: events.TypeState, State: string(StateDone)})
-			j.events.Close()
-		case f.state == string(StateFailed) || f.state == string(StateCanceled):
+		case restored:
 			j.state = JobState(f.state)
 			j.err = f.errMsg
 			j.finished = time.UnixMilli(f.lastMs)
 			stats.RestoredTerminal++
 			s.publish(j, events.Event{Type: events.TypeRecovery, State: "restored"})
-			s.publish(j, events.Event{Type: events.TypeState, State: string(j.state), Error: j.err})
-			j.events.Close()
 		default:
 			// Queued, running, or done-with-unreadable-result: run it
 			// (again). Determinism makes the re-run idempotent, and the
-			// checkpoint store skips whatever already completed.
-			cfg.Guard = s.cfg.Guard
-			cfg.GuardLog = s.cfg.GuardLog
-			j.cfg = cfg
+			// checkpoint store skips whatever already completed. A
+			// pre-crash admission is never refused its own slot: it goes
+			// back on the queue past capacity, and Restore re-counts it
+			// against its tenant's quota without checking the limit.
 			j.result = nil
-			requeue = append(requeue, j)
+			j.ctx, j.cancel = context.WithCancel(s.baseCtx)
+			s.limiter.Restore(j.tenant)
+			s.requeueLocked(j, events.Event{Type: events.TypeRecovery, State: "requeued"})
+			stats.Requeued++
+			j.logInfo("job recovered from journal", "requeued", true)
+			continue
 		}
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		if j.idemKey != "" {
-			s.idem[j.idemKey] = id
-		}
+		s.publish(j, events.Event{Type: events.TypeState, State: string(j.state), Error: j.err})
+		j.events.Close()
 	}
 	if s.nextID < maxID {
 		s.nextID = maxID
-	}
-	for _, j := range requeue {
-		jctx, jcancel := context.WithCancel(s.baseCtx)
-		j.ctx, j.cancel = jctx, jcancel
-		j.state = StateQueued
-		// ForcePush: every job admitted before the crash goes back on the
-		// fair queue regardless of the configured capacity, and Restore
-		// re-counts it against its tenant's quota without re-checking the
-		// limit — a pre-crash admission is never refused its own slot.
-		s.sched.ForcePush(j.tenant, j.class, j.cost, j)
-		s.limiter.Restore(j.tenant)
-		stats.Requeued++
-		s.publish(j, events.Event{Type: events.TypeRecovery, State: "requeued"})
-		s.publish(j, events.Event{Type: events.TypeState, State: string(StateQueued)})
-		j.logInfo("job recovered from journal", "requeued", true)
 	}
 	s.mu.Unlock()
 
@@ -562,7 +521,7 @@ func (s *Server) sweepLoop() {
 			return
 		case <-tick.C:
 			s.evictExpired(time.Now())
-			if s.journal != nil && s.journal.Size() > s.cfg.JournalMaxBytes {
+			if s.journal != nil && s.journal.Size() > journalMaxBytes {
 				s.rotateJournal()
 			}
 		}
@@ -634,28 +593,14 @@ func (s *Server) rotateJournal() {
 	live := make([]journal.Record, 0, 2*len(s.order))
 	for _, id := range s.order {
 		j := s.jobs[id]
-		reqJSON, err := json.Marshal(j.req)
+		rec, err := j.submittedRecord()
 		if err != nil {
 			continue
 		}
-		live = append(live, journal.Record{
-			Kind: journal.KindSubmitted, Job: j.id, TimeMs: j.submitted.UnixMilli(),
-			Request: reqJSON, Fingerprint: j.fingerprint, IdempotencyKey: j.idemKey,
-			Tenant: j.tenant, Class: j.class,
-		})
-		if j.state == StateQueued {
-			continue
-		}
-		rec := journal.Record{
-			Kind: journal.KindState, Job: j.id, State: string(j.state), Error: j.err,
-			TimeMs: j.finished.UnixMilli(),
-		}
-		if j.state == StateDone && j.result != nil {
-			if res, rerr := json.Marshal(j.result); rerr == nil {
-				rec.Result = res
-			}
-		}
 		live = append(live, rec)
+		if j.state != StateQueued {
+			live = append(live, j.stateRecord())
+		}
 	}
 	s.mu.Unlock()
 	if err := s.journal.Rotate(live); err != nil {
@@ -696,70 +641,31 @@ func (s *Server) Start() {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Submit validates and admits a job. It returns the queued job's status,
-// or ErrDraining / ErrQueueFull when admission is shut, or a 400-class
-// validation error (*RequestError / *finser.ConfigError).
-func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	st, _, err := s.SubmitIdem(req, "")
-	return st, err
-}
-
-// SubmitIdem is Submit with an idempotency key: when the key (or, on a
-// durable server, its default — the flow fingerprint) matches a job that
-// is queued, running, or done, the original job's status is returned with
-// deduped=true instead of admitting a double-run. A client whose first
-// submission's response was lost to a crash retries safely: it lands on
-// the same job and, once that finishes, on its result. Failed and canceled
-// originals do not dedupe — resubmitting one is an explicit "try again"
-// (it still resumes from the original's checkpoint).
-func (s *Server) SubmitIdem(req JobRequest, idemKey string) (JobStatus, bool, error) {
-	return s.SubmitTenant(req, idemKey, "")
-}
-
-// SubmitTenant is SubmitIdem on behalf of a named tenant ("" selects
-// qos.DefaultTenant). The tenant is policed by the per-tenant rate limit
-// and in-flight quota (typed *qos.RateError / *qos.QuotaError — HTTP 429,
-// the tenant is over budget) before the global capacity check (ErrQueueFull
-// — HTTP 503, the server is full), and the job lands in the tenant ×
-// class fair-queue flow.
-func (s *Server) SubmitTenant(req JobRequest, idemKey, tenant string) (JobStatus, bool, error) {
-	if tenant == "" {
-		tenant = qos.DefaultTenant
-	}
-	cfg, err := req.flowConfig()
+// Submit validates and admits a job for tenant ("" selects
+// qos.DefaultTenant) into its tenant × class fair-queue flow, returning the
+// queued job's status. Errors: *RequestError / *finser.ConfigError (400),
+// the tenant's *qos.RateError / *qos.QuotaError (429, checked before global
+// capacity), ErrDraining / ErrQueueFull (503).
+//
+// When idemKey (on a durable server, by default the flow fingerprint)
+// matches a queued, running, or done job, that job's status returns with
+// deduped=true instead of a double-run, so a client whose response was
+// lost to a crash retries safely. Failed and canceled originals do not
+// dedupe: resubmitting one is an explicit "try again" (it still resumes
+// from the original's checkpoint).
+func (s *Server) Submit(req JobRequest, idemKey, tenant string) (JobStatus, bool, error) {
+	j, err := s.newJob(req, idemKey, tenant, time.Now())
 	if err != nil {
 		return JobStatus{}, false, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return JobStatus{}, false, err
-	}
-	// The guard configuration is the server's policy, not the client's:
-	// attach it at admission so every execution path (including injected
-	// runners) sees it.
-	cfg.Guard = s.cfg.Guard
-	cfg.GuardLog = s.cfg.GuardLog
-
-	// The fingerprint keys the job's checkpoint file, serves as the default
-	// idempotency key, and correlates its log lines, metrics, and event
-	// stream; cfg already validated, so this cannot fail — but a failure
-	// only costs the correlation key.
-	fingerprint := ""
-	if fp, ferr := finser.FlowFingerprint(cfg, []float64{cfg.Vdd}); ferr == nil {
-		fingerprint = fp
-	}
-	if idemKey == "" && s.journal != nil {
-		idemKey = fingerprint
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if idemKey != "" {
-		if id, ok := s.idem[idemKey]; ok {
-			if j, ok := s.jobs[id]; ok && j.state != StateFailed && j.state != StateCanceled {
-				s.reg.Counter("serd/jobs/deduped").Inc()
-				j.logInfo("submission deduped to existing job", "idempotency_key", idemKey)
-				return j.status(), true, nil
-			}
+	if id, ok := s.idem[j.idemKey]; ok {
+		if orig := s.jobs[id]; orig != nil && orig.state != StateFailed && orig.state != StateCanceled {
+			s.reg.Counter("serd/jobs/deduped").Inc()
+			orig.logInfo("submission deduped to existing job", "idempotency_key", j.idemKey)
+			return orig.status(), true, nil
 		}
 	}
 	if s.draining {
@@ -770,68 +676,67 @@ func (s *Server) SubmitTenant(req JobRequest, idemKey, tenant string) (JobStatus
 	// gets its typed 429 even when the server has room, and never burns a
 	// queue slot. Rate first (cheap, burns a token only on success), then
 	// the in-flight quota.
-	class := req.class()
-	if err := s.limiter.Admit(tenant); err != nil {
-		s.reg.Counter(obs.Labeled("serd/tenant/rejected_rate", "tenant", tenant)).Inc()
+	if err := s.limiter.Admit(j.tenant); err != nil {
+		s.reg.Counter(obs.Labeled("serd/tenant/rejected_rate", "tenant", j.tenant)).Inc()
 		return JobStatus{}, false, err
 	}
-	if err := s.limiter.Acquire(tenant); err != nil {
-		s.reg.Counter(obs.Labeled("serd/tenant/rejected_quota", "tenant", tenant)).Inc()
+	if err := s.limiter.Acquire(j.tenant); err != nil {
+		s.reg.Counter(obs.Labeled("serd/tenant/rejected_quota", "tenant", j.tenant)).Inc()
 		return JobStatus{}, false, err
 	}
-	s.nextID++
-	jctx, jcancel := context.WithCancel(s.baseCtx)
-	j := &job{
-		id:          fmt.Sprintf("job-%d", s.nextID),
-		req:         req,
-		cfg:         cfg,
-		state:       StateQueued,
-		submitted:   time.Now(),
-		cancel:      jcancel,
-		ctx:         jctx,
-		fingerprint: fingerprint,
-		idemKey:     idemKey,
-		tenant:      tenant,
-		class:       class,
-		cost:        estimateCost(req),
-	}
-	if perr := s.sched.Push(tenant, class, j.cost, j); perr != nil {
+	j.state = StateQueued
+	if perr := s.sched.Push(j.tenant, j.class, j.cost, j); perr != nil {
 		// Load shedding: a full queue refuses immediately rather than
 		// accumulating unbounded goroutines or latency.
-		s.nextID--
-		jcancel()
-		s.limiter.Release(tenant)
+		s.limiter.Release(j.tenant)
 		s.reg.Counter("serd/jobs/rejected_full").Inc()
 		if errors.Is(perr, qos.ErrClosed) {
 			return JobStatus{}, false, ErrDraining
 		}
 		return JobStatus{}, false, ErrQueueFull
 	}
-	j.events = events.NewStream(s.cfg.EventBuffer, func() {
-		s.reg.Counter("serd/events/dropped_subscribers").Inc()
-	})
-	j.log = obs.JobLogger(s.cfg.Logger, j.id, j.fingerprint)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	if idemKey != "" {
-		s.idem[idemKey] = j.id
-	}
-	if reqJSON, jerr := json.Marshal(req); jerr == nil {
-		s.journalAppend(journal.Record{
-			Kind: journal.KindSubmitted, Job: j.id, Request: reqJSON,
-			Fingerprint: j.fingerprint, IdempotencyKey: idemKey,
-			Tenant: tenant, Class: class,
-		})
+	// No worker reads the job before s.mu is released.
+	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
+	s.nextID++
+	s.addLocked(j, fmt.Sprintf("job-%d", s.nextID))
+	if rec, rerr := j.submittedRecord(); rerr == nil {
+		s.journalAppend(rec)
 	}
 	s.reg.Counter("serd/jobs/submitted").Inc()
-	s.reg.Counter(obs.Labeled("serd/tenant/jobs_submitted", "tenant", tenant, "class", class)).Inc()
+	s.reg.Counter(obs.Labeled("serd/tenant/jobs_submitted", "tenant", j.tenant, "class", j.class)).Inc()
 	s.reg.Gauge("serd/queue/depth").Set(float64(s.sched.Len()))
 	s.publish(j, events.Event{Type: events.TypeState, State: string(StateQueued)})
-	j.logInfo("job queued", "vdd", cfg.Vdd, "tenant", tenant, "class", class, "queue_depth", s.sched.Len())
-	if class == qos.ClassInteractive && s.cfg.Preempt && s.cfg.CheckpointDir != "" {
+	j.logInfo("job queued", "vdd", j.cfg.Vdd, "tenant", j.tenant, "class", j.class, "queue_depth", s.sched.Len())
+	if j.class == qos.ClassInteractive && s.cfg.Preempt && s.cfg.CheckpointDir != "" {
 		s.maybePreemptLocked(j)
 	}
 	return j.status(), false, nil
+}
+
+// addLocked registers a constructed job under id: its event stream and
+// logger, the registry, and the idempotency table. Callers hold s.mu.
+func (s *Server) addLocked(j *job, id string) {
+	j.id = id
+	j.events = events.NewStream(s.cfg.EventBuffer, func() {
+		s.reg.Counter("serd/events/dropped_subscribers").Inc()
+	})
+	j.log = obs.JobLogger(s.cfg.Logger, id, j.fingerprint)
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	if j.idemKey != "" {
+		s.idem[j.idemKey] = id
+	}
+}
+
+// requeueLocked puts an admitted job back on the fair queue, past its
+// capacity, after publishing why (a recovery or preemption event) and the
+// queued state. Journal replay and preemption both requeue through it.
+// Callers hold s.mu.
+func (s *Server) requeueLocked(j *job, why events.Event) {
+	j.state = StateQueued
+	s.publish(j, why)
+	s.publish(j, events.Event{Type: events.TypeState, State: string(StateQueued)})
+	s.sched.ForcePush(j.tenant, j.class, j.cost, j)
 }
 
 // maybePreemptLocked asks the longest-running batch job to yield its
@@ -863,31 +768,6 @@ func (s *Server) maybePreemptLocked(trigger *job) {
 	victim.preemptCancel(errPreempted)
 	s.reg.Counter("serd/jobs/preempt_requested").Inc()
 	victim.logInfo("preemption requested", "for_job", trigger.id, "for_tenant", trigger.tenant)
-}
-
-// estimateCost is the WFQ cost estimate for one job — relative Monte-Carlo
-// work units (bins × iterations, plus characterization samples). Precision
-// is unimportant: the fair queue only needs costs to scale with runtime so
-// a cheap interactive lookup's virtual finish tag stays far below a
-// million-particle batch job's.
-func estimateCost(req JobRequest) float64 {
-	samples := req.Samples
-	if samples <= 0 {
-		samples = 1000
-	}
-	iters := req.ItersPerBin
-	if iters <= 0 {
-		iters = 50000
-	}
-	alphaBins := req.AlphaBins
-	if alphaBins <= 0 {
-		alphaBins = 12
-	}
-	protonBins := req.ProtonBins
-	if protonBins <= 0 {
-		protonBins = 16
-	}
-	return float64(samples) + float64(iters)*float64(alphaBins+protonBins)
 }
 
 // publish stamps the job ID onto e and publishes it to the job's stream,
@@ -968,9 +848,10 @@ func (s *Server) List() []JobStatus {
 	return out
 }
 
-// Cancel cancels a job: a queued job is finalized immediately (workers
-// skip it), a running one has its context cancelled and finalizes when the
-// flow unwinds. Cancelling a terminal job is a no-op.
+// Cancel cancels a job: a queued job leaves the fair queue, freeing its
+// slot, and is finalized immediately; a running one has its context
+// cancelled and finalizes when the flow unwinds. Cancelling a terminal job
+// is a no-op.
 func (s *Server) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -981,6 +862,8 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	switch j.state {
 	case StateQueued:
 		j.cancel()
+		s.sched.Remove(j.tenant, j.class, j)
+		s.reg.Gauge("serd/queue/depth").Set(float64(s.sched.Len()))
 		s.finalizeLocked(j, StateCanceled, "canceled while queued")
 	case StateRunning:
 		j.cancel()
@@ -1058,11 +941,12 @@ func (s *Server) runJob(j *job) {
 	s.reg.Gauge("serd/queue/depth").Set(float64(s.sched.Len()))
 	s.reg.Gauge("serd/jobs/running").Set(float64(s.running.Add(1)))
 	queueWait := j.started.Sub(j.submitted)
+	running := j.stateRecord()
 	s.mu.Unlock()
 	defer func() { s.reg.Gauge("serd/jobs/running").Set(float64(s.running.Add(-1))) }()
 	defer preemptCancel(nil)
 	s.latency("queue_wait").Observe(queueWait.Seconds())
-	s.journalAppend(journal.Record{Kind: journal.KindState, Job: j.id, State: string(StateRunning)})
+	s.journalAppend(running)
 	s.publish(j, events.Event{Type: events.TypeState, State: string(StateRunning)})
 	if resumedRun {
 		s.reg.Counter("serd/jobs/preempt_resumed").Inc()
@@ -1070,7 +954,6 @@ func (s *Server) runJob(j *job) {
 		j.logInfo("job resuming after preemption", "preemptions", j.preempts)
 	}
 	j.logInfo("job running", "queue_wait_seconds", queueWait.Seconds())
-	s.instrumentFlow(j)
 
 	ctx := runCtx
 	timeout := s.cfg.JobTimeout
@@ -1106,15 +989,12 @@ func (s *Server) runJob(j *job) {
 		// Preemption requeue: only when the yield's cancellation (and not a
 		// user cancel, drain, or timeout) unwound the flow. Completed bins
 		// are checkpointed, so the resume is bit-identical.
-		j.state = StateQueued
 		j.preempts++
 		s.reg.Counter("serd/jobs/preempted").Inc()
 		s.reg.Counter(obs.Labeled("serd/tenant/jobs_preempted", "tenant", j.tenant)).Inc()
-		s.journalAppend(journal.Record{Kind: journal.KindState, Job: j.id, State: string(StateQueued)})
-		s.publish(j, events.Event{Type: events.TypePreempted, State: string(StateQueued)})
-		s.publish(j, events.Event{Type: events.TypeState, State: string(StateQueued)})
+		s.requeueLocked(j, events.Event{Type: events.TypePreempted, State: string(StateQueued)})
+		s.journalAppend(j.stateRecord())
 		j.logInfo("job preempted at checkpoint boundary", "preemptions", j.preempts)
-		s.sched.ForcePush(j.tenant, j.class, j.cost, j)
 	case errors.Is(err, context.Canceled):
 		msg := "canceled"
 		if s.draining {
@@ -1130,8 +1010,9 @@ func (s *Server) runJob(j *job) {
 
 // instrumentFlow wires the job's flow callbacks to its event stream, so
 // per-bin FIT results, guard violations, and throttled progress reach
-// streaming clients as they happen. Both the production flow and injected
-// test runners run under the instrumented config.
+// streaming clients as they happen. newJob calls it once per job, so a run
+// resumed after a preemption reports each event once. Both the production
+// flow and injected test runners run under the instrumented config.
 func (s *Server) instrumentFlow(j *job) {
 	j.cfg.BinDone = func(be finser.BinEvent) {
 		ev := events.Event{
@@ -1154,15 +1035,11 @@ func (s *Server) instrumentFlow(j *job) {
 			Invariant: v.Invariant, Detail: v.Detail, Value: v.Value,
 		})
 	}
-	prev := j.cfg.Progress
 	j.cfg.Progress = func(p finser.Progress) {
 		s.publish(j, events.Event{
 			Type: events.TypeProgress, Stage: p.Stage,
 			Done: p.Done, Total: p.Total, Rate: p.Rate,
 		})
-		if prev != nil {
-			prev(p)
-		}
 	}
 }
 
@@ -1175,14 +1052,7 @@ func (s *Server) finalizeLocked(j *job, state JobState, msg string) {
 	j.err = msg
 	j.finished = time.Now()
 	s.limiter.Release(j.tenant)
-	tenant, class := j.tenant, j.class
-	if tenant == "" {
-		tenant = qos.DefaultTenant
-	}
-	if class == "" {
-		class = qos.ClassBatch
-	}
-	s.reg.Counter(obs.Labeled("serd/tenant/jobs_"+string(state), "tenant", tenant, "class", class)).Inc()
+	s.reg.Counter(obs.Labeled("serd/tenant/jobs_"+string(state), "tenant", j.tenant, "class", j.class)).Inc()
 	switch state {
 	case StateDone:
 		s.reg.Counter("serd/jobs/completed").Inc()
@@ -1191,7 +1061,7 @@ func (s *Server) finalizeLocked(j *job, state JobState, msg string) {
 		}
 		s.latency("admission_to_done").Observe(j.finished.Sub(j.submitted).Seconds())
 		s.reg.Histogram(
-			obs.Labeled("serd/tenant/admission_to_done_seconds", "tenant", tenant, "class", class),
+			obs.Labeled("serd/tenant/admission_to_done_seconds", "tenant", j.tenant, "class", j.class),
 			obs.ExpBuckets(0.001, 2, 20),
 		).Observe(j.finished.Sub(j.submitted).Seconds())
 	case StateFailed:
@@ -1201,13 +1071,7 @@ func (s *Server) finalizeLocked(j *job, state JobState, msg string) {
 	}
 	// The terminal record carries the result, so a post-crash replay can
 	// restore a finished job without re-running it.
-	rec := journal.Record{Kind: journal.KindState, Job: j.id, State: string(state), Error: msg}
-	if state == StateDone && j.result != nil {
-		if res, rerr := json.Marshal(j.result); rerr == nil {
-			rec.Result = res
-		}
-	}
-	s.journalAppend(rec)
+	s.journalAppend(j.stateRecord())
 	// Terminal event, then close: subscribers drain the final transition
 	// and see a clean end-of-stream.
 	s.publish(j, events.Event{Type: events.TypeState, State: string(state), Error: msg})
@@ -1227,7 +1091,7 @@ func (s *Server) runFlow(ctx context.Context, j *job) (*JobResult, error) {
 	cfg.Obs = s.reg
 	cfg.Faults = s.cfg.Faults
 	if s.cfg.CheckpointDir != "" {
-		store, resumed, err := s.openCheckpoint(cfg)
+		store, resumed, err := s.openCheckpoint(j)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
@@ -1265,27 +1129,18 @@ func (s *Server) runFlow(ctx context.Context, j *job) (*JobResult, error) {
 	return &JobResult{Vdd: res.Vdd, Alpha: res.Alpha, Proton: res.Proton}, nil
 }
 
-// openCheckpoint opens (or creates) the job's fingerprint-keyed checkpoint
-// file, returning the store and how many stages it restored. An unreadable
-// or mismatched existing file is replaced rather than failing the job — a
-// stale checkpoint must never block fresh work.
-func (s *Server) openCheckpoint(cfg finser.FlowConfig) (*finser.CheckpointStore, int, error) {
-	vdds := []float64{cfg.Vdd}
-	fp, err := finser.FlowFingerprint(cfg, vdds)
-	if err != nil {
-		return nil, 0, err
+// openCheckpoint opens (or creates) the checkpoint file named by the
+// job's fingerprint, returning the store and how many stages it restored.
+// An unreadable or mismatched existing file is replaced rather than
+// failing the job — a stale checkpoint must never block fresh work.
+func (s *Server) openCheckpoint(j *job) (*finser.CheckpointStore, int, error) {
+	path := s.checkpointPath(j.fingerprint)
+	vdds := []float64{j.cfg.Vdd}
+	if store, err := finser.ResumeCheckpoint(path, j.cfg, vdds); err == nil {
+		return store, len(store.Stages()), nil
 	}
-	path := filepath.Join(s.cfg.CheckpointDir, "ser-"+fp[:16]+".ck.json")
-	if _, serr := os.Stat(path); serr == nil {
-		if store, rerr := finser.ResumeCheckpoint(path, cfg, vdds); rerr == nil {
-			return store, len(store.Stages()), nil
-		}
-	}
-	store, err := finser.CreateCheckpoint(path, cfg, vdds)
-	if err != nil {
-		return nil, 0, err
-	}
-	return store, 0, nil
+	store, err := finser.CreateCheckpoint(path, j.cfg, vdds)
+	return store, 0, err
 }
 
 // ---- HTTP layer ----
@@ -1373,7 +1228,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
-	st, deduped, err := s.SubmitTenant(req, r.Header.Get("Idempotency-Key"), r.Header.Get("X-Tenant"))
+	st, deduped, err := s.Submit(req, r.Header.Get("Idempotency-Key"), r.Header.Get("X-Tenant"))
 	var rateErr *qos.RateError
 	var quotaErr *qos.QuotaError
 	switch {
@@ -1387,9 +1242,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeTooManyRequests(w, err, rateErr.RetryAfter)
 	case errors.As(err, &quotaErr):
 		writeTooManyRequests(w, err, 0)
-	case errors.Is(err, ErrQueueFull):
-		s.writeUnavailable(w, err.Error())
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		s.writeUnavailable(w, err.Error())
 	default:
 		// Validation errors are the caller's fault: 400, not 500.

@@ -145,6 +145,52 @@ func TestQueueSaturationSheds503(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedFreesSlot: canceling a queued job takes it out of the
+// fair queue at once. With the lone worker busy and the one queue slot
+// freed by the cancel, the next submission is admitted rather than shed,
+// and the canceled job never runs.
+func TestCancelQueuedFreesSlot(t *testing.T) {
+	reg := obs.NewRegistry()
+	started := make(chan string, 4)
+	release := make(chan struct{})
+	s := New(Config{
+		QueueDepth: 1,
+		Workers:    1,
+		Metrics:    reg,
+		Runner:     blockingRunner(started, release),
+	})
+	s.Start()
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	postJob(t, ts, `{"vdd": 0.7}`) // job-1 takes the worker
+	<-started
+	if resp, body := postJob(t, ts, `{"vdd": 0.8}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job 2 status = %d (body %s), want 202", resp.StatusCode, body)
+	}
+	if _, err := s.Cancel("job-2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge("serd/queue/depth").Value(); got != 0 {
+		t.Errorf("queue/depth after canceling the queued job = %g, want 0", got)
+	}
+	resp, body := postJob(t, ts, `{"vdd": 0.9}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after canceling the queued job = %d (body %s), want 202", resp.StatusCode, body)
+	}
+
+	close(release)
+	waitState(t, ts, "job-1", StateDone)
+	waitState(t, ts, "job-3", StateDone)
+	if n := len(started); n != 1 {
+		t.Errorf("%d runs after job-1, want 1 (job-3 only; canceled job-2 must not run)", n)
+	}
+	if got := reg.Counter("serd/jobs/rejected_full").Value(); got != 0 {
+		t.Errorf("rejected_full = %d, want 0", got)
+	}
+}
+
 // TestJobLifecycleAndCancel exercises the state machine: cancel a queued
 // job (the worker must skip it), cancel a running job (its context is cut),
 // and run a third job to completion.
@@ -439,7 +485,7 @@ func TestDrainRejectsNewSubmits(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	_, err := s.Submit(JobRequest{Vdd: 0.7})
+	_, _, err := s.Submit(JobRequest{Vdd: 0.7}, "", "")
 	if !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit after drain = %v, want ErrDraining", err)
 	}

@@ -427,7 +427,7 @@ func TestConfigErrorsTyped(t *testing.T) {
 		{"FITRelErr", FlowConfig{Vdd: 0.8, FITRelErr: -0.1}},
 	}
 	for _, tc := range cases {
-		err := tc.cfg.Validate()
+		_, err := tc.cfg.Validate()
 		if err == nil {
 			t.Errorf("%s: invalid config accepted", tc.field)
 			continue
@@ -441,8 +441,14 @@ func TestConfigErrorsTyped(t *testing.T) {
 			t.Errorf("ConfigError.Field = %q, want %q (err: %v)", ce.Field, tc.field, err)
 		}
 	}
-	if err := (FlowConfig{Vdd: 0.8}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	got, err := (FlowConfig{Vdd: 0.8}).Validate()
+	if err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	// The resolved config carries the flow's defaults.
+	if got.Samples != 1000 || got.ItersPerBin != 50000 || got.AlphaBins != 12 || got.ProtonBins != 16 || got.Rows != 9 {
+		t.Errorf("resolved samples/iters/bins/rows = %d/%d/%d+%d/%d, want 1000/50000/12+16/9",
+			got.Samples, got.ItersPerBin, got.AlphaBins, got.ProtonBins, got.Rows)
 	}
 }
 
