@@ -30,8 +30,10 @@ type runner struct {
 	// obs, when non-nil, collects counters and stage spans across every
 	// figure regenerated in this invocation.
 	obs *finser.Metrics
-	// characterization cache, keyed by (vdd, pv)
-	chars map[string]*finser.Characterization
+	// chars caches Fig. 8's process-variation characterizations by Vdd
+	chars map[float64]*finser.Characterization
+	// sweeps caches the Figs. 9–11 Vdd sweep per process-variation setting
+	sweeps map[bool][]*finser.FlowResult
 }
 
 func main() {
@@ -53,7 +55,8 @@ func main() {
 		iters:   *iters,
 		seed:    *seed,
 		outdir:  *outdir,
-		chars:   map[string]*finser.Characterization{},
+		chars:   map[float64]*finser.Characterization{},
+		sweeps:  map[bool][]*finser.FlowResult{},
 	}
 	if *metrics != "" {
 		// Create the file up front so a bad path fails before the run.
@@ -97,27 +100,21 @@ func main() {
 	}
 }
 
-func (r *runner) char(vdd float64, pv bool) (*finser.Characterization, error) {
-	key := fmt.Sprintf("%.3f-%v", vdd, pv)
-	if ch, ok := r.chars[key]; ok {
-		return ch, nil
-	}
-	ch, err := finser.CharacterizeCtx(context.Background(), finser.CharConfig{
-		Tech: finser.Default14nmSOI(), Vdd: vdd,
-		Samples: r.samples, ProcessVariation: pv, Seed: r.seed,
-		Metrics: finser.NewCharMetrics(r.obs),
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.chars[key] = ch
-	return ch, nil
-}
-
-func (r *runner) engine(vdd float64, pv bool) (*finser.Engine, error) {
-	ch, err := r.char(vdd, pv)
-	if err != nil {
-		return nil, err
+// engine builds Fig. 8's array engine on the process-variation
+// characterization at vdd, characterizing each voltage once.
+func (r *runner) engine(vdd float64) (*finser.Engine, error) {
+	ch, ok := r.chars[vdd]
+	if !ok {
+		var err error
+		ch, err = finser.CharacterizeCtx(context.Background(), finser.CharConfig{
+			Tech: finser.Default14nmSOI(), Vdd: vdd,
+			Samples: r.samples, ProcessVariation: true, Seed: r.seed,
+			Metrics: finser.NewCharMetrics(r.obs),
+		})
+		if err != nil {
+			return nil, err
+		}
+		r.chars[vdd] = ch
 	}
 	tr := finser.DefaultTransport()
 	tr.Metrics = finser.NewTransportMetrics(r.obs)
@@ -245,7 +242,7 @@ func (r *runner) fig8() error {
 	var globalMax float64
 	raw := make([][]float64, len(series))
 	for si, s := range series {
-		eng, err := r.engine(s.vdd, true)
+		eng, err := r.engine(s.vdd)
 		if err != nil {
 			return err
 		}
@@ -279,32 +276,27 @@ func (r *runner) fig8() error {
 		[]string{"energy_mev", "proton_0v7", "proton_0v8", "alpha_0v7", "alpha_0v8"}, table)
 }
 
-// vddSweep runs the full flow at the paper's five supply points, reusing
-// cached characterizations, and returns per-vdd results.
-func (r *runner) vddSweep(pv bool) ([]*finser.FlowResult, []float64, error) {
-	vdds := []float64{0.7, 0.8, 0.9, 1.0, 1.1}
-	out := make([]*finser.FlowResult, 0, len(vdds))
-	for _, v := range vdds {
-		ch, err := r.char(v, pv)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := finser.RunFlowWithCharCtx(context.Background(), finser.FlowConfig{
-			Vdd: v, ItersPerBin: r.iters, Seed: r.seed,
-			Samples: r.samples, ProcessVariation: pv,
-			Obs: r.obs,
-		}, ch)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, res)
+// vddSweep runs the full flow at the paper's five supply points, once per
+// process-variation setting: Figs. 9, 10 and 11 share the results.
+func (r *runner) vddSweep(pv bool) ([]*finser.FlowResult, error) {
+	if out, ok := r.sweeps[pv]; ok {
+		return out, nil
 	}
-	return out, vdds, nil
+	out, err := finser.RunVddSweepCtx(context.Background(), finser.FlowConfig{
+		ItersPerBin: r.iters, Seed: r.seed,
+		Samples: r.samples, ProcessVariation: pv,
+		Obs: r.obs,
+	}, []float64{0.7, 0.8, 0.9, 1.0, 1.1})
+	if err != nil {
+		return nil, err
+	}
+	r.sweeps[pv] = out
+	return out, nil
 }
 
 func (r *runner) fig9() error {
 	header("Fig. 9 — normalized FIT vs Vdd (proton and alpha)")
-	results, vdds, err := r.vddSweep(true)
+	results, err := r.vddSweep(true)
 	if err != nil {
 		return err
 	}
@@ -320,37 +312,37 @@ func (r *runner) fig9() error {
 		minv = protonF[len(protonF)-1]
 	}
 	fmt.Printf("%6s %16s %16s\n", "Vdd", "proton (norm)", "alpha (norm)")
-	rows := make([][]float64, 0, len(vdds))
-	for i := range vdds {
+	rows := make([][]float64, 0, len(results))
+	for i, res := range results {
 		p, a := protonF[i]/minv, alphaF[i]/minv
-		fmt.Printf("%6.2f %16.5g %16.5g\n", vdds[i], p, a)
-		rows = append(rows, []float64{vdds[i], p, a})
+		fmt.Printf("%6.2f %16.5g %16.5g\n", res.Vdd, p, a)
+		rows = append(rows, []float64{res.Vdd, p, a})
 	}
 	return r.writeCSV("fig9_fit_vs_vdd.csv", []string{"vdd", "proton_norm", "alpha_norm"}, rows)
 }
 
 func (r *runner) fig10() error {
 	header("Fig. 10 — MBU/SEU ratio (%) vs Vdd")
-	results, vdds, err := r.vddSweep(true)
+	results, err := r.vddSweep(true)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%6s %14s %14s\n", "Vdd", "proton (%)", "alpha (%)")
-	rows := make([][]float64, 0, len(vdds))
-	for i, res := range results {
-		fmt.Printf("%6.2f %14.4f %14.4f\n", vdds[i], res.Proton.MBUToSEU, res.Alpha.MBUToSEU)
-		rows = append(rows, []float64{vdds[i], res.Proton.MBUToSEU, res.Alpha.MBUToSEU})
+	rows := make([][]float64, 0, len(results))
+	for _, res := range results {
+		fmt.Printf("%6.2f %14.4f %14.4f\n", res.Vdd, res.Proton.MBUToSEU, res.Alpha.MBUToSEU)
+		rows = append(rows, []float64{res.Vdd, res.Proton.MBUToSEU, res.Alpha.MBUToSEU})
 	}
 	return r.writeCSV("fig10_mbu_seu.csv", []string{"vdd", "proton_pct", "alpha_pct"}, rows)
 }
 
 func (r *runner) fig11() error {
 	header("Fig. 11 — process-variation effect on SER (alpha; proton same trend)")
-	withPV, vdds, err := r.vddSweep(true)
+	withPV, err := r.vddSweep(true)
 	if err != nil {
 		return err
 	}
-	noPV, _, err := r.vddSweep(false)
+	noPV, err := r.vddSweep(false)
 	if err != nil {
 		return err
 	}
@@ -358,15 +350,15 @@ func (r *runner) fig11() error {
 	fmt.Printf("%6s %14s %14s %10s %14s %14s %10s\n", "Vdd",
 		"a with PV", "a w/o PV", "a under-%",
 		"p with PV", "p w/o PV", "p under-%")
-	rows := make([][]float64, 0, len(vdds))
-	for i := range vdds {
-		aPV, aNom := withPV[i].Alpha.TotalFIT, noPV[i].Alpha.TotalFIT
-		pPV, pNom := withPV[i].Proton.TotalFIT, noPV[i].Proton.TotalFIT
+	rows := make([][]float64, 0, len(withPV))
+	for i, res := range withPV {
+		aPV, aNom := res.Alpha.TotalFIT, noPV[i].Alpha.TotalFIT
+		pPV, pNom := res.Proton.TotalFIT, noPV[i].Proton.TotalFIT
 		aUnder := 100 * (aPV - aNom) / aPV
 		pUnder := 100 * (pPV - pNom) / pPV
 		fmt.Printf("%6.2f %14.5g %14.5g %10.2f %14.5g %14.5g %10.2f\n",
-			vdds[i], aPV/minv, aNom/minv, aUnder, pPV/minv, pNom/minv, pUnder)
-		rows = append(rows, []float64{vdds[i], aPV / minv, aNom / minv, aUnder, pPV / minv, pNom / minv, pUnder})
+			res.Vdd, aPV/minv, aNom/minv, aUnder, pPV/minv, pNom/minv, pUnder)
+		rows = append(rows, []float64{res.Vdd, aPV / minv, aNom / minv, aUnder, pPV / minv, pNom / minv, pUnder})
 	}
 	return r.writeCSV("fig11_process_variation.csv",
 		[]string{"vdd", "alpha_with_pv_norm", "alpha_without_pv_norm", "alpha_underestimate_pct",

@@ -170,54 +170,57 @@ func main() {
 	fmt.Printf("%6s  %14s %12s %12s %9s  %14s %12s %12s %9s\n",
 		"Vdd", "alphaFIT", "alphaSEU", "alphaMBU", "MBU/SEU%", "protonFIT", "protonSEU", "protonMBU", "MBU/SEU%")
 
-	var results []*finser.FlowResult
-	// fail ends the run on a stage error at vdd, flushing the completed
-	// voltages first: an interrupt exits 130 and a deadline 124, each with a
-	// resume hint; any other failure exits 1.
-	fail := func(vdd float64, err error) {
+	start := time.Now()
+	results, err := finser.RunVddSweepCtx(ctx, cfg, vdds)
+	for _, res := range results {
+		fmt.Printf("%6.2f  %14.5g %12.5g %12.5g %9.3f  %14.5g %12.5g %12.5g %9.3f\n",
+			res.Vdd,
+			res.Alpha.TotalFIT, res.Alpha.SEUFIT, res.Alpha.MBUFIT, res.Alpha.MBUToSEU,
+			res.Proton.TotalFIT, res.Proton.SEUFIT, res.Proton.MBUFIT, res.Proton.MBUToSEU)
+	}
+	fmt.Printf("%6s  (%d voltage(s) in %s)\n", "", len(results), time.Since(start).Round(time.Millisecond))
+
+	// fail ends the run on a stage error, flushing the completed voltages
+	// first: an interrupt exits 130 and a deadline 124, each with a resume
+	// hint; any other failure exits 1. The error names the voltage (a
+	// *SweepError for the alpha/proton sweep) and the stage it landed in.
+	fail := func(err error) {
 		flush(results, reg, *jsonOut, *metrics)
 		code := 0
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			// The wrapped error names the stage (and bin) the budget expired
 			// in, e.g. "core: fit/alpha bin 7: context deadline exceeded".
-			log.Printf("timed out after %s at vdd %g: %v", *timeout, vdd, err)
+			log.Printf("timed out after %s: %v", *timeout, err)
 			code = timeoutExitCode
 		case errors.Is(err, context.Canceled):
-			log.Printf("interrupted at vdd %g: %v", vdd, err)
+			log.Printf("interrupted: %v", err)
 			code = interruptExitCode
 		default:
-			log.Fatalf("vdd %g: %v", vdd, err)
+			log.Fatal(err)
 		}
 		if *ckPath != "" {
 			log.Printf("rerun with -checkpoint %s -resume to continue", *ckPath)
 		}
 		os.Exit(code)
 	}
-	for _, vdd := range vdds {
-		c := cfg
-		c.Vdd = vdd
-		start := time.Now()
-		res, err := finser.RunFlowCtx(ctx, c)
-		if err != nil {
-			fail(vdd, err)
-		}
-		results = append(results, res)
-		fmt.Printf("%6.2f  %14.5g %12.5g %12.5g %9.3f  %14.5g %12.5g %12.5g %9.3f   (%s)\n",
-			vdd,
-			res.Alpha.TotalFIT, res.Alpha.SEUFIT, res.Alpha.MBUFIT, res.Alpha.MBUToSEU,
-			res.Proton.TotalFIT, res.Proton.SEUFIT, res.Proton.MBUFIT, res.Proton.MBUToSEU,
-			time.Since(start).Round(time.Millisecond))
+	if err != nil {
+		fail(err)
+	}
 
-		if *neut {
-			// Same engine configuration, context and checkpoint store as
-			// the alpha and proton stages.
+	if *neut {
+		// Each voltage's neutron stage runs on its swept characterization,
+		// with the same engine configuration, context and checkpoint store
+		// as the alpha and proton stages.
+		for _, res := range results {
+			c := cfg
+			c.Vdd = res.Vdd
 			nFIT, err := finser.NeutronFITCtx(ctx, c, res.Char)
 			if err != nil {
-				fail(vdd, err)
+				fail(fmt.Errorf("vdd %g: %w", res.Vdd, err))
 			}
-			fmt.Printf("%6s  neutron: total=%.5g±%.2g SEU=%.5g MBU=%.5g MBU/SEU=%.3f%%\n",
-				"", nFIT.TotalFIT, nFIT.TotalFITErr, nFIT.SEUFIT, nFIT.MBUFIT, nFIT.MBUToSEU)
+			fmt.Printf("%6.2f  neutron: total=%.5g±%.2g SEU=%.5g MBU=%.5g MBU/SEU=%.3f%%\n",
+				res.Vdd, nFIT.TotalFIT, nFIT.TotalFITErr, nFIT.SEUFIT, nFIT.MBUFIT, nFIT.MBUToSEU)
 		}
 	}
 
@@ -285,11 +288,6 @@ func buildConfig(vddList string, rows, cols int, pv bool, samples, iters int, re
 	if err != nil {
 		return finser.FlowConfig{}, nil, err
 	}
-	for _, v := range vdds {
-		if v <= 0 {
-			return finser.FlowConfig{}, nil, fmt.Errorf("-vdd must be positive, got %g", v)
-		}
-	}
 	if rows <= 0 || cols <= 0 {
 		return finser.FlowConfig{}, nil, fmt.Errorf("-rows/-cols must be positive, got %d×%d", rows, cols)
 	}
@@ -318,6 +316,7 @@ func buildConfig(vddList string, rows, cols int, pv bool, samples, iters int, re
 	}, vdds, nil
 }
 
+// parseVdds reads the -vdd list; every voltage must be positive.
 func parseVdds(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, 0, len(parts))
@@ -325,6 +324,9 @@ func parseVdds(s string) ([]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad vdd %q: %v", p, err)
+		}
+		if !(v > 0) {
+			return nil, fmt.Errorf("-vdd must be positive, got %g", v)
 		}
 		out = append(out, v)
 	}

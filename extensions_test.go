@@ -3,6 +3,7 @@ package finser
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -40,6 +41,54 @@ func TestNeutronFacade(t *testing.T) {
 	// SOI suppression: neutron FIT well below alpha FIT.
 	if nRes.TotalFIT >= res.Alpha.TotalFIT {
 		t.Errorf("neutron FIT %v not below alpha %v", nRes.TotalFIT, res.Alpha.TotalFIT)
+	}
+}
+
+// TestNeutronFITCtxPlan pins the neutron stage's plan: NeutronFITCtx equals
+// Engine.NeutronFITCtx bit for bit, flat and adaptive, on the sea-level
+// spectrum ×1 over 10 bins of 2–1000 MeV seeded Seed+3, and checkpoints it
+// as the one stage "vdd<V>/fit/neutron".
+func TestNeutronFITCtxPlan(t *testing.T) {
+	res := sharedFlow(t)
+	ctx := context.Background()
+	spec, err := NewNeutronSpectrum(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins, err := Bins(spec, 2, 1000, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, relErr := range []float64{0, 0.1} {
+		cfg := smallFlowConfig()
+		cfg.ItersPerBin = 1000
+		cfg.FITRelErr = relErr
+		store, err := CreateCheckpoint(t.TempDir()+"/neutron.ck.json", cfg, []float64{cfg.Vdd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Checkpoint = store
+		got, err := NeutronFITCtx(ctx, cfg, res.Char)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(EngineConfig{
+			Tech: Default14nmSOI(), Rows: 9, Cols: 9,
+			Char: res.Char, Transport: DefaultTransport(), FITRelErr: relErr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.NeutronFITCtx(ctx, spec, NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("relErr %g: NeutronFITCtx differs from Engine.NeutronFITCtx on the documented plan", relErr)
+		}
+		if st := store.Stages(); !reflect.DeepEqual(st, []string{"vdd0.7/fit/neutron"}) {
+			t.Errorf("relErr %g: checkpoint stages %v, want [vdd0.7/fit/neutron]", relErr, st)
+		}
 	}
 }
 

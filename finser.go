@@ -162,9 +162,13 @@ type (
 	// distributed alike (SpeciesLedger).
 	Ledger = core.Ledger
 	// BinEvent reports one completed FIT energy bin to FlowConfig.BinDone
-	// (and EngineConfig.OnBinDone): the 1-based bin index, the bin's POF
+	// (the Ledger's BinDone stream): the 1-based bin index, the bin's POF
 	// point, and the Eq. 8 partial FIT sum so far.
 	BinEvent = core.BinEvent
+	// PlanMismatchError is the typed error a FIT stage fails with when its
+	// characterization was built at another Vdd than the flow's, naming
+	// both voltages. Match with errors.As.
+	PlanMismatchError = core.PlanMismatchError
 	// GuardViolation is the live violation payload FlowConfig.GuardEvent
 	// receives for every recorded guard violation, in warn and strict modes
 	// alike.
@@ -630,7 +634,7 @@ func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*E
 	transportCfg := DefaultTransport()
 	transportCfg.Metrics = transport.NewMetrics(cfg.Obs)
 	buildSpan := flow.Child("engine-build")
-	engCfg := EngineConfig{
+	eng, err := NewEngine(EngineConfig{
 		Tech:      cfg.Tech,
 		Rows:      cfg.Rows,
 		Cols:      cfg.Cols,
@@ -641,17 +645,9 @@ func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*E
 		FITRelErr: cfg.FITRelErr,
 		Metrics:   core.NewMetrics(cfg.Obs),
 		Progress:  cfg.Progress,
-		OnBinDone: cfg.BinDone,
 		Faults:    cfg.Faults,
 		Guard:     cfg.newGuard(),
-	}
-	if cfg.Checkpoint != nil {
-		// Guarded assignment: a typed-nil *CheckpointStore must not become
-		// a non-nil interface inside the engine.
-		engCfg.Checkpoint = cfg.Checkpoint
-		engCfg.CheckpointPrefix = checkpointPrefix(cfg)
-	}
-	eng, err := NewEngine(engCfg)
+	})
 	buildSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("finser: engine: %w", err)
@@ -659,63 +655,87 @@ func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*E
 	return eng, nil
 }
 
-// speciesEnv resolves one species' environment exactly as RunFlowCtx
-// integrates it: the spectrum, its Eq. 8 energy-bin discretization, and the
-// per-species seed offset (alpha: Seed+1, proton: Seed+2) matching the
-// RunFlowCtx stream split. cfg must already carry defaults. Every FIT surface
-// — single-node, staged, and distributed shards — plans through this one
-// function, so they all agree on the bins and seed schedule to the bit.
-func speciesEnv(cfg FlowConfig, sp Species) (spec Spectrum, bins []EnergyBin, seed uint64, err error) {
+// planLedger is the flow's one FIT planner: it turns cfg (defaults
+// resolved) into the empty bin ledger of one FIT stage, named "alpha",
+// "proton" or "neutron". The stage fixes the spectrum, its Eq. 8 energy
+// bins and the seed offset of its schedule:
+//
+//	alpha    AlphaRate emission,   AlphaBins over 0.5–10 MeV,   Seed+1
+//	proton   ProtonScale sea level, ProtonBins over 0.1–100 MeV, Seed+2
+//	neutron  sea level ×1,          10 bins over 2–1000 MeV,     Seed+3
+//
+// cfg adds the budget, the tolerance and the array's area. The ledger is
+// checkpointed in cfg.Checkpoint at stage "vdd<V>/fit/<name>" and reports
+// to cfg.BinDone. Every FIT surface — the flow's stages, a worker's shard,
+// a coordinator's SpeciesLedger — plans here, so they all agree on the
+// bins and seed schedule to the bit.
+func planLedger(cfg FlowConfig, name string) (*Ledger, error) {
 	var (
-		name   string
+		spec   Spectrum
 		lo, hi float64
 		nBins  int
+		seed   uint64
+		err    error
 	)
-	switch sp {
-	case Alpha:
+	switch name {
+	case "alpha":
 		spec, err = NewAlphaSpectrum(cfg.AlphaRate)
-		name, lo, hi, nBins, seed = "alpha", 0.5, 10, cfg.AlphaBins, cfg.Seed+1
-	case Proton:
+		lo, hi, nBins, seed = 0.5, 10, cfg.AlphaBins, cfg.Seed+1
+	case "proton":
 		spec, err = NewProtonSpectrum(cfg.ProtonScale)
-		name, lo, hi, nBins, seed = "proton", 0.1, 100, cfg.ProtonBins, cfg.Seed+2
+		lo, hi, nBins, seed = 0.1, 100, cfg.ProtonBins, cfg.Seed+2
+	case "neutron":
+		spec, err = NewNeutronSpectrum(1)
+		lo, hi, nBins, seed = 2, 1000, 10, cfg.Seed+3
 	default:
-		return nil, nil, 0, fmt.Errorf("finser: species FIT: unsupported species %v", sp)
+		return nil, fmt.Errorf("finser: species FIT: unsupported species %s", name)
 	}
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	bins, err = Bins(spec, lo, hi, nBins)
+	bins, err := Bins(spec, lo, hi, nBins)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("finser: %s bins: %w", name, err)
+		return nil, fmt.Errorf("finser: %s bins: %w", name, err)
 	}
-	return spec, bins, seed, nil
+	area, err := core.ArrayAreaCm2(cfg.Tech, cfg.Rows, cfg.Cols)
+	if err != nil {
+		return nil, fmt.Errorf("finser: %s ledger: %w", name, err)
+	}
+	plan := core.BinPlan{
+		Name: name, Species: spec.Species(), Vdd: cfg.Vdd, Bins: bins, Seeds: core.FITSeedSchedule(seed, len(bins)),
+		ItersPerBin: cfg.ItersPerBin, RelErr: cfg.FITRelErr, AreaCm2: area, CheckpointPrefix: fmt.Sprintf("vdd%g/", cfg.Vdd),
+	}
+	var store core.CheckpointStore
+	if cfg.Checkpoint != nil { // a typed-nil store must not become a non-nil interface
+		store = cfg.Checkpoint
+	}
+	return core.NewLedger(plan, store, cfg.BinDone)
 }
 
-// fitSpecies runs one species' environment stage — spectrum, Eq. 8 bins,
-// FIT integration — on an already-built engine. cfg must already carry
+// fitSpecies runs one species' environment stage — plan, then FIT
+// integration — on an already-built engine. cfg must already carry
 // defaults.
 func fitSpecies(ctx context.Context, cfg FlowConfig, eng *Engine, flow *obs.Span, sp Species) (FITResult, error) {
-	binSpan := flow.Child("bins-" + speciesName(sp))
-	spec, bins, seed, err := speciesEnv(cfg, sp)
+	binSpan := flow.Child("bins-" + sp.String())
+	l, err := planLedger(cfg, sp.String())
 	binSpan.End()
 	if err != nil {
 		return FITResult{}, err
 	}
-	fitSpan := flow.Child("fit-" + speciesName(sp))
-	res, err := eng.FITCtx(ctx, spec, bins, cfg.ItersPerBin, seed)
-	fitSpan.End()
-	if err != nil {
-		return FITResult{}, fmt.Errorf("finser: %s FIT: %w", speciesName(sp), err)
-	}
-	return res, nil
+	return fitStage(ctx, eng, flow, l, nil)
 }
 
-// speciesName is the stable lowercase stage name of a species.
-func speciesName(sp Species) string {
-	if sp == Alpha {
-		return "alpha"
+// fitStage integrates one stage's ledger on eng under the flow span
+// "fit-<name>"; rx is the neutron reaction model (nil for α and p).
+func fitStage(ctx context.Context, eng *Engine, flow *obs.Span, l *Ledger, rx *NeutronReactions) (FITResult, error) {
+	name := l.Plan().Name
+	fitSpan := flow.Child("fit-" + name)
+	res, err := eng.RunLedgerCtx(ctx, l, rx)
+	fitSpan.End()
+	if err != nil {
+		return FITResult{}, fmt.Errorf("finser: %s FIT: %w", name, err)
 	}
-	return "proton"
+	return res, nil
 }
 
 // CharacterizeFlowCtx runs only the characterization stage of the flow,
@@ -737,7 +757,8 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 // substreams RunFlowCtx would use (alpha: Seed+1, proton: Seed+2), so
 // composing CharacterizeFlowCtx with the two species reproduces
 // RunFlowCtx's FlowResult bit-identically, checkpoint-compatible with an
-// uninterrupted run; each call builds its own engine.
+// uninterrupted run; each call builds its own engine. A characterization
+// built at another Vdd than cfg.Vdd fails with a *PlanMismatchError.
 func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species) (FITResult, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
@@ -758,7 +779,9 @@ func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, 
 // The plan is fixed: the sea-level neutron spectrum over 10 bins from 2 to
 // 1000 MeV, seeded Seed+3, checkpointed as stage "vdd<V>/fit/neutron". It
 // depends only on fields the flow fingerprint already covers, so a
-// checkpointed sweep resumes its neutron stage like any other.
+// checkpointed sweep resumes its neutron stage like any other. A
+// characterization built at another Vdd than cfg.Vdd fails with a
+// *PlanMismatchError.
 func NeutronFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization) (FITResult, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
@@ -770,21 +793,11 @@ func NeutronFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization) 
 	if err != nil {
 		return FITResult{}, err
 	}
-	spec, err := NewNeutronSpectrum(1)
+	l, err := planLedger(cfg, "neutron")
 	if err != nil {
 		return FITResult{}, err
 	}
-	bins, err := Bins(spec, 2, 1000, 10)
-	if err != nil {
-		return FITResult{}, fmt.Errorf("finser: neutron bins: %w", err)
-	}
-	fitSpan := flow.Child("fit-neutron")
-	res, err := eng.NeutronFITCtx(ctx, spec, NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
-	fitSpan.End()
-	if err != nil {
-		return FITResult{}, fmt.Errorf("finser: neutron FIT: %w", err)
-	}
-	return res, nil
+	return fitStage(ctx, eng, flow, l, NewNeutronReactions())
 }
 
 // SpeciesShardPOFConvCtx computes the POF points of one species' energy
@@ -803,25 +816,27 @@ func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Character
 	}
 	flow := cfg.Obs.StartSpan("flow")
 	defer flow.End()
-	// Shards never checkpoint worker-side: the coordinator owns the job's
-	// checkpoint, and a worker-local store would fracture the fingerprint
-	// namespace.
-	cfg.Checkpoint = nil
+	// Shards never checkpoint or stream worker-side: the coordinator owns
+	// the job's ledger, and a worker-local store would fracture the
+	// fingerprint namespace.
+	cfg.Checkpoint, cfg.BinDone = nil, nil
 	eng, err := buildFlowEngine(cfg, char, flow)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, bins, seed, err := speciesEnv(cfg, sp)
+	l, err := planLedger(cfg, sp.String())
 	if err != nil {
 		return nil, nil, err
 	}
-	shardSpan := flow.Child(fmt.Sprintf("shard-%s-%d-%d", speciesName(sp), from, to))
-	pts, conv, err := eng.POFBinsConvCtx(ctx, sp, bins, cfg.ItersPerBin, core.FITSeedSchedule(seed, len(bins)), from, to)
+	shardSpan := flow.Child(fmt.Sprintf("shard-%s-%d-%d", sp, from, to))
+	err = eng.RunShardCtx(ctx, l, from, to)
 	shardSpan.End()
 	if err != nil {
-		return nil, nil, fmt.Errorf("finser: %s shard [%d,%d): %w", speciesName(sp), from, to, err)
+		return nil, nil, fmt.Errorf("finser: %s shard [%d,%d): %w", sp, from, to, err)
 	}
-	return pts, conv, nil
+	// The fold of a ledger holding just the shard lists its bins in order.
+	res := l.FIT()
+	return res.Points, res.Conv, nil
 }
 
 // SpeciesLedger returns one species' empty bin ledger for cfg — the plan
@@ -834,27 +849,8 @@ func SpeciesLedger(cfg FlowConfig, sp Species) (*Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, bins, seed, err := speciesEnv(cfg, sp)
-	if err != nil {
-		return nil, err
-	}
-	area, err := core.ArrayAreaCm2(cfg.Tech, cfg.Rows, cfg.Cols)
-	if err != nil {
-		return nil, fmt.Errorf("finser: %s ledger: %w", speciesName(sp), err)
-	}
-	plan := core.BinPlan{
-		Name: speciesName(sp), Species: sp, Vdd: cfg.Vdd, Bins: bins, Seeds: core.FITSeedSchedule(seed, len(bins)),
-		ItersPerBin: cfg.ItersPerBin, RelErr: cfg.FITRelErr, AreaCm2: area, CheckpointPrefix: checkpointPrefix(cfg),
-	}
-	if cfg.Checkpoint == nil { // a typed-nil store must not become a non-nil interface
-		return core.NewLedger(plan, nil, cfg.BinDone)
-	}
-	return core.NewLedger(plan, cfg.Checkpoint, cfg.BinDone)
+	return planLedger(cfg, sp.String())
 }
-
-// checkpointPrefix namespaces a flow's checkpoint stages by voltage, so one
-// store carries a whole sweep.
-func checkpointPrefix(cfg FlowConfig) string { return fmt.Sprintf("vdd%g/", cfg.Vdd) }
 
 // SweepError reports the voltage at which a Vdd sweep failed. RunVddSweepCtx
 // returns it alongside the results of every voltage completed before the

@@ -123,25 +123,6 @@ func (s *Stamper) AddNonlinearCurrent(from, to Node, id float64, deps []Node, g 
 	s.AddCurrent(from, to, lin)
 }
 
-// AddTransconductance stamps a transconductance: a current gm·V(ci,cj)
-// flowing from node i to node j, controlled by the voltage between nodes
-// ci and cj.
-func (s *Stamper) AddTransconductance(i, j, ci, cj Node, gm float64) {
-	add := func(r Node, sign float64) {
-		if r == Ground {
-			return
-		}
-		if ci != Ground {
-			s.a[r][ci] += sign * gm
-		}
-		if cj != Ground {
-			s.a[r][cj] -= sign * gm
-		}
-	}
-	add(i, +1)
-	add(j, -1)
-}
-
 // Device is a circuit element that can stamp its (linearized) companion
 // model into the MNA system.
 type Device interface {

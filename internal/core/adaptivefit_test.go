@@ -36,13 +36,13 @@ func (s *memStore) Save(stage string, v any) error {
 	return nil
 }
 
-func adaptiveEngine(t *testing.T, relErr float64, ck CheckpointStore) *Engine {
+func adaptiveEngine(t *testing.T, relErr float64) *Engine {
 	t.Helper()
 	ch, _, _ := fixtures(t)
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
 		Char: ch, Transport: transport.DefaultConfig(),
-		Workers: 2, FITRelErr: relErr, Checkpoint: ck,
+		Workers: 2, FITRelErr: relErr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func alphaEnv(t *testing.T, nBins int) (spectra.Spectrum, []spectra.EnergyBin) {
 // merge relies on).
 func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
-	e := adaptiveEngine(t, 0.05, nil)
+	e := adaptiveEngine(t, 0.05)
 
 	r1, err := e.FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
@@ -103,23 +103,24 @@ func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	seeds := FITSeedSchedule(42, len(bins))
-	fullPts, fullConv, err := e.POFBinsConvCtx(ctx, phys.Alpha, bins, 3000, seeds, 0, len(bins))
-	if err != nil {
-		t.Fatal(err)
+	shard := func(from, to int) ([]POFPoint, []BinConv) {
+		l, err := NewLedger(e.ownPlan("alpha", phys.Alpha, bins, 3000, 42), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunShardCtx(ctx, l, from, to); err != nil {
+			t.Fatal(err)
+		}
+		res := l.FIT()
+		return res.Points, res.Conv
 	}
+	fullPts, fullConv := shard(0, len(bins))
 	if !reflect.DeepEqual(fullPts, r1.Points) || !reflect.DeepEqual(fullConv, r1.Conv) {
-		t.Fatal("POFBinsConvCtx disagrees with FITCtx")
+		t.Fatal("RunShardCtx over the whole plan disagrees with FITCtx")
 	}
 	for _, cut := range []int{1, 2, 4} {
-		aPts, aConv, err := e.POFBinsConvCtx(ctx, phys.Alpha, bins, 3000, seeds, 0, cut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bPts, bConv, err := e.POFBinsConvCtx(ctx, phys.Alpha, bins, 3000, seeds, cut, len(bins))
-		if err != nil {
-			t.Fatal(err)
-		}
+		aPts, aConv := shard(0, cut)
+		bPts, bConv := shard(cut, len(bins))
 		if !reflect.DeepEqual(append(aPts, bPts...), fullPts) {
 			t.Fatalf("shard split at %d changes points", cut)
 		}
@@ -135,7 +136,7 @@ func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 func TestAdaptiveFITConvRecords(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
 	itersPerBin := 3000
-	e := adaptiveEngine(t, 0.1, nil)
+	e := adaptiveEngine(t, 0.1)
 	r, err := e.FITCtx(context.Background(), spec, bins, itersPerBin, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestAdaptiveFITConvRecords(t *testing.T) {
 		t.Errorf("adaptive run saved %d strikes on an easy spectrum", saved)
 	}
 
-	flat, err := adaptiveEngine(t, 0, nil).FITCtx(context.Background(), spec, bins, itersPerBin, 42)
+	flat, err := adaptiveEngine(t, 0).FITCtx(context.Background(), spec, bins, itersPerBin, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +181,11 @@ func TestAdaptiveFITConvRecords(t *testing.T) {
 // wall-clock, never bias.
 func TestAdaptiveFITMatchesFlatWithinError(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
-	ad, err := adaptiveEngine(t, 0.05, nil).FITCtx(context.Background(), spec, bins, 3000, 42)
+	ad, err := adaptiveEngine(t, 0.05).FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := adaptiveEngine(t, 0, nil).FITCtx(context.Background(), spec, bins, 3000, 42)
+	flat, err := adaptiveEngine(t, 0).FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +203,22 @@ func TestAdaptiveFITMatchesFlatWithinError(t *testing.T) {
 // different tolerance must be rejected, not silently reinterpreted.
 func TestAdaptiveFITCheckpointResume(t *testing.T) {
 	spec, bins := alphaEnv(t, 6)
-	e := adaptiveEngine(t, 0.05, nil)
-	want, err := e.FITCtx(context.Background(), spec, bins, 3000, 42)
+	want, err := adaptiveEngine(t, 0.05).FITCtx(context.Background(), spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// run integrates the engine's own alpha plan over a ledger on store.
+	run := func(relErr float64, store CheckpointStore) (FITResult, error) {
+		e := adaptiveEngine(t, relErr)
+		l, err := NewLedger(e.ownPlan("alpha", phys.Alpha, bins, 3000, 42), store, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.RunLedgerCtx(context.Background(), l, nil)
+	}
 
 	store := newMemStore()
-	if _, err := adaptiveEngine(t, 0.05, store).FITCtx(context.Background(), spec, bins, 3000, 42); err != nil {
+	if _, err := run(0.05, store); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate the persisted state to the first two bins — the on-disk
@@ -224,7 +233,7 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 	if err := store.Save(stage, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := adaptiveEngine(t, 0.05, store).FITCtx(context.Background(), spec, bins, 3000, 42)
+	got, err := run(0.05, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +243,7 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 
 	// Tolerance is result-determining: a flat resume over an adaptive
 	// checkpoint (and vice versa) must fail loudly.
-	if _, err := adaptiveEngine(t, 0, store).FITCtx(context.Background(), spec, bins, 3000, 42); err == nil || !strings.Contains(err.Error(), "tolerance") {
+	if _, err := run(0, store); err == nil || !strings.Contains(err.Error(), "tolerance") {
 		t.Errorf("flat resume over adaptive checkpoint: err = %v", err)
 	}
 	// A checkpoint with conv records stripped is corrupt, not flat.
@@ -242,7 +251,7 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 	if err := store.Save(stage, st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := adaptiveEngine(t, 0.05, store).FITCtx(context.Background(), spec, bins, 3000, 42); err == nil {
+	if _, err := run(0.05, store); err == nil {
 		t.Error("adaptive resume accepted checkpoint without convergence records")
 	}
 }
@@ -251,11 +260,16 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 // entry over a one-bin plan, where the bin's tolerance is FITRelErr itself.
 func adaptiveOneBin(t *testing.T, relErr float64, sp phys.Species, energyMeV float64, itersPerBin int, seed uint64) (POFPoint, BinConv) {
 	t.Helper()
-	bins := []spectra.EnergyBin{{Rep: energyMeV, IntFlux: 1}}
-	pts, conv, err := adaptiveEngine(t, relErr, nil).POFBinsConvCtx(context.Background(), sp, bins, itersPerBin, FITSeedSchedule(seed, 1), 0, 1)
+	e := adaptiveEngine(t, relErr)
+	l, err := NewLedger(e.ownPlan(sp.String(), sp, []spectra.EnergyBin{{Rep: energyMeV, IntFlux: 1}}, itersPerBin, seed), nil, nil)
+	if err == nil {
+		err = e.RunShardCtx(context.Background(), l, 0, 1)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := l.FIT()
+	pts, conv := res.Points, res.Conv
 	if conv[0].Tol != relErr {
 		t.Fatalf("one-bin tolerance %g, want %g", conv[0].Tol, relErr)
 	}
@@ -272,7 +286,7 @@ func TestAdaptivePOFConverges(t *testing.T) {
 	if !c.Converged || c.RelErr > c.Tol {
 		t.Fatalf("alpha at 1 MeV: converged=%v rel err %g (tol %g) after %d strikes", c.Converged, c.RelErr, c.Tol, pt.Strikes)
 	}
-	ref := mustPOF(t, adaptiveEngine(t, 0, nil), phys.Alpha, 1, 100000, 17)
+	ref := mustPOF(t, adaptiveEngine(t, 0), phys.Alpha, 1, 100000, 17)
 	if diff := math.Abs(pt.Tot - ref.Tot); diff > 5*(pt.TotStdErr+ref.TotStdErr) {
 		t.Errorf("adaptive %v vs fixed %v beyond noise", pt.Tot, ref.Tot)
 	}
@@ -301,12 +315,12 @@ func TestAdaptivePOFRareEventNeedsMoreStrikes(t *testing.T) {
 }
 
 // The shard entry is a trust boundary (its bin range and seed schedule
-// arrive over the wire), so the bin runner must reject malformed plans
-// instead of indexing past them.
+// arrive over the wire), so the ledger and the bin runner must reject
+// malformed plans instead of indexing past them.
 func TestAdaptivePOFValidation(t *testing.T) {
 	_, bins := alphaEnv(t, 4)
 	seeds := FITSeedSchedule(42, len(bins))
-	e := adaptiveEngine(t, 0.05, nil)
+	e := adaptiveEngine(t, 0.05)
 	for _, tc := range []struct {
 		name     string
 		seeds    []uint64
@@ -319,7 +333,13 @@ func TestAdaptivePOFValidation(t *testing.T) {
 		{"range past plan", seeds, 2, 5, 100},
 		{"zero iterations", seeds, 0, 4, 0},
 	} {
-		if _, _, err := e.POFBinsConvCtx(context.Background(), phys.Alpha, bins, tc.iters, tc.seeds, tc.from, tc.to); err == nil {
+		plan := e.ownPlan("alpha", phys.Alpha, bins, tc.iters, 42)
+		plan.Seeds = tc.seeds
+		l, err := NewLedger(plan, nil, nil)
+		if err == nil {
+			err = e.RunShardCtx(context.Background(), l, tc.from, tc.to)
+		}
+		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

@@ -174,16 +174,17 @@ type Config struct {
 	Incidence *Incidence
 	// Workers bounds MC parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// FITRelErr, when > 0, switches the FIT integration to confidence-driven
-	// adaptive sampling (see adaptivefit.go): each energy bin consumes its
-	// particle stream in fixed batches of itersPerBin/10 and stops once its
-	// POFtot confidence interval is inside this relative tolerance, scaled
-	// by the bin's flux weight in the FIT integral, up to a hard cap of 4×
-	// the flat budget. ItersPerBin becomes the flat reference budget the
-	// batches are sized from. The tolerance is result-determining (part of
-	// the flow fingerprint): a fixed config stays bit-identical across runs,
-	// checkpoint resume, and the distributed shard merge. Zero (the default)
-	// keeps the exact flat-budget integration.
+	// FITRelErr, when > 0, switches FITCtx and NeutronFITCtx to
+	// confidence-driven adaptive sampling (see adaptivefit.go): each energy
+	// bin consumes its particle stream in fixed batches of itersPerBin/10 and
+	// stops once its POFtot confidence interval is inside this relative
+	// tolerance, scaled by the bin's flux weight in the FIT integral, up to a
+	// hard cap of 4× the flat budget. ItersPerBin becomes the flat reference
+	// budget the batches are sized from. A ledger run with RunLedgerCtx or
+	// RunShardCtx carries its own tolerance in its plan. The tolerance is
+	// result-determining (part of the flow fingerprint): a fixed config stays
+	// bit-identical across runs, checkpoint resume, and the distributed shard
+	// merge. Zero (the default) keeps the exact flat-budget integration.
 	FITRelErr float64
 	// Metrics, when non-nil, receives engine counters (particles, hit/miss,
 	// struck-cell multiplicity, worker utilization) and per-stage FIT
@@ -192,19 +193,6 @@ type Config struct {
 	// Progress, when non-nil, receives throttled done/total/ETA reports
 	// while FIT integrates over energy bins.
 	Progress obs.ProgressFunc
-	// OnBinDone, when non-nil, is invoked after every completed FIT energy
-	// bin — freshly computed or restored from a checkpoint — with the bin's
-	// POF point and the FIT accumulated so far. It fires once per bin (not
-	// per particle), on the integration goroutine; keep it non-blocking.
-	OnBinDone func(BinEvent)
-	// Checkpoint, when non-nil, holds each species' Ledger record (plan
-	// identity plus every completed bin), so an interrupted integration
-	// resumes bit-identically from whichever bins it holds, written in
-	// process or by a distributed coordinator. Nil disables checkpointing.
-	Checkpoint CheckpointStore
-	// CheckpointPrefix namespaces this engine's checkpoint stages (e.g.
-	// "vdd0.8/") so one store can carry a whole sweep.
-	CheckpointPrefix string
 	// Faults, when non-nil, injects deterministic failures at the engine's
 	// worker-loop sites — robustness-test only. Nil (the default) costs one
 	// pointer check per particle.
@@ -653,7 +641,8 @@ const fitScale = 3600 * 1e9
 
 // CheckpointStore persists per-stage state across interrupted runs.
 // *checkpoint.Store implements it; the indirection keeps core free of any
-// on-disk format knowledge.
+// on-disk format knowledge. Only a Ledger holds one: the engine runs the
+// ledgers its caller builds and knows no store.
 type CheckpointStore interface {
 	// Load unmarshals the named stage into v, reporting presence.
 	Load(stage string, v any) (bool, error)
@@ -661,10 +650,10 @@ type CheckpointStore interface {
 	Save(stage string, v any) error
 }
 
-// BinEvent reports one completed FIT energy bin to Config.OnBinDone. Bin is
-// 1-based; FITSoFar is the Eq. 8 partial sum over the bins completed so far
-// (total FIT, same area and flux weighting as the final result), so a live
-// consumer can watch the integral converge.
+// BinEvent reports one completed FIT energy bin to a Ledger's onBin hook.
+// Bin is 1-based; FITSoFar is the Eq. 8 partial sum over the bins
+// completed so far (total FIT, same area and flux weighting as the final
+// result), so a live consumer can watch the integral converge.
 type BinEvent struct {
 	Stage     string
 	Bin, Bins int
@@ -673,8 +662,8 @@ type BinEvent struct {
 	// Resumed marks bins restored from a checkpoint rather than computed in
 	// this call.
 	Resumed bool
-	// Adaptive marks events from an adaptive integration (Config.FITRelErr
-	// > 0); Conv then carries the bin's convergence record.
+	// Adaptive marks events from an adaptive integration (a plan with
+	// RelErr > 0); Conv then carries the bin's convergence record.
 	Adaptive bool
 	Conv     BinConv
 }
@@ -682,14 +671,12 @@ type BinEvent struct {
 // FITCtx runs the full Eq. 8 integration for a directly ionizing species:
 // per energy bin, estimate the POF with itersPerBin Monte-Carlo particles
 // (or adaptively, with Config.FITRelErr > 0), multiply by the bin's integral
-// flux and the array area, and sum. It is cancellable and checkpointed bin
-// by bin; see integrate.
+// flux and the array area, and sum. It is the store-less library form of
+// RunLedgerCtx: the engine's own plan, with no checkpoint and no BinDone
+// stream, cancellable bin by bin.
 func (e *Engine) FITCtx(ctx context.Context, spec spectra.Spectrum, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
-	k, err := e.directKernel(ctx, spec.Species())
-	if err != nil {
-		return FITResult{}, err
-	}
-	return e.integrate(ctx, k, spec.Species(), bins, itersPerBin, seed)
+	sp := spec.Species()
+	return e.runOwnPlan(ctx, e.ownPlan(sp.String(), sp, bins, itersPerBin, seed), nil)
 }
 
 // FITSeedSchedule returns the per-bin seed schedule FITCtx pre-draws from
@@ -705,32 +692,6 @@ func FITSeedSchedule(seed uint64, nBins int) []uint64 {
 		seeds[i] = src.Uint64()
 	}
 	return seeds
-}
-
-// POFBinsConvCtx is the shard-scoped FIT entry: the bin runner over
-// bins[from:to) with the given pre-drawn seed schedule (aligned with bins,
-// typically FITSeedSchedule output), exactly as FITCtx runs those bins. A
-// worker computing bins [from,to) with the job's seed schedule produces
-// points bit-identical to the single-node integration, so a coordinator
-// that records shards from many machines in the species' Ledger lands on
-// the same FITResult to the last bit. conv carries the per-bin convergence
-// records in adaptive mode (Config.FITRelErr > 0) and is nil under the
-// flat budget.
-func (e *Engine) POFBinsConvCtx(ctx context.Context, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seeds []uint64, from, to int) ([]POFPoint, []BinConv, error) {
-	k, err := e.directKernel(ctx, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	l, err := NewLedger(BinPlan{Name: k.name, Species: sp, Bins: bins, Seeds: seeds, ItersPerBin: itersPerBin, RelErr: e.cfg.FITRelErr}, nil, nil)
-	if err == nil {
-		err = e.runBins(ctx, k, l, from, to, nil)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	// The fold of a ledger holding just the shard lists its bins in order.
-	res := l.FIT()
-	return res.Points, res.Conv, nil
 }
 
 // AssembleFIT folds per-bin POF points into the Eq. 8 FIT integral, in bin

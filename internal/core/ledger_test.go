@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -191,4 +193,48 @@ func FuzzLedgerRestore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRunLedgerRefusesForeignPlan: a plan for another Vdd or array area is
+// refused by both ledger entries with a typed error naming both values,
+// before the ledger restores a bin or fires an event.
+func TestRunLedgerRefusesForeignPlan(t *testing.T) {
+	e := adaptiveEngine(t, 0) // characterized at 0.7 V
+	_, bins := alphaEnv(t, 3)
+	own := e.ownPlan("alpha", phys.Alpha, bins, 100, 5)
+	pts, _ := ledgerBins()
+	for _, tc := range []struct {
+		field string
+		edit  func(*BinPlan)
+	}{
+		{"Vdd", func(p *BinPlan) { p.Vdd = 0.8 }},
+		{"area", func(p *BinPlan) { p.AreaCm2 *= 2 }},
+	} {
+		plan := own
+		tc.edit(&plan)
+		store := newMemStore()
+		if err := store.Save("fit/alpha", binRecord{ItersPerBin: 100, Seeds: plan.Seeds, Points: []*POFPoint{&pts[0]}}); err != nil {
+			t.Fatal(err)
+		}
+		events := 0
+		l, err := NewLedger(plan, store, func(BinEvent) { events++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, runErr := e.RunLedgerCtx(context.Background(), l, nil)
+		shardErr := e.RunShardCtx(context.Background(), l, 0, 1)
+		for _, err := range []error{runErr, shardErr} {
+			var pm *PlanMismatchError
+			if !errors.As(err, &pm) || pm.Field != tc.field || pm.Stage != "fit/alpha" {
+				t.Fatalf("%s: err = %v, want a %s *PlanMismatchError", tc.field, err, tc.field)
+			}
+			want := map[string][2]float64{"Vdd": {0.8, 0.7}, "area": {plan.AreaCm2, own.AreaCm2}}[tc.field]
+			if pm.Plan != want[0] || pm.Engine != want[1] {
+				t.Errorf("%s: plan %g engine %g, want %g and %g", tc.field, pm.Plan, pm.Engine, want[0], want[1])
+			}
+		}
+		if events != 0 || l.Done(0) {
+			t.Errorf("%s: a refused plan restored bins (%d events)", tc.field, events)
+		}
+	}
 }

@@ -139,9 +139,9 @@ func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV
 
 // NeutronFITCtx integrates the weighted POFs over the neutron spectrum into
 // FIT rates, exactly as Eq. 8 does for directly ionizing particles: the
-// same checkpointed bin runner as FITCtx (stage "fit/neutron"), so the
-// integration is cancellable, resumable, guarded, optionally adaptive, and
-// reports a propagated 1σ TotalFITErr.
+// store-less form of RunLedgerCtx with rx (stage "fit/neutron"), so the
+// integration is cancellable, guarded, optionally adaptive, and reports a
+// propagated 1σ TotalFITErr.
 func (e *Engine) NeutronFITCtx(ctx context.Context, spec spectra.Spectrum, rx *neutron.Reactions, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
-	return e.integrate(ctx, e.neutronKernel(rx), spec.Species(), bins, itersPerBin, seed)
+	return e.runOwnPlan(ctx, e.ownPlan("neutron", spec.Species(), bins, itersPerBin, seed), rx)
 }

@@ -216,18 +216,23 @@ func TestNeutronFITCheckpointResume(t *testing.T) {
 	spec, bins := neutronEnv(t)
 	rx := neutron.NewReactions()
 	for _, relErr := range []float64{0, 0.1} {
-		mk := func(ck CheckpointStore, onBin func(BinEvent)) *Engine {
-			e, err := New(Config{
-				Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-				Char: ch, Transport: transport.DefaultConfig(), Workers: 2,
-				FITRelErr: relErr, Checkpoint: ck, OnBinDone: onBin,
-			})
+		e, err := New(Config{
+			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+			Char: ch, Transport: transport.DefaultConfig(), Workers: 2,
+			FITRelErr: relErr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// run integrates the engine's own neutron plan over a ledger on ck.
+		run := func(ctx context.Context, ck CheckpointStore, onBin func(BinEvent)) (FITResult, error) {
+			l, err := NewLedger(e.ownPlan("neutron", spec.Species(), bins, 3000, 42), ck, onBin)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return e
+			return e.RunLedgerCtx(ctx, l, rx)
 		}
-		want, err := mk(nil, nil).NeutronFITCtx(context.Background(), spec, rx, bins, 3000, 42)
+		want, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 3000, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +244,7 @@ func TestNeutronFITCheckpointResume(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := mk(store, stopAfterTwo).NeutronFITCtx(ctx, spec, rx, bins, 3000, 42); !errors.Is(err, context.Canceled) {
+		if _, err := run(ctx, store, stopAfterTwo); !errors.Is(err, context.Canceled) {
 			t.Fatalf("relErr %g: interrupted run: err = %v, want context.Canceled", relErr, err)
 		}
 		var st binRecord
@@ -247,7 +252,7 @@ func TestNeutronFITCheckpointResume(t *testing.T) {
 			t.Fatalf("relErr %g: checkpoint after cancel: ok=%v err=%v bins=%d, want 2", relErr, ok, err, len(st.Points))
 		}
 		var resumed []bool
-		got, err := mk(store, func(ev BinEvent) { resumed = append(resumed, ev.Resumed) }).NeutronFITCtx(context.Background(), spec, rx, bins, 3000, 42)
+		got, err := run(context.Background(), store, func(ev BinEvent) { resumed = append(resumed, ev.Resumed) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"finser/internal/faultinject"
+	"finser/internal/neutron"
 	"finser/internal/obs"
 	"finser/internal/phys"
 	"finser/internal/rng"
@@ -239,8 +240,9 @@ func (e *Engine) estimate(ctx context.Context, k kernel, energyMeV float64, from
 // per the plan's tolerance, and completes each into l in bin order. Bin
 // i's estimate is a pure function of (config, seeds[i]), so any split of
 // the range — shards, resumed runs — reproduces the one-call result bit
-// for bit. Bin spans hang under span (nil disables them).
-func (e *Engine) runBins(ctx context.Context, k kernel, l *Ledger, from, to int, span *obs.Span) error {
+// for bit. Bin spans hang under span and each bin's strikes count on
+// tracker (nil disables either).
+func (e *Engine) runBins(ctx context.Context, k kernel, l *Ledger, from, to int, span *obs.Span, tracker *obs.Tracker) error {
 	p := l.Plan()
 	if from < 0 || to > len(p.Bins) || from >= to {
 		return fmt.Errorf("core: POF bins: bad shard range [%d,%d) over %d bins", from, to, len(p.Bins))
@@ -272,44 +274,79 @@ func (e *Engine) runBins(ctx context.Context, k kernel, l *Ledger, from, to int,
 		if err := l.Complete(i, []POFPoint{pt}, []BinConv{conv}); err != nil {
 			return err
 		}
+		tracker.Add(int64(pt.Strikes))
 	}
 	return nil
 }
 
-// integrate is the checkpointed Eq. 8 driver behind FITCtx and
-// NeutronFITCtx: restore the species' bin ledger, run the bin runner over
-// its missing bins, fold them with the ledger, and guard the totals.
+// PlanMismatchError reports a bin plan handed to an engine it was not made
+// for: the plan's Vdd is not the one the engine's cell model was
+// characterized at, or its Eq. 8 area is not the engine's array. Running
+// it would file one cell's POFs under another's voltage, so the engine
+// refuses it before it restores or runs a bin. Match with errors.As.
+type PlanMismatchError struct {
+	Stage string // "fit/<name>"
+	Field string // "Vdd" or "area"
+	// Plan is the plan's value, Engine the engine's (V or cm²).
+	Plan, Engine float64
+}
+
+func (e *PlanMismatchError) Error() string {
+	if e.Field == "Vdd" {
+		return fmt.Sprintf("core: %s: the plan is for Vdd %g V, but the engine's cell model was characterized at %g V", e.Stage, e.Plan, e.Engine)
+	}
+	return fmt.Sprintf("core: %s: the plan's %s is %g, the engine's %g", e.Stage, e.Field, e.Plan, e.Engine)
+}
+
+// ledgerKernel checks that l's plan belongs to this engine and returns its
+// strike kernel: the forced neutron interaction of rx when rx is non-nil,
+// else the plan species' direct ionization.
+func (e *Engine) ledgerKernel(ctx context.Context, l *Ledger, rx *neutron.Reactions) (kernel, error) {
+	p := l.Plan()
+	lx, ly := e.arr.DimsCm()
+	if vdd := e.cfg.Char.SupplyVoltage(); p.Vdd != vdd {
+		return kernel{}, &PlanMismatchError{Stage: l.stage, Field: "Vdd", Plan: p.Vdd, Engine: vdd}
+	}
+	if p.AreaCm2 != lx*ly {
+		return kernel{}, &PlanMismatchError{Stage: l.stage, Field: "area", Plan: p.AreaCm2, Engine: lx * ly}
+	}
+	if rx != nil {
+		return e.neutronKernel(rx), nil
+	}
+	return e.directKernel(ctx, p.Species)
+}
+
+// RunLedgerCtx is the engine's Eq. 8 integration of a ledger its caller
+// owns: it restores l from l's checkpoint store, runs every bin l still
+// lacks, and returns l's FIT with the totals checked by the guard. rx
+// selects the strike kernel: nil for the plan species' direct ionization
+// (α, p), the reaction model for the neutron forced interaction. The run
+// reports under the "fit/<name>" span, one child span per computed bin,
+// and on Config.Progress; restored bins count as done. The plan must be
+// this engine's (*PlanMismatchError otherwise).
 //
 // Cancellation: ctx is checked before every bin and every cancelCheckEvery
 // particles inside it; the error wraps ctx.Err() with the stage identity.
-// Checkpointing: with Config.Checkpoint set the ledger saves every
-// completed bin, and a later call with the same configuration resumes from
-// the saved bins bit-identically; a record that fails the ledger's restore
-// checks fails the stage.
-func (e *Engine) integrate(ctx context.Context, k kernel, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
-	stage := "fit/" + k.name
-	fitSpan := e.cfg.Metrics.span(stage)
-	defer fitSpan.End()
-	tracker := obs.NewTracker(e.cfg.Progress, stage, int64(len(bins)*itersPerBin), 0)
-	defer tracker.Finish()
-
-	lx, ly := e.arr.DimsCm()
-	l, err := NewLedger(BinPlan{
-		Name: k.name, Species: sp, Vdd: e.cfg.Char.SupplyVoltage(), Bins: bins, Seeds: FITSeedSchedule(seed, len(bins)),
-		ItersPerBin: itersPerBin, RelErr: e.cfg.FITRelErr, AreaCm2: lx * ly, CheckpointPrefix: e.cfg.CheckpointPrefix,
-	}, e.cfg.Checkpoint, func(ev BinEvent) {
-		tracker.Add(int64(ev.Point.Strikes))
-		if e.cfg.OnBinDone != nil {
-			e.cfg.OnBinDone(ev)
-		}
-	})
+// Each completed bin is in l (and l's store) before the next starts, so a
+// rerun over a ledger on the same store resumes bit-identically; a record
+// that fails the ledger's restore checks fails the stage.
+func (e *Engine) RunLedgerCtx(ctx context.Context, l *Ledger, rx *neutron.Reactions) (FITResult, error) {
+	k, err := e.ledgerKernel(ctx, l, rx)
 	if err != nil {
 		return FITResult{}, err
 	}
+	p := l.Plan()
+	fitSpan := e.cfg.Metrics.span(l.stage)
+	defer fitSpan.End()
+	tracker := obs.NewTracker(e.cfg.Progress, l.stage, int64(len(p.Bins)*p.ItersPerBin), 0)
+	defer tracker.Finish()
 	if err := l.Restore(); err != nil {
 		return FITResult{}, err
 	}
-	if err := e.runBins(ctx, k, l, 0, len(bins), fitSpan); err != nil {
+	for _, pt := range l.FIT().Points {
+		tracker.Add(int64(pt.Strikes))
+	}
+	if err := e.runBins(ctx, k, l, 0, len(p.Bins), fitSpan, tracker); err != nil {
 		return FITResult{}, err
 	}
 
@@ -322,10 +359,43 @@ func (e *Engine) integrate(ctx context.Context, k kernel, sp phys.Species, bins 
 			{"TotalFIT", res.TotalFIT}, {"SEUFIT", res.SEUFIT},
 			{"MBUFIT", res.MBUFIT}, {"TotalFITErr", res.TotalFITErr},
 		} {
-			if err := g.NonNegativeFinite(stage, c.name, c.v); err != nil {
+			if err := g.NonNegativeFinite(l.stage, c.name, c.v); err != nil {
 				return FITResult{}, err
 			}
 		}
 	}
 	return res, nil
+}
+
+// RunShardCtx runs one shard of l's α/p plan: the bins in [from, to) that
+// l does not hold yet, with no restore, span or progress — the unit of
+// work a distributed worker computes for the coordinator that owns the
+// job's ledger. The bins are bit-identical to the ones RunLedgerCtx
+// computes for the same plan. The plan must be this engine's
+// (*PlanMismatchError otherwise).
+func (e *Engine) RunShardCtx(ctx context.Context, l *Ledger, from, to int) error {
+	k, err := e.ledgerKernel(ctx, l, nil)
+	if err != nil {
+		return err
+	}
+	return e.runBins(ctx, k, l, from, to, nil, nil)
+}
+
+// ownPlan is the plan FITCtx and NeutronFITCtx run: this engine's Vdd,
+// area and Config.FITRelErr, with the seed schedule pre-drawn from seed.
+func (e *Engine) ownPlan(name string, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seed uint64) BinPlan {
+	lx, ly := e.arr.DimsCm()
+	return BinPlan{Name: name, Species: sp, Vdd: e.cfg.Char.SupplyVoltage(), Bins: bins, Seeds: FITSeedSchedule(seed, len(bins)),
+		ItersPerBin: itersPerBin, RelErr: e.cfg.FITRelErr, AreaCm2: lx * ly}
+}
+
+// runOwnPlan is the store-less library form of RunLedgerCtx behind FITCtx
+// and NeutronFITCtx: a fresh ledger of the engine's own plan, with no
+// checkpoint store and no BinDone stream.
+func (e *Engine) runOwnPlan(ctx context.Context, plan BinPlan, rx *neutron.Reactions) (FITResult, error) {
+	l, err := NewLedger(plan, nil, nil)
+	if err != nil {
+		return FITResult{}, err
+	}
+	return e.RunLedgerCtx(ctx, l, rx)
 }

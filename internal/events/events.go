@@ -145,7 +145,6 @@ type Stream struct {
 	subs   map[*Subscription]struct{}
 	closed bool
 
-	published   int64
 	droppedSubs int64
 	onSubDrop   func() // optional drop hook; called under mu, keep it cheap
 }
@@ -185,7 +184,6 @@ func (s *Stream) Publish(e Event) int64 {
 	s.next++
 	e.Seq = s.next
 	s.ring[(e.Seq-1)%int64(len(s.ring))] = e
-	s.published++
 	for sub := range s.subs {
 		select {
 		case sub.ch <- e:
@@ -280,16 +278,6 @@ func (s *Stream) LastSeq() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.next
-}
-
-// Published returns the total number of events accepted by the stream.
-func (s *Stream) Published() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.published
 }
 
 // DroppedSubscribers returns how many stalled subscribers the stream has

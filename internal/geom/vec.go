@@ -40,9 +40,6 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Norm2 returns the squared Euclidean length of v.
-func (v Vec3) Norm2() float64 { return v.Dot(v) }
-
 // Unit returns v scaled to unit length. It panics on the zero vector,
 // which would indicate a logic error in direction sampling.
 func (v Vec3) Unit() Vec3 {

@@ -1,8 +1,8 @@
 // Package guard is the flow's runtime physics-invariant layer: declarative
 // checks on the numbers crossing every stage boundary — probabilities stay
 // in [0,1], nothing NaN or infinite escapes a solver, deposited charge is
-// conserved into the circuit injection, characterized POF tables are
-// monotone in charge, FIT rates are finite and non-negative.
+// conserved into the circuit injection, POF does not rise with Vdd across
+// a sweep, FIT rates are finite and non-negative.
 //
 // A Guard carries an enforcement mode:
 //
@@ -74,7 +74,7 @@ func ParseMode(s string) (Mode, error) {
 // cell POF = NaN".
 type InvariantError struct {
 	// Invariant is the violated invariant's name, e.g. "pof-range",
-	// "finite", "charge-conservation", "pof-monotone", "nonneg-finite".
+	// "finite", "charge-conservation", "pof-vdd-monotone", "nonneg-finite".
 	Invariant string
 	// Stage is the flow stage the violation was caught in.
 	Stage string
@@ -246,27 +246,9 @@ func (g *Guard) Conserved(stage, name string, got, want, relTol, absFloor float6
 	return nil
 }
 
-// MonotoneNonDecreasing checks ys is non-decreasing (within tol slack per
-// step) along its index — the paper's Fig. 5 POF-vs-charge verification on
-// characterized LUTs. NaN anywhere is a violation.
-func (g *Guard) MonotoneNonDecreasing(stage, name string, ys []float64, tol float64) error {
-	if !g.Enabled() {
-		return nil
-	}
-	for i, y := range ys {
-		if math.IsNaN(y) {
-			return g.violate("pof-monotone", stage, y, fmt.Sprintf("%s[%d] (NaN)", name, i))
-		}
-		if i > 0 && y < ys[i-1]-tol {
-			return g.violate("pof-monotone", stage, y,
-				fmt.Sprintf("%s[%d] decreases from %g (tol %g)", name, i, ys[i-1], tol))
-		}
-	}
-	return nil
-}
-
-// MonotoneNonIncreasing is the mirror check — POF versus supply voltage:
-// a higher Vdd must not make the cell easier to flip (beyond tol slack).
+// MonotoneNonIncreasing checks ys is non-increasing (within tol slack per
+// step) along its index — POF versus supply voltage: a higher Vdd must not
+// make the cell easier to flip. NaN anywhere is a violation.
 func (g *Guard) MonotoneNonIncreasing(stage, name string, ys []float64, tol float64) error {
 	if !g.Enabled() {
 		return nil

@@ -229,23 +229,3 @@ func (s *Scheduler) Len() int {
 	defer s.mu.Unlock()
 	return s.size
 }
-
-// FlowDepth is one flow's queued backlog, for metrics.
-type FlowDepth struct {
-	Tenant string
-	Class  string
-	Depth  int
-}
-
-// Depths snapshots every non-empty flow's backlog.
-func (s *Scheduler) Depths() []FlowDepth {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]FlowDepth, 0, len(s.flows))
-	for k, f := range s.flows {
-		if len(f.items) > 0 {
-			out = append(out, FlowDepth{Tenant: k.tenant, Class: k.class, Depth: len(f.items)})
-		}
-	}
-	return out
-}

@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"sort"
-
-	"finser/internal/guard"
 )
 
 // GridLUT is the paper's literal POF look-up-table format: POF sampled on
@@ -219,9 +217,11 @@ func ReadGridLUT(r io.Reader) (*GridLUT, error) {
 
 // Validate checks the structural and physical invariants every usable
 // GridLUT satisfies: positive finite Vdd, strictly increasing positive
-// charge grids, full table shapes, and every stored POF a probability.
-// BuildGridLUT output passes by construction; ReadGridLUT enforces it on
-// the JSON trust boundary.
+// charge grids, full table shapes, every stored POF a probability, and
+// each single-axis row non-decreasing in charge within pofMonotoneTol
+// (more collected charge never makes a flip less likely). BuildGridLUT
+// output passes by construction; ReadGridLUT enforces it on the JSON trust
+// boundary, whatever the guard mode.
 func (g *GridLUT) Validate() error {
 	if math.IsNaN(g.Vdd) || math.IsInf(g.Vdd, 0) || g.Vdd <= 0 {
 		return fmt.Errorf("sram: grid LUT Vdd %g is not a positive voltage", g.Vdd)
@@ -252,6 +252,10 @@ func (g *GridLUT) Validate() error {
 		for i, v := range g.Single[a] {
 			if err := checkPOF(fmt.Sprintf("single[%d][%d]", a, i), v); err != nil {
 				return err
+			}
+			if i > 0 && v < g.Single[a][i-1]-pofMonotoneTol {
+				return fmt.Errorf("sram: grid LUT single[%d] falls with charge at index %d, from %g to %g (tolerance %g)",
+					a, i, g.Single[a][i-1], v, pofMonotoneTol)
 			}
 		}
 	}
@@ -292,49 +296,9 @@ func (g *GridLUT) Validate() error {
 	return nil
 }
 
-// CheckInvariants runs the guard's physics invariants over the table: every
-// stored value is a probability and each single-axis POF curve is monotone
-// non-decreasing in charge (more collected charge never makes a flip less
-// likely; tol absorbs Monte-Carlo sampling noise). The first violation is
-// returned in strict mode; warn mode counts them all and returns nil.
-func (g *GridLUT) CheckInvariants(gd *guard.Guard, stage string) error {
-	if !gd.Enabled() {
-		return nil
-	}
-	for a := range g.Single {
-		for i, v := range g.Single[a] {
-			if err := gd.Probability(stage, fmt.Sprintf("single[%d][%d]", a, i), v); err != nil {
-				return err
-			}
-		}
-		if err := gd.MonotoneNonDecreasing(stage, fmt.Sprintf("pof(q) axis %d", a), g.Single[a], pofMonotoneTol); err != nil {
-			return err
-		}
-	}
-	for k := range g.Pairs {
-		for i := range g.Pairs[k] {
-			for j, v := range g.Pairs[k][i] {
-				if err := gd.Probability(stage, fmt.Sprintf("pairs[%d][%d][%d]", k, i, j), v); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for i := range g.Triple {
-		for j := range g.Triple[i] {
-			for k, v := range g.Triple[i][j] {
-				if err := gd.Probability(stage, fmt.Sprintf("triple[%d][%d][%d]", i, j, k), v); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // pofMonotoneTol absorbs Monte-Carlo noise when asserting that POF curves
-// rise with charge: adjacent grid points may dip by this much before the
-// guard calls it a violation.
+// rise with charge: adjacent grid points may dip by this much before
+// Validate rejects the table.
 const pofMonotoneTol = 0.02
 
 // POFProvider is the interface the array level consumes: any model that

@@ -3,7 +3,9 @@ package sram
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -108,6 +110,36 @@ func TestReadGridLUTRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadGridLUT(bytes.NewBufferString("nope")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestReadGridLUTRejectsFallingRow: a table whose single-axis POF falls
+// with charge by more than the sampling tolerance is refused at load time,
+// naming the row, while a dip within the tolerance loads.
+func TestReadGridLUTRejectsFallingRow(t *testing.T) {
+	_, g := buildTestLUT(t)
+	row := g.Single[AxisI2]
+	i := len(row) - 1 // the top of the curve, where there is room to fall
+	if row[i-1] < 2*pofMonotoneTol {
+		t.Fatalf("test LUT tops out at %g", row[i-1])
+	}
+	load := func(v float64) error {
+		bad := *g
+		bad.Single[AxisI2] = append([]float64(nil), row...)
+		bad.Single[AxisI2][i] = v
+		var buf bytes.Buffer
+		if err := bad.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadGridLUT(&buf)
+		return err
+	}
+	err := load(row[i-1] - 2*pofMonotoneTol)
+	if want := fmt.Sprintf("single[%d] falls with charge", AxisI2); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("falling row: err = %v, want %q", err, want)
+	}
+	if err := load(row[i-1] - pofMonotoneTol/2); err != nil {
+		t.Fatalf("dip within the tolerance rejected: %v", err)
 	}
 }
 

@@ -489,6 +489,44 @@ func TestStagedFlowMatchesRunFlow(t *testing.T) {
 	}
 }
 
+// TestStagesRefuseCharacterizationAtAnotherVdd: every stage that takes a
+// pre-built characterization refuses one built at another Vdd than the
+// flow's with a *PlanMismatchError naming both voltages, before any bin is
+// filed under the flow's voltage in the checkpoint.
+func TestStagesRefuseCharacterizationAtAnotherVdd(t *testing.T) {
+	char07 := sharedFlow(t).Char
+	cfg := smallFlowConfig()
+	cfg.Vdd = 0.8
+	store, err := CreateCheckpoint(t.TempDir()+"/run.ck.json", cfg, []float64{cfg.Vdd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checkpoint = store
+	ctx := context.Background()
+	for _, st := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RunFlowWithCharCtx", func() error { _, err := RunFlowWithCharCtx(ctx, cfg, char07); return err }},
+		{"SpeciesFITCtx", func() error { _, err := SpeciesFITCtx(ctx, cfg, char07, Proton); return err }},
+		{"NeutronFITCtx", func() error { _, err := NeutronFITCtx(ctx, cfg, char07); return err }},
+		{"SpeciesShardPOFConvCtx", func() error { _, _, err := SpeciesShardPOFConvCtx(ctx, cfg, char07, Alpha, 0, 2); return err }},
+	} {
+		err := st.run()
+		var pm *PlanMismatchError
+		if !errors.As(err, &pm) || pm.Field != "Vdd" || pm.Plan != 0.8 || pm.Engine != 0.7 {
+			t.Errorf("%s: err = %v, want a Vdd *PlanMismatchError (plan 0.8 V, characterization 0.7 V)", st.name, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "0.8 V") || !strings.Contains(msg, "0.7 V") {
+			t.Errorf("%s: error %q does not name both voltages", st.name, msg)
+		}
+	}
+	if got := store.Stages(); len(got) != 0 {
+		t.Errorf("refused stages checkpointed %v", got)
+	}
+}
+
 // TestResumeCheckpointRejectsConfigChange checks that a checkpoint taken
 // under one configuration cannot be resumed under another.
 func TestResumeCheckpointRejectsConfigChange(t *testing.T) {
