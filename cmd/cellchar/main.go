@@ -66,8 +66,8 @@ func main() {
 	tech := finfet.Default14nmSOI()
 	tau := tech.TransitTime(*vdd)
 	fmt.Printf("6T SRAM cell, %s, Vdd=%.2f V, pulse width τ=%.3g fs\n", tech.Name, *vdd, tau*1e15)
-	if hold, err := sram.StaticNoiseMargin(tech, *vdd, sram.VthShifts{}, sram.HoldMode, 0); err == nil {
-		if read, err := sram.StaticNoiseMargin(tech, *vdd, sram.VthShifts{}, sram.ReadMode, 0); err == nil {
+	if hold, err := sram.StaticNoiseMargin(tech, *vdd, sram.VthShifts{}, sram.HoldMode); err == nil {
+		if read, err := sram.StaticNoiseMargin(tech, *vdd, sram.VthShifts{}, sram.ReadMode); err == nil {
 			fmt.Printf("static noise margin: hold %.0f mV, read %.0f mV\n", hold.SNM*1e3, read.SNM*1e3)
 		}
 	}

@@ -30,7 +30,8 @@ type runner struct {
 	// obs, when non-nil, collects counters and stage spans across every
 	// figure regenerated in this invocation.
 	obs *finser.Metrics
-	// chars caches Fig. 8's process-variation characterizations by Vdd
+	// chars caches Fig. 8's process-variation characterizations by Vdd:
+	// the Figs. 9–11 sweep's when it ran first, else Fig. 8's own
 	chars map[float64]*finser.Characterization
 	// sweeps caches the Figs. 9–11 Vdd sweep per process-variation setting
 	sweeps map[bool][]*finser.FlowResult
@@ -84,6 +85,11 @@ func main() {
 		"8": r.fig8, "9": r.fig9, "10": r.fig10, "11": r.fig11,
 	}
 	if *fig == "all" {
+		// Fig. 8 runs on the process-variation sweep's characterizations at
+		// 0.7 and 0.8 V, so run that sweep (it prints nothing) first.
+		if _, err := r.vddSweep(true); err != nil {
+			log.Fatalf("fig 9: %v", err)
+		}
 		for _, k := range []string{"2a", "2b", "4", "8", "9", "10", "11"} {
 			if err := figs[k](); err != nil {
 				log.Fatalf("fig %s: %v", k, err)
@@ -101,7 +107,8 @@ func main() {
 }
 
 // engine builds Fig. 8's array engine on the process-variation
-// characterization at vdd, characterizing each voltage once.
+// characterization at vdd, characterizing each voltage at most once and
+// not at all when the process-variation sweep already did.
 func (r *runner) engine(vdd float64) (*finser.Engine, error) {
 	ch, ok := r.chars[vdd]
 	if !ok {
@@ -291,6 +298,11 @@ func (r *runner) vddSweep(pv bool) ([]*finser.FlowResult, error) {
 		return nil, err
 	}
 	r.sweeps[pv] = out
+	if pv {
+		for _, res := range out {
+			r.chars[res.Vdd] = res.Char
+		}
+	}
 	return out, nil
 }
 

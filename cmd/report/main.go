@@ -54,11 +54,11 @@ func main() {
 	// Cell stability.
 	w("## Cell stability")
 	w("")
-	hold, err := sram.StaticNoiseMargin(tech, *vdd, sram.VthShifts{}, sram.HoldMode, 0)
+	hold, err := sram.StaticNoiseMargin(tech, *vdd, sram.VthShifts{}, sram.HoldMode)
 	if err != nil {
 		log.Fatal(err)
 	}
-	read, err := sram.StaticNoiseMargin(tech, *vdd, sram.VthShifts{}, sram.ReadMode, 0)
+	read, err := sram.StaticNoiseMargin(tech, *vdd, sram.VthShifts{}, sram.ReadMode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,28 +83,16 @@ func main() {
 	// Environment FIT.
 	w("## Failure rates by environment")
 	w("")
-	flow, err := finser.RunFlowWithCharCtx(ctx, finser.FlowConfig{
+	// The flow's own plans: these rows match serflow's alpha, proton and
+	// -neutron results for the same flags.
+	flowCfg := finser.FlowConfig{
 		Vdd: *vdd, Rows: *rows, Cols: *cols, ItersPerBin: *iters, Seed: *seed,
-	}, char)
+	}
+	flow, err := finser.RunFlowWithCharCtx(ctx, flowCfg, char)
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: *rows, Cols: *cols, Char: char,
-		Transport: finser.DefaultTransport(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	nSpec, err := finser.NewNeutronSpectrum(1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	nBins, err := finser.Bins(nSpec, 2, 1000, 10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	nRes, err := eng.NeutronFITCtx(ctx, nSpec, finser.NewNeutronReactions(), nBins, *iters, *seed+7)
+	nRes, err := finser.NeutronFITCtx(ctx, flowCfg, char)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,6 +113,13 @@ func main() {
 	// MBU geometry + ECC.
 	w("## MBU geometry and ECC")
 	w("")
+	eng, err := finser.NewEngine(finser.EngineConfig{
+		Tech: tech, Rows: *rows, Cols: *cols, Char: char,
+		Transport: finser.DefaultTransport(),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	rep, err := eng.MBUStatsAtEnergyCtx(ctx, finser.Alpha, 1, (*iters)*4, 6, *seed+9)
 	if err != nil {
 		log.Fatal(err)

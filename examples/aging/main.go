@@ -41,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		snm, err := sram.StaticNoiseMargin(tech, vdd, shifts, sram.HoldMode, 0)
+		snm, err := sram.StaticNoiseMargin(tech, vdd, shifts, sram.HoldMode)
 		if err != nil {
 			log.Fatal(err)
 		}

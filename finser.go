@@ -484,8 +484,22 @@ func (e *ConfigError) Error() string {
 // and reports the first invalid field as a *ConfigError — the
 // admission-time check a serving layer runs before queueing hours of work.
 func (c FlowConfig) Validate() (FlowConfig, error) {
-	if c.Vdd <= 0 {
-		return c, &ConfigError{Field: "Vdd", Reason: "must be positive"}
+	if !(c.Vdd > 0) || math.IsInf(c.Vdd, 1) {
+		return c, &ConfigError{Field: "Vdd", Reason: fmt.Sprintf("must be positive and finite, got %g", c.Vdd)}
+	}
+	// The environment scales: zero selects the default, anything else must
+	// be a usable flux (a NaN, negative or infinite one would fail only
+	// after the characterization, or not at all).
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"AlphaRate", c.AlphaRate},
+		{"ProtonScale", c.ProtonScale},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return c, &ConfigError{Field: f.name, Reason: fmt.Sprintf("must be zero (the default) or positive and finite, got %g", f.v)}
+		}
 	}
 	// Negative budgets and dimensions are always mistakes; fail here with
 	// the field name instead of a confusing error (or hang) layers deeper.

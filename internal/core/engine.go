@@ -215,8 +215,12 @@ type Config struct {
 type Engine struct {
 	cfg      Config
 	arr      *layout.Array
-	boxes    []geom.AABB
-	cellFins [][]int // fin indices per cell, for the grid-walk broad phase
+	boxes    []geom.AABB // every fin's box, by global fin index
+	cellFins [][]int     // fin indices per cell, for the grid-walk broad phase
+	// slab is the neutron substrate interaction volume; hasSlab is false
+	// when Config.NeutronSubstrateDepthNm disables it.
+	slab    geom.AABB
+	hasSlab bool
 
 	// scratch pools per-worker strike state (see strikeScratch) so the
 	// steady-state Monte-Carlo path is allocation-free across calls.
@@ -257,6 +261,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, arr: arr, boxes: arr.Boxes()}
+	e.slab, e.hasSlab = e.substrateSlab()
 	e.cellFins = make([][]int, arr.NumCells())
 	for i, f := range arr.Fins() {
 		ci := arr.CellIndex(f.Row, f.Col)
@@ -339,14 +344,17 @@ func (e *Engine) yieldTable(ctx context.Context, sp phys.Species) (*lut.Table1D,
 	return t, nil
 }
 
-// strike runs steps 1–5 of the paper's §5.1 for one particle: one track
-// through the strike body (chargeTrack, cellPOFs), folded by Eqs. 4–6.
-// yieldTab is the yieldTable result, resolved once per estimate outside
-// the hot loop. scr holds the worker's reusable buffers; the steady-state
-// path allocates nothing. The error is non-nil only under a strict guard.
-func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, yieldTab *lut.Table1D, scr *strikeScratch) (strikeOutcome, error) {
+// strike runs steps 2–5 of the paper's §5.1 for one particle on the
+// sampled ray: one track through the strike body (chargeTrack, cellPOFs),
+// folded by Eqs. 4–6. It is the one α/p strike: POF estimates, MBU
+// reports and sampled tracks all call it. yieldTab is the yieldTable
+// result, resolved once per estimate outside the hot loop. scr holds the
+// worker's reusable buffers, and keeps the track's deposits and the
+// strike's cell POFs until the next call; the steady-state path allocates
+// nothing. The error is non-nil only under a strict guard.
+func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (strikeOutcome, error) {
 	scr.beginCells()
-	deposited, err := e.chargeTrack(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
+	deposited, err := e.chargeTrack(src, sp, energyMeV, ray, yieldTab, scr)
 	if err == nil {
 		err = e.cellPOFs(scr, deposited)
 	}
@@ -357,31 +365,30 @@ func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, yie
 }
 
 // chargeTrack is the per-track half of the one strike body. It runs the
-// broad phase for ray, resolves the candidate fins' deposits — by full
+// broad phase for ray and the narrow phase (transport.Crossings) over the
+// engine's fin boxes, resolves the crossed fins' deposits — by full
 // transport, or from the mean-yield table when yieldTab is non-nil —
 // checks them under the guard, and adds their sensitive-axis charge to the
 // strike's cells in scr. It returns the charge landed on sensitive
-// transistors. scr.candidate and scr.deps keep this track's broad phase and
-// deposits until the next call. Several tracks may charge one strike: the
-// caller opens it with scr.beginCells and closes it with cellPOFs.
+// transistors. scr.deps keeps this track's deposits, by global fin index,
+// until the next call. Several tracks may charge one strike: the caller
+// opens it with scr.beginCells and closes it with cellPOFs.
 func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (float64, error) {
-	// Broad phase: only trace fins of cells whose bounds the ray crosses.
+	// Broad phase: only fins of cells whose bounds the ray crosses.
 	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
 	deps := scr.deps[:0]
-	switch {
-	case len(scr.candidate) == 0: // the ray misses the array
-	case yieldTab != nil:
-		// Paper-style: every struck fin receives the mean yield at this
-		// energy, regardless of chord geometry.
-		yield := yieldTab.Eval(energyMeV)
-		for i, fi := range scr.candidate {
-			if _, _, ok := e.boxes[fi].Intersect(ray); ok {
-				deps = append(deps, transport.Deposit{Fin: i, Pairs: yield})
+	if len(scr.candidate) > 0 { // else the ray misses the array
+		scr.hits = transport.Crossings(ray, e.boxes, scr.candidate, scr.hits[:0])
+		if yieldTab != nil {
+			// Paper-style: every crossed fin receives the mean yield at this
+			// energy, regardless of chord geometry.
+			yield := yieldTab.Eval(energyMeV)
+			for _, h := range scr.hits {
+				deps = append(deps, transport.Deposit{Fin: h.Fin, Pairs: yield})
 			}
+		} else {
+			deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, scr.hits, src, deps)
 		}
-	default:
-		boxes := e.candidateBoxes(scr, scr.candidate)
-		deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, ray, boxes, src, &scr.tr, deps)
 	}
 	scr.deps = deps
 	if len(deps) == 0 {
@@ -390,7 +397,7 @@ func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64
 	if err := transport.CheckDeposits(e.cfg.Guard, "core.strike", deps); err != nil {
 		return 0, err
 	}
-	return e.accumulateCharges(scr, scr.candidate, deps), nil
+	return e.accumulateCharges(scr, deps), nil
 }
 
 // cellPOFs closes a strike whose tracks landed deposited on sensitive

@@ -101,7 +101,7 @@ func TestSubstrateDepthAblation(t *testing.T) {
 func TestSubstrateSlabGeometry(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := engineWith(t, ch)
-	slab, ok := e.substrateSlab()
+	slab, ok := e.slab, e.hasSlab
 	if !ok {
 		t.Fatal("no substrate slab with default config")
 	}
@@ -134,7 +134,7 @@ func TestStrikeChargeSanity(t *testing.T) {
 	scr := e.getScratch()
 	defer e.putScratch(scr)
 	for i := 0; i < 2000; i++ {
-		o, err := e.strike(src, phys.Alpha, 1, nil, scr)
+		o, err := e.strike(src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), nil, scr)
 		if err != nil {
 			t.Fatalf("strike: %v", err)
 		}

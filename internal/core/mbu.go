@@ -100,8 +100,8 @@ type mbuTally struct {
 	strikePMF, next []float64
 }
 
-// mbuTrial runs one strike through the strike body and folds its
-// multiplicity PMF, expected flips, and pair weights into a.
+// mbuTrial runs one strike and folds its multiplicity PMF, expected flips,
+// and pair weights into a.
 func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, yieldTab *lut.Table1D, maxK int, scr *strikeScratch, a *mbuTally) (int, error) {
 	if a.pmf == nil {
 		a.pmf = make([]float64, maxK+1)
@@ -109,11 +109,7 @@ func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, y
 		a.strikePMF = make([]float64, maxK+1)
 		a.next = make([]float64, maxK+1)
 	}
-	scr.beginCells()
-	deposited, err := e.chargeTrack(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
-	if err == nil {
-		err = e.cellPOFs(scr, deposited)
-	}
+	o, err := e.strike(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
 	if err != nil {
 		return 0, err
 	}
@@ -154,7 +150,7 @@ func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, y
 			a.pairs[pairKey(cells[i], cells[j], e.arr.Cols)] += pofs[i] * pofs[j]
 		}
 	}
-	return len(scr.touched), nil
+	return o.struckCells, nil
 }
 
 // pairKey returns the canonical separation of two cells given by dense
@@ -236,22 +232,17 @@ func (e *Engine) SampleTracksCtx(ctx context.Context, sp phys.Species, energyMeV
 			info.Entry = ray.At(tIn)
 			info.Exit = ray.At(tOut)
 		}
-		scr.beginCells()
-		deposited, err := e.chargeTrack(src, sp, energyMeV, ray, yieldTab, scr)
-		if err == nil {
-			err = e.cellPOFs(scr, deposited)
-		}
+		o, err := e.strike(src, sp, energyMeV, ray, yieldTab, scr)
 		if err != nil {
 			return nil, fmt.Errorf("core: tracks %v @%g MeV: %w", sp, energyMeV, err)
 		}
 		for _, d := range scr.deps {
-			fi := scr.candidate[d.Fin]
-			f := fins[fi]
+			f := fins[d.Fin]
 			if _, sensitive := sram.SensitiveAxisForRole(f.Role, e.cfg.Pattern.Bit(f.Row, f.Col)); sensitive {
-				info.StruckFins = append(info.StruckFins, fi)
+				info.StruckFins = append(info.StruckFins, d.Fin)
 			}
 		}
-		info.POF = combinePOFs(scr.pofs, len(scr.touched)).pofTot
+		info.POF = o.pofTot
 		out = append(out, info)
 	}
 	return out, nil

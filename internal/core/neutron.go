@@ -8,6 +8,7 @@ import (
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/spectra"
+	"finser/internal/transport"
 )
 
 // Neutron-induced SER: the paper's future-work extension. Neutrons do not
@@ -49,7 +50,7 @@ func (e *Engine) neutronKernel(rx *neutron.Reactions) kernel {
 }
 
 // substrateSlab returns the handle-wafer silicon volume under the BOX that
-// serves as an additional neutron interaction target.
+// serves as an additional neutron interaction target. New builds it once.
 func (e *Engine) substrateSlab() (geom.AABB, bool) {
 	depth := e.cfg.NeutronSubstrateDepthNm
 	if depth == 0 {
@@ -76,24 +77,21 @@ func (e *Engine) substrateSlab() (geom.AABB, bool) {
 // strict guard.
 func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
 	ray := e.sampleRay(src, phys.Proton) // cosine-law, like any atmospheric particle
-	// Chords through each candidate fin plus the substrate slab.
-	chords := scr.chords[:0]
-	totalLen := 0.0
+	// Silicon chords: the fins the track crosses, then the substrate slab's
+	// (Fin -1). The secondaries' tracks reuse scr.hits, so the chord list is
+	// used up before the first of them runs.
 	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
-	for _, fi := range scr.candidate {
-		tIn, tOut, ok := e.boxes[fi].Intersect(ray)
-		if ok && tOut > tIn {
-			chords = append(chords, chordSeg{tIn: tIn, len: tOut - tIn})
-			totalLen += tOut - tIn
+	chords := transport.Crossings(ray, e.boxes, scr.candidate, scr.hits[:0])
+	if e.hasSlab {
+		if tIn, tOut, hit := e.slab.Intersect(ray); hit && tOut > tIn {
+			chords = append(chords, transport.Crossing{Fin: -1, TIn: tIn, TOut: tOut})
 		}
 	}
-	if slab, ok := e.substrateSlab(); ok {
-		if tIn, tOut, hit := slab.Intersect(ray); hit && tOut > tIn {
-			chords = append(chords, chordSeg{tIn: tIn, len: tOut - tIn})
-			totalLen += tOut - tIn
-		}
+	scr.hits = chords
+	totalLen := 0.0
+	for _, c := range chords {
+		totalLen += c.TOut - c.TIn
 	}
-	scr.chords = chords
 	if totalLen <= 0 {
 		return strikeOutcome{}, 0, nil
 	}
@@ -107,11 +105,11 @@ func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV
 	pick := src.Float64() * totalLen
 	var at geom.Vec3
 	for _, c := range chords {
-		if pick <= c.len {
-			at = ray.At(c.tIn + pick)
+		if pick <= c.TOut-c.TIn {
+			at = ray.At(c.TIn + pick)
 			break
 		}
-		pick -= c.len
+		pick -= c.TOut - c.TIn
 	}
 
 	secs := rx.SampleInteraction(src, energyMeV)

@@ -68,12 +68,12 @@ func TestStrikeZeroAlloc(t *testing.T) {
 				scr := e.getScratch()
 				defer e.putScratch(scr)
 				for i := 0; i < 2000; i++ { // grow scratch to steady state
-					if _, err := e.strike(src, phys.Alpha, 1, yieldTab, scr); err != nil {
+					if _, err := e.strike(src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, scr); err != nil {
 						t.Fatal(err)
 					}
 				}
 				allocs := testing.AllocsPerRun(500, func() {
-					if _, err := e.strike(src, phys.Alpha, 1, yieldTab, scr); err != nil {
+					if _, err := e.strike(src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, scr); err != nil {
 						t.Fatal(err)
 					}
 				})

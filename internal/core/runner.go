@@ -39,7 +39,7 @@ func (e *Engine) directKernel(ctx context.Context, sp phys.Species) (kernel, err
 		return kernel{}, err
 	}
 	return kernel{name: sp.String(), strike: func(src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
-		o, err := e.strike(src, sp, energyMeV, yieldTab, scr)
+		o, err := e.strike(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
 		return o, 1, err
 	}}, nil
 }

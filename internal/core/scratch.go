@@ -1,7 +1,6 @@
 package core
 
 import (
-	"finser/internal/geom"
 	"finser/internal/phys"
 	"finser/internal/sram"
 	"finser/internal/transport"
@@ -9,8 +8,8 @@ import (
 
 // strikeScratch is the per-worker reusable state of the strike hot paths.
 // Every per-particle intermediate the engine used to allocate — the
-// broad-phase candidate list, the transport box/deposit buffers, the
-// per-cell charge accumulator, the POF list — lives here instead, so the
+// broad-phase candidate list, the narrow phase's crossed fins, the deposit
+// buffer, the per-cell charge accumulator, the POF list — lives here, so the
 // steady-state Monte-Carlo loop performs zero heap allocations: millions
 // of strikes stop feeding the GC, which is what lets worker throughput
 // scale with cores instead of with collector headroom.
@@ -19,11 +18,9 @@ import (
 // one from Engine.getScratch at loop start and return it with putScratch;
 // the pool keeps warm buffers across estimates.
 type strikeScratch struct {
-	candidate []int               // broad-phase candidate fin indices
-	boxes     []geom.AABB         // candidate fin boxes handed to transport
-	deps      []transport.Deposit // per-track deposits
-	tr        transport.TraceScratch
-	chords    []chordSeg // neutron forced-interaction silicon chords
+	candidate []int                // broad-phase candidate fin indices
+	hits      []transport.Crossing // the candidates a track crosses; a neutron strike's chords
+	deps      []transport.Deposit  // per-track deposits
 
 	// Dense per-cell charge accumulator, replacing the per-strike
 	// map[int]*[NumAxes]float64: cellQ[ci] holds the sensitive-axis
@@ -40,12 +37,6 @@ type strikeScratch struct {
 	// cells (cellPOFs).
 	pofs     []float64
 	pofCells []int
-}
-
-// chordSeg is one silicon chord of a neutron track (entry parameter and
-// length along the ray).
-type chordSeg struct {
-	tIn, len float64
 }
 
 // newStrikeScratch sizes the dense accumulator for an nCells array.
@@ -98,13 +89,12 @@ func (s *strikeScratch) sortTouched() {
 
 // accumulateCharges converts one track's deposits into per-cell
 // sensitive-axis charges in scr and returns the total charge landed on
-// sensitive transistors (the conservation-guard reference). candidate maps
-// Deposit.Fin back to global fin indices, exactly as passed to transport.
-func (e *Engine) accumulateCharges(scr *strikeScratch, candidate []int, deps []transport.Deposit) float64 {
+// sensitive transistors (the conservation-guard reference).
+func (e *Engine) accumulateCharges(scr *strikeScratch, deps []transport.Deposit) float64 {
 	fins := e.arr.Fins()
 	deposited := 0.0
 	for _, d := range deps {
-		f := fins[candidate[d.Fin]]
+		f := fins[d.Fin]
 		bit := e.cfg.Pattern.Bit(f.Row, f.Col)
 		axis, sensitive := sram.SensitiveAxisForRole(f.Role, bit)
 		if !sensitive {
@@ -115,14 +105,4 @@ func (e *Engine) accumulateCharges(scr *strikeScratch, candidate []int, deps []t
 		deposited += q
 	}
 	return deposited
-}
-
-// candidateBoxes fills scr.boxes with the AABBs of the candidate fins.
-func (e *Engine) candidateBoxes(scr *strikeScratch, candidate []int) []geom.AABB {
-	boxes := scr.boxes[:0]
-	for _, fi := range candidate {
-		boxes = append(boxes, e.boxes[fi])
-	}
-	scr.boxes = boxes
-	return boxes
 }

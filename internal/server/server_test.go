@@ -279,6 +279,8 @@ func TestValidationErrorsMapTo400(t *testing.T) {
 		{"negative timeout", `{"vdd": 0.7, "timeout_seconds": -3}`, "timeout_seconds"},
 		{"fit_rel_err too large", `{"vdd": 0.7, "fit_rel_err": 0.6}`, "FITRelErr"},
 		{"fit_rel_err negative", `{"vdd": 0.7, "fit_rel_err": -0.05}`, "FITRelErr"},
+		{"alpha_rate negative", `{"vdd": 0.8, "alpha_rate": -1}`, "AlphaRate"},
+		{"proton_scale negative", `{"vdd": 0.8, "proton_scale": -2}`, "ProtonScale"},
 		{"unknown field", `{"vdd": 0.7, "voltage": 1}`, "voltage"},
 		{"syntax", `{"vdd": `, "body"},
 	}

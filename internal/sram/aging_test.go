@@ -94,7 +94,7 @@ func TestAgingCreatesSERAsymmetry(t *testing.T) {
 	// The asymmetry: the aged cell's SNM against flipping the held state
 	// drops below the margin against the opposite flip.
 	shifts, _ := AgedShifts(m, 10, 1)
-	snm, err := StaticNoiseMargin(tech(), 0.8, shifts, HoldMode, 0)
+	snm, err := StaticNoiseMargin(tech(), 0.8, shifts, HoldMode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBalancedAgingStaysSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snm, err := StaticNoiseMargin(tech(), 0.8, shifts, HoldMode, 0)
+	snm, err := StaticNoiseMargin(tech(), 0.8, shifts, HoldMode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,11 +97,11 @@ func TestTemperatureEffects(t *testing.T) {
 	if r := qHot / qCold; r < 0.95 || r > 1.05 {
 		t.Errorf("Qcrit temperature drift %v, expected near-invariance", r)
 	}
-	sCold, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, HoldMode, 0)
+	sCold, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, HoldMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sHot, err := StaticNoiseMargin(hotTech, 0.8, VthShifts{}, HoldMode, 0)
+	sHot, err := StaticNoiseMargin(hotTech, 0.8, VthShifts{}, HoldMode)
 	if err != nil {
 		t.Fatal(err)
 	}

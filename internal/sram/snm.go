@@ -106,13 +106,10 @@ func snmBistable(tech finfet.Technology, vdd float64, shifts VthShifts, mode Cel
 
 // StaticNoiseMargin extracts the hold- or read-mode SNM by bisecting the
 // series noise voltage to the bistability boundary (resolution ~0.5 mV).
-// The points parameter is accepted for API stability but unused by the
-// bisection method (pass 0).
-func StaticNoiseMargin(tech finfet.Technology, vdd float64, shifts VthShifts, mode CellMode, points int) (SNMResult, error) {
+func StaticNoiseMargin(tech finfet.Technology, vdd float64, shifts VthShifts, mode CellMode) (SNMResult, error) {
 	if vdd <= 0 {
 		return SNMResult{}, fmt.Errorf("sram: SNM needs positive vdd")
 	}
-	_ = points
 	margin := func(attack1 bool) (float64, error) {
 		ok, err := snmBistable(tech, vdd, shifts, mode, 0, attack1)
 		if err != nil {

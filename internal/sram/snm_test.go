@@ -5,7 +5,7 @@ import (
 )
 
 func TestHoldSNMReasonable(t *testing.T) {
-	res, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, HoldMode, 48)
+	res, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, HoldMode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestHoldSNMReasonable(t *testing.T) {
 func TestSNMDecreasesWithVdd(t *testing.T) {
 	prev := 0.0
 	for _, vdd := range []float64{0.7, 0.9, 1.1} {
-		res, err := StaticNoiseMargin(tech(), vdd, VthShifts{}, HoldMode, 40)
+		res, err := StaticNoiseMargin(tech(), vdd, VthShifts{}, HoldMode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +36,11 @@ func TestSNMDecreasesWithVdd(t *testing.T) {
 func TestReadSNMBelowHoldSNM(t *testing.T) {
 	// The conducting pass gate degrades the low lobe: read SNM < hold SNM —
 	// the textbook result, and the DC cousin of the read-mode Qcrit drop.
-	hold, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, HoldMode, 48)
+	hold, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, HoldMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	read, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, ReadMode, 48)
+	read, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, ReadMode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestSNMVariationSkewsLobes(t *testing.T) {
 	// Skewing one inverter shrinks one lobe: the worst-case SNM drops.
 	var sk VthShifts
 	sk[PDL] = 0.09
-	skewed, err := StaticNoiseMargin(tech(), 0.8, sk, HoldMode, 48)
+	skewed, err := StaticNoiseMargin(tech(), 0.8, sk, HoldMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nominal, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, HoldMode, 48)
+	nominal, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, HoldMode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSNMTracksQcrit(t *testing.T) {
 	type point struct{ snm, qc float64 }
 	var pts []point
 	for _, vdd := range []float64{0.7, 1.1} {
-		s, err := StaticNoiseMargin(tech(), vdd, VthShifts{}, HoldMode, 40)
+		s, err := StaticNoiseMargin(tech(), vdd, VthShifts{}, HoldMode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestSNMTracksQcrit(t *testing.T) {
 }
 
 func TestSNMValidation(t *testing.T) {
-	if _, err := StaticNoiseMargin(tech(), 0, VthShifts{}, HoldMode, 0); err == nil {
+	if _, err := StaticNoiseMargin(tech(), 0, VthShifts{}, HoldMode); err == nil {
 		t.Error("zero vdd accepted")
 	}
 }

@@ -77,11 +77,11 @@ func TestWriteMarginReadStabilityTradeoff(t *testing.T) {
 	if wm2 > wm1+1e-3 {
 		t.Errorf("2-fin PD write margin %v above 1-fin %v", wm2, wm1)
 	}
-	r2, err := StaticNoiseMargin(t2, 0.8, VthShifts{}, ReadMode, 0)
+	r2, err := StaticNoiseMargin(t2, 0.8, VthShifts{}, ReadMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, ReadMode, 0)
+	r1, err := StaticNoiseMargin(tech(), 0.8, VthShifts{}, ReadMode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 // Package transport is the library's Geant4 substitute: straight-line
 // Monte-Carlo transport of directly ionizing particles (protons,
-// alpha-particles) through collections of silicon fin boxes. For each fin a
-// track crosses, it integrates the electronic stopping power along the
-// chord in sub-steps, applies Bohr energy-loss straggling and Fano
-// pair-count fluctuation, and reports the electron–hole pairs generated in
-// that fin — the exact quantity the paper extracts from Geant4 and stores
-// in LUTs (its Fig. 4). Between fins the mean energy loss is solved in one
-// step from the species' CSDA range table, whatever the gap's length.
+// alpha-particles) through collections of silicon fin boxes. Crossings is
+// the narrow phase: it finds the fins a track crosses. For each crossed
+// fin, TraceAppend integrates the stopping power along the chord in 2 nm
+// sub-steps, draws each sub-step's loss from a Landau (Moyal) straggling
+// law, applies Fano pair-count fluctuation, and reports the electron–hole
+// pairs generated in that fin — the exact quantity the paper extracts from
+// Geant4 and stores in LUTs (its Fig. 4). Between fins the mean energy loss
+// is solved in one step from the species' CSDA range table, whatever the
+// gap's length.
 package transport
 
 import (
@@ -27,15 +29,8 @@ import (
 
 // Config controls the transport physics fidelity.
 type Config struct {
-	// Stopping is the electronic stopping model, densely resampled. Nil
-	// selects the tabulated NIST-style model; wrap another model with
-	// phys.NewFastStopping.
-	Stopping *phys.FastStopping
-	// StepNm is the sub-step length for integrating dE/dx along a fin
-	// chord. Zero selects 2 nm, fine enough that S(E) is constant per step
-	// for the fin dimensions in play.
-	StepNm float64
-	// Straggling enables Bohr energy-loss fluctuation per step.
+	// Straggling enables energy-loss fluctuation: each stepNm sub-step of a
+	// fin chord draws its loss from a Landau (Moyal) law around the mean.
 	Straggling bool
 	// FanoFluctuation enables sub-Poissonian pair-count fluctuation.
 	FanoFluctuation bool
@@ -45,18 +40,24 @@ type Config struct {
 	// lossless; 1 as silicon. The default config uses 0.5, a reasonable
 	// oxide/nitride average.
 	InterFinStoppingScale float64
-	// CollectionEfficiency scales generated pairs to collected pairs,
-	// covering carriers lost to the BOX or recombined at interfaces.
-	// Zero selects 1.0 (the paper assumes full drift collection in the fin).
-	CollectionEfficiency float64
 	// Metrics, when non-nil, receives transport counters (rays traced, fin
 	// intersections, segments deposited). Nil costs nothing.
 	Metrics *Metrics
 }
 
+const (
+	// stepNm is the sub-step length for integrating dE/dx along a fin
+	// chord, fine enough that S(E) is constant per step for the fin
+	// dimensions in play. Each step draws its own straggling.
+	stepNm = 2
+	// collectionEfficiency scales generated pairs to collected pairs. The
+	// paper assumes full drift collection in the fin.
+	collectionEfficiency = 1
+)
+
 // Metrics is the transport layer's observability hook.
 type Metrics struct {
-	// RaysTraced counts Trace calls (one particle track each).
+	// RaysTraced counts TraceAppend calls (one particle track each).
 	RaysTraced *obs.Counter
 	// FinIntersections counts fin boxes the traced rays crossed.
 	FinIntersections *obs.Counter
@@ -78,46 +79,28 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// defaultStopping returns the shared default stopping model: the tabulated
-// NIST-style anchors behind a dense log-uniform resampling, so the per-
-// sub-step evaluation in the hot loop costs one logarithm instead of three
-// plus an exponential. Both layers are safe for concurrent use, so one
-// instance serves every Config.
-var defaultStopping = sync.OnceValue(func() *phys.FastStopping {
+// stopping returns the stopping model: the tabulated NIST-style anchors
+// behind a dense log-uniform resampling, so the per-sub-step evaluation in
+// the hot loop costs one logarithm instead of three plus an exponential.
+// Both layers are safe for concurrent use, so one instance serves every
+// track.
+var stopping = sync.OnceValue(func() *phys.FastStopping {
 	return phys.NewFastStopping(phys.NewTabulatedStopping())
 })
 
 // DefaultConfig returns the configuration used throughout the flow:
-// tabulated stopping (dense-resampled for evaluation speed), 2 nm steps,
-// straggling and Fano fluctuation on, half-silicon inter-fin losses, unity
-// collection efficiency.
+// straggling and Fano fluctuation on, half-silicon inter-fin losses.
 func DefaultConfig() Config {
 	return Config{
-		Stopping:              defaultStopping(),
-		StepNm:                2,
 		Straggling:            true,
 		FanoFluctuation:       true,
 		InterFinStoppingScale: 0.5,
-		CollectionEfficiency:  1,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Stopping == nil {
-		c.Stopping = defaultStopping()
-	}
-	if c.StepNm <= 0 {
-		c.StepNm = 2
-	}
-	if c.CollectionEfficiency <= 0 {
-		c.CollectionEfficiency = 1
-	}
-	return c
 }
 
 // Deposit is the energy a single track left in a single fin.
 type Deposit struct {
-	Fin      int     // index into the fins slice passed to Trace
+	Fin      int     // the fin's index into the boxes given to Crossings
 	EnergyEV float64 // deposited energy
 	Pairs    float64 // collected electron–hole pairs
 	PathNm   float64 // chord length through the fin
@@ -156,60 +139,42 @@ func badNonNegFinite(v float64) bool {
 	return math.IsNaN(v) || math.IsInf(v, 0) || v < 0
 }
 
-type hit struct {
-	fin       int
-	tIn, tOut float64
+// Crossing is one fin a track crosses: the fin's index into the boxes
+// given to Crossings, and the ray parameters at which the track enters and
+// leaves it.
+type Crossing struct {
+	Fin       int
+	TIn, TOut float64
 }
 
-// TraceScratch holds the intermediate buffers one Trace call needs. A
-// caller that traces millions of tracks keeps one TraceScratch per worker
-// and passes it to TraceAppend, making the steady-state path
-// allocation-free. The zero value is ready to use; a TraceScratch must not
-// be shared between concurrent calls.
-type TraceScratch struct {
-	hits []hit
-}
-
-// Trace propagates one particle along ray (Dir must be unit length) through
-// the fins and returns the per-fin deposits in traversal order. The
-// particle's kinetic energy is depleted as it travels; a track that ranges
-// out stops depositing. src supplies the fluctuation randomness and may be
-// nil when both fluctuation options are off.
-//
-// Trace allocates its result and scratch per call; hot loops should use
-// TraceAppend with a reused TraceScratch and output buffer instead.
-func Trace(cfg Config, sp phys.Species, energyMeV float64, ray geom.Ray, fins []geom.AABB, src *rng.Source) []Deposit {
-	var scr TraceScratch
-	out := TraceAppend(cfg, sp, energyMeV, ray, fins, src, &scr, nil)
-	if len(out) == 0 {
-		return nil // preserve Trace's historical nil-on-no-deposit contract
+// Crossings appends to out the fins among boxes[idx[0]], boxes[idx[1]], …
+// that ray crosses with a positive chord, in idx order, and returns it.
+// It is the narrow phase of every strike path: a ray that only touches a
+// fin (entry == exit) crosses nothing.
+func Crossings(ray geom.Ray, boxes []geom.AABB, idx []int, out []Crossing) []Crossing {
+	for _, fi := range idx {
+		tIn, tOut, ok := boxes[fi].Intersect(ray)
+		if ok && tOut > tIn {
+			out = append(out, Crossing{Fin: fi, TIn: tIn, TOut: tOut})
+		}
 	}
 	return out
 }
 
-// TraceAppend is Trace's allocation-free form: intermediate state lives in
-// scr (reused across calls) and deposits are appended to out, which is
-// returned. With a warm scratch and a pre-grown out buffer the call does
-// not allocate. Deposit.Fin indexes fins exactly as in Trace; out's
-// existing elements are preserved, so callers batching several tracks into
-// one buffer must record the length before each call.
-func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, ray geom.Ray, fins []geom.AABB, src *rng.Source, scr *TraceScratch, out []Deposit) []Deposit {
-	cfg = cfg.withDefaults()
+// TraceAppend propagates one particle through the fins its ray crosses
+// (hits, from Crossings) and appends the per-fin deposits to out in
+// traversal order, returning it; out's existing elements are preserved.
+// It sorts hits by entry in place. The particle's kinetic energy is
+// depleted as it travels; a track that ranges out stops depositing. src
+// supplies the fluctuation randomness and may be nil when both fluctuation
+// options are off. With pre-grown buffers the call does not allocate.
+func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, hits []Crossing, src *rng.Source, out []Deposit) []Deposit {
 	if energyMeV <= 0 {
 		return out
 	}
 	if (cfg.Straggling || cfg.FanoFluctuation) && src == nil {
 		panic("transport: fluctuations enabled but no rng source")
 	}
-
-	hits := scr.hits[:0]
-	for i, f := range fins {
-		tIn, tOut, ok := f.Intersect(ray)
-		if ok && tOut > tIn {
-			hits = append(hits, hit{fin: i, tIn: tIn, tOut: tOut})
-		}
-	}
-	scr.hits = hits[:0] // keep the (possibly regrown) backing array
 	if m := cfg.Metrics; m != nil {
 		m.RaysTraced.Inc()
 		m.FinIntersections.Add(int64(len(hits)))
@@ -221,11 +186,12 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, ray geom.Ray, f
 	// unlike sort.Slice it neither allocates a closure nor reorders equal
 	// keys, keeping traversal order deterministic.
 	for i := 1; i < len(hits); i++ {
-		for j := i; j > 0 && hits[j].tIn < hits[j-1].tIn; j-- {
+		for j := i; j > 0 && hits[j].TIn < hits[j-1].TIn; j-- {
 			hits[j], hits[j-1] = hits[j-1], hits[j]
 		}
 	}
 
+	st := stopping()
 	nBefore := len(out)
 	energyEV := energyMeV * 1e6
 	cursor := 0.0
@@ -234,24 +200,24 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, ray geom.Ray, f
 			break
 		}
 		// Lossy gap between the previous exit and this fin's entry.
-		if gap := h.tIn - cursor; gap > 0 && cfg.InterFinStoppingScale > 0 {
-			energyEV = cfg.Stopping.Residual(sp, energyEV*1e-6, cfg.InterFinStoppingScale*gap) * 1e6
+		if gap := h.TIn - cursor; gap > 0 && cfg.InterFinStoppingScale > 0 {
+			energyEV = st.Residual(sp, energyEV*1e-6, cfg.InterFinStoppingScale*gap) * 1e6
 			if energyEV <= 0 {
 				break
 			}
 		}
-		dep := depositInSegment(cfg, sp, &energyEV, h.tOut-h.tIn, src)
+		dep := depositInSegment(cfg, st, sp, &energyEV, h.TOut-h.TIn, src)
 		if dep > 0 {
 			pairs := collectPairs(cfg, dep, src)
 			out = append(out, Deposit{
-				Fin:      h.fin,
+				Fin:      h.Fin,
 				EnergyEV: dep,
 				Pairs:    pairs,
-				PathNm:   h.tOut - h.tIn,
+				PathNm:   h.TOut - h.TIn,
 			})
 		}
-		if h.tOut > cursor {
-			cursor = h.tOut
+		if h.TOut > cursor {
+			cursor = h.TOut
 		}
 	}
 	if m := cfg.Metrics; m != nil {
@@ -260,20 +226,20 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, ray geom.Ray, f
 	return out
 }
 
-// depositInSegment walks a chord through silicon in sub-steps, depleting
-// *energyEV by the total stopping and returning the *ionizing* deposit
-// (electronic stopping plus the Lindhard partition of nuclear stopping for
-// heavy recoils), with optional Landau straggling on the ionizing part.
-func depositInSegment(cfg Config, sp phys.Species, energyEV *float64, pathNm float64, src *rng.Source) float64 {
+// depositInSegment walks a chord through silicon in stepNm sub-steps,
+// depleting *energyEV by the total stopping and returning the *ionizing*
+// deposit (electronic stopping plus the Lindhard partition of nuclear
+// stopping for heavy recoils), with optional Landau straggling per step.
+func depositInSegment(cfg Config, st *phys.FastStopping, sp phys.Species, energyEV *float64, pathNm float64, src *rng.Source) float64 {
 	deposited := 0.0
 	remaining := pathNm
 	for remaining > 0 && *energyEV > 0 {
-		step := math.Min(cfg.StepNm, remaining)
+		step := math.Min(stepNm, remaining)
 		eMeV := *energyEV * 1e-6
 		// One electronic and one nuclear evaluation per sub-step; the
 		// combined and ionizing rates share them (the table look-up is the
 		// hot path's dominant cost).
-		se := cfg.Stopping.ElectronicStopping(sp, eMeV)
+		se := st.ElectronicStopping(sp, eMeV)
 		sn := phys.ZBLNuclearStopping(sp, eMeV)
 		sTotal := se + sn
 		sIon := se + phys.IonizationPartition*sn
@@ -305,7 +271,7 @@ func collectPairs(cfg Config, energyEV float64, src *rng.Source) float64 {
 			mean = 0
 		}
 	}
-	return mean * cfg.CollectionEfficiency
+	return mean * collectionEfficiency
 }
 
 // SecantThroughBox samples a flux-uniform (μ-random) chord through the box:
@@ -367,6 +333,9 @@ func FinYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV flo
 	var w stats.Welford
 	maxPairs := 0.0
 	hits := 0
+	boxes, idx := []geom.AABB{fin}, []int{0}
+	var crossed []Crossing
+	var deps []Deposit
 	for i := 0; i < iters; i++ {
 		if i%yieldCancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -374,7 +343,8 @@ func FinYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV flo
 			}
 		}
 		ray := SecantThroughBox(src, fin)
-		deps := Trace(cfg, sp, energyMeV, ray, []geom.AABB{fin}, src)
+		crossed = Crossings(ray, boxes, idx, crossed[:0])
+		deps = TraceAppend(cfg, sp, energyMeV, crossed, src, deps[:0])
 		pairs := 0.0
 		for _, d := range deps {
 			pairs += d.Pairs

@@ -22,11 +22,59 @@ func detConfig() Config {
 	return c
 }
 
+// trace transports one particle along ray through every fin: the narrow
+// phase over all of fins, then TraceAppend. It returns nil when nothing
+// was deposited.
+func trace(cfg Config, sp phys.Species, energyMeV float64, ray geom.Ray, fins []geom.AABB, src *rng.Source) []Deposit {
+	idx := make([]int, len(fins))
+	for i := range idx {
+		idx[i] = i
+	}
+	return TraceAppend(cfg, sp, energyMeV, Crossings(ray, fins, idx, nil), src, nil)
+}
+
+// TestCrossingsNarrowPhase: Crossings reports each crossed candidate by
+// its index into boxes, in candidate order, with the ray's entry and exit;
+// it skips candidates the ray misses and a fin the ray only touches.
+func TestCrossingsNarrowPhase(t *testing.T) {
+	boxes := []geom.AABB{
+		geom.BoxAt(geom.V(0, 0, 0), geom.V(10, 20, 30)),
+		geom.BoxAt(geom.V(100, 0, 0), geom.V(10, 20, 30)),
+		geom.BoxAt(geom.V(50, 100, 0), geom.V(10, 20, 30)), // off the ray
+		geom.BoxAt(geom.V(50, -20, 0), geom.V(10, 20, 30)), // corner at (60, 0)
+	}
+	ray := geom.Ray{Origin: geom.V(-5, 10, 15), Dir: geom.V(1, 0, 0)}
+	got := Crossings(ray, boxes, []int{1, 2, 0}, nil)
+	want := []Crossing{{Fin: 1, TIn: 105, TOut: 115}, {Fin: 0, TIn: 5, TOut: 15}}
+	if len(got) != len(want) {
+		t.Fatalf("crossings = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("crossing %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	// Crossings appends: out's existing elements are kept.
+	prev := []Crossing{{Fin: 7}}
+	if got := Crossings(ray, boxes, []int{0}, prev); len(got) != 2 || got[0].Fin != 7 || got[1].Fin != 0 {
+		t.Errorf("append form = %+v", got)
+	}
+	// A ray through box 3's corner meets it (entry == exit) but crosses no
+	// silicon.
+	touch := geom.Ray{Origin: geom.V(0, 60, 15), Dir: geom.V(1, -1, 0).Unit()}
+	if tIn, tOut, ok := boxes[3].Intersect(touch); !ok || tIn != tOut {
+		t.Fatalf("corner ray: Intersect = %v, %v, %v; want a single touching point", tIn, tOut, ok)
+	}
+	if got := Crossings(touch, boxes, []int{3}, nil); len(got) != 0 {
+		t.Errorf("a touching ray crosses %+v, want nothing", got)
+	}
+}
+
 func TestTraceDeterministicCrossing(t *testing.T) {
 	fin := testFin()
 	// 1 MeV alpha across the 10 nm width.
 	ray := geom.Ray{Origin: geom.V(-5, 10, 15), Dir: geom.V(1, 0, 0)}
-	deps := Trace(detConfig(), phys.Alpha, 1, ray, []geom.AABB{fin}, nil)
+	deps := trace(detConfig(), phys.Alpha, 1, ray, []geom.AABB{fin}, nil)
 	if len(deps) != 1 {
 		t.Fatalf("deposits = %d, want 1", len(deps))
 	}
@@ -46,7 +94,7 @@ func TestTraceDeterministicCrossing(t *testing.T) {
 func TestTraceMiss(t *testing.T) {
 	fin := testFin()
 	ray := geom.Ray{Origin: geom.V(-5, 100, 15), Dir: geom.V(1, 0, 0)}
-	if deps := Trace(detConfig(), phys.Alpha, 1, ray, []geom.AABB{fin}, nil); deps != nil {
+	if deps := trace(detConfig(), phys.Alpha, 1, ray, []geom.AABB{fin}, nil); deps != nil {
 		t.Fatalf("expected nil deposits, got %v", deps)
 	}
 }
@@ -54,7 +102,7 @@ func TestTraceMiss(t *testing.T) {
 func TestTraceZeroEnergy(t *testing.T) {
 	fin := testFin()
 	ray := geom.Ray{Origin: geom.V(-5, 10, 15), Dir: geom.V(1, 0, 0)}
-	if deps := Trace(detConfig(), phys.Alpha, 0, ray, []geom.AABB{fin}, nil); deps != nil {
+	if deps := trace(detConfig(), phys.Alpha, 0, ray, []geom.AABB{fin}, nil); deps != nil {
 		t.Fatal("expected no deposits at zero energy")
 	}
 }
@@ -67,7 +115,7 @@ func TestTracePanicsWithoutRNG(t *testing.T) {
 	}()
 	cfg := detConfig()
 	cfg.Straggling = true
-	Trace(cfg, phys.Alpha, 1, geom.Ray{Dir: geom.V(1, 0, 0)}, []geom.AABB{testFin()}, nil)
+	trace(cfg, phys.Alpha, 1, geom.Ray{Dir: geom.V(1, 0, 0)}, []geom.AABB{testFin()}, nil)
 }
 
 func TestTraceEnergyConservation(t *testing.T) {
@@ -83,7 +131,7 @@ func TestTraceEnergyConservation(t *testing.T) {
 		e := 0.05 + 2*src.Float64() // MeV
 		ray := geom.Ray{Origin: geom.V(-5, 10, 15), Dir: geom.V(1, 0, 0)}
 		total := 0.0
-		for _, d := range Trace(cfg, phys.Alpha, e, ray, fins, src) {
+		for _, d := range trace(cfg, phys.Alpha, e, ray, fins, src) {
 			if d.EnergyEV < 0 || d.Pairs < 0 {
 				t.Fatalf("negative deposit %+v", d)
 			}
@@ -105,7 +153,7 @@ func TestTraceLowEnergyRangesOut(t *testing.T) {
 	for _, scale := range []float64{1, 0.5} {
 		cfg := detConfig()
 		cfg.InterFinStoppingScale = scale
-		deps := Trace(cfg, phys.Alpha, 0.01, ray, []geom.AABB{far}, nil)
+		deps := trace(cfg, phys.Alpha, 0.01, ray, []geom.AABB{far}, nil)
 		total := 0.0
 		for _, d := range deps {
 			total += d.EnergyEV
@@ -129,8 +177,8 @@ func TestTraceGaplessVsLossyGap(t *testing.T) {
 	lossy := detConfig()
 	lossy.InterFinStoppingScale = 1
 
-	dLossless := Trace(lossless, phys.Alpha, 2, ray, fins, nil)
-	dLossy := Trace(lossy, phys.Alpha, 2, ray, fins, nil)
+	dLossless := trace(lossless, phys.Alpha, 2, ray, fins, nil)
+	dLossy := trace(lossy, phys.Alpha, 2, ray, fins, nil)
 	if len(dLossless) != 2 || len(dLossy) != 2 {
 		t.Fatalf("want 2 deposits each, got %d and %d", len(dLossless), len(dLossy))
 	}
@@ -148,7 +196,7 @@ func TestTraceOrdering(t *testing.T) {
 		geom.BoxAt(geom.V(0, 0, 0), geom.V(10, 20, 30)), // hit first, listed second
 	}
 	ray := geom.Ray{Origin: geom.V(-1, 10, 15), Dir: geom.V(1, 0, 0)}
-	deps := Trace(detConfig(), phys.Alpha, 5, ray, fins, nil)
+	deps := trace(detConfig(), phys.Alpha, 5, ray, fins, nil)
 	if len(deps) != 2 || deps[0].Fin != 1 || deps[1].Fin != 0 {
 		t.Fatalf("traversal order wrong: %+v", deps)
 	}

@@ -3,6 +3,7 @@ package finser
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -425,6 +426,14 @@ func TestConfigErrorsTyped(t *testing.T) {
 		{"Pattern", FlowConfig{Vdd: 0.8, Pattern: DataPattern(42)}},
 		{"FITRelErr", FlowConfig{Vdd: 0.8, FITRelErr: 0.6}},
 		{"FITRelErr", FlowConfig{Vdd: 0.8, FITRelErr: -0.1}},
+		{"Vdd", FlowConfig{Vdd: math.NaN()}},
+		{"Vdd", FlowConfig{Vdd: math.Inf(1)}},
+		{"Vdd", FlowConfig{Vdd: math.Inf(-1)}},
+		{"AlphaRate", FlowConfig{Vdd: 0.8, AlphaRate: -1}},
+		{"AlphaRate", FlowConfig{Vdd: 0.8, AlphaRate: math.Inf(1)}},
+		{"AlphaRate", FlowConfig{Vdd: 0.8, AlphaRate: math.NaN()}},
+		{"ProtonScale", FlowConfig{Vdd: 0.8, ProtonScale: -1}},
+		{"ProtonScale", FlowConfig{Vdd: 0.8, ProtonScale: math.Inf(1)}},
 	}
 	for _, tc := range cases {
 		_, err := tc.cfg.Validate()
