@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -184,6 +185,10 @@ func main() {
 	// first: an interrupt exits 130 and a deadline 124, each with a resume
 	// hint; any other failure exits 1. The error names the voltage (a
 	// *SweepError for the alpha/proton sweep) and the stage it landed in.
+	// The voltages share each strike, so an interrupt mid-FIT completes no
+	// voltage and flushes none; every bin that finished, at any voltage, is
+	// in the checkpoint. Only a failed characterization keeps the voltages
+	// before it.
 	fail := func(err error) {
 		flush(results, reg, *jsonOut, *metrics)
 		code := 0
@@ -316,7 +321,8 @@ func buildConfig(vddList string, rows, cols int, pv bool, samples, iters int, re
 	}, vdds, nil
 }
 
-// parseVdds reads the -vdd list; every voltage must be positive.
+// parseVdds reads the -vdd list; every voltage must be positive and
+// finite, so a bad entry fails before any voltage runs.
 func parseVdds(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, 0, len(parts))
@@ -325,8 +331,8 @@ func parseVdds(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad vdd %q: %v", p, err)
 		}
-		if !(v > 0) {
-			return nil, fmt.Errorf("-vdd must be positive, got %g", v)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("-vdd must be positive and finite, got %g", v)
 		}
 		out = append(out, v)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"finser"
@@ -25,6 +26,13 @@ func TestParseVdds(t *testing.T) {
 	}
 	if _, err := parseVdds(""); err == nil {
 		t.Error("empty vdd list accepted")
+	}
+	// A non-finite voltage fails up front, naming the flag, not after the
+	// voltages before it have run.
+	for _, bad := range []string{"0.8,inf", "0.8,+Inf", "nan", "0.8,-1"} {
+		if _, err := parseVdds(bad); err == nil || !strings.Contains(err.Error(), "-vdd") {
+			t.Errorf("parseVdds(%q): err = %v, want an error naming -vdd", bad, err)
+		}
 	}
 }
 

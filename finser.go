@@ -567,24 +567,14 @@ type FlowResult struct {
 
 // RunFlowCtx executes the complete paper flow at one Vdd: characterize the
 // cell, build the array engine, and integrate FIT rates for both the alpha
-// and proton environments. Cancellation is threaded through every
-// long-running stage: a cancelled or expired context stops the
-// characterization and FIT worker loops within milliseconds, and the
-// returned error wraps ctx.Err() with the identity of the stage that was
-// interrupted. With cfg.Checkpoint set, completed FIT bins survive the
-// interruption and a rerun resumes from them.
+// and proton environments — a Vdd sweep of one voltage. Cancellation is
+// threaded through every long-running stage: a cancelled or expired
+// context stops the characterization and FIT worker loops within
+// milliseconds, and the returned error wraps ctx.Err() with the identity
+// of the stage that was interrupted. With cfg.Checkpoint set, completed
+// FIT bins survive the interruption and a rerun resumes from them.
 func RunFlowCtx(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
-	cfg, err := cfg.Validate()
-	if err != nil {
-		return nil, err
-	}
-	flow := cfg.Obs.StartSpan("flow")
-	defer flow.End()
-	char, err := characterize(ctx, cfg, flow)
-	if err != nil {
-		return nil, err
-	}
-	return runFlowWithChar(ctx, cfg, char, flow)
+	return runFlow(ctx, cfg, nil)
 }
 
 // characterize runs the flow's characterization stage under the flow span
@@ -614,32 +604,52 @@ func characterize(ctx context.Context, cfg FlowConfig, flow *obs.Span) (*Charact
 // RunFlowWithCharCtx is RunFlowCtx with a pre-built characterization —
 // useful for sweeps that vary only the environment.
 func RunFlowWithCharCtx(ctx context.Context, cfg FlowConfig, char *Characterization) (*FlowResult, error) {
+	return runFlow(ctx, cfg, char)
+}
+
+// runFlow is a sweep of one voltage: it characterizes cfg's cell unless
+// char is given, then runs fitSweep over it.
+func runFlow(ctx context.Context, cfg FlowConfig, char *Characterization) (*FlowResult, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
 	flow := cfg.Obs.StartSpan("flow")
 	defer flow.End()
-	return runFlowWithChar(ctx, cfg, char, flow)
+	if char == nil {
+		if char, err = characterize(ctx, cfg, flow); err != nil {
+			return nil, err
+		}
+	}
+	out, err := fitSweep(ctx, []FlowConfig{cfg}, []*Characterization{char}, flow)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// runFlowWithChar runs the environment half of the flow under the given
-// (possibly nil) flow span; cfg must already carry defaults.
-func runFlowWithChar(ctx context.Context, cfg FlowConfig, char *Characterization, flow *obs.Span) (*FlowResult, error) {
-	eng, err := buildFlowEngine(cfg, char, flow)
+// fitSweep is the environment half of every flow: it builds one engine and
+// integrates alpha, then proton, each once over every voltage's ledger, so
+// each strike is traced once and looked up in every voltage's cell model.
+// cfgs carry defaults and differ only in Vdd; chars align with them.
+func fitSweep(ctx context.Context, cfgs []FlowConfig, chars []*Characterization, flow *obs.Span) ([]*FlowResult, error) {
+	eng, err := buildFlowEngine(cfgs[0], chars[0], flow)
 	if err != nil {
 		return nil, err
 	}
-	res := &FlowResult{Vdd: cfg.Vdd, Char: char}
-	res.Alpha, err = fitSpecies(ctx, cfg, eng, flow, Alpha)
+	alpha, err := fitStage(ctx, eng, flow, cfgs, chars, "alpha", nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Proton, err = fitSpecies(ctx, cfg, eng, flow, Proton)
+	proton, err := fitStage(ctx, eng, flow, cfgs, chars, "proton", nil)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	out := make([]*FlowResult, len(cfgs))
+	for i, c := range cfgs {
+		out[i] = &FlowResult{Vdd: c.Vdd, Alpha: alpha[i], Proton: proton[i], Char: chars[i]}
+	}
+	return out, nil
 }
 
 // buildFlowEngine assembles the array engine exactly as RunFlowCtx does; cfg
@@ -726,30 +736,50 @@ func planLedger(cfg FlowConfig, name string) (*Ledger, error) {
 	return core.NewLedger(plan, store, cfg.BinDone)
 }
 
-// fitSpecies runs one species' environment stage — plan, then FIT
-// integration — on an already-built engine. cfg must already carry
-// defaults.
-func fitSpecies(ctx context.Context, cfg FlowConfig, eng *Engine, flow *obs.Span, sp Species) (FITResult, error) {
-	binSpan := flow.Child("bins-" + sp.String())
-	l, err := planLedger(cfg, sp.String())
+// fitStage runs one FIT stage ("alpha", "proton" or "neutron") on an
+// already-built engine: it plans every voltage's ledger under the flow
+// span "bins-<name>", then integrates them in one shared bin run under
+// "fit-<name>". rx is the neutron reaction model (nil for α and p). cfgs
+// carry defaults; chars align with them.
+func fitStage(ctx context.Context, eng *Engine, flow *obs.Span, cfgs []FlowConfig, chars []*Characterization, name string, rx *NeutronReactions) ([]FITResult, error) {
+	binSpan := flow.Child("bins-" + name)
+	runs := make([]core.LedgerRun, len(cfgs))
+	for i, c := range cfgs {
+		l, err := planLedger(c, name)
+		if err != nil {
+			binSpan.End()
+			return nil, err
+		}
+		runs[i] = core.LedgerRun{Ledger: l, Char: chars[i]}
+	}
 	binSpan.End()
+	fitSpan := flow.Child("fit-" + name)
+	res, err := eng.RunLedgersCtx(ctx, runs, rx)
+	fitSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("finser: %s FIT: %w", name, err)
+	}
+	return res, nil
+}
+
+// stageFIT runs one FIT stage of a one-voltage flow with a pre-built
+// characterization, on the engine buildFlowEngine builds.
+func stageFIT(ctx context.Context, cfg FlowConfig, char *Characterization, name string, rx *NeutronReactions) (FITResult, error) {
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return FITResult{}, err
 	}
-	return fitStage(ctx, eng, flow, l, nil)
-}
-
-// fitStage integrates one stage's ledger on eng under the flow span
-// "fit-<name>"; rx is the neutron reaction model (nil for α and p).
-func fitStage(ctx context.Context, eng *Engine, flow *obs.Span, l *Ledger, rx *NeutronReactions) (FITResult, error) {
-	name := l.Plan().Name
-	fitSpan := flow.Child("fit-" + name)
-	res, err := eng.RunLedgerCtx(ctx, l, rx)
-	fitSpan.End()
+	flow := cfg.Obs.StartSpan("flow")
+	defer flow.End()
+	eng, err := buildFlowEngine(cfg, char, flow)
 	if err != nil {
-		return FITResult{}, fmt.Errorf("finser: %s FIT: %w", name, err)
+		return FITResult{}, err
 	}
-	return res, nil
+	res, err := fitStage(ctx, eng, flow, []FlowConfig{cfg}, []*Characterization{char}, name, rx)
+	if err != nil {
+		return FITResult{}, err
+	}
+	return res[0], nil
 }
 
 // CharacterizeFlowCtx runs only the characterization stage of the flow,
@@ -774,17 +804,7 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 // uninterrupted run; each call builds its own engine. A characterization
 // built at another Vdd than cfg.Vdd fails with a *PlanMismatchError.
 func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species) (FITResult, error) {
-	cfg, err := cfg.Validate()
-	if err != nil {
-		return FITResult{}, err
-	}
-	flow := cfg.Obs.StartSpan("flow")
-	defer flow.End()
-	eng, err := buildFlowEngine(cfg, char, flow)
-	if err != nil {
-		return FITResult{}, err
-	}
-	return fitSpecies(ctx, cfg, eng, flow, sp)
+	return stageFIT(ctx, cfg, char, sp.String(), nil)
 }
 
 // NeutronFITCtx runs the neutron (indirect-ionization) stage with a
@@ -797,21 +817,7 @@ func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, 
 // characterization built at another Vdd than cfg.Vdd fails with a
 // *PlanMismatchError.
 func NeutronFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization) (FITResult, error) {
-	cfg, err := cfg.Validate()
-	if err != nil {
-		return FITResult{}, err
-	}
-	flow := cfg.Obs.StartSpan("flow")
-	defer flow.End()
-	eng, err := buildFlowEngine(cfg, char, flow)
-	if err != nil {
-		return FITResult{}, err
-	}
-	l, err := planLedger(cfg, "neutron")
-	if err != nil {
-		return FITResult{}, err
-	}
-	return fitStage(ctx, eng, flow, l, NewNeutronReactions())
+	return stageFIT(ctx, cfg, char, "neutron", NewNeutronReactions())
 }
 
 // SpeciesShardPOFConvCtx computes the POF points of one species' energy
@@ -866,15 +872,21 @@ func SpeciesLedger(cfg FlowConfig, sp Species) (*Ledger, error) {
 	return planLedger(cfg, sp.String())
 }
 
-// SweepError reports the voltage at which a Vdd sweep failed. RunVddSweepCtx
-// returns it alongside the results of every voltage completed before the
-// failure, so hours of finished characterization and FIT work survive a
-// late fault. Unwrap exposes the underlying stage error (including
-// context.Canceled for interrupted sweeps).
+// SweepError reports the voltage at which a Vdd sweep failed. Unwrap
+// exposes the underlying stage error (including context.Canceled for
+// interrupted sweeps). A voltage that fails validation stops the sweep
+// before any work. A voltage whose characterization fails (other than by
+// cancellation) keeps the voltages before it: RunVddSweepCtx integrates
+// their FIT and returns them alongside the error. Every other failure — a
+// FIT stage, or any cancellation — returns no result, since the voltages
+// share each strike; the checkpoint still holds every bin that finished,
+// at any voltage.
 type SweepError struct {
-	// Vdd is the supply voltage whose flow failed.
+	// Vdd is the supply voltage whose stage failed. A failure that belongs
+	// to no single voltage — a cancellation, a particle fault, a deposit
+	// guard — names the sweep's first voltage.
 	Vdd float64
-	// Completed is the number of voltages that finished before the failure.
+	// Completed is the number of voltages returned with the error.
 	Completed int
 	// Err is the underlying failure.
 	Err error
@@ -887,23 +899,57 @@ func (e *SweepError) Error() string {
 func (e *SweepError) Unwrap() error { return e.Err }
 
 // RunVddSweepCtx runs the flow across supply voltages (the Figs. 9–11
-// sweep). Each voltage gets its own cell characterization. On failure —
-// including cancellation — it returns the results of every completed
-// voltage together with a *SweepError naming the voltage that failed, so
-// partial work is never discarded.
+// sweep). It validates every voltage before any work, characterizes the
+// voltages in list order, and then integrates alpha, then proton, once
+// over all of them: only the cell POF tables depend on Vdd, so each strike
+// is traced once and looked up in every voltage's cell model. Every
+// voltage's FIT, convergence records, checkpoint record and BinDone events
+// are bit-identical to its own RunFlowCtx; the BinDone events of the
+// voltages interleave within a species. On failure it returns a
+// *SweepError (see there for which results survive it).
 func RunVddSweepCtx(ctx context.Context, cfg FlowConfig, vdds []float64) ([]*FlowResult, error) {
 	if len(vdds) == 0 {
 		return nil, errors.New("finser: empty vdd sweep")
 	}
-	out := make([]*FlowResult, 0, len(vdds))
-	for _, v := range vdds {
+	cfgs := make([]FlowConfig, len(vdds))
+	for i, v := range vdds {
 		c := cfg
 		c.Vdd = v
-		r, err := RunFlowCtx(ctx, c)
+		c, err := c.Validate()
 		if err != nil {
-			return out, &SweepError{Vdd: v, Completed: len(out), Err: err}
+			return nil, &SweepError{Vdd: v, Err: err}
 		}
-		out = append(out, r)
+		cfgs[i] = c
+	}
+	flow := cfg.Obs.StartSpan("flow")
+	defer flow.End()
+	var charErr error
+	chars := make([]*Characterization, 0, len(cfgs))
+	for _, c := range cfgs {
+		char, err := characterize(ctx, c, flow)
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, &SweepError{Vdd: vdds[0], Err: err}
+		}
+		if err != nil {
+			charErr = &SweepError{Vdd: c.Vdd, Completed: len(chars), Err: err}
+			break
+		}
+		chars = append(chars, char)
+	}
+	if len(chars) == 0 {
+		return nil, charErr
+	}
+	out, err := fitSweep(ctx, cfgs[:len(chars)], chars, flow)
+	if err != nil {
+		v := vdds[0]
+		var ve *core.VddError
+		if errors.As(err, &ve) {
+			v = ve.Vdd
+		}
+		return nil, &SweepError{Vdd: v, Err: err}
+	}
+	if charErr != nil {
+		return out, charErr
 	}
 	if err := checkSweepMonotonicity(cfg, out); err != nil {
 		return out, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -138,30 +137,24 @@ func adaptiveHopeless(est *BinEstimator, tol float64) bool {
 	return float64(est.Batches())*rel*rel > adaptiveCapBatches
 }
 
-// adaptivePOFBin runs one energy bin's batched stream until its confidence
-// interval enters tol, convergence within the cap becomes provably
-// unreachable, or the per-bin cap is reached. Batch b is strikes
-// [b·batch, (b+1)·batch) of the bin's own stream keyed by binSeed, so the
-// result depends only on (config, bin seed), and a flat bin's strikes are
-// the first strikes of the same bin run adaptively; stopping early merely
+// adaptiveStep folds one bin's next batch estimate into est and reports
+// whether the bin stops there: its confidence interval is inside tol,
+// convergence within the cap has become provably unreachable, or the
+// per-bin cap is reached. A stopping bin returns its pooled point and
+// convergence record, and the engine metrics count its savings. Batch b is
+// strikes [b·batch, (b+1)·batch) of the bin's own stream, so the result
+// depends only on (config, bin seed), and a flat bin's strikes are the
+// first strikes of the same bin run adaptively; stopping early merely
 // leaves later strikes untaken.
-func (e *Engine) adaptivePOFBin(ctx context.Context, k kernel, energyMeV float64, itersPerBin int, binSeed uint64, tol float64) (POFPoint, BinConv, error) {
-	batch := adaptiveBatchSize(itersPerBin)
-	var est BinEstimator
+func (e *Engine) adaptiveStep(est *BinEstimator, pt POFPoint, itersPerBin int, tol float64) (POFPoint, BinConv, bool) {
+	est.AddBatch(pt)
 	conv := BinConv{Tol: tol}
-	for b := 0; b < adaptiveCapBatches; b++ {
-		pt, _, err := e.estimate(ctx, k, energyMeV, b*batch, (b+1)*batch, binSeed)
-		if err != nil {
-			return POFPoint{}, BinConv{}, err
-		}
-		est.AddBatch(pt)
-		if adaptiveBinDone(&est, tol) {
-			conv.Converged = true
-			break
-		}
-		if adaptiveHopeless(&est, tol) {
-			break
-		}
+	switch {
+	case adaptiveBinDone(est, tol):
+		conv.Converged = true
+	case adaptiveHopeless(est, tol), est.Batches() >= adaptiveCapBatches:
+	default:
+		return POFPoint{}, BinConv{}, false
 	}
 	conv.RelErr = est.RelErr()
 	conv.Batches = est.Batches()
@@ -174,7 +167,7 @@ func (e *Engine) adaptivePOFBin(ctx context.Context, k kernel, energyMeV float64
 			m.AdaptiveStrikesOverrun.Add(int64(-conv.StrikesSaved))
 		}
 	}
-	return est.Point(), conv, nil
+	return est.Point(), conv, true
 }
 
 // CheckBinConv validates one convergence record against its POF point:

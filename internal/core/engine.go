@@ -158,7 +158,8 @@ type Config struct {
 	Char sram.POFProvider
 	// CharOne optionally overrides the POF model for cells storing 1 —
 	// needed when the cell is asymmetric (e.g. BTI-aged with a static data
-	// pattern). Nil reuses Char for both states.
+	// pattern). Nil reuses Char for both states. It serves only the
+	// engine's own model, so RunLedgersCtx refuses an engine that sets it.
 	CharOne sram.POFProvider
 	// Transport configures the device-level physics.
 	Transport transport.Config
@@ -180,11 +181,12 @@ type Config struct {
 	// stops once its POFtot confidence interval is inside this relative
 	// tolerance, scaled by the bin's flux weight in the FIT integral, up to a
 	// hard cap of 4× the flat budget. ItersPerBin becomes the flat reference
-	// budget the batches are sized from. A ledger run with RunLedgerCtx or
-	// RunShardCtx carries its own tolerance in its plan. The tolerance is
-	// result-determining (part of the flow fingerprint): a fixed config stays
-	// bit-identical across runs, checkpoint resume, and the distributed shard
-	// merge. Zero (the default) keeps the exact flat-budget integration.
+	// budget the batches are sized from. A ledger run with RunLedgerCtx,
+	// RunLedgersCtx or RunShardCtx carries its own tolerance in its plan.
+	// The tolerance is result-determining (part of the flow fingerprint): a
+	// fixed config stays bit-identical across runs, checkpoint resume, and
+	// the distributed shard merge. Zero (the default) keeps the exact
+	// flat-budget integration.
 	FITRelErr float64
 	// Metrics, when non-nil, receives engine counters (particles, hit/miss,
 	// struck-cell multiplicity, worker utilization) and per-stage FIT
@@ -214,6 +216,7 @@ type Config struct {
 // Engine is a ready-to-run array SER estimator for one (technology, Vdd).
 type Engine struct {
 	cfg      Config
+	own      cellModel // Config.Char and Config.CharOne
 	arr      *layout.Array
 	boxes    []geom.AABB // every fin's box, by global fin index
 	cellFins [][]int     // fin indices per cell, for the grid-walk broad phase
@@ -260,7 +263,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, arr: arr, boxes: arr.Boxes()}
+	e := &Engine{cfg: cfg, own: cellModel{zero: cfg.Char, one: cfg.CharOne}, arr: arr, boxes: arr.Boxes()}
 	e.slab, e.hasSlab = e.substrateSlab()
 	e.cellFins = make([][]int, arr.NumCells())
 	for i, f := range arr.Fins() {
@@ -298,16 +301,16 @@ type strikeOutcome struct {
 	struckCells            int // cells with charge on ≥1 sensitive transistor
 }
 
-// providerFor returns the POF model for the cell at the dense index ci,
-// honouring the optional per-state override for asymmetric cells.
-func (e *Engine) providerFor(ci int) sram.POFProvider {
-	if e.cfg.CharOne == nil {
-		return e.cfg.Char
-	}
-	if e.cfg.Pattern.Bit(ci/e.arr.Cols, ci%e.arr.Cols) {
-		return e.cfg.CharOne
-	}
-	return e.cfg.Char
+// cellModel is one voltage's cell POF model: zero serves every cell,
+// unless one is set, which then serves the cells storing 1 (an asymmetric
+// cell, Config.CharOne).
+type cellModel struct {
+	zero, one sram.POFProvider
+}
+
+// vddError marks err as belonging to this model's voltage (*VddError).
+func (m cellModel) vddError(err error) error {
+	return &VddError{Vdd: m.zero.SupplyVoltage(), Err: err}
 }
 
 // yieldTable returns the species' single-fin mean-yield table — the
@@ -345,23 +348,30 @@ func (e *Engine) yieldTable(ctx context.Context, sp phys.Species) (*lut.Table1D,
 }
 
 // strike runs steps 2–5 of the paper's §5.1 for one particle on the
-// sampled ray: one track through the strike body (chargeTrack, cellPOFs),
-// folded by Eqs. 4–6. It is the one α/p strike: POF estimates, MBU
-// reports and sampled tracks all call it. yieldTab is the yieldTable
-// result, resolved once per estimate outside the hot loop. scr holds the
-// worker's reusable buffers, and keeps the track's deposits and the
-// strike's cell POFs until the next call; the steady-state path allocates
-// nothing. The error is non-nil only under a strict guard.
+// sampled ray, in the engine's own cell model: the one-model case of the
+// two strike halves, chargeStrike and lookup. MBU reports and sampled
+// tracks call it. yieldTab is the yieldTable result, resolved once per
+// estimate outside the hot loop. scr holds the worker's reusable buffers,
+// and keeps the track's deposits and the strike's cell POFs until the next
+// call; the steady-state path allocates nothing. The error is non-nil only
+// under a strict guard.
 func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (strikeOutcome, error) {
-	scr.beginCells()
-	deposited, err := e.chargeTrack(src, sp, energyMeV, ray, yieldTab, scr)
-	if err == nil {
-		err = e.cellPOFs(scr, deposited)
-	}
-	if err != nil {
+	if err := e.chargeStrike(src, sp, energyMeV, ray, yieldTab, scr); err != nil {
 		return strikeOutcome{}, err
 	}
-	return combinePOFs(scr.pofs, len(scr.touched)), nil
+	return e.lookup(e.own, scr)
+}
+
+// chargeStrike is the voltage-independent half of an α/p strike: it opens
+// the strike, charges its cells along the one track (chargeTrack) and
+// closes them (closeCells).
+func (e *Engine) chargeStrike(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) error {
+	scr.beginCells()
+	deposited, err := e.chargeTrack(src, sp, energyMeV, ray, yieldTab, scr)
+	if err != nil {
+		return err
+	}
+	return e.closeCells(scr, deposited)
 }
 
 // chargeTrack is the per-track half of the one strike body. It runs the
@@ -372,7 +382,7 @@ func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, ray
 // strike's cells in scr. It returns the charge landed on sensitive
 // transistors. scr.deps keeps this track's deposits, by global fin index,
 // until the next call. Several tracks may charge one strike: the caller
-// opens it with scr.beginCells and closes it with cellPOFs.
+// opens it with scr.beginCells and closes it with closeCells.
 func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (float64, error) {
 	// Broad phase: only fins of cells whose bounds the ray crosses.
 	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
@@ -400,18 +410,15 @@ func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64
 	return e.accumulateCharges(scr, deps), nil
 }
 
-// cellPOFs closes a strike whose tracks landed deposited on sensitive
-// transistors. It checks that the cells received exactly that charge,
-// orders the struck cells by cell index, and evaluates each cell's POF
-// under the probability guard. The positive POFs land in scr.pofs with
-// their cells in scr.pofCells; scr.touched lists every struck cell. The
-// sorted order makes the float-order-sensitive reductions downstream
-// (Eqs. 4–6, the MBU multiplicity PMF) bit-identical across runs. The
-// error is non-nil only under a strict guard.
-func (e *Engine) cellPOFs(scr *strikeScratch, deposited float64) error {
-	scr.pofs, scr.pofCells = scr.pofs[:0], scr.pofCells[:0]
+// closeCells closes a strike whose tracks landed deposited on sensitive
+// transistors: it orders the struck cells by cell index and checks under
+// the guard that they received exactly that charge. The sorted order makes
+// the float-order-sensitive reductions downstream (Eqs. 4–6, the MBU
+// multiplicity PMF) bit-identical across runs. The error is non-nil only
+// under a strict guard.
+func (e *Engine) closeCells(scr *strikeScratch, deposited float64) error {
 	if len(scr.touched) == 0 {
-		return nil // nothing charged, so nothing to conserve or look up
+		return nil // nothing charged, so nothing to conserve
 	}
 	scr.sortTouched()
 	if g := e.cfg.Guard; g.Enabled() {
@@ -424,21 +431,33 @@ func (e *Engine) cellPOFs(scr *strikeScratch, deposited float64) error {
 				injected += scr.cellQ[ci][a]
 			}
 		}
-		if err := g.Conserved("core.strike", "injected charge", injected, deposited, 1e-9, 1e-30); err != nil {
-			return err
-		}
+		return g.Conserved("core.strike", "injected charge", injected, deposited, 1e-9, 1e-30)
 	}
+	return nil
+}
+
+// lookup is the per-voltage half of a strike closed in scr: it looks up
+// each struck cell's POF in model m under the probability guard and folds
+// them by Eqs. 4–6. The positive POFs land in scr.pofs with their cells in
+// scr.pofCells, in cell order. The error is non-nil only under a strict
+// guard.
+func (e *Engine) lookup(m cellModel, scr *strikeScratch) (strikeOutcome, error) {
+	scr.pofs, scr.pofCells = scr.pofs[:0], scr.pofCells[:0]
 	for _, ci := range scr.touched {
-		p := e.providerFor(ci).POF(scr.cellQ[ci])
+		pm := m.zero
+		if m.one != nil && e.cfg.Pattern.Bit(ci/e.arr.Cols, ci%e.arr.Cols) {
+			pm = m.one
+		}
+		p := pm.POF(scr.cellQ[ci])
 		if err := e.cfg.Guard.Probability("core.strike", "cell POF", p); err != nil {
-			return err
+			return strikeOutcome{}, err
 		}
 		if p > 0 {
 			scr.pofs = append(scr.pofs, p)
 			scr.pofCells = append(scr.pofCells, ci)
 		}
 	}
-	return nil
+	return combinePOFs(scr.pofs, len(scr.touched)), nil
 }
 
 // appendCandidateFins appends the indices of fins in cells the ray can
@@ -596,8 +615,11 @@ func (e *Engine) POFAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV 
 	if err != nil {
 		return POFPoint{}, err
 	}
-	pt, _, err := e.estimate(ctx, k, energyMeV, 0, iters, seed)
-	return pt, err
+	pts, _, err := e.estimate(ctx, k, []cellModel{e.own}, energyMeV, 0, iters, seed)
+	if err != nil {
+		return POFPoint{}, err
+	}
+	return pts[0], nil
 }
 
 // checkPOFPoint runs the guard's probability invariants over one freshly

@@ -57,7 +57,7 @@ func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, sp phys.Species, energ
 	if err != nil {
 		return MBUReport{}, err
 	}
-	accs, _, err := fanOut(ctx, e, 0, iters, seed, func(src *rng.Source, scr *strikeScratch, a *mbuTally) (int, error) {
+	accs, _, err := fanOut(ctx, e, 0, iters, seed, func(int) mbuTally { return mbuTally{} }, func(src *rng.Source, scr *strikeScratch, a *mbuTally) (int, error) {
 		return e.mbuTrial(src, sp, energyMeV, yieldTab, maxK, scr, a)
 	})
 	if err != nil {

@@ -35,17 +35,17 @@ type NeutronPoint struct {
 // interaction trials at one neutron energy, through the same worker
 // fan-out, cancellation, guards, and chunk-order merge as POFAtEnergyCtx.
 func (e *Engine) NeutronPOFAtEnergyCtx(ctx context.Context, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) (NeutronPoint, error) {
-	pt, weight, err := e.estimate(ctx, e.neutronKernel(rx), energyMeV, 0, iters, seed)
+	pts, weight, err := e.estimate(ctx, e.neutronKernel(rx), []cellModel{e.own}, energyMeV, 0, iters, seed)
 	if err != nil {
 		return NeutronPoint{}, err
 	}
-	return NeutronPoint{POFPoint: pt, InteractionWeight: weight}, nil
+	return NeutronPoint{POFPoint: pts[0], InteractionWeight: weight}, nil
 }
 
 // neutronKernel is the forced-interaction strike kernel.
 func (e *Engine) neutronKernel(rx *neutron.Reactions) kernel {
-	return kernel{name: "neutron", strike: func(src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
-		return e.neutronStrike(rx, src, energyMeV, scr)
+	return kernel{name: "neutron", charge: func(src *rng.Source, energyMeV float64, scr *strikeScratch) (float64, error) {
+		return e.neutronCharge(rx, src, energyMeV, scr)
 	}}
 }
 
@@ -67,15 +67,16 @@ func (e *Engine) substrateSlab() (geom.AABB, bool) {
 	), true
 }
 
-// neutronStrike runs one forced-interaction trial and returns the strike
-// outcome plus its probability weight. Interaction targets are the fin
-// silicon plus the substrate slab; the interaction point is sampled
-// proportionally to silicon path length, which is exact for σ·n·L ≪ 1.
-// Each secondary charges the cells through chargeTrack and cellPOFs closes
-// the strike, so the guard checks deposits, charge conservation and every
-// cell POF exactly as strike does; the error is non-nil only under a
-// strict guard.
-func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
+// neutronCharge is the voltage-independent half of one forced-interaction
+// trial: it opens the strike, charges its cells and returns the trial's
+// probability weight. Interaction targets are the fin silicon plus the
+// substrate slab; the interaction point is sampled proportionally to
+// silicon path length, which is exact for σ·n·L ≪ 1. Each secondary
+// charges the cells through chargeTrack and closeCells closes the strike,
+// so the guard checks deposits and charge conservation exactly as
+// chargeStrike does; the error is non-nil only under a strict guard.
+func (e *Engine) neutronCharge(rx *neutron.Reactions, src *rng.Source, energyMeV float64, scr *strikeScratch) (float64, error) {
+	scr.beginCells()
 	ray := e.sampleRay(src, phys.Proton) // cosine-law, like any atmospheric particle
 	// Silicon chords: the fins the track crosses, then the substrate slab's
 	// (Fin -1). The secondaries' tracks reuse scr.hits, so the chord list is
@@ -93,11 +94,11 @@ func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV
 		totalLen += c.TOut - c.TIn
 	}
 	if totalLen <= 0 {
-		return strikeOutcome{}, 0, nil
+		return 0, nil
 	}
 	weight := rx.InteractionProbability(energyMeV, totalLen)
 	if weight <= 0 {
-		return strikeOutcome{}, 0, nil
+		return 0, nil
 	}
 
 	// Force the interaction: pick a silicon segment proportional to chord
@@ -114,25 +115,21 @@ func (e *Engine) neutronStrike(rx *neutron.Reactions, src *rng.Source, energyMeV
 
 	secs := rx.SampleInteraction(src, energyMeV)
 	if len(secs) == 0 {
-		return strikeOutcome{}, 0, nil
+		return 0, nil
 	}
 
 	// Charge the cells with every secondary, through transport: they start
 	// inside silicon, where the whole-fin mean yield of DepositLUT does not
 	// apply, and no table exists for the recoil ions.
-	scr.beginCells()
 	deposited := 0.0
 	for _, sec := range secs {
 		q, err := e.chargeTrack(src, sec.Species, sec.EnergyMeV, geom.Ray{Origin: at, Dir: sec.Dir}, nil, scr)
 		if err != nil {
-			return strikeOutcome{}, 0, err
+			return 0, err
 		}
 		deposited += q
 	}
-	if err := e.cellPOFs(scr, deposited); err != nil {
-		return strikeOutcome{}, 0, err
-	}
-	return combinePOFs(scr.pofs, len(scr.touched)), weight, nil
+	return weight, e.closeCells(scr, deposited)
 }
 
 // NeutronFITCtx integrates the weighted POFs over the neutron spectrum into

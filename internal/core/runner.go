@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,21 +15,26 @@ import (
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/spectra"
+	"finser/internal/sram"
 	"finser/internal/stats"
 )
 
 // Every Monte-Carlo estimate in core runs through the two pieces in this
 // file: one worker fan-out (fanOut) and one bin runner (runBins). The only
 // per-species difference is the strike kernel — direct ionization for α
-// and p, the forced nuclear interaction for neutrons.
+// and p, the forced nuclear interaction for neutrons. Only the cell POF
+// lookup depends on the supply voltage, so every estimate charges a
+// strike's cells once and looks them up in each of its cell models.
 
-// kernel is one species' strike: a single Monte-Carlo trial at energyMeV,
-// returning its outcome and probability weight (1 for direct ionization,
-// the forced interaction's probability for neutrons). name labels the
-// species in stage names ("fit/<name>") and errors.
+// kernel is one species' strike: a single Monte-Carlo trial at energyMeV.
+// charge opens the strike in scr, charges its cells and closes them
+// (closeCells), returning the trial's probability weight (1 for direct
+// ionization, the forced interaction's probability for neutrons); the
+// struck cells then stay in scr for lookup in any number of cell models.
+// name labels the species in stage names ("fit/<name>") and errors.
 type kernel struct {
 	name   string
-	strike func(src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error)
+	charge func(src *rng.Source, energyMeV float64, scr *strikeScratch) (float64, error)
 }
 
 // directKernel is the α/p kernel. It resolves the deposit mode up front
@@ -38,9 +44,8 @@ func (e *Engine) directKernel(ctx context.Context, sp phys.Species) (kernel, err
 	if err != nil {
 		return kernel{}, err
 	}
-	return kernel{name: sp.String(), strike: func(src *rng.Source, energyMeV float64, scr *strikeScratch) (strikeOutcome, float64, error) {
-		o, err := e.strike(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
-		return o, 1, err
+	return kernel{name: sp.String(), charge: func(src *rng.Source, energyMeV float64, scr *strikeScratch) (float64, error) {
+		return 1, e.chargeStrike(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
 	}}, nil
 }
 
@@ -57,27 +62,32 @@ const FaultSiteParticle = "core.particle"
 // moves FIT bits (raise PhysicsRevision with it).
 const strikeChunk = 256
 
+// chunksIn is the number of strikeChunk chunks strikes [from, to) fill.
+func chunksIn(from, to int) int {
+	return max(to-from+strikeChunk-1, 0) / strikeChunk
+}
+
 // fanOut is the one Monte-Carlo worker fan-out in core. It runs strikes
 // [from, to) of the estimate keyed by seed: strike i draws from the random
 // stream keyed by (seed, i), and consecutive strikes share one accumulator
-// per strikeChunk. Workers take chunks from a shared counter and call trial
-// once per strike with their scratch and the chunk's accumulator; trial
-// reports how many cells the strike charged. The accumulators come back in
-// chunk order, so merging them in slice order makes every estimate a pure
-// function of (seed, from, to), whatever the worker count. Workers check
-// ctx every cancelCheckEvery strikes and hit FaultSiteParticle before each
-// one. A worker panic is recovered into a stack-carrying
-// *faultinject.PanicError that fails this estimate instead of the process;
-// on cancellation the error wraps ctx.Err(). An empty range is an error,
-// so no entry point reports an estimate over zero strikes. hits counts the
-// strikes that charged at least one cell; the engine metrics record the
-// run.
-func fanOut[A any](ctx context.Context, e *Engine, from, to int, seed uint64, trial func(src *rng.Source, scr *strikeScratch, acc *A) (struck int, err error)) (accs []A, hits int, err error) {
+// per strikeChunk, chunk c's starting as newAcc(c). Workers take chunks
+// from a shared counter and call trial once per strike with their scratch
+// and the chunk's accumulator; trial reports how many cells the strike
+// charged. The accumulators come back in chunk order, so merging them in
+// slice order makes every estimate a pure function of (seed, from, to),
+// whatever the worker count. Workers check ctx every cancelCheckEvery
+// strikes and hit FaultSiteParticle before each one. A worker panic is
+// recovered into a stack-carrying *faultinject.PanicError that fails this
+// estimate instead of the process; on cancellation the error wraps
+// ctx.Err(). An empty range is an error, so no entry point reports an
+// estimate over zero strikes. hits counts the strikes that charged at
+// least one cell; the engine metrics record the run.
+func fanOut[A any](ctx context.Context, e *Engine, from, to int, seed uint64, newAcc func(c int) A, trial func(src *rng.Source, scr *strikeScratch, acc *A) (struck int, err error)) (accs []A, hits int, err error) {
 	iters := to - from
 	if iters <= 0 {
 		return nil, 0, fmt.Errorf("empty strike range [%d,%d): need at least one strike", from, to)
 	}
-	chunks := (iters + strikeChunk - 1) / strikeChunk
+	chunks := chunksIn(from, to)
 	workers := min(e.cfg.Workers, chunks)
 
 	m := e.cfg.Metrics
@@ -106,11 +116,11 @@ func fanOut[A any](ctx context.Context, e *Engine, from, to int, seed uint64, tr
 				busyStart = time.Now()
 			}
 			var src rng.Source
-			var acc, zero A
+			var acc A
 			h, n := 0, 0
 		chunkLoop:
 			for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
-				acc = zero
+				acc = newAcc(c)
 				for i := from + c*strikeChunk; i < min(from+(c+1)*strikeChunk, to); i++ {
 					if n%cancelCheckEvery == 0 {
 						if err := ctx.Err(); err != nil {
@@ -189,141 +199,281 @@ func fanOut[A any](ctx context.Context, e *Engine, from, to int, seed uint64, tr
 	return accs, hits, nil
 }
 
-// tally is one chunk's running weighted POF moments.
-type tally struct {
-	tot, seu, mbu, weight stats.Welford
+// modelTally is one cell model's running weighted POF moments over a
+// chunk.
+type modelTally struct {
+	tot, seu, mbu stats.Welford
+}
+
+// chunkTally is one chunk's tallies: the trials' weights, and one
+// modelTally per cell model of the estimate.
+type chunkTally struct {
+	weight stats.Welford
+	models []modelTally
 }
 
 // estimate runs strikes [from, to) of the kernel's estimate keyed by seed
-// at one energy through the fan-out and merges the chunk tallies in chunk
-// order. It returns the POF point and the mean trial weight.
-func (e *Engine) estimate(ctx context.Context, k kernel, energyMeV float64, from, to int, seed uint64) (POFPoint, float64, error) {
-	iters := to - from
-	accs, hits, err := fanOut(ctx, e, from, to, seed, func(src *rng.Source, scr *strikeScratch, a *tally) (int, error) {
-		o, w, err := k.strike(src, energyMeV, scr)
+// at one energy through the fan-out: it charges each strike's cells once,
+// looks them up in every model, and merges the chunk tallies in chunk
+// order. It returns one POF point per model, each bit-identical to the
+// model's estimate on its own, and the mean trial weight. A failure that
+// belongs to one model (its cell POF or point under the guard) is a
+// *VddError.
+func (e *Engine) estimate(ctx context.Context, k kernel, models []cellModel, energyMeV float64, from, to int, seed uint64) ([]POFPoint, float64, error) {
+	iters, n := to-from, len(models)
+	// Every chunk's model tallies come from one allocation; a spare tally
+	// between chunks keeps two workers' chunks off one cache line.
+	stride := n + 1
+	buf := make([]modelTally, chunksIn(from, to)*stride)
+	accs, hits, err := fanOut(ctx, e, from, to, seed, func(c int) chunkTally {
+		return chunkTally{models: buf[c*stride : c*stride+n]}
+	}, func(src *rng.Source, scr *strikeScratch, a *chunkTally) (int, error) {
+		w, err := k.charge(src, energyMeV, scr)
 		if err != nil {
 			return 0, err
 		}
-		a.tot.Add(w * o.pofTot)
-		a.seu.Add(w * o.pofSEU)
-		a.mbu.Add(w * o.pofMBU)
+		for j, m := range models {
+			o, err := e.lookup(m, scr)
+			if err != nil {
+				return 0, m.vddError(err)
+			}
+			t := &a.models[j]
+			t.tot.Add(w * o.pofTot)
+			t.seu.Add(w * o.pofSEU)
+			t.mbu.Add(w * o.pofMBU)
+		}
 		a.weight.Add(w)
-		return o.struckCells, nil
+		return len(scr.touched), nil
 	})
 	if err != nil {
-		return POFPoint{}, 0, fmt.Errorf("core: POF %s @%g MeV: %w", k.name, energyMeV, err)
+		return nil, 0, fmt.Errorf("core: POF %s @%g MeV: %w", k.name, energyMeV, err)
 	}
-	var t tally
+	var weight stats.Welford
 	for i := range accs {
-		t.tot.Merge(accs[i].tot)
-		t.seu.Merge(accs[i].seu)
-		t.mbu.Merge(accs[i].mbu)
-		t.weight.Merge(accs[i].weight)
+		weight.Merge(accs[i].weight)
 	}
-	pt := POFPoint{
-		EnergyMeV: energyMeV,
-		Tot:       t.tot.Mean(),
-		SEU:       t.seu.Mean(),
-		MBU:       t.mbu.Mean(),
-		TotStdErr: t.tot.StdErr(),
-		Strikes:   iters,
-		HitFrac:   float64(hits) / float64(iters),
+	pts := make([]POFPoint, n)
+	for j, m := range models {
+		var t modelTally
+		for i := range accs {
+			c := &accs[i].models[j]
+			t.tot.Merge(c.tot)
+			t.seu.Merge(c.seu)
+			t.mbu.Merge(c.mbu)
+		}
+		pts[j] = POFPoint{
+			EnergyMeV: energyMeV,
+			Tot:       t.tot.Mean(),
+			SEU:       t.seu.Mean(),
+			MBU:       t.mbu.Mean(),
+			TotStdErr: t.tot.StdErr(),
+			Strikes:   iters,
+			HitFrac:   float64(hits) / float64(iters),
+		}
+		if err := checkPOFPoint(e.cfg.Guard, "core.pof", pts[j]); err != nil {
+			return nil, 0, m.vddError(err)
+		}
 	}
-	if err := checkPOFPoint(e.cfg.Guard, "core.pof", pt); err != nil {
-		return POFPoint{}, 0, err
-	}
-	return pt, t.weight.Mean(), nil
+	return pts, weight.Mean(), nil
 }
 
-// runBins is the one bin runner: it estimates the bins of l's plan in
-// [from, to) that l does not hold yet, sampling each flat or adaptively
-// per the plan's tolerance, and completes each into l in bin order. Bin
-// i's estimate is a pure function of (config, seeds[i]), so any split of
-// the range — shards, resumed runs — reproduces the one-call result bit
-// for bit. Bin spans hang under span and each bin's strikes count on
+// binRun is one cell model's share of a bin run: the model its strikes are
+// looked up in and the ledger its bins complete into.
+type binRun struct {
+	model  cellModel
+	ledger *Ledger
+}
+
+// runBins is the one bin runner. It runs the bins in [from, to) of the
+// runs' shared plan, each for the runs whose ledger lacks it, sampling
+// flat or adaptively per the plan's tolerance. Batch b of a bin is traced
+// once and looked up in every run still open; each run's stopping rule
+// reads only its own estimator, and a run that stops completes the bin
+// into its ledger at once, in run order. A run's bin i is a pure function
+// of (config, its cell model, seeds[i]), so any split of the range or of
+// the runs — shards, resumed runs, a solo run — reproduces it bit for bit.
+// Bin spans hang under span and each completed bin's strikes count on
 // tracker (nil disables either).
-func (e *Engine) runBins(ctx context.Context, k kernel, l *Ledger, from, to int, span *obs.Span, tracker *obs.Tracker) error {
-	p := l.Plan()
+func (e *Engine) runBins(ctx context.Context, k kernel, runs []binRun, from, to int, span *obs.Span, tracker *obs.Tracker) error {
+	p, stage := runs[0].ledger.Plan(), runs[0].ledger.stage
 	if from < 0 || to > len(p.Bins) || from >= to {
 		return fmt.Errorf("core: POF bins: bad shard range [%d,%d) over %d bins", from, to, len(p.Bins))
 	}
+	batch := p.ItersPerBin
 	var tols []float64
 	if p.RelErr > 0 {
-		tols = adaptiveTols(p.Bins, p.RelErr)
+		batch, tols = adaptiveBatchSize(p.ItersPerBin), adaptiveTols(p.Bins, p.RelErr)
 	}
+	open := make([]int, 0, len(runs)) // indices of the runs still sampling the bin
+	models := make([]cellModel, 0, len(runs))
+	ests := make([]BinEstimator, len(runs))
 	for i := from; i < to; i++ {
-		if l.Done(i) {
+		open = open[:0]
+		for r := range runs {
+			if !runs[r].ledger.Done(i) {
+				open = append(open, r)
+				ests[r] = BinEstimator{}
+			}
+		}
+		if len(open) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: %s bin %d: %w", l.stage, i, err)
+			return fmt.Errorf("core: %s bin %d: %w", stage, i, err)
 		}
 		binSpan := span.Child(fmt.Sprintf("bin%02d@%.3gMeV", i, p.Bins[i].Rep))
-		var pt POFPoint
-		var conv BinConv
-		var err error
-		if tols != nil {
-			pt, conv, err = e.adaptivePOFBin(ctx, k, p.Bins[i].Rep, p.ItersPerBin, p.Seeds[i], tols[i])
-		} else {
-			pt, _, err = e.estimate(ctx, k, p.Bins[i].Rep, 0, p.ItersPerBin, p.Seeds[i])
+		for b := 0; len(open) > 0; b++ {
+			models = models[:0]
+			for _, r := range open {
+				models = append(models, runs[r].model)
+			}
+			pts, _, err := e.estimate(ctx, k, models, p.Bins[i].Rep, b*batch, (b+1)*batch, p.Seeds[i])
+			if err != nil {
+				binSpan.End()
+				return fmt.Errorf("core: %s bin %d: %w", stage, i, err)
+			}
+			still := open[:0]
+			for j, r := range open {
+				pt, conv, stop := pts[j], BinConv{}, true
+				if tols != nil {
+					pt, conv, stop = e.adaptiveStep(&ests[r], pts[j], p.ItersPerBin, tols[i])
+				}
+				if !stop {
+					still = append(still, r)
+					continue
+				}
+				if err := runs[r].ledger.Complete(i, []POFPoint{pt}, []BinConv{conv}); err != nil {
+					binSpan.End()
+					return runs[r].model.vddError(err)
+				}
+				tracker.Add(int64(pt.Strikes))
+			}
+			open = still
 		}
 		binSpan.End()
-		if err != nil {
-			return fmt.Errorf("core: %s bin %d: %w", l.stage, i, err)
-		}
-		if err := l.Complete(i, []POFPoint{pt}, []BinConv{conv}); err != nil {
-			return err
-		}
-		tracker.Add(int64(pt.Strikes))
 	}
 	return nil
 }
 
-// PlanMismatchError reports a bin plan handed to an engine it was not made
-// for: the plan's Vdd is not the one the engine's cell model was
+// PlanMismatchError reports a bin plan handed to a cell model or engine it
+// was not made for: the plan's Vdd is not the one its cell model was
 // characterized at, or its Eq. 8 area is not the engine's array. Running
 // it would file one cell's POFs under another's voltage, so the engine
 // refuses it before it restores or runs a bin. Match with errors.As.
 type PlanMismatchError struct {
 	Stage string // "fit/<name>"
 	Field string // "Vdd" or "area"
-	// Plan is the plan's value, Engine the engine's (V or cm²).
+	// Plan is the plan's value; Engine is the cell model's Vdd (V) or the
+	// engine's area (cm²).
 	Plan, Engine float64
 }
 
 func (e *PlanMismatchError) Error() string {
 	if e.Field == "Vdd" {
-		return fmt.Sprintf("core: %s: the plan is for Vdd %g V, but the engine's cell model was characterized at %g V", e.Stage, e.Plan, e.Engine)
+		return fmt.Sprintf("core: %s: the plan is for Vdd %g V, but its cell model was characterized at %g V", e.Stage, e.Plan, e.Engine)
 	}
 	return fmt.Sprintf("core: %s: the plan's %s is %g, the engine's %g", e.Stage, e.Field, e.Plan, e.Engine)
 }
 
-// ledgerKernel checks that l's plan belongs to this engine and returns its
-// strike kernel: the forced neutron interaction of rx when rx is non-nil,
-// else the plan species' direct ionization.
-func (e *Engine) ledgerKernel(ctx context.Context, l *Ledger, rx *neutron.Reactions) (kernel, error) {
-	p := l.Plan()
-	lx, ly := e.arr.DimsCm()
-	if vdd := e.cfg.Char.SupplyVoltage(); p.Vdd != vdd {
-		return kernel{}, &PlanMismatchError{Stage: l.stage, Field: "Vdd", Plan: p.Vdd, Engine: vdd}
+// VddError marks a failure of a bin run that belongs to one of its cell
+// models: its plan, its checkpoint record, one of its cell POFs or points
+// under the guard, or its FIT totals. Vdd is that model's supply voltage.
+// Failures every model shares — cancellation, a particle fault, a deposit
+// or charge-conservation guard — are not wrapped. The message is the
+// wrapped error's; match with errors.As.
+type VddError struct {
+	Vdd float64
+	Err error
+}
+
+func (e *VddError) Error() string { return e.Err.Error() }
+
+func (e *VddError) Unwrap() error { return e.Err }
+
+// ledgerKernel checks that the runs share one plan but for Vdd, that each
+// plan belongs to its run's cell model and to this engine, and returns the
+// runs' strike kernel: the forced neutron interaction of rx when rx is
+// non-nil, else the plan species' direct ionization.
+func (e *Engine) ledgerKernel(ctx context.Context, runs []binRun, rx *neutron.Reactions) (kernel, error) {
+	if len(runs) == 0 {
+		return kernel{}, errors.New("core: FIT needs at least one ledger")
 	}
-	if p.AreaCm2 != lx*ly {
-		return kernel{}, &PlanMismatchError{Stage: l.stage, Field: "area", Plan: p.AreaCm2, Engine: lx * ly}
+	p0 := runs[0].ledger.Plan()
+	lx, ly := e.arr.DimsCm()
+	for _, r := range runs {
+		p, stage := r.ledger.Plan(), r.ledger.stage
+		if vdd := r.model.zero.SupplyVoltage(); p.Vdd != vdd {
+			return kernel{}, r.model.vddError(&PlanMismatchError{Stage: stage, Field: "Vdd", Plan: p.Vdd, Engine: vdd})
+		}
+		if p.AreaCm2 != lx*ly {
+			return kernel{}, r.model.vddError(&PlanMismatchError{Stage: stage, Field: "area", Plan: p.AreaCm2, Engine: lx * ly})
+		}
+		if p.Name != p0.Name || p.Species != p0.Species || p.ItersPerBin != p0.ItersPerBin || p.RelErr != p0.RelErr ||
+			!slices.Equal(p.Bins, p0.Bins) || !slices.Equal(p.Seeds, p0.Seeds) {
+			return kernel{}, r.model.vddError(fmt.Errorf("core: %s at %g V: a shared bin run needs one plan but for Vdd, and this one differs from the one at %g V", stage, p.Vdd, p0.Vdd))
+		}
 	}
 	if rx != nil {
 		return e.neutronKernel(rx), nil
 	}
-	return e.directKernel(ctx, p.Species)
+	return e.directKernel(ctx, p0.Species)
+}
+
+// runLedgers is the one Eq. 8 integration behind RunLedgerCtx and
+// RunLedgersCtx: check the runs, restore every ledger, run every bin any
+// of them lacks through runBins, and check each FIT's totals.
+func (e *Engine) runLedgers(ctx context.Context, runs []binRun, rx *neutron.Reactions) ([]FITResult, error) {
+	k, err := e.ledgerKernel(ctx, runs, rx)
+	if err != nil {
+		return nil, err
+	}
+	p, stage := runs[0].ledger.Plan(), runs[0].ledger.stage
+	fitSpan := e.cfg.Metrics.span(stage)
+	defer fitSpan.End()
+	tracker := obs.NewTracker(e.cfg.Progress, stage, int64(len(runs)*len(p.Bins)*p.ItersPerBin), 0)
+	defer tracker.Finish()
+	for _, r := range runs {
+		if err := r.ledger.Restore(); err != nil {
+			return nil, r.model.vddError(err)
+		}
+		for _, pt := range r.ledger.FIT().Points {
+			tracker.Add(int64(pt.Strikes))
+		}
+	}
+	if err := e.runBins(ctx, k, runs, 0, len(p.Bins), fitSpan, tracker); err != nil {
+		return nil, err
+	}
+
+	out := make([]FITResult, len(runs))
+	for i, r := range runs {
+		res := r.ledger.FIT()
+		if g := e.cfg.Guard; g.Enabled() {
+			for _, c := range []struct {
+				name string
+				v    float64
+			}{
+				{"TotalFIT", res.TotalFIT}, {"SEUFIT", res.SEUFIT},
+				{"MBUFIT", res.MBUFIT}, {"TotalFITErr", res.TotalFITErr},
+			} {
+				if err := g.NonNegativeFinite(stage, c.name, c.v); err != nil {
+					return nil, r.model.vddError(err)
+				}
+			}
+		}
+		out[i] = res
+	}
+	return out, nil
 }
 
 // RunLedgerCtx is the engine's Eq. 8 integration of a ledger its caller
-// owns: it restores l from l's checkpoint store, runs every bin l still
-// lacks, and returns l's FIT with the totals checked by the guard. rx
-// selects the strike kernel: nil for the plan species' direct ionization
-// (α, p), the reaction model for the neutron forced interaction. The run
-// reports under the "fit/<name>" span, one child span per computed bin,
-// and on Config.Progress; restored bins count as done. The plan must be
-// this engine's (*PlanMismatchError otherwise).
+// owns, in the engine's own cell model (Config.Char, with Config.CharOne
+// for the cells storing 1): it restores l from l's checkpoint store, runs
+// every bin l still lacks, and returns l's FIT with the totals checked by
+// the guard. rx selects the strike kernel: nil for the plan species'
+// direct ionization (α, p), the reaction model for the neutron forced
+// interaction. The run reports under the "fit/<name>" span, one child span
+// per computed bin, and on Config.Progress; restored bins count as done.
+// The plan must be this engine's (*PlanMismatchError otherwise).
 //
 // Cancellation: ctx is checked before every bin and every cancelCheckEvery
 // particles inside it; the error wraps ctx.Err() with the stage identity.
@@ -331,40 +481,40 @@ func (e *Engine) ledgerKernel(ctx context.Context, l *Ledger, rx *neutron.Reacti
 // rerun over a ledger on the same store resumes bit-identically; a record
 // that fails the ledger's restore checks fails the stage.
 func (e *Engine) RunLedgerCtx(ctx context.Context, l *Ledger, rx *neutron.Reactions) (FITResult, error) {
-	k, err := e.ledgerKernel(ctx, l, rx)
+	res, err := e.runLedgers(ctx, []binRun{{model: e.own, ledger: l}}, rx)
 	if err != nil {
 		return FITResult{}, err
 	}
-	p := l.Plan()
-	fitSpan := e.cfg.Metrics.span(l.stage)
-	defer fitSpan.End()
-	tracker := obs.NewTracker(e.cfg.Progress, l.stage, int64(len(p.Bins)*p.ItersPerBin), 0)
-	defer tracker.Finish()
-	if err := l.Restore(); err != nil {
-		return FITResult{}, err
-	}
-	for _, pt := range l.FIT().Points {
-		tracker.Add(int64(pt.Strikes))
-	}
-	if err := e.runBins(ctx, k, l, 0, len(p.Bins), fitSpan, tracker); err != nil {
-		return FITResult{}, err
-	}
+	return res[0], nil
+}
 
-	res := l.FIT()
-	if g := e.cfg.Guard; g.Enabled() {
-		for _, c := range []struct {
-			name string
-			v    float64
-		}{
-			{"TotalFIT", res.TotalFIT}, {"SEUFIT", res.SEUFIT},
-			{"MBUFIT", res.MBUFIT}, {"TotalFITErr", res.TotalFITErr},
-		} {
-			if err := g.NonNegativeFinite(l.stage, c.name, c.v); err != nil {
-				return FITResult{}, err
-			}
-		}
+// LedgerRun is one voltage's share of a shared bin run (RunLedgersCtx): a
+// ledger, and the cell POF model characterized at its plan's Vdd.
+type LedgerRun struct {
+	Ledger *Ledger
+	Char   sram.POFProvider
+}
+
+// RunLedgersCtx is RunLedgerCtx over several voltages at once, as a Vdd
+// sweep runs them: the runs' plans must agree in everything but Vdd and
+// checkpoint prefix, and each run's Char must be characterized at its
+// plan's Vdd. Only the cell POF lookups depend on the voltage, so each
+// strike is traced once and looked up in the cell model of every run whose
+// ledger lacks the bin. Every run's FIT, convergence records, checkpoint
+// record and BinDone events are bit-identical to its own RunLedgerCtx run
+// on an engine built with its Char; BinDone events interleave the runs in
+// run order. A failure that belongs to one run is a *VddError naming its
+// voltage. Config.CharOne serves only the engine's own model, so an engine
+// that sets it refuses a shared run.
+func (e *Engine) RunLedgersCtx(ctx context.Context, runs []LedgerRun, rx *neutron.Reactions) ([]FITResult, error) {
+	if e.cfg.CharOne != nil {
+		return nil, errors.New("core: Config.CharOne serves only the engine's own cell model; run its ledger with RunLedgerCtx")
 	}
-	return res, nil
+	rs := make([]binRun, len(runs))
+	for i, r := range runs {
+		rs[i] = binRun{model: cellModel{zero: r.Char}, ledger: r.Ledger}
+	}
+	return e.runLedgers(ctx, rs, rx)
 }
 
 // RunShardCtx runs one shard of l's α/p plan: the bins in [from, to) that
@@ -374,11 +524,12 @@ func (e *Engine) RunLedgerCtx(ctx context.Context, l *Ledger, rx *neutron.Reacti
 // computes for the same plan. The plan must be this engine's
 // (*PlanMismatchError otherwise).
 func (e *Engine) RunShardCtx(ctx context.Context, l *Ledger, from, to int) error {
-	k, err := e.ledgerKernel(ctx, l, nil)
+	runs := []binRun{{model: e.own, ledger: l}}
+	k, err := e.ledgerKernel(ctx, runs, nil)
 	if err != nil {
 		return err
 	}
-	return e.runBins(ctx, k, l, from, to, nil, nil)
+	return e.runBins(ctx, k, runs, from, to, nil, nil)
 }
 
 // ownPlan is the plan FITCtx and NeutronFITCtx run: this engine's Vdd,

@@ -33,8 +33,8 @@ type strikeScratch struct {
 	epoch     uint64
 	touched   []int
 
-	// The strike's positive cell POFs in sorted cell order, and their
-	// cells (cellPOFs).
+	// The strike's positive cell POFs in one cell model, in sorted cell
+	// order, and their cells (lookup).
 	pofs     []float64
 	pofCells []int
 }

@@ -70,9 +70,8 @@ type Result struct {
 
 // PartialError reports a distributed run in which some shards exhausted
 // their retry budget. It names every missing shard and carries the partial
-// FIT sum over the bins that did complete, mirroring finser.SweepError's
-// contract that hours of finished Monte-Carlo work survive a late fault.
-// Match with errors.As.
+// FIT sum over the bins that did complete, so hours of finished
+// Monte-Carlo work survive a late fault. Match with errors.As.
 type PartialError struct {
 	// Missing lists the shards with no valid result, in plan order.
 	Missing []ShardID

@@ -218,26 +218,6 @@ func TestCSDARange(t *testing.T) {
 	}
 }
 
-func TestBohrStraggling(t *testing.T) {
-	if BohrStragglingSigmaEV(Proton, 0) != 0 || BohrStragglingSigmaEV(Proton, -1) != 0 {
-		t.Error("straggling of non-positive path should be 0")
-	}
-	// Alpha over 10 nm: Ω ≈ sqrt(0.1569·4·0.4985·2.329·1e-6) MeV ≈ 854 eV.
-	got := BohrStragglingSigmaEV(Alpha, 10)
-	if math.Abs(got-854)/854 > 0.05 {
-		t.Errorf("alpha straggling over 10 nm = %v eV, want ≈ 854", got)
-	}
-	// z² scaling: alpha σ = 2× proton σ at equal path.
-	p := BohrStragglingSigmaEV(Proton, 10)
-	if math.Abs(got/p-2) > 1e-9 {
-		t.Errorf("alpha/proton straggling ratio = %v, want 2", got/p)
-	}
-	// √L scaling.
-	if r := BohrStragglingSigmaEV(Proton, 40) / p; math.Abs(r-2) > 1e-9 {
-		t.Errorf("straggling path scaling = %v, want 2", r)
-	}
-}
-
 func TestEffectiveChargeLimits(t *testing.T) {
 	// Fast alpha carries its full charge; slow alpha carries less.
 	fast := effectiveCharge(Alpha, 100)

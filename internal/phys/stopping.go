@@ -466,18 +466,3 @@ func SampleLandauDeposit(meanEV, xiEV, z float64) float64 {
 	}
 	return d
 }
-
-// BohrStragglingSigmaEV returns the standard deviation (eV) of the energy
-// deposited over a path of the given length (nm) in silicon, using Bohr's
-// straggling variance Ω² = 0.1569·z²·(Z/A)·ρ·Δx [MeV², Δx in cm].
-// Charged-particle energy deposition in a 10 nm fin fluctuates by hundreds
-// of eV, which feeds directly into the POF tails.
-func BohrStragglingSigmaEV(sp Species, pathNm float64) float64 {
-	if pathNm <= 0 {
-		return 0
-	}
-	z := sp.ChargeNumber()
-	pathCm := pathNm * 1e-7
-	variance := 0.1569 * z * z * (SiliconZ / SiliconA) * SiliconDensity * pathCm // MeV²
-	return math.Sqrt(variance) * 1e6                                             // eV
-}
