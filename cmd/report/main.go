@@ -92,10 +92,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nRes, err := finser.NeutronFITCtx(ctx, flowCfg, char)
+	nFITs, err := finser.NeutronFITCtx(ctx, flowCfg, []*finser.FlowResult{flow})
 	if err != nil {
 		log.Fatal(err)
 	}
+	nRes := nFITs[0]
 	cells := float64((*rows) * (*cols))
 	w("| environment | total FIT | FIT/Mbit | SEU FIT | MBU FIT | MBU/SEU |")
 	w("|---|---|---|---|---|---|")

@@ -183,8 +183,8 @@ func main() {
 
 	// fail ends the run on a stage error, flushing the completed voltages
 	// first: an interrupt exits 130 and a deadline 124, each with a resume
-	// hint; any other failure exits 1. The error names the voltage (a
-	// *SweepError for the alpha/proton sweep) and the stage it landed in.
+	// hint; any other failure exits 1. The error is a *SweepError naming
+	// the voltage and the stage it landed in.
 	// The voltages share each strike, so an interrupt mid-FIT completes no
 	// voltage and flushes none; every bin that finished, at any voltage, is
 	// in the checkpoint. Only a failed characterization keeps the voltages
@@ -214,18 +214,18 @@ func main() {
 	}
 
 	if *neut {
-		// Each voltage's neutron stage runs on its swept characterization,
-		// with the same engine configuration, context and checkpoint store
-		// as the alpha and proton stages.
-		for _, res := range results {
-			c := cfg
-			c.Vdd = res.Vdd
-			nFIT, err := finser.NeutronFITCtx(ctx, c, res.Char)
-			if err != nil {
-				fail(fmt.Errorf("vdd %g: %w", res.Vdd, err))
-			}
+		// The neutron stage runs once over every voltage's swept
+		// characterization, with the same engine configuration, context and
+		// checkpoint store as the alpha and proton stages; a failure is a
+		// *SweepError naming its voltage.
+		nFITs, err := finser.NeutronFITCtx(ctx, cfg, results)
+		if err != nil {
+			fail(err)
+		}
+		for i, res := range results {
+			n := nFITs[i]
 			fmt.Printf("%6.2f  neutron: total=%.5g±%.2g SEU=%.5g MBU=%.5g MBU/SEU=%.3f%%\n",
-				res.Vdd, nFIT.TotalFIT, nFIT.TotalFITErr, nFIT.SEUFIT, nFIT.MBUFIT, nFIT.MBUToSEU)
+				res.Vdd, n.TotalFIT, n.TotalFITErr, n.SEUFIT, n.MBUFIT, n.MBUToSEU)
 		}
 	}
 

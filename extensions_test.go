@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -44,12 +45,14 @@ func TestNeutronFacade(t *testing.T) {
 	}
 }
 
-// TestNeutronFITCtxPlan pins the neutron stage's plan: NeutronFITCtx equals
-// Engine.NeutronFITCtx bit for bit, flat and adaptive, on the sea-level
-// spectrum ×1 over 10 bins of 2–1000 MeV seeded Seed+3, and checkpoints it
-// as the one stage "vdd<V>/fit/neutron".
+// TestNeutronFITCtxPlan pins the neutron stage's plan and its one shared
+// run: over a sweep's 0.7 and 1.1 V results, NeutronFITCtx gives each
+// voltage Engine.NeutronFITCtx on its own characterization bit for bit,
+// flat and adaptive, on the sea-level spectrum ×1 over 10 bins of
+// 2–1000 MeV seeded Seed+3. It checkpoints each voltage as the stage
+// "vdd<V>/fit/neutron", reports one flow/fit-neutron span, and traces each
+// strike once: the particle count is the per-bin largest voltage's.
 func TestNeutronFITCtxPlan(t *testing.T) {
-	res := sharedFlow(t)
 	ctx := context.Background()
 	spec, err := NewNeutronSpectrum(1)
 	if err != nil {
@@ -59,35 +62,65 @@ func TestNeutronFITCtxPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c11 := smallFlowConfig()
+	c11.Vdd = 1.1
+	char11, err := CharacterizeFlowCtx(ctx, c11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := []*FlowResult{sharedFlow(t), {Vdd: 1.1, Char: char11}}
+	vdds := []float64{0.7, 1.1}
 	for _, relErr := range []float64{0, 0.1} {
 		cfg := smallFlowConfig()
 		cfg.ItersPerBin = 1000
 		cfg.FITRelErr = relErr
-		store, err := CreateCheckpoint(t.TempDir()+"/neutron.ck.json", cfg, []float64{cfg.Vdd})
+		store, err := CreateCheckpoint(t.TempDir()+"/neutron.ck.json", cfg, vdds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Checkpoint = store
-		got, err := NeutronFITCtx(ctx, cfg, res.Char)
+		cfg.Obs = NewMetrics()
+		got, err := NeutronFITCtx(ctx, cfg, sweep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(EngineConfig{
-			Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: res.Char, Transport: DefaultTransport(), FITRelErr: relErr,
-		})
-		if err != nil {
-			t.Fatal(err)
+		for i, r := range sweep {
+			eng, err := NewEngine(EngineConfig{
+				Tech: Default14nmSOI(), Rows: 9, Cols: 9,
+				Char: r.Char, Transport: DefaultTransport(), FITRelErr: relErr,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.NeutronFITCtx(ctx, spec, NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("relErr %g: NeutronFITCtx at %g V differs from Engine.NeutronFITCtx on the documented plan", relErr, r.Vdd)
+			}
 		}
-		want, err := eng.NeutronFITCtx(ctx, spec, NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
-		if err != nil {
-			t.Fatal(err)
+		st := store.Stages()
+		sort.Strings(st)
+		if want := []string{"vdd0.7/fit/neutron", "vdd1.1/fit/neutron"}; !reflect.DeepEqual(st, want) {
+			t.Errorf("relErr %g: checkpoint stages %v, want %v", relErr, st, want)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("relErr %g: NeutronFITCtx differs from Engine.NeutronFITCtx on the documented plan", relErr)
+		snap := cfg.Obs.Snapshot()
+		spans := int64(0)
+		for _, sp := range snap.Spans {
+			if sp.Path == "flow/fit-neutron" {
+				spans += sp.Count
+			}
 		}
-		if st := store.Stages(); !reflect.DeepEqual(st, []string{"vdd0.7/fit/neutron"}) {
-			t.Errorf("relErr %g: checkpoint stages %v, want [vdd0.7/fit/neutron]", relErr, st)
+		if spans != 1 {
+			t.Errorf("relErr %g: %d flow/fit-neutron spans, want 1", relErr, spans)
+		}
+		traced := 0
+		for b := range bins {
+			traced += max(got[0].Points[b].Strikes, got[1].Points[b].Strikes)
+		}
+		if n := snap.Counters["core.particles_generated"]; n != int64(traced) {
+			t.Errorf("relErr %g: %d particles generated, want %d (each strike traced once)", relErr, n, traced)
 		}
 	}
 }

@@ -376,20 +376,25 @@ func AltitudeScale(altitudeMeters float64) float64 {
 }
 
 // FlowConfig configures the end-to-end flow at a single supply voltage.
+// Its result-determining fields carry the JSON names of the serd job
+// request, which is how a coordinator ships the job to its workers; the
+// technology card, the worker count and every runtime hook stay off the
+// wire.
 type FlowConfig struct {
 	// Tech is the technology card; zero value selects Default14nmSOI.
-	Tech Technology
-	// Rows, Cols are the array dimensions; zero selects the paper's 9×9.
-	Rows, Cols int
+	Tech Technology `json:"-"`
 	// Vdd is the supply voltage (required).
-	Vdd float64
+	Vdd float64 `json:"vdd"`
+	// Rows, Cols are the array dimensions; zero selects the paper's 9×9.
+	Rows int `json:"rows,omitempty"`
+	Cols int `json:"cols,omitempty"`
 	// ProcessVariation toggles the Vth Monte Carlo in characterization.
-	ProcessVariation bool
+	ProcessVariation bool `json:"process_variation,omitempty"`
 	// Samples is the PV sample count (paper: 1000). Zero selects 1000.
-	Samples int
+	Samples int `json:"samples,omitempty"`
 	// ItersPerBin is the array-MC particle count per energy bin.
 	// Zero selects 50000.
-	ItersPerBin int
+	ItersPerBin int `json:"iters_per_bin,omitempty"`
 	// FITRelErr, when > 0, switches both species' FIT integrations to
 	// confidence-driven adaptive sampling: each energy bin streams its
 	// particles in batches of ItersPerBin/10 and stops as soon as its POF
@@ -399,61 +404,62 @@ type FlowConfig struct {
 	// values are in (0, 0.5]; the tolerance is result-determining and part
 	// of the flow fingerprint. Zero (the default) keeps the exact
 	// flat-budget integration.
-	FITRelErr float64
+	FITRelErr float64 `json:"fit_rel_err,omitempty"`
 	// AlphaRate is the alpha emission rate in α/(cm²·h); zero selects the
 	// paper's 0.001.
-	AlphaRate float64
+	AlphaRate float64 `json:"alpha_rate,omitempty"`
 	// ProtonScale multiplies the sea-level proton flux; zero selects 1.
-	ProtonScale float64
+	ProtonScale float64 `json:"proton_scale,omitempty"`
 	// AlphaBins/ProtonBins are the energy discretizations; zero selects
 	// 12 and 16.
-	AlphaBins, ProtonBins int
-	// Pattern is the stored data pattern.
-	Pattern DataPattern
+	AlphaBins  int `json:"alpha_bins,omitempty"`
+	ProtonBins int `json:"proton_bins,omitempty"`
+	// Pattern is the stored data pattern, as its integer value on the wire.
+	Pattern DataPattern `json:"pattern,omitempty"`
 	// Seed makes the whole flow deterministic.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Workers bounds parallelism (0 = GOMAXPROCS). It is a speed setting
 	// only: no result depends on it.
-	Workers int
+	Workers int `json:"-"`
 	// Obs, when non-nil, collects cross-layer metrics and stage spans for
 	// the whole flow (circuit Newton work, transport rays, characterization
 	// samples, array-MC hit statistics, per-stage wall times). Nil — the
 	// default — keeps every layer on its zero-cost uninstrumented path.
-	Obs *Metrics
+	Obs *Metrics `json:"-"`
 	// Progress, when non-nil, receives throttled done/total/ETA reports
 	// from the characterization and FIT stages.
-	Progress ProgressFunc
+	Progress ProgressFunc `json:"-"`
 	// Checkpoint, when non-nil, persists every completed FIT energy bin so
 	// an interrupted run — single-node or distributed, SpeciesLedger —
 	// resumes bit-identically from its completed bins. Build it with
 	// CreateCheckpoint (fresh run) or ResumeCheckpoint (continue an
 	// interrupted one); the store rejects resuming under a different
 	// configuration.
-	Checkpoint *CheckpointStore
+	Checkpoint *CheckpointStore `json:"-"`
 	// Faults, when non-nil, injects deterministic failures into the worker
 	// loops — robustness tests only. Nil (the default) is zero-cost.
-	Faults *FaultHooks
+	Faults *FaultHooks `json:"-"`
 	// Guard selects the physics-invariant enforcement mode for the whole
 	// flow: GuardOff (default, zero cost), GuardWarn (count violations on
 	// Obs and keep going), or GuardStrict (fail the stage with a typed
 	// *InvariantError). Guard mode never changes the numbers a healthy run
 	// produces, so it is excluded from checkpoint fingerprints.
-	Guard GuardMode
+	Guard GuardMode `json:"-"`
 	// GuardLog, when non-nil, receives warn-mode violation logs (throttled
 	// to one line per invariant and stage). log.Printf fits.
-	GuardLog GuardLogf
+	GuardLog GuardLogf `json:"-"`
 	// BinDone, when non-nil, receives one event per completed FIT energy bin
 	// (per species, including bins restored from a checkpoint) with the
 	// bin's POF point and the FIT accumulated so far — the hook a live
 	// telemetry stream taps. It fires on the integration goroutine; keep it
 	// non-blocking. Like Obs and Checkpoint, it never changes the numbers
 	// and is excluded from checkpoint fingerprints.
-	BinDone BinDoneFunc
+	BinDone BinDoneFunc `json:"-"`
 	// GuardEvent, when non-nil, receives every guard violation (warn and
 	// strict modes) as it is recorded, in addition to the Obs counters and
 	// GuardLog lines. Same non-blocking and fingerprint-exclusion rules as
 	// BinDone.
-	GuardEvent GuardEventFunc
+	GuardEvent GuardEventFunc `json:"-"`
 }
 
 // newGuard builds the flow's guard from the config (nil when GuardOff),
@@ -483,6 +489,9 @@ func (e *ConfigError) Error() string {
 // Validate resolves defaults, returning the config the flow would run,
 // and reports the first invalid field as a *ConfigError — the
 // admission-time check a serving layer runs before queueing hours of work.
+// Besides each field's own range, Vdd must not exceed twice the technology
+// card's nominal supply (when the card names one), and the environment
+// scales must leave every FIT finite.
 func (c FlowConfig) Validate() (FlowConfig, error) {
 	if !(c.Vdd > 0) || math.IsInf(c.Vdd, 1) {
 		return c, &ConfigError{Field: "Vdd", Reason: fmt.Sprintf("must be positive and finite, got %g", c.Vdd)}
@@ -552,6 +561,27 @@ func (c FlowConfig) Validate() (FlowConfig, error) {
 	}
 	if c.ProtonBins == 0 {
 		c.ProtonBins = 16
+	}
+	// No cell model is solved far above its card's supply; 2× nominal
+	// leaves the paper's 0.7–1.1 V sweep (1.6 V on the 14 nm card) room.
+	if vmax := 2 * c.Tech.VddNominal; vmax > 0 && c.Vdd > vmax {
+		return c, &ConfigError{Field: "Vdd", Reason: fmt.Sprintf("must not exceed twice the %s card's nominal %g V, got %g", c.Tech.Name, c.Tech.VddNominal, c.Vdd)}
+	}
+	// A flux so large that a stage's largest FIT — every bin at POF 1 —
+	// overflows would end in an Inf or NaN result no JSON can carry.
+	for _, st := range []struct{ name, field string }{{"alpha", "AlphaRate"}, {"proton", "ProtonScale"}} {
+		l, err := planLedger(c, st.name)
+		if err != nil {
+			return c, err
+		}
+		p := l.Plan()
+		ones := make([]POFPoint, len(p.Bins))
+		for i := range ones {
+			ones[i].Tot = 1
+		}
+		if fit := core.AssembleFIT(p.Species, p.Vdd, p.Bins, ones, p.AreaCm2).TotalFIT; math.IsInf(fit, 0) || math.IsNaN(fit) {
+			return c, &ConfigError{Field: st.field, Reason: fmt.Sprintf("makes the largest %s FIT %g; it must stay finite", st.name, fit)}
+		}
 	}
 	return c, nil
 }
@@ -762,24 +792,18 @@ func fitStage(ctx context.Context, eng *Engine, flow *obs.Span, cfgs []FlowConfi
 	return res, nil
 }
 
-// stageFIT runs one FIT stage of a one-voltage flow with a pre-built
-// characterization, on the engine buildFlowEngine builds.
-func stageFIT(ctx context.Context, cfg FlowConfig, char *Characterization, name string, rx *NeutronReactions) (FITResult, error) {
-	cfg, err := cfg.Validate()
-	if err != nil {
-		return FITResult{}, err
-	}
-	flow := cfg.Obs.StartSpan("flow")
+// stageFIT runs one FIT stage over voltages with pre-built
+// characterizations: one engine, built as buildFlowEngine builds it, runs
+// the stage once over all of them (fitStage). cfgs carry defaults and
+// differ only in Vdd; chars align with them.
+func stageFIT(ctx context.Context, cfgs []FlowConfig, chars []*Characterization, name string, rx *NeutronReactions) ([]FITResult, error) {
+	flow := cfgs[0].Obs.StartSpan("flow")
 	defer flow.End()
-	eng, err := buildFlowEngine(cfg, char, flow)
+	eng, err := buildFlowEngine(cfgs[0], chars[0], flow)
 	if err != nil {
-		return FITResult{}, err
+		return nil, err
 	}
-	res, err := fitStage(ctx, eng, flow, []FlowConfig{cfg}, []*Characterization{char}, name, rx)
-	if err != nil {
-		return FITResult{}, err
-	}
-	return res[0], nil
+	return fitStage(ctx, eng, flow, cfgs, chars, name, rx)
 }
 
 // CharacterizeFlowCtx runs only the characterization stage of the flow,
@@ -804,20 +828,53 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 // uninterrupted run; each call builds its own engine. A characterization
 // built at another Vdd than cfg.Vdd fails with a *PlanMismatchError.
 func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species) (FITResult, error) {
-	return stageFIT(ctx, cfg, char, sp.String(), nil)
+	cfg, err := cfg.Validate()
+	if err != nil {
+		return FITResult{}, err
+	}
+	res, err := stageFIT(ctx, []FlowConfig{cfg}, []*Characterization{char}, sp.String(), nil)
+	if err != nil {
+		return FITResult{}, err
+	}
+	return res[0], nil
 }
 
-// NeutronFITCtx runs the neutron (indirect-ionization) stage with a
-// pre-built characterization, on the engine SpeciesFITCtx would build — same
-// workers, guard, adaptive tolerance, checkpoint store, and telemetry hooks.
-// The plan is fixed: the sea-level neutron spectrum over 10 bins from 2 to
-// 1000 MeV, seeded Seed+3, checkpointed as stage "vdd<V>/fit/neutron". It
-// depends only on fields the flow fingerprint already covers, so a
-// checkpointed sweep resumes its neutron stage like any other. A
-// characterization built at another Vdd than cfg.Vdd fails with a
-// *PlanMismatchError.
-func NeutronFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization) (FITResult, error) {
-	return stageFIT(ctx, cfg, char, "neutron", NewNeutronReactions())
+// NeutronFITCtx runs the neutron (indirect-ionization) stage over a sweep's
+// results, on the engine the sweep's own stages run on — same workers,
+// guard, adaptive tolerance, checkpoint store, and telemetry hooks. Each
+// result's Vdd replaces cfg.Vdd and its Char is that voltage's cell model;
+// every voltage is validated before any work. As for alpha and proton in
+// RunVddSweepCtx, the stage runs once over all the voltages: each strike is
+// traced once and looked up in every voltage's cell model, and each
+// voltage's FIT, checkpoint record and BinDone events are bit-identical to
+// a run of its own. The plan is fixed: the sea-level neutron spectrum over
+// 10 bins from 2 to 1000 MeV, seeded Seed+3, checkpointed as stage
+// "vdd<V>/fit/neutron". It depends only on fields the flow fingerprint
+// already covers, so a checkpointed sweep resumes its neutron stage like
+// any other. The results align with sweep. A failure is a *SweepError
+// naming the voltage it belongs to, with Completed 0; a characterization
+// built at another Vdd than its result's fails with a *PlanMismatchError.
+func NeutronFITCtx(ctx context.Context, cfg FlowConfig, sweep []*FlowResult) ([]FITResult, error) {
+	if len(sweep) == 0 {
+		return nil, errors.New("finser: neutron FIT: empty sweep")
+	}
+	vdds := make([]float64, len(sweep))
+	chars := make([]*Characterization, len(sweep))
+	for i, r := range sweep {
+		if r == nil || r.Char == nil {
+			return nil, fmt.Errorf("finser: neutron FIT: sweep result %d has no characterization", i)
+		}
+		vdds[i], chars[i] = r.Vdd, r.Char
+	}
+	cfgs, err := sweepConfigs(cfg, vdds)
+	if err != nil {
+		return nil, err
+	}
+	res, err := stageFIT(ctx, cfgs, chars, "neutron", NewNeutronReactions())
+	if err != nil {
+		return nil, sweepError(vdds, err)
+	}
+	return res, nil
 }
 
 // SpeciesShardPOFConvCtx computes the POF points of one species' energy
@@ -911,15 +968,9 @@ func RunVddSweepCtx(ctx context.Context, cfg FlowConfig, vdds []float64) ([]*Flo
 	if len(vdds) == 0 {
 		return nil, errors.New("finser: empty vdd sweep")
 	}
-	cfgs := make([]FlowConfig, len(vdds))
-	for i, v := range vdds {
-		c := cfg
-		c.Vdd = v
-		c, err := c.Validate()
-		if err != nil {
-			return nil, &SweepError{Vdd: v, Err: err}
-		}
-		cfgs[i] = c
+	cfgs, err := sweepConfigs(cfg, vdds)
+	if err != nil {
+		return nil, err
 	}
 	flow := cfg.Obs.StartSpan("flow")
 	defer flow.End()
@@ -941,12 +992,7 @@ func RunVddSweepCtx(ctx context.Context, cfg FlowConfig, vdds []float64) ([]*Flo
 	}
 	out, err := fitSweep(ctx, cfgs[:len(chars)], chars, flow)
 	if err != nil {
-		v := vdds[0]
-		var ve *core.VddError
-		if errors.As(err, &ve) {
-			v = ve.Vdd
-		}
-		return nil, &SweepError{Vdd: v, Err: err}
+		return nil, sweepError(vdds, err)
 	}
 	if charErr != nil {
 		return out, charErr
@@ -955,6 +1001,35 @@ func RunVddSweepCtx(ctx context.Context, cfg FlowConfig, vdds []float64) ([]*Flo
 		return out, err
 	}
 	return out, nil
+}
+
+// sweepConfigs validates cfg at each of vdds before any work, returning
+// the configs (defaults resolved) a sweep runs, or a *SweepError naming the
+// first invalid voltage.
+func sweepConfigs(cfg FlowConfig, vdds []float64) ([]FlowConfig, error) {
+	cfgs := make([]FlowConfig, len(vdds))
+	for i, v := range vdds {
+		c := cfg
+		c.Vdd = v
+		c, err := c.Validate()
+		if err != nil {
+			return nil, &SweepError{Vdd: v, Err: err}
+		}
+		cfgs[i] = c
+	}
+	return cfgs, nil
+}
+
+// sweepError is the *SweepError of a FIT stage that failed over vdds: it
+// names the voltage a *core.VddError in err belongs to, else the first.
+// Completed is 0, since the voltages share each strike.
+func sweepError(vdds []float64, err error) error {
+	v := vdds[0]
+	var ve *core.VddError
+	if errors.As(err, &ve) {
+		v = ve.Vdd
+	}
+	return &SweepError{Vdd: v, Err: err}
 }
 
 // checkSweepMonotonicity asserts the paper's Fig. 9 physics across a
@@ -1016,7 +1091,10 @@ type flowFingerprint struct {
 // resumes) its predecessor's partial work.
 func FlowFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
 	c := cfg
-	c.Vdd = 1 // Validate requires a positive Vdd; the value is not hashed
+	c.Vdd = 1 // Validate requires a valid Vdd; the value is not hashed
+	if v := cfg.Tech.VddNominal; v > 0 {
+		c.Vdd = v // a custom card's nominal is valid whatever its scale
+	}
 	c, err := c.Validate()
 	if err != nil {
 		return "", err

@@ -214,7 +214,7 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.RunLedgerCtx(context.Background(), l, nil)
+		return soloRun(context.Background(), e, l, nil)
 	}
 
 	store := newMemStore()

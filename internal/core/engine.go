@@ -156,11 +156,6 @@ type Config struct {
 	// LUT-only array architecture. For a symmetric cell it serves both
 	// stored states (the axis mapping mirrors the roles).
 	Char sram.POFProvider
-	// CharOne optionally overrides the POF model for cells storing 1 —
-	// needed when the cell is asymmetric (e.g. BTI-aged with a static data
-	// pattern). Nil reuses Char for both states. It serves only the
-	// engine's own model, so RunLedgersCtx refuses an engine that sets it.
-	CharOne sram.POFProvider
 	// Transport configures the device-level physics.
 	Transport transport.Config
 	// Deposits selects full transport (default) or the paper's
@@ -181,8 +176,8 @@ type Config struct {
 	// stops once its POFtot confidence interval is inside this relative
 	// tolerance, scaled by the bin's flux weight in the FIT integral, up to a
 	// hard cap of 4× the flat budget. ItersPerBin becomes the flat reference
-	// budget the batches are sized from. A ledger run with RunLedgerCtx,
-	// RunLedgersCtx or RunShardCtx carries its own tolerance in its plan.
+	// budget the batches are sized from. A ledger run with RunLedgersCtx or
+	// RunShardCtx carries its own tolerance in its plan.
 	// The tolerance is result-determining (part of the flow fingerprint): a
 	// fixed config stays bit-identical across runs, checkpoint resume, and
 	// the distributed shard merge. Zero (the default) keeps the exact
@@ -216,7 +211,6 @@ type Config struct {
 // Engine is a ready-to-run array SER estimator for one (technology, Vdd).
 type Engine struct {
 	cfg      Config
-	own      cellModel // Config.Char and Config.CharOne
 	arr      *layout.Array
 	boxes    []geom.AABB // every fin's box, by global fin index
 	cellFins [][]int     // fin indices per cell, for the grid-walk broad phase
@@ -263,7 +257,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, own: cellModel{zero: cfg.Char, one: cfg.CharOne}, arr: arr, boxes: arr.Boxes()}
+	e := &Engine{cfg: cfg, arr: arr, boxes: arr.Boxes()}
 	e.slab, e.hasSlab = e.substrateSlab()
 	e.cellFins = make([][]int, arr.NumCells())
 	for i, f := range arr.Fins() {
@@ -301,18 +295,6 @@ type strikeOutcome struct {
 	struckCells            int // cells with charge on ≥1 sensitive transistor
 }
 
-// cellModel is one voltage's cell POF model: zero serves every cell,
-// unless one is set, which then serves the cells storing 1 (an asymmetric
-// cell, Config.CharOne).
-type cellModel struct {
-	zero, one sram.POFProvider
-}
-
-// vddError marks err as belonging to this model's voltage (*VddError).
-func (m cellModel) vddError(err error) error {
-	return &VddError{Vdd: m.zero.SupplyVoltage(), Err: err}
-}
-
 // yieldTable returns the species' single-fin mean-yield table — the
 // paper's Geant4 LUT — in DepositLUT mode, building it on first use, and
 // nil in transport mode. Every α/p strike path takes its deposit mode from
@@ -348,8 +330,8 @@ func (e *Engine) yieldTable(ctx context.Context, sp phys.Species) (*lut.Table1D,
 }
 
 // strike runs steps 2–5 of the paper's §5.1 for one particle on the
-// sampled ray, in the engine's own cell model: the one-model case of the
-// two strike halves, chargeStrike and lookup. MBU reports and sampled
+// sampled ray, in the engine's cell model (Config.Char): the one-model case
+// of the two strike halves, chargeStrike and lookup. MBU reports and sampled
 // tracks call it. yieldTab is the yieldTable result, resolved once per
 // estimate outside the hot loop. scr holds the worker's reusable buffers,
 // and keeps the track's deposits and the strike's cell POFs until the next
@@ -359,7 +341,7 @@ func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, ray
 	if err := e.chargeStrike(src, sp, energyMeV, ray, yieldTab, scr); err != nil {
 		return strikeOutcome{}, err
 	}
-	return e.lookup(e.own, scr)
+	return e.lookup(e.cfg.Char, scr)
 }
 
 // chargeStrike is the voltage-independent half of an α/p strike: it opens
@@ -441,14 +423,10 @@ func (e *Engine) closeCells(scr *strikeScratch, deposited float64) error {
 // them by Eqs. 4–6. The positive POFs land in scr.pofs with their cells in
 // scr.pofCells, in cell order. The error is non-nil only under a strict
 // guard.
-func (e *Engine) lookup(m cellModel, scr *strikeScratch) (strikeOutcome, error) {
+func (e *Engine) lookup(m sram.POFProvider, scr *strikeScratch) (strikeOutcome, error) {
 	scr.pofs, scr.pofCells = scr.pofs[:0], scr.pofCells[:0]
 	for _, ci := range scr.touched {
-		pm := m.zero
-		if m.one != nil && e.cfg.Pattern.Bit(ci/e.arr.Cols, ci%e.arr.Cols) {
-			pm = m.one
-		}
-		p := pm.POF(scr.cellQ[ci])
+		p := m.POF(scr.cellQ[ci])
 		if err := e.cfg.Guard.Probability("core.strike", "cell POF", p); err != nil {
 			return strikeOutcome{}, err
 		}
@@ -615,7 +593,7 @@ func (e *Engine) POFAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV 
 	if err != nil {
 		return POFPoint{}, err
 	}
-	pts, _, err := e.estimate(ctx, k, []cellModel{e.own}, energyMeV, 0, iters, seed)
+	pts, _, err := e.estimate(ctx, k, []sram.POFProvider{e.cfg.Char}, energyMeV, 0, iters, seed)
 	if err != nil {
 		return POFPoint{}, err
 	}
@@ -701,8 +679,8 @@ type BinEvent struct {
 // per energy bin, estimate the POF with itersPerBin Monte-Carlo particles
 // (or adaptively, with Config.FITRelErr > 0), multiply by the bin's integral
 // flux and the array area, and sum. It is the store-less library form of
-// RunLedgerCtx: the engine's own plan, with no checkpoint and no BinDone
-// stream, cancellable bin by bin.
+// RunLedgersCtx: one run of the engine's own plan in Config.Char, with no
+// checkpoint and no BinDone stream, cancellable bin by bin.
 func (e *Engine) FITCtx(ctx context.Context, spec spectra.Spectrum, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
 	sp := spec.Species()
 	return e.runOwnPlan(ctx, e.ownPlan(sp.String(), sp, bins, itersPerBin, seed), nil)
@@ -745,13 +723,9 @@ func AssembleFIT(sp phys.Species, vdd float64, bins []spectra.EnergyBin, points 
 }
 
 // ArrayAreaCm2 returns the die area of the tiled array in cm² — the Eq. 8
-// area factor — without building a full engine, so a coordinator can plan
-// a bin ledger before it characterizes.
+// area factor — without building an engine or tiling the array, so a
+// coordinator can plan a bin ledger before it characterizes, and planning
+// costs the same for any array size.
 func ArrayAreaCm2(tech finfet.Technology, rows, cols int) (float64, error) {
-	arr, err := layout.NewArray(layout.ThinCellLayout(tech), rows, cols)
-	if err != nil {
-		return 0, err
-	}
-	lx, ly := arr.DimsCm()
-	return lx * ly, nil
+	return layout.AreaCm2(layout.ThinCellLayout(tech), rows, cols)
 }

@@ -8,7 +8,6 @@ import (
 	"finser/internal/neutron"
 	"finser/internal/phys"
 	"finser/internal/rng"
-	"finser/internal/sram"
 	"finser/internal/transport"
 )
 
@@ -200,37 +199,3 @@ func TestMultiFinArrayStrikes(t *testing.T) {
 		t.Fatal("multi-fin POF zero")
 	}
 }
-
-func TestAsymmetricProvidersPerState(t *testing.T) {
-	// With distinct POF models per stored state, a checkerboard pattern
-	// must blend them: a "never flips" model on the 1-cells halves the POF
-	// relative to using the live model everywhere.
-	ch, _, _ := fixtures(t)
-	mk := func(one sram.POFProvider) *Engine {
-		e, err := New(Config{
-			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: ch, CharOne: one,
-			Transport: transport.DefaultConfig(),
-			Pattern:   PatternCheckerboard,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	both := mustPOF(t, mk(nil), phys.Alpha, 1, 40000, 3)
-	half := mustPOF(t, mk(deadProvider{vdd: ch.Vdd}), phys.Alpha, 1, 40000, 3)
-	if half.Tot <= 0 {
-		t.Fatal("zero POF with dead provider on half the cells")
-	}
-	r := half.Tot / both.Tot
-	if r < 0.3 || r > 0.7 {
-		t.Errorf("dead-provider-on-ones POF ratio = %v, want ≈ 0.5", r)
-	}
-}
-
-// deadProvider never flips — a stand-in for a maximally hardened state.
-type deadProvider struct{ vdd float64 }
-
-func (d deadProvider) POF([sram.NumAxes]float64) float64 { return 0 }
-func (d deadProvider) SupplyVoltage() float64            { return d.vdd }

@@ -28,7 +28,7 @@ type BinPlan struct {
 }
 
 // Ledger is the one place a species' completed Eq. 8 bins live, whichever
-// process computed them: Engine.RunLedgerCtx records each bin it runs, and
+// process computed them: Engine.RunLedgersCtx records each bin it runs, and
 // a distributed coordinator each shard a worker returns. It is the one
 // checkpoint record, restore check, BinDone stream and AssembleFIT fold of
 // both. The Eq. 8 terms are independent, so a ledger may hold any subset

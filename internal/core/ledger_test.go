@@ -221,7 +221,7 @@ func TestRunLedgerRefusesForeignPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, runErr := e.RunLedgerCtx(context.Background(), l, nil)
+		_, runErr := soloRun(context.Background(), e, l, nil)
 		shardErr := e.RunShardCtx(context.Background(), l, 0, 1)
 		for _, err := range []error{runErr, shardErr} {
 			var pm *PlanMismatchError

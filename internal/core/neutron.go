@@ -8,6 +8,7 @@ import (
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/spectra"
+	"finser/internal/sram"
 	"finser/internal/transport"
 )
 
@@ -35,7 +36,7 @@ type NeutronPoint struct {
 // interaction trials at one neutron energy, through the same worker
 // fan-out, cancellation, guards, and chunk-order merge as POFAtEnergyCtx.
 func (e *Engine) NeutronPOFAtEnergyCtx(ctx context.Context, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) (NeutronPoint, error) {
-	pts, weight, err := e.estimate(ctx, e.neutronKernel(rx), []cellModel{e.own}, energyMeV, 0, iters, seed)
+	pts, weight, err := e.estimate(ctx, e.neutronKernel(rx), []sram.POFProvider{e.cfg.Char}, energyMeV, 0, iters, seed)
 	if err != nil {
 		return NeutronPoint{}, err
 	}
@@ -134,7 +135,7 @@ func (e *Engine) neutronCharge(rx *neutron.Reactions, src *rng.Source, energyMeV
 
 // NeutronFITCtx integrates the weighted POFs over the neutron spectrum into
 // FIT rates, exactly as Eq. 8 does for directly ionizing particles: the
-// store-less form of RunLedgerCtx with rx (stage "fit/neutron"), so the
+// store-less form of RunLedgersCtx with rx (stage "fit/neutron"), so the
 // integration is cancellable, guarded, optionally adaptive, and reports a
 // propagated 1σ TotalFITErr.
 func (e *Engine) NeutronFITCtx(ctx context.Context, spec spectra.Spectrum, rx *neutron.Reactions, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {

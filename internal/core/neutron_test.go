@@ -230,7 +230,7 @@ func TestNeutronFITCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return e.RunLedgerCtx(ctx, l, rx)
+			return soloRun(ctx, e, l, rx)
 		}
 		want, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 3000, 42)
 		if err != nil {

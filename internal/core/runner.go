@@ -219,7 +219,7 @@ type chunkTally struct {
 // model's estimate on its own, and the mean trial weight. A failure that
 // belongs to one model (its cell POF or point under the guard) is a
 // *VddError.
-func (e *Engine) estimate(ctx context.Context, k kernel, models []cellModel, energyMeV float64, from, to int, seed uint64) ([]POFPoint, float64, error) {
+func (e *Engine) estimate(ctx context.Context, k kernel, models []sram.POFProvider, energyMeV float64, from, to int, seed uint64) ([]POFPoint, float64, error) {
 	iters, n := to-from, len(models)
 	// Every chunk's model tallies come from one allocation; a spare tally
 	// between chunks keeps two workers' chunks off one cache line.
@@ -235,7 +235,7 @@ func (e *Engine) estimate(ctx context.Context, k kernel, models []cellModel, ene
 		for j, m := range models {
 			o, err := e.lookup(m, scr)
 			if err != nil {
-				return 0, m.vddError(err)
+				return 0, vddError(m, err)
 			}
 			t := &a.models[j]
 			t.tot.Add(w * o.pofTot)
@@ -271,17 +271,10 @@ func (e *Engine) estimate(ctx context.Context, k kernel, models []cellModel, ene
 			HitFrac:   float64(hits) / float64(iters),
 		}
 		if err := checkPOFPoint(e.cfg.Guard, "core.pof", pts[j]); err != nil {
-			return nil, 0, m.vddError(err)
+			return nil, 0, vddError(m, err)
 		}
 	}
 	return pts, weight.Mean(), nil
-}
-
-// binRun is one cell model's share of a bin run: the model its strikes are
-// looked up in and the ledger its bins complete into.
-type binRun struct {
-	model  cellModel
-	ledger *Ledger
 }
 
 // runBins is the one bin runner. It runs the bins in [from, to) of the
@@ -294,8 +287,8 @@ type binRun struct {
 // the runs — shards, resumed runs, a solo run — reproduces it bit for bit.
 // Bin spans hang under span and each completed bin's strikes count on
 // tracker (nil disables either).
-func (e *Engine) runBins(ctx context.Context, k kernel, runs []binRun, from, to int, span *obs.Span, tracker *obs.Tracker) error {
-	p, stage := runs[0].ledger.Plan(), runs[0].ledger.stage
+func (e *Engine) runBins(ctx context.Context, k kernel, runs []LedgerRun, from, to int, span *obs.Span, tracker *obs.Tracker) error {
+	p, stage := runs[0].Ledger.Plan(), runs[0].Ledger.stage
 	if from < 0 || to > len(p.Bins) || from >= to {
 		return fmt.Errorf("core: POF bins: bad shard range [%d,%d) over %d bins", from, to, len(p.Bins))
 	}
@@ -305,12 +298,12 @@ func (e *Engine) runBins(ctx context.Context, k kernel, runs []binRun, from, to 
 		batch, tols = adaptiveBatchSize(p.ItersPerBin), adaptiveTols(p.Bins, p.RelErr)
 	}
 	open := make([]int, 0, len(runs)) // indices of the runs still sampling the bin
-	models := make([]cellModel, 0, len(runs))
+	models := make([]sram.POFProvider, 0, len(runs))
 	ests := make([]BinEstimator, len(runs))
 	for i := from; i < to; i++ {
 		open = open[:0]
 		for r := range runs {
-			if !runs[r].ledger.Done(i) {
+			if !runs[r].Ledger.Done(i) {
 				open = append(open, r)
 				ests[r] = BinEstimator{}
 			}
@@ -325,7 +318,7 @@ func (e *Engine) runBins(ctx context.Context, k kernel, runs []binRun, from, to 
 		for b := 0; len(open) > 0; b++ {
 			models = models[:0]
 			for _, r := range open {
-				models = append(models, runs[r].model)
+				models = append(models, runs[r].Char)
 			}
 			pts, _, err := e.estimate(ctx, k, models, p.Bins[i].Rep, b*batch, (b+1)*batch, p.Seeds[i])
 			if err != nil {
@@ -342,9 +335,9 @@ func (e *Engine) runBins(ctx context.Context, k kernel, runs []binRun, from, to 
 					still = append(still, r)
 					continue
 				}
-				if err := runs[r].ledger.Complete(i, []POFPoint{pt}, []BinConv{conv}); err != nil {
+				if err := runs[r].Ledger.Complete(i, []POFPoint{pt}, []BinConv{conv}); err != nil {
 					binSpan.End()
-					return runs[r].model.vddError(err)
+					return vddError(runs[r].Char, err)
 				}
 				tracker.Add(int64(pt.Strikes))
 			}
@@ -390,27 +383,32 @@ func (e *VddError) Error() string { return e.Err.Error() }
 
 func (e *VddError) Unwrap() error { return e.Err }
 
+// vddError marks err as belonging to the voltage of cell model m.
+func vddError(m sram.POFProvider, err error) error {
+	return &VddError{Vdd: m.SupplyVoltage(), Err: err}
+}
+
 // ledgerKernel checks that the runs share one plan but for Vdd, that each
 // plan belongs to its run's cell model and to this engine, and returns the
 // runs' strike kernel: the forced neutron interaction of rx when rx is
 // non-nil, else the plan species' direct ionization.
-func (e *Engine) ledgerKernel(ctx context.Context, runs []binRun, rx *neutron.Reactions) (kernel, error) {
+func (e *Engine) ledgerKernel(ctx context.Context, runs []LedgerRun, rx *neutron.Reactions) (kernel, error) {
 	if len(runs) == 0 {
 		return kernel{}, errors.New("core: FIT needs at least one ledger")
 	}
-	p0 := runs[0].ledger.Plan()
+	p0 := runs[0].Ledger.Plan()
 	lx, ly := e.arr.DimsCm()
 	for _, r := range runs {
-		p, stage := r.ledger.Plan(), r.ledger.stage
-		if vdd := r.model.zero.SupplyVoltage(); p.Vdd != vdd {
-			return kernel{}, r.model.vddError(&PlanMismatchError{Stage: stage, Field: "Vdd", Plan: p.Vdd, Engine: vdd})
+		p, stage := r.Ledger.Plan(), r.Ledger.stage
+		if vdd := r.Char.SupplyVoltage(); p.Vdd != vdd {
+			return kernel{}, vddError(r.Char, &PlanMismatchError{Stage: stage, Field: "Vdd", Plan: p.Vdd, Engine: vdd})
 		}
 		if p.AreaCm2 != lx*ly {
-			return kernel{}, r.model.vddError(&PlanMismatchError{Stage: stage, Field: "area", Plan: p.AreaCm2, Engine: lx * ly})
+			return kernel{}, vddError(r.Char, &PlanMismatchError{Stage: stage, Field: "area", Plan: p.AreaCm2, Engine: lx * ly})
 		}
 		if p.Name != p0.Name || p.Species != p0.Species || p.ItersPerBin != p0.ItersPerBin || p.RelErr != p0.RelErr ||
 			!slices.Equal(p.Bins, p0.Bins) || !slices.Equal(p.Seeds, p0.Seeds) {
-			return kernel{}, r.model.vddError(fmt.Errorf("core: %s at %g V: a shared bin run needs one plan but for Vdd, and this one differs from the one at %g V", stage, p.Vdd, p0.Vdd))
+			return kernel{}, vddError(r.Char, fmt.Errorf("core: %s at %g V: a shared bin run needs one plan but for Vdd, and this one differs from the one at %g V", stage, p.Vdd, p0.Vdd))
 		}
 	}
 	if rx != nil {
@@ -419,24 +417,51 @@ func (e *Engine) ledgerKernel(ctx context.Context, runs []binRun, rx *neutron.Re
 	return e.directKernel(ctx, p0.Species)
 }
 
-// runLedgers is the one Eq. 8 integration behind RunLedgerCtx and
-// RunLedgersCtx: check the runs, restore every ledger, run every bin any
-// of them lacks through runBins, and check each FIT's totals.
-func (e *Engine) runLedgers(ctx context.Context, runs []binRun, rx *neutron.Reactions) ([]FITResult, error) {
+// LedgerRun is one voltage's share of a bin run (RunLedgersCtx): a ledger,
+// and the cell POF model characterized at its plan's Vdd.
+type LedgerRun struct {
+	Ledger *Ledger
+	Char   sram.POFProvider
+}
+
+// RunLedgersCtx is the engine's one Eq. 8 integration of ledgers its caller
+// owns, over one or more voltages at once, as a Vdd sweep runs them. It
+// restores every run's ledger from its checkpoint store, runs every bin a
+// ledger still lacks, and returns each run's FIT with the totals checked by
+// the guard. The runs' plans must agree in everything but Vdd and
+// checkpoint prefix, each plan's Vdd must be its run's Char's and its area
+// this engine's (a *PlanMismatchError otherwise). Only the cell POF
+// lookups depend on the voltage, so each strike is traced once and looked
+// up in the cell model of every run whose ledger lacks the bin. Every
+// run's FIT, convergence records, checkpoint record and BinDone events are
+// bit-identical to its own run alone; BinDone events interleave the runs in
+// run order. A failure that belongs to one run is a *VddError naming its
+// voltage. rx selects the strike kernel: nil for the plan species' direct
+// ionization (α, p), the reaction model for the neutron forced
+// interaction. The run reports under the "fit/<name>" span, one child span
+// per computed bin, and on Config.Progress; restored bins count as done.
+//
+// Cancellation: ctx is checked before every bin and every cancelCheckEvery
+// particles inside it; the error wraps ctx.Err() with the stage identity.
+// Each completed bin is in its ledger (and the ledger's store) before the
+// next starts, so a rerun over ledgers on the same store resumes
+// bit-identically; a record that fails the ledger's restore checks fails
+// the stage.
+func (e *Engine) RunLedgersCtx(ctx context.Context, runs []LedgerRun, rx *neutron.Reactions) ([]FITResult, error) {
 	k, err := e.ledgerKernel(ctx, runs, rx)
 	if err != nil {
 		return nil, err
 	}
-	p, stage := runs[0].ledger.Plan(), runs[0].ledger.stage
+	p, stage := runs[0].Ledger.Plan(), runs[0].Ledger.stage
 	fitSpan := e.cfg.Metrics.span(stage)
 	defer fitSpan.End()
 	tracker := obs.NewTracker(e.cfg.Progress, stage, int64(len(runs)*len(p.Bins)*p.ItersPerBin), 0)
 	defer tracker.Finish()
 	for _, r := range runs {
-		if err := r.ledger.Restore(); err != nil {
-			return nil, r.model.vddError(err)
+		if err := r.Ledger.Restore(); err != nil {
+			return nil, vddError(r.Char, err)
 		}
-		for _, pt := range r.ledger.FIT().Points {
+		for _, pt := range r.Ledger.FIT().Points {
 			tracker.Add(int64(pt.Strikes))
 		}
 	}
@@ -446,7 +471,7 @@ func (e *Engine) runLedgers(ctx context.Context, runs []binRun, rx *neutron.Reac
 
 	out := make([]FITResult, len(runs))
 	for i, r := range runs {
-		res := r.ledger.FIT()
+		res := r.Ledger.FIT()
 		if g := e.cfg.Guard; g.Enabled() {
 			for _, c := range []struct {
 				name string
@@ -456,7 +481,7 @@ func (e *Engine) runLedgers(ctx context.Context, runs []binRun, rx *neutron.Reac
 				{"MBUFIT", res.MBUFIT}, {"TotalFITErr", res.TotalFITErr},
 			} {
 				if err := g.NonNegativeFinite(stage, c.name, c.v); err != nil {
-					return nil, r.model.vddError(err)
+					return nil, vddError(r.Char, err)
 				}
 			}
 		}
@@ -465,66 +490,14 @@ func (e *Engine) runLedgers(ctx context.Context, runs []binRun, rx *neutron.Reac
 	return out, nil
 }
 
-// RunLedgerCtx is the engine's Eq. 8 integration of a ledger its caller
-// owns, in the engine's own cell model (Config.Char, with Config.CharOne
-// for the cells storing 1): it restores l from l's checkpoint store, runs
-// every bin l still lacks, and returns l's FIT with the totals checked by
-// the guard. rx selects the strike kernel: nil for the plan species'
-// direct ionization (α, p), the reaction model for the neutron forced
-// interaction. The run reports under the "fit/<name>" span, one child span
-// per computed bin, and on Config.Progress; restored bins count as done.
-// The plan must be this engine's (*PlanMismatchError otherwise).
-//
-// Cancellation: ctx is checked before every bin and every cancelCheckEvery
-// particles inside it; the error wraps ctx.Err() with the stage identity.
-// Each completed bin is in l (and l's store) before the next starts, so a
-// rerun over a ledger on the same store resumes bit-identically; a record
-// that fails the ledger's restore checks fails the stage.
-func (e *Engine) RunLedgerCtx(ctx context.Context, l *Ledger, rx *neutron.Reactions) (FITResult, error) {
-	res, err := e.runLedgers(ctx, []binRun{{model: e.own, ledger: l}}, rx)
-	if err != nil {
-		return FITResult{}, err
-	}
-	return res[0], nil
-}
-
-// LedgerRun is one voltage's share of a shared bin run (RunLedgersCtx): a
-// ledger, and the cell POF model characterized at its plan's Vdd.
-type LedgerRun struct {
-	Ledger *Ledger
-	Char   sram.POFProvider
-}
-
-// RunLedgersCtx is RunLedgerCtx over several voltages at once, as a Vdd
-// sweep runs them: the runs' plans must agree in everything but Vdd and
-// checkpoint prefix, and each run's Char must be characterized at its
-// plan's Vdd. Only the cell POF lookups depend on the voltage, so each
-// strike is traced once and looked up in the cell model of every run whose
-// ledger lacks the bin. Every run's FIT, convergence records, checkpoint
-// record and BinDone events are bit-identical to its own RunLedgerCtx run
-// on an engine built with its Char; BinDone events interleave the runs in
-// run order. A failure that belongs to one run is a *VddError naming its
-// voltage. Config.CharOne serves only the engine's own model, so an engine
-// that sets it refuses a shared run.
-func (e *Engine) RunLedgersCtx(ctx context.Context, runs []LedgerRun, rx *neutron.Reactions) ([]FITResult, error) {
-	if e.cfg.CharOne != nil {
-		return nil, errors.New("core: Config.CharOne serves only the engine's own cell model; run its ledger with RunLedgerCtx")
-	}
-	rs := make([]binRun, len(runs))
-	for i, r := range runs {
-		rs[i] = binRun{model: cellModel{zero: r.Char}, ledger: r.Ledger}
-	}
-	return e.runLedgers(ctx, rs, rx)
-}
-
-// RunShardCtx runs one shard of l's α/p plan: the bins in [from, to) that
-// l does not hold yet, with no restore, span or progress — the unit of
-// work a distributed worker computes for the coordinator that owns the
-// job's ledger. The bins are bit-identical to the ones RunLedgerCtx
-// computes for the same plan. The plan must be this engine's
+// RunShardCtx runs one shard of l's α/p plan in Config.Char: the bins in
+// [from, to) that l does not hold yet, with no restore, span or progress —
+// the unit of work a distributed worker computes for the coordinator that
+// owns the job's ledger. The bins are bit-identical to the ones
+// RunLedgersCtx computes for the same plan. The plan must be this engine's
 // (*PlanMismatchError otherwise).
 func (e *Engine) RunShardCtx(ctx context.Context, l *Ledger, from, to int) error {
-	runs := []binRun{{model: e.own, ledger: l}}
+	runs := []LedgerRun{{Ledger: l, Char: e.cfg.Char}}
 	k, err := e.ledgerKernel(ctx, runs, nil)
 	if err != nil {
 		return err
@@ -540,13 +513,17 @@ func (e *Engine) ownPlan(name string, sp phys.Species, bins []spectra.EnergyBin,
 		ItersPerBin: itersPerBin, RelErr: e.cfg.FITRelErr, AreaCm2: lx * ly}
 }
 
-// runOwnPlan is the store-less library form of RunLedgerCtx behind FITCtx
-// and NeutronFITCtx: a fresh ledger of the engine's own plan, with no
-// checkpoint store and no BinDone stream.
+// runOwnPlan is the store-less library form of RunLedgersCtx behind FITCtx
+// and NeutronFITCtx: one run of a fresh ledger of the engine's own plan in
+// Config.Char, with no checkpoint store and no BinDone stream.
 func (e *Engine) runOwnPlan(ctx context.Context, plan BinPlan, rx *neutron.Reactions) (FITResult, error) {
 	l, err := NewLedger(plan, nil, nil)
 	if err != nil {
 		return FITResult{}, err
 	}
-	return e.RunLedgerCtx(ctx, l, rx)
+	res, err := e.RunLedgersCtx(ctx, []LedgerRun{{Ledger: l, Char: e.cfg.Char}}, rx)
+	if err != nil {
+		return FITResult{}, err
+	}
+	return res[0], nil
 }

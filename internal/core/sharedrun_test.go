@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"finser/internal/finfet"
+	"finser/internal/neutron"
 	"finser/internal/obs"
-	"finser/internal/phys"
 	"finser/internal/spectra"
 	"finser/internal/sram"
 	"finser/internal/transport"
@@ -53,18 +53,24 @@ func sweepEngine(t *testing.T, ch sram.POFProvider, workers int, reg *obs.Regist
 	return e
 }
 
-// sweepPlan is one voltage's plan of a shared run: the species' bins, one
-// seed schedule for every voltage, and a per-voltage checkpoint prefix.
-func sweepPlan(t *testing.T, sp phys.Species, vdd, relErr float64) BinPlan {
+// sweepPlan is one voltage's plan of a shared run of the named stage
+// (alpha, proton or neutron): its spectrum's bins, one seed schedule for
+// every voltage, and a per-voltage checkpoint prefix.
+func sweepPlan(t *testing.T, name string, vdd, relErr float64) BinPlan {
 	t.Helper()
 	var spec spectra.Spectrum
 	var err error
-	lo, hi := 0.5, 10.0
-	if sp == phys.Alpha {
+	var lo, hi float64
+	switch name {
+	case "alpha":
 		spec, err = spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
-	} else {
+		lo, hi = 0.5, 10
+	case "proton":
 		spec, err = spectra.NewProtonSeaLevel(1)
 		lo, hi = 0.1, 100
+	default:
+		spec, err = neutron.NewSeaLevel(1)
+		lo, hi = 2, 1000
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +83,7 @@ func sweepPlan(t *testing.T, sp phys.Species, vdd, relErr float64) BinPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BinPlan{Name: sp.String(), Species: sp, Vdd: vdd, Bins: bins, Seeds: FITSeedSchedule(11, len(bins)),
+	return BinPlan{Name: name, Species: spec.Species(), Vdd: vdd, Bins: bins, Seeds: FITSeedSchedule(11, len(bins)),
 		ItersPerBin: 2000, RelErr: relErr, AreaCm2: area, CheckpointPrefix: fmt.Sprintf("vdd%g/", vdd)}
 }
 
@@ -91,52 +97,67 @@ func recordingLedger(t *testing.T, plan BinPlan, store CheckpointStore, events *
 	return l
 }
 
+// soloRun runs l alone in the engine's own cell model (Config.Char).
+func soloRun(ctx context.Context, e *Engine, l *Ledger, rx *neutron.Reactions) (FITResult, error) {
+	res, err := e.RunLedgersCtx(ctx, []LedgerRun{{Ledger: l, Char: e.cfg.Char}}, rx)
+	if err != nil {
+		return FITResult{}, err
+	}
+	return res[0], nil
+}
+
 // TestRunLedgersMatchesSoloRuns is the shared runner's contract: one
 // RunLedgersCtx over the 0.7, 0.9 and 1.1 V models gives every model the
 // FIT (points and convergence records), BinDone events and checkpoint
-// record of its own RunLedgerCtx run, for α and p, flat and adaptive,
-// under any worker count, while tracing each bin's strikes once: the
-// particle count is the sum over bins of the largest per-model count. The
-// adaptive cases also list the models from 1.1 V down, so that a model
-// stops a bin while a later-listed one samples on. One case starts from a
-// store that holds some bins of the 0.9 V model only.
+// record of its own solo run, for α, p and the neutron kernel, flat and
+// adaptive, under any worker count, while tracing each bin's strikes once:
+// the particle count is the sum over bins of the largest per-model count.
+// The adaptive α/p cases also list the models from 1.1 V down, so that a
+// model stops a bin while a later-listed one samples on. Three cases start
+// from a store that holds some bins of the 0.9 V model only.
 func TestRunLedgersMatchesSoloRuns(t *testing.T) {
 	ascending := sweepFixtures(t)
 	descending := []*sram.Characterization{ascending[2], ascending[1], ascending[0]}
 	ctx := context.Background()
 	type tc struct {
-		sp      phys.Species
+		name    string // alpha, proton or neutron
 		relErr  float64
 		workers int
 		desc    bool // list the models from 1.1 V down
 		partial bool // the store starts with bins 0 and 2 of the 0.9 V model
 	}
 	var cases []tc
-	for _, sp := range []phys.Species{phys.Alpha, phys.Proton} {
+	for _, name := range []string{"alpha", "proton", "neutron"} {
 		for _, relErr := range []float64{0, 0.05} {
 			for _, workers := range []int{1, 8} {
-				cases = append(cases, tc{sp, relErr, workers, false, false})
+				cases = append(cases, tc{name, relErr, workers, false, false})
 			}
 		}
-		cases = append(cases, tc{sp, 0.05, 2, true, false})
+		if name != "neutron" {
+			cases = append(cases, tc{name, 0.05, 2, true, false})
+		}
 	}
-	cases = append(cases, tc{phys.Alpha, 0.05, 2, false, true}, tc{phys.Proton, 0, 2, false, true})
+	cases = append(cases, tc{"alpha", 0.05, 2, false, true}, tc{"proton", 0, 2, false, true}, tc{"neutron", 0.05, 2, false, true})
 	for _, c := range cases {
 		chars := ascending
 		if c.desc {
 			chars = descending
 		}
-		t.Run(fmt.Sprintf("%v/relerr%g/workers%d/desc=%v/partial=%v", c.sp, c.relErr, c.workers, c.desc, c.partial), func(t *testing.T) {
+		var rx *neutron.Reactions
+		if c.name == "neutron" {
+			rx = neutron.NewReactions()
+		}
+		t.Run(fmt.Sprintf("%s/relerr%g/workers%d/desc=%v/partial=%v", c.name, c.relErr, c.workers, c.desc, c.partial), func(t *testing.T) {
 			// seed returns a store holding the partial case's head start.
 			seed := func() *memStore {
 				store := newMemStore()
 				if !c.partial {
 					return store
 				}
-				plan := sweepPlan(t, c.sp, 0.9, c.relErr)
+				plan := sweepPlan(t, c.name, 0.9, c.relErr)
 				full := newMemStore()
 				var ignored []BinEvent
-				if _, err := sweepEngine(t, ascending[1], c.workers, nil).RunLedgerCtx(ctx, recordingLedger(t, plan, full, &ignored), nil); err != nil {
+				if _, err := soloRun(ctx, sweepEngine(t, ascending[1], c.workers, nil), recordingLedger(t, plan, full, &ignored), rx); err != nil {
 					t.Fatal(err)
 				}
 				stage := plan.CheckpointPrefix + "fit/" + plan.Name
@@ -158,8 +179,8 @@ func TestRunLedgersMatchesSoloRuns(t *testing.T) {
 			soloEvents := make([][]BinEvent, len(chars))
 			soloStore := seed()
 			for i, ch := range chars {
-				l := recordingLedger(t, sweepPlan(t, c.sp, ch.Vdd, c.relErr), soloStore, &soloEvents[i])
-				res, err := sweepEngine(t, ch, c.workers, nil).RunLedgerCtx(ctx, l, nil)
+				l := recordingLedger(t, sweepPlan(t, c.name, ch.Vdd, c.relErr), soloStore, &soloEvents[i])
+				res, err := soloRun(ctx, sweepEngine(t, ch, c.workers, nil), l, rx)
 				if err != nil {
 					t.Fatalf("solo %g V: %v", ch.Vdd, err)
 				}
@@ -171,9 +192,9 @@ func TestRunLedgersMatchesSoloRuns(t *testing.T) {
 			sharedEvents := make([][]BinEvent, len(chars))
 			runs := make([]LedgerRun, len(chars))
 			for i, ch := range chars {
-				runs[i] = LedgerRun{Ledger: recordingLedger(t, sweepPlan(t, c.sp, ch.Vdd, c.relErr), sharedStore, &sharedEvents[i]), Char: ch}
+				runs[i] = LedgerRun{Ledger: recordingLedger(t, sweepPlan(t, c.name, ch.Vdd, c.relErr), sharedStore, &sharedEvents[i]), Char: ch}
 			}
-			shared, err := sweepEngine(t, chars[0], c.workers, reg).RunLedgersCtx(ctx, runs, nil)
+			shared, err := sweepEngine(t, chars[0], c.workers, reg).RunLedgersCtx(ctx, runs, rx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +251,7 @@ func stopsBeforeLater(res []FITResult) bool {
 // TestRunLedgersRefusesMismatchedRuns: a shared run refuses, before it
 // restores or runs a bin, runs whose plans differ in anything but Vdd, a
 // cell model characterized at another voltage than its plan (a *VddError
-// naming it over a *PlanMismatchError), and an engine that sets CharOne.
+// naming it over a *PlanMismatchError), and an empty run list.
 func TestRunLedgersRefusesMismatchedRuns(t *testing.T) {
 	chars := sweepFixtures(t)
 	ctx := context.Background()
@@ -242,7 +263,7 @@ func TestRunLedgersRefusesMismatchedRuns(t *testing.T) {
 		}
 		return l
 	}
-	p07, p09 := sweepPlan(t, phys.Alpha, 0.7, 0), sweepPlan(t, phys.Alpha, 0.9, 0)
+	p07, p09 := sweepPlan(t, "alpha", 0.7, 0), sweepPlan(t, "alpha", 0.9, 0)
 
 	other := p09
 	other.Seeds = FITSeedSchedule(12, len(p09.Bins))
@@ -257,16 +278,6 @@ func TestRunLedgersRefusesMismatchedRuns(t *testing.T) {
 		t.Errorf("0.9 V plan on the 1.1 V model: err = %v, want a *VddError at 1.1 V over a Vdd *PlanMismatchError", err)
 	}
 
-	aged, err := New(Config{
-		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: chars[0], CharOne: chars[0], Transport: transport.DefaultConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := aged.RunLedgersCtx(ctx, []LedgerRun{{ledger(p07), chars[0]}}, nil); err == nil {
-		t.Error("an engine with CharOne ran a shared bin run")
-	}
 	if _, err := e.RunLedgersCtx(ctx, nil, nil); err == nil {
 		t.Error("an empty shared bin run succeeded")
 	}

@@ -97,9 +97,6 @@ type Config struct {
 	// Workers are the base URLs of the worker serds (e.g.
 	// "http://10.0.0.2:8080"). At least one is required.
 	Workers []string
-	// Client issues the shard requests; nil selects a default client.
-	// Per-attempt deadlines come from ShardTimeout, not the client.
-	Client *http.Client
 	// ShardBins is the number of energy bins per shard; 0 selects 2.
 	ShardBins int
 	// ShardTimeout bounds one shard attempt end to end; 0 selects 10m.
@@ -121,8 +118,6 @@ type Config struct {
 	// Metrics, when non-nil, receives shard counters, per-worker latency
 	// histograms, and the healthy-worker gauge.
 	Metrics *obs.Registry
-	// Rand supplies backoff jitter in [0,1); nil selects math/rand.
-	Rand func() float64
 	// now is the test clock hook.
 	now func() time.Time
 }
@@ -144,7 +139,6 @@ type worker struct {
 // and a deterministic merge that is bit-identical to the single-node run.
 type Coordinator struct {
 	cfg     Config
-	client  *http.Client
 	workers []*worker
 
 	healthy    *obs.Gauge
@@ -201,17 +195,10 @@ func New(cfg Config) (*Coordinator, error) {
 			return !errors.Is(err, context.Canceled)
 		}
 	}
-	if cfg.Rand == nil {
-		cfg.Rand = rand.Float64
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	c := &Coordinator{cfg: cfg, client: client}
+	c := &Coordinator{cfg: cfg}
 	if cfg.Metrics != nil {
 		c.healthy = cfg.Metrics.Gauge("dist/workers/healthy")
 		c.dispatched = cfg.Metrics.Counter("dist/shards/dispatched")
@@ -489,7 +476,7 @@ func (d *dispatcher) accept(s *shardState, wi int) (first bool) {
 // plan restores each species' bin ledger and splits the job into shards:
 // per species, alpha first, ShardBins-sized blocks of bins, each cut into
 // maximal runs of restored bins (EventResumed) and of missing bins.
-func (c *Coordinator) plan(spec JobSpec, flow finser.FlowConfig, emit func(ShardEvent)) ([]*core.Ledger, []*shardState, error) {
+func (c *Coordinator) plan(flow finser.FlowConfig, emit func(ShardEvent)) ([]*core.Ledger, []*shardState, error) {
 	var ledgers []*core.Ledger
 	var shards []*shardState
 	for _, name := range []string{SpeciesAlpha, SpeciesProton} {
@@ -518,11 +505,11 @@ func (c *Coordinator) plan(spec JobSpec, flow finser.FlowConfig, emit func(Shard
 					continue
 				}
 				seeds := sched[from:to:to]
-				fp, err := ShardFingerprint(spec, s.id, seeds)
+				fp, err := ShardFingerprint(flow, s.id, seeds)
 				if err != nil {
 					return nil, nil, fmt.Errorf("dist: fingerprint %v: %w", s.id, err)
 				}
-				s.req = &ShardRequest{Job: spec, Shard: s.id, Seeds: seeds, Fingerprint: fp}
+				s.req = &ShardRequest{Job: flow, Shard: s.id, Seeds: seeds, Fingerprint: fp}
 			}
 		}
 	}
@@ -550,11 +537,11 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 	if _, err := flow.Validate(); err != nil {
 		return nil, err
 	}
-	spec, err := SpecFromFlow(flow)
-	if err != nil {
-		return nil, err
+	// The card is off the wire: workers run every shard on the default one.
+	if flow.Tech.Name != "" && flow.Tech.Name != finser.Default14nmSOI().Name {
+		return nil, &WireError{Field: "tech", Reason: fmt.Sprintf("custom technology %q cannot be distributed", flow.Tech.Name)}
 	}
-	ledgers, shards, err := c.plan(spec, flow, emit)
+	ledgers, shards, err := c.plan(flow, emit)
 	if err != nil {
 		return nil, err
 	}
@@ -702,7 +689,7 @@ var errPoolOpen = errors.New("dist: every worker breaker is open")
 // judge records a failed attempt and emits the retried-or-failed verdict.
 func (c *Coordinator) judge(d *dispatcher, s *shardState, wi int, w *worker, attempt int, err error, emit func(ShardEvent)) {
 	backoffFor := func(failures int) time.Duration {
-		return c.cfg.Retry.Backoff(failures, c.cfg.Rand())
+		return c.cfg.Retry.Backoff(failures, rand.Float64())
 	}
 	if d.fail(s, wi, err, c.cfg.ShardAttempts, backoffFor) {
 		if c.failed != nil {
@@ -754,7 +741,7 @@ func (c *Coordinator) attempt(ctx context.Context, w *worker, s *shardState) ([]
 			return retry.Permanent(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.client.Do(req)
+		resp, err := http.DefaultClient.Do(req) // ShardTimeout bounds the attempt
 		if err != nil {
 			return fmt.Errorf("dist: %v on %s: %w", s.id, w.name, err)
 		}

@@ -88,21 +88,17 @@ func FuzzShardRequestDecode(f *testing.F) {
 func fuzzSeedResult(f *testing.F) ([]byte, *dist.ShardRequest) {
 	f.Helper()
 	flow := tinyFlow()
-	spec, err := dist.SpecFromFlow(flow)
-	if err != nil {
-		f.Fatal(err)
-	}
 	alpha, err := finser.SpeciesLedger(flow, finser.Alpha)
 	if err != nil {
 		f.Fatal(err)
 	}
 	sched := alpha.Plan().Seeds
 	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 2}
-	fp, err := dist.ShardFingerprint(spec, id, sched[0:2])
+	fp, err := dist.ShardFingerprint(flow, id, sched[0:2])
 	if err != nil {
 		f.Fatal(err)
 	}
-	req := &dist.ShardRequest{Job: spec, Shard: id, Seeds: sched[0:2], Fingerprint: fp}
+	req := &dist.ShardRequest{Job: flow, Shard: id, Seeds: sched[0:2], Fingerprint: fp}
 	res := dist.ShardResult{
 		Fingerprint: fp,
 		Shard:       id,

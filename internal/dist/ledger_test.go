@@ -337,12 +337,8 @@ func TestLegacyCheckpointRecords(t *testing.T) {
 		Fingerprint string            `json:"fingerprint"`
 		Points      []finser.POFPoint `json:"points"`
 	}
-	spec, err := dist.SpecFromFlow(flow)
-	if err != nil {
-		t.Fatal(err)
-	}
 	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 2}
-	fp, err := dist.ShardFingerprint(spec, id, seeds[0:2])
+	fp, err := dist.ShardFingerprint(flow, id, seeds[0:2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,86 +47,6 @@ func (e *WireError) Error() string {
 	return fmt.Sprintf("dist: wire field %s %s", e.Field, e.Reason)
 }
 
-// JobSpec is the result-determining job configuration on the shard wire:
-// the scalar subset of finser.FlowConfig a coordinator serializes to its
-// workers. Field meanings and JSON spellings match the serd job request;
-// zero values select the same finser defaults. Parallelism is not on the
-// wire: no result depends on it, so each worker serd runs a shard on its
-// own cores.
-type JobSpec struct {
-	Vdd              float64 `json:"vdd"`
-	Rows             int     `json:"rows,omitempty"`
-	Cols             int     `json:"cols,omitempty"`
-	ProcessVariation bool    `json:"process_variation,omitempty"`
-	Samples          int     `json:"samples,omitempty"`
-	ItersPerBin      int     `json:"iters_per_bin,omitempty"`
-	// FITRelErr selects the adaptive FIT mode; omitempty keeps flat-budget
-	// requests decodable by workers predating the field, while an adaptive
-	// request sent to such a worker fails its strict decode with a typed
-	// *WireError instead of silently running the flat budget.
-	FITRelErr   float64 `json:"fit_rel_err,omitempty"`
-	AlphaRate   float64 `json:"alpha_rate,omitempty"`
-	ProtonScale float64 `json:"proton_scale,omitempty"`
-	AlphaBins   int     `json:"alpha_bins,omitempty"`
-	ProtonBins  int     `json:"proton_bins,omitempty"`
-	Pattern     string  `json:"pattern,omitempty"`
-	Seed        uint64  `json:"seed,omitempty"`
-}
-
-// SpecFromFlow projects a validated finser.FlowConfig onto the wire spec.
-// Only configurations expressible in the job API distribute: a custom
-// technology card has no wire spelling and is rejected.
-func SpecFromFlow(cfg finser.FlowConfig) (JobSpec, error) {
-	if cfg.Tech.Name != "" && cfg.Tech.Name != finser.Default14nmSOI().Name {
-		return JobSpec{}, &WireError{Field: "tech", Reason: fmt.Sprintf("custom technology %q cannot be distributed", cfg.Tech.Name)}
-	}
-	if !cfg.Pattern.Valid() {
-		return JobSpec{}, &WireError{Field: "pattern", Reason: fmt.Sprintf("unknown (%d)", cfg.Pattern)}
-	}
-	pat := "" // zeros is the wire default
-	if cfg.Pattern != finser.PatternZeros {
-		pat = cfg.Pattern.String()
-	}
-	return JobSpec{
-		Vdd:              cfg.Vdd,
-		Rows:             cfg.Rows,
-		Cols:             cfg.Cols,
-		ProcessVariation: cfg.ProcessVariation,
-		Samples:          cfg.Samples,
-		ItersPerBin:      cfg.ItersPerBin,
-		FITRelErr:        cfg.FITRelErr,
-		AlphaRate:        cfg.AlphaRate,
-		ProtonScale:      cfg.ProtonScale,
-		AlphaBins:        cfg.AlphaBins,
-		ProtonBins:       cfg.ProtonBins,
-		Pattern:          pat,
-		Seed:             cfg.Seed,
-	}, nil
-}
-
-// FlowConfig maps the wire spec back onto a finser.FlowConfig.
-func (s JobSpec) FlowConfig() (finser.FlowConfig, error) {
-	pat, ok := finser.ParseDataPattern(s.Pattern)
-	if !ok {
-		return finser.FlowConfig{}, &WireError{Field: "pattern", Reason: fmt.Sprintf("unknown %q", s.Pattern)}
-	}
-	return finser.FlowConfig{
-		Vdd:              s.Vdd,
-		Rows:             s.Rows,
-		Cols:             s.Cols,
-		ProcessVariation: s.ProcessVariation,
-		Samples:          s.Samples,
-		ItersPerBin:      s.ItersPerBin,
-		FITRelErr:        s.FITRelErr,
-		AlphaRate:        s.AlphaRate,
-		ProtonScale:      s.ProtonScale,
-		AlphaBins:        s.AlphaBins,
-		ProtonBins:       s.ProtonBins,
-		Pattern:          pat,
-		Seed:             s.Seed,
-	}, nil
-}
-
 // Species resolves the wire spelling; ok is false for anything else.
 func Species(name string) (finser.Species, bool) {
 	switch name {
@@ -167,8 +87,14 @@ func (id ShardID) valid() error {
 // ShardRequest is the coordinator → worker message: compute the POF points
 // of one shard of the job's FIT integration.
 type ShardRequest struct {
-	Job   JobSpec `json:"job"`
-	Shard ShardID `json:"shard"`
+	// Job is the job's result-determining configuration, in the JSON
+	// spelling of the serd job request. The technology card and the worker
+	// count are not on the wire: a coordinator distributes only jobs on the
+	// default card, and no result depends on the worker count, so each
+	// worker serd runs a shard on its own cores. DecodeShardRequest returns
+	// it validated, defaults resolved.
+	Job   finser.FlowConfig `json:"job"`
+	Shard ShardID           `json:"shard"`
 	// Seeds is the pre-drawn seed-schedule slice for the shard's bins —
 	// derivable from (Job.Seed, Shard) on either side, carried explicitly so
 	// the worker verifies both ends agree on the schedule before burning
@@ -203,17 +129,17 @@ type ShardResult struct {
 }
 
 // ShardFingerprint digests the shard's result-determining identity: the
-// job spec, the shard coordinates, the seed slice, and the strike physics
-// revision (core.PhysicsRevision). Two shards with the same fingerprint
-// are interchangeable, which is what makes duplicate dispatch (work
-// stealing) safe to dedup.
-func ShardFingerprint(spec JobSpec, id ShardID, seeds []uint64) (string, error) {
+// job's wire form, the shard coordinates, the seed slice, and the strike
+// physics revision (core.PhysicsRevision). Two shards with the same
+// fingerprint are interchangeable, which is what makes duplicate dispatch
+// (work stealing) safe to dedup.
+func ShardFingerprint(job finser.FlowConfig, id ShardID, seeds []uint64) (string, error) {
 	return checkpoint.Fingerprint(struct {
-		Job     JobSpec  `json:"job"`
-		Shard   ShardID  `json:"shard"`
-		Seeds   []uint64 `json:"seeds"`
-		Physics int      `json:"physics"`
-	}{spec, id, seeds, core.PhysicsRevision})
+		Job     finser.FlowConfig `json:"job"`
+		Shard   ShardID           `json:"shard"`
+		Seeds   []uint64          `json:"seeds"`
+		Physics int               `json:"physics"`
+	}{job, id, seeds, core.PhysicsRevision})
 }
 
 // maxShardBins bounds how many bins one shard request may name — far above
@@ -222,13 +148,16 @@ func ShardFingerprint(spec JobSpec, id ShardID, seeds []uint64) (string, error) 
 const maxShardBins = 4096
 
 // DecodeShardRequest parses and validates a coordinator's shard request at
-// the worker's trust boundary. Every failure is a typed *WireError; the
-// seed schedule is re-derived from the job seed and must match the carried
-// slice, the fingerprint is recomputed and must match the carried one, and
-// the characterization must be valid and built for the job's Vdd,
-// variation mode and sample count, so a coordinator/worker version skew (a
-// different random stream or physics revision, or a coordinator that ships
-// no characterization) fails loudly instead of merging.
+// the worker's trust boundary, returning it with Job validated and its
+// defaults resolved. Every failure is a typed *WireError; the job must
+// decode strictly (a field off the wire, or a pattern spelled as a name,
+// fails), the seed schedule is re-derived from the job seed and must match
+// the carried slice, the fingerprint is recomputed and must match the
+// carried one, and the characterization must be valid and built for the
+// job's Vdd, variation mode and sample count, so a coordinator/worker
+// version skew (a different random stream or physics revision, or a
+// coordinator that ships no characterization) fails loudly instead of
+// merging.
 func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	// The characterization decodes on its own, so that any fault in it is
 	// reported as field "char" rather than as an undecodable body.
@@ -251,11 +180,8 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	if len(req.Seeds) != req.Shard.End-req.Shard.Start {
 		return nil, &WireError{Field: "seeds", Reason: fmt.Sprintf("%d seeds for a %d-bin shard", len(req.Seeds), req.Shard.End-req.Shard.Start)}
 	}
-	cfg, err := req.Job.FlowConfig()
+	cfg, err := req.Job.Validate()
 	if err != nil {
-		return nil, err
-	}
-	if cfg, err = cfg.Validate(); err != nil {
 		return nil, &WireError{Field: "job", Reason: err.Error()}
 	}
 	sp, _ := Species(req.Shard.Species)
@@ -280,6 +206,7 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	if req.Char, err = decodeChar(wire.Char, cfg); err != nil {
 		return nil, err
 	}
+	req.Job = cfg
 	return &req, nil
 }
 

@@ -42,38 +42,73 @@ func shippedChar(tb testing.TB, flow finser.FlowConfig) *finser.Characterization
 // of tinyFlow, carrying its characterization.
 func tinyShardRequest(t *testing.T) *dist.ShardRequest {
 	t.Helper()
-	flow := tinyFlow()
-	spec, err := dist.SpecFromFlow(flow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return shardRequest(t, tinyFlow(), true)
+}
+
+// shardRequest builds a valid wire request for the first alpha shard of
+// flow, carrying its characterization when withChar is set.
+func shardRequest(t *testing.T, flow finser.FlowConfig, withChar bool) *dist.ShardRequest {
+	t.Helper()
 	alpha, err := finser.SpeciesLedger(flow, finser.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := alpha.Plan().Seeds
 	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 2}
-	fp, err := dist.ShardFingerprint(spec, id, sched[0:2])
+	fp, err := dist.ShardFingerprint(flow, id, sched[0:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &dist.ShardRequest{Job: spec, Shard: id, Seeds: sched[0:2], Fingerprint: fp, Char: shippedChar(t, flow)}
+	req := &dist.ShardRequest{Job: flow, Shard: id, Seeds: sched[0:2], Fingerprint: fp}
+	if withChar {
+		req.Char = shippedChar(t, flow)
+	}
+	return req
 }
 
-func TestSpecFlowRoundTrip(t *testing.T) {
-	flow := tinyFlow()
-	flow.Pattern = finser.PatternCheckerboard
-	spec, err := dist.SpecFromFlow(flow)
+// TestShardWireKeepsFlowFingerprint: a job with every result-determining
+// field set away from its default crosses the shard wire whole — the
+// worker's decoded config has the coordinator's flow fingerprint — while
+// the card and the worker count stay off the wire.
+func TestShardWireKeepsFlowFingerprint(t *testing.T) {
+	flow := finser.FlowConfig{
+		Vdd:              0.9,
+		Rows:             5,
+		Cols:             6,
+		ProcessVariation: true,
+		Samples:          7,
+		ItersPerBin:      300,
+		FITRelErr:        0.1,
+		AlphaRate:        0.002,
+		ProtonScale:      3,
+		AlphaBins:        4,
+		ProtonBins:       5,
+		Pattern:          finser.PatternCheckerboard,
+		Seed:             99,
+		Workers:          3,
+	}
+	data, err := json.Marshal(shardRequest(t, flow, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := spec.FlowConfig()
+	var wire struct{ Job map[string]any }
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire.Job) != 13 {
+		t.Errorf("the wire job has %d fields, want the 13 result-determining ones: %v", len(wire.Job), wire.Job)
+	}
+	got, err := dist.DecodeShardRequest(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Vdd != flow.Vdd || back.Seed != flow.Seed ||
-		back.Pattern != flow.Pattern || back.AlphaBins != flow.AlphaBins {
-		t.Fatalf("round trip mutated the config: %+v vs %+v", back, flow)
+	vdds := []float64{flow.Vdd}
+	want, err := finser.FlowFingerprint(flow, vdds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, err := finser.FlowFingerprint(got.Job, vdds); err != nil || fp != want {
+		t.Errorf("decoded job fingerprint %s (err %v), want %s:\n sent    %+v\n decoded %+v", fp, err, want, flow, got.Job)
 	}
 }
 
@@ -103,6 +138,7 @@ func TestDecodeShardRequestRejects(t *testing.T) {
 		return b
 	}
 	parentWire := strings.Replace(string(mutate(func(*dist.ShardRequest) {})), `"job":{`, `"job":{"workers":2,`, 1)
+	namedPattern := strings.Replace(string(mutate(func(*dist.ShardRequest) {})), `"job":{`, `"job":{"pattern":"checkerboard",`, 1)
 	// withChar swaps in a characterization changed by f.
 	withChar := func(f func(*finser.Characterization)) []byte {
 		return mutate(func(r *dist.ShardRequest) {
@@ -128,6 +164,9 @@ func TestDecodeShardRequestRejects(t *testing.T) {
 		// A coordinator that still puts the worker count on the wire draws
 		// another random stream.
 		"workers on the wire": []byte(parentWire),
+		// A coordinator that spells the pattern as a name predates the
+		// FlowConfig wire.
+		"named pattern": []byte(namedPattern),
 	}
 	for name, data := range cases {
 		if _, err := dist.DecodeShardRequest(data); err == nil {
@@ -244,21 +283,7 @@ func adaptiveShardRequest(t *testing.T) *dist.ShardRequest {
 	t.Helper()
 	flow := tinyFlow()
 	flow.FITRelErr = 0.05
-	spec, err := dist.SpecFromFlow(flow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha, err := finser.SpeciesLedger(flow, finser.Alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := alpha.Plan().Seeds
-	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 2}
-	fp, err := dist.ShardFingerprint(spec, id, sched[0:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &dist.ShardRequest{Job: spec, Shard: id, Seeds: sched[0:2], Fingerprint: fp}
+	return shardRequest(t, flow, false)
 }
 
 // TestDecodeShardResultConvSkew pins the version-skew contract for the

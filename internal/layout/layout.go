@@ -151,11 +151,17 @@ func NewArray(lay CellLayout, rows, cols int) (*Array, error) {
 			}
 		}
 	}
-	a.bounds = geom.Box(
+	a.bounds = bounds(lay, rows, cols)
+	return a, nil
+}
+
+// bounds is the bounding volume (cells × fin height) of a rows×cols tiling
+// of lay.
+func bounds(lay CellLayout, rows, cols int) geom.AABB {
+	return geom.Box(
 		geom.V(0, 0, 0),
 		geom.V(float64(cols)*lay.WidthNm, float64(rows)*lay.HeightNm, lay.FinHeightNm),
 	)
-	return a, nil
 }
 
 // Fins returns the flattened fin list; index i here matches the fin index
@@ -183,7 +189,20 @@ func (a *Array) NumCells() int { return a.Rows * a.Cols }
 
 // DimsCm returns the array's Lx and Ly in centimetres — the paper's
 // Eq. 7/8 area terms.
-func (a *Array) DimsCm() (lx, ly float64) {
-	s := a.bounds.Size()
+func (a *Array) DimsCm() (lx, ly float64) { return dimsCm(a.bounds) }
+
+// dimsCm converts an array's bounds to its Lx and Ly in centimetres.
+func dimsCm(b geom.AABB) (lx, ly float64) {
+	s := b.Size()
 	return s.X * 1e-7, s.Y * 1e-7
+}
+
+// AreaCm2 returns the die area in cm², Lx·Ly, of a rows×cols tiling of
+// lay — the tiled Array's to the bit — without tiling it.
+func AreaCm2(lay CellLayout, rows, cols int) (float64, error) {
+	if rows <= 0 || cols <= 0 {
+		return 0, fmt.Errorf("layout: need positive array dims, got %d×%d", rows, cols)
+	}
+	lx, ly := dimsCm(bounds(lay, rows, cols))
+	return lx * ly, nil
 }

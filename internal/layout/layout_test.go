@@ -166,6 +166,24 @@ func TestDimsCm(t *testing.T) {
 	}
 }
 
+// TestAreaCm2MatchesTiledArray: the area planned without tiling is the
+// tiled array's Lx·Ly to the bit, and it refuses the dims NewArray does.
+func TestAreaCm2MatchesTiledArray(t *testing.T) {
+	for _, d := range [][2]int{{9, 9}, {1, 1}, {4, 7}, {32, 3}} {
+		a, err := NewArray(lay(), d[0], d[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lx, ly := a.DimsCm()
+		if got, err := AreaCm2(lay(), d[0], d[1]); err != nil || got != lx*ly {
+			t.Errorf("%d×%d: AreaCm2 = %v (err %v), tiled array %v", d[0], d[1], got, err, lx*ly)
+		}
+	}
+	if _, err := AreaCm2(lay(), 0, 5); err == nil {
+		t.Error("zero rows accepted")
+	}
+}
+
 func TestGrazingTrackCrossesManyCells(t *testing.T) {
 	// The MBU mechanism: a shallow track along the array must intersect
 	// sensitive volumes in more than one cell.

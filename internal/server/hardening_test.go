@@ -57,29 +57,25 @@ func TestShardRequestBoundary(t *testing.T) {
 	defer ts.Close()
 
 	const samples = 100_000
-	spec := dist.JobSpec{Vdd: 0.7, ProcessVariation: true, Samples: samples, ItersPerBin: 20, AlphaBins: 2, ProtonBins: 2, Seed: 3}
-	flow, err := spec.FlowConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
+	flow := finser.FlowConfig{Vdd: 0.7, ProcessVariation: true, Samples: samples, ItersPerBin: 20, AlphaBins: 2, ProtonBins: 2, Seed: 3}
 	alpha, err := finser.SpeciesLedger(flow, finser.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := alpha.Plan().Seeds
 	id := dist.ShardID{Species: dist.SpeciesAlpha, Start: 0, End: 1}
-	fp, err := dist.ShardFingerprint(spec, id, sched[:1])
+	fp, err := dist.ShardFingerprint(flow, id, sched[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	char := &finser.Characterization{Vdd: spec.Vdd, Samples: samples, PV: true}
+	char := &finser.Characterization{Vdd: flow.Vdd, Samples: samples, PV: true}
 	for a := range char.Axis {
 		char.Axis[a] = make([]float64, samples)
 		for i := range char.Axis[a] {
 			char.Axis[a][i] = 1e-16 * (1 + float64(i)/(3*samples))
 		}
 	}
-	req := dist.ShardRequest{Job: spec, Shard: id, Seeds: sched[:1], Fingerprint: fp}
+	req := dist.ShardRequest{Job: flow, Shard: id, Seeds: sched[:1], Fingerprint: fp}
 	noChar, err := json.Marshal(&req)
 	if err != nil {
 		t.Fatal(err)

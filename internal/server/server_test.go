@@ -281,6 +281,8 @@ func TestValidationErrorsMapTo400(t *testing.T) {
 		{"fit_rel_err negative", `{"vdd": 0.7, "fit_rel_err": -0.05}`, "FITRelErr"},
 		{"alpha_rate negative", `{"vdd": 0.8, "alpha_rate": -1}`, "AlphaRate"},
 		{"proton_scale negative", `{"vdd": 0.8, "proton_scale": -2}`, "ProtonScale"},
+		{"vdd far above nominal", `{"vdd": 1e308}`, "Vdd"},
+		{"proton_scale overflows FIT", `{"vdd": 0.8, "proton_scale": 1e308}`, "ProtonScale"},
 		{"unknown field", `{"vdd": 0.7, "voltage": 1}`, "voltage"},
 		{"syntax", `{"vdd": `, "body"},
 	}

@@ -15,7 +15,7 @@ import (
 // characterization dominates it: 3 axes × samples × at most 24 bytes per
 // critical charge (17 significant digits, point, exponent, comma),
 // about 72 B per sample. 8 MiB carries 116,000 samples, over 100× the
-// paper's 1,000; the job spec, seeds and fingerprint add well under 1 KB.
+// paper's 1,000; the job, seeds and fingerprint add well under 1 KB.
 const maxShardRequestBytes = 8 << 20
 
 // handleShard is the worker half of the distributed protocol: compute the
@@ -59,11 +59,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("serd/shards/running").Set(float64(len(s.shardSem)))
 	defer func() { s.reg.Gauge("serd/shards/running").Set(float64(len(s.shardSem) - 1)) }()
 
-	cfg, err := req.Job.FlowConfig()
-	if err != nil { // unreachable after Decode, but keep the 400 contract
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
+	cfg := req.Job
 	cfg.Obs = s.reg
 	cfg.Faults = s.cfg.Faults
 	cfg.Guard = s.cfg.Guard

@@ -106,7 +106,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func writeSSE(w io.Writer, e events.Event) {
 	data, err := json.Marshal(e)
 	if err != nil {
-		return // a flat struct of scalars cannot fail to marshal
+		return // an Inf or NaN float field fails to marshal; drop the event
 	}
 	if e.Seq > 0 {
 		fmt.Fprintf(w, "id: %d\n", e.Seq)

@@ -36,9 +36,6 @@ type CharConfig struct {
 	Seed uint64
 	// Workers bounds characterization parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// ChargeLo/ChargeHi bracket the critical-charge bisection, in coulombs.
-	// Zero selects [1e-18, 5e-14].
-	ChargeLo, ChargeHi float64
 	// BaseShifts are deterministic per-transistor Vth shifts applied under
 	// the random variation — e.g. BTI aging stress (AgedShifts) or a
 	// deliberately skewed corner. Zero value means the nominal cell.
@@ -71,14 +68,15 @@ func (c CharConfig) withDefaults() CharConfig {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.ChargeLo <= 0 {
-		c.ChargeLo = 1e-18
-	}
-	if c.ChargeHi <= c.ChargeLo {
-		c.ChargeHi = 5e-14
-	}
 	return c
 }
+
+// chargeLo and chargeHi bracket every characterization's critical-charge
+// bisection, in coulombs.
+const (
+	chargeLo = 1e-18
+	chargeHi = 5e-14
+)
 
 // Characterization is the POF model for one (technology, Vdd): per-sample
 // critical charges along the three sensitive axes. It plays the role of the
@@ -153,7 +151,7 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 				// that ideal DC sources pin at Vdd, so their transients are
 				// the same circuit and I3 inherits I1's critical charge.
 				q = qc[AxisI1]
-			} else if q, err = cell.criticalCharge(a, cfg.ChargeLo, cfg.ChargeHi, cfg.Shape, guess[a]); err != nil {
+			} else if q, err = cell.criticalCharge(a, chargeLo, chargeHi, cfg.Shape, guess[a]); err != nil {
 				return qc, err
 			}
 			// +Inf is the legal "unflippable at any charge" sentinel; NaN or

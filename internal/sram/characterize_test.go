@@ -75,7 +75,7 @@ func TestCharacterizeMatchesFullWindowBisection(t *testing.T) {
 				for i := 0; i < cfg.Samples; i++ {
 					cell := mustCell(t, vdd, ch.Shifts[i])
 					for a := AxisI1; a < NumAxes; a++ {
-						want, err := bisectScale(cfg.ChargeLo, cfg.ChargeHi, 0.01, func(q float64) (bool, error) {
+						want, err := bisectScale(chargeLo, chargeHi, 0.01, func(q float64) (bool, error) {
 							return cell.fullWindowFlips(chargeOn(a, q), cfg.Shape)
 						})
 						if err != nil {

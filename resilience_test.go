@@ -434,6 +434,12 @@ func TestConfigErrorsTyped(t *testing.T) {
 		{"AlphaRate", FlowConfig{Vdd: 0.8, AlphaRate: math.NaN()}},
 		{"ProtonScale", FlowConfig{Vdd: 0.8, ProtonScale: -1}},
 		{"ProtonScale", FlowConfig{Vdd: 0.8, ProtonScale: math.Inf(1)}},
+		// Above twice the 14 nm card's nominal 0.8 V.
+		{"Vdd", FlowConfig{Vdd: 1.7}},
+		{"Vdd", FlowConfig{Vdd: 1e308}},
+		// Finite scales whose largest FIT overflows.
+		{"AlphaRate", FlowConfig{Vdd: 0.8, AlphaRate: 1e308}},
+		{"ProtonScale", FlowConfig{Vdd: 0.8, ProtonScale: 1e308}},
 	}
 	for _, tc := range cases {
 		_, err := tc.cfg.Validate()
@@ -518,7 +524,10 @@ func TestStagesRefuseCharacterizationAtAnotherVdd(t *testing.T) {
 	}{
 		{"RunFlowWithCharCtx", func() error { _, err := RunFlowWithCharCtx(ctx, cfg, char07); return err }},
 		{"SpeciesFITCtx", func() error { _, err := SpeciesFITCtx(ctx, cfg, char07, Proton); return err }},
-		{"NeutronFITCtx", func() error { _, err := NeutronFITCtx(ctx, cfg, char07); return err }},
+		{"NeutronFITCtx", func() error {
+			_, err := NeutronFITCtx(ctx, cfg, []*FlowResult{{Vdd: cfg.Vdd, Char: char07}})
+			return err
+		}},
 		{"SpeciesShardPOFConvCtx", func() error { _, _, err := SpeciesShardPOFConvCtx(ctx, cfg, char07, Alpha, 0, 2); return err }},
 	} {
 		err := st.run()
