@@ -45,12 +45,12 @@ func FinYieldCurveCtx(ctx context.Context, tech Technology, sp Species, energies
 	return out, nil
 }
 
-// POFCurveCtx estimates the array POF at each energy (the paper's Fig. 8
-// series): the probability of at least one bit flip given a particle of
-// that energy striking the array footprint. It is cancellable between (and
-// inside) energy points; a worker panic fails the curve with a stack-
-// carrying error instead of crashing the process.
-func POFCurveCtx(ctx context.Context, e *Engine, sp Species, energiesMeV []float64, itersPerEnergy int, seed uint64) ([]POFPoint, error) {
+// POFCurveCtx estimates the array POF in cell model m at each energy (the
+// paper's Fig. 8 series): the probability of at least one bit flip given a
+// particle of that energy striking the array footprint. It is cancellable
+// between (and inside) energy points; a worker panic fails the curve with a
+// stack-carrying error instead of crashing the process.
+func POFCurveCtx(ctx context.Context, e *Engine, m POFProvider, sp Species, energiesMeV []float64, itersPerEnergy int, seed uint64) ([]POFPoint, error) {
 	if len(energiesMeV) == 0 {
 		return nil, errors.New("finser: POFCurveCtx needs energies")
 	}
@@ -60,7 +60,7 @@ func POFCurveCtx(ctx context.Context, e *Engine, sp Species, energiesMeV []float
 	src := rng.New(seed)
 	out := make([]POFPoint, 0, len(energiesMeV))
 	for _, en := range energiesMeV {
-		pt, err := e.POFAtEnergyCtx(ctx, sp, en, itersPerEnergy, src.Uint64())
+		pt, err := e.POFAtEnergyCtx(ctx, m, sp, en, itersPerEnergy, src.Uint64())
 		if err != nil {
 			return nil, err
 		}
@@ -84,15 +84,11 @@ func SpectrumCurve(s Spectrum, n int) ([]SpectrumPoint, error) {
 	}
 	lo, hi := s.Domain()
 	out := make([]SpectrumPoint, 0, n)
-	for _, e := range logSpace(lo, hi, n) {
+	for _, e := range lut.LogSpace(lo, hi, n) {
 		out = append(out, SpectrumPoint{EnergyMeV: e, Flux: s.DifferentialFlux(e)})
 	}
 	return out, nil
 }
 
 // LogSpace re-exports geometric grids for sweep construction.
-func LogSpace(lo, hi float64, n int) []float64 { return logSpace(lo, hi, n) }
-
-func logSpace(lo, hi float64, n int) []float64 {
-	return lut.LogSpace(lo, hi, n)
-}
+func LogSpace(lo, hi float64, n int) []float64 { return lut.LogSpace(lo, hi, n) }

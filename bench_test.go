@@ -22,9 +22,9 @@ import (
 )
 
 // mustPOF is POFAtEnergyCtx under a background context, failing tb on error.
-func mustPOF(tb testing.TB, e *Engine, sp Species, energyMeV float64, iters int, seed uint64) POFPoint {
+func mustPOF(tb testing.TB, e *Engine, m POFProvider, sp Species, energyMeV float64, iters int, seed uint64) POFPoint {
 	tb.Helper()
-	pt, err := e.POFAtEnergyCtx(context.Background(), sp, energyMeV, iters, seed)
+	pt, err := e.POFAtEnergyCtx(context.Background(), m, sp, energyMeV, iters, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -32,9 +32,9 @@ func mustPOF(tb testing.TB, e *Engine, sp Species, energyMeV float64, iters int,
 }
 
 // mustMBU is MBUStatsAtEnergyCtx under a background context.
-func mustMBU(tb testing.TB, e *Engine, sp Species, energyMeV float64, iters, maxK int, seed uint64) MBUReport {
+func mustMBU(tb testing.TB, e *Engine, m POFProvider, sp Species, energyMeV float64, iters, maxK int, seed uint64) MBUReport {
 	tb.Helper()
-	rep, err := e.MBUStatsAtEnergyCtx(context.Background(), sp, energyMeV, iters, maxK, seed)
+	rep, err := e.MBUStatsAtEnergyCtx(context.Background(), m, sp, energyMeV, iters, maxK, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -97,11 +97,12 @@ func fmtVdd(v float64) string {
 	return "x"
 }
 
-func benchEngine(b *testing.B, ch *Characterization) *Engine {
+// benchEngine is the default 9×9 engine.
+func benchEngine(b *testing.B) *Engine {
 	b.Helper()
 	e, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: DefaultTransport(),
+		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -173,12 +174,11 @@ func BenchmarkFig4ElectronLUT(b *testing.B) {
 // and reports POF(0.7V)/POF(0.8V) for alphas at 1 MeV.
 func BenchmarkFig8POFvsEnergy(b *testing.B) {
 	chars := benchFixtures(b)
-	e07 := benchEngine(b, chars[key(0.7, true)])
-	e08 := benchEngine(b, chars[key(0.8, true)])
+	e := benchEngine(b)
 	var p07, p08 POFPoint
 	for i := 0; i < b.N; i++ {
-		p07 = mustPOF(b, e07, phys.Alpha, 1, 8000, 3)
-		p08 = mustPOF(b, e08, phys.Alpha, 1, 8000, 3)
+		p07 = mustPOF(b, e, chars[key(0.7, true)], phys.Alpha, 1, 8000, 3)
+		p08 = mustPOF(b, e, chars[key(0.8, true)], phys.Alpha, 1, 8000, 3)
 	}
 	b.ReportMetric(p07.Tot, "pof-0.7V")
 	if p08.Tot > 0 {
@@ -195,21 +195,21 @@ func BenchmarkFig9FITvsVdd(b *testing.B) {
 	protonSpec, _ := NewProtonSpectrum(1)
 	ab, _ := Bins(alphaSpec, 0.5, 10, 8)
 	pb, _ := Bins(protonSpec, 0.1, 100, 10)
+	ch07, ch11 := chars[key(0.7, true)], chars[key(1.1, true)]
 	var a07, a11, p07, p11 FITResult
 	for i := 0; i < b.N; i++ {
-		e07 := benchEngine(b, chars[key(0.7, true)])
-		e11 := benchEngine(b, chars[key(1.1, true)])
+		e := benchEngine(b)
 		var err error
-		if a07, err = e07.FITCtx(context.Background(), alphaSpec, ab, 6000, 5); err != nil {
+		if a07, err = e.FITCtx(context.Background(), ch07, alphaSpec, ab, 6000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if a11, err = e11.FITCtx(context.Background(), alphaSpec, ab, 6000, 5); err != nil {
+		if a11, err = e.FITCtx(context.Background(), ch11, alphaSpec, ab, 6000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if p07, err = e07.FITCtx(context.Background(), protonSpec, pb, 6000, 6); err != nil {
+		if p07, err = e.FITCtx(context.Background(), ch07, protonSpec, pb, 6000, 6); err != nil {
 			b.Fatal(err)
 		}
-		if p11, err = e11.FITCtx(context.Background(), protonSpec, pb, 6000, 6); err != nil {
+		if p11, err = e.FITCtx(context.Background(), ch11, protonSpec, pb, 6000, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,37 +229,28 @@ func BenchmarkFig9FITvsVdd(b *testing.B) {
 }
 
 // BenchmarkAdaptiveFIT times the confidence-driven sampler on the Fig. 9
-// workload at paper-scale per-bin budgets: the flat reference spends
-// ItersPerBin particles in every bin, the adaptive run stops each bin at a
-// 2% weight-scaled tolerance. Reports the wall-clock speedup, the fraction
-// of the particle budget spent, and the relative FIT deviation (which must
-// sit inside the reference's confidence interval — speed bought with
-// accuracy is no speedup).
+// workload at paper-scale per-bin budgets: the 0.7 V alpha stage's plan
+// (8 bins over 0.5–10 MeV, seed 5), where the flat reference spends
+// ItersPerBin particles in every bin and the adaptive run stops each bin at
+// a 2% weight-scaled tolerance. Reports the wall-clock speedup, the
+// fraction of the particle budget spent, and the relative FIT deviation
+// (which must sit inside the reference's confidence interval — speed
+// bought with accuracy is no speedup).
 func BenchmarkAdaptiveFIT(b *testing.B) {
-	chars := benchFixtures(b)
-	alphaSpec, _ := NewAlphaSpectrum(DefaultAlphaRate)
-	ab, _ := Bins(alphaSpec, 0.5, 10, 8)
-	const itersPerBin = 240000
-	mk := func(relErr float64) *Engine {
-		e, err := NewEngine(EngineConfig{
-			Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: ch0(b, chars), Transport: DefaultTransport(), FITRelErr: relErr,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return e
-	}
+	ch := ch0(b, benchFixtures(b))
+	cfg := FlowConfig{Vdd: 0.7, ItersPerBin: 240000, AlphaBins: 8, Seed: 4}
 	var flat, ad FITResult
 	var flatNs, adNs int64
 	for i := 0; i < b.N; i++ {
 		t0 := nowNano()
 		var err error
-		if flat, err = mk(0).FITCtx(context.Background(), alphaSpec, ab, itersPerBin, 5); err != nil {
+		if flat, err = SpeciesFITCtx(context.Background(), cfg, ch, Alpha); err != nil {
 			b.Fatal(err)
 		}
 		t1 := nowNano()
-		if ad, err = mk(0.02).FITCtx(context.Background(), alphaSpec, ab, itersPerBin, 5); err != nil {
+		adaptive := cfg
+		adaptive.FITRelErr = 0.02
+		if ad, err = SpeciesFITCtx(context.Background(), adaptive, ch, Alpha); err != nil {
 			b.Fatal(err)
 		}
 		flatNs += t1 - t0
@@ -274,7 +265,7 @@ func BenchmarkAdaptiveFIT(b *testing.B) {
 		dev = -dev
 	}
 	b.ReportMetric(float64(flatNs)/float64(adNs), "speedup-x")
-	b.ReportMetric(float64(spent)/float64(itersPerBin*len(ab)), "budget-frac")
+	b.ReportMetric(float64(spent)/float64(cfg.ItersPerBin*len(ad.Bins)), "budget-frac")
 	b.ReportMetric(dev/flat.TotalFITErr, "fit-dev-sigma")
 }
 
@@ -297,14 +288,15 @@ func BenchmarkFig10MBUSEU(b *testing.B) {
 	protonSpec, _ := NewProtonSpectrum(1)
 	ab, _ := Bins(alphaSpec, 0.5, 10, 8)
 	pb, _ := Bins(protonSpec, 0.1, 100, 10)
+	ch := chars[key(0.7, true)]
 	var fa, fp FITResult
 	for i := 0; i < b.N; i++ {
-		e := benchEngine(b, chars[key(0.7, true)])
+		e := benchEngine(b)
 		var err error
-		if fa, err = e.FITCtx(context.Background(), alphaSpec, ab, 8000, 5); err != nil {
+		if fa, err = e.FITCtx(context.Background(), ch, alphaSpec, ab, 8000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if fp, err = e.FITCtx(context.Background(), protonSpec, pb, 8000, 6); err != nil {
+		if fp, err = e.FITCtx(context.Background(), ch, protonSpec, pb, 8000, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,13 +312,12 @@ func BenchmarkFig11ProcessVariation(b *testing.B) {
 	ab, _ := Bins(alphaSpec, 0.5, 10, 8)
 	var pv, nom FITResult
 	for i := 0; i < b.N; i++ {
-		ePV := benchEngine(b, chars[key(0.7, true)])
-		eNom := benchEngine(b, chars[key(0.7, false)])
+		e := benchEngine(b)
 		var err error
-		if pv, err = ePV.FITCtx(context.Background(), alphaSpec, ab, 10000, 5); err != nil {
+		if pv, err = e.FITCtx(context.Background(), chars[key(0.7, true)], alphaSpec, ab, 10000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if nom, err = eNom.FITCtx(context.Background(), alphaSpec, ab, 10000, 5); err != nil {
+		if nom, err = e.FITCtx(context.Background(), chars[key(0.7, false)], alphaSpec, ab, 10000, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,11 +361,11 @@ func BenchmarkPulseShapeEquivalence(b *testing.B) {
 // quotes 10M iterations in ~2 h for the whole flow on its setup).
 func BenchmarkArrayMCThroughput(b *testing.B) {
 	chars := benchFixtures(b)
-	e := benchEngine(b, chars[key(0.8, true)])
+	e := benchEngine(b)
 	const batch = 2000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustPOF(b, e, phys.Alpha, 1, batch, uint64(i))
+		mustPOF(b, e, chars[key(0.8, true)], phys.Alpha, 1, batch, uint64(i))
 	}
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "strikes/s")
 }
@@ -390,15 +381,15 @@ func BenchmarkObsOverhead(b *testing.B) {
 	run := func(b *testing.B, m *EngineMetrics) float64 {
 		e, err := NewEngine(EngineConfig{
 			Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: chars[key(0.8, true)], Transport: DefaultTransport(),
-			Metrics: m,
+			Transport: DefaultTransport(),
+			Metrics:   m,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mustPOF(b, e, phys.Alpha, 1, batch, uint64(i))
+			mustPOF(b, e, chars[key(0.8, true)], phys.Alpha, 1, batch, uint64(i))
 		}
 		rate := float64(batch) * float64(b.N) / b.Elapsed().Seconds()
 		b.ReportMetric(rate, "strikes/s")
@@ -420,10 +411,10 @@ func BenchmarkIncidenceModes(b *testing.B) {
 	chars := benchFixtures(b)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		iso := incidenceEngine(b, chars[key(0.8, true)], IncidenceIsotropic)
-		cos := incidenceEngine(b, chars[key(0.8, true)], IncidenceCosine)
-		pi := mustPOF(b, iso, phys.Alpha, 1, 12000, 3)
-		pc := mustPOF(b, cos, phys.Alpha, 1, 12000, 3)
+		iso := incidenceEngine(b, IncidenceIsotropic)
+		cos := incidenceEngine(b, IncidenceCosine)
+		pi := mustPOF(b, iso, chars[key(0.8, true)], phys.Alpha, 1, 12000, 3)
+		pc := mustPOF(b, cos, chars[key(0.8, true)], phys.Alpha, 1, 12000, 3)
 		if pc.MBU > 0 {
 			ratio = pi.MBU / pc.MBU
 		}
@@ -431,11 +422,11 @@ func BenchmarkIncidenceModes(b *testing.B) {
 	b.ReportMetric(ratio, "iso/cos-mbu-ratio")
 }
 
-func incidenceEngine(b *testing.B, ch *Characterization, inc Incidence) *Engine {
+func incidenceEngine(b *testing.B, inc Incidence) *Engine {
 	b.Helper()
 	e, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: DefaultTransport(),
+		Transport: DefaultTransport(),
 		Incidence: &inc,
 	})
 	if err != nil {
@@ -447,8 +438,8 @@ func incidenceEngine(b *testing.B, ch *Characterization, inc Incidence) *Engine 
 // BenchmarkNeutronSER times the indirect-ionization extension and reports
 // the neutron FIT and its ratio to alpha at 0.8 V.
 func BenchmarkNeutronSER(b *testing.B) {
-	chars := benchFixtures(b)
-	e := benchEngine(b, chars[key(0.8, true)])
+	ch := benchFixtures(b)[key(0.8, true)]
+	e := benchEngine(b)
 	rx := NewNeutronReactions()
 	nSpec, err := NewNeutronSpectrum(1)
 	if err != nil {
@@ -460,10 +451,10 @@ func BenchmarkNeutronSER(b *testing.B) {
 	var nRes, aRes FITResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if nRes, err = e.NeutronFITCtx(context.Background(), nSpec, rx, nBins, 20000, 5); err != nil {
+		if nRes, err = e.NeutronFITCtx(context.Background(), ch, nSpec, rx, nBins, 20000, 5); err != nil {
 			b.Fatal(err)
 		}
-		if aRes, err = e.FITCtx(context.Background(), aSpec, aBins, 8000, 6); err != nil {
+		if aRes, err = e.FITCtx(context.Background(), ch, aSpec, aBins, 8000, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -477,20 +468,20 @@ func BenchmarkNeutronSER(b *testing.B) {
 // single-fin yield LUTs for tractability; full transport resolves chords.
 // Reports the POF ratio between the modes and their relative speed.
 func BenchmarkDepositModes(b *testing.B) {
-	chars := benchFixtures(b)
-	full := benchEngine(b, chars[key(0.8, true)])
+	ch := benchFixtures(b)[key(0.8, true)]
+	full := benchEngine(b)
 	lutEng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: chars[key(0.8, true)], Transport: DefaultTransport(),
-		Deposits: DepositLUT, LUTIters: 4000,
+		Transport: DefaultTransport(),
+		Deposits:  DepositLUT, LUTIters: 4000,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		a := mustPOF(b, full, phys.Alpha, 1, 10000, 3)
-		l := mustPOF(b, lutEng, phys.Alpha, 1, 10000, 3)
+		a := mustPOF(b, full, ch, phys.Alpha, 1, 10000, 3)
+		l := mustPOF(b, lutEng, ch, phys.Alpha, 1, 10000, 3)
 		if a.Tot > 0 {
 			ratio = l.Tot / a.Tot
 		}
@@ -501,11 +492,11 @@ func BenchmarkDepositModes(b *testing.B) {
 // BenchmarkECCInterleave sweeps column-interleave factors over measured MBU
 // geometry and reports the uncorrectable share at 4-way interleaving.
 func BenchmarkECCInterleave(b *testing.B) {
-	chars := benchFixtures(b)
-	e := benchEngine(b, chars[key(0.7, true)])
+	ch := benchFixtures(b)[key(0.7, true)]
+	e := benchEngine(b)
 	var share float64
 	for i := 0; i < b.N; i++ {
-		rep := mustMBU(b, e, phys.Alpha, 1, 30000, 6, 11)
+		rep := mustMBU(b, e, ch, phys.Alpha, 1, 30000, 6, 11)
 		as, err := ECCInterleaveSweep(rep, []int{1, 4}, true)
 		if err != nil {
 			b.Fatal(err)
@@ -522,7 +513,7 @@ func BenchmarkLargeArray(b *testing.B) {
 	chars := benchFixtures(b)
 	e, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 64, Cols: 64,
-		Char: chars[key(0.8, true)], Transport: DefaultTransport(),
+		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -530,7 +521,7 @@ func BenchmarkLargeArray(b *testing.B) {
 	const batch = 2000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustPOF(b, e, phys.Alpha, 1, batch, uint64(i))
+		mustPOF(b, e, chars[key(0.8, true)], phys.Alpha, 1, batch, uint64(i))
 	}
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "strikes/s")
 }

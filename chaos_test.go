@@ -20,9 +20,9 @@ func poisonGrid(g *GridLUT) {
 	}
 }
 
-// chaosEngine builds a single-worker engine over a private GridLUT copy of
-// the shared characterization, with the LUT poisoned at the 25th particle
-// of the worker fan-out, and returns the engine and its LUT. One worker
+// chaosEngine builds a single-worker engine and a private GridLUT copy of
+// the shared characterization for it to look strikes up in, with the LUT
+// poisoned at the 25th particle of the worker fan-out. One worker
 // keeps the mutation race-free: the corrupting callback runs on the same
 // goroutine that reads the LUT.
 func chaosEngine(t *testing.T, mode GuardMode, reg *Metrics) (*Engine, *GridLUT) {
@@ -37,7 +37,6 @@ func chaosEngine(t *testing.T, mode GuardMode, reg *Metrics) (*Engine, *GridLUT)
 		Tech:      Default14nmSOI(),
 		Rows:      9,
 		Cols:      9,
-		Char:      grid,
 		Transport: DefaultTransport(),
 		Workers:   1,
 		Faults:    faults,
@@ -68,19 +67,19 @@ func TestChaosCorruptedLUTStrictFailsBeforeOutput(t *testing.T) {
 		name string
 		run  func(eng *Engine, grid *GridLUT) (any, error)
 	}{
-		{"alpha POF", func(eng *Engine, _ *GridLUT) (any, error) {
-			return eng.POFAtEnergyCtx(context.Background(), Alpha, 1, 20000, 1)
+		{"alpha POF", func(eng *Engine, grid *GridLUT) (any, error) {
+			return eng.POFAtEnergyCtx(context.Background(), grid, Alpha, 1, 20000, 1)
 		}},
-		{"neutron FIT", func(eng *Engine, _ *GridLUT) (any, error) {
-			return eng.NeutronFITCtx(context.Background(), nSpec, NewNeutronReactions(), nBins, 20000, 1)
+		{"neutron FIT", func(eng *Engine, grid *GridLUT) (any, error) {
+			return eng.NeutronFITCtx(context.Background(), grid, nSpec, NewNeutronReactions(), nBins, 20000, 1)
 		}},
-		{"MBU stats", func(eng *Engine, _ *GridLUT) (any, error) {
-			return eng.MBUStatsAtEnergyCtx(context.Background(), Alpha, 1, 20000, 6, 1)
+		{"MBU stats", func(eng *Engine, grid *GridLUT) (any, error) {
+			return eng.MBUStatsAtEnergyCtx(context.Background(), grid, Alpha, 1, 20000, 6, 1)
 		}},
 		{"sample tracks", func(eng *Engine, grid *GridLUT) (any, error) {
 			// The sequential track loop hits no fault site: corrupt up front.
 			poisonGrid(grid)
-			return eng.SampleTracksCtx(context.Background(), Alpha, 1, 2000, 1)
+			return eng.SampleTracksCtx(context.Background(), grid, Alpha, 1, 2000, 1)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,8 +111,8 @@ func TestChaosCorruptedLUTStrictFailsBeforeOutput(t *testing.T) {
 // the metrics registry.
 func TestChaosCorruptedLUTWarnCompletesAndCounts(t *testing.T) {
 	reg := NewMetrics()
-	eng, _ := chaosEngine(t, GuardWarn, reg)
-	if _, err := eng.POFAtEnergyCtx(context.Background(), Alpha, 1, 20000, 1); err != nil {
+	eng, grid := chaosEngine(t, GuardWarn, reg)
+	if _, err := eng.POFAtEnergyCtx(context.Background(), grid, Alpha, 1, 20000, 1); err != nil {
 		t.Fatalf("warn mode failed the run: %v", err)
 	}
 	if n := reg.Counter("guard/violations").Value(); n == 0 {
@@ -135,13 +134,13 @@ func TestChaosHealthyRunIsGuardClean(t *testing.T) {
 	}
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: grid, Transport: DefaultTransport(),
-		Workers: 1, Guard: NewGuard(GuardStrict, reg, nil),
+		Transport: DefaultTransport(),
+		Workers:   1, Guard: NewGuard(GuardStrict, reg, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.POFAtEnergyCtx(context.Background(), Alpha, 1, 10000, 1); err != nil {
+	if _, err := eng.POFAtEnergyCtx(context.Background(), grid, Alpha, 1, 10000, 1); err != nil {
 		t.Fatalf("strict guard tripped on a healthy run: %v", err)
 	}
 	if n := reg.Counter("guard/violations").Value(); n != 0 {

@@ -106,30 +106,23 @@ func main() {
 	}
 }
 
-// engine builds Fig. 8's array engine on the process-variation
-// characterization at vdd, characterizing each voltage at most once and
-// not at all when the process-variation sweep already did.
-func (r *runner) engine(vdd float64) (*finser.Engine, error) {
-	ch, ok := r.chars[vdd]
-	if !ok {
-		var err error
-		ch, err = finser.CharacterizeCtx(context.Background(), finser.CharConfig{
-			Tech: finser.Default14nmSOI(), Vdd: vdd,
-			Samples: r.samples, ProcessVariation: true, Seed: r.seed,
-			Metrics: finser.NewCharMetrics(r.obs),
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.chars[vdd] = ch
+// char returns Fig. 8's process-variation characterization at vdd,
+// characterizing each voltage at most once and not at all when the
+// process-variation sweep already did.
+func (r *runner) char(vdd float64) (*finser.Characterization, error) {
+	if ch, ok := r.chars[vdd]; ok {
+		return ch, nil
 	}
-	tr := finser.DefaultTransport()
-	tr.Metrics = finser.NewTransportMetrics(r.obs)
-	return finser.NewEngine(finser.EngineConfig{
-		Tech: finser.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: tr,
-		Metrics: finser.NewEngineMetrics(r.obs),
+	ch, err := finser.CharacterizeCtx(context.Background(), finser.CharConfig{
+		Tech: finser.Default14nmSOI(), Vdd: vdd,
+		Samples: r.samples, ProcessVariation: true, Seed: r.seed,
+		Metrics: finser.NewCharMetrics(r.obs),
 	})
+	if err != nil {
+		return nil, err
+	}
+	r.chars[vdd] = ch
+	return ch, nil
 }
 
 func (r *runner) writeCSV(name string, header []string, rows [][]float64) error {
@@ -246,14 +239,23 @@ func (r *runner) fig8() error {
 	for i := range table {
 		table[i] = []float64{energies[i]}
 	}
+	tr := finser.DefaultTransport()
+	tr.Metrics = finser.NewTransportMetrics(r.obs)
+	eng, err := finser.NewEngine(finser.EngineConfig{
+		Tech: finser.Default14nmSOI(), Rows: 9, Cols: 9, Transport: tr,
+		Metrics: finser.NewEngineMetrics(r.obs),
+	})
+	if err != nil {
+		return err
+	}
 	var globalMax float64
 	raw := make([][]float64, len(series))
 	for si, s := range series {
-		eng, err := r.engine(s.vdd)
+		ch, err := r.char(s.vdd)
 		if err != nil {
 			return err
 		}
-		pts, err := finser.POFCurveCtx(context.Background(), eng, s.sp, energies, r.iters, r.seed+uint64(si))
+		pts, err := finser.POFCurveCtx(context.Background(), eng, ch, s.sp, energies, r.iters, r.seed+uint64(si))
 		if err != nil {
 			return err
 		}

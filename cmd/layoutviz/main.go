@@ -80,13 +80,13 @@ func main() {
 		log.Fatal(err)
 	}
 	eng, err := core.New(core.Config{
-		Tech: tech, Rows: *rows, Cols: *cols, Char: char,
+		Tech: tech, Rows: *rows, Cols: *cols,
 		Transport: finser.DefaultTransport(),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	infos, err := eng.SampleTracksCtx(ctx, sp, *energy, *strikes, *seed)
+	infos, err := eng.SampleTracksCtx(ctx, char, sp, *energy, *strikes, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}

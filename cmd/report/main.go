@@ -115,13 +115,13 @@ func main() {
 	w("## MBU geometry and ECC")
 	w("")
 	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: *rows, Cols: *cols, Char: char,
+		Tech: tech, Rows: *rows, Cols: *cols,
 		Transport: finser.DefaultTransport(),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := eng.MBUStatsAtEnergyCtx(ctx, finser.Alpha, 1, (*iters)*4, 6, *seed+9)
+	rep, err := eng.MBUStatsAtEnergyCtx(ctx, char, finser.Alpha, 1, (*iters)*4, 6, *seed+9)
 	if err != nil {
 		log.Fatal(err)
 	}

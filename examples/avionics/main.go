@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: 9, Cols: 9, Char: char,
+		Tech: tech, Rows: 9, Cols: 9,
 		Transport: finser.DefaultTransport(),
 	})
 	if err != nil {
@@ -63,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		nRes, err := eng.NeutronFITCtx(ctx, nSpec, rx, nBins, 20000, 7)
+		nRes, err := eng.NeutronFITCtx(ctx, char, nSpec, rx, nBins, 20000, 7)
 		if err != nil {
 			log.Fatal(err)
 		}

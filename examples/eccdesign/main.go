@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: 9, Cols: 9, Char: char,
+		Tech: tech, Rows: 9, Cols: 9,
 		Transport: finser.DefaultTransport(),
 	})
 	if err != nil {
@@ -38,7 +38,7 @@ func main() {
 
 	// MBU geometry at the alpha energies that dominate the emission
 	// spectrum.
-	rep, err := eng.MBUStatsAtEnergyCtx(ctx, finser.Alpha, 1, 120000, 6, 11)
+	rep, err := eng.MBUStatsAtEnergyCtx(ctx, char, finser.Alpha, 1, 120000, 6, 11)
 	if err != nil {
 		log.Fatal(err)
 	}

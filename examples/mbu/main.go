@@ -31,10 +31,10 @@ func main() {
 	//    over the array footprint).
 	fmt.Println("\nper-energy MBU share (9×9 array, default incidence):")
 	fmt.Printf("%10s %10s %12s %12s %12s\n", "species", "E (MeV)", "POFtot", "POFMBU", "MBU share")
-	eng := mustEngine(tech, char, finser.PatternZeros)
+	eng := mustEngine(tech, finser.PatternZeros)
 	for _, sp := range []finser.Species{finser.Alpha, finser.Proton} {
 		for _, e := range []float64{0.5, 1, 5} {
-			pts, err := finser.POFCurveCtx(ctx, eng, sp, []float64{e}, 40000, 7)
+			pts, err := finser.POFCurveCtx(ctx, eng, char, sp, []float64{e}, 40000, 7)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -59,8 +59,8 @@ func main() {
 		{"all ones", finser.PatternOnes},
 		{"checkerboard", finser.PatternCheckerboard},
 	} {
-		e := mustEngine(tech, char, pc.pat)
-		pts, err := finser.POFCurveCtx(ctx, e, finser.Alpha, []float64{1}, 40000, 9)
+		e := mustEngine(tech, pc.pat)
+		pts, err := finser.POFCurveCtx(ctx, e, char, finser.Alpha, []float64{1}, 40000, 9)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,9 +72,9 @@ func main() {
 	fmt.Println("single shallow track can take out bits in several adjacent cells.")
 }
 
-func mustEngine(tech finser.Technology, char *finser.Characterization, pat finser.DataPattern) *finser.Engine {
+func mustEngine(tech finser.Technology, pat finser.DataPattern) *finser.Engine {
 	e, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: 9, Cols: 9, Char: char,
+		Tech: tech, Rows: 9, Cols: 9,
 		Transport: finser.DefaultTransport(), Pattern: pat,
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: 9, Cols: 9, Char: char,
+		Tech: tech, Rows: 9, Cols: 9,
 		Transport: finser.DefaultTransport(),
 	})
 	if err != nil {
@@ -51,7 +51,7 @@ func main() {
 	// Per-energy picture: weighted POF and per-interaction severity.
 	fmt.Printf("%10s %16s %18s\n", "E (MeV)", "weighted POF", "POF per interaction")
 	for _, e := range []float64{2, 5, 14, 50, 200} {
-		pt, err := eng.NeutronPOFAtEnergyCtx(ctx, rx, e, 60000, 3)
+		pt, err := eng.NeutronPOFAtEnergyCtx(ctx, char, rx, e, 60000, 3)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func main() {
 	}
 
 	// Spectrum-integrated FIT vs the directly ionizing environments.
-	nRes, err := eng.NeutronFITCtx(ctx, nSpec, rx, nBins, 60000, 5)
+	nRes, err := eng.NeutronFITCtx(ctx, char, nSpec, rx, nBins, 60000, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,17 +6,38 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"finser/internal/core"
 )
 
 // Integration tests for the public API surface beyond the paper's core
 // flow: neutron SER, MBU/ECC analysis, deposit-mode selection, and
 // altitude scaling.
 
+// planFIT runs a store-less ledger of the named plan that Engine.FITCtx
+// (rx nil) or NeutronFITCtx runs in model m, at tolerance relErr, through
+// RunLedgersCtx: with relErr > 0, the adaptive form of either.
+func planFIT(ctx context.Context, eng *Engine, m POFProvider, name string, sp Species, rx *NeutronReactions, bins []EnergyBin, itersPerBin int, seed uint64, relErr float64) (FITResult, error) {
+	lx, ly := eng.Array().DimsCm()
+	l, err := core.NewLedger(core.BinPlan{
+		Name: name, Species: sp, Vdd: m.SupplyVoltage(), Bins: bins, Seeds: core.FITSeedSchedule(seed, len(bins)),
+		ItersPerBin: itersPerBin, RelErr: relErr, AreaCm2: lx * ly,
+	}, nil, nil)
+	if err != nil {
+		return FITResult{}, err
+	}
+	res, err := eng.RunLedgersCtx(ctx, []core.LedgerRun{{Ledger: l, Char: m}}, rx)
+	if err != nil {
+		return FITResult{}, err
+	}
+	return res[0], nil
+}
+
 func TestNeutronFacade(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(),
+		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +53,7 @@ func TestNeutronFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nRes, err := eng.NeutronFITCtx(context.Background(), spec, NewNeutronReactions(), bins, 15000, 3)
+	nRes, err := eng.NeutronFITCtx(context.Background(), res.Char, spec, NewNeutronReactions(), bins, 15000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +68,12 @@ func TestNeutronFacade(t *testing.T) {
 
 // TestNeutronFITCtxPlan pins the neutron stage's plan and its one shared
 // run: over a sweep's 0.7 and 1.1 V results, NeutronFITCtx gives each
-// voltage Engine.NeutronFITCtx on its own characterization bit for bit,
-// flat and adaptive, on the sea-level spectrum ×1 over 10 bins of
-// 2–1000 MeV seeded Seed+3. It checkpoints each voltage as the stage
-// "vdd<V>/fit/neutron", reports one flow/fit-neutron span, and traces each
-// strike once: the particle count is the per-bin largest voltage's.
+// voltage the sea-level spectrum ×1 over 10 bins of 2–1000 MeV seeded
+// Seed+3 in its own characterization, bit for bit: Engine.NeutronFITCtx
+// flat, and that plan run through RunLedgersCtx adaptive. It checkpoints
+// each voltage as the stage "vdd<V>/fit/neutron", reports one
+// flow/fit-neutron span, and traces each strike once: the particle count
+// is the per-bin largest voltage's.
 func TestNeutronFITCtxPlan(t *testing.T) {
 	ctx := context.Background()
 	spec, err := NewNeutronSpectrum(1)
@@ -84,20 +106,25 @@ func TestNeutronFITCtxPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng, err := NewEngine(EngineConfig{
+			Tech: Default14nmSOI(), Rows: 9, Cols: 9,
+			Transport: DefaultTransport(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, r := range sweep {
-			eng, err := NewEngine(EngineConfig{
-				Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-				Char: r.Char, Transport: DefaultTransport(), FITRelErr: relErr,
-			})
-			if err != nil {
-				t.Fatal(err)
+			var want FITResult
+			if relErr == 0 {
+				want, err = eng.NeutronFITCtx(ctx, r.Char, spec, NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
+			} else {
+				want, err = planFIT(ctx, eng, r.Char, "neutron", spec.Species(), NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3, relErr)
 			}
-			want, err := eng.NeutronFITCtx(ctx, spec, NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got[i], want) {
-				t.Errorf("relErr %g: NeutronFITCtx at %g V differs from Engine.NeutronFITCtx on the documented plan", relErr, r.Vdd)
+				t.Errorf("relErr %g: NeutronFITCtx at %g V differs from the documented plan", relErr, r.Vdd)
 			}
 		}
 		st := store.Stages()
@@ -129,12 +156,12 @@ func TestMBUAndECCFacade(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(),
+		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := mustMBU(t, eng, Alpha, 1, 30000, 6, 5)
+	rep := mustMBU(t, eng, res.Char, Alpha, 1, 30000, 6, 5)
 	if rep.TotalPairWeight() <= 0 {
 		t.Fatal("no MBU pairs through the facade")
 	}
@@ -158,13 +185,13 @@ func TestDepositModeFacade(t *testing.T) {
 	res := sharedFlow(t)
 	lutEng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(),
-		Deposits: DepositLUT, LUTIters: 2000,
+		Transport: DefaultTransport(),
+		Deposits:  DepositLUT, LUTIters: 2000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := POFCurveCtx(context.Background(), lutEng, Alpha, []float64{1}, 8000, 7)
+	pts, err := POFCurveCtx(context.Background(), lutEng, res.Char, Alpha, []float64{1}, 8000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +224,7 @@ func TestAdaptiveFacade(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(), FITRelErr: 0.1,
+		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +237,7 @@ func TestAdaptiveFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := eng.FITCtx(context.Background(), spec, bins, 40000, 9)
+	fit, err := planFIT(context.Background(), eng, res.Char, "alpha", Alpha, nil, bins, 40000, 9, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +263,12 @@ func TestGridLUTFacade(t *testing.T) {
 	// The serialized LUT drives the engine directly.
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: grid, Transport: DefaultTransport(),
+		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := POFCurveCtx(context.Background(), eng, Alpha, []float64{1}, 8000, 3)
+	pts, err := POFCurveCtx(context.Background(), eng, grid, Alpha, []float64{1}, 8000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

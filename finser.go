@@ -663,7 +663,7 @@ func runFlow(ctx context.Context, cfg FlowConfig, char *Characterization) (*Flow
 // each strike is traced once and looked up in every voltage's cell model.
 // cfgs carry defaults and differ only in Vdd; chars align with them.
 func fitSweep(ctx context.Context, cfgs []FlowConfig, chars []*Characterization, flow *obs.Span) ([]*FlowResult, error) {
-	eng, err := buildFlowEngine(cfgs[0], chars[0], flow)
+	eng, err := buildFlowEngine(cfgs[0], flow)
 	if err != nil {
 		return nil, err
 	}
@@ -683,8 +683,10 @@ func fitSweep(ctx context.Context, cfgs []FlowConfig, chars []*Characterization,
 }
 
 // buildFlowEngine assembles the array engine exactly as RunFlowCtx does; cfg
-// must already carry defaults.
-func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*Engine, error) {
+// must already carry defaults. Nothing in it depends on the supply voltage:
+// the cell models and the adaptive tolerance travel in each stage's ledger
+// runs.
+func buildFlowEngine(cfg FlowConfig, flow *obs.Span) (*Engine, error) {
 	transportCfg := DefaultTransport()
 	transportCfg.Metrics = transport.NewMetrics(cfg.Obs)
 	buildSpan := flow.Child("engine-build")
@@ -692,11 +694,9 @@ func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*E
 		Tech:      cfg.Tech,
 		Rows:      cfg.Rows,
 		Cols:      cfg.Cols,
-		Char:      char,
 		Transport: transportCfg,
 		Pattern:   cfg.Pattern,
 		Workers:   cfg.Workers,
-		FITRelErr: cfg.FITRelErr,
 		Metrics:   core.NewMetrics(cfg.Obs),
 		Progress:  cfg.Progress,
 		Faults:    cfg.Faults,
@@ -799,7 +799,7 @@ func fitStage(ctx context.Context, eng *Engine, flow *obs.Span, cfgs []FlowConfi
 func stageFIT(ctx context.Context, cfgs []FlowConfig, chars []*Characterization, name string, rx *NeutronReactions) ([]FITResult, error) {
 	flow := cfgs[0].Obs.StartSpan("flow")
 	defer flow.End()
-	eng, err := buildFlowEngine(cfgs[0], chars[0], flow)
+	eng, err := buildFlowEngine(cfgs[0], flow)
 	if err != nil {
 		return nil, err
 	}
@@ -897,7 +897,7 @@ func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Character
 	// the job's ledger, and a worker-local store would fracture the
 	// fingerprint namespace.
 	cfg.Checkpoint, cfg.BinDone = nil, nil
-	eng, err := buildFlowEngine(cfg, char, flow)
+	eng, err := buildFlowEngine(cfg, flow)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -905,8 +905,8 @@ func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Character
 	if err != nil {
 		return nil, nil, err
 	}
-	shardSpan := flow.Child(fmt.Sprintf("shard-%s-%d-%d", sp, from, to))
-	err = eng.RunShardCtx(ctx, l, from, to)
+	shardSpan := flow.Child("shard-" + sp.String()) // one name per species, whatever the range
+	err = eng.RunShardCtx(ctx, core.LedgerRun{Ledger: l, Char: char}, from, to)
 	shardSpan.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("finser: %s shard [%d,%d): %w", sp, from, to, err)

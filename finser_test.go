@@ -3,6 +3,8 @@ package finser
 import (
 	"context"
 	"math"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -96,6 +98,55 @@ func TestRunFlowWithCharReuses(t *testing.T) {
 	}
 }
 
+// TestSpanPathsIndependentOfPlans: a span path names a stage, never its
+// bins or shard range, so flows with different bin plans, and worker
+// shards over different bin ranges, leave a registry with the span paths
+// of either one alone. Each path is one /metrics family on a long-lived
+// serd, so its family count must not grow with the job mix.
+func TestSpanPathsIndependentOfPlans(t *testing.T) {
+	ctx := context.Background()
+	char := sharedFlow(t).Char
+	paths := func(reg *Metrics) []string {
+		var out []string
+		for _, sp := range reg.Snapshot().Spans {
+			out = append(out, sp.Path)
+		}
+		sort.Strings(out)
+		return out
+	}
+	small := smallFlowConfig()
+	small.ItersPerBin = 200
+	other := small
+	other.AlphaBins, other.ProtonBins = 3, 5
+	flows := func(cfgs ...FlowConfig) []string {
+		reg := NewMetrics()
+		for _, c := range cfgs {
+			c.Obs = reg
+			if _, err := RunFlowWithCharCtx(ctx, c, char); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return paths(reg)
+	}
+	if one, two := flows(small), flows(small, other); !reflect.DeepEqual(one, two) {
+		t.Errorf("two bin plans leave span paths %v, one alone %v", two, one)
+	}
+	shards := func(ranges ...[2]int) []string {
+		reg := NewMetrics()
+		c := small
+		c.Obs = reg
+		for _, r := range ranges {
+			if _, _, err := SpeciesShardPOFConvCtx(ctx, c, char, Alpha, r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return paths(reg)
+	}
+	if one, two := shards([2]int{0, 2}), shards([2]int{0, 2}, [2]int{2, 5}); !reflect.DeepEqual(one, two) {
+		t.Errorf("two shard ranges leave span paths %v, one alone %v", two, one)
+	}
+}
+
 func TestVddSweepOrdering(t *testing.T) {
 	// Paper claim 1: SER increases at lower supply voltages.
 	cfg := smallFlowConfig()
@@ -158,22 +209,22 @@ func TestPOFCurve(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(),
+		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := POFCurveCtx(context.Background(), eng, Alpha, []float64{1, 10}, 5000, 5)
+	pts, err := POFCurveCtx(context.Background(), eng, res.Char, Alpha, []float64{1, 10}, 5000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 || pts[0].Tot <= pts[1].Tot {
 		t.Errorf("POF curve wrong: %+v", pts)
 	}
-	if _, err := POFCurveCtx(context.Background(), eng, Alpha, nil, 10, 1); err == nil {
+	if _, err := POFCurveCtx(context.Background(), eng, res.Char, Alpha, nil, 10, 1); err == nil {
 		t.Error("empty energies accepted")
 	}
-	if _, err := POFCurveCtx(context.Background(), eng, Alpha, []float64{1}, 0, 1); err == nil {
+	if _, err := POFCurveCtx(context.Background(), eng, res.Char, Alpha, []float64{1}, 0, 1); err == nil {
 		t.Error("zero iters accepted")
 	}
 }

@@ -10,8 +10,8 @@ import "finser/internal/stats"
 // this estimator gets equal precision for a fraction of the strikes.
 //
 // BinEstimator below is the convergence implementation the adaptive FIT
-// mode (Config.FITRelErr, see adaptivefit.go) streams every bin's batches
-// through.
+// mode (a BinPlan's RelErr, see adaptivefit.go) streams every bin's
+// batches through.
 
 // BinEstimator is a streaming per-bin convergence estimator: it folds
 // fixed-size Monte-Carlo batch estimates into pooled Welford moments of

@@ -7,10 +7,11 @@ import (
 	"finser/internal/spectra"
 )
 
-// Adaptive FIT mode (Config.FITRelErr > 0): confidence, not particle count,
-// is the unit of work. Each energy bin consumes its Monte-Carlo stream in
-// fixed-size batches and stops as soon as its POF confidence interval is
-// inside a weight-scaled relative tolerance, up to a hard per-bin cap.
+// Adaptive FIT mode (a BinPlan with RelErr > 0): confidence, not particle
+// count, is the unit of work. Each energy bin consumes its Monte-Carlo
+// stream in fixed-size batches and stops as soon as its POF confidence
+// interval is inside a weight-scaled relative tolerance, up to a hard
+// per-bin cap.
 //
 // Budget reallocation is expressed through the per-bin envelope rather than
 // an explicit scheduler: every bin may run anywhere between one batch and

@@ -11,6 +11,7 @@ import (
 	"finser/internal/finfet"
 	"finser/internal/phys"
 	"finser/internal/spectra"
+	"finser/internal/sram"
 	"finser/internal/transport"
 )
 
@@ -36,18 +37,39 @@ func (s *memStore) Save(stage string, v any) error {
 	return nil
 }
 
-func adaptiveEngine(t *testing.T, relErr float64) *Engine {
+// workerEngine is the 9×9 engine under the given worker count.
+func workerEngine(t *testing.T, workers int) *Engine {
 	t.Helper()
-	ch, _, _ := fixtures(t)
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(),
-		Workers: 2, FITRelErr: relErr,
+		Transport: transport.DefaultConfig(), Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// alphaPlan is the α plan FITCtx runs in model m, at tolerance relErr: run
+// through RunLedgersCtx, it is the adaptive form of FITCtx.
+func alphaPlan(e *Engine, m sram.POFProvider, relErr float64, bins []spectra.EnergyBin, itersPerBin int, seed uint64) BinPlan {
+	p := e.ownPlan(m, "alpha", phys.Alpha, bins, itersPerBin, seed)
+	p.RelErr = relErr
+	return p
+}
+
+// runPlan runs plan alone in model m over a fresh store-less ledger.
+func runPlan(t *testing.T, e *Engine, m sram.POFProvider, plan BinPlan) FITResult {
+	t.Helper()
+	l, err := NewLedger(plan, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := soloRun(context.Background(), e, m, l, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func alphaEnv(t *testing.T, nBins int) (spectra.Spectrum, []spectra.EnergyBin) {
@@ -69,34 +91,18 @@ func alphaEnv(t *testing.T, nBins int) (spectra.Spectrum, []spectra.EnergyBin) {
 // range concatenates to the exact single-call result (what the distributed
 // merge relies on).
 func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
-	spec, bins := alphaEnv(t, 6)
-	e := adaptiveEngine(t, 0.05)
+	ch, _, _ := fixtures(t)
+	_, bins := alphaEnv(t, 6)
+	e := workerEngine(t, 2)
+	plan := alphaPlan(e, ch, 0.05, bins, 3000, 42)
 
-	r1, err := e.FITCtx(context.Background(), spec, bins, 3000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e.FITCtx(context.Background(), spec, bins, 3000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runPlan(t, e, ch, plan)
+	r2 := runPlan(t, e, ch, plan)
 	if !reflect.DeepEqual(r1.Points, r2.Points) || !reflect.DeepEqual(r1.Conv, r2.Conv) || r1.TotalFIT != r2.TotalFIT {
 		t.Fatal("adaptive FIT not deterministic across re-runs")
 	}
 	for _, workers := range []int{1, 8} {
-		ch, _, _ := fixtures(t)
-		ew, err := New(Config{
-			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: ch, Transport: transport.DefaultConfig(),
-			Workers: workers, FITRelErr: 0.05,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw, err := ew.FITCtx(context.Background(), spec, bins, 3000, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rw := runPlan(t, workerEngine(t, workers), ch, plan)
 		if !reflect.DeepEqual(rw.Points, r1.Points) || !reflect.DeepEqual(rw.Conv, r1.Conv) || rw.TotalFIT != r1.TotalFIT {
 			t.Fatalf("adaptive FIT under %d workers differs from 2 workers", workers)
 		}
@@ -104,11 +110,11 @@ func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 
 	ctx := context.Background()
 	shard := func(from, to int) ([]POFPoint, []BinConv) {
-		l, err := NewLedger(e.ownPlan("alpha", phys.Alpha, bins, 3000, 42), nil, nil)
+		l, err := NewLedger(plan, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RunShardCtx(ctx, l, from, to); err != nil {
+		if err := e.RunShardCtx(ctx, LedgerRun{Ledger: l, Char: ch}, from, to); err != nil {
 			t.Fatal(err)
 		}
 		res := l.FIT()
@@ -116,7 +122,7 @@ func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 	}
 	fullPts, fullConv := shard(0, len(bins))
 	if !reflect.DeepEqual(fullPts, r1.Points) || !reflect.DeepEqual(fullConv, r1.Conv) {
-		t.Fatal("RunShardCtx over the whole plan disagrees with FITCtx")
+		t.Fatal("RunShardCtx over the whole plan disagrees with RunLedgersCtx")
 	}
 	for _, cut := range []int{1, 2, 4} {
 		aPts, aConv := shard(0, cut)
@@ -134,13 +140,11 @@ func TestAdaptiveFITDeterministicAndShardEquivalent(t *testing.T) {
 // targets must match the statically derived tolerances, and a flat run must
 // carry none.
 func TestAdaptiveFITConvRecords(t *testing.T) {
+	ch, _, _ := fixtures(t)
 	spec, bins := alphaEnv(t, 6)
 	itersPerBin := 3000
-	e := adaptiveEngine(t, 0.1)
-	r, err := e.FITCtx(context.Background(), spec, bins, itersPerBin, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := workerEngine(t, 2)
+	r := runPlan(t, e, ch, alphaPlan(e, ch, 0.1, bins, itersPerBin, 42))
 	if len(r.Conv) != len(bins) {
 		t.Fatalf("conv records = %d, want %d", len(r.Conv), len(bins))
 	}
@@ -167,7 +171,7 @@ func TestAdaptiveFITConvRecords(t *testing.T) {
 		t.Errorf("adaptive run saved %d strikes on an easy spectrum", saved)
 	}
 
-	flat, err := adaptiveEngine(t, 0).FITCtx(context.Background(), spec, bins, itersPerBin, 42)
+	flat, err := e.FITCtx(context.Background(), ch, spec, bins, itersPerBin, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +184,11 @@ func TestAdaptiveFITConvRecords(t *testing.T) {
 // reference on the same spectrum — early stopping trades precision for
 // wall-clock, never bias.
 func TestAdaptiveFITMatchesFlatWithinError(t *testing.T) {
+	ch, _, _ := fixtures(t)
 	spec, bins := alphaEnv(t, 6)
-	ad, err := adaptiveEngine(t, 0.05).FITCtx(context.Background(), spec, bins, 3000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := adaptiveEngine(t, 0).FITCtx(context.Background(), spec, bins, 3000, 42)
+	e := workerEngine(t, 2)
+	ad := runPlan(t, e, ch, alphaPlan(e, ch, 0.05, bins, 3000, 42))
+	flat, err := e.FITCtx(context.Background(), ch, spec, bins, 3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,19 +205,17 @@ func TestAdaptiveFITMatchesFlatWithinError(t *testing.T) {
 // bit-identical uninterrupted result, and checkpoints taken under a
 // different tolerance must be rejected, not silently reinterpreted.
 func TestAdaptiveFITCheckpointResume(t *testing.T) {
-	spec, bins := alphaEnv(t, 6)
-	want, err := adaptiveEngine(t, 0.05).FITCtx(context.Background(), spec, bins, 3000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// run integrates the engine's own alpha plan over a ledger on store.
+	ch, _, _ := fixtures(t)
+	_, bins := alphaEnv(t, 6)
+	e := workerEngine(t, 2)
+	want := runPlan(t, e, ch, alphaPlan(e, ch, 0.05, bins, 3000, 42))
+	// run integrates the α plan at tolerance relErr over a ledger on store.
 	run := func(relErr float64, store CheckpointStore) (FITResult, error) {
-		e := adaptiveEngine(t, relErr)
-		l, err := NewLedger(e.ownPlan("alpha", phys.Alpha, bins, 3000, 42), store, nil)
+		l, err := NewLedger(alphaPlan(e, ch, relErr, bins, 3000, 42), store, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return soloRun(context.Background(), e, l, nil)
+		return soloRun(context.Background(), e, ch, l, nil)
 	}
 
 	store := newMemStore()
@@ -256,14 +257,18 @@ func TestAdaptiveFITCheckpointResume(t *testing.T) {
 	}
 }
 
-// adaptiveOneBin runs one energy bin through the bin runner: the shard
-// entry over a one-bin plan, where the bin's tolerance is FITRelErr itself.
+// adaptiveOneBin runs one energy bin in the 0.7 V model through the bin
+// runner: the shard entry over a one-bin plan, where the bin's tolerance is
+// the plan's RelErr itself.
 func adaptiveOneBin(t *testing.T, relErr float64, sp phys.Species, energyMeV float64, itersPerBin int, seed uint64) (POFPoint, BinConv) {
 	t.Helper()
-	e := adaptiveEngine(t, relErr)
-	l, err := NewLedger(e.ownPlan(sp.String(), sp, []spectra.EnergyBin{{Rep: energyMeV, IntFlux: 1}}, itersPerBin, seed), nil, nil)
+	ch, _, _ := fixtures(t)
+	e := workerEngine(t, 2)
+	plan := e.ownPlan(ch, sp.String(), sp, []spectra.EnergyBin{{Rep: energyMeV, IntFlux: 1}}, itersPerBin, seed)
+	plan.RelErr = relErr
+	l, err := NewLedger(plan, nil, nil)
 	if err == nil {
-		err = e.RunShardCtx(context.Background(), l, 0, 1)
+		err = e.RunShardCtx(context.Background(), LedgerRun{Ledger: l, Char: ch}, 0, 1)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +291,8 @@ func TestAdaptivePOFConverges(t *testing.T) {
 	if !c.Converged || c.RelErr > c.Tol {
 		t.Fatalf("alpha at 1 MeV: converged=%v rel err %g (tol %g) after %d strikes", c.Converged, c.RelErr, c.Tol, pt.Strikes)
 	}
-	ref := mustPOF(t, adaptiveEngine(t, 0), phys.Alpha, 1, 100000, 17)
+	ch, _, _ := fixtures(t)
+	ref := mustPOF(t, workerEngine(t, 2), ch, phys.Alpha, 1, 100000, 17)
 	if diff := math.Abs(pt.Tot - ref.Tot); diff > 5*(pt.TotStdErr+ref.TotStdErr) {
 		t.Errorf("adaptive %v vs fixed %v beyond noise", pt.Tot, ref.Tot)
 	}
@@ -318,9 +324,10 @@ func TestAdaptivePOFRareEventNeedsMoreStrikes(t *testing.T) {
 // arrive over the wire), so the ledger and the bin runner must reject
 // malformed plans instead of indexing past them.
 func TestAdaptivePOFValidation(t *testing.T) {
+	ch, _, _ := fixtures(t)
 	_, bins := alphaEnv(t, 4)
 	seeds := FITSeedSchedule(42, len(bins))
-	e := adaptiveEngine(t, 0.05)
+	e := workerEngine(t, 2)
 	for _, tc := range []struct {
 		name     string
 		seeds    []uint64
@@ -333,11 +340,11 @@ func TestAdaptivePOFValidation(t *testing.T) {
 		{"range past plan", seeds, 2, 5, 100},
 		{"zero iterations", seeds, 0, 4, 0},
 	} {
-		plan := e.ownPlan("alpha", phys.Alpha, bins, tc.iters, 42)
+		plan := alphaPlan(e, ch, 0.05, bins, tc.iters, 42)
 		plan.Seeds = tc.seeds
 		l, err := NewLedger(plan, nil, nil)
 		if err == nil {
-			err = e.RunShardCtx(context.Background(), l, tc.from, tc.to)
+			err = e.RunShardCtx(context.Background(), LedgerRun{Ledger: l, Char: ch}, tc.from, tc.to)
 		}
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)

@@ -12,11 +12,13 @@
 //  5. combine cell POFs into POFtot/POFSEU/POFMBU (Eqs. 4–6),
 //  6. average over many particles, then integrate over the energy spectrum
 //     for the FIT rate (Eq. 8).
+//
+// Only step 4 depends on the supply voltage, so an Engine holds no cell
+// model: every estimate takes the model it looks strikes up in.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -151,11 +153,6 @@ const PhysicsRevision = 2
 type Config struct {
 	Tech       finfet.Technology
 	Rows, Cols int // array dimensions (the paper uses 9×9)
-	// Char is the cell POF model at the target Vdd: a sample-based
-	// sram.Characterization, or a serialized sram.GridLUT for the paper's
-	// LUT-only array architecture. For a symmetric cell it serves both
-	// stored states (the axis mapping mirrors the roles).
-	Char sram.POFProvider
 	// Transport configures the device-level physics.
 	Transport transport.Config
 	// Deposits selects full transport (default) or the paper's
@@ -170,19 +167,6 @@ type Config struct {
 	Incidence *Incidence
 	// Workers bounds MC parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// FITRelErr, when > 0, switches FITCtx and NeutronFITCtx to
-	// confidence-driven adaptive sampling (see adaptivefit.go): each energy
-	// bin consumes its particle stream in fixed batches of itersPerBin/10 and
-	// stops once its POFtot confidence interval is inside this relative
-	// tolerance, scaled by the bin's flux weight in the FIT integral, up to a
-	// hard cap of 4× the flat budget. ItersPerBin becomes the flat reference
-	// budget the batches are sized from. A ledger run with RunLedgersCtx or
-	// RunShardCtx carries its own tolerance in its plan.
-	// The tolerance is result-determining (part of the flow fingerprint): a
-	// fixed config stays bit-identical across runs, checkpoint resume, and
-	// the distributed shard merge. Zero (the default) keeps the exact
-	// flat-budget integration.
-	FITRelErr float64
 	// Metrics, when non-nil, receives engine counters (particles, hit/miss,
 	// struck-cell multiplicity, worker utilization) and per-stage FIT
 	// spans. Nil (the default) costs one pointer check per strike.
@@ -208,7 +192,10 @@ type Config struct {
 	NeutronSubstrateDepthNm float64
 }
 
-// Engine is a ready-to-run array SER estimator for one (technology, Vdd).
+// Engine is a ready-to-run array SER estimator for one technology, array
+// and data pattern. Each estimate takes the sram.POFProvider it looks
+// strikes up in (a Characterization, or the paper's serialized GridLUT),
+// so calls on one engine may interleave any models.
 type Engine struct {
 	cfg      Config
 	arr      *layout.Array
@@ -230,9 +217,6 @@ type Engine struct {
 // New builds the engine: tiles the thin-cell layout into the array and
 // prepares the broad-phase structures.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Char == nil {
-		return nil, errors.New("core: config needs a cell characterization")
-	}
 	if cfg.Rows <= 0 || cfg.Cols <= 0 {
 		return nil, fmt.Errorf("core: bad array dims %d×%d", cfg.Rows, cfg.Cols)
 	}
@@ -330,18 +314,18 @@ func (e *Engine) yieldTable(ctx context.Context, sp phys.Species) (*lut.Table1D,
 }
 
 // strike runs steps 2–5 of the paper's §5.1 for one particle on the
-// sampled ray, in the engine's cell model (Config.Char): the one-model case
-// of the two strike halves, chargeStrike and lookup. MBU reports and sampled
-// tracks call it. yieldTab is the yieldTable result, resolved once per
-// estimate outside the hot loop. scr holds the worker's reusable buffers,
-// and keeps the track's deposits and the strike's cell POFs until the next
-// call; the steady-state path allocates nothing. The error is non-nil only
-// under a strict guard.
-func (e *Engine) strike(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (strikeOutcome, error) {
+// sampled ray, in cell model m: the one-model case of the two strike
+// halves, chargeStrike and lookup. MBU reports and sampled tracks call it.
+// yieldTab is the yieldTable result, resolved once per estimate outside
+// the hot loop. scr holds the worker's reusable buffers, and keeps the
+// track's deposits and the strike's cell POFs until the next call; the
+// steady-state path allocates nothing. The error is non-nil only under a
+// strict guard.
+func (e *Engine) strike(m sram.POFProvider, src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (strikeOutcome, error) {
 	if err := e.chargeStrike(src, sp, energyMeV, ray, yieldTab, scr); err != nil {
 		return strikeOutcome{}, err
 	}
-	return e.lookup(e.cfg.Char, scr)
+	return e.lookup(m, scr)
 }
 
 // chargeStrike is the voltage-independent half of an α/p strike: it opens
@@ -583,17 +567,18 @@ type POFPoint struct {
 }
 
 // POFAtEnergyCtx runs iters Monte-Carlo particles of the species at one
-// energy through the shared worker fan-out and returns the averaged POFs.
-// Workers check ctx every cancelCheckEvery particles; a worker panic fails
-// this energy point with a stack-carrying *faultinject.PanicError instead
-// of crashing the process. The result is a pure function of the
-// configuration and seed, whatever the worker count.
-func (e *Engine) POFAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV float64, iters int, seed uint64) (POFPoint, error) {
+// energy through the shared worker fan-out, looks their struck cells up in
+// cell model m, and returns the averaged POFs. Workers check ctx every
+// cancelCheckEvery particles; a worker panic fails this energy point with
+// a stack-carrying *faultinject.PanicError instead of crashing the
+// process. The result is a pure function of the configuration, model and
+// seed, whatever the worker count.
+func (e *Engine) POFAtEnergyCtx(ctx context.Context, m sram.POFProvider, sp phys.Species, energyMeV float64, iters int, seed uint64) (POFPoint, error) {
 	k, err := e.directKernel(ctx, sp)
 	if err != nil {
 		return POFPoint{}, err
 	}
-	pts, _, err := e.estimate(ctx, k, []sram.POFProvider{e.cfg.Char}, energyMeV, 0, iters, seed)
+	pts, _, err := e.estimate(ctx, k, []sram.POFProvider{m}, energyMeV, 0, iters, seed)
 	if err != nil {
 		return POFPoint{}, err
 	}
@@ -637,8 +622,8 @@ type FITResult struct {
 	Points   []POFPoint // per-bin POFs, aligned with Bins
 	Bins     []spectra.EnergyBin
 	// Conv carries per-bin convergence records, aligned with Points, when
-	// the integration ran in adaptive mode (Config.FITRelErr > 0); nil under
-	// the flat budget.
+	// the integration ran in adaptive mode (a BinPlan with RelErr > 0); nil
+	// under the flat budget.
 	Conv []BinConv
 }
 
@@ -675,15 +660,16 @@ type BinEvent struct {
 	Conv     BinConv
 }
 
-// FITCtx runs the full Eq. 8 integration for a directly ionizing species:
-// per energy bin, estimate the POF with itersPerBin Monte-Carlo particles
-// (or adaptively, with Config.FITRelErr > 0), multiply by the bin's integral
-// flux and the array area, and sum. It is the store-less library form of
-// RunLedgersCtx: one run of the engine's own plan in Config.Char, with no
-// checkpoint and no BinDone stream, cancellable bin by bin.
-func (e *Engine) FITCtx(ctx context.Context, spec spectra.Spectrum, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
+// FITCtx runs the full Eq. 8 integration for a directly ionizing species in
+// cell model m: per energy bin, estimate the POF with itersPerBin
+// Monte-Carlo particles, multiply by the bin's integral flux and the array
+// area, and sum. It is the flat-budget, store-less library form of
+// RunLedgersCtx: one run of ownPlan, with no checkpoint and no BinDone
+// stream, cancellable bin by bin. Adaptive sampling runs a plan with
+// RelErr > 0 through RunLedgersCtx.
+func (e *Engine) FITCtx(ctx context.Context, m sram.POFProvider, spec spectra.Spectrum, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
 	sp := spec.Species()
-	return e.runOwnPlan(ctx, e.ownPlan(sp.String(), sp, bins, itersPerBin, seed), nil)
+	return e.runOwnPlan(ctx, m, e.ownPlan(m, sp.String(), sp, bins, itersPerBin, seed), nil)
 }
 
 // FITSeedSchedule returns the per-bin seed schedule FITCtx pre-draws from

@@ -15,8 +15,7 @@ import (
 // a fin the ray would actually hit: appendCandidateFins must return a
 // superset of the brute-force hit set for random rays.
 func TestBroadPhaseComplete(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	src := rng.New(99)
 	for trial := 0; trial < 5000; trial++ {
 		ray := e.sampleRay(src, phys.Alpha)
@@ -40,7 +39,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	mk := func(workers int) *Engine {
 		e, err := New(Config{
 			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: ch, Transport: transport.DefaultConfig(), Workers: workers,
+			Transport: transport.DefaultConfig(), Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -48,21 +47,21 @@ func TestWorkerCountInvariance(t *testing.T) {
 		return e
 	}
 	rx := neutron.NewReactions()
-	a1 := mustPOF(t, mk(1), phys.Alpha, 1, 20000, 5)
+	a1 := mustPOF(t, mk(1), ch, phys.Alpha, 1, 20000, 5)
 	if a1.Tot <= 0 {
 		t.Fatal("single-worker run returned zero POF")
 	}
-	n1 := mustNeutronPOF(t, mk(1), rx, 14, 3000, 7)
-	m1 := mustMBU(t, mk(1), phys.Alpha, 1, 3000, 6, 9)
+	n1 := mustNeutronPOF(t, mk(1), ch, rx, 14, 3000, 7)
+	m1 := mustMBU(t, mk(1), ch, phys.Alpha, 1, 3000, 6, 9)
 	for _, workers := range []int{1, 2, 4, 8} {
 		e := mk(workers)
-		if a := mustPOF(t, e, phys.Alpha, 1, 20000, 5); a != a1 {
+		if a := mustPOF(t, e, ch, phys.Alpha, 1, 20000, 5); a != a1 {
 			t.Errorf("POF under %d workers = %+v, want %+v", workers, a, a1)
 		}
-		if n := mustNeutronPOF(t, e, rx, 14, 3000, 7); n != n1 {
+		if n := mustNeutronPOF(t, e, ch, rx, 14, 3000, 7); n != n1 {
 			t.Errorf("neutron POF under %d workers = %+v, want %+v", workers, n, n1)
 		}
-		if m := mustMBU(t, e, phys.Alpha, 1, 3000, 6, 9); !reflect.DeepEqual(m, m1) {
+		if m := mustMBU(t, e, ch, phys.Alpha, 1, 3000, 6, 9); !reflect.DeepEqual(m, m1) {
 			t.Errorf("MBU report under %d workers differs from 1 worker: mean flips %v, want %v", workers, m.MeanFlips, m1.MeanFlips)
 		}
 	}
@@ -76,7 +75,7 @@ func TestSubstrateDepthAblation(t *testing.T) {
 	mk := func(depth float64) *Engine {
 		e, err := New(Config{
 			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: ch, Transport: transport.DefaultConfig(),
+			Transport:               transport.DefaultConfig(),
 			NeutronSubstrateDepthNm: depth,
 		})
 		if err != nil {
@@ -85,8 +84,8 @@ func TestSubstrateDepthAblation(t *testing.T) {
 		return e
 	}
 	rx := neutron.NewReactions()
-	shallow := mustNeutronPOF(t, mk(1), rx, 14, 30000, 7)
-	deep := mustNeutronPOF(t, mk(3000), rx, 14, 30000, 7)
+	shallow := mustNeutronPOF(t, mk(1), ch, rx, 14, 30000, 7)
+	deep := mustNeutronPOF(t, mk(3000), ch, rx, 14, 30000, 7)
 	if deep.InteractionWeight <= shallow.InteractionWeight {
 		t.Errorf("deep substrate weight %v not above shallow %v",
 			deep.InteractionWeight, shallow.InteractionWeight)
@@ -98,8 +97,7 @@ func TestSubstrateDepthAblation(t *testing.T) {
 
 // TestSubstrateSlabGeometry checks the slab sits strictly below the BOX.
 func TestSubstrateSlabGeometry(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	slab, ok := e.slab, e.hasSlab
 	if !ok {
 		t.Fatal("no substrate slab with default config")
@@ -128,12 +126,12 @@ func TestSubstrateSlabGeometry(t *testing.T) {
 // for fins the ray cannot geometrically reach.
 func TestStrikeChargeSanity(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	src := rng.New(123)
 	scr := e.getScratch()
 	defer e.putScratch(scr)
 	for i := 0; i < 2000; i++ {
-		o, err := e.strike(src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), nil, scr)
+		o, err := e.strike(ch, src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), nil, scr)
 		if err != nil {
 			t.Fatalf("strike: %v", err)
 		}
@@ -149,8 +147,7 @@ func TestStrikeChargeSanity(t *testing.T) {
 // TestGeomRayEntersFromTop: sampled rays originate on the top face and
 // point downward.
 func TestSampleRayGeometry(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	src := rng.New(7)
 	top := e.arr.Bounds().Max.Z
 	for i := 0; i < 5000; i++ {
@@ -175,12 +172,12 @@ func TestMultiFinArrayStrikes(t *testing.T) {
 	// behaviour stays consistent (PD fins are not sensitive for the bit
 	// they hold low, so POF moves far less than the target area).
 	ch, _, _ := fixtures(t)
-	base := engineWith(t, ch)
+	base := newEngine(t)
 	tech2 := finfet.Default14nmSOI()
 	tech2.FinsPD = 2
 	tech2.FinsPG = 2
 	e2, err := New(Config{
-		Tech: tech2, Rows: 9, Cols: 9, Char: ch,
+		Tech: tech2, Rows: 9, Cols: 9,
 		Transport: transport.DefaultConfig(),
 	})
 	if err != nil {
@@ -190,8 +187,8 @@ func TestMultiFinArrayStrikes(t *testing.T) {
 		// 6 roles: PD×2 + PG×2 + PU×1 ×2 sides = 10 fins/cell vs 6.
 		t.Logf("fin counts: base %d, multi %d", len(base.boxes), len(e2.boxes))
 	}
-	pBase := mustPOF(t, base, phys.Alpha, 1, 30000, 3)
-	pMulti := mustPOF(t, e2, phys.Alpha, 1, 30000, 3)
+	pBase := mustPOF(t, base, ch, phys.Alpha, 1, 30000, 3)
+	pMulti := mustPOF(t, e2, ch, phys.Alpha, 1, 30000, 3)
 	if pMulti.HitFrac <= pBase.HitFrac {
 		t.Errorf("multi-fin hit fraction %v not above base %v", pMulti.HitFrac, pBase.HitFrac)
 	}

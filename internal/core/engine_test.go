@@ -52,11 +52,13 @@ func fixtures(t *testing.T) (*sram.Characterization, *sram.Characterization, *sr
 	return char07, char11, charNom
 }
 
-func engineWith(t *testing.T, ch *sram.Characterization) *Engine {
+// newEngine is the default 9×9 engine; each estimate names the cell model
+// it looks its strikes up in.
+func newEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(),
+		Transport: transport.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +67,9 @@ func engineWith(t *testing.T, ch *sram.Characterization) *Engine {
 }
 
 // mustPOF is POFAtEnergyCtx under a background context, failing tb on error.
-func mustPOF(tb testing.TB, e *Engine, sp phys.Species, energyMeV float64, iters int, seed uint64) POFPoint {
+func mustPOF(tb testing.TB, e *Engine, m sram.POFProvider, sp phys.Species, energyMeV float64, iters int, seed uint64) POFPoint {
 	tb.Helper()
-	pt, err := e.POFAtEnergyCtx(context.Background(), sp, energyMeV, iters, seed)
+	pt, err := e.POFAtEnergyCtx(context.Background(), m, sp, energyMeV, iters, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,9 +77,9 @@ func mustPOF(tb testing.TB, e *Engine, sp phys.Species, energyMeV float64, iters
 }
 
 // mustNeutronPOF is NeutronPOFAtEnergyCtx under a background context.
-func mustNeutronPOF(tb testing.TB, e *Engine, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) NeutronPoint {
+func mustNeutronPOF(tb testing.TB, e *Engine, m sram.POFProvider, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) NeutronPoint {
 	tb.Helper()
-	pt, err := e.NeutronPOFAtEnergyCtx(context.Background(), rx, energyMeV, iters, seed)
+	pt, err := e.NeutronPOFAtEnergyCtx(context.Background(), m, rx, energyMeV, iters, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -85,9 +87,9 @@ func mustNeutronPOF(tb testing.TB, e *Engine, rx *neutron.Reactions, energyMeV f
 }
 
 // mustMBU is MBUStatsAtEnergyCtx under a background context.
-func mustMBU(tb testing.TB, e *Engine, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) MBUReport {
+func mustMBU(tb testing.TB, e *Engine, m sram.POFProvider, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) MBUReport {
 	tb.Helper()
-	rep, err := e.MBUStatsAtEnergyCtx(context.Background(), sp, energyMeV, iters, maxK, seed)
+	rep, err := e.MBUStatsAtEnergyCtx(context.Background(), m, sp, energyMeV, iters, maxK, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -95,11 +97,7 @@ func mustMBU(tb testing.TB, e *Engine, sp phys.Species, energyMeV float64, iters
 }
 
 func TestNewValidation(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	if _, err := New(Config{Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9}); err == nil {
-		t.Error("nil characterization accepted")
-	}
-	if _, err := New(Config{Tech: finfet.Default14nmSOI(), Rows: 0, Cols: 9, Char: ch}); err == nil {
+	if _, err := New(Config{Tech: finfet.Default14nmSOI(), Rows: 0, Cols: 9}); err == nil {
 		t.Error("zero rows accepted")
 	}
 }
@@ -202,13 +200,13 @@ func TestCombinePOFsProperties(t *testing.T) {
 
 func TestPOFDeterministicAcrossRuns(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	a := mustPOF(t, e, phys.Alpha, 1, 5000, 99)
-	b := mustPOF(t, e, phys.Alpha, 1, 5000, 99)
+	e := newEngine(t)
+	a := mustPOF(t, e, ch, phys.Alpha, 1, 5000, 99)
+	b := mustPOF(t, e, ch, phys.Alpha, 1, 5000, 99)
 	if a.Tot != b.Tot || a.SEU != b.SEU || a.MBU != b.MBU {
 		t.Error("same seed gave different POFs")
 	}
-	c := mustPOF(t, e, phys.Alpha, 1, 5000, 100)
+	c := mustPOF(t, e, ch, phys.Alpha, 1, 5000, 100)
 	if a.Tot == c.Tot {
 		t.Error("different seeds gave identical POFs (suspicious)")
 	}
@@ -217,10 +215,10 @@ func TestPOFDeterministicAcrossRuns(t *testing.T) {
 func TestPOFAlphaExceedsProton(t *testing.T) {
 	// Fig. 8: alpha POF ≫ proton POF at the same energy.
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	for _, en := range []float64{0.5, 1, 5} {
-		a := mustPOF(t, e, phys.Alpha, en, 15000, 7)
-		p := mustPOF(t, e, phys.Proton, en, 15000, 8)
+		a := mustPOF(t, e, ch, phys.Alpha, en, 15000, 7)
+		p := mustPOF(t, e, ch, phys.Proton, en, 15000, 8)
 		if a.Tot <= 3*p.Tot {
 			t.Errorf("at %v MeV alpha POF %v not ≫ proton %v", en, a.Tot, p.Tot)
 		}
@@ -231,9 +229,9 @@ func TestPOFDecreasesWithEnergy(t *testing.T) {
 	// Fig. 8: POF decreases at higher particle energies (above the Bragg
 	// peak, fewer e-h pairs are generated).
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	low := mustPOF(t, e, phys.Alpha, 2, 15000, 3)
-	high := mustPOF(t, e, phys.Alpha, 10, 15000, 3)
+	e := newEngine(t)
+	low := mustPOF(t, e, ch, phys.Alpha, 2, 15000, 3)
+	high := mustPOF(t, e, ch, phys.Alpha, 10, 15000, 3)
 	if low.Tot <= high.Tot {
 		t.Errorf("alpha POF not decreasing: %v at 2 MeV vs %v at 10 MeV", low.Tot, high.Tot)
 	}
@@ -242,10 +240,9 @@ func TestPOFDecreasesWithEnergy(t *testing.T) {
 func TestPOFIncreasesAtLowerVdd(t *testing.T) {
 	// Fig. 8: lower supply ⇒ higher POF.
 	ch07, ch11, _ := fixtures(t)
-	e07 := engineWith(t, ch07)
-	e11 := engineWith(t, ch11)
-	p07 := mustPOF(t, e07, phys.Alpha, 5, 15000, 4)
-	p11 := mustPOF(t, e11, phys.Alpha, 5, 15000, 4)
+	e := newEngine(t)
+	p07 := mustPOF(t, e, ch07, phys.Alpha, 5, 15000, 4)
+	p11 := mustPOF(t, e, ch11, phys.Alpha, 5, 15000, 4)
 	if p07.Tot <= p11.Tot {
 		t.Errorf("POF(0.7V)=%v not above POF(1.1V)=%v", p07.Tot, p11.Tot)
 	}
@@ -254,9 +251,9 @@ func TestPOFIncreasesAtLowerVdd(t *testing.T) {
 func TestAlphaMBUExceedsProtonMBU(t *testing.T) {
 	// Fig. 10 mechanism: MBU/SEU ratio much higher for alphas.
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	a := mustPOF(t, e, phys.Alpha, 1, 40000, 5)
-	p := mustPOF(t, e, phys.Proton, 0.3, 40000, 6)
+	e := newEngine(t)
+	a := mustPOF(t, e, ch, phys.Alpha, 1, 40000, 5)
+	p := mustPOF(t, e, ch, phys.Proton, 0.3, 40000, 6)
 	aRatio := a.MBU / a.SEU
 	var pRatio float64
 	if p.SEU > 0 {
@@ -275,11 +272,10 @@ func TestProcessVariationRaisesPOF(t *testing.T) {
 	// energy where typical deposits sit near the nominal critical charge,
 	// the variation tail flips cells the nominal corner would not.
 	chPV, _, chNom := fixtures(t)
-	ePV := engineWith(t, chPV)
-	eNom := engineWith(t, chNom)
+	e := newEngine(t)
 	// 10 MeV alphas deposit near threshold (lower stopping power).
-	pv := mustPOF(t, ePV, phys.Alpha, 10, 40000, 9)
-	nom := mustPOF(t, eNom, phys.Alpha, 10, 40000, 9)
+	pv := mustPOF(t, e, chPV, phys.Alpha, 10, 40000, 9)
+	nom := mustPOF(t, e, chNom, phys.Alpha, 10, 40000, 9)
 	if pv.Tot <= nom.Tot {
 		t.Errorf("PV POF %v not above nominal %v", pv.Tot, nom.Tot)
 	}
@@ -287,13 +283,13 @@ func TestProcessVariationRaisesPOF(t *testing.T) {
 
 func TestFITValidation(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	spec, _ := spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
-	if _, err := e.FITCtx(context.Background(), spec, nil, 100, 1); err == nil {
+	if _, err := e.FITCtx(context.Background(), ch, spec, nil, 100, 1); err == nil {
 		t.Error("empty bins accepted")
 	}
 	bins, _ := spectra.Bins(spec, 0.5, 10, 4)
-	if _, err := e.FITCtx(context.Background(), spec, bins, 0, 1); err == nil {
+	if _, err := e.FITCtx(context.Background(), ch, spec, bins, 0, 1); err == nil {
 		t.Error("zero iterations accepted")
 	}
 }
@@ -302,7 +298,7 @@ func TestFITValidation(t *testing.T) {
 // error, never return an estimate over no strikes or panic.
 func TestStrikeEntryPointsRejectEmptyCount(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	ctx := context.Background()
 	rx := neutron.NewReactions()
 	for _, n := range []int{0, -5} {
@@ -310,10 +306,10 @@ func TestStrikeEntryPointsRejectEmptyCount(t *testing.T) {
 			name string
 			run  func() (any, error)
 		}{
-			{"POF", func() (any, error) { return e.POFAtEnergyCtx(ctx, phys.Alpha, 1, n, 1) }},
-			{"neutron POF", func() (any, error) { return e.NeutronPOFAtEnergyCtx(ctx, rx, 14, n, 1) }},
-			{"MBU", func() (any, error) { return e.MBUStatsAtEnergyCtx(ctx, phys.Alpha, 1, n, 6, 1) }},
-			{"tracks", func() (any, error) { return e.SampleTracksCtx(ctx, phys.Alpha, 1, n, 1) }},
+			{"POF", func() (any, error) { return e.POFAtEnergyCtx(ctx, ch, phys.Alpha, 1, n, 1) }},
+			{"neutron POF", func() (any, error) { return e.NeutronPOFAtEnergyCtx(ctx, ch, rx, 14, n, 1) }},
+			{"MBU", func() (any, error) { return e.MBUStatsAtEnergyCtx(ctx, ch, phys.Alpha, 1, n, 6, 1) }},
+			{"tracks", func() (any, error) { return e.SampleTracksCtx(ctx, ch, phys.Alpha, 1, n, 1) }},
 		} {
 			if got, err := tc.run(); err == nil {
 				t.Errorf("%s with %d strikes: accepted, got %+v", tc.name, n, got)
@@ -324,10 +320,10 @@ func TestStrikeEntryPointsRejectEmptyCount(t *testing.T) {
 
 func TestFITConsistency(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	spec, _ := spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
 	bins, _ := spectra.Bins(spec, 0.5, 10, 6)
-	res, err := e.FITCtx(context.Background(), spec, bins, 8000, 11)
+	res, err := e.FITCtx(context.Background(), ch, spec, bins, 8000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +344,16 @@ func TestFITConsistency(t *testing.T) {
 func TestFITLinearInFlux(t *testing.T) {
 	// Doubling the emission rate doubles the FIT (Eq. 8 linearity).
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	s1, _ := spectra.NewAlphaEmission(0.001)
 	s2, _ := spectra.NewAlphaEmission(0.002)
 	b1, _ := spectra.Bins(s1, 0.5, 10, 4)
 	b2, _ := spectra.Bins(s2, 0.5, 10, 4)
-	r1, err := e.FITCtx(context.Background(), s1, b1, 6000, 13)
+	r1, err := e.FITCtx(context.Background(), ch, s1, b1, 6000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.FITCtx(context.Background(), s2, b2, 6000, 13)
+	r2, err := e.FITCtx(context.Background(), ch, s2, b2, 6000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,15 +369,15 @@ func TestPatternSymmetry(t *testing.T) {
 	mk := func(p DataPattern) *Engine {
 		e, err := New(Config{
 			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: ch, Transport: transport.DefaultConfig(), Pattern: p,
+			Transport: transport.DefaultConfig(), Pattern: p,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	z := mustPOF(t, mk(PatternZeros), phys.Alpha, 1, 30000, 17)
-	o := mustPOF(t, mk(PatternOnes), phys.Alpha, 1, 30000, 18)
+	z := mustPOF(t, mk(PatternZeros), ch, phys.Alpha, 1, 30000, 17)
+	o := mustPOF(t, mk(PatternOnes), ch, phys.Alpha, 1, 30000, 18)
 	if z.Tot == 0 || o.Tot == 0 {
 		t.Fatal("zero POF in symmetry test")
 	}
@@ -395,7 +391,7 @@ func TestIncidenceOverride(t *testing.T) {
 	iso := IncidenceIsotropic
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(), Incidence: &iso,
+		Transport: transport.DefaultConfig(), Incidence: &iso,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,23 +399,22 @@ func TestIncidenceOverride(t *testing.T) {
 	cos := IncidenceCosine
 	e2, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(), Incidence: &cos,
+		Transport: transport.DefaultConfig(), Incidence: &cos,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Isotropic incidence has more grazing tracks → more multi-fin strikes
 	// → at minimum, a different POF than cosine-law.
-	pi := mustPOF(t, e, phys.Proton, 0.3, 30000, 21)
-	pc := mustPOF(t, e2, phys.Proton, 0.3, 30000, 21)
+	pi := mustPOF(t, e, ch, phys.Proton, 0.3, 30000, 21)
+	pc := mustPOF(t, e2, ch, phys.Proton, 0.3, 30000, 21)
 	if pi.Tot == pc.Tot {
 		t.Error("incidence override had no effect")
 	}
 }
 
 func TestArrayAccessor(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	if e.Array().NumCells() != 81 {
 		t.Errorf("array cells = %d", e.Array().NumCells())
 	}
@@ -427,14 +422,14 @@ func TestArrayAccessor(t *testing.T) {
 
 func TestFITErrorPropagation(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	spec, _ := spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
 	bins, _ := spectra.Bins(spec, 0.5, 10, 6)
-	small, err := e.FITCtx(context.Background(), spec, bins, 4000, 21)
+	small, err := e.FITCtx(context.Background(), ch, spec, bins, 4000, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := e.FITCtx(context.Background(), spec, bins, 32000, 21)
+	big, err := e.FITCtx(context.Background(), ch, spec, bins, 32000, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

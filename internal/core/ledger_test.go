@@ -199,9 +199,10 @@ func FuzzLedgerRestore(f *testing.F) {
 // refused by both ledger entries with a typed error naming both values,
 // before the ledger restores a bin or fires an event.
 func TestRunLedgerRefusesForeignPlan(t *testing.T) {
-	e := adaptiveEngine(t, 0) // characterized at 0.7 V
+	ch, _, _ := fixtures(t) // characterized at 0.7 V
+	e := workerEngine(t, 2)
 	_, bins := alphaEnv(t, 3)
-	own := e.ownPlan("alpha", phys.Alpha, bins, 100, 5)
+	own := e.ownPlan(ch, "alpha", phys.Alpha, bins, 100, 5)
 	pts, _ := ledgerBins()
 	for _, tc := range []struct {
 		field string
@@ -221,8 +222,8 @@ func TestRunLedgerRefusesForeignPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, runErr := soloRun(context.Background(), e, l, nil)
-		shardErr := e.RunShardCtx(context.Background(), l, 0, 1)
+		_, runErr := soloRun(context.Background(), e, ch, l, nil)
+		shardErr := e.RunShardCtx(context.Background(), LedgerRun{Ledger: l, Char: ch}, 0, 1)
 		for _, err := range []error{runErr, shardErr} {
 			var pm *PlanMismatchError
 			if !errors.As(err, &pm) || pm.Field != tc.field || pm.Stage != "fit/alpha" {

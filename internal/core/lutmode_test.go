@@ -11,11 +11,10 @@ import (
 
 func lutEngine(t *testing.T) *Engine {
 	t.Helper()
-	ch, _, _ := fixtures(t)
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(),
-		Deposits: DepositLUT, LUTIters: 4000,
+		Transport: transport.DefaultConfig(),
+		Deposits:  DepositLUT, LUTIters: 4000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -24,13 +23,14 @@ func lutEngine(t *testing.T) *Engine {
 }
 
 func TestLUTModeProducesPOF(t *testing.T) {
+	ch, _, _ := fixtures(t)
 	e := lutEngine(t)
-	pt := mustPOF(t, e, phys.Alpha, 1, 10000, 3)
+	pt := mustPOF(t, e, ch, phys.Alpha, 1, 10000, 3)
 	if pt.Tot <= 0 {
 		t.Fatal("LUT mode produced zero POF")
 	}
 	// Determinism holds in LUT mode too.
-	again := mustPOF(t, e, phys.Alpha, 1, 10000, 3)
+	again := mustPOF(t, e, ch, phys.Alpha, 1, 10000, 3)
 	if pt.Tot != again.Tot {
 		t.Error("LUT mode not deterministic")
 	}
@@ -42,11 +42,11 @@ func TestLUTModeTracksTransportMode(t *testing.T) {
 	// orderings and stay within a small factor of each other where POF is
 	// well away from threshold.
 	ch, _, _ := fixtures(t)
-	full := engineWith(t, ch)
+	full := newEngine(t)
 	lutE := lutEngine(t)
 	for _, en := range []float64{0.5, 1} {
-		a := mustPOF(t, full, phys.Alpha, en, 20000, 5)
-		b := mustPOF(t, lutE, phys.Alpha, en, 20000, 5)
+		a := mustPOF(t, full, ch, phys.Alpha, en, 20000, 5)
+		b := mustPOF(t, lutE, ch, phys.Alpha, en, 20000, 5)
 		if b.Tot <= 0 {
 			t.Fatalf("LUT mode zero at %v MeV", en)
 		}
@@ -55,8 +55,8 @@ func TestLUTModeTracksTransportMode(t *testing.T) {
 		}
 	}
 	// Ordering preserved: alpha ≫ proton in both modes.
-	ap := mustPOF(t, lutE, phys.Alpha, 1, 20000, 7)
-	pp := mustPOF(t, lutE, phys.Proton, 1, 20000, 7)
+	ap := mustPOF(t, lutE, ch, phys.Alpha, 1, 20000, 7)
+	pp := mustPOF(t, lutE, ch, phys.Proton, 1, 20000, 7)
 	if ap.Tot <= pp.Tot {
 		t.Error("LUT mode lost the alpha ≫ proton ordering")
 	}
@@ -65,16 +65,17 @@ func TestLUTModeTracksTransportMode(t *testing.T) {
 func TestLUTModeFasterSetupReuse(t *testing.T) {
 	// The LUT is built once per species and reused; a second call must not
 	// rebuild (observable as identical results with a warm engine).
+	ch, _, _ := fixtures(t)
 	e := lutEngine(t)
-	_ = mustPOF(t, e, phys.Alpha, 1, 2000, 1)
+	_ = mustPOF(t, e, ch, phys.Alpha, 1, 2000, 1)
 	if len(e.yieldLUTs) != 1 {
 		t.Fatalf("expected 1 cached LUT, got %d", len(e.yieldLUTs))
 	}
-	_ = mustPOF(t, e, phys.Alpha, 5, 2000, 1)
+	_ = mustPOF(t, e, ch, phys.Alpha, 5, 2000, 1)
 	if len(e.yieldLUTs) != 1 {
 		t.Fatalf("second energy rebuilt the LUT table map: %d", len(e.yieldLUTs))
 	}
-	_ = mustPOF(t, e, phys.Proton, 1, 2000, 1)
+	_ = mustPOF(t, e, ch, phys.Proton, 1, 2000, 1)
 	if len(e.yieldLUTs) != 2 {
 		t.Fatalf("expected 2 cached LUTs after proton run, got %d", len(e.yieldLUTs))
 	}
@@ -89,25 +90,13 @@ func TestEngineWithGridLUTProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(p sram.POFProvider) *Engine {
-		e, err := New(Config{
-			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: p, Transport: transport.DefaultConfig(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	a := mustPOF(t, mk(ch), phys.Alpha, 1, 20000, 3)
-	b := mustPOF(t, mk(grid), phys.Alpha, 1, 20000, 3)
+	e := newEngine(t)
+	a := mustPOF(t, e, ch, phys.Alpha, 1, 20000, 3)
+	b := mustPOF(t, e, grid, phys.Alpha, 1, 20000, 3)
 	if b.Tot <= 0 {
 		t.Fatal("grid-LUT provider produced zero POF")
 	}
 	if r := b.Tot / a.Tot; r < 0.9 || r > 1.1 {
 		t.Errorf("grid-LUT POF %v vs sample POF %v (ratio %v)", b.Tot, a.Tot, r)
-	}
-	if mk(grid).cfg.Char.SupplyVoltage() != ch.Vdd {
-		t.Error("provider supply voltage mismatch")
 	}
 }

@@ -42,14 +42,15 @@ type MBUReport struct {
 }
 
 // MBUStatsAtEnergyCtx runs iters strikes at one energy through the shared
-// worker fan-out and strike body and gathers multiplicity and
-// pair-separation statistics. maxK bounds the multiplicity PMF length (use
-// 5-8; events beyond that are vanishingly rare). Strike i is strike i of
-// POFAtEnergyCtx with the same seed, in either deposit mode, so the PMF's
-// marginals reproduce that point's POFtot and POFMBU. Chunk sums merge in
-// chunk order, so the report is a pure function of the configuration and
-// seed, whatever the worker count.
-func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) (MBUReport, error) {
+// worker fan-out and strike body, looks them up in cell model m, and
+// gathers multiplicity and pair-separation statistics. maxK bounds the
+// multiplicity PMF length (use 5-8; events beyond that are vanishingly
+// rare). Strike i is strike i of POFAtEnergyCtx with the same model and
+// seed, in either deposit mode, so the PMF's marginals reproduce that
+// point's POFtot and POFMBU. Chunk sums merge in chunk order, so the
+// report is a pure function of the configuration, model and seed, whatever
+// the worker count.
+func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, m sram.POFProvider, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) (MBUReport, error) {
 	if maxK < 2 {
 		maxK = 2
 	}
@@ -58,7 +59,7 @@ func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, sp phys.Species, energ
 		return MBUReport{}, err
 	}
 	accs, _, err := fanOut(ctx, e, 0, iters, seed, func(int) mbuTally { return mbuTally{} }, func(src *rng.Source, scr *strikeScratch, a *mbuTally) (int, error) {
-		return e.mbuTrial(src, sp, energyMeV, yieldTab, maxK, scr, a)
+		return e.mbuTrial(m, src, sp, energyMeV, yieldTab, maxK, scr, a)
 	})
 	if err != nil {
 		return MBUReport{}, fmt.Errorf("core: MBU stats %v @%g MeV: %w", sp, energyMeV, err)
@@ -100,16 +101,16 @@ type mbuTally struct {
 	strikePMF, next []float64
 }
 
-// mbuTrial runs one strike and folds its multiplicity PMF, expected flips,
-// and pair weights into a.
-func (e *Engine) mbuTrial(src *rng.Source, sp phys.Species, energyMeV float64, yieldTab *lut.Table1D, maxK int, scr *strikeScratch, a *mbuTally) (int, error) {
+// mbuTrial runs one strike in cell model m and folds its multiplicity PMF,
+// expected flips, and pair weights into a.
+func (e *Engine) mbuTrial(m sram.POFProvider, src *rng.Source, sp phys.Species, energyMeV float64, yieldTab *lut.Table1D, maxK int, scr *strikeScratch, a *mbuTally) (int, error) {
 	if a.pmf == nil {
 		a.pmf = make([]float64, maxK+1)
 		a.pairs = map[PairKey]float64{}
 		a.strikePMF = make([]float64, maxK+1)
 		a.next = make([]float64, maxK+1)
 	}
-	o, err := e.strike(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
+	o, err := e.strike(m, src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
 	if err != nil {
 		return 0, err
 	}
@@ -201,12 +202,12 @@ type TrackInfo struct {
 	POF         float64
 }
 
-// SampleTracksCtx runs n strikes at one energy through the strike body and
-// returns their geometric detail — the input for the SVG strike overlay.
-// Tracks draw from one sequential stream seeded by seed. Like every other
-// entry point it honours the deposit mode and the guard and checks ctx
-// every cancelCheckEvery tracks.
-func (e *Engine) SampleTracksCtx(ctx context.Context, sp phys.Species, energyMeV float64, n int, seed uint64) ([]TrackInfo, error) {
+// SampleTracksCtx runs n strikes at one energy through the strike body in
+// cell model m and returns their geometric detail — the input for the SVG
+// strike overlay. Tracks draw from one sequential stream seeded by seed.
+// Like every other entry point it honours the deposit mode and the guard
+// and checks ctx every cancelCheckEvery tracks.
+func (e *Engine) SampleTracksCtx(ctx context.Context, m sram.POFProvider, sp phys.Species, energyMeV float64, n int, seed uint64) ([]TrackInfo, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: tracks: need a positive track count, got %d", n)
 	}
@@ -232,7 +233,7 @@ func (e *Engine) SampleTracksCtx(ctx context.Context, sp phys.Species, energyMeV
 			info.Entry = ray.At(tIn)
 			info.Exit = ray.At(tOut)
 		}
-		o, err := e.strike(src, sp, energyMeV, ray, yieldTab, scr)
+		o, err := e.strike(m, src, sp, energyMeV, ray, yieldTab, scr)
 		if err != nil {
 			return nil, fmt.Errorf("core: tracks %v @%g MeV: %w", sp, energyMeV, err)
 		}

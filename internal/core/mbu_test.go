@@ -15,8 +15,8 @@ import (
 
 func TestMBUStatsBasics(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	rep := mustMBU(t, e, phys.Alpha, 1, 40000, 6, 3)
+	e := newEngine(t)
+	rep := mustMBU(t, e, ch, phys.Alpha, 1, 40000, 6, 3)
 	if rep.Species != phys.Alpha || rep.EnergyMeV != 1 || rep.Strikes != 40000 {
 		t.Fatalf("metadata wrong: %+v", rep)
 	}
@@ -55,8 +55,8 @@ func TestMBUPairsAreLocal(t *testing.T) {
 	// MBU pairs should concentrate at small separations: a single track
 	// only reaches adjacent cells.
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	rep := mustMBU(t, e, phys.Alpha, 1, 40000, 6, 5)
+	e := newEngine(t)
+	rep := mustMBU(t, e, ch, phys.Alpha, 1, 40000, 6, 5)
 	if len(rep.PairWeights) == 0 {
 		t.Fatal("no pairs recorded")
 	}
@@ -92,9 +92,9 @@ func TestMBUStatsMatchPOFAtEnergy(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		e    *Engine
-	}{{"transport", engineWith(t, ch)}, {"lut", lutEngine(t)}} {
-		rep := mustMBU(t, e.e, phys.Alpha, 1, 60000, 6, 7)
-		pt := mustPOF(t, e.e, phys.Alpha, 1, 60000, 7)
+	}{{"transport", newEngine(t)}, {"lut", lutEngine(t)}} {
+		rep := mustMBU(t, e.e, ch, phys.Alpha, 1, 60000, 6, 7)
+		pt := mustPOF(t, e.e, ch, phys.Alpha, 1, 60000, 7)
 		if pt.Tot == 0 || pt.MBU == 0 {
 			t.Fatalf("%s: zero POF in cross-check: %+v", e.name, pt)
 		}
@@ -117,7 +117,7 @@ func TestSampleTracksGeometry(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	checker, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(), Pattern: PatternCheckerboard,
+		Transport: transport.DefaultConfig(), Pattern: PatternCheckerboard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,11 +135,11 @@ func TestSampleTracksGeometry(t *testing.T) {
 		e    *Engine
 		sp   phys.Species
 	}{
-		{"transport/zeros/alpha", engineWith(t, ch), phys.Alpha},
+		{"transport/zeros/alpha", newEngine(t), phys.Alpha},
 		{"transport/checkerboard/proton", checker, phys.Proton},
 		{"lut/zeros/alpha", lutEngine(t), phys.Alpha},
 	} {
-		tracks, err := tc.e.SampleTracksCtx(context.Background(), tc.sp, 1, 3000, 5)
+		tracks, err := tc.e.SampleTracksCtx(context.Background(), ch, tc.sp, 1, 3000, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -180,9 +180,9 @@ func TestSampleTracksGeometry(t *testing.T) {
 
 func TestMBUMaxKClamp(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	rep := mustMBU(t, e, phys.Alpha, 1, 2000, 1, 11) // maxK below minimum
-	if len(rep.MultiplicityPMF) != 3 {               // clamped to 2 → entries 0,1,2
+	e := newEngine(t)
+	rep := mustMBU(t, e, ch, phys.Alpha, 1, 2000, 1, 11) // maxK below minimum
+	if len(rep.MultiplicityPMF) != 3 {                   // clamped to 2 → entries 0,1,2
 		t.Errorf("PMF length = %d, want 3", len(rep.MultiplicityPMF))
 	}
 }
@@ -193,14 +193,14 @@ func TestMBUStatsBitIdenticalAcrossRuns(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(), Workers: 8,
+		Transport: transport.DefaultConfig(), Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := mustMBU(t, e, phys.Alpha, 1, 4000, 6, 3)
+	first := mustMBU(t, e, ch, phys.Alpha, 1, 4000, 6, 3)
 	for run := 1; run < 20; run++ {
-		rep := mustMBU(t, e, phys.Alpha, 1, 4000, 6, 3)
+		rep := mustMBU(t, e, ch, phys.Alpha, 1, 4000, 6, 3)
 		if rep.MeanFlips != first.MeanFlips ||
 			!reflect.DeepEqual(rep.MultiplicityPMF, first.MultiplicityPMF) ||
 			!reflect.DeepEqual(rep.PairWeights, first.PairWeights) {

@@ -25,7 +25,7 @@ type Metrics struct {
 	WorkerBusyNs      *obs.Counter
 	WallNs            *obs.Counter
 	WorkerUtilization *obs.Gauge
-	// AdaptiveEarlyStops counts FIT bins the adaptive mode (Config.FITRelErr)
+	// AdaptiveEarlyStops counts FIT bins the adaptive mode (BinPlan.RelErr)
 	// terminated before consuming their flat budget; AdaptiveStrikesSaved and
 	// AdaptiveStrikesOverrun accumulate the particles saved under — and spent
 	// beyond — the flat per-bin budget, so saved − overrun is the net win

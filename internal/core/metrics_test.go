@@ -18,15 +18,15 @@ func TestMetricsConservation(t *testing.T) {
 	m := NewMetrics(reg)
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(),
-		Metrics: m,
+		Transport: transport.DefaultConfig(),
+		Metrics:   m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const iters = 20000
-	mustPOF(t, e, phys.Alpha, 1, iters, 42)
+	mustPOF(t, e, ch, phys.Alpha, 1, iters, 42)
 
 	if got := m.Particles.Value(); got != iters {
 		t.Errorf("particles generated = %d, want %d", got, iters)
@@ -51,18 +51,18 @@ func TestMetricsConservation(t *testing.T) {
 // bit-identical POF estimates to the uninstrumented one on the same seed.
 func TestMetricsDoNotPerturbResults(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	plain := engineWith(t, ch)
+	plain := newEngine(t)
 	reg := obs.NewRegistry()
 	inst, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(),
-		Metrics: NewMetrics(reg),
+		Transport: transport.DefaultConfig(),
+		Metrics:   NewMetrics(reg),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := mustPOF(t, plain, phys.Alpha, 2, 10000, 7)
-	b := mustPOF(t, inst, phys.Alpha, 2, 10000, 7)
+	a := mustPOF(t, plain, ch, phys.Alpha, 2, 10000, 7)
+	b := mustPOF(t, inst, ch, phys.Alpha, 2, 10000, 7)
 	if a != b {
 		t.Errorf("metrics perturbed results: %+v vs %+v", a, b)
 	}

@@ -32,11 +32,12 @@ type NeutronPoint struct {
 	InteractionWeight float64
 }
 
-// NeutronPOFAtEnergyCtx estimates the weighted POFs with iters forced-
-// interaction trials at one neutron energy, through the same worker
-// fan-out, cancellation, guards, and chunk-order merge as POFAtEnergyCtx.
-func (e *Engine) NeutronPOFAtEnergyCtx(ctx context.Context, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) (NeutronPoint, error) {
-	pts, weight, err := e.estimate(ctx, e.neutronKernel(rx), []sram.POFProvider{e.cfg.Char}, energyMeV, 0, iters, seed)
+// NeutronPOFAtEnergyCtx estimates the weighted POFs in cell model m with
+// iters forced-interaction trials at one neutron energy, through the same
+// worker fan-out, cancellation, guards, and chunk-order merge as
+// POFAtEnergyCtx.
+func (e *Engine) NeutronPOFAtEnergyCtx(ctx context.Context, m sram.POFProvider, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) (NeutronPoint, error) {
+	pts, weight, err := e.estimate(ctx, e.neutronKernel(rx), []sram.POFProvider{m}, energyMeV, 0, iters, seed)
 	if err != nil {
 		return NeutronPoint{}, err
 	}
@@ -133,11 +134,11 @@ func (e *Engine) neutronCharge(rx *neutron.Reactions, src *rng.Source, energyMeV
 	return weight, e.closeCells(scr, deposited)
 }
 
-// NeutronFITCtx integrates the weighted POFs over the neutron spectrum into
-// FIT rates, exactly as Eq. 8 does for directly ionizing particles: the
-// store-less form of RunLedgersCtx with rx (stage "fit/neutron"), so the
-// integration is cancellable, guarded, optionally adaptive, and reports a
-// propagated 1σ TotalFITErr.
-func (e *Engine) NeutronFITCtx(ctx context.Context, spec spectra.Spectrum, rx *neutron.Reactions, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
-	return e.runOwnPlan(ctx, e.ownPlan("neutron", spec.Species(), bins, itersPerBin, seed), rx)
+// NeutronFITCtx integrates the weighted POFs in cell model m over the
+// neutron spectrum into FIT rates, exactly as Eq. 8 does for directly
+// ionizing particles: the flat-budget, store-less form of RunLedgersCtx
+// with rx (stage "fit/neutron"), so the integration is cancellable, guarded,
+// and reports a propagated 1σ TotalFITErr.
+func (e *Engine) NeutronFITCtx(ctx context.Context, m sram.POFProvider, spec spectra.Spectrum, rx *neutron.Reactions, bins []spectra.EnergyBin, itersPerBin int, seed uint64) (FITResult, error) {
+	return e.runOwnPlan(ctx, m, e.ownPlan(m, "neutron", spec.Species(), bins, itersPerBin, seed), rx)
 }

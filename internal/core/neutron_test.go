@@ -15,9 +15,9 @@ import (
 
 func TestNeutronPOFBasics(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	rx := neutron.NewReactions()
-	pt := mustNeutronPOF(t, e, rx, 14, 60000, 3)
+	pt := mustNeutronPOF(t, e, ch, rx, 14, 60000, 3)
 	// The weighted POF must be positive but tiny (interaction probability
 	// ~1e-7 per crossing fin chord, and most tracks miss fins entirely).
 	if pt.Tot <= 0 {
@@ -38,10 +38,10 @@ func TestNeutronPOFBasics(t *testing.T) {
 
 func TestNeutronPOFDeterministic(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	rx := neutron.NewReactions()
-	a := mustNeutronPOF(t, e, rx, 14, 20000, 9)
-	b := mustNeutronPOF(t, e, rx, 14, 20000, 9)
+	a := mustNeutronPOF(t, e, ch, rx, 14, 20000, 9)
+	b := mustNeutronPOF(t, e, ch, rx, 14, 20000, 9)
 	if a.Tot != b.Tot || a.MBU != b.MBU {
 		t.Error("neutron POF not deterministic for equal seeds")
 	}
@@ -52,10 +52,10 @@ func TestNeutronEnergyDependence(t *testing.T) {
 	// the POF *per interaction* (weighted POF over mean interaction weight)
 	// must grow with energy, even though the total cross-section falls.
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	rx := neutron.NewReactions()
-	low := mustNeutronPOF(t, e, rx, 1, 80000, 5)
-	high := mustNeutronPOF(t, e, rx, 14, 80000, 5)
+	low := mustNeutronPOF(t, e, ch, rx, 1, 80000, 5)
+	high := mustNeutronPOF(t, e, ch, rx, 14, 80000, 5)
 	if low.InteractionWeight <= 0 || high.InteractionWeight <= 0 {
 		t.Fatal("zero interaction weights")
 	}
@@ -68,7 +68,7 @@ func TestNeutronEnergyDependence(t *testing.T) {
 
 func TestNeutronFIT(t *testing.T) {
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	rx := neutron.NewReactions()
 	spec, err := neutron.NewSeaLevel(1)
 	if err != nil {
@@ -78,7 +78,7 @@ func TestNeutronFIT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 30000, 7)
+	res, err := e.NeutronFITCtx(context.Background(), ch, spec, rx, bins, 30000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,10 @@ func TestNeutronFIT(t *testing.T) {
 		t.Errorf("points = %d", len(res.Points))
 	}
 	// Validation errors.
-	if _, err := e.NeutronFITCtx(context.Background(), spec, rx, nil, 10, 1); err == nil {
+	if _, err := e.NeutronFITCtx(context.Background(), ch, spec, rx, nil, 10, 1); err == nil {
 		t.Error("empty bins accepted")
 	}
-	if _, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 0, 1); err == nil {
+	if _, err := e.NeutronFITCtx(context.Background(), ch, spec, rx, bins, 0, 1); err == nil {
 		t.Error("zero iterations accepted")
 	}
 }
@@ -105,17 +105,17 @@ func TestNeutronVsAlphaMagnitude(t *testing.T) {
 	// larger than) the alpha SER — sanity-check we are not off by orders of
 	// magnitude in either direction (accept a wide band: two decades).
 	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
+	e := newEngine(t)
 	rx := neutron.NewReactions()
 	nSpec, _ := neutron.NewSeaLevel(1)
 	nBins, _ := spectra.Bins(nSpec, 2, 1000, 8)
-	nRes, err := e.NeutronFITCtx(context.Background(), nSpec, rx, nBins, 40000, 11)
+	nRes, err := e.NeutronFITCtx(context.Background(), ch, nSpec, rx, nBins, 40000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aSpec, _ := spectra.NewAlphaEmission(spectra.DefaultAlphaRate)
 	aBins, _ := spectra.Bins(aSpec, 0.5, 10, 8)
-	aRes, err := e.FITCtx(context.Background(), aSpec, aBins, 20000, 12)
+	aRes, err := e.FITCtx(context.Background(), ch, aSpec, aBins, 20000, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +131,14 @@ func TestNeutronMBUOccurs(t *testing.T) {
 	tech := finfet.Default14nmSOI()
 	ch, _, _ := fixtures(t)
 	e, err := New(Config{
-		Tech: tech, Rows: 9, Cols: 9, Char: ch,
+		Tech: tech, Rows: 9, Cols: 9,
 		Transport: transport.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rx := neutron.NewReactions()
-	pt := mustNeutronPOF(t, e, rx, 100, 150000, 13)
+	pt := mustNeutronPOF(t, e, ch, rx, 100, 150000, 13)
 	if pt.Tot <= 0 {
 		t.Skip("no interactions sampled at this budget")
 	}
@@ -170,14 +170,14 @@ func TestNeutronFITBitIdenticalAcrossRuns(t *testing.T) {
 	rx := neutron.NewReactions()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(), Workers: 8,
+		Transport: transport.DefaultConfig(), Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first FITResult
 	for run := 0; run < 20; run++ {
-		res, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 2000, 5)
+		res, err := e.NeutronFITCtx(context.Background(), ch, spec, rx, bins, 2000, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,8 +194,8 @@ func TestNeutronFITBitIdenticalAcrossRuns(t *testing.T) {
 func TestNeutronFITErr(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	spec, bins := neutronEnv(t)
-	e := engineWith(t, ch)
-	res, err := e.NeutronFITCtx(context.Background(), spec, neutron.NewReactions(), bins, 4000, 9)
+	e := newEngine(t)
+	res, err := e.NeutronFITCtx(context.Background(), ch, spec, neutron.NewReactions(), bins, 4000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,24 +215,26 @@ func TestNeutronFITCheckpointResume(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	spec, bins := neutronEnv(t)
 	rx := neutron.NewReactions()
+	e, err := New(Config{
+		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+		Transport: transport.DefaultConfig(), Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, relErr := range []float64{0, 0.1} {
-		e, err := New(Config{
-			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: ch, Transport: transport.DefaultConfig(), Workers: 2,
-			FITRelErr: relErr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// run integrates the engine's own neutron plan over a ledger on ck.
+		// run integrates NeutronFITCtx's plan, at tolerance relErr, over a
+		// ledger on ck (nil for the uninterrupted reference).
 		run := func(ctx context.Context, ck CheckpointStore, onBin func(BinEvent)) (FITResult, error) {
-			l, err := NewLedger(e.ownPlan("neutron", spec.Species(), bins, 3000, 42), ck, onBin)
+			plan := e.ownPlan(ch, "neutron", spec.Species(), bins, 3000, 42)
+			plan.RelErr = relErr
+			l, err := NewLedger(plan, ck, onBin)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return soloRun(ctx, e, l, rx)
+			return soloRun(ctx, e, ch, l, rx)
 		}
-		want, err := e.NeutronFITCtx(context.Background(), spec, rx, bins, 3000, 42)
+		want, err := run(context.Background(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

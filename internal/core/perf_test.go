@@ -21,7 +21,7 @@ import (
 func TestPOFAtEnergyBitIdentical(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	run := func() POFPoint {
-		return mustPOF(t, engineWith(t, ch), phys.Alpha, 1, 20000, 42)
+		return mustPOF(t, newEngine(t), ch, phys.Alpha, 1, 20000, 42)
 	}
 	a, b := run(), run()
 	if a != b {
@@ -53,8 +53,8 @@ func TestStrikeZeroAlloc(t *testing.T) {
 			t.Run(mode.name+"/"+gm.name, func(t *testing.T) {
 				e, err := New(Config{
 					Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-					Char: ch, Transport: transport.DefaultConfig(),
-					Deposits: mode.deposits, Guard: gm.guard,
+					Transport: transport.DefaultConfig(),
+					Deposits:  mode.deposits, Guard: gm.guard,
 					LUTIters: 2000,
 				})
 				if err != nil {
@@ -68,12 +68,12 @@ func TestStrikeZeroAlloc(t *testing.T) {
 				scr := e.getScratch()
 				defer e.putScratch(scr)
 				for i := 0; i < 2000; i++ { // grow scratch to steady state
-					if _, err := e.strike(src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, scr); err != nil {
+					if _, err := e.strike(ch, src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, scr); err != nil {
 						t.Fatal(err)
 					}
 				}
 				allocs := testing.AllocsPerRun(500, func() {
-					if _, err := e.strike(src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, scr); err != nil {
+					if _, err := e.strike(ch, src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, scr); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -314,7 +314,7 @@ func (e *Engine) runBins(ctx context.Context, k kernel, runs []LedgerRun, from, 
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: %s bin %d: %w", stage, i, err)
 		}
-		binSpan := span.Child(fmt.Sprintf("bin%02d@%.3gMeV", i, p.Bins[i].Rep))
+		binSpan := span.Child("bin") // one name, so span sets do not grow with bin plans
 		for b := 0; len(open) > 0; b++ {
 			models = models[:0]
 			for _, r := range open {
@@ -438,8 +438,9 @@ type LedgerRun struct {
 // run order. A failure that belongs to one run is a *VddError naming its
 // voltage. rx selects the strike kernel: nil for the plan species' direct
 // ionization (α, p), the reaction model for the neutron forced
-// interaction. The run reports under the "fit/<name>" span, one child span
-// per computed bin, and on Config.Progress; restored bins count as done.
+// interaction. The run reports under the "fit/<name>" span, one
+// "fit/<name>/bin" child span per computed bin, and on Config.Progress;
+// restored bins count as done.
 //
 // Cancellation: ctx is checked before every bin and every cancelCheckEvery
 // particles inside it; the error wraps ctx.Err() with the stage identity.
@@ -490,14 +491,15 @@ func (e *Engine) RunLedgersCtx(ctx context.Context, runs []LedgerRun, rx *neutro
 	return out, nil
 }
 
-// RunShardCtx runs one shard of l's α/p plan in Config.Char: the bins in
-// [from, to) that l does not hold yet, with no restore, span or progress —
-// the unit of work a distributed worker computes for the coordinator that
-// owns the job's ledger. The bins are bit-identical to the ones
-// RunLedgersCtx computes for the same plan. The plan must be this engine's
-// (*PlanMismatchError otherwise).
-func (e *Engine) RunShardCtx(ctx context.Context, l *Ledger, from, to int) error {
-	runs := []LedgerRun{{Ledger: l, Char: e.cfg.Char}}
+// RunShardCtx runs one shard of run's α/p plan: the bins in [from, to)
+// that its ledger does not hold yet, looked up in its cell model, with no
+// restore, span or progress — the unit of work a distributed worker
+// computes for the coordinator that owns the job's ledger. The bins are
+// bit-identical to the ones RunLedgersCtx computes for the same run. The
+// plan must belong to the run's model and this engine (*PlanMismatchError
+// otherwise).
+func (e *Engine) RunShardCtx(ctx context.Context, run LedgerRun, from, to int) error {
+	runs := []LedgerRun{run}
 	k, err := e.ledgerKernel(ctx, runs, nil)
 	if err != nil {
 		return err
@@ -505,23 +507,24 @@ func (e *Engine) RunShardCtx(ctx context.Context, l *Ledger, from, to int) error
 	return e.runBins(ctx, k, runs, from, to, nil, nil)
 }
 
-// ownPlan is the plan FITCtx and NeutronFITCtx run: this engine's Vdd,
-// area and Config.FITRelErr, with the seed schedule pre-drawn from seed.
-func (e *Engine) ownPlan(name string, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seed uint64) BinPlan {
+// ownPlan is the flat-budget plan FITCtx and NeutronFITCtx run in cell
+// model m: m's Vdd and this engine's area, with the seed schedule pre-drawn
+// from seed.
+func (e *Engine) ownPlan(m sram.POFProvider, name string, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seed uint64) BinPlan {
 	lx, ly := e.arr.DimsCm()
-	return BinPlan{Name: name, Species: sp, Vdd: e.cfg.Char.SupplyVoltage(), Bins: bins, Seeds: FITSeedSchedule(seed, len(bins)),
-		ItersPerBin: itersPerBin, RelErr: e.cfg.FITRelErr, AreaCm2: lx * ly}
+	return BinPlan{Name: name, Species: sp, Vdd: m.SupplyVoltage(), Bins: bins, Seeds: FITSeedSchedule(seed, len(bins)),
+		ItersPerBin: itersPerBin, AreaCm2: lx * ly}
 }
 
 // runOwnPlan is the store-less library form of RunLedgersCtx behind FITCtx
-// and NeutronFITCtx: one run of a fresh ledger of the engine's own plan in
-// Config.Char, with no checkpoint store and no BinDone stream.
-func (e *Engine) runOwnPlan(ctx context.Context, plan BinPlan, rx *neutron.Reactions) (FITResult, error) {
+// and NeutronFITCtx: one run of a fresh ledger of plan in cell model m,
+// with no checkpoint store and no BinDone stream.
+func (e *Engine) runOwnPlan(ctx context.Context, m sram.POFProvider, plan BinPlan, rx *neutron.Reactions) (FITResult, error) {
 	l, err := NewLedger(plan, nil, nil)
 	if err != nil {
 		return FITResult{}, err
 	}
-	res, err := e.RunLedgersCtx(ctx, []LedgerRun{{Ledger: l, Char: e.cfg.Char}}, rx)
+	res, err := e.RunLedgersCtx(ctx, []LedgerRun{{Ledger: l, Char: m}}, rx)
 	if err != nil {
 		return FITResult{}, err
 	}

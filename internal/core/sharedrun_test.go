@@ -38,14 +38,14 @@ func sweepFixtures(t *testing.T) []*sram.Characterization {
 	return []*sram.Characterization{ch07, char09, ch11}
 }
 
-// sweepEngine is an engine over ch with the given worker count and an
-// optional metrics registry.
-func sweepEngine(t *testing.T, ch sram.POFProvider, workers int, reg *obs.Registry) *Engine {
+// sweepEngine is an engine with the given worker count and an optional
+// metrics registry.
+func sweepEngine(t *testing.T, workers int, reg *obs.Registry) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: ch, Transport: transport.DefaultConfig(),
-		Workers: workers, Metrics: NewMetrics(reg),
+		Transport: transport.DefaultConfig(),
+		Workers:   workers, Metrics: NewMetrics(reg),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +97,9 @@ func recordingLedger(t *testing.T, plan BinPlan, store CheckpointStore, events *
 	return l
 }
 
-// soloRun runs l alone in the engine's own cell model (Config.Char).
-func soloRun(ctx context.Context, e *Engine, l *Ledger, rx *neutron.Reactions) (FITResult, error) {
-	res, err := e.RunLedgersCtx(ctx, []LedgerRun{{Ledger: l, Char: e.cfg.Char}}, rx)
+// soloRun runs l alone in cell model m.
+func soloRun(ctx context.Context, e *Engine, m sram.POFProvider, l *Ledger, rx *neutron.Reactions) (FITResult, error) {
+	res, err := e.RunLedgersCtx(ctx, []LedgerRun{{Ledger: l, Char: m}}, rx)
 	if err != nil {
 		return FITResult{}, err
 	}
@@ -157,7 +157,7 @@ func TestRunLedgersMatchesSoloRuns(t *testing.T) {
 				plan := sweepPlan(t, c.name, 0.9, c.relErr)
 				full := newMemStore()
 				var ignored []BinEvent
-				if _, err := soloRun(ctx, sweepEngine(t, ascending[1], c.workers, nil), recordingLedger(t, plan, full, &ignored), rx); err != nil {
+				if _, err := soloRun(ctx, sweepEngine(t, c.workers, nil), ascending[1], recordingLedger(t, plan, full, &ignored), rx); err != nil {
 					t.Fatal(err)
 				}
 				stage := plan.CheckpointPrefix + "fit/" + plan.Name
@@ -180,7 +180,7 @@ func TestRunLedgersMatchesSoloRuns(t *testing.T) {
 			soloStore := seed()
 			for i, ch := range chars {
 				l := recordingLedger(t, sweepPlan(t, c.name, ch.Vdd, c.relErr), soloStore, &soloEvents[i])
-				res, err := soloRun(ctx, sweepEngine(t, ch, c.workers, nil), l, rx)
+				res, err := soloRun(ctx, sweepEngine(t, c.workers, nil), ch, l, rx)
 				if err != nil {
 					t.Fatalf("solo %g V: %v", ch.Vdd, err)
 				}
@@ -194,7 +194,7 @@ func TestRunLedgersMatchesSoloRuns(t *testing.T) {
 			for i, ch := range chars {
 				runs[i] = LedgerRun{Ledger: recordingLedger(t, sweepPlan(t, c.name, ch.Vdd, c.relErr), sharedStore, &sharedEvents[i]), Char: ch}
 			}
-			shared, err := sweepEngine(t, chars[0], c.workers, reg).RunLedgersCtx(ctx, runs, rx)
+			shared, err := sweepEngine(t, c.workers, reg).RunLedgersCtx(ctx, runs, rx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +255,7 @@ func stopsBeforeLater(res []FITResult) bool {
 func TestRunLedgersRefusesMismatchedRuns(t *testing.T) {
 	chars := sweepFixtures(t)
 	ctx := context.Background()
-	e := sweepEngine(t, chars[0], 2, nil)
+	e := sweepEngine(t, 2, nil)
 	ledger := func(p BinPlan) *Ledger {
 		l, err := NewLedger(p, nil, nil)
 		if err != nil {

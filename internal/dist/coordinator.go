@@ -59,15 +59,6 @@ type ShardEvent struct {
 	Err error
 }
 
-// Result is the merged outcome of a distributed FIT job — the distributed
-// twin of finser.FlowResult, minus the characterization the coordinator
-// built and shipped to its workers.
-type Result struct {
-	Vdd    float64
-	Alpha  finser.FITResult
-	Proton finser.FITResult
-}
-
 // PartialError reports a distributed run in which some shards exhausted
 // their retry budget. It names every missing shard and carries the partial
 // FIT sum over the bins that did complete, so hours of finished
@@ -75,8 +66,9 @@ type Result struct {
 type PartialError struct {
 	// Missing lists the shards with no valid result, in plan order.
 	Missing []ShardID
-	// Partial is the FIT assembled from the completed bins only.
-	Partial *Result
+	// Partial is the FIT assembled from the completed bins only, with the
+	// characterization the run built (nil when it built none).
+	Partial *finser.FlowResult
 	// Err is the underlying failure of the last missing shard attempts.
 	Err error
 }
@@ -522,15 +514,17 @@ func (c *Coordinator) plan(flow finser.FlowConfig, emit func(ShardEvent)) ([]*co
 // shard request, fan them out across the worker pool with stealing and
 // retry, and record each accepted shard in its ledger, which checkpoints
 // it and fires flow.BinDone per bin. A job whose every bin is restored
-// characterizes nothing. The ledgers fold a Result bit-identical to the
-// single-node run. emit, when non-nil, observes every shard transition.
+// characterizes nothing. The ledgers fold a FlowResult bit-identical to
+// the single-node run's; its Char is the characterization the run built,
+// nil when it built none. emit, when non-nil, observes every shard
+// transition.
 //
 // Failure modes: an invalid flow config or a failed characterization fails
 // fast; cancellation of ctx returns its error with completed shards
 // checkpointed (a resubmission resumes only the missing bins); shards that
 // exhaust their attempt budget yield a *PartialError carrying the partial
 // FIT and the missing bins. A failed checkpoint write fails nothing.
-func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func(ShardEvent)) (*Result, error) {
+func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func(ShardEvent)) (*finser.FlowResult, error) {
 	if emit == nil {
 		emit = func(ShardEvent) {}
 	}
@@ -545,7 +539,8 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 	if err != nil {
 		return nil, err
 	}
-	if err := c.ship(ctx, flow, shards); err != nil {
+	char, err := c.ship(ctx, flow, shards)
+	if err != nil {
 		return nil, err
 	}
 
@@ -569,7 +564,7 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 		return nil, fmt.Errorf("dist: run interrupted: %w", err)
 	}
 	// Each ledger folds the full FIT, or the partial sum over its bins.
-	res := &Result{Vdd: flow.Vdd, Alpha: ledgers[0].FIT(), Proton: ledgers[1].FIT()}
+	res := &finser.FlowResult{Vdd: flow.Vdd, Alpha: ledgers[0].FIT(), Proton: ledgers[1].FIT(), Char: char}
 	var missing []ShardID
 	lastErr := errors.New("shard attempts exhausted")
 	for _, s := range shards {
@@ -587,30 +582,31 @@ func (c *Coordinator) Run(ctx context.Context, flow finser.FlowConfig, emit func
 }
 
 // ship characterizes the job once, if any shard is left to compute, and
-// encodes every such shard's request with the characterization in it.
-func (c *Coordinator) ship(ctx context.Context, flow finser.FlowConfig, shards []*shardState) error {
-	var char *finser.Characterization
+// encodes every such shard's request with the characterization in it. It
+// returns the characterization it built, nil when every shard was done.
+func (c *Coordinator) ship(ctx context.Context, flow finser.FlowConfig, shards []*shardState) (*finser.Characterization, error) {
+	var full, shipped *finser.Characterization
 	for _, s := range shards {
 		if s.done {
 			continue
 		}
-		if char == nil {
-			full, err := finser.CharacterizeFlowCtx(ctx, flow)
-			if err != nil {
-				return fmt.Errorf("dist: %w", err)
+		if full == nil {
+			var err error
+			if full, err = finser.CharacterizeFlowCtx(ctx, flow); err != nil {
+				return nil, fmt.Errorf("dist: %w", err)
 			}
-			shipped := *full
-			shipped.Shifts = nil // read only by flip-surface validation
-			char = &shipped
+			wire := *full
+			wire.Shifts = nil // read only by flip-surface validation
+			shipped = &wire
 		}
-		s.req.Char = char
+		s.req.Char = shipped
 		body, err := encodeJSON(s.req)
 		if err != nil {
-			return fmt.Errorf("dist: encode %v: %w", s.id, err)
+			return nil, fmt.Errorf("dist: encode %v: %w", s.id, err)
 		}
 		s.body = body
 	}
-	return nil
+	return full, nil
 }
 
 // runWorker is one worker goroutine: claim, attempt, judge, repeat.

@@ -79,7 +79,7 @@ func singleNode(t *testing.T, flow finser.FlowConfig) *finser.FlowResult {
 
 // requireBitIdentical asserts the distributed result matches the
 // single-node run to the last bit, per species.
-func requireBitIdentical(t *testing.T, got *dist.Result, want *finser.FlowResult) {
+func requireBitIdentical(t *testing.T, got, want *finser.FlowResult) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Alpha, want.Alpha) {
 		t.Errorf("alpha FIT diverges:\n dist   %+v\n single %+v", got.Alpha, want.Alpha)
@@ -136,9 +136,10 @@ func TestRunTwoWorkersBitIdentical(t *testing.T) {
 }
 
 // TestCoordinatorCharacterizesOnce: the coordinator builds the job's
-// characterization once and ships it, so no worker characterizes, the
-// merge stays bit-identical, and a rerun whose every shard is restored
-// from the checkpoint characterizes nothing.
+// characterization once, ships it and returns it in the result, so no
+// worker characterizes, the merge stays bit-identical, and a rerun whose
+// every shard is restored from the checkpoint characterizes nothing and
+// returns no characterization.
 func TestCoordinatorCharacterizesOnce(t *testing.T) {
 	flow := tinyFlow()
 	flow.ProcessVariation = true
@@ -163,13 +164,16 @@ func TestCoordinatorCharacterizesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, got, want)
-		wantSamples := int64(flow.Samples)
+		wantSamples, wantChar := int64(flow.Samples), want.Char
 		if run == 1 {
 			// Every shard restored: nothing left to characterize for.
 			if n := ev.count(dist.EventResumed); n != 4 {
 				t.Errorf("rerun restored %d shards, want 4", n)
 			}
-			wantSamples = 0
+			wantSamples, wantChar = 0, nil
+		}
+		if !reflect.DeepEqual(got.Char, wantChar) {
+			t.Errorf("run %d: the result's characterization is not the one the run built (built one: %v)", run, wantChar != nil)
 		}
 		if n := samples(flow.Obs) - before; n != wantSamples {
 			t.Errorf("run %d: coordinator characterized %d samples, want %d", run, n, wantSamples)
@@ -505,7 +509,7 @@ func TestBreakerRecoveryViaProbe(t *testing.T) {
 		Retry:         retry.Policy{BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 	})
 	done := make(chan struct{})
-	var got *dist.Result
+	var got *finser.FlowResult
 	var err error
 	go func() {
 		got, err = co.Run(context.Background(), flow, nil)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -605,5 +606,64 @@ func TestDegradedDurability(t *testing.T) {
 	buf.ReadFrom(rz.Body)
 	if !bytes.Contains(buf.Bytes(), []byte(`"degraded"`)) {
 		t.Errorf("/readyz body %s does not report degraded durability", buf.Bytes())
+	}
+}
+
+// TestUnencodableResultFailsJob: a result JSON cannot carry (an infinite
+// FIT) fails its job with an error naming the encoding, rather than
+// finishing it done with a result no reader can fetch. The job's status
+// and the job list stay readable JSON, the durable journal's terminal
+// record is the failure, and writeJSON answers a value it cannot encode
+// with a 500 and a JSON error body.
+func TestUnencodableResultFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	infinite := func(ctx context.Context, cfg finser.FlowConfig) (*JobResult, error) {
+		res := &JobResult{Vdd: cfg.Vdd}
+		res.Alpha.TotalFIT = math.Inf(1)
+		return res, nil
+	}
+	s, _ := durableServer(t, Config{Workers: 1, Runner: infinite}, dir)
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, out := postJob(t, ts, `{"vdd": 0.7}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, out)
+	}
+	var sub JobStatus
+	if err := json.Unmarshal(out, &sub); err != nil {
+		t.Fatal(err)
+	}
+	st := waitState(t, ts, sub.ID, StateFailed)
+	if !strings.Contains(st.Error, "does not encode as JSON") || st.Result != nil {
+		t.Errorf("failed job: error %q, result %+v; want the encoding failure and no result", st.Error, st.Result)
+	}
+	list, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []JobStatus
+	err = json.NewDecoder(list.Body).Decode(&all)
+	list.Body.Close()
+	if list.StatusCode != http.StatusOK || err != nil || len(all) != 1 || all[0].State != StateFailed {
+		t.Errorf("GET /jobs = %d (decode err %v): %+v, want 200 listing the failed job", list.StatusCode, err, all)
+	}
+
+	s.Drain(context.Background())
+	_, recs, _, err := journal.Open(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := recs[len(recs)-1]
+	if last.Job != sub.ID || last.State != string(StateFailed) || last.Result != nil {
+		t.Errorf("last journal record = %+v, want the job's failed state", last)
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"fit": math.Inf(1)})
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+		t.Errorf("writeJSON of an Inf = %d %q, want 500 with a JSON error body", rec.Code, rec.Body.String())
 	}
 }

@@ -52,6 +52,7 @@ import (
 
 	"finser"
 	"finser/internal/breaker"
+	"finser/internal/checkpoint"
 	"finser/internal/dist"
 	"finser/internal/events"
 	"finser/internal/faultinject"
@@ -206,7 +207,7 @@ type Config struct {
 // sharding, stealing, retry, and the bit-identical merge.
 type Distributor interface {
 	// Run executes the job, reporting shard lifecycle transitions to emit.
-	Run(ctx context.Context, cfg finser.FlowConfig, emit func(dist.ShardEvent)) (*dist.Result, error)
+	Run(ctx context.Context, cfg finser.FlowConfig, emit func(dist.ShardEvent)) (*finser.FlowResult, error)
 	// Ready reports whether the pool can make progress (nil = ready).
 	Ready() error
 }
@@ -973,6 +974,13 @@ func (s *Server) runJob(j *job) {
 	} else {
 		res, err = s.runFlow(ctx, j)
 	}
+	if err == nil {
+		// Status reads and the journal carry the result as JSON, which has no
+		// NaN or Inf: such a result fails the job instead of blanking them.
+		if _, merr := json.Marshal(res); merr != nil {
+			err = fmt.Errorf("job result does not encode as JSON: %w", merr)
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1100,29 +1108,28 @@ func (s *Server) runFlow(ctx context.Context, j *job) (*JobResult, error) {
 		j.resumed = resumed
 		s.mu.Unlock()
 	}
+	var res *finser.FlowResult
+	var err error
 	if s.cfg.Distributor == nil {
-		res, err := finser.RunFlowCtx(ctx, cfg)
-		if err != nil {
-			return nil, err
+		res, err = finser.RunFlowCtx(ctx, cfg)
+	} else {
+		emit := func(ev dist.ShardEvent) {
+			e := events.Event{
+				Type: events.TypeShard, State: ev.Kind,
+				Shard: ev.Shard.String(), Worker: ev.Worker, Attempt: ev.Attempt,
+				Resumed: ev.Kind == dist.EventResumed,
+			}
+			if ev.Err != nil {
+				e.Error = ev.Err.Error()
+			}
+			s.publish(j, e)
+			if ev.Kind == dist.EventRetried || ev.Kind == dist.EventFailed {
+				j.logInfo("shard "+ev.Kind, "shard", ev.Shard.String(),
+					"worker", ev.Worker, "attempt", ev.Attempt, "error", e.Error)
+			}
 		}
-		return &JobResult{Vdd: res.Vdd, Alpha: res.Alpha, Proton: res.Proton}, nil
+		res, err = s.cfg.Distributor.Run(ctx, cfg, emit)
 	}
-	emit := func(ev dist.ShardEvent) {
-		e := events.Event{
-			Type: events.TypeShard, State: ev.Kind,
-			Shard: ev.Shard.String(), Worker: ev.Worker, Attempt: ev.Attempt,
-			Resumed: ev.Kind == dist.EventResumed,
-		}
-		if ev.Err != nil {
-			e.Error = ev.Err.Error()
-		}
-		s.publish(j, e)
-		if ev.Kind == dist.EventRetried || ev.Kind == dist.EventFailed {
-			j.logInfo("shard "+ev.Kind, "shard", ev.Shard.String(),
-				"worker", ev.Worker, "attempt", ev.Attempt, "error", e.Error)
-		}
-	}
-	res, err := s.cfg.Distributor.Run(ctx, cfg, emit)
 	if err != nil {
 		return nil, err
 	}
@@ -1130,28 +1137,33 @@ func (s *Server) runFlow(ctx context.Context, j *job) (*JobResult, error) {
 }
 
 // openCheckpoint opens (or creates) the checkpoint file named by the
-// job's fingerprint, returning the store and how many stages it restored.
-// An unreadable or mismatched existing file is replaced rather than
-// failing the job — a stale checkpoint must never block fresh work.
+// job's fingerprint and stamped with it, returning the store and how many
+// stages it restored. An unreadable or mismatched existing file is
+// replaced rather than failing the job — a stale checkpoint must never
+// block fresh work.
 func (s *Server) openCheckpoint(j *job) (*finser.CheckpointStore, int, error) {
 	path := s.checkpointPath(j.fingerprint)
-	vdds := []float64{j.cfg.Vdd}
-	if store, err := finser.ResumeCheckpoint(path, j.cfg, vdds); err == nil {
+	if store, err := checkpoint.Resume(path, j.fingerprint); err == nil {
 		return store, len(store.Stages()), nil
 	}
-	store, err := finser.CreateCheckpoint(path, j.cfg, vdds)
+	store, err := checkpoint.Create(path, j.fingerprint)
 	return store, 0, err
 }
 
 // ---- HTTP layer ----
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status. It encodes v before it writes
+// the status, so a value that does not encode (a NaN or Inf field) answers
+// 500 with a JSON error body, never a status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.MarshalIndent(errorBody{Error: "encode response: " + err.Error()}, "", "  ") // strings always encode
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 // errorBody is the JSON error envelope.

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"sort"
+
+	"finser/internal/lut"
 )
 
 // GridLUT is the paper's literal POF look-up-table format: POF sampled on
@@ -74,8 +76,8 @@ func BuildGridLUT(ch *Characterization, nFine, nCoarse int, qLo, qHi float64) (*
 		qLo, qHi = lo/3, hi*3
 	}
 	g := &GridLUT{Vdd: ch.Vdd}
-	g.QGrid = logGrid(qLo, qHi, nFine)
-	g.CoarseGrid = logGrid(qLo, qHi, nCoarse)
+	g.QGrid = lut.LogSpace(qLo, qHi, nFine)
+	g.CoarseGrid = lut.LogSpace(qLo, qHi, nCoarse)
 
 	for a := AxisI1; a < NumAxes; a++ {
 		g.Single[a] = make([]float64, nFine)
@@ -109,16 +111,6 @@ func BuildGridLUT(ch *Characterization, nFine, nCoarse int, qLo, qHi float64) (*
 		}
 	}
 	return g, nil
-}
-
-func logGrid(lo, hi float64, n int) []float64 {
-	out := make([]float64, n)
-	l0, l1 := math.Log(lo), math.Log(hi)
-	for i := range out {
-		out[i] = math.Exp(l0 + (l1-l0)*float64(i)/float64(n-1))
-	}
-	out[0], out[n-1] = lo, hi
-	return out
 }
 
 // gridCoord locates q on the grid: the lower index and the log-space
