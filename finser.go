@@ -486,12 +486,25 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("finser: FlowConfig.%s %s", e.Field, e.Reason)
 }
 
+// The admission bounds on every size the flow allocates for. Each is far
+// above any study the paper makes, and low enough that no request can
+// panic an allocation or exhaust memory.
+const (
+	maxArrayCells  = 256 * 256   // Rows×Cols
+	maxBins        = 4096        // AlphaBins and ProtonBins
+	maxSamples     = 100_000     // 100× the paper's 1,000 variation samples
+	maxItersPerBin = 100_000_000 // 10× the paper's 10 M particles per bin
+	maxWorkers     = 256
+)
+
 // Validate resolves defaults, returning the config the flow would run,
 // and reports the first invalid field as a *ConfigError — the
 // admission-time check a serving layer runs before queueing hours of work.
-// Besides each field's own range, Vdd must not exceed twice the technology
-// card's nominal supply (when the card names one), and the environment
-// scales must leave every FIT finite.
+// Besides each field's own range — Rows×Cols at most 65,536 cells,
+// AlphaBins and ProtonBins at most 4,096, Samples at most 100,000,
+// ItersPerBin at most 10⁸ and Workers at most 256 — Vdd must not exceed
+// twice the technology card's nominal supply (when the card names one),
+// and the environment scales must leave every FIT finite.
 func (c FlowConfig) Validate() (FlowConfig, error) {
 	if !(c.Vdd > 0) || math.IsInf(c.Vdd, 1) {
 		return c, &ConfigError{Field: "Vdd", Reason: fmt.Sprintf("must be positive and finite, got %g", c.Vdd)}
@@ -510,22 +523,29 @@ func (c FlowConfig) Validate() (FlowConfig, error) {
 			return c, &ConfigError{Field: f.name, Reason: fmt.Sprintf("must be zero (the default) or positive and finite, got %g", f.v)}
 		}
 	}
-	// Negative budgets and dimensions are always mistakes; fail here with
-	// the field name instead of a confusing error (or hang) layers deeper.
+	// Negative budgets and dimensions are always mistakes, and sizes above
+	// the admission bounds would panic an allocation or ask for gigabytes;
+	// fail here with the field name instead of layers deeper.
 	for _, f := range []struct {
-		name string
-		v    int
+		name   string
+		v, max int
 	}{
-		{"Samples", c.Samples},
-		{"ItersPerBin", c.ItersPerBin},
-		{"Rows", c.Rows},
-		{"Cols", c.Cols},
-		{"AlphaBins", c.AlphaBins},
-		{"ProtonBins", c.ProtonBins},
+		{"Samples", c.Samples, maxSamples},
+		{"ItersPerBin", c.ItersPerBin, maxItersPerBin},
+		{"Rows", c.Rows, maxArrayCells},
+		{"Cols", c.Cols, maxArrayCells},
+		{"AlphaBins", c.AlphaBins, maxBins},
+		{"ProtonBins", c.ProtonBins, maxBins},
 	} {
 		if f.v < 0 {
 			return c, &ConfigError{Field: f.name, Reason: fmt.Sprintf("must not be negative, got %d", f.v)}
 		}
+		if f.v > f.max {
+			return c, &ConfigError{Field: f.name, Reason: fmt.Sprintf("must not exceed %d, got %d", f.max, f.v)}
+		}
+	}
+	if c.Workers > maxWorkers {
+		return c, &ConfigError{Field: "Workers", Reason: fmt.Sprintf("must not exceed %d, got %d", maxWorkers, c.Workers)}
 	}
 	if !c.Pattern.Valid() {
 		return c, &ConfigError{Field: "Pattern", Reason: fmt.Sprintf("unknown (%d)", c.Pattern)}
@@ -543,6 +563,9 @@ func (c FlowConfig) Validate() (FlowConfig, error) {
 	}
 	if c.Cols == 0 {
 		c.Cols = 9
+	}
+	if c.Rows > maxArrayCells/c.Cols { // Rows×Cols > maxArrayCells, without overflow
+		return c, &ConfigError{Field: "Rows", Reason: fmt.Sprintf("×Cols must not exceed %d cells, got %d×%d", maxArrayCells, c.Rows, c.Cols)}
 	}
 	if c.Samples == 0 {
 		c.Samples = 1000
@@ -826,8 +849,12 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 // composing CharacterizeFlowCtx with the two species reproduces
 // RunFlowCtx's FlowResult bit-identically, checkpoint-compatible with an
 // uninterrupted run; each call builds its own engine. A characterization
-// built at another Vdd than cfg.Vdd fails with a *PlanMismatchError.
+// built at another Vdd than cfg.Vdd fails with a *PlanMismatchError, and a
+// nil one with an error naming it.
 func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species) (FITResult, error) {
+	if char == nil {
+		return FITResult{}, fmt.Errorf("finser: %s FIT: no characterization", sp)
+	}
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return FITResult{}, err
@@ -885,8 +912,12 @@ func NeutronFITCtx(ctx context.Context, cfg FlowConfig, sweep []*FlowResult) ([]
 // for the same bins; a coordinator records them in the species'
 // SpeciesLedger. The per-bin convergence records come alongside when
 // cfg.FITRelErr > 0 (nil under the flat budget), so the coordinator can
-// carry each bin's convergence state through the merge.
+// carry each bin's convergence state through the merge. A nil
+// characterization fails with an error naming it.
 func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species, from, to int) ([]POFPoint, []BinConv, error) {
+	if char == nil {
+		return nil, nil, fmt.Errorf("finser: %s shard [%d,%d): no characterization", sp, from, to)
+	}
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, nil, err

@@ -24,13 +24,11 @@ func (r *Resistor) Name() string { return r.name }
 func (r *Resistor) Stamp(s *Stamper) { s.AddConductance(r.A, r.B, r.G) }
 
 // Capacitor is a linear two-terminal capacitor, open in DC and integrated
-// with backward Euler or trapezoidal companions in transient.
+// with its backward-Euler companion in transient.
 type Capacitor struct {
 	name string
 	A, B Node
 	C    float64 // farads
-
-	iPrev float64 // branch current (A→B) at the last accepted step
 }
 
 // AddCapacitor adds a capacitor of the given capacitance (farads).
@@ -46,49 +44,16 @@ func (c *Circuit) AddCapacitor(name string, a, b Node, farads float64) *Capacito
 // Name implements Device.
 func (cp *Capacitor) Name() string { return cp.name }
 
-// Stamp implements Device.
-//
-// Backward Euler: i = (C/h)(v − v₀)  → Geq = C/h, Ieq = (C/h)·v₀.
-// Trapezoidal:    i = (2C/h)(v − v₀) − i₀ → Geq = 2C/h,
-// Ieq = (2C/h)·v₀ + i₀.
+// Stamp implements Device with the backward-Euler companion:
+// i = (C/h)(v − v₀) → Geq = C/h, Ieq = (C/h)·v₀.
 func (cp *Capacitor) Stamp(s *Stamper) {
 	if s.DC() {
 		return // open circuit at DC
 	}
 	vPrev := s.VPrev(cp.A) - s.VPrev(cp.B)
-	var geq, ieq float64
-	if s.Method() == Trapezoidal {
-		geq = 2 * cp.C / s.Dt()
-		ieq = geq*vPrev + cp.iPrev
-	} else {
-		geq = cp.C / s.Dt()
-		ieq = geq * vPrev
-	}
+	geq := cp.C / s.Dt()
 	s.AddConductance(cp.A, cp.B, geq)
-	s.AddCurrent(cp.B, cp.A, ieq)
-}
-
-// accept implements stateful: record the capacitor branch current at the
-// newly accepted time point.
-func (cp *Capacitor) accept(vNew, vOld Solution, dt float64, method Integrator) {
-	va := nodeVal(vNew, cp.A) - nodeVal(vNew, cp.B)
-	vb := nodeVal(vOld, cp.A) - nodeVal(vOld, cp.B)
-	if method == Trapezoidal {
-		cp.iPrev = (2*cp.C/dt)*(va-vb) - cp.iPrev
-	} else {
-		cp.iPrev = (cp.C / dt) * (va - vb)
-	}
-}
-
-// reset implements stateful: transient analyses start from a steady state
-// with no capacitor current.
-func (cp *Capacitor) reset() { cp.iPrev = 0 }
-
-func nodeVal(x Solution, n Node) float64 {
-	if n == Ground {
-		return 0
-	}
-	return x[n]
+	s.AddCurrent(cp.B, cp.A, geq*vPrev)
 }
 
 // VSource is an independent voltage source; it takes a branch-current
@@ -158,12 +123,4 @@ func (i *ISource) Name() string { return i.name }
 // pulse charge integrates exactly; see Stamper.SourceTime.
 func (i *ISource) Stamp(s *Stamper) {
 	s.AddCurrent(i.A, i.B, i.W.Value(s.SourceTime()))
-}
-
-// stateful is implemented by devices that carry per-timestep state the
-// transient loop must maintain (reset at analysis start, update after each
-// accepted step).
-type stateful interface {
-	accept(vNew, vOld Solution, dt float64, method Integrator)
-	reset()
 }

@@ -25,21 +25,16 @@ const Ground Node = -1
 // Devices add their linearized companion models through its methods; the
 // index bookkeeping (ground elision, branch rows) stays in one place.
 type Stamper struct {
-	a      [][]float64
-	b      []float64
-	x      []float64 // current Newton iterate (node voltages + branch currents)
-	xPrev  []float64 // solution at the previous accepted timestep
-	time   float64   // time being solved for
-	dt     float64   // timestep; 0 during DC analysis
-	method Integrator
-	nNodes int
+	a     [][]float64
+	b     []float64
+	x     []float64 // current Newton iterate (node voltages + branch currents)
+	xPrev []float64 // solution at the previous accepted timestep
+	time  float64   // time being solved for
+	dt    float64   // timestep; 0 during DC analysis
 }
 
 // DC reports whether the current solve is a DC operating point.
 func (s *Stamper) DC() bool { return s.dt == 0 }
-
-// Method returns the integration method in effect.
-func (s *Stamper) Method() Integrator { return s.method }
 
 // Time returns the time being solved for.
 func (s *Stamper) Time() float64 { return s.time }
@@ -167,8 +162,8 @@ type Circuit struct {
 	// ws is the reusable solver workspace: the MNA matrix, RHS, stamper,
 	// transient ping-pong buffers, breakpoint list, and trajectory arena
 	// are allocated once and reused across Newton iterations, timesteps,
-	// and whole analyses. It is one more reason a Circuit must not run
-	// concurrent analyses (devices already carry per-step state).
+	// and whole analyses, which is why a Circuit must not run concurrent
+	// analyses.
 	ws workspace
 }
 

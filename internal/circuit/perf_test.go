@@ -19,14 +19,14 @@ func TestNewtonSolveZeroAlloc(t *testing.T) {
 	n := c.unknowns()
 	x := make(Solution, n)
 	xPrev := make(Solution, n)
-	if _, err := c.newtonSolve(x, xPrev, 0, 0, BackwardEuler); err != nil {
+	if _, err := c.newtonSolve(x, xPrev, 0, 0); err != nil {
 		t.Fatal(err) // warm the workspace
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := range x {
 			x[i] = 0
 		}
-		if _, err := c.newtonSolve(x, xPrev, 0, 0, BackwardEuler); err != nil {
+		if _, err := c.newtonSolve(x, xPrev, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -9,27 +9,11 @@ import (
 // Solution is a solved operating point: node voltages and branch currents.
 type Solution []float64
 
-// SolveStats reports the convergence diagnostics of one Newton solve: the
-// iterations it took (== dense-LU solves) and the final voltage-update
-// norm, which is what the convergence test is evaluated on. On failure the
-// norm is the last iteration's — the divergence-debugging signal the error
-// message also carries.
-type SolveStats struct {
-	Iterations int
-	UpdateNorm float64
-}
-
 // OperatingPoint computes the DC solution with Newton–Raphson. nodeset
 // provides initial-guess voltages for selected nodes — essential for
 // bistable circuits such as SRAM cells, where it selects which stable state
 // Newton converges to. It may be nil.
 func (c *Circuit) OperatingPoint(nodeset map[Node]float64) (Solution, error) {
-	sol, _, err := c.OperatingPointStats(nodeset)
-	return sol, err
-}
-
-// OperatingPointStats is OperatingPoint with the solve diagnostics.
-func (c *Circuit) OperatingPointStats(nodeset map[Node]float64) (Solution, SolveStats, error) {
 	c.assignBranches()
 	n := c.unknowns()
 	x := make([]float64, n)
@@ -38,39 +22,17 @@ func (c *Circuit) OperatingPointStats(nodeset map[Node]float64) (Solution, Solve
 			x[node] = v
 		}
 	}
-	st, err := c.newtonSolve(x, x, 0, 0, BackwardEuler)
-	if err != nil {
-		return nil, st, fmt.Errorf("circuit: DC operating point: %w", err)
+	if _, err := c.newtonSolve(x, x, 0, 0); err != nil {
+		return nil, fmt.Errorf("circuit: DC operating point: %w", err)
 	}
-	return x, st, nil
+	return x, nil
 }
-
-// Integrator selects the implicit integration method for reactive
-// elements.
-type Integrator int
-
-const (
-	// BackwardEuler is first-order, L-stable, and strongly damped — the
-	// robust default for switching waveforms.
-	BackwardEuler Integrator = iota
-	// Trapezoidal is second-order accurate; preferable when waveform
-	// fidelity matters more than damping (it can ring on discontinuities,
-	// which the breakpoint-aware stepper mitigates).
-	Trapezoidal
-)
 
 // TransientSpec configures a transient analysis.
 type TransientSpec struct {
 	TStop    float64 // end time, s
 	InitStep float64 // first step and post-breakpoint step, s
 	MaxStep  float64 // ceiling for the growing step, s
-	// Growth is the per-step expansion factor (default 1.3).
-	Growth float64
-	// Method selects the integrator (default BackwardEuler).
-	Method Integrator
-	// ExtraBreakpoints are times the stepper must land on exactly, in
-	// addition to breakpoints collected from source waveforms.
-	ExtraBreakpoints []float64
 	// Settled, when non-nil, may end the analysis before TStop. Once every
 	// breakpoint is behind the stepper, it is asked after each accepted
 	// step whether the solution x at time t has reached its final state,
@@ -78,6 +40,9 @@ type TransientSpec struct {
 	// valid only during the call. Nil runs to TStop.
 	Settled func(t float64, x Solution) bool
 }
+
+// growth is the stepper's per-step expansion factor between breakpoints.
+const growth = 1.3
 
 // TransientStats aggregates solver diagnostics over one transient run —
 // the quantities a caller needs to judge how hard the solve was and where
@@ -162,19 +127,8 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 	if spec.MaxStep <= 0 {
 		spec.MaxStep = spec.TStop / 50
 	}
-	if spec.Growth <= 1 {
-		spec.Growth = 1.3
-	}
 
 	bps := c.collectBreakpoints(spec)
-
-	// Reactive devices carry per-step state (trapezoidal branch currents);
-	// start the analysis from rest.
-	for _, d := range c.devices {
-		if sd, ok := d.(stateful); ok {
-			sd.reset()
-		}
-	}
 
 	ws := &c.ws
 	ws.ensure(n)
@@ -218,8 +172,8 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 		}
 
 		copy(xNew, x)
-		st, err := c.newtonSolve(xNew, x, target, step, spec.Method)
-		res.Stats.NewtonIters += st.Iterations
+		iters, err := c.newtonSolve(xNew, x, target, step)
+		res.Stats.NewtonIters += iters
 		if err != nil {
 			// Retry with a halved step.
 			res.Stats.StepHalvings++
@@ -249,11 +203,6 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 		if m := c.Metrics; m != nil {
 			m.TransientSteps.Inc()
 		}
-		for _, d := range c.devices {
-			if sd, ok := d.(stateful); ok {
-				sd.accept(xNew, x, step, spec.Method)
-			}
-		}
 		t = target
 		x, xNew = xNew, x
 		res.Times = append(res.Times, t)
@@ -262,7 +211,7 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 			bpIdx++
 			dt = spec.InitStep
 		} else {
-			dt = math.Min(dt*spec.Growth, spec.MaxStep)
+			dt = math.Min(dt*growth, spec.MaxStep)
 		}
 		if spec.Settled != nil && bpIdx >= len(bps) && spec.Settled(t, x) {
 			break
@@ -284,7 +233,6 @@ func (c *Circuit) collectBreakpoints(spec TransientSpec) []float64 {
 			bps = append(bps, dev.W.Breakpoints()...)
 		}
 	}
-	bps = append(bps, spec.ExtraBreakpoints...)
 	c.ws.bps = bps[:0]
 	sort.Float64s(bps)
 	// Deduplicate and drop points outside (0, TStop).
@@ -308,7 +256,7 @@ func (c *Circuit) collectBreakpoints(spec TransientSpec) []float64 {
 func estimateSteps(spec TransientSpec, nBreaks int) int {
 	cruise := int(spec.TStop/spec.MaxStep) + 1
 	ramp := 1
-	for s := spec.InitStep; s < spec.MaxStep && ramp < 64; s *= spec.Growth {
+	for s := spec.InitStep; s < spec.MaxStep && ramp < 64; s *= growth {
 		ramp++
 	}
 	est := cruise + (nBreaks+1)*ramp + nBreaks + 2
@@ -371,24 +319,23 @@ func (ws *workspace) snapshot(x Solution) Solution {
 	return s
 }
 
-// newtonSolve iterates the damped Newton loop in place on x. xPrev is the
+// newtonSolve iterates the damped Newton loop in place on x and returns the
+// iterations it took (== dense-LU solves), on failure too. xPrev is the
 // previous accepted timestep solution (used by reactive companion models);
-// dt == 0 selects DC. Convergence is on the voltage-update norm. The
-// returned stats are valid on failure too (iterations spent, last update
-// norm) so callers can diagnose divergence instead of seeing only an
-// opaque error.
-func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64, method Integrator) (SolveStats, error) {
+// dt == 0 selects DC. Convergence is on the voltage-update norm, and a
+// failure to converge reports the last iteration's norm.
+func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64) (iters int, err error) {
 	n := c.unknowns()
 	ws := &c.ws
 	ws.ensure(n)
 	a, b := ws.a, ws.b
-	ws.st = Stamper{a: a, b: b, xPrev: xPrev, time: t, dt: dt, method: method, nNodes: len(c.names)}
+	ws.st = Stamper{a: a, b: b, xPrev: xPrev, time: t, dt: dt}
 	st := &ws.st
 
-	var stats SolveStats
 	m := c.Metrics
+	maxUpdate := 0.0
 	for iter := 0; iter < c.MaxNewtonIter; iter++ {
-		stats.Iterations = iter + 1
+		iters = iter + 1
 		if m != nil {
 			m.NewtonIters.Inc()
 		}
@@ -413,10 +360,10 @@ func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64, method Integrato
 			if m != nil {
 				m.FailedSolves.Inc()
 			}
-			return stats, err
+			return iters, err
 		}
 		// b now holds the proposed next iterate. Damp node-voltage updates.
-		maxUpdate := 0.0
+		maxUpdate = 0
 		converged := true
 		for i := 0; i < n; i++ {
 			du := b[i] - x[i]
@@ -439,19 +386,17 @@ func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64, method Integrato
 				if m != nil {
 					m.FailedSolves.Inc()
 				}
-				stats.UpdateNorm = maxUpdate
-				return stats, fmt.Errorf("circuit: Newton diverged at iteration %d (non-finite unknown %d)",
+				return iters, fmt.Errorf("circuit: Newton diverged at iteration %d (non-finite unknown %d)",
 					iter+1, i)
 			}
 		}
-		stats.UpdateNorm = maxUpdate
 		if converged && iter > 0 {
-			return stats, nil
+			return iters, nil
 		}
 	}
 	if m != nil {
 		m.FailedSolves.Inc()
 	}
-	return stats, fmt.Errorf("circuit: Newton failed to converge in %d iterations (last update norm %.3g V)",
-		c.MaxNewtonIter, stats.UpdateNorm)
+	return iters, fmt.Errorf("circuit: Newton failed to converge in %d iterations (last update norm %.3g V)",
+		c.MaxNewtonIter, maxUpdate)
 }

@@ -190,7 +190,8 @@ func TestCollectBreakpointsDedup(t *testing.T) {
 	n := c.Node("n")
 	c.AddISource("i1", Ground, n, RectPulse{T0: 1, Width: 1, Amp: 1})
 	c.AddISource("i2", Ground, n, RectPulse{T0: 1, Width: 2, Amp: 1})
-	bps := c.collectBreakpoints(TransientSpec{TStop: 10, ExtraBreakpoints: []float64{2, -5, 99}})
+	c.AddISource("i3", Ground, n, PWL{Times: []float64{-5, 2, 99}, Values: make([]float64, 3)})
+	bps := c.collectBreakpoints(TransientSpec{TStop: 10})
 	// Sorted, deduplicated, in-range: {1, 2, 3}.
 	want := []float64{1, 2, 3}
 	if len(bps) != len(want) {
@@ -209,7 +210,7 @@ func TestGrowthCapsAtMaxStep(t *testing.T) {
 	c.AddResistor("r", n, Ground, 1e3)
 	c.AddCapacitor("c", n, Ground, 1e-12)
 	res, err := c.Transient(make(Solution, 1), TransientSpec{
-		TStop: 1e-9, InitStep: 1e-12, MaxStep: 5e-12, Growth: 2,
+		TStop: 1e-9, InitStep: 1e-12, MaxStep: 5e-12,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +223,8 @@ func TestGrowthCapsAtMaxStep(t *testing.T) {
 }
 
 // TestSettledAfterLastBreakpoint checks that the settle predicate is first
-// consulted on the last breakpoint (a source corner or an extra one),
-// never before it, and that the analysis ends at the first step it
+// consulted on the last breakpoint (here the corner of a zero-valued
+// source), never before it, and that the analysis ends at the first step it
 // accepts. A nil predicate runs to TStop.
 func TestSettledAfterLastBreakpoint(t *testing.T) {
 	c := New()
@@ -232,10 +233,8 @@ func TestSettledAfterLastBreakpoint(t *testing.T) {
 	c.AddCapacitor("c", n, Ground, 1e-15)
 	c.AddISource("i", Ground, n, TriPulse{T0: 2e-12, Width: 3e-12, Amp: 1e-3})
 	const last = 8e-12
-	spec := TransientSpec{
-		TStop: 1e-10, InitStep: 1e-13, MaxStep: 2e-12,
-		ExtraBreakpoints: []float64{last},
-	}
+	c.AddISource("bp", Ground, n, PWL{Times: []float64{last}, Values: []float64{0}})
+	spec := TransientSpec{TStop: 1e-10, InitStep: 1e-13, MaxStep: 2e-12}
 	full, err := c.Transient(make(Solution, 1), spec)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"finser/internal/phys"
@@ -237,5 +238,25 @@ func TestRunLedgerRefusesForeignPlan(t *testing.T) {
 		if events != 0 || l.Done(0) {
 			t.Errorf("%s: a refused plan restored bins (%d events)", tc.field, events)
 		}
+	}
+}
+
+// TestRunLedgerRefusesNilChar checks that both ledger entries refuse a run
+// without a cell model by name instead of dereferencing it.
+func TestRunLedgerRefusesNilChar(t *testing.T) {
+	e := workerEngine(t, 2)
+	l, err := NewLedger(ledgerPlan(0), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := e.RunLedgersCtx(context.Background(), []LedgerRun{{Ledger: l}}, nil)
+	shardErr := e.RunShardCtx(context.Background(), LedgerRun{Ledger: l}, 0, 1)
+	for _, err := range []error{runErr, shardErr} {
+		if err == nil || !strings.Contains(err.Error(), "nil Char") {
+			t.Errorf("err = %v, want a refusal naming the nil Char", err)
+		}
+	}
+	if l.Done(0) {
+		t.Error("a run without a cell model completed a bin")
 	}
 }

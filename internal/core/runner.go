@@ -400,6 +400,9 @@ func (e *Engine) ledgerKernel(ctx context.Context, runs []LedgerRun, rx *neutron
 	lx, ly := e.arr.DimsCm()
 	for _, r := range runs {
 		p, stage := r.Ledger.Plan(), r.Ledger.stage
+		if r.Char == nil {
+			return kernel{}, fmt.Errorf("core: %s at %g V: the run has no cell model (nil Char)", stage, p.Vdd)
+		}
 		if vdd := r.Char.SupplyVoltage(); p.Vdd != vdd {
 			return kernel{}, vddError(r.Char, &PlanMismatchError{Stage: stage, Field: "Vdd", Plan: p.Vdd, Engine: vdd})
 		}
@@ -430,7 +433,8 @@ type LedgerRun struct {
 // ledger still lacks, and returns each run's FIT with the totals checked by
 // the guard. The runs' plans must agree in everything but Vdd and
 // checkpoint prefix, each plan's Vdd must be its run's Char's and its area
-// this engine's (a *PlanMismatchError otherwise). Only the cell POF
+// this engine's (a *PlanMismatchError otherwise), and a run with a nil
+// Char is an error. Only the cell POF
 // lookups depend on the voltage, so each strike is traced once and looked
 // up in the cell model of every run whose ledger lacks the bin. Every
 // run's FIT, convergence records, checkpoint record and BinDone events are
@@ -497,7 +501,7 @@ func (e *Engine) RunLedgersCtx(ctx context.Context, runs []LedgerRun, rx *neutro
 // computes for the coordinator that owns the job's ledger. The bins are
 // bit-identical to the ones RunLedgersCtx computes for the same run. The
 // plan must belong to the run's model and this engine (*PlanMismatchError
-// otherwise).
+// otherwise), and a run with a nil Char is an error.
 func (e *Engine) RunShardCtx(ctx context.Context, run LedgerRun, from, to int) error {
 	runs := []LedgerRun{run}
 	k, err := e.ledgerKernel(ctx, runs, nil)

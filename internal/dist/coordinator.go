@@ -717,8 +717,8 @@ func (c *Coordinator) pause(ctx context.Context, d *dispatcher, dur time.Duratio
 	}
 }
 
-// maxShardResponse caps a worker response body; a shard of maxShardBins
-// points is far below this.
+// maxShardResponse caps a worker response body; a shard of every bin a
+// validated job may plan is far below this.
 const maxShardResponse = 16 << 20
 
 // attempt runs one shard attempt against one worker through its breaker.

@@ -142,11 +142,6 @@ func ShardFingerprint(job finser.FlowConfig, id ShardID, seeds []uint64) (string
 	}{job, id, seeds, core.PhysicsRevision})
 }
 
-// maxShardBins bounds how many bins one shard request may name — far above
-// any real discretization, low enough that a hostile length cannot balloon
-// allocations.
-const maxShardBins = 4096
-
 // DecodeShardRequest parses and validates a coordinator's shard request at
 // the worker's trust boundary, returning it with Job validated and its
 // defaults resolved. Every failure is a typed *WireError; the job must
@@ -173,9 +168,6 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 	req := wire.ShardRequest
 	if err := req.Shard.valid(); err != nil {
 		return nil, err
-	}
-	if req.Shard.End-req.Shard.Start > maxShardBins {
-		return nil, &WireError{Field: "shard", Reason: fmt.Sprintf("range spans %d bins (max %d)", req.Shard.End-req.Shard.Start, maxShardBins)}
 	}
 	if len(req.Seeds) != req.Shard.End-req.Shard.Start {
 		return nil, &WireError{Field: "seeds", Reason: fmt.Sprintf("%d seeds for a %d-bin shard", len(req.Seeds), req.Shard.End-req.Shard.Start)}

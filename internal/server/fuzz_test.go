@@ -22,6 +22,7 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(`{"vdd":0.7,"rows"`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"vdd":0.8,"alpha_bins":9223372036854775807}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req JobRequest

@@ -10,6 +10,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"finser/internal/faultinject"
 	"finser/internal/finfet"
@@ -98,13 +99,17 @@ const FaultSiteSample = "sram.sample"
 
 // CharacterizeCtx runs the process-variation Monte Carlo: for each
 // variation sample it builds the cell and bisects the critical charge of
-// each sensitive axis. Sample 0 runs first and guides the other samples'
-// bisections, which then run in parallel on cfg.Workers goroutines with
-// deterministic per-sample random substreams. Workers check ctx before
-// every variation sample (cancellation surfaces as the context error
-// wrapped with the stage identity), and a panic inside a sample — solver
-// bug or injected fault — is recovered into a stack-carrying error that
-// fails the characterization instead of the process.
+// each sensitive axis. Sample 0 runs first, on the caller's goroutine, and
+// guides the other samples' bisections, which then run in parallel on
+// min(cfg.Workers, Samples−1) goroutines with deterministic per-sample
+// random substreams; each sample writes its critical charges in place.
+// Workers check ctx before every variation sample, and a panic inside a
+// sample — solver bug or injected fault — is recovered into a
+// stack-carrying error that fails the characterization instead of the
+// process. A failure reports the lowest-indexed sample that failed on its
+// own, whatever the worker count; a cancellation surfaces as the context
+// error wrapped with the stage identity only when no sample failed on its
+// own.
 func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Vdd <= 0 {
@@ -124,23 +129,26 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 		}
 	}
 
-	type result struct {
-		idx   int
-		qcrit [NumAxes]float64
-		err   error
+	ch := &Characterization{Vdd: cfg.Vdd, Samples: cfg.Samples, PV: cfg.ProcessVariation, Shifts: shifts}
+	for a := range ch.Axis {
+		ch.Axis[a] = make([]float64, cfg.Samples)
 	}
-	// sample runs one variation sample with panic isolation, bisecting each
-	// axis from the guess for it (0 for none).
-	sample := func(idx int, guess [NumAxes]float64) (qc [NumAxes]float64, err error) {
+	// sample characterizes variation sample idx with panic isolation,
+	// bisecting each axis from the guess for it (0 for none) and writing
+	// the critical charge to ch.Axis.
+	sample := func(idx int, guess [NumAxes]float64) (err error) {
 		defer faultinject.Recover("sram.worker", &err)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if fi := cfg.Faults; fi != nil {
 			if err := fi.Hit(FaultSiteSample); err != nil {
-				return qc, err
+				return err
 			}
 		}
 		cell, err := NewCell(cfg.Tech, cfg.Vdd, shifts[idx])
 		if err != nil {
-			return qc, err
+			return err
 		}
 		cell.SetMetrics(cfg.Metrics)
 		cell.SetGuard(cfg.Guard)
@@ -150,99 +158,70 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 				// I1 and I3 are ideal current sources into Q from nodes
 				// that ideal DC sources pin at Vdd, so their transients are
 				// the same circuit and I3 inherits I1's critical charge.
-				q = qc[AxisI1]
+				q = ch.Axis[AxisI1][idx]
 			} else if q, err = cell.criticalCharge(a, chargeLo, chargeHi, cfg.Shape, guess[a]); err != nil {
-				return qc, err
+				return err
 			}
 			// +Inf is the legal "unflippable at any charge" sentinel; NaN or
 			// -Inf means the bisection itself went wrong.
 			if !math.IsInf(q, 1) {
 				if err := cfg.Guard.Finite("sram.characterize", fmt.Sprintf("qcrit axis %d", a), q); err != nil {
-					return qc, err
+					return err
 				}
 			}
-			qc[a] = q
+			ch.Axis[a][idx] = q
 		}
-		return qc, nil
+		return nil
 	}
-
-	run := func(idx int, guess [NumAxes]float64) result {
-		res := result{idx: idx}
-		if res.err = ctx.Err(); res.err == nil {
-			res.qcrit, res.err = sample(idx, guess)
-		}
-		return res
-	}
-	results := make(chan result)
-	go func() {
-		defer close(results)
-		// Sample 0 runs alone, and its critical charges guide every other
-		// sample's bisection. A guess changes which probes are simulated,
-		// never a result, and it depends on sample 0 alone, so neither
-		// depends on Workers.
-		first := run(0, [NumAxes]float64{})
-		results <- first
-		var guess [NumAxes]float64
-		if first.err == nil {
-			guess = first.qcrit
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range jobs {
-					results <- run(idx, guess)
-				}
-			}()
-		}
-		for i := 1; i < cfg.Samples; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				// Stop feeding; workers drain and exit.
-				i = cfg.Samples
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}()
-
-	ch := &Characterization{Vdd: cfg.Vdd, Samples: cfg.Samples, PV: cfg.ProcessVariation, Shifts: shifts}
-	for a := range ch.Axis {
-		ch.Axis[a] = make([]float64, cfg.Samples)
-	}
+	errs := make([]error, cfg.Samples)
 	tracker := obs.NewTracker(cfg.Progress, "characterize", int64(cfg.Samples), 0)
-	var firstErr error
-	for res := range results {
+	run := func(idx int, guess [NumAxes]float64) {
+		errs[idx] = sample(idx, guess)
 		if m := cfg.Metrics; m != nil {
 			m.VariationSamples.Inc()
 		}
 		tracker.Add(1)
-		if res.err != nil {
-			// Keep the most informative failure: a real sample error beats
-			// a bare cancellation report.
-			if firstErr == nil || isCtxErr(firstErr) && !isCtxErr(res.err) {
-				firstErr = fmt.Errorf("sram: sample %d: %w", res.idx, res.err)
-			}
-			continue
-		}
-		for a := AxisI1; a < NumAxes; a++ {
-			ch.Axis[a][res.idx] = res.qcrit[a]
+	}
+
+	// Sample 0 runs alone, and its critical charges guide every other
+	// sample's bisection. A guess changes which probes are simulated, never
+	// a result, and it depends on sample 0 alone, so neither depends on
+	// Workers.
+	run(0, [NumAxes]float64{})
+	var guess [NumAxes]float64
+	if errs[0] == nil {
+		for a := range guess {
+			guess[a] = ch.Axis[a][0]
 		}
 	}
+	var next atomic.Int64 // the last sample index handed out
+	var wg sync.WaitGroup
+	for w := 0; w < min(cfg.Workers, cfg.Samples-1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := int(next.Add(1)); idx < cfg.Samples && ctx.Err() == nil; idx = int(next.Add(1)) {
+				run(idx, guess)
+			}
+		}()
+	}
+	wg.Wait()
 	tracker.Finish()
-	if firstErr != nil && !isCtxErr(firstErr) {
-		return nil, firstErr
+
+	for idx, err := range errs {
+		if err != nil && !isCtxErr(err) {
+			return nil, fmt.Errorf("sram: sample %d: %w", idx, err)
+		}
 	}
 	if err := ctx.Err(); err != nil {
-		// Cancelled: some samples never ran, the characterization is
+		// Cancelled: some samples never ran, so the characterization is
 		// incomplete and must not be used.
 		return nil, fmt.Errorf("sram: characterize: %w", err)
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	for idx, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sram: sample %d: %w", idx, err)
+		}
 	}
 	if err := ch.finish(); err != nil {
 		return nil, err

@@ -202,6 +202,23 @@ func TestCharacterizeWorkBudget(t *testing.T) {
 	}
 }
 
+// TestCharacterizeFailureIndependentOfWorkers checks that a failing
+// characterization reports the lowest-indexed failing sample whatever the
+// worker count. With σVth = 0.25 V, seed 3 first draws a cell whose hold
+// state is not bistable at sample 10.
+func TestCharacterizeFailureIndependentOfWorkers(t *testing.T) {
+	tc := tech()
+	tc.SigmaVth = 0.25
+	for _, workers := range []int{1, 2, 8} {
+		_, err := CharacterizeCtx(context.Background(), CharConfig{
+			Tech: tc, Vdd: 0.8, ProcessVariation: true, Samples: 40, Seed: 3, Workers: workers,
+		})
+		if err == nil || !strings.HasPrefix(err.Error(), "sram: sample 10: ") {
+			t.Errorf("workers=%d: error %v, want sample 10's", workers, err)
+		}
+	}
+}
+
 func TestValidateFlipSurfaceNeedsShifts(t *testing.T) {
 	ch, err := ReadCharacterization(strings.NewReader(
 		`{"vdd":0.8,"samples":2,"axis_qcrit":[[1e-16,2e-16],[1e-16,2e-16],[1e-16,2e-16]]}`))

@@ -440,6 +440,16 @@ func TestConfigErrorsTyped(t *testing.T) {
 		// Finite scales whose largest FIT overflows.
 		{"AlphaRate", FlowConfig{Vdd: 0.8, AlphaRate: 1e308}},
 		{"ProtonScale", FlowConfig{Vdd: 0.8, ProtonScale: 1e308}},
+		// One past each admission bound.
+		{"Rows", FlowConfig{Vdd: 0.8, Rows: 257, Cols: 256}},
+		{"Rows", FlowConfig{Vdd: 0.8, Rows: 1 << 32, Cols: 1 << 32}}, // the product wraps to 0
+		{"Cols", FlowConfig{Vdd: 0.8, Cols: 256*256 + 1}},
+		{"AlphaBins", FlowConfig{Vdd: 0.8, AlphaBins: 4097}},
+		{"AlphaBins", FlowConfig{Vdd: 0.8, AlphaBins: math.MaxInt}},
+		{"ProtonBins", FlowConfig{Vdd: 0.8, ProtonBins: 4097}},
+		{"Samples", FlowConfig{Vdd: 0.8, Samples: 100_001}},
+		{"ItersPerBin", FlowConfig{Vdd: 0.8, ItersPerBin: 100_000_001}},
+		{"Workers", FlowConfig{Vdd: 0.8, Workers: 257}},
 	}
 	for _, tc := range cases {
 		_, err := tc.cfg.Validate()
@@ -464,6 +474,35 @@ func TestConfigErrorsTyped(t *testing.T) {
 	if got.Samples != 1000 || got.ItersPerBin != 50000 || got.AlphaBins != 12 || got.ProtonBins != 16 || got.Rows != 9 {
 		t.Errorf("resolved samples/iters/bins/rows = %d/%d/%d+%d/%d, want 1000/50000/12+16/9",
 			got.Samples, got.ItersPerBin, got.AlphaBins, got.ProtonBins, got.Rows)
+	}
+	// A config at every bound is valid and plans its 4,096 bins.
+	atBounds := FlowConfig{Vdd: 0.8, Rows: 256, Cols: 256, Samples: 100_000, ItersPerBin: 100_000_000,
+		AlphaBins: 4096, ProtonBins: 4096, Workers: 256}
+	if _, err := atBounds.Validate(); err != nil {
+		t.Fatalf("config at every bound rejected: %v", err)
+	}
+	for _, sp := range []Species{Alpha, Proton} {
+		l, err := SpeciesLedger(atBounds, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(l.Plan().Bins); n != 4096 {
+			t.Errorf("%v ledger plans %d bins, want 4096", sp, n)
+		}
+	}
+}
+
+// TestNilCharacterizationRefused checks that the stage entries taking a
+// pre-built characterization refuse a nil one by name instead of
+// dereferencing it.
+func TestNilCharacterizationRefused(t *testing.T) {
+	cfg := FlowConfig{Vdd: 0.8, ItersPerBin: 100}
+	_, fitErr := SpeciesFITCtx(context.Background(), cfg, nil, Alpha)
+	_, _, shardErr := SpeciesShardPOFConvCtx(context.Background(), cfg, nil, Alpha, 0, 1)
+	for _, err := range []error{fitErr, shardErr} {
+		if err == nil || !strings.Contains(err.Error(), "no characterization") {
+			t.Errorf("err = %v, want a refusal naming the missing characterization", err)
+		}
 	}
 }
 
