@@ -90,7 +90,7 @@ func TestTransientReuseNoGrowth(t *testing.T) {
 		}
 	}
 	// The trajectory pre-sizing must have avoided append-regrowth.
-	if est := estimateSteps(spec, len(c.collectBreakpoints(spec))); len(r1.Times) > est {
+	if est := estimateSteps(spec, len(c.collectBreakpoints(spec, 0))); len(r1.Times) > est {
 		t.Errorf("estimateSteps underestimated: %d points > estimate %d", len(r1.Times), est)
 	}
 }

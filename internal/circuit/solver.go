@@ -110,25 +110,71 @@ func (r *TransientResult) MaxAbs(n Node) float64 {
 	return m
 }
 
+// State is a transient analysis between two accepted steps: its time, its
+// solution there, and the step it tries next. The breakpoint cursor
+// follows from the time (every breakpoint up to T is behind the stepper),
+// so a State is all a transient needs to resume.
+type State struct {
+	T    float64
+	X    Solution
+	Step float64
+}
+
 // Transient runs a backward-Euler transient analysis from the given initial
-// condition (typically a DC operating point). The stepper grows the step
-// geometrically, lands exactly on waveform breakpoints, retries with a
+// condition (typically a DC operating point) at t = 0. The stepper grows the
+// step geometrically, lands exactly on waveform breakpoints, retries with a
 // halved step when Newton fails to converge, and ends early when
 // spec.Settled says the trajectory has settled.
 func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientResult, error) {
+	return c.TransientFrom(State{X: initial, Step: spec.InitStep}, spec)
+}
+
+// TransientFrom resumes a transient from a saved state, as StateAt returns
+// it, and takes exactly the steps the run that saved it would have taken
+// next. Its trajectory starts at s.T.
+func (c *Circuit) TransientFrom(s State, spec TransientSpec) (*TransientResult, error) {
+	res, _, err := c.transient(s, spec, 0)
+	return res, err
+}
+
+// StateAt runs the transient from initial at t = 0 until it lands on time
+// at, which it treats as a breakpoint, and returns its state just after
+// landing there. The state owns its solution, so any number of
+// TransientFrom runs can start from it.
+func (c *Circuit) StateAt(initial Solution, spec TransientSpec, at float64) (State, error) {
+	if at <= 0 || at >= spec.TStop {
+		return State{}, fmt.Errorf("circuit: save time %g outside (0, TStop)", at)
+	}
+	_, s, err := c.transient(State{X: initial, Step: spec.InitStep}, spec, at)
+	if err != nil {
+		return State{}, err
+	}
+	s.X = append(Solution(nil), s.X...)
+	return s, nil
+}
+
+// transient is the one stepping loop. It starts from s and runs to
+// spec.TStop or a settled exit, returning the trajectory and the state it
+// ends in. A positive save time joins the breakpoints, and the loop ends
+// just after landing there. The returned state's solution is a workspace
+// buffer.
+func (c *Circuit) transient(s State, spec TransientSpec, save float64) (*TransientResult, State, error) {
 	c.assignBranches()
 	n := c.unknowns()
-	if len(initial) != n {
-		return nil, fmt.Errorf("circuit: initial condition has %d entries, want %d", len(initial), n)
+	if len(s.X) != n {
+		return nil, State{}, fmt.Errorf("circuit: initial condition has %d entries, want %d", len(s.X), n)
 	}
 	if spec.TStop <= 0 || spec.InitStep <= 0 {
-		return nil, fmt.Errorf("circuit: transient needs positive TStop and InitStep")
+		return nil, State{}, fmt.Errorf("circuit: transient needs positive TStop and InitStep")
+	}
+	if s.Step <= 0 {
+		return nil, State{}, fmt.Errorf("circuit: transient state at t=%g has step %g, want positive", s.T, s.Step)
 	}
 	if spec.MaxStep <= 0 {
 		spec.MaxStep = spec.TStop / 50
 	}
 
-	bps := c.collectBreakpoints(spec)
+	bps := c.collectBreakpoints(spec, save)
 
 	ws := &c.ws
 	ws.ensure(n)
@@ -141,16 +187,12 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 	// solve runs on xNew, and an accepted step swaps the roles instead of
 	// copying. Stored points are arena snapshots, so neither buffer escapes.
 	x, xNew := ws.xCur, ws.xNext
-	copy(x, initial)
-	res.Times = append(res.Times, 0)
+	copy(x, s.X)
+	t, dt := s.T, s.Step
+	res.Times = append(res.Times, t)
 	res.Values = append(res.Values, ws.snapshot(x))
 
-	t := 0.0
-	dt := spec.InitStep
 	bpIdx := 0
-	for bpIdx < len(bps) && bps[bpIdx] <= 0 {
-		bpIdx++
-	}
 	const minStepFrac = 1e-7
 	for t < spec.TStop {
 		// Land exactly on the next breakpoint; reset the step after it so
@@ -166,7 +208,8 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 		}
 		step := target - t
 		if step <= 0 {
-			// Degenerate breakpoint at/behind current time.
+			// A breakpoint at or behind the current time, such as one a
+			// resumed state has passed, is behind the stepper.
 			bpIdx++
 			continue
 		}
@@ -182,7 +225,7 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 			}
 			dt = step / 2
 			if dt < spec.InitStep*minStepFrac {
-				return nil, fmt.Errorf("circuit: transient stalled at t=%g after %d step halvings: %w",
+				return nil, State{}, fmt.Errorf("circuit: transient stalled at t=%g after %d step halvings: %w",
 					t, res.Stats.StepHalvings, err)
 			}
 			continue
@@ -191,7 +234,7 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 			for i, v := range xNew {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					if err := g.Finite("circuit.transient", fmt.Sprintf("unknown %d at t=%g", i, target), v); err != nil {
-						return nil, err
+						return nil, State{}, err
 					}
 				}
 			}
@@ -213,18 +256,25 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 		} else {
 			dt = math.Min(dt*growth, spec.MaxStep)
 		}
+		if save > 0 && t >= save-1e-21 {
+			return res, State{T: t, X: x, Step: dt}, nil
+		}
 		if spec.Settled != nil && bpIdx >= len(bps) && spec.Settled(t, x) {
 			break
 		}
 	}
-	return res, nil
+	return res, State{T: t, X: x, Step: dt}, nil
 }
 
 // collectBreakpoints gathers, sorts, and dedupes the waveform breakpoints
-// once per analysis, reusing the workspace buffer so repeated transients on
-// the same circuit do not re-allocate the list.
-func (c *Circuit) collectBreakpoints(spec TransientSpec) []float64 {
+// and the save time, if positive, once per analysis, reusing the workspace
+// buffer so repeated transients on the same circuit do not re-allocate the
+// list.
+func (c *Circuit) collectBreakpoints(spec TransientSpec, save float64) []float64 {
 	bps := c.ws.bps[:0]
+	if save > 0 {
+		bps = append(bps, save)
+	}
 	for _, d := range c.devices {
 		switch dev := d.(type) {
 		case *VSource:

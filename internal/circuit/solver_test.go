@@ -191,7 +191,7 @@ func TestCollectBreakpointsDedup(t *testing.T) {
 	c.AddISource("i1", Ground, n, RectPulse{T0: 1, Width: 1, Amp: 1})
 	c.AddISource("i2", Ground, n, RectPulse{T0: 1, Width: 2, Amp: 1})
 	c.AddISource("i3", Ground, n, PWL{Times: []float64{-5, 2, 99}, Values: make([]float64, 3)})
-	bps := c.collectBreakpoints(TransientSpec{TStop: 10})
+	bps := c.collectBreakpoints(TransientSpec{TStop: 10}, 0)
 	// Sorted, deduplicated, in-range: {1, 2, 3}.
 	want := []float64{1, 2, 3}
 	if len(bps) != len(want) {
@@ -270,6 +270,57 @@ func TestSettledAfterLastBreakpoint(t *testing.T) {
 	for i := range res.Times {
 		if res.Times[i] != full.Times[i] || res.Values[i][n] != full.Values[i][n] {
 			t.Fatalf("point %d differs from the full run", i)
+		}
+	}
+}
+
+// TestTransientFromMatchesFullRun checks that a transient resumed from the
+// state StateAt saves at one of its breakpoints takes exactly the steps of
+// the run from t = 0 after it, to the bit, including a breakpoint the
+// saved prefix already passed, and that one saved state serves any number
+// of resumed runs.
+func TestTransientFromMatchesFullRun(t *testing.T) {
+	const save = 2e-12
+	c := New()
+	n := c.Node("n")
+	c.AddResistor("r", n, Ground, 1e3)
+	c.AddCapacitor("c", n, Ground, 1e-15)
+	c.AddISource("i", Ground, n, RectPulse{T0: save, Width: 3e-12, Amp: 1e-3})
+	c.AddISource("pre", Ground, n, PWL{Times: []float64{0.5e-12, 0.9e-12, 7e-12}, Values: []float64{0, 2e-4, 0}})
+	spec := TransientSpec{TStop: 1e-10, InitStep: 1e-13, MaxStep: 2e-12}
+	full, err := c.Transient(make(Solution, 1), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.StateAt(make(Solution, 1), spec, save)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.T != save || s.Step != spec.InitStep {
+		t.Fatalf("saved state at t=%v with step %v, want t=%v and InitStep", s.T, s.Step, save)
+	}
+	k := 0
+	for full.Times[k] != save {
+		k++
+	}
+	for run := 0; run < 2; run++ {
+		res, err := c.TransientFrom(s, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Times) != len(full.Times)-k {
+			t.Fatalf("run %d: %d points from the saved state, want %d", run, len(res.Times), len(full.Times)-k)
+		}
+		for i := range res.Times {
+			if res.Times[i] != full.Times[k+i] || math.Float64bits(res.Values[i][n]) != math.Float64bits(full.Values[k+i][n]) {
+				t.Fatalf("run %d point %d: (%v, %v), full run (%v, %v)", run, i,
+					res.Times[i], res.Values[i][n], full.Times[k+i], full.Values[k+i][n])
+			}
+		}
+	}
+	for _, at := range []float64{0, -1, spec.TStop} {
+		if _, err := c.StateAt(make(Solution, 1), spec, at); err == nil {
+			t.Errorf("save time %v accepted", at)
 		}
 	}
 }

@@ -147,7 +147,11 @@ const (
 // Revision 2: the random stream is keyed per strike — strike i of an
 // estimate draws from the stream keyed by (seed, i), and strikes merge in
 // fixed chunks — so no result depends on the worker count.
-const PhysicsRevision = 2
+// Revision 3: each FinFET stamp takes its Jacobian in closed form, no
+// longer by central differences, which moves a critical charge by one
+// bisection step where a probe lies within Newton's tolerance of the flip
+// threshold (about 1 in 2,000).
+const PhysicsRevision = 3
 
 // Config assembles an Engine.
 type Config struct {

@@ -4,13 +4,15 @@
 // characterization under threshold-voltage process variation — the data the
 // paper stores in POF LUTs.
 //
-// Characterization cost. A strike transient from a finite pulse stops once
-// both storage nodes have settled near a stable state instead of running
-// the whole window. Characterization bisects I1 once and reuses it for I3,
-// whose transient is the same circuit, and guides every variation sample's
-// bisection with sample 0's critical charges. None of this changes a
-// critical charge: a bisected Qcrit depends only on the sequence of
-// flip/no-flip outcomes, and each shortcut keeps that sequence.
+// Characterization cost. Every strike on a cell starts from one saved
+// transient state at the strike's start instead of solving the quiet
+// prefix before it again. A strike transient from a finite pulse stops
+// once both storage nodes have settled near a stable state instead of
+// running the whole window. Characterization bisects I1 once and reuses it
+// for I3, whose transient is the same circuit, and guides every variation
+// sample's bisection with sample 0's critical charges. None of this
+// changes a critical charge: a bisected Qcrit depends only on the sequence
+// of flip/no-flip outcomes, and each shortcut keeps that sequence.
 //
 // Sensitive transistors. In hold mode with Q = 0 / QB = 1, three devices
 // are OFF with |Vds| = Vdd and therefore collect radiation charge (the
@@ -169,7 +171,11 @@ type Cell struct {
 	// nil when buildCell found none. With it, SimulateStrike can stop a
 	// transient once the cell has settled. Only its Q and QB entries are
 	// read, so an 8T cell shares its 6T core's.
-	mirror  circuit.Solution
+	mirror circuit.Solution
+	// start is the transient's state at strikeStart, which every strike
+	// on the cell starts from (see strike). It is solved on the cell's
+	// first strike, once init is final; X is nil until then.
+	start   circuit.State
 	strikes [NumAxes]*settableWaveform
 	metrics *Metrics // nil = uninstrumented (see SetMetrics)
 }
@@ -340,20 +346,14 @@ func (c *Cell) SimulateStrike(charges [NumAxes]float64, shape PulseShape) (Strik
 		}
 	}()
 
-	spec := circuit.TransientSpec{
-		TStop:    simWindow,
-		InitStep: tau / 8,
-		MaxStep:  simWindow / 40,
-	}
+	var settled func(float64, circuit.Solution) bool
 	if c.mirror != nil && shape != ShapeDoubleExp {
-		spec.Settled = c.settled
+		settled = c.settled
 	}
-	res, err := c.ckt.Transient(c.init, spec)
+	out, err := c.strike(settled)
 	if err != nil {
 		return StrikeResult{}, fmt.Errorf("sram: strike transient: %w", err)
 	}
-	q, qb := res.Final(c.q), res.Final(c.qb)
-	out := StrikeResult{Flipped: q > qb, QFinal: q, QBFinal: qb}
 	if m := c.metrics; m != nil {
 		m.FlipSims.Inc()
 		if out.Flipped {
@@ -361,6 +361,38 @@ func (c *Cell) SimulateStrike(charges [NumAxes]float64, shape PulseShape) (Strik
 		}
 	}
 	return out, nil
+}
+
+// strike runs the transient of the strike armed on the cell, ending early
+// once settled (when non-nil) says the cell has settled. Every strike
+// waveform is exactly 0 before strikeStart, and current sources are
+// sampled at each step's midpoint, so up to the step that lands on
+// strikeStart no strike injects anything: the state there is the same for
+// every strike on the cell, whatever its shape, axes or charge. The first
+// strike solves that prefix once, from init with strikeStart as a
+// breakpoint, over the netlist's own breakpoints too; every strike then
+// starts from the saved state and takes exactly the steps a run from t = 0
+// would take after it.
+func (c *Cell) strike(settled func(float64, circuit.Solution) bool) (StrikeResult, error) {
+	spec := circuit.TransientSpec{
+		TStop:    simWindow,
+		InitStep: c.Tech.TransitTime(c.Vdd) / 8,
+		MaxStep:  simWindow / 40,
+		Settled:  settled,
+	}
+	if c.start.X == nil {
+		s, err := c.ckt.StateAt(c.init, spec, strikeStart)
+		if err != nil {
+			return StrikeResult{}, err
+		}
+		c.start = s
+	}
+	res, err := c.ckt.TransientFrom(c.start, spec)
+	if err != nil {
+		return StrikeResult{}, err
+	}
+	q, qb := res.Final(c.q), res.Final(c.qb)
+	return StrikeResult{Flipped: q > qb, QFinal: q, QBFinal: qb}, nil
 }
 
 // settled reports whether both storage nodes of x are within settleTol·Vdd

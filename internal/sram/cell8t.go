@@ -76,19 +76,14 @@ func NewCell8T(tech finfet.Technology, vdd float64, shifts VthShifts, mode CellM
 // node and reports whether the *storage* flipped — the decoupling claim is
 // that it never does.
 func (c *Cell8T) SimulateReadPortStrike(charge float64) (StrikeResult, error) {
-	tau := c.Tech.TransitTime(c.Vdd)
 	if charge > 0 {
+		tau := c.Tech.TransitTime(c.Vdd)
 		c.readStrike.w = circuit.RectPulse{T0: strikeStart, Width: tau, Amp: charge / tau}
 	}
 	defer func() { c.readStrike.w = nil }()
-	res, err := c.ckt.Transient(c.init, circuit.TransientSpec{
-		TStop:    simWindow,
-		InitStep: tau / 8,
-		MaxStep:  simWindow / 40,
-	})
+	res, err := c.strike(nil)
 	if err != nil {
 		return StrikeResult{}, fmt.Errorf("sram: read-port strike: %w", err)
 	}
-	q, qb := res.Final(c.q), res.Final(c.qb)
-	return StrikeResult{Flipped: q > qb, QFinal: q, QBFinal: qb}, nil
+	return res, nil
 }

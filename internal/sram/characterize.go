@@ -107,9 +107,10 @@ const FaultSiteSample = "sram.sample"
 // sample — solver bug or injected fault — is recovered into a
 // stack-carrying error that fails the characterization instead of the
 // process. A failure reports the lowest-indexed sample that failed on its
-// own, whatever the worker count; a cancellation surfaces as the context
-// error wrapped with the stage identity only when no sample failed on its
-// own.
+// own, whatever the worker count, and a sample 0 that fails on its own
+// stops the characterization before any other sample runs; a cancellation
+// surfaces as the context error wrapped with the stage identity only when
+// no sample failed on its own.
 func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Vdd <= 0 {
@@ -188,6 +189,12 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 	// a result, and it depends on sample 0 alone, so neither depends on
 	// Workers.
 	run(0, [NumAxes]float64{})
+	if err := errs[0]; err != nil && !isCtxErr(err) {
+		// Sample 0 is the lowest index, so its own failure is the report
+		// whatever the other samples would do: none of them runs.
+		tracker.Finish()
+		return nil, fmt.Errorf("sram: sample 0: %w", err)
+	}
 	var guess [NumAxes]float64
 	if errs[0] == nil {
 		for a := range guess {

@@ -221,7 +221,7 @@ func TestPulseWidthInsensitivity(t *testing.T) {
 		// Re-arm manually with a scaled-width, equal-charge pulse.
 		q := qc * 1.15
 		c.strikes[AxisI1].w = buildPulseWidth(q, tau*widthScale)
-		res, err := c.runArmed()
+		res, err := c.runArmed(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestPulseWidthInsensitivity(t *testing.T) {
 			t.Errorf("width ×%v: equal charge did not flip", widthScale)
 		}
 		c.strikes[AxisI1].w = buildPulseWidth(qc*0.85, tau*widthScale)
-		res, err = c.runArmed()
+		res, err = c.runArmed(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,13 +476,16 @@ func (w waveformAlias) Value(t float64) float64 {
 
 func (w waveformAlias) Breakpoints() []float64 { return []float64{w.t0, w.t0 + w.width} }
 
-// runArmed runs the transient with the currently armed strike sources.
-func (c *Cell) runArmed() (StrikeResult, error) {
+// runArmed runs the transient with the currently armed strike sources from
+// t = 0, not from the cell's saved state, ending early once settled (when
+// non-nil) says the cell has settled.
+func (c *Cell) runArmed(settled func(float64, circuit.Solution) bool) (StrikeResult, error) {
 	tau := c.Tech.TransitTime(c.Vdd)
 	res, err := c.ckt.Transient(c.init, circuit.TransientSpec{
 		TStop:    simWindow,
 		InitStep: tau / 8,
 		MaxStep:  simWindow / 40,
+		Settled:  settled,
 	})
 	if err != nil {
 		return StrikeResult{}, err

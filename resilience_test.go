@@ -624,13 +624,14 @@ func TestResumeCheckpointRejectsConfigChange(t *testing.T) {
 // TestFlowFingerprintCoversPhysicsRevision pins that the strike-physics
 // revision enters the flow fingerprint and the worker count does not: the
 // CI interrupt-resume configuration no longer hashes to its digests from
-// before the inter-fin range lookup or from before the per-strike random
-// stream, a checkpoint stamped with either is refused, and every worker
-// count hashes alike.
+// before the inter-fin range lookup, from before the per-strike random
+// stream or from before the analytic FinFET Jacobian, a checkpoint stamped
+// with any of them is refused, and every worker count hashes alike.
 func TestFlowFingerprintCoversPhysicsRevision(t *testing.T) {
 	old := map[string]string{
-		"before the inter-fin range lookup": "eb887a74b6c46009ca4dddc33bc472b390f6f11d60551d10fdbafbfd7639392e",
-		"before the per-strike stream":      "b9018e22b9c890574bc9b56cf2a8665f7454b9a54a99a98d5e9cccc92230232b",
+		"before the inter-fin range lookup":   "eb887a74b6c46009ca4dddc33bc472b390f6f11d60551d10fdbafbfd7639392e",
+		"before the per-strike stream":        "b9018e22b9c890574bc9b56cf2a8665f7454b9a54a99a98d5e9cccc92230232b",
+		"before the analytic FinFET Jacobian": "ba1905e5ef3f0979925083e4197d450cd773e530f67b442fc30753e5b3759547",
 	}
 	cfg := FlowConfig{Vdd: 0.8, ProcessVariation: true, Samples: 40, ItersPerBin: 400000, Workers: 2, Seed: 7}
 	vdds := []float64{0.8}
