@@ -18,19 +18,17 @@ func BenchmarkTransientRC(b *testing.B) {
 	spec := TransientSpec{TStop: 5e-9, InitStep: 5e-12, MaxStep: 2e-11}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Transient(init, spec); err != nil {
+		if _, err := c.Transient(State{X: init, Step: spec.InitStep}, spec); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkTransientSolve times a full transient analysis on an
-// SRAM-sized system (a 10-stage RC ladder driven by a pulse, ~11 unknowns
-// — the same MNA dimension as a 6T cell): matrix assembly, dense LU, and
-// the accepted-step bookkeeping dominate, which is exactly the per-strike
-// cost the cell characterization pays. Run with -benchmem; the solver
-// workspace reuse keeps steady-state allocs to the stored trajectory.
-func BenchmarkTransientSolve(b *testing.B) {
+// rcLadder builds an SRAM-sized system, a 10-stage RC ladder driven by a
+// pulse (~11 unknowns, the same MNA dimension as a 6T cell), and returns
+// it with its DC operating point and a transient spec over the pulse.
+func rcLadder(tb testing.TB) (*Circuit, Solution, TransientSpec) {
+	tb.Helper()
 	c := New()
 	pulse := PWL{Times: []float64{0, 1e-11, 2e-11, 1e-10, 1.1e-10},
 		Values: []float64{0, 0, 1, 1, 0}}
@@ -45,12 +43,21 @@ func BenchmarkTransientSolve(b *testing.B) {
 	}
 	init, err := c.OperatingPoint(nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	spec := TransientSpec{TStop: 1e-9, InitStep: 1e-12, MaxStep: 2e-11}
+	return c, init, TransientSpec{TStop: 1e-9, InitStep: 1e-12, MaxStep: 2e-11}
+}
+
+// BenchmarkTransientSolve times a full transient analysis on the rcLadder
+// system: matrix assembly, dense LU, and the accepted-step bookkeeping
+// dominate, which is exactly the per-strike cost the cell characterization
+// pays. Run with -benchmem; a transient on a warm circuit allocates
+// nothing.
+func BenchmarkTransientSolve(b *testing.B) {
+	c, init, spec := rcLadder(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Transient(init, spec); err != nil {
+		if _, err := c.Transient(State{X: init, Step: spec.InitStep}, spec); err != nil {
 			b.Fatal(err)
 		}
 	}

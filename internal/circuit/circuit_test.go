@@ -85,23 +85,20 @@ func TestRCStepResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Transient(init, TransientSpec{
+	res, end := record(t, c, init, TransientSpec{
 		TStop:    5e-9,
 		InitStep: 5e-12,
 		MaxStep:  2e-11,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tau := 1e-9
 	for _, tp := range []float64{0.5e-9, 1e-9, 2e-9, 4e-9} {
 		want := 1 - math.Exp(-tp/tau)
-		got := res.At(out, tp)
+		got := res.at(out, tp)
 		if math.Abs(got-want) > 0.02 {
 			t.Errorf("V_C(%v) = %v, want %v", tp, got, want)
 		}
 	}
-	if f := res.Final(out); math.Abs(f-1) > 0.01 {
+	if f := end.X[out]; math.Abs(f-1) > 0.01 {
 		t.Errorf("final = %v, want ≈ 1", f)
 	}
 }
@@ -115,8 +112,7 @@ func TestRectPulseChargesCapacitor(t *testing.T) {
 	pulse := RectPulse{T0: 1e-12, Width: 10e-15, Amp: 1e-3} // Q = 1e-17 C
 	c.AddISource("i1", Ground, n, pulse)
 	c.AddCapacitor("c1", n, Ground, 1e-16) // 0.1 fF
-	init := make(Solution, c.unknowns())
-	res, err := c.Transient(init, TransientSpec{
+	end, err := c.Transient(State{X: make(Solution, c.unknowns()), Step: 1e-15}, TransientSpec{
 		TStop:    5e-12,
 		InitStep: 1e-15,
 		MaxStep:  1e-13,
@@ -125,7 +121,7 @@ func TestRectPulseChargesCapacitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDeltaV := pulse.Charge() / 1e-16 // 0.1 V
-	if got := res.Final(n); math.Abs(got-wantDeltaV)/wantDeltaV > 0.02 {
+	if got := end.X[n]; math.Abs(got-wantDeltaV)/wantDeltaV > 0.02 {
 		t.Errorf("ΔV = %v, want %v", got, wantDeltaV)
 	}
 }
@@ -145,12 +141,12 @@ func TestChargeEquivalenceAcrossShapes(t *testing.T) {
 		n := c.Node("n")
 		c.AddISource("i1", Ground, n, w)
 		c.AddCapacitor("c1", n, Ground, 1e-15)
-		init := make(Solution, c.unknowns())
-		res, err := c.Transient(init, TransientSpec{TStop: 1e-11, InitStep: 5e-16, MaxStep: 2e-14})
+		end, err := c.Transient(State{X: make(Solution, c.unknowns()), Step: 5e-16},
+			TransientSpec{TStop: 1e-11, InitStep: 5e-16, MaxStep: 2e-14})
 		if err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
-		finals = append(finals, res.Final(n))
+		finals = append(finals, end.X[n])
 	}
 	want := q / 1e-15
 	for i, f := range finals {
@@ -221,14 +217,17 @@ func TestTransientValidation(t *testing.T) {
 	c := New()
 	n := c.Node("n")
 	c.AddResistor("r", n, Ground, 1)
-	if _, err := c.Transient(make(Solution, 5), TransientSpec{TStop: 1, InitStep: 1e-3}); err == nil {
+	if _, err := c.Transient(State{X: make(Solution, 5), Step: 1e-3}, TransientSpec{TStop: 1, InitStep: 1e-3}); err == nil {
 		t.Error("wrong-size initial condition accepted")
 	}
-	if _, err := c.Transient(make(Solution, 1), TransientSpec{TStop: 0, InitStep: 1e-3}); err == nil {
+	if _, err := c.Transient(State{X: make(Solution, 1), Step: 1e-3}, TransientSpec{TStop: 0, InitStep: 1e-3}); err == nil {
 		t.Error("zero TStop accepted")
 	}
-	if _, err := c.Transient(make(Solution, 1), TransientSpec{TStop: 1, InitStep: 0}); err == nil {
+	if _, err := c.Transient(State{X: make(Solution, 1), Step: 1e-3}, TransientSpec{TStop: 1, InitStep: 0}); err == nil {
 		t.Error("zero InitStep accepted")
+	}
+	if _, err := c.Transient(State{X: make(Solution, 1)}, TransientSpec{TStop: 1, InitStep: 1e-3}); err == nil {
+		t.Error("zero state step accepted")
 	}
 }
 
@@ -277,27 +276,5 @@ func TestSingularCircuit(t *testing.T) {
 	c.AddVSource("v2", n, Ground, DC(2))
 	if _, err := c.OperatingPoint(nil); err == nil {
 		t.Error("inconsistent parallel sources accepted")
-	}
-}
-
-func TestTransientResultAccessors(t *testing.T) {
-	r := &TransientResult{
-		Times:  []float64{0, 1, 2},
-		Values: []Solution{{0}, {10}, {20}},
-	}
-	if r.At(0, -1) != 0 || r.At(0, 3) != 20 {
-		t.Error("clamping wrong")
-	}
-	if r.At(0, 0.5) != 5 {
-		t.Errorf("interp = %v", r.At(0, 0.5))
-	}
-	if r.At(0, 1) != 10 {
-		t.Errorf("exact sample = %v", r.At(0, 1))
-	}
-	if r.MaxAbs(0) != 20 {
-		t.Errorf("MaxAbs = %v", r.MaxAbs(0))
-	}
-	if r.At(Ground, 1) != 0 || r.Final(Ground) != 0 || r.MaxAbs(Ground) != 0 {
-		t.Error("ground accessors should be 0")
 	}
 }

@@ -19,21 +19,18 @@ func rcError(t *testing.T, step float64) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Transient(init, TransientSpec{
+	res, _ := record(t, c, init, TransientSpec{
 		TStop:    3e-9,
 		InitStep: step,
 		MaxStep:  step, // fixed step: isolates the method's order
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	maxErr := 0.0
-	for i, tp := range res.Times {
+	for i, tp := range res.times {
 		if tp < 2e-13 {
 			continue
 		}
 		want := 1 - math.Exp(-(tp-1e-13)/1e-9)
-		if e := math.Abs(res.Values[i][out] - want); e > maxErr {
+		if e := math.Abs(res.values[i][out] - want); e > maxErr {
 			maxErr = e
 		}
 	}

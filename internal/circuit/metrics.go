@@ -10,9 +10,6 @@ import "finser/internal/obs"
 type Metrics struct {
 	// NewtonIters counts Newton–Raphson iterations across all solves.
 	NewtonIters *obs.Counter
-	// LUSolves counts dense-LU factor+solve calls (one per Newton
-	// iteration).
-	LUSolves *obs.Counter
 	// TransientSteps counts accepted transient time steps.
 	TransientSteps *obs.Counter
 	// StepHalvings counts timestep halvings after Newton failures.
@@ -29,7 +26,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 	return &Metrics{
 		NewtonIters:    r.Counter("circuit.newton_iters"),
-		LUSolves:       r.Counter("circuit.lu_solves"),
 		TransientSteps: r.Counter("circuit.transient_steps"),
 		StepHalvings:   r.Counter("circuit.step_halvings"),
 		FailedSolves:   r.Counter("circuit.failed_solves"),

@@ -152,7 +152,7 @@ type Circuit struct {
 	// AbsTol and RelTol define Newton convergence on the update norm.
 	AbsTol, RelTol float64
 	// Metrics, when non-nil, receives solver counters (Newton iterations,
-	// LU solves, transient steps, step halvings). Nil costs nothing.
+	// transient steps, step halvings, failed solves). Nil costs nothing.
 	Metrics *Metrics
 	// Guard, when non-nil, checks that accepted transient solutions stay
 	// finite — a NaN node voltage is counted (warn) or fails the simulation
@@ -160,10 +160,9 @@ type Circuit struct {
 	Guard *guard.Guard
 
 	// ws is the reusable solver workspace: the MNA matrix, RHS, stamper,
-	// transient ping-pong buffers, breakpoint list, and trajectory arena
-	// are allocated once and reused across Newton iterations, timesteps,
-	// and whole analyses, which is why a Circuit must not run concurrent
-	// analyses.
+	// transient ping-pong buffers and breakpoint list are allocated once
+	// and reused across Newton iterations, timesteps, and whole analyses,
+	// which is why a Circuit must not run concurrent analyses.
 	ws workspace
 }
 

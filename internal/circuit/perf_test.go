@@ -19,14 +19,14 @@ func TestNewtonSolveZeroAlloc(t *testing.T) {
 	n := c.unknowns()
 	x := make(Solution, n)
 	xPrev := make(Solution, n)
-	if _, err := c.newtonSolve(x, xPrev, 0, 0); err != nil {
+	if err := c.newtonSolve(x, xPrev, 0, 0); err != nil {
 		t.Fatal(err) // warm the workspace
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := range x {
 			x[i] = 0
 		}
-		if _, err := c.newtonSolve(x, xPrev, 0, 0); err != nil {
+		if err := c.newtonSolve(x, xPrev, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -38,10 +38,9 @@ func TestNewtonSolveZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTransientReuseNoGrowth: repeated transients on the same circuit must
-// reuse the workspace — the second run's trajectory storage is the only
-// per-run growth, and results from the first run must stay intact (arena
-// snapshots are never overwritten by later analyses).
+// TestTransientReuseNoGrowth: repeated transients on the same circuit
+// reuse the workspace, and a rerun from the same state takes the same
+// steps to the same solutions.
 func TestTransientReuseNoGrowth(t *testing.T) {
 	c := New()
 	in := c.Node("in")
@@ -58,39 +57,37 @@ func TestTransientReuseNoGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c.Transient(op, spec)
-	if err != nil {
-		t.Fatal(err)
+	r1, _ := record(t, c, op, spec)
+	r2, _ := record(t, c, op, spec)
+	if len(r1.times) != len(r2.times) {
+		t.Fatalf("step counts differ across reruns: %d vs %d", len(r1.times), len(r2.times))
 	}
-	first := append(Solution(nil), r1.Values[len(r1.Values)-1]...)
-
-	r2, err := c.Transient(op, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same circuit, same spec, stateless start: trajectories must agree and
-	// the first result must not have been clobbered by the second run.
-	if len(r1.Times) != len(r2.Times) {
-		t.Fatalf("step counts differ across reruns: %d vs %d", len(r1.Times), len(r2.Times))
-	}
-	for i := range r1.Times {
-		if r1.Times[i] != r2.Times[i] {
-			t.Fatalf("time %d differs: %v vs %v", i, r1.Times[i], r2.Times[i])
+	for i := range r1.times {
+		if r1.times[i] != r2.times[i] {
+			t.Fatalf("time %d differs: %v vs %v", i, r1.times[i], r2.times[i])
 		}
-		for j := range r1.Values[i] {
-			if r1.Values[i][j] != r2.Values[i][j] {
-				t.Fatalf("value [%d][%d] differs: %v vs %v", i, j, r1.Values[i][j], r2.Values[i][j])
+		for j := range r1.values[i] {
+			if r1.values[i][j] != r2.values[i][j] {
+				t.Fatalf("value [%d][%d] differs: %v vs %v", i, j, r1.values[i][j], r2.values[i][j])
 			}
 		}
 	}
-	last := r1.Values[len(r1.Values)-1]
-	for j := range first {
-		if first[j] != last[j] {
-			t.Fatalf("first run's stored trajectory mutated at %d: %v vs %v", j, first[j], last[j])
-		}
+}
+
+// TestTransientZeroAlloc asserts that a transient on a warm circuit
+// allocates nothing: it keeps no trajectory, only the state it ends in, in
+// the circuit's workspace.
+func TestTransientZeroAlloc(t *testing.T) {
+	c, init, spec := rcLadder(t)
+	if _, err := c.Transient(State{X: init, Step: spec.InitStep}, spec); err != nil {
+		t.Fatal(err) // warm the workspace
 	}
-	// The trajectory pre-sizing must have avoided append-regrowth.
-	if est := estimateSteps(spec, len(c.collectBreakpoints(spec, 0))); len(r1.Times) > est {
-		t.Errorf("estimateSteps underestimated: %d points > estimate %d", len(r1.Times), est)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.Transient(State{X: init, Step: spec.InitStep}, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Transient allocates %v objects/run on a warm circuit, want 0", allocs)
 	}
 }

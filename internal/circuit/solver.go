@@ -22,7 +22,7 @@ func (c *Circuit) OperatingPoint(nodeset map[Node]float64) (Solution, error) {
 			x[node] = v
 		}
 	}
-	if _, err := c.newtonSolve(x, x, 0, 0); err != nil {
+	if err := c.newtonSolve(x, x, 0, 0); err != nil {
 		return nil, fmt.Errorf("circuit: DC operating point: %w", err)
 	}
 	return x, nil
@@ -33,82 +33,16 @@ type TransientSpec struct {
 	TStop    float64 // end time, s
 	InitStep float64 // first step and post-breakpoint step, s
 	MaxStep  float64 // ceiling for the growing step, s
-	// Settled, when non-nil, may end the analysis before TStop. Once every
-	// breakpoint is behind the stepper, it is asked after each accepted
-	// step whether the solution x at time t has reached its final state,
-	// and the analysis ends at the first step where it answers true. x is
-	// valid only during the call. Nil runs to TStop.
-	Settled func(t float64, x Solution) bool
+	// OnStep, when non-nil, is called after every accepted step with the
+	// step's time t and solution x; x is valid only during the call. Its
+	// done answer ends the analysis before TStop, but is honoured only
+	// once the last breakpoint is behind the stepper: a true before then
+	// is ignored. Nil runs to TStop.
+	OnStep func(t float64, x Solution) (done bool)
 }
 
 // growth is the stepper's per-step expansion factor between breakpoints.
 const growth = 1.3
-
-// TransientStats aggregates solver diagnostics over one transient run —
-// the quantities a caller needs to judge how hard the solve was and where
-// the time went, instead of the opaque pass/fail the stepper used to give.
-type TransientStats struct {
-	// Steps is the number of accepted time steps.
-	Steps int
-	// NewtonIters is the total Newton iterations over all attempts
-	// (== dense-LU solves).
-	NewtonIters int
-	// StepHalvings counts retries where Newton failed and the step was
-	// halved.
-	StepHalvings int
-	// MinStep is the smallest accepted step, s (0 when no step accepted).
-	MinStep float64
-}
-
-// TransientResult holds the sampled trajectory of a transient analysis.
-type TransientResult struct {
-	Times  []float64
-	Values []Solution // one solution vector per time point
-	// Stats carries the per-run convergence diagnostics.
-	Stats TransientStats
-}
-
-// Final returns the node voltage at the last time point.
-func (r *TransientResult) Final(n Node) float64 {
-	if n == Ground {
-		return 0
-	}
-	return r.Values[len(r.Values)-1][n]
-}
-
-// At returns the node voltage at time t by linear interpolation.
-func (r *TransientResult) At(n Node, t float64) float64 {
-	if n == Ground {
-		return 0
-	}
-	ts := r.Times
-	if t <= ts[0] {
-		return r.Values[0][n]
-	}
-	if t >= ts[len(ts)-1] {
-		return r.Final(n)
-	}
-	i := sort.SearchFloat64s(ts, t)
-	if ts[i] == t {
-		return r.Values[i][n]
-	}
-	f := (t - ts[i-1]) / (ts[i] - ts[i-1])
-	return r.Values[i-1][n] + f*(r.Values[i][n]-r.Values[i-1][n])
-}
-
-// MaxAbs returns the maximum |V(n)| over the trajectory.
-func (r *TransientResult) MaxAbs(n Node) float64 {
-	if n == Ground {
-		return 0
-	}
-	m := 0.0
-	for _, v := range r.Values {
-		if a := math.Abs(v[n]); a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // State is a transient analysis between two accepted steps: its time, its
 // solution there, and the step it tries next. The breakpoint cursor
@@ -120,32 +54,30 @@ type State struct {
 	Step float64
 }
 
-// Transient runs a backward-Euler transient analysis from the given initial
-// condition (typically a DC operating point) at t = 0. The stepper grows the
-// step geometrically, lands exactly on waveform breakpoints, retries with a
-// halved step when Newton fails to converge, and ends early when
-// spec.Settled says the trajectory has settled.
-func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientResult, error) {
-	return c.TransientFrom(State{X: initial, Step: spec.InitStep}, spec)
-}
-
-// TransientFrom resumes a transient from a saved state, as StateAt returns
-// it, and takes exactly the steps the run that saved it would have taken
-// next. Its trajectory starts at s.T.
-func (c *Circuit) TransientFrom(s State, spec TransientSpec) (*TransientResult, error) {
-	res, _, err := c.transient(s, spec, 0)
-	return res, err
+// Transient runs a backward-Euler transient analysis from s and returns
+// the state it ends in. A run from t = 0 starts from State{X: x0, Step:
+// spec.InitStep}, x0 typically a DC operating point; a run from a state
+// StateAt saved takes exactly the steps the run that saved it would have
+// taken next. The stepper grows the step geometrically, lands exactly on
+// waveform breakpoints, retries with a halved step when Newton fails to
+// converge, and ends at TStop or when spec.OnStep says it is done. The
+// returned solution is a workspace buffer, valid until the circuit's next
+// analysis.
+func (c *Circuit) Transient(s State, spec TransientSpec) (State, error) {
+	return c.transient(s, spec, 0)
 }
 
 // StateAt runs the transient from initial at t = 0 until it lands on time
 // at, which it treats as a breakpoint, and returns its state just after
-// landing there. The state owns its solution, so any number of
-// TransientFrom runs can start from it.
+// landing there. spec.OnStep sees every step up to and including that
+// landing, so with a Transient resumed from the state it sees every step
+// of the run from t = 0. The state owns its solution, so any number of
+// Transient runs can start from it.
 func (c *Circuit) StateAt(initial Solution, spec TransientSpec, at float64) (State, error) {
 	if at <= 0 || at >= spec.TStop {
 		return State{}, fmt.Errorf("circuit: save time %g outside (0, TStop)", at)
 	}
-	_, s, err := c.transient(State{X: initial, Step: spec.InitStep}, spec, at)
+	s, err := c.transient(State{X: initial, Step: spec.InitStep}, spec, at)
 	if err != nil {
 		return State{}, err
 	}
@@ -154,21 +86,20 @@ func (c *Circuit) StateAt(initial Solution, spec TransientSpec, at float64) (Sta
 }
 
 // transient is the one stepping loop. It starts from s and runs to
-// spec.TStop or a settled exit, returning the trajectory and the state it
-// ends in. A positive save time joins the breakpoints, and the loop ends
-// just after landing there. The returned state's solution is a workspace
-// buffer.
-func (c *Circuit) transient(s State, spec TransientSpec, save float64) (*TransientResult, State, error) {
+// spec.TStop or until spec.OnStep is done, returning the state it ends in.
+// A positive save time joins the breakpoints, and the loop ends just after
+// landing there. The returned state's solution is a workspace buffer.
+func (c *Circuit) transient(s State, spec TransientSpec, save float64) (State, error) {
 	c.assignBranches()
 	n := c.unknowns()
 	if len(s.X) != n {
-		return nil, State{}, fmt.Errorf("circuit: initial condition has %d entries, want %d", len(s.X), n)
+		return State{}, fmt.Errorf("circuit: initial condition has %d entries, want %d", len(s.X), n)
 	}
 	if spec.TStop <= 0 || spec.InitStep <= 0 {
-		return nil, State{}, fmt.Errorf("circuit: transient needs positive TStop and InitStep")
+		return State{}, fmt.Errorf("circuit: transient needs positive TStop and InitStep")
 	}
 	if s.Step <= 0 {
-		return nil, State{}, fmt.Errorf("circuit: transient state at t=%g has step %g, want positive", s.T, s.Step)
+		return State{}, fmt.Errorf("circuit: transient state at t=%g has step %g, want positive", s.T, s.Step)
 	}
 	if spec.MaxStep <= 0 {
 		spec.MaxStep = spec.TStop / 50
@@ -178,21 +109,14 @@ func (c *Circuit) transient(s State, spec TransientSpec, save float64) (*Transie
 
 	ws := &c.ws
 	ws.ensure(n)
-	est := estimateSteps(spec, len(bps))
-	res := &TransientResult{
-		Times:  make([]float64, 0, est),
-		Values: make([]Solution, 0, est),
-	}
-	// The trajectory ping-pongs between the two workspace buffers: the trial
+	// The solution ping-pongs between the two workspace buffers: the trial
 	// solve runs on xNew, and an accepted step swaps the roles instead of
-	// copying. Stored points are arena snapshots, so neither buffer escapes.
+	// copying.
 	x, xNew := ws.xCur, ws.xNext
 	copy(x, s.X)
 	t, dt := s.T, s.Step
-	res.Times = append(res.Times, t)
-	res.Values = append(res.Values, ws.snapshot(x))
 
-	bpIdx := 0
+	bpIdx, halvings := 0, 0
 	const minStepFrac = 1e-7
 	for t < spec.TStop {
 		// Land exactly on the next breakpoint; reset the step after it so
@@ -215,18 +139,16 @@ func (c *Circuit) transient(s State, spec TransientSpec, save float64) (*Transie
 		}
 
 		copy(xNew, x)
-		iters, err := c.newtonSolve(xNew, x, target, step)
-		res.Stats.NewtonIters += iters
-		if err != nil {
+		if err := c.newtonSolve(xNew, x, target, step); err != nil {
 			// Retry with a halved step.
-			res.Stats.StepHalvings++
+			halvings++
 			if m := c.Metrics; m != nil {
 				m.StepHalvings.Inc()
 			}
 			dt = step / 2
 			if dt < spec.InitStep*minStepFrac {
-				return nil, State{}, fmt.Errorf("circuit: transient stalled at t=%g after %d step halvings: %w",
-					t, res.Stats.StepHalvings, err)
+				return State{}, fmt.Errorf("circuit: transient stalled at t=%g after %d step halvings: %w",
+					t, halvings, err)
 			}
 			continue
 		}
@@ -234,36 +156,31 @@ func (c *Circuit) transient(s State, spec TransientSpec, save float64) (*Transie
 			for i, v := range xNew {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					if err := g.Finite("circuit.transient", fmt.Sprintf("unknown %d at t=%g", i, target), v); err != nil {
-						return nil, State{}, err
+						return State{}, err
 					}
 				}
 			}
-		}
-		res.Stats.Steps++
-		if res.Stats.MinStep == 0 || step < res.Stats.MinStep {
-			res.Stats.MinStep = step
 		}
 		if m := c.Metrics; m != nil {
 			m.TransientSteps.Inc()
 		}
 		t = target
 		x, xNew = xNew, x
-		res.Times = append(res.Times, t)
-		res.Values = append(res.Values, ws.snapshot(x))
 		if hitBreak {
 			bpIdx++
 			dt = spec.InitStep
 		} else {
 			dt = math.Min(dt*growth, spec.MaxStep)
 		}
+		done := spec.OnStep != nil && spec.OnStep(t, x)
 		if save > 0 && t >= save-1e-21 {
-			return res, State{T: t, X: x, Step: dt}, nil
+			break
 		}
-		if spec.Settled != nil && bpIdx >= len(bps) && spec.Settled(t, x) {
+		if done && bpIdx >= len(bps) {
 			break
 		}
 	}
-	return res, State{T: t, X: x, Step: dt}, nil
+	return State{T: t, X: x, Step: dt}, nil
 }
 
 // collectBreakpoints gathers, sorts, and dedupes the waveform breakpoints
@@ -299,29 +216,12 @@ func (c *Circuit) collectBreakpoints(spec TransientSpec, save float64) []float64
 	return out
 }
 
-// estimateSteps predicts the number of trajectory points a transient will
-// produce — the cruise steps at MaxStep, the geometric ramp-up after t=0
-// and each breakpoint, the breakpoints themselves, and the endpoints — so
-// TransientResult storage is sized once instead of growing by append-copy.
-func estimateSteps(spec TransientSpec, nBreaks int) int {
-	cruise := int(spec.TStop/spec.MaxStep) + 1
-	ramp := 1
-	for s := spec.InitStep; s < spec.MaxStep && ramp < 64; s *= growth {
-		ramp++
-	}
-	est := cruise + (nBreaks+1)*ramp + nBreaks + 2
-	if est > 1<<16 {
-		est = 1 << 16
-	}
-	return est
-}
-
 // workspace holds the solver's reusable buffers: the MNA matrix (flat
 // backing plus row views, so denseLU's pivot swaps stay cheap and zeroing
 // is one memclr), the RHS, the stamper, the transient ping-pong solution
-// buffers, the breakpoint list, and an arena slab that trajectory snapshots
-// are carved from. Everything is sized once per system dimension and reused
-// across Newton iterations, timesteps, and whole analyses.
+// buffers, and the breakpoint list. Everything is sized once per system
+// dimension and reused across Newton iterations, timesteps, and whole
+// analyses.
 type workspace struct {
 	n     int
 	rows  []float64   // n×n flat backing for a
@@ -331,7 +231,6 @@ type workspace struct {
 	xCur  Solution // transient working solution
 	xNext Solution // transient trial solution (ping-pongs with xCur)
 	bps   []float64
-	arena []float64 // slab trajectory snapshots are carved from
 }
 
 // ensure sizes the workspace for an n-unknown system. A no-op when the
@@ -352,29 +251,11 @@ func (ws *workspace) ensure(n int) {
 	ws.xNext = make(Solution, n)
 }
 
-// snapshot copies x into a slice carved from the arena slab. Storing a
-// trajectory point costs one amortized allocation per arenaChunk points
-// instead of one per accepted step; earlier slabs stay alive through the
-// snapshots that reference them, so returned results remain valid across
-// later analyses.
-func (ws *workspace) snapshot(x Solution) Solution {
-	const arenaChunk = 64
-	n := len(x)
-	if len(ws.arena) < n {
-		ws.arena = make([]float64, arenaChunk*n)
-	}
-	s := Solution(ws.arena[:n:n])
-	ws.arena = ws.arena[n:]
-	copy(s, x)
-	return s
-}
-
-// newtonSolve iterates the damped Newton loop in place on x and returns the
-// iterations it took (== dense-LU solves), on failure too. xPrev is the
+// newtonSolve iterates the damped Newton loop in place on x. xPrev is the
 // previous accepted timestep solution (used by reactive companion models);
 // dt == 0 selects DC. Convergence is on the voltage-update norm, and a
 // failure to converge reports the last iteration's norm.
-func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64) (iters int, err error) {
+func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64) error {
 	n := c.unknowns()
 	ws := &c.ws
 	ws.ensure(n)
@@ -385,7 +266,6 @@ func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64) (iters int, err 
 	m := c.Metrics
 	maxUpdate := 0.0
 	for iter := 0; iter < c.MaxNewtonIter; iter++ {
-		iters = iter + 1
 		if m != nil {
 			m.NewtonIters.Inc()
 		}
@@ -403,14 +283,11 @@ func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64) (iters int, err 
 		for _, d := range c.devices {
 			d.Stamp(st)
 		}
-		if m != nil {
-			m.LUSolves.Inc()
-		}
 		if err := denseLU(a, b); err != nil {
 			if m != nil {
 				m.FailedSolves.Inc()
 			}
-			return iters, err
+			return err
 		}
 		// b now holds the proposed next iterate. Damp node-voltage updates.
 		maxUpdate = 0
@@ -436,17 +313,17 @@ func (c *Circuit) newtonSolve(x, xPrev Solution, t, dt float64) (iters int, err 
 				if m != nil {
 					m.FailedSolves.Inc()
 				}
-				return iters, fmt.Errorf("circuit: Newton diverged at iteration %d (non-finite unknown %d)",
+				return fmt.Errorf("circuit: Newton diverged at iteration %d (non-finite unknown %d)",
 					iter+1, i)
 			}
 		}
 		if converged && iter > 0 {
-			return iters, nil
+			return nil
 		}
 	}
 	if m != nil {
 		m.FailedSolves.Inc()
 	}
-	return iters, fmt.Errorf("circuit: Newton failed to converge in %d iterations (last update norm %.3g V)",
+	return fmt.Errorf("circuit: Newton failed to converge in %d iterations (last update norm %.3g V)",
 		c.MaxNewtonIter, maxUpdate)
 }

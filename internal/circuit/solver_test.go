@@ -2,9 +2,61 @@ package circuit
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"finser/internal/obs"
 )
+
+// trajectory records the points a transient passes through, through its
+// OnStep callback: the test-side view of a run that keeps none of them.
+type trajectory struct {
+	times  []float64
+	values []Solution
+}
+
+// startAt returns a recorder holding the state a transient starts from.
+func startAt(s State) *trajectory {
+	return &trajectory{times: []float64{s.T}, values: []Solution{append(Solution(nil), s.X...)}}
+}
+
+// onStep appends the accepted step to r and never ends the run.
+func (r *trajectory) onStep(t float64, x Solution) bool {
+	r.times = append(r.times, t)
+	r.values = append(r.values, append(Solution(nil), x...))
+	return false
+}
+
+// at returns the voltage of node n at time t by linear interpolation.
+func (r *trajectory) at(n Node, t float64) float64 {
+	ts := r.times
+	if t <= ts[0] {
+		return r.values[0][n]
+	}
+	if t >= ts[len(ts)-1] {
+		return r.values[len(ts)-1][n]
+	}
+	i := sort.SearchFloat64s(ts, t)
+	if ts[i] == t {
+		return r.values[i][n]
+	}
+	f := (t - ts[i-1]) / (ts[i] - ts[i-1])
+	return r.values[i-1][n] + f*(r.values[i][n]-r.values[i-1][n])
+}
+
+// record runs a transient from x0 at t = 0 and returns the points it
+// passes through, x0 first, and the state it ends in.
+func record(t *testing.T, c *Circuit, x0 Solution, spec TransientSpec) (*trajectory, State) {
+	t.Helper()
+	r := startAt(State{X: x0})
+	spec.OnStep = r.onStep
+	end, err := c.Transient(State{X: x0, Step: spec.InitStep}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, end
+}
 
 // TestResistorLadderDC checks the MNA solution of randomized resistor
 // ladders against the analytic series-sum answer.
@@ -87,14 +139,11 @@ func TestTransientBreakpointLanding(t *testing.T) {
 	pulse := RectPulse{T0: 3.3e-12, Width: 1.7e-14, Amp: 1e-3}
 	c.AddISource("i", Ground, n, pulse)
 	c.AddCapacitor("c", n, Ground, 1e-16)
-	res, err := c.Transient(make(Solution, 1), TransientSpec{
+	res, end := record(t, c, make(Solution, 1), TransientSpec{
 		TStop: 1e-11, InitStep: 5e-13, MaxStep: 2e-12,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	found := map[float64]bool{}
-	for _, tp := range res.Times {
+	for _, tp := range res.times {
 		for _, bp := range pulse.Breakpoints() {
 			if math.Abs(tp-bp) < 1e-24 {
 				found[bp] = true
@@ -108,7 +157,7 @@ func TestTransientBreakpointLanding(t *testing.T) {
 	}
 	// And charge is exact despite the coarse ambient step.
 	want := pulse.Charge() / 1e-16
-	if got := res.Final(n); math.Abs(got-want)/want > 1e-6 {
+	if got := end.X[n]; math.Abs(got-want)/want > 1e-6 {
 		t.Errorf("final = %v, want %v", got, want)
 	}
 }
@@ -168,7 +217,7 @@ func TestTransientStallReporting(t *testing.T) {
 	c.AddCapacitor("c", n, Ground, 1e-12)
 	c.AddDevice(&oscillatingDevice{n: n})
 	c.MaxNewtonIter = 10
-	_, err := c.Transient(make(Solution, 1), TransientSpec{TStop: 1e-9, InitStep: 1e-12})
+	_, err := c.Transient(State{X: make(Solution, 1), Step: 1e-12}, TransientSpec{TStop: 1e-9, InitStep: 1e-12})
 	if err == nil {
 		t.Error("stalled transient did not error")
 	}
@@ -209,23 +258,22 @@ func TestGrowthCapsAtMaxStep(t *testing.T) {
 	n := c.Node("n")
 	c.AddResistor("r", n, Ground, 1e3)
 	c.AddCapacitor("c", n, Ground, 1e-12)
-	res, err := c.Transient(make(Solution, 1), TransientSpec{
+	res, _ := record(t, c, make(Solution, 1), TransientSpec{
 		TStop: 1e-9, InitStep: 1e-12, MaxStep: 5e-12,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res.Times); i++ {
-		if res.Times[i]-res.Times[i-1] > 5e-12+1e-21 {
-			t.Fatalf("step %d exceeded MaxStep: %v", i, res.Times[i]-res.Times[i-1])
+	for i := 1; i < len(res.times); i++ {
+		if res.times[i]-res.times[i-1] > 5e-12+1e-21 {
+			t.Fatalf("step %d exceeded MaxStep: %v", i, res.times[i]-res.times[i-1])
 		}
 	}
 }
 
-// TestSettledAfterLastBreakpoint checks that the settle predicate is first
-// consulted on the last breakpoint (here the corner of a zero-valued
-// source), never before it, and that the analysis ends at the first step it
-// accepts. A nil predicate runs to TStop.
+// TestSettledAfterLastBreakpoint checks that OnStep sees every accepted
+// step and that a done answer ends the analysis only once the last
+// breakpoint (here the corner of a zero-valued source) is behind the
+// stepper: a callback answering true from the first step ends the run
+// exactly there, after the steps the full run takes up to it. A nil
+// callback runs to TStop.
 func TestSettledAfterLastBreakpoint(t *testing.T) {
 	c := New()
 	n := c.Node("n")
@@ -235,42 +283,42 @@ func TestSettledAfterLastBreakpoint(t *testing.T) {
 	const last = 8e-12
 	c.AddISource("bp", Ground, n, PWL{Times: []float64{last}, Values: []float64{0}})
 	spec := TransientSpec{TStop: 1e-10, InitStep: 1e-13, MaxStep: 2e-12}
-	full, err := c.Transient(make(Solution, 1), spec)
+	full, err := c.Transient(State{X: make(Solution, 1), Step: spec.InitStep}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end := full.Times[len(full.Times)-1]; end != spec.TStop {
-		t.Fatalf("nil predicate ended at %v, want TStop", end)
+	if full.T != spec.TStop {
+		t.Fatalf("nil callback ended at %v, want TStop", full.T)
 	}
+	ref, _ := record(t, c, make(Solution, 1), spec)
 
-	var asked []float64
-	spec.Settled = func(tt float64, x Solution) bool {
-		asked = append(asked, tt)
-		return len(asked) == 3
+	c.Metrics = NewMetrics(obs.NewRegistry())
+	var seen trajectory
+	spec.OnStep = func(tt float64, x Solution) bool {
+		seen.onStep(tt, x)
+		return true
 	}
-	res, err := c.Transient(make(Solution, 1), spec)
+	end, err := c.Transient(State{X: make(Solution, 1), Step: spec.InitStep}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(asked) != 3 {
-		t.Fatalf("predicate consulted %d times, want 3", len(asked))
+	if end.T != last {
+		t.Errorf("analysis ended at %v, want the last breakpoint %v", end.T, last)
 	}
-	if asked[0] != last {
-		t.Errorf("first consultation at t=%v, want the last breakpoint %v", asked[0], last)
+	if steps := c.Metrics.TransientSteps.Value(); int64(len(seen.times)) != steps {
+		t.Errorf("callback saw %d steps, the run accepted %d", len(seen.times), steps)
 	}
-	for _, tt := range asked {
-		if tt < last {
-			t.Errorf("predicate consulted at t=%v, before the last breakpoint %v", tt, last)
+	if len(seen.times) < 2 || seen.times[0] >= last || seen.times[len(seen.times)-1] != end.T {
+		t.Fatalf("callback saw steps at %v, want the first before %v and the last at the end %v", seen.times, last, end.T)
+	}
+	// Up to the step it ended at, the run is the full run's.
+	for i, tt := range seen.times {
+		if tt != ref.times[i+1] || seen.values[i][n] != ref.values[i+1][n] {
+			t.Fatalf("step %d (%v, %v) differs from the full run's (%v, %v)", i, tt, seen.values[i][n], ref.times[i+1], ref.values[i+1][n])
 		}
 	}
-	if end := res.Times[len(res.Times)-1]; end != asked[2] {
-		t.Errorf("analysis ended at %v, want the settled step %v", end, asked[2])
-	}
-	// Up to the settled step, the trajectory is the full run's.
-	for i := range res.Times {
-		if res.Times[i] != full.Times[i] || res.Values[i][n] != full.Values[i][n] {
-			t.Fatalf("point %d differs from the full run", i)
-		}
+	if end.X[n] != seen.values[len(seen.values)-1][n] {
+		t.Errorf("end state %v, last step seen %v", end.X[n], seen.values[len(seen.values)-1][n])
 	}
 }
 
@@ -278,7 +326,8 @@ func TestSettledAfterLastBreakpoint(t *testing.T) {
 // state StateAt saves at one of its breakpoints takes exactly the steps of
 // the run from t = 0 after it, to the bit, including a breakpoint the
 // saved prefix already passed, and that one saved state serves any number
-// of resumed runs.
+// of resumed runs. StateAt's callback sees the steps before the save, so
+// the two together see the full run's steps.
 func TestTransientFromMatchesFullRun(t *testing.T) {
 	const save = 2e-12
 	c := New()
@@ -288,10 +337,9 @@ func TestTransientFromMatchesFullRun(t *testing.T) {
 	c.AddISource("i", Ground, n, RectPulse{T0: save, Width: 3e-12, Amp: 1e-3})
 	c.AddISource("pre", Ground, n, PWL{Times: []float64{0.5e-12, 0.9e-12, 7e-12}, Values: []float64{0, 2e-4, 0}})
 	spec := TransientSpec{TStop: 1e-10, InitStep: 1e-13, MaxStep: 2e-12}
-	full, err := c.Transient(make(Solution, 1), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, _ := record(t, c, make(Solution, 1), spec)
+	prefix := startAt(State{X: make(Solution, 1)})
+	spec.OnStep = prefix.onStep
 	s, err := c.StateAt(make(Solution, 1), spec, save)
 	if err != nil {
 		t.Fatal(err)
@@ -299,22 +347,29 @@ func TestTransientFromMatchesFullRun(t *testing.T) {
 	if s.T != save || s.Step != spec.InitStep {
 		t.Fatalf("saved state at t=%v with step %v, want t=%v and InitStep", s.T, s.Step, save)
 	}
-	k := 0
-	for full.Times[k] != save {
-		k++
+	k := len(prefix.times) - 1
+	for i := 0; i <= k; i++ {
+		if prefix.times[i] != full.times[i] || math.Float64bits(prefix.values[i][n]) != math.Float64bits(full.values[i][n]) {
+			t.Fatalf("prefix point %d: (%v, %v), full run (%v, %v)", i,
+				prefix.times[i], prefix.values[i][n], full.times[i], full.values[i][n])
+		}
+	}
+	if prefix.times[k] != save {
+		t.Fatalf("StateAt's last step at %v, want the save time %v", prefix.times[k], save)
 	}
 	for run := 0; run < 2; run++ {
-		res, err := c.TransientFrom(s, spec)
-		if err != nil {
+		res := startAt(s)
+		spec.OnStep = res.onStep
+		if _, err := c.Transient(s, spec); err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Times) != len(full.Times)-k {
-			t.Fatalf("run %d: %d points from the saved state, want %d", run, len(res.Times), len(full.Times)-k)
+		if len(res.times) != len(full.times)-k {
+			t.Fatalf("run %d: %d points from the saved state, want %d", run, len(res.times), len(full.times)-k)
 		}
-		for i := range res.Times {
-			if res.Times[i] != full.Times[k+i] || math.Float64bits(res.Values[i][n]) != math.Float64bits(full.Values[k+i][n]) {
+		for i := range res.times {
+			if res.times[i] != full.times[k+i] || math.Float64bits(res.values[i][n]) != math.Float64bits(full.values[k+i][n]) {
 				t.Fatalf("run %d point %d: (%v, %v), full run (%v, %v)", run, i,
-					res.Times[i], res.Values[i][n], full.Times[k+i], full.Values[k+i][n])
+					res.times[i], res.values[i][n], full.times[k+i], full.values[k+i][n])
 			}
 		}
 	}

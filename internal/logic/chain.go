@@ -125,24 +125,22 @@ func (ch *Chain) Inject(charge float64) (SETResult, error) {
 	}
 	defer func() { ch.strike.w = nil }()
 
-	res, err := ch.ckt.Transient(ch.init, circuit.TransientSpec{
+	out := SETResult{Swing: make([]float64, ch.Stages)}
+	_, err := ch.ckt.Transient(circuit.State{X: ch.init, Step: tau / 8}, circuit.TransientSpec{
 		TStop:    100e-12,
 		InitStep: tau / 8,
 		MaxStep:  2e-12,
+		OnStep: func(_ float64, x circuit.Solution) bool {
+			for i, n := range ch.nodes {
+				if d := math.Abs(x[n] - ch.init[n]); d > out.Swing[i] {
+					out.Swing[i] = d
+				}
+			}
+			return false
+		},
 	})
 	if err != nil {
 		return SETResult{}, fmt.Errorf("logic: SET transient: %w", err)
-	}
-	out := SETResult{Swing: make([]float64, ch.Stages)}
-	for i, n := range ch.nodes {
-		rest := ch.init[n]
-		peak := 0.0
-		for _, sol := range res.Values {
-			if d := math.Abs(sol[n] - rest); d > peak {
-				peak = d
-			}
-		}
-		out.Swing[i] = peak
 	}
 	out.Propagated = out.Swing[ch.Stages-1] > ch.Vdd/2
 	return out, nil

@@ -239,28 +239,7 @@ func buildCell(tech finfet.Technology, vdd float64, shifts VthShifts, wlVoltage 
 	c.AddVSource("vblb", blb, circuit.Ground, circuit.DC(vdd))
 	c.AddVSource("vwl", wl, circuit.Ground, circuit.DC(wlVoltage))
 
-	params := func(role Role) finfet.Params {
-		var p finfet.Params
-		switch role {
-		case PUL, PUR:
-			p = finfet.ParamsFor(tech, finfet.PChannel, tech.PUFins())
-		case PDL, PDR:
-			p = finfet.ParamsFor(tech, finfet.NChannel, tech.PDFins())
-		default:
-			p = finfet.ParamsFor(tech, finfet.NChannel, tech.PGFins())
-		}
-		p.Vth += shifts[role]
-		return p
-	}
-
-	// Cross-coupled inverters.
-	c.AddDevice(finfet.NewTransistor("pu_l", params(PUL), cell.q, cell.qb, cell.vddNode))
-	c.AddDevice(finfet.NewTransistor("pd_l", params(PDL), cell.q, cell.qb, circuit.Ground))
-	c.AddDevice(finfet.NewTransistor("pu_r", params(PUR), cell.qb, cell.q, cell.vddNode))
-	c.AddDevice(finfet.NewTransistor("pd_r", params(PDR), cell.qb, cell.q, circuit.Ground))
-	// Pass gates (off in hold).
-	c.AddDevice(finfet.NewTransistor("pg_l", params(PGL), cell.blNode, wl, cell.q))
-	c.AddDevice(finfet.NewTransistor("pg_r", params(PGR), blb, wl, cell.qb))
+	addCore(c, tech, shifts, cell.q, cell.qb, cell.qb, cell.q, cell.vddNode, cell.blNode, blb, wl)
 	// Storage-node capacitance.
 	c.AddCapacitor("cq", cell.q, circuit.Ground, tech.NodeCapF)
 	c.AddCapacitor("cqb", cell.qb, circuit.Ground, tech.NodeCapF)
@@ -296,6 +275,34 @@ func buildCell(tech finfet.Technology, vdd float64, shifts VthShifts, wlVoltage 
 		cell.mirror = m
 	}
 	return cell, nil
+}
+
+// addCore adds the six transistors of a 6T core to c: the cross-coupled
+// inverters driving q from gate qbIn and qb from gate qIn, and the pass
+// gates from bl to q and from blb to qb under wl. The gates are qb and q
+// themselves except in the SNM netlist, which puts noise sources between.
+// Every 6T netlist in the package adds its core here, in this order, so
+// their MNA stamps sum alike.
+func addCore(c *circuit.Circuit, tech finfet.Technology, shifts VthShifts, q, qb, qbIn, qIn, vdd, bl, blb, wl circuit.Node) {
+	params := func(role Role) finfet.Params {
+		var p finfet.Params
+		switch role {
+		case PUL, PUR:
+			p = finfet.ParamsFor(tech, finfet.PChannel, tech.PUFins())
+		case PDL, PDR:
+			p = finfet.ParamsFor(tech, finfet.NChannel, tech.PDFins())
+		default:
+			p = finfet.ParamsFor(tech, finfet.NChannel, tech.PGFins())
+		}
+		p.Vth += shifts[role]
+		return p
+	}
+	c.AddDevice(finfet.NewTransistor("pu_l", params(PUL), q, qbIn, vdd))
+	c.AddDevice(finfet.NewTransistor("pd_l", params(PDL), q, qbIn, circuit.Ground))
+	c.AddDevice(finfet.NewTransistor("pu_r", params(PUR), qb, qIn, vdd))
+	c.AddDevice(finfet.NewTransistor("pd_r", params(PDR), qb, qIn, circuit.Ground))
+	c.AddDevice(finfet.NewTransistor("pg_l", params(PGL), bl, wl, q))
+	c.AddDevice(finfet.NewTransistor("pg_r", params(PGR), blb, wl, qb))
 }
 
 // HoldVoltages returns the DC hold voltages (q, qb).
@@ -378,7 +385,7 @@ func (c *Cell) strike(settled func(float64, circuit.Solution) bool) (StrikeResul
 		TStop:    simWindow,
 		InitStep: c.Tech.TransitTime(c.Vdd) / 8,
 		MaxStep:  simWindow / 40,
-		Settled:  settled,
+		OnStep:   settled,
 	}
 	if c.start.X == nil {
 		s, err := c.ckt.StateAt(c.init, spec, strikeStart)
@@ -387,11 +394,11 @@ func (c *Cell) strike(settled func(float64, circuit.Solution) bool) (StrikeResul
 		}
 		c.start = s
 	}
-	res, err := c.ckt.TransientFrom(c.start, spec)
+	end, err := c.ckt.Transient(c.start, spec)
 	if err != nil {
 		return StrikeResult{}, err
 	}
-	q, qb := res.Final(c.q), res.Final(c.qb)
+	q, qb := end.X[c.q], end.X[c.qb]
 	return StrikeResult{Flipped: q > qb, QFinal: q, QBFinal: qb}, nil
 }
 

@@ -65,25 +65,7 @@ func snmBistable(tech finfet.Technology, vdd float64, shifts VthShifts, mode Cel
 	c.AddVSource("vn_l", qb, qbIn, circuit.DC(sign*vn))
 	c.AddVSource("vn_r", qIn, q, circuit.DC(sign*vn))
 
-	params := func(role Role) finfet.Params {
-		var p finfet.Params
-		switch role {
-		case PUL, PUR:
-			p = finfet.ParamsFor(tech, finfet.PChannel, tech.PUFins())
-		case PDL, PDR:
-			p = finfet.ParamsFor(tech, finfet.NChannel, tech.PDFins())
-		default:
-			p = finfet.ParamsFor(tech, finfet.NChannel, tech.PGFins())
-		}
-		p.Vth += shifts[role]
-		return p
-	}
-	c.AddDevice(finfet.NewTransistor("pu_l", params(PUL), q, qbIn, vddN))
-	c.AddDevice(finfet.NewTransistor("pd_l", params(PDL), q, qbIn, circuit.Ground))
-	c.AddDevice(finfet.NewTransistor("pu_r", params(PUR), qb, qIn, vddN))
-	c.AddDevice(finfet.NewTransistor("pd_r", params(PDR), qb, qIn, circuit.Ground))
-	c.AddDevice(finfet.NewTransistor("pg_l", params(PGL), bl, wl, q))
-	c.AddDevice(finfet.NewTransistor("pg_r", params(PGR), blb, wl, qb))
+	addCore(c, tech, shifts, q, qb, qbIn, qIn, vddN, bl, blb, wl)
 
 	// Does the attacked state still exist? Converge from its basin and see
 	// where Newton lands.

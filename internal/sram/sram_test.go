@@ -481,18 +481,15 @@ func (w waveformAlias) Breakpoints() []float64 { return []float64{w.t0, w.t0 + w
 // non-nil) says the cell has settled.
 func (c *Cell) runArmed(settled func(float64, circuit.Solution) bool) (StrikeResult, error) {
 	tau := c.Tech.TransitTime(c.Vdd)
-	res, err := c.ckt.Transient(c.init, circuit.TransientSpec{
+	end, err := c.ckt.Transient(circuit.State{X: c.init, Step: tau / 8}, circuit.TransientSpec{
 		TStop:    simWindow,
 		InitStep: tau / 8,
 		MaxStep:  simWindow / 40,
-		Settled:  settled,
+		OnStep:   settled,
 	})
 	if err != nil {
 		return StrikeResult{}, err
 	}
-	return StrikeResult{
-		Flipped: res.Final(c.q) > res.Final(c.qb),
-		QFinal:  res.Final(c.q),
-		QBFinal: res.Final(c.qb),
-	}, nil
+	q, qb := end.X[c.q], end.X[c.qb]
+	return StrikeResult{Flipped: q > qb, QFinal: q, QBFinal: qb}, nil
 }

@@ -67,25 +67,7 @@ func writeFlips(tech finfet.Technology, vdd float64, shifts VthShifts, wlLevel f
 	c.AddVSource("vblb", blb, circuit.Ground, circuit.DC(vdd))
 	c.AddVSource("vwl", wl, circuit.Ground, circuit.DC(wlLevel))
 
-	params := func(role Role) finfet.Params {
-		var p finfet.Params
-		switch role {
-		case PUL, PUR:
-			p = finfet.ParamsFor(tech, finfet.PChannel, tech.PUFins())
-		case PDL, PDR:
-			p = finfet.ParamsFor(tech, finfet.NChannel, tech.PDFins())
-		default:
-			p = finfet.ParamsFor(tech, finfet.NChannel, tech.PGFins())
-		}
-		p.Vth += shifts[role]
-		return p
-	}
-	c.AddDevice(finfet.NewTransistor("pu_l", params(PUL), q, qb, vddN))
-	c.AddDevice(finfet.NewTransistor("pd_l", params(PDL), q, qb, circuit.Ground))
-	c.AddDevice(finfet.NewTransistor("pu_r", params(PUR), qb, q, vddN))
-	c.AddDevice(finfet.NewTransistor("pd_r", params(PDR), qb, q, circuit.Ground))
-	c.AddDevice(finfet.NewTransistor("pg_l", params(PGL), bl, wl, q))
-	c.AddDevice(finfet.NewTransistor("pg_r", params(PGR), blb, wl, qb))
+	addCore(c, tech, shifts, q, qb, qb, q, vddN, bl, blb, wl)
 
 	// Converge from the stored state Q = 1; if the write succeeds, the DC
 	// solution lands at Q = 0.
