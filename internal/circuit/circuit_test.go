@@ -208,7 +208,7 @@ func TestWaveformValues(t *testing.T) {
 	if (PWL{}).Value(3) != 0 {
 		t.Error("empty PWL should be 0")
 	}
-	if (DC(2.5)).Value(99) != 2.5 || (DC(0)).Breakpoints() != nil {
+	if (DC(2.5)).Value(99) != 2.5 || len((DC(0)).AppendBreakpoints(nil)) != 0 {
 		t.Error("DC waveform wrong")
 	}
 }

@@ -184,9 +184,9 @@ func (c *Circuit) transient(s State, spec TransientSpec, save float64) (State, e
 }
 
 // collectBreakpoints gathers, sorts, and dedupes the waveform breakpoints
-// and the save time, if positive, once per analysis, reusing the workspace
-// buffer so repeated transients on the same circuit do not re-allocate the
-// list.
+// and the save time, if positive, once per analysis. Each waveform appends
+// its corners straight into the workspace buffer, so repeated transients
+// on the same circuit allocate no breakpoint list.
 func (c *Circuit) collectBreakpoints(spec TransientSpec, save float64) []float64 {
 	bps := c.ws.bps[:0]
 	if save > 0 {
@@ -195,9 +195,9 @@ func (c *Circuit) collectBreakpoints(spec TransientSpec, save float64) []float64
 	for _, d := range c.devices {
 		switch dev := d.(type) {
 		case *VSource:
-			bps = append(bps, dev.W.Breakpoints()...)
+			bps = dev.W.AppendBreakpoints(bps)
 		case *ISource:
-			bps = append(bps, dev.W.Breakpoints()...)
+			bps = dev.W.AppendBreakpoints(bps)
 		}
 	}
 	c.ws.bps = bps[:0]

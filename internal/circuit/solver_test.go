@@ -144,13 +144,13 @@ func TestTransientBreakpointLanding(t *testing.T) {
 	})
 	found := map[float64]bool{}
 	for _, tp := range res.times {
-		for _, bp := range pulse.Breakpoints() {
+		for _, bp := range pulse.AppendBreakpoints(nil) {
 			if math.Abs(tp-bp) < 1e-24 {
 				found[bp] = true
 			}
 		}
 	}
-	for _, bp := range pulse.Breakpoints() {
+	for _, bp := range pulse.AppendBreakpoints(nil) {
 		if !found[bp] {
 			t.Errorf("stepper missed breakpoint %v", bp)
 		}

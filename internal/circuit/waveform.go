@@ -6,9 +6,10 @@ import "math"
 type Waveform interface {
 	// Value returns the source value at time t (seconds).
 	Value(t float64) float64
-	// Breakpoints returns times at which the waveform has corners the
-	// integrator should not step across. May be empty.
-	Breakpoints() []float64
+	// AppendBreakpoints appends to dst the times at which the waveform has
+	// corners the integrator should not step across, and returns it. It
+	// may append none.
+	AppendBreakpoints(dst []float64) []float64
 }
 
 // DC is a constant waveform.
@@ -17,8 +18,8 @@ type DC float64
 // Value implements Waveform.
 func (d DC) Value(float64) float64 { return float64(d) }
 
-// Breakpoints implements Waveform.
-func (DC) Breakpoints() []float64 { return nil }
+// AppendBreakpoints implements Waveform: a constant has no corners.
+func (DC) AppendBreakpoints(dst []float64) []float64 { return dst }
 
 // RectPulse is the paper's radiation current model (§3.3): a rectangular
 // pulse of amplitude Amp starting at T0 with width Width, carrying charge
@@ -37,8 +38,10 @@ func (p RectPulse) Value(t float64) float64 {
 	return 0
 }
 
-// Breakpoints implements Waveform.
-func (p RectPulse) Breakpoints() []float64 { return []float64{p.T0, p.T0 + p.Width} }
+// AppendBreakpoints implements Waveform.
+func (p RectPulse) AppendBreakpoints(dst []float64) []float64 {
+	return append(dst, p.T0, p.T0+p.Width)
+}
 
 // Charge returns the total injected charge in coulombs.
 func (p RectPulse) Charge() float64 { return p.Amp * p.Width }
@@ -65,9 +68,9 @@ func (p TriPulse) Value(t float64) float64 {
 	return p.Amp * (p.Width - x) / half
 }
 
-// Breakpoints implements Waveform.
-func (p TriPulse) Breakpoints() []float64 {
-	return []float64{p.T0, p.T0 + p.Width/2, p.T0 + p.Width}
+// AppendBreakpoints implements Waveform.
+func (p TriPulse) AppendBreakpoints(dst []float64) []float64 {
+	return append(dst, p.T0, p.T0+p.Width/2, p.T0+p.Width)
 }
 
 // Charge returns the total injected charge in coulombs.
@@ -93,9 +96,9 @@ func (p DoubleExp) Value(t float64) float64 {
 	return p.I0 * (math.Exp(-x/p.TauFall) - math.Exp(-x/p.TauRise))
 }
 
-// Breakpoints implements Waveform.
-func (p DoubleExp) Breakpoints() []float64 {
-	return []float64{p.T0, p.T0 + p.TauRise, p.T0 + 5*p.TauFall}
+// AppendBreakpoints implements Waveform.
+func (p DoubleExp) AppendBreakpoints(dst []float64) []float64 {
+	return append(dst, p.T0, p.T0+p.TauRise, p.T0+5*p.TauFall)
 }
 
 // Charge returns the total injected charge ∫I dt = I0·(TauFall-TauRise).
@@ -136,5 +139,5 @@ func (p PWL) Value(t float64) float64 {
 	return p.Values[n-1]
 }
 
-// Breakpoints implements Waveform.
-func (p PWL) Breakpoints() []float64 { return p.Times }
+// AppendBreakpoints implements Waveform.
+func (p PWL) AppendBreakpoints(dst []float64) []float64 { return append(dst, p.Times...) }

@@ -204,6 +204,7 @@ type Engine struct {
 	cfg      Config
 	arr      *layout.Array
 	boxes    []geom.AABB // every fin's box, by global fin index
+	targets  []finTarget // where each fin's charge lands, by global fin index
 	cellFins [][]int     // fin indices per cell, for the grid-walk broad phase
 	// slab is the neutron substrate interaction volume; hasSlab is false
 	// when Config.NeutronSubstrateDepthNm disables it.
@@ -218,8 +219,18 @@ type Engine struct {
 	yieldLUTs map[phys.Species]*lut.Table1D // DepositLUT mode, built lazily
 }
 
-// New builds the engine: tiles the thin-cell layout into the array and
-// prepares the broad-phase structures.
+// finTarget is where a fin's charge lands under the engine's data
+// pattern: its cell, and the strike axis of its transistor when that
+// transistor is sensitive in the cell's stored state. The paper discards
+// the charge of a non-sensitive transistor.
+type finTarget struct {
+	cell      int
+	axis      sram.Axis
+	sensitive bool
+}
+
+// New builds the engine: tiles the thin-cell layout into the array,
+// prepares the broad-phase structures and tabulates each fin's finTarget.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Rows <= 0 || cfg.Cols <= 0 {
 		return nil, fmt.Errorf("core: bad array dims %d×%d", cfg.Rows, cfg.Cols)
@@ -248,9 +259,12 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, arr: arr, boxes: arr.Boxes()}
 	e.slab, e.hasSlab = e.substrateSlab()
 	e.cellFins = make([][]int, arr.NumCells())
+	e.targets = make([]finTarget, len(arr.Fins()))
 	for i, f := range arr.Fins() {
 		ci := arr.CellIndex(f.Row, f.Col)
 		e.cellFins[ci] = append(e.cellFins[ci], i)
+		axis, sensitive := sram.SensitiveAxisForRole(f.Role, cfg.Pattern.Bit(f.Row, f.Col))
+		e.targets[i] = finTarget{cell: ci, axis: axis, sensitive: sensitive}
 	}
 	nCells := arr.NumCells()
 	e.scratch.New = func() any { return newStrikeScratch(nCells) }
@@ -321,12 +335,12 @@ func (e *Engine) yieldTable(ctx context.Context, sp phys.Species) (*lut.Table1D,
 // sampled ray, in cell model m: the one-model case of the two strike
 // halves, chargeStrike and lookup. MBU reports and sampled tracks call it.
 // yieldTab is the yieldTable result, resolved once per estimate outside
-// the hot loop. scr holds the worker's reusable buffers, and keeps the
-// track's deposits and the strike's cell POFs until the next call; the
-// steady-state path allocates nothing. The error is non-nil only under a
-// strict guard.
-func (e *Engine) strike(m sram.POFProvider, src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (strikeOutcome, error) {
-	if err := e.chargeStrike(src, sp, energyMeV, ray, yieldTab, scr); err != nil {
+// the hot loop; last is chargeTrack's. scr holds the worker's reusable
+// buffers, and keeps the track's deposits and the strike's cell POFs until
+// the next call; the steady-state path allocates nothing. The error is
+// non-nil only under a strict guard.
+func (e *Engine) strike(m sram.POFProvider, src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, last bool, scr *strikeScratch) (strikeOutcome, error) {
+	if err := e.chargeStrike(src, sp, energyMeV, ray, yieldTab, last, scr); err != nil {
 		return strikeOutcome{}, err
 	}
 	return e.lookup(m, scr)
@@ -335,9 +349,9 @@ func (e *Engine) strike(m sram.POFProvider, src *rng.Source, sp phys.Species, en
 // chargeStrike is the voltage-independent half of an α/p strike: it opens
 // the strike, charges its cells along the one track (chargeTrack) and
 // closes them (closeCells).
-func (e *Engine) chargeStrike(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) error {
+func (e *Engine) chargeStrike(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, last bool, scr *strikeScratch) error {
 	scr.beginCells()
-	deposited, err := e.chargeTrack(src, sp, energyMeV, ray, yieldTab, scr)
+	deposited, err := e.chargeTrack(src, sp, energyMeV, ray, yieldTab, last, scr)
 	if err != nil {
 		return err
 	}
@@ -353,20 +367,35 @@ func (e *Engine) chargeStrike(src *rng.Source, sp phys.Species, energyMeV float6
 // transistors. scr.deps keeps this track's deposits, by global fin index,
 // until the next call. Several tracks may charge one strike: the caller
 // opens it with scr.beginCells and closes it with closeCells.
-func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, scr *strikeScratch) (float64, error) {
+//
+// last says that nothing draws from src after this track, as on a stream
+// keyed per strike whose only track this is. A track that crosses no
+// sensitive fin then returns zero charge without resolving its deposits:
+// they would land on no sensitive transistor, and their draws would shift
+// none that follow, so the exit moves no result bit. A track that crosses
+// a sensitive fin keeps its full trace, since the energy it loses in
+// non-sensitive fins sets what it deposits in the sensitive ones.
+func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, last bool, scr *strikeScratch) (float64, error) {
 	// Broad phase: only fins of cells whose bounds the ray crosses.
 	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
 	deps := scr.deps[:0]
 	if len(scr.candidate) > 0 { // else the ray misses the array
 		scr.hits = transport.Crossings(ray, e.boxes, scr.candidate, scr.hits[:0])
-		if yieldTab != nil {
+		switch {
+		case last && !e.crossesSensitive(scr.hits):
+			// Geometry alone decides the track: it charges no cell. In
+			// transport mode it still counts as a ray with its crossings.
+			if yieldTab == nil {
+				e.cfg.Transport.Metrics.CountRay(len(scr.hits))
+			}
+		case yieldTab != nil:
 			// Paper-style: every crossed fin receives the mean yield at this
 			// energy, regardless of chord geometry.
 			yield := yieldTab.Eval(energyMeV)
 			for _, h := range scr.hits {
 				deps = append(deps, transport.Deposit{Fin: h.Fin, Pairs: yield})
 			}
-		} else {
+		default:
 			deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, scr.hits, src, deps)
 		}
 	}
@@ -378,6 +407,17 @@ func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64
 		return 0, err
 	}
 	return e.accumulateCharges(scr, deps), nil
+}
+
+// crossesSensitive reports whether any of the crossings is a fin on a
+// sensitive transistor under the engine's data pattern.
+func (e *Engine) crossesSensitive(hits []transport.Crossing) bool {
+	for _, h := range hits {
+		if e.targets[h.Fin].sensitive {
+			return true
+		}
+	}
+	return false
 }
 
 // closeCells closes a strike whose tracks landed deposited on sensitive

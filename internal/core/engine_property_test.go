@@ -1,13 +1,18 @@
 package core
 
 import (
+	"context"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"finser/internal/finfet"
 	"finser/internal/neutron"
+	"finser/internal/obs"
 	"finser/internal/phys"
 	"finser/internal/rng"
+	"finser/internal/sram"
 	"finser/internal/transport"
 )
 
@@ -121,6 +126,98 @@ func TestSubstrateSlabGeometry(t *testing.T) {
 	}
 }
 
+// TestGeometryExitMatchesFullTrace: the bin kernel's strikes are keyed per
+// strike and draw nothing after their track, so a track that crosses no
+// sensitive fin skips transport (chargeTrack's last). That must move no
+// bit: for α and p at three energies, in every data pattern and both
+// deposit modes, each keyed strike charges the same cells with the same
+// charge bits through the kernel as through the full trace, and some
+// strikes of each combination take the exit. Each strike also adds the
+// same rays and fin intersections to the transport counters both ways, so
+// their per-ray ratios keep their meaning. Both paths read the engine's
+// per-fin targets, so those are checked against the pattern's stored bits
+// first.
+func TestGeometryExitMatchesFullTrace(t *testing.T) {
+	ctx := context.Background()
+	const strikes, seed = 1500, 7
+	for _, pat := range []DataPattern{PatternZeros, PatternOnes, PatternCheckerboard} {
+		for _, mode := range []DepositMode{DepositTransport, DepositLUT} {
+			tc := transport.DefaultConfig()
+			tc.Metrics = transport.NewMetrics(obs.NewRegistry())
+			e, err := New(Config{
+				Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+				Transport: tc, Deposits: mode, Pattern: pat, LUTIters: 2000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := func() (rays, fins int64) {
+				return tc.Metrics.RaysTraced.Value(), tc.Metrics.FinIntersections.Value()
+			}
+			for i, f := range e.arr.Fins() {
+				axis, sensitive := sram.SensitiveAxisForRole(f.Role, pat.Bit(f.Row, f.Col))
+				got := e.targets[i]
+				if got.cell != e.arr.CellIndex(f.Row, f.Col) || got.sensitive != sensitive || (sensitive && got.axis != axis) {
+					t.Fatalf("%v: fin %d (%+v) targets %+v, want cell %d, axis %v, sensitive %v",
+						pat, i, f, got, e.arr.CellIndex(f.Row, f.Col), axis, sensitive)
+				}
+			}
+			exit, full := newStrikeScratch(e.arr.NumCells()), newStrikeScratch(e.arr.NumCells())
+			var src rng.Source
+			for _, sp := range []phys.Species{phys.Alpha, phys.Proton} {
+				k, err := e.directKernel(ctx, sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				yieldTab, err := e.yieldTable(ctx, sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, energy := range []float64{0.3, 2, 20} {
+					exits, charged := 0, 0
+					for i := uint64(0); i < strikes; i++ {
+						rays0, fins0 := counts()
+						src.Reset(seed, i)
+						if _, err := k.charge(&src, energy, exit); err != nil {
+							t.Fatal(err)
+						}
+						rays1, fins1 := counts()
+						src.Reset(seed, i)
+						if err := e.chargeStrike(&src, sp, energy, e.sampleRay(&src, sp), yieldTab, false, full); err != nil {
+							t.Fatal(err)
+						}
+						rays2, fins2 := counts()
+						if rays1-rays0 != rays2-rays1 || fins1-fins0 != fins2-fins1 {
+							t.Fatalf("%v %v %v @%g MeV strike %d: kernel counts %d rays, %d fins; full trace %d, %d",
+								pat, mode, sp, energy, i, rays1-rays0, fins1-fins0, rays2-rays1, fins2-fins1)
+						}
+						same := slices.Equal(exit.touched, full.touched)
+						for _, ci := range full.touched {
+							for a := range full.cellQ[ci] {
+								same = same && math.Float64bits(exit.cellQ[ci][a]) == math.Float64bits(full.cellQ[ci][a])
+							}
+						}
+						if !same {
+							t.Fatalf("%v %v %v @%g MeV strike %d: kernel charges cells %v, full trace %v",
+								pat, mode, sp, energy, i, exit.touched, full.touched)
+						}
+						if len(full.deps) > 0 && len(exit.deps) == 0 {
+							exits++
+						}
+						if len(full.touched) > 0 {
+							charged++
+						}
+					}
+					if exits == 0 || charged == 0 {
+						t.Errorf("%v %v %v @%g MeV: %d exits and %d charged strikes of %d; the test compares nothing",
+							pat, mode, sp, energy, exits, charged, strikes)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEngineStrikeNoDepositsOutsideArray: rays sampled on the top face with
 // downward directions can exit the sides; deposits must still never appear
 // for fins the ray cannot geometrically reach.
@@ -131,7 +228,7 @@ func TestStrikeChargeSanity(t *testing.T) {
 	scr := e.getScratch()
 	defer e.putScratch(scr)
 	for i := 0; i < 2000; i++ {
-		o, err := e.strike(ch, src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), nil, scr)
+		o, err := e.strike(ch, src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), nil, false, scr)
 		if err != nil {
 			t.Fatalf("strike: %v", err)
 		}

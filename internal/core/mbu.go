@@ -110,7 +110,7 @@ func (e *Engine) mbuTrial(m sram.POFProvider, src *rng.Source, sp phys.Species, 
 		a.strikePMF = make([]float64, maxK+1)
 		a.next = make([]float64, maxK+1)
 	}
-	o, err := e.strike(m, src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
+	o, err := e.strike(m, src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, true, scr)
 	if err != nil {
 		return 0, err
 	}
@@ -204,7 +204,9 @@ type TrackInfo struct {
 
 // SampleTracksCtx runs n strikes at one energy through the strike body in
 // cell model m and returns their geometric detail — the input for the SVG
-// strike overlay. Tracks draw from one sequential stream seeded by seed.
+// strike overlay. Tracks draw from one sequential stream seeded by seed, so
+// each track's transport draws shift every later track, and every track
+// keeps its full trace.
 // Like every other entry point it honours the deposit mode and the guard
 // and checks ctx every cancelCheckEvery tracks.
 func (e *Engine) SampleTracksCtx(ctx context.Context, m sram.POFProvider, sp phys.Species, energyMeV float64, n int, seed uint64) ([]TrackInfo, error) {
@@ -217,7 +219,6 @@ func (e *Engine) SampleTracksCtx(ctx context.Context, m sram.POFProvider, sp phy
 	}
 	src := rng.New(seed)
 	out := make([]TrackInfo, 0, n)
-	fins := e.arr.Fins()
 	bounds := e.arr.Bounds()
 	scr := e.getScratch()
 	defer e.putScratch(scr)
@@ -233,13 +234,12 @@ func (e *Engine) SampleTracksCtx(ctx context.Context, m sram.POFProvider, sp phy
 			info.Entry = ray.At(tIn)
 			info.Exit = ray.At(tOut)
 		}
-		o, err := e.strike(m, src, sp, energyMeV, ray, yieldTab, scr)
+		o, err := e.strike(m, src, sp, energyMeV, ray, yieldTab, false, scr)
 		if err != nil {
 			return nil, fmt.Errorf("core: tracks %v @%g MeV: %w", sp, energyMeV, err)
 		}
 		for _, d := range scr.deps {
-			f := fins[d.Fin]
-			if _, sensitive := sram.SensitiveAxisForRole(f.Role, e.cfg.Pattern.Bit(f.Row, f.Col)); sensitive {
+			if e.targets[d.Fin].sensitive {
 				info.StruckFins = append(info.StruckFins, d.Fin)
 			}
 		}

@@ -122,10 +122,11 @@ func (e *Engine) neutronCharge(rx *neutron.Reactions, src *rng.Source, energyMeV
 
 	// Charge the cells with every secondary, through transport: they start
 	// inside silicon, where the whole-fin mean yield of DepositLUT does not
-	// apply, and no table exists for the recoil ions.
+	// apply, and no table exists for the recoil ions. The secondaries share
+	// the strike's stream, so each keeps its full trace.
 	deposited := 0.0
 	for _, sec := range secs {
-		q, err := e.chargeTrack(src, sec.Species, sec.EnergyMeV, geom.Ray{Origin: at, Dir: sec.Dir}, nil, scr)
+		q, err := e.chargeTrack(src, sec.Species, sec.EnergyMeV, geom.Ray{Origin: at, Dir: sec.Dir}, nil, false, scr)
 		if err != nil {
 			return 0, err
 		}

@@ -32,8 +32,10 @@ func TestPOFAtEnergyBitIdentical(t *testing.T) {
 // TestStrikeZeroAlloc asserts the steady-state strike path allocates
 // nothing, for both deposit modes and with the guard both off and in warn
 // mode (warn is the serflow default, so a guard-only allocation would tax
-// every production strike). The scratch buffers grow during warm-up; after
-// that every strike must run entirely on reused memory.
+// every production strike), on both of its paths: the full trace a
+// sampled track keeps, and the bin kernel, whose tracks that cross no
+// sensitive fin skip transport. The scratch buffers grow during warm-up;
+// after that every strike must run entirely on reused memory.
 func TestStrikeZeroAlloc(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	for _, mode := range []struct {
@@ -64,21 +66,44 @@ func TestStrikeZeroAlloc(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				src := rng.New(7)
-				scr := e.getScratch()
-				defer e.putScratch(scr)
-				for i := 0; i < 2000; i++ { // grow scratch to steady state
-					if _, err := e.strike(ch, src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, scr); err != nil {
-						t.Fatal(err)
-					}
+				k, err := e.directKernel(context.Background(), phys.Alpha)
+				if err != nil {
+					t.Fatal(err)
 				}
-				allocs := testing.AllocsPerRun(500, func() {
-					if _, err := e.strike(ch, src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, scr); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("strike allocates %v objects/op in steady state, want 0", allocs)
+				src := rng.New(7)
+				for _, path := range []struct {
+					name   string
+					strike func(scr *strikeScratch) error
+				}{
+					{"full-trace", func(scr *strikeScratch) error {
+						_, err := e.strike(ch, src, phys.Alpha, 1, e.sampleRay(src, phys.Alpha), yieldTab, false, scr)
+						return err
+					}},
+					{"bin-kernel", func(scr *strikeScratch) error {
+						if _, err := k.charge(src, 1, scr); err != nil {
+							return err
+						}
+						_, err := e.lookup(ch, scr)
+						return err
+					}},
+				} {
+					t.Run(path.name, func(t *testing.T) {
+						scr := e.getScratch()
+						defer e.putScratch(scr)
+						for i := 0; i < 2000; i++ { // grow scratch to steady state
+							if err := path.strike(scr); err != nil {
+								t.Fatal(err)
+							}
+						}
+						allocs := testing.AllocsPerRun(500, func() {
+							if err := path.strike(scr); err != nil {
+								t.Fatal(err)
+							}
+						})
+						if allocs != 0 {
+							t.Errorf("strike allocates %v objects/op in steady state, want 0", allocs)
+						}
+					})
 				}
 			})
 		}

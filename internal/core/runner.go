@@ -38,14 +38,16 @@ type kernel struct {
 }
 
 // directKernel is the α/p kernel. It resolves the deposit mode up front
-// (yieldTable), so the hot loop never touches the table cache.
+// (yieldTable), so the hot loop never touches the table cache. Each
+// strike's stream is keyed per strike and its track is its last draw, so
+// a track that crosses no sensitive fin skips its transport.
 func (e *Engine) directKernel(ctx context.Context, sp phys.Species) (kernel, error) {
 	yieldTab, err := e.yieldTable(ctx, sp)
 	if err != nil {
 		return kernel{}, err
 	}
 	return kernel{name: sp.String(), charge: func(src *rng.Source, energyMeV float64, scr *strikeScratch) (float64, error) {
-		return 1, e.chargeStrike(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, scr)
+		return 1, e.chargeStrike(src, sp, energyMeV, e.sampleRay(src, sp), yieldTab, true, scr)
 	}}, nil
 }
 

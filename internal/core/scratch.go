@@ -91,17 +91,14 @@ func (s *strikeScratch) sortTouched() {
 // sensitive-axis charges in scr and returns the total charge landed on
 // sensitive transistors (the conservation-guard reference).
 func (e *Engine) accumulateCharges(scr *strikeScratch, deps []transport.Deposit) float64 {
-	fins := e.arr.Fins()
 	deposited := 0.0
 	for _, d := range deps {
-		f := fins[d.Fin]
-		bit := e.cfg.Pattern.Bit(f.Row, f.Col)
-		axis, sensitive := sram.SensitiveAxisForRole(f.Role, bit)
-		if !sensitive {
+		t := e.targets[d.Fin]
+		if !t.sensitive {
 			continue // the paper discards charge on non-sensitive transistors
 		}
 		q := phys.ChargeFromPairs(d.Pairs)
-		scr.addCharge(e.arr.CellIndex(f.Row, f.Col), axis, q)
+		scr.addCharge(t.cell, t.axis, q)
 		deposited += q
 	}
 	return deposited

@@ -56,47 +56,48 @@ func (b AABB) Translate(d Vec3) AABB {
 	return AABB{Min: b.Min.Add(d), Max: b.Max.Add(d)}
 }
 
-// Intersect clips the ray r against the box using the branchless slab
-// method. It returns the entry and exit parameters tIn <= tOut restricted to
-// t >= 0, and ok=false when the ray misses the box (or only touches it
-// behind the origin). A ray starting inside the box yields tIn == 0.
+// Intersect clips the ray r against the box with the slab method, one
+// axis at a time (three Slab steps), returning early at the first slab
+// that leaves the interval empty. It returns the entry and exit parameters
+// tIn <= tOut restricted to t >= 0, and ok=false when the ray misses the
+// box (or only touches it behind the origin); tIn and tOut mean nothing
+// then. A ray starting inside the box yields tIn == 0.
 func (b AABB) Intersect(r Ray) (tIn, tOut float64, ok bool) {
-	tIn, tOut = 0, math.Inf(1)
-	mins := [3]float64{b.Min.X, b.Min.Y, b.Min.Z}
-	maxs := [3]float64{b.Max.X, b.Max.Y, b.Max.Z}
-	orig := [3]float64{r.Origin.X, r.Origin.Y, r.Origin.Z}
-	dir := [3]float64{r.Dir.X, r.Dir.Y, r.Dir.Z}
-	for i := 0; i < 3; i++ {
-		if dir[i] == 0 {
-			// Parallel to this slab: miss unless the origin lies within it.
-			if orig[i] < mins[i] || orig[i] > maxs[i] {
-				return 0, 0, false
-			}
-			continue
-		}
-		inv := 1 / dir[i]
-		t0 := (mins[i] - orig[i]) * inv
-		t1 := (maxs[i] - orig[i]) * inv
-		if t0 > t1 {
-			t0, t1 = t1, t0
-		}
-		if t0 > tIn {
-			tIn = t0
-		}
-		if t1 < tOut {
-			tOut = t1
-		}
-		if tIn > tOut {
-			return 0, 0, false
-		}
+	o, d := r.Origin, r.Dir
+	inv := Vec3{1 / d.X, 1 / d.Y, 1 / d.Z}
+	tIn, tOut, ok = Slab(b.Min.X, b.Max.X, o.X, d.X, inv.X, 0, math.Inf(1))
+	if ok {
+		tIn, tOut, ok = Slab(b.Min.Y, b.Max.Y, o.Y, d.Y, inv.Y, tIn, tOut)
 	}
-	if tOut < 0 {
-		return 0, 0, false
+	if ok {
+		tIn, tOut, ok = Slab(b.Min.Z, b.Max.Z, o.Z, d.Z, inv.Z, tIn, tOut)
 	}
-	if tIn < 0 {
-		tIn = 0
+	return tIn, tOut, ok
+}
+
+// Slab clips the ray interval [tIn, tOut] to one axis's slab lo <= x <= hi,
+// for a ray whose origin and direction along that axis are o and d, with
+// inv = 1/d; a caller that clips one ray against many boxes inverts its
+// direction once. A ray parallel to the slab (d == 0) keeps the interval
+// if its origin lies within the slab. ok is false once the interval is
+// empty. Started from [0, +Inf), the interval only narrows, so a
+// non-empty one lies at t >= 0.
+func Slab(lo, hi, o, d, inv, tIn, tOut float64) (float64, float64, bool) {
+	if d == 0 {
+		return tIn, tOut, !(o < lo || o > hi)
 	}
-	return tIn, tOut, true
+	t0 := (lo - o) * inv
+	t1 := (hi - o) * inv
+	if t0 > t1 {
+		t0, t1 = t1, t0
+	}
+	if t0 > tIn {
+		tIn = t0
+	}
+	if t1 < tOut {
+		tOut = t1
+	}
+	return tIn, tOut, tIn <= tOut
 }
 
 // ChordLength returns the length of the ray's chord through the box,

@@ -39,11 +39,11 @@ func (s *strikeSource) Value(t float64) float64 {
 	return s.w.Value(t)
 }
 
-func (s *strikeSource) Breakpoints() []float64 {
+func (s *strikeSource) AppendBreakpoints(dst []float64) []float64 {
 	if s.w == nil {
-		return nil
+		return dst
 	}
-	return s.w.Breakpoints()
+	return s.w.AppendBreakpoints(dst)
 }
 
 // NewChain builds an inverter chain with the given depth (≥ 2). The input

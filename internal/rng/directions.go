@@ -12,7 +12,8 @@ func (s *Source) IsotropicDirection() geom.Vec3 {
 	z := 2*s.Float64() - 1
 	phi := 2 * math.Pi * s.Float64()
 	r := math.Sqrt(math.Max(0, 1-z*z))
-	return geom.V(r*math.Cos(phi), r*math.Sin(phi), z)
+	sin, cos := math.Sincos(phi)
+	return geom.V(r*cos, r*sin, z)
 }
 
 // DownwardIsotropic samples a direction uniformly over the lower hemisphere
@@ -34,7 +35,8 @@ func (s *Source) CosineLawDirection() geom.Vec3 {
 	cosTheta := math.Sqrt(s.Float64())
 	sinTheta := math.Sqrt(math.Max(0, 1-cosTheta*cosTheta))
 	phi := 2 * math.Pi * s.Float64()
-	return geom.V(sinTheta*math.Cos(phi), sinTheta*math.Sin(phi), -cosTheta)
+	sin, cos := math.Sincos(phi)
+	return geom.V(sinTheta*cos, sinTheta*sin, -cosTheta)
 }
 
 // PointInBox samples a point uniformly inside the box b.

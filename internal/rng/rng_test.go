@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"finser/internal/geom"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -279,6 +281,39 @@ func TestCosineLawDirection(t *testing.T) {
 	// E[cosθ] under pdf 2cosθsinθ is 2/3.
 	if mean := cossum / n; math.Abs(mean-2.0/3) > 0.005 {
 		t.Errorf("cosine-law E[cosθ] = %v, want 2/3", mean)
+	}
+}
+
+// TestDirectionsMatchSinCos: the direction samplers take an azimuth's sine
+// and cosine from one math.Sincos, which must return, bit for bit, what
+// separate math.Sin and math.Cos calls return for every azimuth drawn; a
+// moved bit would move the track of every strike that drew it.
+func TestDirectionsMatchSinCos(t *testing.T) {
+	const n = 1 << 20
+	same := func(a, b geom.Vec3) bool {
+		return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+			math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+			math.Float64bits(a.Z) == math.Float64bits(b.Z)
+	}
+	s := New(41)
+	for i := 0; i < n; i++ {
+		ref := *s
+		got := s.IsotropicDirection()
+		z := 2*ref.Float64() - 1
+		phi := 2 * math.Pi * ref.Float64()
+		r := math.Sqrt(math.Max(0, 1-z*z))
+		if want := geom.V(r*math.Cos(phi), r*math.Sin(phi), z); !same(got, want) {
+			t.Fatalf("draw %d: IsotropicDirection = %v, Sin/Cos give %v", i, got, want)
+		}
+
+		ref = *s
+		got = s.CosineLawDirection()
+		cosTheta := math.Sqrt(ref.Float64())
+		sinTheta := math.Sqrt(math.Max(0, 1-cosTheta*cosTheta))
+		phi = 2 * math.Pi * ref.Float64()
+		if want := geom.V(sinTheta*math.Cos(phi), sinTheta*math.Sin(phi), -cosTheta); !same(got, want) {
+			t.Fatalf("draw %d: CosineLawDirection = %v, Sin/Cos give %v", i, got, want)
+		}
 	}
 }
 

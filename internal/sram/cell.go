@@ -192,12 +192,12 @@ func (s *settableWaveform) Value(t float64) float64 {
 	return s.w.Value(t)
 }
 
-// Breakpoints implements circuit.Waveform.
-func (s *settableWaveform) Breakpoints() []float64 {
+// AppendBreakpoints implements circuit.Waveform.
+func (s *settableWaveform) AppendBreakpoints(dst []float64) []float64 {
 	if s.w == nil {
-		return nil
+		return dst
 	}
-	return s.w.Breakpoints()
+	return s.w.AppendBreakpoints(dst)
 }
 
 // VthShifts holds per-role threshold shifts (added to the nominal Vth) for

@@ -120,6 +120,27 @@ func TestStrikeFlipMonotoneInCharge(t *testing.T) {
 	}
 }
 
+// TestStrikeOneAlloc asserts that a strike on a warm cell allocates once,
+// for its boxed pulse, whatever the pulse shape: each waveform appends its
+// corners into the solver's reused breakpoint list, the transient keeps no
+// trajectory, and the pre-strike state is solved and saved only once.
+func TestStrikeOneAlloc(t *testing.T) {
+	c := mustCell(t, 0.8, VthShifts{})
+	for _, shape := range []PulseShape{ShapeRect, ShapeTriangle, ShapeDoubleExp} {
+		if _, err := c.SimulateStrike(chargeOn(AxisI1, 1e-16), shape); err != nil {
+			t.Fatal(err) // warm the workspace and the saved state
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := c.SimulateStrike(chargeOn(AxisI1, 1e-16), shape); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("shape %v: a strike on a warm cell allocates %v objects, want 1 (its pulse)", shape, allocs)
+		}
+	}
+}
+
 func chargeOn(a Axis, q float64) [NumAxes]float64 {
 	var out [NumAxes]float64
 	out[a] = q
@@ -474,7 +495,9 @@ func (w waveformAlias) Value(t float64) float64 {
 	return 0
 }
 
-func (w waveformAlias) Breakpoints() []float64 { return []float64{w.t0, w.t0 + w.width} }
+func (w waveformAlias) AppendBreakpoints(dst []float64) []float64 {
+	return append(dst, w.t0, w.t0+w.width)
+}
 
 // runArmed runs the transient with the currently armed strike sources from
 // t = 0, not from the cell's saved state, ending early once settled (when

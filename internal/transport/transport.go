@@ -57,9 +57,12 @@ const (
 
 // Metrics is the transport layer's observability hook.
 type Metrics struct {
-	// RaysTraced counts TraceAppend calls (one particle track each).
+	// RaysTraced counts the particle tracks transport resolves, one per
+	// TraceAppend call. A caller that decides a track by geometry alone and
+	// never traces it counts it too, with CountRay, so this keeps counting
+	// every track that reaches the narrow phase.
 	RaysTraced *obs.Counter
-	// FinIntersections counts fin boxes the traced rays crossed.
+	// FinIntersections counts fin boxes the counted rays crossed.
 	FinIntersections *obs.Counter
 	// SegmentsDeposited counts fin chords that actually deposited energy
 	// (intersections can range out before depositing).
@@ -76,6 +79,17 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		RaysTraced:        r.Counter("transport.rays_traced"),
 		FinIntersections:  r.Counter("transport.fin_intersections"),
 		SegmentsDeposited: r.Counter("transport.segments_deposited"),
+	}
+}
+
+// CountRay counts one track that crossed the given number of fins.
+// TraceAppend counts each track it traces; a caller that decides a track
+// by geometry alone, without tracing it, calls CountRay itself, and such a
+// track deposits no segment. Nil-safe.
+func (m *Metrics) CountRay(crossings int) {
+	if m != nil {
+		m.RaysTraced.Inc()
+		m.FinIntersections.Add(int64(crossings))
 	}
 }
 
@@ -150,10 +164,22 @@ type Crossing struct {
 // Crossings appends to out the fins among boxes[idx[0]], boxes[idx[1]], …
 // that ray crosses with a positive chord, in idx order, and returns it.
 // It is the narrow phase of every strike path: a ray that only touches a
-// fin (entry == exit) crosses nothing.
+// fin (entry == exit) crosses nothing. It runs geom.AABB.Intersect's
+// three geom.Slab steps on each box, so every TIn and TOut is bit for bit
+// Intersect's, but inverts the ray's direction once, not once per box;
+// a box is dropped at the first of its slabs the ray misses.
 func Crossings(ray geom.Ray, boxes []geom.AABB, idx []int, out []Crossing) []Crossing {
+	o, d := ray.Origin, ray.Dir
+	inv := geom.V(1/d.X, 1/d.Y, 1/d.Z)
 	for _, fi := range idx {
-		tIn, tOut, ok := boxes[fi].Intersect(ray)
+		b := &boxes[fi]
+		tIn, tOut, ok := geom.Slab(b.Min.X, b.Max.X, o.X, d.X, inv.X, 0, math.Inf(1))
+		if ok {
+			tIn, tOut, ok = geom.Slab(b.Min.Y, b.Max.Y, o.Y, d.Y, inv.Y, tIn, tOut)
+		}
+		if ok {
+			tIn, tOut, ok = geom.Slab(b.Min.Z, b.Max.Z, o.Z, d.Z, inv.Z, tIn, tOut)
+		}
 		if ok && tOut > tIn {
 			out = append(out, Crossing{Fin: fi, TIn: tIn, TOut: tOut})
 		}
@@ -175,10 +201,7 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, hits []Crossing
 	if (cfg.Straggling || cfg.FanoFluctuation) && src == nil {
 		panic("transport: fluctuations enabled but no rng source")
 	}
-	if m := cfg.Metrics; m != nil {
-		m.RaysTraced.Inc()
-		m.FinIntersections.Add(int64(len(hits)))
-	}
+	cfg.Metrics.CountRay(len(hits))
 	if len(hits) == 0 {
 		return out
 	}

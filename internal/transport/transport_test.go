@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"finser/internal/finfet"
 	"finser/internal/geom"
+	"finser/internal/layout"
 	"finser/internal/phys"
 	"finser/internal/rng"
 )
@@ -67,6 +69,75 @@ func TestCrossingsNarrowPhase(t *testing.T) {
 	}
 	if got := Crossings(touch, boxes, []int{3}, nil); len(got) != 0 {
 		t.Errorf("a touching ray crosses %+v, want nothing", got)
+	}
+}
+
+// TestCrossingsMatchIntersect: Crossings runs geom.AABB.Intersect's slab
+// steps on a direction it inverts once per ray, and must report the chords
+// a loop over Intersect does, bit for bit, over every fin box of a 9×9
+// array, for four kinds of ray: downward from the array's top face (an α
+// or p strike), from inside a fin in any direction (a neutron's
+// secondaries), with one direction component ±0, and lying in the plane
+// of a fin face.
+func TestCrossingsMatchIntersect(t *testing.T) {
+	arr, err := layout.NewArray(layout.ThinCellLayout(finfet.Default14nmSOI()), 9, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxes, bounds := arr.Boxes(), arr.Bounds()
+	idx := make([]int, len(boxes))
+	for i := range idx {
+		idx[i] = i
+	}
+	kinds := [4]string{"top", "inside", "axis-zero", "grazing"}
+	var crossed [4]int
+	var got, want []Crossing
+	comp := func(v *geom.Vec3, axis int) *float64 { return [3]*float64{&v.X, &v.Y, &v.Z}[axis] }
+	src := rng.New(11)
+	const n = 5000
+	for i := 0; i < n; i++ {
+		fin := boxes[src.Intn(len(boxes))]
+		near := geom.Box(fin.Min.Sub(geom.V(5, 5, 5)), fin.Max.Add(geom.V(5, 5, 5)))
+		rays := [4]geom.Ray{
+			{Origin: src.PointOnTopFace(bounds), Dir: src.DownwardIsotropic()},
+			{Origin: src.PointInBox(fin), Dir: src.IsotropicDirection()},
+			{Origin: src.PointInBox(bounds), Dir: src.IsotropicDirection()},
+			{Origin: src.PointInBox(near), Dir: src.IsotropicDirection()},
+		}
+		axis, zero := src.Intn(3), math.Copysign(0, src.Float64()-0.5)
+		*comp(&rays[2].Dir, axis) = zero
+		// The grazing ray starts in the plane of the fin's low or high face
+		// on that axis, a little beyond the face, so some run along an edge.
+		*comp(&rays[3].Dir, axis) = zero
+		*comp(&rays[3].Origin, axis) = *comp(&fin.Min, axis)
+		if src.Float64() < 0.5 {
+			*comp(&rays[3].Origin, axis) = *comp(&fin.Max, axis)
+		}
+		for k, ray := range rays {
+			got = Crossings(ray, boxes, idx, got[:0])
+			want = want[:0]
+			for _, fi := range idx {
+				if tIn, tOut, ok := boxes[fi].Intersect(ray); ok && tOut > tIn {
+					want = append(want, Crossing{Fin: fi, TIn: tIn, TOut: tOut})
+				}
+			}
+			same := len(got) == len(want)
+			for j := 0; same && j < len(got); j++ {
+				same = got[j].Fin == want[j].Fin &&
+					math.Float64bits(got[j].TIn) == math.Float64bits(want[j].TIn) &&
+					math.Float64bits(got[j].TOut) == math.Float64bits(want[j].TOut)
+			}
+			if !same {
+				t.Fatalf("%s ray %+v: Crossings = %+v, Intersect gives %+v", kinds[k], ray, got, want)
+			}
+			crossed[k] += len(got)
+		}
+	}
+	t.Logf("fins crossed per kind of ray %v: %v", kinds, crossed)
+	for k, c := range crossed {
+		if c < n/10 {
+			t.Errorf("%s rays crossed %d fins in all, too few to compare", kinds[k], c)
+		}
 	}
 }
 
