@@ -495,23 +495,34 @@ const (
 	maxSamples     = 100_000     // 100× the paper's 1,000 variation samples
 	maxItersPerBin = 100_000_000 // 10× the paper's 10 M particles per bin
 	maxWorkers     = 256
+	// AlphaRate and ProtonScale. On the default card at the largest array
+	// and bin counts, a stage's largest FIT (every bin at POF 1) is 2.3×10⁴
+	// per unit α rate and 2.9×10³ per unit proton scale, so at this bound it
+	// stays some 280 orders of magnitude below overflow
+	// (TestAdmissionBoundsKeepFITFinite).
+	maxFluxScale = 1e20
 )
 
 // Validate resolves defaults, returning the config the flow would run,
 // and reports the first invalid field as a *ConfigError — the
 // admission-time check a serving layer runs before queueing hours of work.
-// Besides each field's own range — Rows×Cols at most 65,536 cells,
-// AlphaBins and ProtonBins at most 4,096, Samples at most 100,000,
-// ItersPerBin at most 10⁸ and Workers at most 256 — Vdd must not exceed
-// twice the technology card's nominal supply (when the card names one),
-// and the environment scales must leave every FIT finite.
+// It checks fields only and does no physics. Besides each field's own
+// range — Rows×Cols at most 65,536 cells, AlphaBins and ProtonBins at most
+// 4,096, Samples at most 100,000, ItersPerBin at most 10⁸, Workers at most
+// 256, AlphaRate and ProtonScale at most 10²⁰ — Vdd must not exceed twice
+// the technology card's nominal supply (when the card names one). The
+// bounds keep every FIT finite on the default card. A custom card reaches
+// Validate only from Go code (neither serd's request nor the shard wire
+// carries one); its FIT totals are still checked by the engine's guard,
+// when one is on, and in serd by the result's JSON encoding.
 func (c FlowConfig) Validate() (FlowConfig, error) {
 	if !(c.Vdd > 0) || math.IsInf(c.Vdd, 1) {
 		return c, &ConfigError{Field: "Vdd", Reason: fmt.Sprintf("must be positive and finite, got %g", c.Vdd)}
 	}
 	// The environment scales: zero selects the default, anything else must
 	// be a usable flux (a NaN, negative or infinite one would fail only
-	// after the characterization, or not at all).
+	// after the characterization, or not at all), and one too large would
+	// overflow the FIT into an Inf or NaN that no JSON can carry.
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -519,8 +530,8 @@ func (c FlowConfig) Validate() (FlowConfig, error) {
 		{"AlphaRate", c.AlphaRate},
 		{"ProtonScale", c.ProtonScale},
 	} {
-		if !(f.v >= 0) || math.IsInf(f.v, 1) {
-			return c, &ConfigError{Field: f.name, Reason: fmt.Sprintf("must be zero (the default) or positive and finite, got %g", f.v)}
+		if !(f.v >= 0 && f.v <= maxFluxScale) {
+			return c, &ConfigError{Field: f.name, Reason: fmt.Sprintf("must be zero (the default) or positive and at most %g, got %g", maxFluxScale, f.v)}
 		}
 	}
 	// Negative budgets and dimensions are always mistakes, and sizes above
@@ -589,22 +600,6 @@ func (c FlowConfig) Validate() (FlowConfig, error) {
 	// leaves the paper's 0.7–1.1 V sweep (1.6 V on the 14 nm card) room.
 	if vmax := 2 * c.Tech.VddNominal; vmax > 0 && c.Vdd > vmax {
 		return c, &ConfigError{Field: "Vdd", Reason: fmt.Sprintf("must not exceed twice the %s card's nominal %g V, got %g", c.Tech.Name, c.Tech.VddNominal, c.Vdd)}
-	}
-	// A flux so large that a stage's largest FIT — every bin at POF 1 —
-	// overflows would end in an Inf or NaN result no JSON can carry.
-	for _, st := range []struct{ name, field string }{{"alpha", "AlphaRate"}, {"proton", "ProtonScale"}} {
-		l, err := planLedger(c, st.name)
-		if err != nil {
-			return c, err
-		}
-		p := l.Plan()
-		ones := make([]POFPoint, len(p.Bins))
-		for i := range ones {
-			ones[i].Tot = 1
-		}
-		if fit := core.AssembleFIT(p.Species, p.Vdd, p.Bins, ones, p.AreaCm2).TotalFIT; math.IsInf(fit, 0) || math.IsNaN(fit) {
-			return c, &ConfigError{Field: st.field, Reason: fmt.Sprintf("makes the largest %s FIT %g; it must stay finite", st.name, fit)}
-		}
 	}
 	return c, nil
 }
@@ -882,9 +877,6 @@ func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, 
 // naming the voltage it belongs to, with Completed 0; a characterization
 // built at another Vdd than its result's fails with a *PlanMismatchError.
 func NeutronFITCtx(ctx context.Context, cfg FlowConfig, sweep []*FlowResult) ([]FITResult, error) {
-	if len(sweep) == 0 {
-		return nil, errors.New("finser: neutron FIT: empty sweep")
-	}
 	vdds := make([]float64, len(sweep))
 	chars := make([]*Characterization, len(sweep))
 	for i, r := range sweep {
@@ -996,9 +988,6 @@ func (e *SweepError) Unwrap() error { return e.Err }
 // voltages interleave within a species. On failure it returns a
 // *SweepError (see there for which results survive it).
 func RunVddSweepCtx(ctx context.Context, cfg FlowConfig, vdds []float64) ([]*FlowResult, error) {
-	if len(vdds) == 0 {
-		return nil, errors.New("finser: empty vdd sweep")
-	}
 	cfgs, err := sweepConfigs(cfg, vdds)
 	if err != nil {
 		return nil, err
@@ -1036,8 +1025,11 @@ func RunVddSweepCtx(ctx context.Context, cfg FlowConfig, vdds []float64) ([]*Flo
 
 // sweepConfigs validates cfg at each of vdds before any work, returning
 // the configs (defaults resolved) a sweep runs, or a *SweepError naming the
-// first invalid voltage.
+// first invalid voltage. An empty list is an error.
 func sweepConfigs(cfg FlowConfig, vdds []float64) ([]FlowConfig, error) {
+	if len(vdds) == 0 {
+		return nil, errors.New("finser: empty vdd sweep")
+	}
 	cfgs := make([]FlowConfig, len(vdds))
 	for i, v := range vdds {
 		c := cfg
@@ -1117,19 +1109,18 @@ type flowFingerprint struct {
 // FlowFingerprint returns the hex digest identifying the result-
 // determining subset of cfg (defaults resolved) and the voltage list — the
 // identity CreateCheckpoint stamps into checkpoint files. cfg.Vdd itself
-// is ignored (the list is authoritative). Serving layers use it to key
-// per-job checkpoint files, so a resubmitted identical job finds (and
-// resumes) its predecessor's partial work.
+// is ignored (the list is authoritative). Like RunVddSweepCtx, it
+// validates cfg at every voltage of the list, so an empty list or an
+// invalid voltage has no fingerprint: the latter is a *SweepError naming
+// it. Serving layers use it to key per-job checkpoint files, so a
+// resubmitted identical job finds (and resumes) its predecessor's partial
+// work.
 func FlowFingerprint(cfg FlowConfig, vdds []float64) (string, error) {
-	c := cfg
-	c.Vdd = 1 // Validate requires a valid Vdd; the value is not hashed
-	if v := cfg.Tech.VddNominal; v > 0 {
-		c.Vdd = v // a custom card's nominal is valid whatever its scale
-	}
-	c, err := c.Validate()
+	cfgs, err := sweepConfigs(cfg, vdds)
 	if err != nil {
 		return "", err
 	}
+	c := cfgs[0] // the configs differ only in Vdd, which the list carries
 	return checkpoint.Fingerprint(flowFingerprint{
 		Tech:             c.Tech,
 		Rows:             c.Rows,

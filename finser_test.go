@@ -46,6 +46,9 @@ func TestFlowConfigValidation(t *testing.T) {
 	if _, err := RunVddSweepCtx(context.Background(), FlowConfig{}, nil); err == nil {
 		t.Error("empty sweep accepted")
 	}
+	if _, err := NeutronFITCtx(context.Background(), FlowConfig{}, nil); err == nil {
+		t.Error("empty neutron sweep accepted")
+	}
 }
 
 func TestRunFlowProducesPositiveRates(t *testing.T) {

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"finser/internal/geom"
 	"finser/internal/lut"
@@ -164,32 +165,36 @@ func pairKey(c1, c2, cols int) PairKey {
 	return PairKey{DRow: dr, DCol: dc}
 }
 
-// SortedPairKeys returns the report's pair separations ordered by weight,
-// heaviest first — handy for reporting.
-func (r MBUReport) SortedPairKeys() []PairKey {
+// PairKeys returns the report's pair separations in (DRow, DCol)
+// ascending order. Every sum over the pair weights runs in this order, so
+// its last bit does not depend on map iteration.
+func (r MBUReport) PairKeys() []PairKey {
 	keys := make([]PairKey, 0, len(r.PairWeights))
 	for k := range r.PairWeights {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		wi, wj := r.PairWeights[keys[i]], r.PairWeights[keys[j]]
-		if wi != wj {
-			return wi > wj
-		}
-		if keys[i].DRow != keys[j].DRow {
-			return keys[i].DRow < keys[j].DRow
-		}
-		return keys[i].DCol < keys[j].DCol
+	slices.SortFunc(keys, func(a, b PairKey) int {
+		return cmp.Or(cmp.Compare(a.DRow, b.DRow), cmp.Compare(a.DCol, b.DCol))
+	})
+	return keys
+}
+
+// SortedPairKeys returns the report's pair separations ordered by weight,
+// heaviest first, ties in PairKeys order — handy for reporting.
+func (r MBUReport) SortedPairKeys() []PairKey {
+	keys := r.PairKeys()
+	slices.SortStableFunc(keys, func(a, b PairKey) int {
+		return cmp.Compare(r.PairWeights[b], r.PairWeights[a])
 	})
 	return keys
 }
 
 // TotalPairWeight sums all pair weights (expected same-event pairs per
-// strike).
+// strike) in PairKeys order.
 func (r MBUReport) TotalPairWeight() float64 {
 	s := 0.0
-	for _, w := range r.PairWeights {
-		s += w
+	for _, k := range r.PairKeys() {
+		s += r.PairWeights[k]
 	}
 	return s
 }

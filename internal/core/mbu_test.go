@@ -208,3 +208,35 @@ func TestMBUStatsBitIdenticalAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestTotalPairWeightOrderFixed checks that TotalPairWeight sums in
+// PairKeys order, so repeated calls agree to the bit. The first key in
+// that order weighs 1 and the 15 others half an ulp of 1 each: in that
+// order every half ulp rounds away and the sum is 1, while any order that
+// puts two small weights before the 1 adds them up first and ends above 1,
+// so a sum in map iteration order misses within a few calls.
+func TestTotalPairWeightOrderFixed(t *testing.T) {
+	rep := MBUReport{PairWeights: map[PairKey]float64{}}
+	for r := 0; r < 4; r++ {
+		for c := 1; c <= 4; c++ {
+			rep.PairWeights[PairKey{DRow: r, DCol: c}] = 0x1p-53
+		}
+	}
+	rep.PairWeights[PairKey{DRow: 0, DCol: 1}] = 1
+	keys := rep.PairKeys()
+	if keys[0] != (PairKey{DRow: 0, DCol: 1}) || keys[len(keys)-1] != (PairKey{DRow: 3, DCol: 4}) {
+		t.Fatalf("PairKeys = %v, want (DRow, DCol) ascending", keys)
+	}
+	reversed := 0.0
+	for i := len(keys) - 1; i >= 0; i-- {
+		reversed += rep.PairWeights[keys[i]]
+	}
+	if reversed == 1 {
+		t.Fatal("the weights sum to 1 in reverse order too; the test shows nothing")
+	}
+	for call := 0; call < 100; call++ {
+		if got := rep.TotalPairWeight(); got != 1 {
+			t.Fatalf("call %d: TotalPairWeight = %v, want 1, the PairKeys-order sum", call, got)
+		}
+	}
+}

@@ -59,13 +59,15 @@ type Analysis struct {
 	UncorrectableShare float64
 }
 
-// Analyze classifies an MBU report's pair statistics under the scheme.
+// Analyze classifies an MBU report's pair statistics under the scheme,
+// summing the weights in the report's PairKeys order.
 func Analyze(rep core.MBUReport, s Scheme) (Analysis, error) {
 	if err := s.Validate(); err != nil {
 		return Analysis{}, err
 	}
 	a := Analysis{Scheme: s}
-	for key, w := range rep.PairWeights {
+	for _, key := range rep.PairKeys() {
+		w := rep.PairWeights[key]
 		a.TotalPairWeight += w
 		if s.SameWord(key.DRow, key.DCol) {
 			a.SameWordPairWeight += w

@@ -126,3 +126,29 @@ func TestInterleaveSweepMonotone(t *testing.T) {
 		t.Error("bad factor accepted")
 	}
 }
+
+// TestAnalyzeSumsInKeyOrder checks that Analyze sums the pair weights in
+// the report's PairKeys order, so repeated calls agree to the bit. The
+// first key in that order weighs 1 and the 15 others half an ulp of 1
+// each: in that order the sum is 1, and in any order that puts two small
+// weights before the 1 it exceeds 1.
+func TestAnalyzeSumsInKeyOrder(t *testing.T) {
+	pairs := map[core.PairKey]float64{}
+	for r := 0; r < 4; r++ {
+		for c := 1; c <= 4; c++ {
+			pairs[core.PairKey{DRow: r, DCol: c}] = 0x1p-53
+		}
+	}
+	pairs[core.PairKey{DRow: 0, DCol: 1}] = 1
+	rep := report(pairs)
+	for call := 0; call < 100; call++ {
+		a, err := Analyze(rep, Scheme{Interleave: 1}) // every pair lands in one word
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.TotalPairWeight != 1 || a.SameWordPairWeight != 1 {
+			t.Fatalf("call %d: total %v, same-word %v; want both 1, the PairKeys-order sum",
+				call, a.TotalPairWeight, a.SameWordPairWeight)
+		}
+	}
+}

@@ -47,7 +47,7 @@ func ThinCellLayout(t finfet.Technology) CellLayout {
 	// Extra columns on each outer side carry the additional PD/PG fins
 	// (they share the outer active). The PU pair stays single-fin-column
 	// unless FinsPU > 1 (rare), in which case the middle widens too.
-	outerExtra := maxInt(t.PDFins(), t.PGFins()) - 1
+	outerExtra := max(t.PDFins(), t.PGFins()) - 1
 	puExtra := t.PUFins() - 1
 	cols := 4 + 2*outerExtra + 2*puExtra
 
@@ -89,13 +89,6 @@ func ThinCellLayout(t finfet.Technology) CellLayout {
 	lay.FinBoxes[sram.PDR] = multi(rightStart, t.PDFins(), yInner)
 	lay.FinBoxes[sram.PGR] = multi(rightStart, t.PGFins(), yTop)
 	return lay
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FinRef ties one fin box to its cell and transistor role.

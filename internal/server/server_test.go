@@ -283,6 +283,7 @@ func TestValidationErrorsMapTo400(t *testing.T) {
 		{"proton_scale negative", `{"vdd": 0.8, "proton_scale": -2}`, "ProtonScale"},
 		{"vdd far above nominal", `{"vdd": 1e308}`, "Vdd"},
 		{"proton_scale overflows FIT", `{"vdd": 0.8, "proton_scale": 1e308}`, "ProtonScale"},
+		{"alpha_rate above the flux bound", `{"vdd": 0.8, "alpha_rate": 1e21}`, "AlphaRate"},
 		{"array above the cell bound", `{"vdd":0.8,"rows":1000000000,"cols":1000000000,"samples":1,"iters_per_bin":10,"alpha_bins":1,"proton_bins":1}`, "Rows"},
 		{"unknown field", `{"vdd": 0.7, "voltage": 1}`, "voltage"},
 		{"syntax", `{"vdd": `, "body"},

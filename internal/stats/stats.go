@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the Monte-Carlo
 // layers rely on: numerically stable running moments (Welford), binomial
-// proportion confidence intervals for POF estimates, histograms for energy
-// and charge distributions, and empirical CDFs for critical-charge samples.
+// proportion confidence intervals for POF estimates, and empirical CDFs for
+// critical-charge samples.
 package stats
 
 import (
@@ -105,53 +105,6 @@ func WilsonInterval(k, n int64) (lo, hi float64) {
 		hi = 1
 	}
 	return lo, hi
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the range
-// are counted in the under/overflow tallies.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int64
-	Underflow int64
-	Overflow  int64
-	total     int64
-}
-
-// NewHistogram constructs a histogram with the given number of bins.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, errors.New("stats: histogram needs at least one bin")
-	}
-	if !(lo < hi) {
-		return nil, errors.New("stats: histogram needs lo < hi")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard against FP edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations, including under/overflow.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
 }
 
 // ECDF is an empirical cumulative distribution function built from samples.

@@ -103,43 +103,6 @@ func TestWilsonInterval(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 55} {
-		h.Add(x)
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Errorf("under=%d over=%d", h.Underflow, h.Overflow)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Errorf("BinCenter(0) = %v", c)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("expected error for lo==hi")
-	}
-}
-
 func TestECDF(t *testing.T) {
 	e, err := NewECDF([]float64{3, 1, 2, 2})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"finser/internal/checkpoint"
+	"finser/internal/core"
 )
 
 // resilienceFlowConfig is a deliberately small flow whose FIT stage still
@@ -437,10 +438,12 @@ func TestConfigErrorsTyped(t *testing.T) {
 		// Above twice the 14 nm card's nominal 0.8 V.
 		{"Vdd", FlowConfig{Vdd: 1.7}},
 		{"Vdd", FlowConfig{Vdd: 1e308}},
-		// Finite scales whose largest FIT overflows.
+		// Finite scales whose largest FIT would overflow.
 		{"AlphaRate", FlowConfig{Vdd: 0.8, AlphaRate: 1e308}},
 		{"ProtonScale", FlowConfig{Vdd: 0.8, ProtonScale: 1e308}},
 		// One past each admission bound.
+		{"AlphaRate", FlowConfig{Vdd: 0.8, AlphaRate: math.Nextafter(maxFluxScale, math.Inf(1))}},
+		{"ProtonScale", FlowConfig{Vdd: 0.8, ProtonScale: math.Nextafter(maxFluxScale, math.Inf(1))}},
 		{"Rows", FlowConfig{Vdd: 0.8, Rows: 257, Cols: 256}},
 		{"Rows", FlowConfig{Vdd: 0.8, Rows: 1 << 32, Cols: 1 << 32}}, // the product wraps to 0
 		{"Cols", FlowConfig{Vdd: 0.8, Cols: 256*256 + 1}},
@@ -475,20 +478,62 @@ func TestConfigErrorsTyped(t *testing.T) {
 		t.Errorf("resolved samples/iters/bins/rows = %d/%d/%d+%d/%d, want 1000/50000/12+16/9",
 			got.Samples, got.ItersPerBin, got.AlphaBins, got.ProtonBins, got.Rows)
 	}
-	// A config at every bound is valid and plans its 4,096 bins.
+	// A config at every bound is valid (TestAdmissionBoundsKeepFITFinite
+	// plans its ledgers).
 	atBounds := FlowConfig{Vdd: 0.8, Rows: 256, Cols: 256, Samples: 100_000, ItersPerBin: 100_000_000,
-		AlphaBins: 4096, ProtonBins: 4096, Workers: 256}
+		AlphaBins: 4096, ProtonBins: 4096, Workers: 256, AlphaRate: maxFluxScale, ProtonScale: maxFluxScale}
 	if _, err := atBounds.Validate(); err != nil {
 		t.Fatalf("config at every bound rejected: %v", err)
 	}
-	for _, sp := range []Species{Alpha, Proton} {
-		l, err := SpeciesLedger(atBounds, sp)
+}
+
+// TestAdmissionBoundsKeepFITFinite is the proof behind Validate's flux
+// bound, which lets admission skip planning the FIT: with every admission
+// bound reached at once — 65,536 cells in each array shape, 4,096 bins per
+// species and both flux scales at maxFluxScale — each stage on the default
+// card plans its whole ledger, and its largest FIT (every bin at POF 1) is
+// finite.
+func TestAdmissionBoundsKeepFITFinite(t *testing.T) {
+	for _, shape := range [][2]int{{256, 256}, {1, 256 * 256}, {256 * 256, 1}} {
+		cfg, err := FlowConfig{Vdd: 0.8, Rows: shape[0], Cols: shape[1], AlphaBins: 4096, ProtonBins: 4096,
+			AlphaRate: maxFluxScale, ProtonScale: maxFluxScale}.Validate()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%d×%d at every bound rejected: %v", shape[0], shape[1], err)
 		}
-		if n := len(l.Plan().Bins); n != 4096 {
-			t.Errorf("%v ledger plans %d bins, want 4096", sp, n)
+		for _, st := range []struct {
+			name string
+			bins int
+		}{{"alpha", 4096}, {"proton", 4096}, {"neutron", 10}} {
+			l, err := planLedger(cfg, st.name)
+			if err != nil {
+				t.Fatalf("%d×%d %s: %v", shape[0], shape[1], st.name, err)
+			}
+			p := l.Plan()
+			if len(p.Bins) != st.bins {
+				t.Errorf("%d×%d %s ledger plans %d bins, want %d", shape[0], shape[1], st.name, len(p.Bins), st.bins)
+			}
+			ones := make([]POFPoint, len(p.Bins))
+			for i := range ones {
+				ones[i].Tot = 1
+			}
+			if fit := core.AssembleFIT(p.Species, p.Vdd, p.Bins, ones, p.AreaCm2).TotalFIT; !(fit > 0) || math.IsInf(fit, 1) {
+				t.Errorf("%d×%d %s: largest FIT %g, want positive and finite", shape[0], shape[1], st.name, fit)
+			}
 		}
+	}
+}
+
+// TestValidateDoesNoPhysics pins that admission is a field check: Validate
+// allocates nothing, even at the 4,096-bin bound, where planning the FIT
+// ledgers would bin both spectra.
+func TestValidateDoesNoPhysics(t *testing.T) {
+	cfg := FlowConfig{Vdd: 0.8, AlphaBins: 4096, ProtonBins: 4096}
+	var err error
+	if n := testing.AllocsPerRun(20, func() { _, err = cfg.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times per call, want 0", n)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -623,11 +668,15 @@ func TestResumeCheckpointRejectsConfigChange(t *testing.T) {
 
 // TestFlowFingerprintCoversPhysicsRevision pins that the strike-physics
 // revision enters the flow fingerprint and the worker count does not: the
-// CI interrupt-resume configuration no longer hashes to its digests from
-// before the inter-fin range lookup, from before the per-strike random
-// stream or from before the analytic FinFET Jacobian, a checkpoint stamped
-// with any of them is refused, and every worker count hashes alike.
+// CI interrupt-resume configuration hashes to its revision-3 digest, no
+// longer to its digests from before the inter-fin range lookup, from
+// before the per-strike random stream or from before the analytic FinFET
+// Jacobian, a checkpoint stamped with any of them is refused, and every
+// worker count hashes alike.
 func TestFlowFingerprintCoversPhysicsRevision(t *testing.T) {
+	// This configuration's digest under revision 3; it moves only with
+	// the fingerprint's fields or the revision.
+	const current = "4c0f91cb19c1e73b34c7a03ea0a9484d268886fc8b5d9921e198b943c21d9f80"
 	old := map[string]string{
 		"before the inter-fin range lookup":   "eb887a74b6c46009ca4dddc33bc472b390f6f11d60551d10fdbafbfd7639392e",
 		"before the per-strike stream":        "b9018e22b9c890574bc9b56cf2a8665f7454b9a54a99a98d5e9cccc92230232b",
@@ -638,6 +687,9 @@ func TestFlowFingerprintCoversPhysicsRevision(t *testing.T) {
 	fp, err := FlowFingerprint(cfg, vdds)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fp != current {
+		t.Errorf("fingerprint = %s, want %s", fp, current)
 	}
 	for _, workers := range []int{1, 8} {
 		c := cfg
@@ -656,6 +708,25 @@ func TestFlowFingerprintCoversPhysicsRevision(t *testing.T) {
 		}
 		if _, err := ResumeCheckpoint(path, cfg, vdds); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("resume of a checkpoint from %s: err = %v, want ErrCheckpointMismatch", name, err)
+		}
+	}
+}
+
+// TestFlowFingerprintValidatesVoltages checks that FlowFingerprint hashes
+// only a sweep that could run: an empty voltage list has no fingerprint,
+// and an invalid voltage is a *SweepError naming it, wrapping the
+// *ConfigError that names Vdd.
+func TestFlowFingerprintValidatesVoltages(t *testing.T) {
+	cfg := FlowConfig{Samples: 8, ItersPerBin: 500}
+	if fp, err := FlowFingerprint(cfg, nil); err == nil {
+		t.Errorf("empty voltage list hashed to %s", fp)
+	}
+	for _, bad := range []float64{1.7, -0.8} {
+		_, err := FlowFingerprint(cfg, []float64{0.8, bad})
+		var se *SweepError
+		var ce *ConfigError
+		if !errors.As(err, &se) || se.Vdd != bad || !errors.As(err, &ce) || ce.Field != "Vdd" {
+			t.Errorf("voltage %g: err = %v, want a *SweepError naming it, wrapping a *ConfigError naming Vdd", bad, err)
 		}
 	}
 }
