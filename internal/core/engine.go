@@ -376,11 +376,13 @@ func (e *Engine) chargeStrike(src *rng.Source, sp phys.Species, energyMeV float6
 // a sensitive fin keeps its full trace, since the energy it loses in
 // non-sensitive fins sets what it deposits in the sensitive ones.
 func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64, ray geom.Ray, yieldTab *lut.Table1D, last bool, scr *strikeScratch) (float64, error) {
-	// Broad phase: only fins of cells whose bounds the ray crosses.
-	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
+	// Broad phase: only fins of cells whose bounds the ray crosses. Both
+	// phases clip with the direction inverted once.
+	inv := ray.InvDir()
+	scr.candidate = appendCandidateFinsInv(e, ray, inv, scr.candidate[:0])
 	deps := scr.deps[:0]
 	if len(scr.candidate) > 0 { // else the ray misses the array
-		scr.hits = transport.Crossings(ray, e.boxes, scr.candidate, scr.hits[:0])
+		scr.hits = transport.CrossingsInv(ray, inv, e.boxes, scr.candidate, scr.hits[:0])
 		switch {
 		case last && !e.crossesSensitive(scr.hits):
 			// Geometry alone decides the track: it charges no cell. In
@@ -466,16 +468,16 @@ func (e *Engine) lookup(m sram.POFProvider, scr *strikeScratch) (strikeOutcome, 
 	return combinePOFs(scr.pofs, len(scr.touched)), nil
 }
 
-// appendCandidateFins appends the indices of fins in cells the ray can
-// reach to out and returns it. Cells tile a regular XY grid, so instead of
-// testing every cell's bounds the engine walks the ray's XY projection
-// through the grid (Amanatides–Woo traversal) — O(cells crossed), which
-// keeps large arrays fast. Fins are strictly inside their cell footprint
-// (a layout invariant), so the walk is exact; TestBroadPhaseComplete
-// cross-checks it against brute force. With a pre-grown out buffer the
-// walk is allocation-free.
-func appendCandidateFins(e *Engine, ray geom.Ray, out []int) []int {
-	tIn, tOut, ok := e.arr.Bounds().Intersect(ray)
+// appendCandidateFinsInv appends the indices of fins in cells the ray can
+// reach to out and returns it; inv is the ray's geom.Ray.InvDir. Cells
+// tile a regular XY grid, so instead of testing every cell's bounds the
+// engine walks the ray's XY projection through the grid (Amanatides–Woo
+// traversal) — O(cells crossed), which keeps large arrays fast. Fins are
+// strictly inside their cell footprint (a layout invariant), so the walk
+// is exact; TestBroadPhaseComplete cross-checks it against brute force.
+// With a pre-grown out buffer the walk is allocation-free.
+func appendCandidateFinsInv(e *Engine, ray geom.Ray, inv geom.Vec3, out []int) []int {
+	tIn, tOut, ok := e.arr.Bounds().IntersectInv(ray, inv)
 	if !ok {
 		return out
 	}

@@ -9,12 +9,19 @@ import (
 	"testing/quick"
 
 	"finser/internal/finfet"
+	"finser/internal/geom"
 	"finser/internal/neutron"
 	"finser/internal/phys"
 	"finser/internal/spectra"
 	"finser/internal/sram"
 	"finser/internal/transport"
 )
+
+// appendCandidateFins runs the broad phase on a ray alone, inverting its
+// direction itself.
+func appendCandidateFins(e *Engine, ray geom.Ray, out []int) []int {
+	return appendCandidateFinsInv(e, ray, ray.InvDir(), out)
+}
 
 // Shared fixtures: characterizations are the expensive part, so build them
 // once per test binary.

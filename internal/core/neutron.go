@@ -83,10 +83,11 @@ func (e *Engine) neutronCharge(rx *neutron.Reactions, src *rng.Source, energyMeV
 	// Silicon chords: the fins the track crosses, then the substrate slab's
 	// (Fin -1). The secondaries' tracks reuse scr.hits, so the chord list is
 	// used up before the first of them runs.
-	scr.candidate = appendCandidateFins(e, ray, scr.candidate[:0])
-	chords := transport.Crossings(ray, e.boxes, scr.candidate, scr.hits[:0])
+	inv := ray.InvDir()
+	scr.candidate = appendCandidateFinsInv(e, ray, inv, scr.candidate[:0])
+	chords := transport.CrossingsInv(ray, inv, e.boxes, scr.candidate, scr.hits[:0])
 	if e.hasSlab {
-		if tIn, tOut, hit := e.slab.Intersect(ray); hit && tOut > tIn {
+		if tIn, tOut, hit := e.slab.IntersectInv(ray, inv); hit && tOut > tIn {
 			chords = append(chords, transport.Crossing{Fin: -1, TIn: tIn, TOut: tOut})
 		}
 	}

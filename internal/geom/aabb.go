@@ -63,8 +63,13 @@ func (b AABB) Translate(d Vec3) AABB {
 // box (or only touches it behind the origin); tIn and tOut mean nothing
 // then. A ray starting inside the box yields tIn == 0.
 func (b AABB) Intersect(r Ray) (tIn, tOut float64, ok bool) {
+	return b.IntersectInv(r, r.InvDir())
+}
+
+// IntersectInv is Intersect for a ray whose InvDir is inv, for a caller
+// that clips one ray against several boxes and inverts its direction once.
+func (b AABB) IntersectInv(r Ray, inv Vec3) (tIn, tOut float64, ok bool) {
 	o, d := r.Origin, r.Dir
-	inv := Vec3{1 / d.X, 1 / d.Y, 1 / d.Z}
 	tIn, tOut, ok = Slab(b.Min.X, b.Max.X, o.X, d.X, inv.X, 0, math.Inf(1))
 	if ok {
 		tIn, tOut, ok = Slab(b.Min.Y, b.Max.Y, o.Y, d.Y, inv.Y, tIn, tOut)

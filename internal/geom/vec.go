@@ -70,3 +70,7 @@ type Ray struct {
 
 // At returns the point at parameter t along the ray.
 func (r Ray) At(t float64) Vec3 { return r.Origin.Add(r.Dir.Scale(t)) }
+
+// InvDir returns the reciprocals of the ray's direction components, the
+// form Slab takes.
+func (r Ray) InvDir() Vec3 { return Vec3{1 / r.Dir.X, 1 / r.Dir.Y, 1 / r.Dir.Z} }

@@ -10,9 +10,11 @@
 // once both storage nodes have settled near a stable state instead of
 // running the whole window. Characterization bisects I1 once and reuses it
 // for I3, whose transient is the same circuit, and guides every variation
-// sample's bisection with sample 0's critical charges. None of this
-// changes a critical charge: a bisected Qcrit depends only on the sequence
-// of flip/no-flip outcomes, and each shortcut keeps that sequence.
+// sample's bisection with a guess: a linear model of Qcrit in the six Vth
+// shifts once one is fitted (qcritfit.go), else sample 0's critical
+// charges. None of this changes a critical charge: a bisected Qcrit
+// depends only on the sequence of flip/no-flip outcomes, and each shortcut
+// keeps that sequence.
 //
 // Sensitive transistors. In hold mode with Q = 0 / QB = 1, three devices
 // are OFF with |Vds| = Vdd and therefore collect radiation charge (the
@@ -439,12 +441,41 @@ func buildPulse(shape PulseShape, charge, tau float64) circuit.Waveform {
 // the given axis that flips the cell. It returns +Inf when even hi cannot
 // flip the cell, and lo when lo already flips it.
 func (c *Cell) CriticalCharge(axis Axis, lo, hi float64, shape PulseShape) (float64, error) {
-	return c.criticalCharge(axis, lo, hi, shape, 0)
+	return c.criticalCharge(axis, lo, hi, shape, guess{})
 }
 
 // guessStep is the ratio of the first probe outward from a bisection's
 // guess; each further probe squares it (×/÷1.1, 1.21, 1.46, …).
 const guessStep = 1.1
+
+// A guess is where a critical-charge bisection starts probing: a charge q,
+// and whether it is a model's prediction (onGrid), probed at the ends of
+// the bisection's final interval around it, or another sample's critical
+// charge, probed outward from itself. The zero guess has none.
+type guess struct {
+	q      float64
+	onGrid bool
+}
+
+// logBisect halves (lo, hi] in log charge, keeping the half whose upper
+// end flips, until it is 1% wide, and returns that final interval. A
+// replay from a guess runs this same loop, so its midpoints are the
+// bisection's own floats.
+func logBisect(lo, hi float64, flips func(q float64) (bool, error)) (float64, float64, error) {
+	for math.Log(hi/lo) > 0.01 {
+		mid := math.Sqrt(lo * hi)
+		f, err := flips(mid)
+		if err != nil {
+			return 0, 0, err
+		}
+		if f {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo, hi, nil
+}
 
 // criticalCharge is CriticalCharge's log-bisection, optionally replayed
 // from a guess. Its flip oracle remembers the largest charge simulated
@@ -453,12 +484,20 @@ const guessStep = 1.1
 // assumes anyway. The bisection's probes, and so its result, are the same
 // whatever the oracle learned before it.
 //
-// A guess inside (lo, hi), such as another variation sample's critical
-// charge, is simulated first, followed by probes outward from it until the
-// outcome changes. That brackets the answer tightly, so most bisection
-// probes are answered without a simulation. Any other guess (0, +Inf)
-// makes exactly the plain bisection's simulations.
-func (c *Cell) criticalCharge(axis Axis, lo, hi float64, shape PulseShape, guess float64) (float64, error) {
+// A guess inside (lo, hi) brackets the answer before the bisection runs,
+// so most bisection probes are answered without a simulation:
+//   - a guess on the grid stands in for the critical charge in a replay of
+//     the bisection, and the two ends of the final interval it ends in are
+//     simulated. When the guess lies in the true final interval, those are
+//     the only simulations, and they are the plain bisection's own probes.
+//     When an end misses, the far end of the next interval past it is
+//     simulated, and should that miss too, probes go outward from there;
+//   - any other guess is simulated itself, and probes go outward from it
+//     until the outcome changes.
+//
+// A guess outside (lo, hi), or NaN, makes exactly the plain bisection's
+// simulations.
+func (c *Cell) criticalCharge(axis Axis, lo, hi float64, shape PulseShape, g guess) (float64, error) {
 	if lo <= 0 || hi <= lo {
 		return 0, fmt.Errorf("sram: need 0 < lo < hi, got %g, %g", lo, hi)
 	}
@@ -486,23 +525,66 @@ func (c *Cell) criticalCharge(axis Axis, lo, hi float64, shape PulseShape, guess
 		}
 		return r.Flipped, nil
 	}
-	if guess > lo && guess < hi {
-		guessFlips, err := flipAt(guess)
+	// outward probes from charge q, whose outcome flipped is known, until
+	// the outcome changes or a probe reaches the window's edge.
+	outward := func(q float64, flipped bool) error {
+		for step := guessStep; ; step *= step {
+			p := math.Min(q*step, hi)
+			if flipped {
+				p = math.Max(q/step, lo)
+			}
+			f, err := flipAt(p)
+			if err != nil || f != flipped || p == lo || p == hi {
+				return err
+			}
+		}
+	}
+	switch {
+	case !(g.q > lo && g.q < hi):
+	case g.onGrid:
+		// final is the bisection's final interval (l, h] when the critical
+		// charge is q.
+		final := func(q float64) (l, h float64) {
+			l, h, _ = logBisect(lo, hi, func(mid float64) (bool, error) { return mid >= q, nil })
+			return l, h
+		}
+		l, h := final(g.q)
+		hFlips, err := flipAt(h)
 		if err != nil {
 			return 0, err
 		}
-		for step := guessStep; ; step *= step {
-			q := math.Min(guess*step, hi)
-			if guessFlips {
-				q = math.Max(guess/step, lo)
-			}
+		lFlips, err := flipAt(l) // simulates nothing when h did not flip
+		if err != nil {
+			return 0, err
+		}
+		// A guess that misses mostly misses by one interval: simulate the
+		// far end of the next interval past the end that missed, and probe
+		// outward from it if it misses too.
+		settle := func(q float64, want bool) error {
 			f, err := flipAt(q)
-			if err != nil {
-				return 0, err
+			if err == nil && f != want {
+				err = outward(q, f)
 			}
-			if f != guessFlips || q == lo || q == hi {
-				break
-			}
+			return err
+		}
+		switch {
+		case !hFlips:
+			_, next := final(math.Nextafter(h, hi))
+			err = settle(next, true)
+		case lFlips:
+			next, _ := final(l)
+			err = settle(next, false)
+		}
+		if err != nil {
+			return 0, err
+		}
+	default:
+		f, err := flipAt(g.q)
+		if err == nil {
+			err = outward(g.q, f)
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
 	hiFlips, err := flipAt(hi)
@@ -519,18 +601,8 @@ func (c *Cell) criticalCharge(axis Axis, lo, hi float64, shape PulseShape, guess
 	if loFlips {
 		return lo, nil
 	}
-	// Log bisection to ~1% resolution.
-	for math.Log(hi/lo) > 0.01 {
-		mid := math.Sqrt(lo * hi)
-		f, err := flipAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if f {
-			hi = mid
-		} else {
-			lo = mid
-		}
+	if lo, hi, err = logBisect(lo, hi, flipAt); err != nil {
+		return 0, err
 	}
 	return math.Sqrt(lo * hi), nil
 }

@@ -99,10 +99,16 @@ const FaultSiteSample = "sram.sample"
 
 // CharacterizeCtx runs the process-variation Monte Carlo: for each
 // variation sample it builds the cell and bisects the critical charge of
-// each sensitive axis. Sample 0 runs first, on the caller's goroutine, and
-// guides the other samples' bisections, which then run in parallel on
-// min(cfg.Workers, Samples−1) goroutines with deterministic per-sample
-// random substreams; each sample writes its critical charges in place.
+// each sensitive axis. Samples run in batches of fixed indices, in
+// parallel on up to cfg.Workers goroutines within a batch, with
+// deterministic per-sample random substreams; each sample writes its
+// critical charges in place. Every bisection starts from a guess: a
+// least-squares model of Qcrit in the Vth shifts, fitted before each batch
+// to the samples of earlier batches and of earlier characterizations in
+// the process at the same technology, Vdd, pulse shape and base shifts
+// (fitTable), or, while no model has enough samples, sample 0's critical
+// charges. A guess chooses which probes are simulated, never a result, so
+// what the table holds moves the sram.flip_sims count and no bit.
 // Workers check ctx before every variation sample, and a panic inside a
 // sample — solver bug or injected fault — is recovered into a
 // stack-carrying error that fails the characterization instead of the
@@ -134,10 +140,30 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 	for a := range ch.Axis {
 		ch.Axis[a] = make([]float64, cfg.Samples)
 	}
+	// Each batch's guesses come from the key's table equations and the
+	// samples of earlier batches; own holds the latter.
+	key := fitKey{tech: cfg.Tech, vdd: cfg.Vdd, shape: cfg.Shape, base: cfg.BaseShifts}
+	table := fits.get(key)
+	var own [numFitAxes]normalEq
+	var model [numFitAxes]struct {
+		c  [numCoef]float64
+		ok bool
+	}
+	// guessFor is sample idx's guess on bisected axis a: the batch's model
+	// on the grid when there is one, else sample 0's critical charge.
+	guessFor := func(idx int, a Axis) guess {
+		if m := model[a]; m.ok {
+			return guess{q: predict(m.c, regressors(shifts[idx], cfg.BaseShifts)), onGrid: true}
+		}
+		if idx == 0 {
+			return guess{}
+		}
+		return guess{q: ch.Axis[a][0]}
+	}
 	// sample characterizes variation sample idx with panic isolation,
-	// bisecting each axis from the guess for it (0 for none) and writing
-	// the critical charge to ch.Axis.
-	sample := func(idx int, guess [NumAxes]float64) (err error) {
+	// bisecting each axis from its guess and writing the critical charge to
+	// ch.Axis.
+	sample := func(idx int) (err error) {
 		defer faultinject.Recover("sram.worker", &err)
 		if err := ctx.Err(); err != nil {
 			return err
@@ -160,7 +186,7 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 				// that ideal DC sources pin at Vdd, so their transients are
 				// the same circuit and I3 inherits I1's critical charge.
 				q = ch.Axis[AxisI1][idx]
-			} else if q, err = cell.criticalCharge(a, chargeLo, chargeHi, cfg.Shape, guess[a]); err != nil {
+			} else if q, err = cell.criticalCharge(a, chargeLo, chargeHi, cfg.Shape, guessFor(idx, a)); err != nil {
 				return err
 			}
 			// +Inf is the legal "unflippable at any charge" sentinel; NaN or
@@ -176,43 +202,53 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 	}
 	errs := make([]error, cfg.Samples)
 	tracker := obs.NewTracker(cfg.Progress, "characterize", int64(cfg.Samples), 0)
-	run := func(idx int, guess [NumAxes]float64) {
-		errs[idx] = sample(idx, guess)
-		if m := cfg.Metrics; m != nil {
-			m.VariationSamples.Inc()
-		}
-		tracker.Add(1)
-	}
 
-	// Sample 0 runs alone, and its critical charges guide every other
-	// sample's bisection. A guess changes which probes are simulated, never
-	// a result, and it depends on sample 0 alone, so neither depends on
-	// Workers.
-	run(0, [NumAxes]float64{})
-	if err := errs[0]; err != nil && !isCtxErr(err) {
-		// Sample 0 is the lowest index, so its own failure is the report
-		// whatever the other samples would do: none of them runs.
-		tracker.Finish()
-		return nil, fmt.Errorf("sram: sample 0: %w", err)
-	}
-	var guess [NumAxes]float64
-	if errs[0] == nil {
-		for a := range guess {
-			guess[a] = ch.Axis[a][0]
+	// Samples run in batches at fixed indices, [0, 1), [1, 8), [8, 16),
+	// [16, 32), …, each on min(cfg.Workers, its size) goroutines, and the
+	// models are refitted before each batch, so no guess depends on
+	// Workers. A batch in which a sample failed on its own is the last to
+	// run: later batches hold only higher indices.
+	for start, end := 0, 1; start < cfg.Samples && ctx.Err() == nil; start, end = end, max(8, 2*end) {
+		end = min(end, cfg.Samples)
+		for i := range model {
+			eqs := table[i]
+			eqs.merge(&own[i])
+			model[i].c, model[i].ok = eqs.solve()
+		}
+		var next atomic.Int64 // the last sample index handed out
+		next.Store(int64(start - 1))
+		var wg sync.WaitGroup
+		for w := 0; w < min(cfg.Workers, end-start); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for idx := int(next.Add(1)); idx < end && ctx.Err() == nil; idx = int(next.Add(1)) {
+					errs[idx] = sample(idx)
+					if m := cfg.Metrics; m != nil {
+						m.VariationSamples.Inc()
+					}
+					tracker.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		failed := false
+		for idx := start; idx < end; idx++ {
+			if errs[idx] != nil {
+				failed = failed || !isCtxErr(errs[idx])
+				continue
+			}
+			x := regressors(shifts[idx], cfg.BaseShifts)
+			for a := range own {
+				if q := ch.Axis[a][idx]; !math.IsInf(q, 1) {
+					own[a].add(x, q)
+				}
+			}
+		}
+		if failed {
+			break
 		}
 	}
-	var next atomic.Int64 // the last sample index handed out
-	var wg sync.WaitGroup
-	for w := 0; w < min(cfg.Workers, cfg.Samples-1); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := int(next.Add(1)); idx < cfg.Samples && ctx.Err() == nil; idx = int(next.Add(1)) {
-				run(idx, guess)
-			}
-		}()
-	}
-	wg.Wait()
 	tracker.Finish()
 
 	for idx, err := range errs {
@@ -233,6 +269,7 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 	if err := ch.finish(); err != nil {
 		return nil, err
 	}
+	fits.add(key, &own)
 	return ch, nil
 }
 

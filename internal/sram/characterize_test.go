@@ -11,6 +11,7 @@ import (
 	"finser/internal/circuit"
 	"finser/internal/deck"
 	"finser/internal/faultinject"
+	"finser/internal/finfet"
 	"finser/internal/obs"
 )
 
@@ -62,22 +63,66 @@ func scaled(dir [NumAxes]float64, s float64) [NumAxes]float64 {
 	return dir
 }
 
+// isolatedTech is the default card renamed for the test: the cells are the
+// same, but the card is a model-table key no other test characterizes at.
+func isolatedTech(t *testing.T) finfet.Technology {
+	tc := tech()
+	tc.Name = t.Name()
+	return tc
+}
+
+// characterizeProbes characterizes cfg and returns the result with its
+// simulated probes per critical charge.
+func characterizeProbes(t *testing.T, cfg CharConfig) (*Characterization, float64) {
+	t.Helper()
+	m := NewMetrics(obs.NewRegistry())
+	cfg.Metrics = m
+	ch, err := CharacterizeCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch, float64(m.BisectionSteps.Value()) / float64(3*m.VariationSamples.Value())
+}
+
+// sameQcrits fails the test unless two characterizations hold the same
+// critical charges to the bit.
+func sameQcrits(t *testing.T, what string, got, want *Characterization) {
+	t.Helper()
+	for a := range want.Axis {
+		for i, q := range want.Axis[a] {
+			if g := got.Axis[a][i]; math.Float64bits(g) != math.Float64bits(q) {
+				t.Errorf("%s: sample %d axis %v: Qcrit %v, want %v", what, i, Axis(a), g, q)
+			}
+		}
+	}
+}
+
 // TestCharacterizeMatchesFullWindowBisection pins the characterization to
 // the bit. Settled exits, I3 inherited from I1 and bisections guided by
-// sample 0 all leave every critical charge equal to a plain log-bisection
-// over full-window transients, and I3 bisected directly equals I1.
+// sample 0 or by the linear model all leave every critical charge equal to
+// a plain log-bisection over full-window transients, and I3 bisected
+// directly equals I1. Each case characterizes twice: on a cold table,
+// where sample 0 guides the first batch and refits the later ones, and
+// after a warm-up characterization at the same key with another seed,
+// where the model guesses every sample, sample 0 included, and probes the
+// ends of the bisection's final interval.
 func TestCharacterizeMatchesFullWindowBisection(t *testing.T) {
 	for _, vdd := range []float64{0.7, 0.9, 1.1} {
 		for _, seed := range []uint64{7, 2024} {
 			t.Run(fmt.Sprintf("vdd=%v/seed=%d", vdd, seed), func(t *testing.T) {
 				t.Parallel()
-				cfg := CharConfig{Tech: tech(), Vdd: vdd, ProcessVariation: true, Samples: 40, Seed: seed, Workers: 1}.withDefaults()
-				ch, err := CharacterizeCtx(context.Background(), cfg)
-				if err != nil {
-					t.Fatal(err)
+				cfg := CharConfig{Tech: isolatedTech(t), Vdd: vdd, ProcessVariation: true, Samples: 40, Seed: seed, Workers: 1}.withDefaults()
+				cold, coldProbes := characterizeProbes(t, cfg)
+				warmUp := cfg
+				warmUp.Seed = seed + 1
+				characterizeProbes(t, warmUp)
+				warm, warmProbes := characterizeProbes(t, cfg)
+				if warmProbes > 1.6 || warmProbes >= coldProbes {
+					t.Errorf("%.2f simulated probes per Qcrit warm, %.2f cold: the model did not guess", warmProbes, coldProbes)
 				}
+				sameQcrits(t, "warm table", warm, cold)
 				for i := 0; i < cfg.Samples; i++ {
-					cell := mustCell(t, vdd, ch.Shifts[i])
+					cell := mustCell(t, vdd, cold.Shifts[i])
 					for a := AxisI1; a < NumAxes; a++ {
 						want, err := bisectScale(chargeLo, chargeHi, 0.01, func(q float64) (bool, error) {
 							return cell.fullWindowFlips(chargeOn(a, q), cfg.Shape)
@@ -85,7 +130,7 @@ func TestCharacterizeMatchesFullWindowBisection(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got := ch.Axis[a][i]; math.Float64bits(got) != math.Float64bits(want) {
+						if got := cold.Axis[a][i]; math.Float64bits(got) != math.Float64bits(want) {
 							t.Errorf("sample %d axis %v: Qcrit %v, full-window bisection %v", i, a, got, want)
 						}
 					}
@@ -286,32 +331,81 @@ func TestCriticalChargePlainProbes(t *testing.T) {
 	}
 }
 
-// TestCharacterizeWorkBudget bounds the circuit work behind a
-// characterization. The counts repeat exactly, so the budget is as
-// deterministic as an allocation count: at most 6 simulated probes per
-// critical charge, and per strike transient at most 40 accepted steps and
-// 130 Newton iterations. Each cell's pre-strike prefix counts once.
-func TestCharacterizeWorkBudget(t *testing.T) {
+// TestGridGuessProbes checks a model guess's probes on the nominal cell:
+// a guess inside the true final interval simulates its two ends and
+// nothing else, one an interval low or high simulates 2 or 3 charges, and
+// guesses further off fall back to outward probes. Every result equals
+// the plain bisection's to the bit.
+func TestGridGuessProbes(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
-	_, err := CharacterizeCtx(context.Background(), CharConfig{
-		Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 40, Seed: 11, Metrics: m,
-	})
-	if err != nil {
+	for _, a := range []Axis{AxisI1, AxisI2} {
+		plain, err := mustCell(t, 0.8, VthShifts{}).CriticalCharge(a, chargeLo, chargeHi, ShapeRect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The plain bisection returns its final interval's geometric
+		// centre, and the interval is 0.53% wide in log charge.
+		for _, c := range []struct {
+			scale float64
+			sims  int64 // 0: more than 3
+		}{{1, 2}, {1.001, 2}, {0.999, 2}, {1.004, 3}, {0.996, 2}, {1.05, 0}, {0.95, 0}, {10, 0}, {0.1, 0}} {
+			cell := mustCell(t, 0.8, VthShifts{})
+			cell.SetMetrics(m)
+			before := m.BisectionSteps.Value()
+			got, err := cell.criticalCharge(a, chargeLo, chargeHi, ShapeRect, guess{q: plain * c.scale, onGrid: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := m.BisectionSteps.Value() - before
+			if math.Float64bits(got) != math.Float64bits(plain) {
+				t.Errorf("axis %v, guess ×%v: Qcrit %v, plain bisection %v", a, c.scale, got, plain)
+			}
+			if (c.sims != 0 && n != c.sims) || (c.sims == 0 && n <= 3) {
+				t.Errorf("axis %v, guess ×%v: %d simulated probes, want %d (0: more than 3)", a, c.scale, n, c.sims)
+			}
+		}
+	}
+}
+
+// TestCharacterizeWorkBudget bounds the circuit work behind a
+// characterization. The counts repeat exactly for a given table, so the
+// budget is as deterministic as an allocation count. On a cold table: at
+// most 2.4 simulated probes per critical charge, and per strike transient
+// at most 40 accepted steps and 130 Newton iterations; each cell's
+// pre-strike prefix counts once. After a warm-up characterization at the
+// same key: at most 1.5 probes per critical charge.
+func TestCharacterizeWorkBudget(t *testing.T) {
+	resetFits()
+	cfg := CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 40, Seed: 11}
+	m := NewMetrics(obs.NewRegistry())
+	cfg.Metrics = m
+	if _, err := CharacterizeCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	probes := float64(m.BisectionSteps.Value()) / float64(3*m.VariationSamples.Value())
 	sims := float64(m.FlipSims.Value())
 	steps := float64(m.Solver.TransientSteps.Value()) / sims
 	iters := float64(m.Solver.NewtonIters.Value()) / sims
-	t.Logf("%.2f simulated probes per Qcrit, %.1f accepted steps and %.1f Newton iterations per flip sim", probes, steps, iters)
-	if probes > 6 {
-		t.Errorf("%.2f simulated probes per Qcrit, budget 6", probes)
+	t.Logf("cold: %.2f simulated probes per Qcrit, %.1f accepted steps and %.1f Newton iterations per flip sim", probes, steps, iters)
+	if probes > 2.4 {
+		t.Errorf("cold: %.2f simulated probes per Qcrit, budget 2.4", probes)
 	}
 	if steps > 40 {
-		t.Errorf("%.1f accepted steps per flip sim, budget 40", steps)
+		t.Errorf("cold: %.1f accepted steps per flip sim, budget 40", steps)
 	}
 	if iters > 130 {
-		t.Errorf("%.1f Newton iterations per flip sim, budget 130", iters)
+		t.Errorf("cold: %.1f Newton iterations per flip sim, budget 130", iters)
+	}
+
+	warmUp := cfg
+	warmUp.Seed, warmUp.Metrics = 12, nil
+	if _, err := CharacterizeCtx(context.Background(), warmUp); err != nil {
+		t.Fatal(err)
+	}
+	_, warm := characterizeProbes(t, cfg)
+	t.Logf("warm: %.2f simulated probes per Qcrit", warm)
+	if warm > 1.5 {
+		t.Errorf("warm: %.2f simulated probes per Qcrit, budget 1.5", warm)
 	}
 }
 

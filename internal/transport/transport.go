@@ -169,8 +169,13 @@ type Crossing struct {
 // Intersect's, but inverts the ray's direction once, not once per box;
 // a box is dropped at the first of its slabs the ray misses.
 func Crossings(ray geom.Ray, boxes []geom.AABB, idx []int, out []Crossing) []Crossing {
+	return CrossingsInv(ray, ray.InvDir(), boxes, idx, out)
+}
+
+// CrossingsInv is Crossings for a ray whose geom.Ray.InvDir is inv, for a
+// strike whose broad phase has already inverted the ray's direction.
+func CrossingsInv(ray geom.Ray, inv geom.Vec3, boxes []geom.AABB, idx []int, out []Crossing) []Crossing {
 	o, d := ray.Origin, ray.Dir
-	inv := geom.V(1/d.X, 1/d.Y, 1/d.Z)
 	for _, fi := range idx {
 		b := &boxes[fi]
 		tIn, tOut, ok := geom.Slab(b.Min.X, b.Max.X, o.X, d.X, inv.X, 0, math.Inf(1))
