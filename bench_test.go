@@ -371,18 +371,21 @@ func BenchmarkArrayMCThroughput(b *testing.B) {
 }
 
 // BenchmarkObsOverhead guards the observability layer's cost: it runs the
-// same array-MC batch with metrics fully enabled (registry + counters +
-// multiplicity histogram + worker timing) and reports throughput plus the
-// instrumented/uninstrumented ratio. The design target is < 2% overhead
-// enabled and ~0% disabled (the nil-receiver no-op path).
+// same array-MC batch with metrics fully enabled, wired as the flow wires
+// them (one registry behind the engine counters, the multiplicity
+// histogram, worker timing and the transport counters), and reports
+// throughput plus the instrumented/uninstrumented ratio. The design target
+// is < 2% overhead enabled and ~0% disabled (the nil-receiver no-op path).
 func BenchmarkObsOverhead(b *testing.B) {
 	chars := benchFixtures(b)
 	const batch = 2000
-	run := func(b *testing.B, m *EngineMetrics) float64 {
+	run := func(b *testing.B, reg *Metrics) float64 {
+		tc := DefaultTransport()
+		tc.Metrics = NewTransportMetrics(reg)
 		e, err := NewEngine(EngineConfig{
 			Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-			Transport: DefaultTransport(),
-			Metrics:   m,
+			Transport: tc,
+			Metrics:   NewEngineMetrics(reg),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -397,7 +400,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	var off, on float64
 	b.Run("disabled", func(b *testing.B) { off = run(b, nil) })
-	b.Run("enabled", func(b *testing.B) { on = run(b, NewEngineMetrics(NewMetrics())) })
+	b.Run("enabled", func(b *testing.B) { on = run(b, NewMetrics()) })
 	if off > 0 && on > 0 {
 		b.Logf("obs overhead: %.2f%% (disabled %.0f strikes/s, enabled %.0f strikes/s)",
 			100*(off-on)/off, off, on)

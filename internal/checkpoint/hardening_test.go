@@ -22,6 +22,10 @@ func TestCorruptCheckpointTyped(t *testing.T) {
 		{"wrong type", `[1,2,3]`},
 		{"future version", `{"version":99,"config_hash":"h","stages":{}}`},
 		{"empty file", ``},
+		{"torn header", `{"version":2,"config_hash":"h"}`},
+		{"corrupt middle record", "{\"version\":2,\"config_hash\":\"h\"}\n" +
+			`{"stage":"a","state":1}` + "\n" + `{"stage":"b","sta` + "\n" + `{"stage":"c","state":3}` + "\n"},
+		{"version 3", "{\"version\":3,\"config_hash\":\"h\"}\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -388,7 +388,7 @@ func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64
 			// Geometry alone decides the track: it charges no cell. In
 			// transport mode it still counts as a ray with its crossings.
 			if yieldTab == nil {
-				e.cfg.Transport.Metrics.CountRay(len(scr.hits))
+				scr.tally.countRay(len(scr.hits), 0)
 			}
 		case yieldTab != nil:
 			// Paper-style: every crossed fin receives the mean yield at this
@@ -399,6 +399,9 @@ func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64
 			}
 		default:
 			deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, scr.hits, src, deps)
+			if energyMeV > 0 { // else TraceAppend traced nothing
+				scr.tally.countRay(len(scr.hits), len(deps))
+			}
 		}
 	}
 	scr.deps = deps

@@ -9,7 +9,6 @@ import (
 
 	"finser/internal/finfet"
 	"finser/internal/neutron"
-	"finser/internal/obs"
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/sram"
@@ -133,8 +132,8 @@ func TestSubstrateSlabGeometry(t *testing.T) {
 // deposit modes, each keyed strike charges the same cells with the same
 // charge bits through the kernel as through the full trace, and some
 // strikes of each combination take the exit. Each strike also adds the
-// same rays and fin intersections to the transport counters both ways, so
-// their per-ray ratios keep their meaning. Both paths read the engine's
+// same rays and fin intersections to the worker's tally both ways, so the
+// transport counters' per-ray ratios keep their meaning. Both paths read the engine's
 // per-fin targets, so those are checked against the pattern's stored bits
 // first.
 func TestGeometryExitMatchesFullTrace(t *testing.T) {
@@ -142,17 +141,12 @@ func TestGeometryExitMatchesFullTrace(t *testing.T) {
 	const strikes, seed = 1500, 7
 	for _, pat := range []DataPattern{PatternZeros, PatternOnes, PatternCheckerboard} {
 		for _, mode := range []DepositMode{DepositTransport, DepositLUT} {
-			tc := transport.DefaultConfig()
-			tc.Metrics = transport.NewMetrics(obs.NewRegistry())
 			e, err := New(Config{
 				Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-				Transport: tc, Deposits: mode, Pattern: pat, LUTIters: 2000,
+				Transport: transport.DefaultConfig(), Deposits: mode, Pattern: pat, LUTIters: 2000,
 			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			counts := func() (rays, fins int64) {
-				return tc.Metrics.RaysTraced.Value(), tc.Metrics.FinIntersections.Value()
 			}
 			for i, f := range e.arr.Fins() {
 				axis, sensitive := sram.SensitiveAxisForRole(f.Role, pat.Bit(f.Row, f.Col))
@@ -176,20 +170,17 @@ func TestGeometryExitMatchesFullTrace(t *testing.T) {
 				for _, energy := range []float64{0.3, 2, 20} {
 					exits, charged := 0, 0
 					for i := uint64(0); i < strikes; i++ {
-						rays0, fins0 := counts()
 						src.Reset(seed, i)
 						if _, err := k.charge(&src, energy, exit); err != nil {
 							t.Fatal(err)
 						}
-						rays1, fins1 := counts()
 						src.Reset(seed, i)
 						if err := e.chargeStrike(&src, sp, energy, e.sampleRay(&src, sp), yieldTab, false, full); err != nil {
 							t.Fatal(err)
 						}
-						rays2, fins2 := counts()
-						if rays1-rays0 != rays2-rays1 || fins1-fins0 != fins2-fins1 {
-							t.Fatalf("%v %v %v @%g MeV strike %d: kernel counts %d rays, %d fins; full trace %d, %d",
-								pat, mode, sp, energy, i, rays1-rays0, fins1-fins0, rays2-rays1, fins2-fins1)
+						if exit.tally.rays != full.tally.rays || exit.tally.crossings != full.tally.crossings {
+							t.Fatalf("%v %v %v @%g MeV strike %d: kernel has counted %d rays, %d fins; full trace %d, %d",
+								pat, mode, sp, energy, i, exit.tally.rays, exit.tally.crossings, full.tally.rays, full.tally.crossings)
 						}
 						same := slices.Equal(exit.touched, full.touched)
 						for _, ci := range full.touched {

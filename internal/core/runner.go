@@ -145,9 +145,7 @@ func fanOut[A any](ctx context.Context, e *Engine, from, to int, seed uint64, ne
 					}
 					if struck > 0 {
 						h++
-						if m != nil {
-							m.StruckCellMultiplicity.Observe(float64(struck))
-						}
+						scr.tally.countStruck(struck)
 					}
 				}
 				accs[c] = acc

@@ -37,6 +37,32 @@ type strikeScratch struct {
 	// order, and their cells (lookup).
 	pofs     []float64
 	pofCells []int
+
+	tally strikeTally
+}
+
+// strikeTally counts a worker's strikes in plain integers: the transport
+// counters' rays, crossings and deposited segments, and struck[k], the
+// strikes that charged k cells. putScratch adds it to the registry once,
+// so no strike adds atomically to counters every concurrent job shares.
+type strikeTally struct {
+	rays, crossings, segments int64
+	struck                    []int64
+}
+
+// countRay tallies one counted track with its crossings and deposits.
+func (t *strikeTally) countRay(crossings, segments int) {
+	t.rays++
+	t.crossings += int64(crossings)
+	t.segments += int64(segments)
+}
+
+// countStruck tallies one strike that charged cells cells (> 0).
+func (t *strikeTally) countStruck(cells int) {
+	if cells >= len(t.struck) {
+		t.struck = append(t.struck, make([]int64, cells+1-len(t.struck))...)
+	}
+	t.struck[cells]++
 }
 
 // newStrikeScratch sizes the dense accumulator for an nCells array.
@@ -52,8 +78,22 @@ func (e *Engine) getScratch() *strikeScratch {
 	return e.scratch.Get().(*strikeScratch)
 }
 
-// putScratch returns a scratch to the pool for the next worker.
-func (e *Engine) putScratch(s *strikeScratch) { e.scratch.Put(s) }
+// putScratch adds the scratch's tally to the engine's and transport's
+// metrics, clears it, and returns the scratch to the pool for the next
+// worker. Every scratch user returns it before its estimate returns, so
+// the registry's counters are whole once an estimate is.
+func (e *Engine) putScratch(s *strikeScratch) {
+	t := &s.tally
+	e.cfg.Transport.Metrics.Add(t.rays, t.crossings, t.segments)
+	if m := e.cfg.Metrics; m != nil {
+		for cells, n := range t.struck {
+			m.StruckCellMultiplicity.ObserveN(float64(cells), n)
+		}
+	}
+	clear(t.struck)
+	t.rays, t.crossings, t.segments = 0, 0, 0
+	e.scratch.Put(s)
+}
 
 // beginCells resets the per-cell charge accumulator for a new particle.
 func (s *strikeScratch) beginCells() {

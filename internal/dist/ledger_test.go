@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -91,7 +90,7 @@ func TestRestoreRejectsInvalidBins(t *testing.T) {
 	const stage = "vdd0.7/fit/alpha"
 	for name, corrupt := range invalidPoints {
 		bad := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".ck.json")
-		corruptBin0(t, good, bad, stage, corrupt)
+		corruptBin0(t, flow, good, bad, stage, corrupt)
 		for _, mode := range []finser.GuardMode{finser.GuardOff, finser.GuardWarn, finser.GuardStrict} {
 			cfg := resumed(t, flow, bad)
 			cfg.Guard = mode
@@ -114,38 +113,42 @@ func TestRestoreRejectsInvalidBins(t *testing.T) {
 	}
 }
 
-// corruptBin0 copies the checkpoint at src to dst with stage's bin 0
-// passed through corrupt.
-func corruptBin0(t *testing.T, src, dst, stage string, corrupt func(*finser.POFPoint)) {
+// corruptBin0 copies flow's checkpoint at src to dst with stage's bin 0
+// passed through corrupt, reading and writing both through the store.
+func corruptBin0(t *testing.T, flow finser.FlowConfig, src, dst, stage string, corrupt func(*finser.POFPoint)) {
 	t.Helper()
-	b, err := os.ReadFile(src)
+	vdds := []float64{flow.Vdd}
+	in, err := finser.ResumeCheckpoint(src, flow, vdds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file map[string]json.RawMessage
-	var stages map[string]map[string]json.RawMessage
-	var pts []*finser.POFPoint
-	if err := json.Unmarshal(b, &file); err != nil {
+	out, err := finser.CreateCheckpoint(dst, flow, vdds)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(file["stages"], &stages); err != nil {
-		t.Fatal(err)
+	found := false
+	for _, name := range in.Stages() {
+		var state map[string]json.RawMessage
+		if _, err := in.Load(name, &state); err != nil {
+			t.Fatal(err)
+		}
+		if name == stage {
+			var pts []*finser.POFPoint
+			if err := json.Unmarshal(state["points"], &pts); err != nil || len(pts) == 0 {
+				t.Fatalf("stage %s holds no points: %v", stage, err)
+			}
+			corrupt(pts[0])
+			if state["points"], err = json.Marshal(pts); err != nil {
+				t.Fatal(err)
+			}
+			found = true
+		}
+		if err := out.Save(name, state); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := json.Unmarshal(stages[stage]["points"], &pts); err != nil || len(pts) == 0 {
-		t.Fatalf("stage %s holds no points: %v", stage, err)
-	}
-	corrupt(pts[0])
-	if stages[stage]["points"], err = json.Marshal(pts); err != nil {
-		t.Fatal(err)
-	}
-	if file["stages"], err = json.Marshal(stages); err != nil {
-		t.Fatal(err)
-	}
-	if b, err = json.Marshal(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, b, 0o644); err != nil {
-		t.Fatal(err)
+	if !found {
+		t.Fatalf("checkpoint %s holds no stage %s", src, stage)
 	}
 }
 

@@ -123,8 +123,15 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // Observe records one value. No-op on a nil receiver.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v in one batch, for a caller that
+// tallies its observations in plain integers and adds them once. The sum
+// gains v·n in one addition, which is bit for bit n additions of v
+// whenever those are exact, as they are for the integer values a count
+// observes. No-op on a nil receiver or for n ≤ 0.
+func (h *Histogram) ObserveN(v float64, n int64) {
+	if h == nil || n <= 0 {
 		return
 	}
 	// Buckets are few (≤ ~30); linear scan beats binary search overhead.
@@ -132,9 +139,9 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	atomicAddFloat(&h.sumBits, v)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	atomicAddFloat(&h.sumBits, v*float64(n))
 	atomicMinFloat(&h.minBits, v)
 	atomicMaxFloat(&h.maxBits, v)
 }

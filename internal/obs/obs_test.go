@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +72,27 @@ func TestHistogramConcurrent(t *testing.T) {
 	if hs.Min != 0.5 || hs.Max != 9 {
 		t.Fatalf("min/max = %g/%g, want 0.5/9", hs.Min, hs.Max)
 	}
+}
+
+// TestHistogramObserveN: a batch of n integer-valued observations leaves
+// the histogram bit for bit as n single observations would, in any order,
+// and n ≤ 0 records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	one, batch := NewHistogram(LinearBuckets(1, 1, 8)), NewHistogram(LinearBuckets(1, 1, 8))
+	tally := map[float64]int64{1: 70001, 2: 9000, 3: 811, 5: 7, 9: 2, 14: 1}
+	for v, n := range tally {
+		for i := int64(0); i < n; i++ {
+			one.Observe(v)
+		}
+		batch.ObserveN(v, n)
+	}
+	batch.ObserveN(100, 0)
+	batch.ObserveN(-100, -3)
+	if a, b := snapshotHistogram(one), snapshotHistogram(batch); !reflect.DeepEqual(a, b) {
+		t.Fatalf("ObserveN = %+v, want %+v", b, a)
+	}
+	var nilHist *Histogram
+	nilHist.ObserveN(1, 5)
 }
 
 func TestGauge(t *testing.T) {

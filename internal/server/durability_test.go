@@ -494,6 +494,33 @@ func TestIdempotentSubmission(t *testing.T) {
 	}
 }
 
+// TestStartRemovesCheckpointTemps: a crash between a checkpoint's temp
+// write and its rename leaves a temp file that no job owns; Start deletes
+// it before any job runs and leaves the job checkpoints alone.
+func TestStartRemovesCheckpointTemps(t *testing.T) {
+	dir := t.TempDir()
+	ckDir := filepath.Join(dir, "checkpoints")
+	if err := os.MkdirAll(ckDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(ckDir, ".checkpoint-1234567")
+	kept := filepath.Join(ckDir, "ser-0123456789abcdef.ck.json")
+	for _, path := range []string{orphan, kept} {
+		if err := os.WriteFile(path, []byte(`{"version":2,"config_hash":"h"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _ := durableServer(t, Config{Workers: 1}, dir)
+	s.Start()
+	defer s.Drain(context.Background())
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("orphaned temp file survived Start: %v", err)
+	}
+	if _, err := os.Stat(kept); err != nil {
+		t.Errorf("job checkpoint removed: %v", err)
+	}
+}
+
 // TestJobTTLEvictionAndCheckpointGC checks retention: terminal jobs older
 // than JobTTL leave the registry, their orphaned checkpoint files are
 // garbage-collected, the evictions are counted and journaled, and a

@@ -575,6 +575,24 @@ func (s *Server) evictExpired(now time.Time) int {
 	return len(evicted)
 }
 
+// removeCheckpointTemps deletes the temp files that a crash between a
+// checkpoint's whole-file write and its rename leaves in CheckpointDir.
+// No job owns one, so the TTL sweep, which deletes only job checkpoints,
+// would never collect it. It runs before any job, when no write is in
+// flight.
+func (s *Server) removeCheckpointTemps() {
+	if s.cfg.CheckpointDir == "" {
+		return
+	}
+	// Glob fails only on a malformed pattern, and this one is constant.
+	temps, _ := filepath.Glob(filepath.Join(s.cfg.CheckpointDir, checkpoint.TempPattern))
+	for _, path := range temps {
+		if err := os.Remove(path); err != nil && s.cfg.Logger != nil {
+			s.cfg.Logger.Warn("checkpoint temp file not removed", "error", err.Error())
+		}
+	}
+}
+
 // checkpointPath returns the fingerprint-keyed checkpoint file for fp, or
 // "" when checkpointing is off or the fingerprint is unusable.
 func (s *Server) checkpointPath(fp string) string {
@@ -615,8 +633,10 @@ func (s *Server) rotateJournal() {
 }
 
 // Start launches the worker pool (and, with JobTTL set, the retention
-// sweeper). Call once, after any Recover.
+// sweeper), first deleting any checkpoint temp files a crash left behind.
+// Call once, after any Recover.
 func (s *Server) Start() {
+	s.removeCheckpointTemps()
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go func() {

@@ -55,12 +55,14 @@ const (
 	collectionEfficiency = 1
 )
 
-// Metrics is the transport layer's observability hook.
+// Metrics is the transport layer's observability hook. TraceAppend counts
+// nothing itself: its callers count their tracks and add them with Add,
+// as often as suits them (the array engine once per worker and estimate).
 type Metrics struct {
 	// RaysTraced counts the particle tracks transport resolves, one per
-	// TraceAppend call. A caller that decides a track by geometry alone and
-	// never traces it counts it too, with CountRay, so this keeps counting
-	// every track that reaches the narrow phase.
+	// TraceAppend call at a positive energy. A caller that decides a track
+	// by geometry alone and never traces it counts it too, so this keeps
+	// counting every track that reaches the narrow phase.
 	RaysTraced *obs.Counter
 	// FinIntersections counts fin boxes the counted rays crossed.
 	FinIntersections *obs.Counter
@@ -82,14 +84,13 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// CountRay counts one track that crossed the given number of fins.
-// TraceAppend counts each track it traces; a caller that decides a track
-// by geometry alone, without tracing it, calls CountRay itself, and such a
-// track deposits no segment. Nil-safe.
-func (m *Metrics) CountRay(crossings int) {
+// Add adds rays counted tracks, the crossings they made and the segments
+// they deposited. Nil-safe.
+func (m *Metrics) Add(rays, crossings, segments int64) {
 	if m != nil {
-		m.RaysTraced.Inc()
-		m.FinIntersections.Add(int64(crossings))
+		m.RaysTraced.Add(rays)
+		m.FinIntersections.Add(crossings)
+		m.SegmentsDeposited.Add(segments)
 	}
 }
 
@@ -198,7 +199,9 @@ func CrossingsInv(ray geom.Ray, inv geom.Vec3, boxes []geom.AABB, idx []int, out
 // It sorts hits by entry in place. The particle's kinetic energy is
 // depleted as it travels; a track that ranges out stops depositing. src
 // supplies the fluctuation randomness and may be nil when both fluctuation
-// options are off. With pre-grown buffers the call does not allocate.
+// options are off. With pre-grown buffers the call does not allocate. It
+// counts nothing: at a positive energy the caller counts the track in
+// cfg.Metrics, with its crossings and the deposits appended.
 func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, hits []Crossing, src *rng.Source, out []Deposit) []Deposit {
 	if energyMeV <= 0 {
 		return out
@@ -206,7 +209,6 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, hits []Crossing
 	if (cfg.Straggling || cfg.FanoFluctuation) && src == nil {
 		panic("transport: fluctuations enabled but no rng source")
 	}
-	cfg.Metrics.CountRay(len(hits))
 	if len(hits) == 0 {
 		return out
 	}
@@ -220,7 +222,6 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, hits []Crossing
 	}
 
 	st := stopping()
-	nBefore := len(out)
 	energyEV := energyMeV * 1e6
 	cursor := 0.0
 	for _, h := range hits {
@@ -247,9 +248,6 @@ func TraceAppend(cfg Config, sp phys.Species, energyMeV float64, hits []Crossing
 		if h.TOut > cursor {
 			cursor = h.TOut
 		}
-	}
-	if m := cfg.Metrics; m != nil {
-		m.SegmentsDeposited.Add(int64(len(out) - nBefore))
 	}
 	return out
 }
@@ -364,6 +362,8 @@ func FinYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV flo
 	boxes, idx := []geom.AABB{fin}, []int{0}
 	var crossed []Crossing
 	var deps []Deposit
+	var rays, crossings, segments int64
+	defer func() { cfg.Metrics.Add(rays, crossings, segments) }()
 	for i := 0; i < iters; i++ {
 		if i%yieldCancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -373,6 +373,11 @@ func FinYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV flo
 		ray := SecantThroughBox(src, fin)
 		crossed = Crossings(ray, boxes, idx, crossed[:0])
 		deps = TraceAppend(cfg, sp, energyMeV, crossed, src, deps[:0])
+		if energyMeV > 0 {
+			rays++
+			crossings += int64(len(crossed))
+			segments += int64(len(deps))
+		}
 		pairs := 0.0
 		for _, d := range deps {
 			pairs += d.Pairs

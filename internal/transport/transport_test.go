@@ -8,6 +8,7 @@ import (
 	"finser/internal/finfet"
 	"finser/internal/geom"
 	"finser/internal/layout"
+	"finser/internal/obs"
 	"finser/internal/phys"
 	"finser/internal/rng"
 )
@@ -383,4 +384,30 @@ func finYield(t *testing.T, cfg Config, sp phys.Species, energyMeV float64, fin 
 		t.Fatal(err)
 	}
 	return ys
+}
+
+// TestFinYieldCounts: TraceAppend counts nothing, so FinYieldCtx counts
+// its own secants into the transport counters: each is one ray with one
+// fin crossing, every secant that leaves pairs deposited one segment, and
+// a cancelled build still adds the secants it ran.
+func TestFinYieldCounts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Metrics = NewMetrics(obs.NewRegistry())
+	const iters = 1000
+	ys := finYield(t, cfg, phys.Alpha, 1, testFin(), iters, rng.New(5))
+	m := cfg.Metrics
+	if m.RaysTraced.Value() != iters || m.FinIntersections.Value() != iters {
+		t.Errorf("counted %d rays, %d crossings; want %d of each", m.RaysTraced.Value(), m.FinIntersections.Value(), iters)
+	}
+	if got, want := m.SegmentsDeposited.Value(), int64(math.Round(ys.HitFrac*iters)); got < want || got > iters {
+		t.Errorf("counted %d segments; want between the %d secants that left pairs and %d", got, want, iters)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := FinYieldCtx(ctx, cfg, phys.Alpha, 1, testFin(), iters, rng.New(5)); err == nil {
+		t.Fatal("cancelled yield build returned no error")
+	}
+	if m.RaysTraced.Value() != iters {
+		t.Errorf("a build cancelled before its first secant counted %d rays", m.RaysTraced.Value()-iters)
+	}
 }
