@@ -102,7 +102,6 @@ func benchEngine(b *testing.B) *Engine {
 	b.Helper()
 	e, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -371,7 +370,7 @@ func BenchmarkArrayMCThroughput(b *testing.B) {
 }
 
 // BenchmarkObsOverhead guards the observability layer's cost: it runs the
-// same array-MC batch with metrics fully enabled, wired as the flow wires
+// same array-MC batch with metrics fully enabled, as the flow enables
 // them (one registry behind the engine counters, the multiplicity
 // histogram, worker timing and the transport counters), and reports
 // throughput plus the instrumented/uninstrumented ratio. The design target
@@ -380,12 +379,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	chars := benchFixtures(b)
 	const batch = 2000
 	run := func(b *testing.B, reg *Metrics) float64 {
-		tc := DefaultTransport()
-		tc.Metrics = NewTransportMetrics(reg)
 		e, err := NewEngine(EngineConfig{
-			Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-			Transport: tc,
-			Metrics:   NewEngineMetrics(reg),
+			Tech: Default14nmSOI(), Rows: 9, Cols: 9, Metrics: reg,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -429,7 +424,6 @@ func incidenceEngine(b *testing.B, inc Incidence) *Engine {
 	b.Helper()
 	e, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
 		Incidence: &inc,
 	})
 	if err != nil {
@@ -475,8 +469,7 @@ func BenchmarkDepositModes(b *testing.B) {
 	full := benchEngine(b)
 	lutEng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
-		Deposits:  DepositLUT, LUTIters: 4000,
+		Deposits: DepositLUT, LUTIters: 4000,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -516,7 +509,6 @@ func BenchmarkLargeArray(b *testing.B) {
 	chars := benchFixtures(b)
 	e, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 64, Cols: 64,
-		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -34,13 +34,12 @@ func chaosEngine(t *testing.T, mode GuardMode, reg *Metrics) (*Engine, *GridLUT)
 	faults := NewFaultHooks()
 	faults.CallAt(FaultSiteParticle, 25, func() { poisonGrid(grid) })
 	eng, err := NewEngine(EngineConfig{
-		Tech:      Default14nmSOI(),
-		Rows:      9,
-		Cols:      9,
-		Transport: DefaultTransport(),
-		Workers:   1,
-		Faults:    faults,
-		Guard:     NewGuard(mode, reg, nil),
+		Tech:    Default14nmSOI(),
+		Rows:    9,
+		Cols:    9,
+		Workers: 1,
+		Faults:  faults,
+		Guard:   NewGuard(mode, reg, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +133,7 @@ func TestChaosHealthyRunIsGuardClean(t *testing.T) {
 	}
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
-		Workers:   1, Guard: NewGuard(GuardStrict, reg, nil),
+		Workers: 1, Guard: NewGuard(GuardStrict, reg, nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ func main() {
 		Samples:          *samples,
 		ProcessVariation: *pv,
 		Seed:             *seed,
-		Metrics:          finser.NewCharMetrics(reg),
+		Metrics:          reg,
 		Guard:            finser.NewGuard(guardMode, reg, log.Printf),
 	}
 	ch, err := finser.CharacterizeCtx(ctx, cfg)

@@ -116,7 +116,7 @@ func (r *runner) char(vdd float64) (*finser.Characterization, error) {
 	ch, err := finser.CharacterizeCtx(context.Background(), finser.CharConfig{
 		Tech: finser.Default14nmSOI(), Vdd: vdd,
 		Samples: r.samples, ProcessVariation: true, Seed: r.seed,
-		Metrics: finser.NewCharMetrics(r.obs),
+		Metrics: r.obs,
 	})
 	if err != nil {
 		return nil, err
@@ -239,11 +239,8 @@ func (r *runner) fig8() error {
 	for i := range table {
 		table[i] = []float64{energies[i]}
 	}
-	tr := finser.DefaultTransport()
-	tr.Metrics = finser.NewTransportMetrics(r.obs)
 	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: finser.Default14nmSOI(), Rows: 9, Cols: 9, Transport: tr,
-		Metrics: finser.NewEngineMetrics(r.obs),
+		Tech: finser.Default14nmSOI(), Rows: 9, Cols: 9, Metrics: r.obs,
 	})
 	if err != nil {
 		return err

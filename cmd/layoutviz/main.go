@@ -79,10 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := core.New(core.Config{
-		Tech: tech, Rows: *rows, Cols: *cols,
-		Transport: finser.DefaultTransport(),
-	})
+	eng, err := core.New(core.Config{Tech: tech, Rows: *rows, Cols: *cols})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -114,10 +114,7 @@ func main() {
 	// MBU geometry + ECC.
 	w("## MBU geometry and ECC")
 	w("")
-	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: *rows, Cols: *cols,
-		Transport: finser.DefaultTransport(),
-	})
+	eng, err := finser.NewEngine(finser.EngineConfig{Tech: tech, Rows: *rows, Cols: *cols})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func main() {
 		progress = flag.Bool("progress", false, "print live per-stage progress with ETA on stderr")
 		metrics  = flag.String("metrics", "", "write a JSON metrics snapshot (counters, histograms, stage spans) to this file")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
-		ckPath   = flag.String("checkpoint", "", "persist completed FIT energy bins to this file, an append-only JSON-lines log (one line per bin; a torn final line is dropped on -resume, which also reads version-1 single-document checkpoints), so the run can be resumed")
+		ckPath   = flag.String("checkpoint", "", "persist completed FIT energy bins to this file, an append-only JSON-lines log (one line per bin; a torn final line is dropped on -resume, which reports a file that does not start with a version-2 header as damaged), so the run can be resumed")
 		resume   = flag.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); results do not depend on it")
 		timeout  = flag.Duration("timeout", 0, "overall wall-clock budget (e.g. 30m); on expiry partial results are flushed and the exit code is 124")

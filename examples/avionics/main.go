@@ -24,10 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: 9, Cols: 9,
-		Transport: finser.DefaultTransport(),
-	})
+	eng, err := finser.NewEngine(finser.EngineConfig{Tech: tech, Rows: 9, Cols: 9})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,10 +73,7 @@ func main() {
 }
 
 func mustEngine(tech finser.Technology, pat finser.DataPattern) *finser.Engine {
-	e, err := finser.NewEngine(finser.EngineConfig{
-		Tech: tech, Rows: 9, Cols: 9,
-		Transport: finser.DefaultTransport(), Pattern: pat,
-	})
+	e, err := finser.NewEngine(finser.EngineConfig{Tech: tech, Rows: 9, Cols: 9, Pattern: pat})
 	if err != nil {
 		log.Fatal(err)
 	}

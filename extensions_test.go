@@ -37,7 +37,6 @@ func TestNeutronFacade(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +107,6 @@ func TestNeutronFITCtxPlan(t *testing.T) {
 		}
 		eng, err := NewEngine(EngineConfig{
 			Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-			Transport: DefaultTransport(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +154,6 @@ func TestMBUAndECCFacade(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +182,7 @@ func TestDepositModeFacade(t *testing.T) {
 	res := sharedFlow(t)
 	lutEng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
-		Deposits:  DepositLUT, LUTIters: 2000,
+		Deposits: DepositLUT, LUTIters: 2000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +220,6 @@ func TestAdaptiveFacade(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +258,6 @@ func TestGridLUTFacade(t *testing.T) {
 	// The serialized LUT drives the engine directly.
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,6 @@ import (
 	"finser/internal/scrub"
 	"finser/internal/spectra"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 // Re-exported substrate types. Aliases keep the public surface in one
@@ -86,8 +85,6 @@ type (
 	Spectrum = spectra.Spectrum
 	// EnergyBin is one slice of a discretized spectrum.
 	EnergyBin = spectra.EnergyBin
-	// TransportConfig controls device-level physics fidelity.
-	TransportConfig = transport.Config
 	// PulseShape selects the injected current waveform.
 	PulseShape = sram.PulseShape
 	// NeutronReactions is the neutron–silicon reaction model (indirect
@@ -218,32 +215,9 @@ const (
 // written under a different configuration (use errors.Is).
 var ErrCheckpointMismatch = checkpoint.ErrConfigMismatch
 
-// NewMetrics returns an empty metrics registry for FlowConfig.Obs (and for
-// the layer-level Metrics fields in CharConfig / EngineConfig /
-// TransportConfig, via the internal constructors RunFlowCtx wires up).
+// NewMetrics returns an empty metrics registry for FlowConfig.Obs, and for
+// the Metrics field of a CharConfig or EngineConfig assembled by hand.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// Layer-level metric bundles, for callers that assemble CharConfig or
-// EngineConfig directly instead of going through RunFlowCtx.
-type (
-	// EngineMetrics is the array engine's counter bundle (EngineConfig.Metrics).
-	EngineMetrics = core.Metrics
-	// CharMetrics is the characterization's counter bundle (CharConfig.Metrics).
-	CharMetrics = sram.Metrics
-	// TransportMetrics is the transport layer's counter bundle
-	// (TransportConfig.Metrics).
-	TransportMetrics = transport.Metrics
-)
-
-// NewEngineMetrics registers array-engine counters on r. Nil r → nil (no-op).
-func NewEngineMetrics(r *Metrics) *EngineMetrics { return core.NewMetrics(r) }
-
-// NewCharMetrics registers characterization and solver counters on r.
-// Nil r → nil (no-op).
-func NewCharMetrics(r *Metrics) *CharMetrics { return sram.NewMetrics(r) }
-
-// NewTransportMetrics registers transport counters on r. Nil r → nil (no-op).
-func NewTransportMetrics(r *Metrics) *TransportMetrics { return transport.NewMetrics(r) }
 
 // ProgressPrinter returns a ProgressFunc rendering throttled one-line
 // reports (stage, done/total, rate, ETA) on w — the live view behind
@@ -299,9 +273,6 @@ const (
 
 // Default14nmSOI returns the 14 nm SOI FinFET technology card.
 func Default14nmSOI() Technology { return finfet.Default14nmSOI() }
-
-// DefaultTransport returns the default device-level physics configuration.
-func DefaultTransport() TransportConfig { return transport.DefaultConfig() }
 
 // CharacterizeCtx runs the circuit-level cell POF characterization with
 // cooperative cancellation and worker panic isolation: a cancelled context
@@ -637,7 +608,7 @@ func characterize(ctx context.Context, cfg FlowConfig, flow *obs.Span) (*Charact
 		ProcessVariation: cfg.ProcessVariation,
 		Seed:             cfg.Seed,
 		Workers:          cfg.Workers,
-		Metrics:          sram.NewMetrics(cfg.Obs),
+		Metrics:          cfg.Obs,
 		Progress:         cfg.Progress,
 		Faults:           cfg.Faults,
 		Guard:            cfg.newGuard(),
@@ -705,20 +676,17 @@ func fitSweep(ctx context.Context, cfgs []FlowConfig, chars []*Characterization,
 // the cell models and the adaptive tolerance travel in each stage's ledger
 // runs.
 func buildFlowEngine(cfg FlowConfig, flow *obs.Span) (*Engine, error) {
-	transportCfg := DefaultTransport()
-	transportCfg.Metrics = transport.NewMetrics(cfg.Obs)
 	buildSpan := flow.Child("engine-build")
 	eng, err := NewEngine(EngineConfig{
-		Tech:      cfg.Tech,
-		Rows:      cfg.Rows,
-		Cols:      cfg.Cols,
-		Transport: transportCfg,
-		Pattern:   cfg.Pattern,
-		Workers:   cfg.Workers,
-		Metrics:   core.NewMetrics(cfg.Obs),
-		Progress:  cfg.Progress,
-		Faults:    cfg.Faults,
-		Guard:     cfg.newGuard(),
+		Tech:     cfg.Tech,
+		Rows:     cfg.Rows,
+		Cols:     cfg.Cols,
+		Pattern:  cfg.Pattern,
+		Workers:  cfg.Workers,
+		Metrics:  cfg.Obs,
+		Progress: cfg.Progress,
+		Faults:   cfg.Faults,
+		Guard:    cfg.newGuard(),
 	})
 	buildSpan.End()
 	if err != nil {

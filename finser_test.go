@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -212,7 +213,6 @@ func TestPOFCurve(t *testing.T) {
 	res := sharedFlow(t)
 	eng, err := NewEngine(EngineConfig{
 		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: DefaultTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +229,58 @@ func TestPOFCurve(t *testing.T) {
 	}
 	if _, err := POFCurveCtx(context.Background(), eng, res.Char, Alpha, []float64{1}, 0, 1); err == nil {
 		t.Error("zero iters accepted")
+	}
+}
+
+// TestEngineRunsFlowPhysics: an engine assembled by hand runs the flow's
+// one device-level physics. With nothing but the array and a registry it
+// gives bit-identical α and p POF points to the flow's own engine, and
+// counts the same strikes in its core.* and transport.* counters.
+func TestEngineRunsFlowPhysics(t *testing.T) {
+	res := sharedFlow(t)
+	reg, flowReg := NewMetrics(), NewMetrics()
+	eng, err := NewEngine(EngineConfig{Tech: Default14nmSOI(), Rows: 9, Cols: 9, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallFlowConfig()
+	cfg.Obs = flowReg
+	if cfg, err = cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	flowEng, err := buildFlowEngine(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, sp := range []Species{Alpha, Proton} {
+		for _, en := range []float64{0.5, 2} {
+			got, err := eng.POFAtEnergyCtx(ctx, res.Char, sp, en, 4000, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := flowEng.POFAtEnergyCtx(ctx, res.Char, sp, en, 4000, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%v @%g MeV: hand-built engine %+v, flow engine %+v", sp, en, got, want)
+			}
+		}
+	}
+	// The strike counters, without the wall-time ones.
+	strikeCounters := func(r *Metrics) map[string]int64 {
+		out := map[string]int64{}
+		for name, v := range r.Snapshot().Counters {
+			if (strings.HasPrefix(name, "core") || strings.HasPrefix(name, "transport.")) && !strings.HasSuffix(name, "_ns") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	got, want := strikeCounters(reg), strikeCounters(flowReg)
+	if got["transport.rays_traced"] == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("hand-built engine counted %v, flow engine %v", got, want)
 	}
 }
 

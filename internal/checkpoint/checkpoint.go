@@ -15,9 +15,9 @@
 // Resume, write the whole file compacted to one record per stage through a
 // temp file and a rename in the same directory, so they replace it
 // atomically; Save compacts the same way once the bytes appended since the
-// last rewrite pass max(compactMinBytes, 2× the live records). Resume also
-// reads the version-1 layout, one indented JSON document with a "stages"
-// object, which its first Save rewrites as a log.
+// last rewrite pass max(compactMinBytes, 2× the live records). A file whose
+// first line is not a version-2 header, such as the single JSON document
+// of version 1, is a *CorruptError.
 package checkpoint
 
 import (
@@ -70,8 +70,7 @@ func Fingerprint(v any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// The two on-disk layouts: a version-2 log's header line and records, and
-// the version-1 document earlier builds wrote.
+// The log's header line and records.
 type (
 	header struct {
 		Version    int    `json:"version"`
@@ -80,10 +79,6 @@ type (
 	record struct {
 		Stage string          `json:"stage"`
 		State json.RawMessage `json:"state"`
-	}
-	documentV1 struct {
-		header
-		Stages map[string]json.RawMessage `json:"stages"`
 	}
 )
 
@@ -111,8 +106,8 @@ type Store struct {
 	hash   string
 	stages map[string]json.RawMessage
 	// rewrite makes the next Save write the whole file: the file on disk
-	// may be a version-1 document or end in a torn line (after Resume), or
-	// a failed append may have left part of a line.
+	// may end in a torn line (after Resume), or a failed append may have
+	// left part of a line.
 	rewrite bool
 	// appended counts the bytes appended since the file was last written
 	// whole; live is the stage names' and states' bytes held now.
@@ -153,30 +148,13 @@ func Resume(path, configHash string) (*Store, error) {
 	return s, nil
 }
 
-// decode reads either layout, returning the config hash and every stage's
-// latest state.
+// decode reads a log, returning the config hash and every stage's latest
+// state.
 func decode(b []byte) (string, map[string]json.RawMessage, error) {
 	line, rest, complete := bytes.Cut(b, []byte("\n"))
 	var h header
-	if json.Unmarshal(line, &h) != nil || h.Version == 1 {
-		// Not a log's header line: a version-1 document, indented over
-		// many lines or compact on one.
-		var d documentV1
-		if err := json.Unmarshal(b, &d); err != nil {
-			return "", nil, err
-		}
-		if d.Version != 1 {
-			return "", nil, fmt.Errorf("unsupported version %d (want %d)", d.Version, version)
-		}
-		stages := make(map[string]json.RawMessage, len(d.Stages))
-		for stage, raw := range d.Stages {
-			// An indented state spans lines; a log record holds it on one.
-			// Compact cannot fail on JSON that just decoded.
-			var buf bytes.Buffer
-			_ = json.Compact(&buf, raw)
-			stages[stage] = buf.Bytes()
-		}
-		return d.ConfigHash, stages, nil
+	if err := json.Unmarshal(line, &h); err != nil {
+		return "", nil, fmt.Errorf("first line is not a version-%d header: %w", version, err)
 	}
 	if h.Version != version {
 		return "", nil, fmt.Errorf("unsupported version %d (want %d)", h.Version, version)

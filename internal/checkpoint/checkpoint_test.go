@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -271,69 +270,6 @@ func mustResume(t *testing.T, path string) *Store {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestResumeVersion1Document: a checkpoint in the indented single-document
-// layout of version 1 resumes with every stage, and its first Save
-// rewrites it as a version-2 log that holds them all.
-func TestResumeVersion1Document(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.ck.json")
-	doc := `{
-  "version": 1,
-  "config_hash": "h",
-  "stages": {
-    "vdd0.7/fit/alpha": {
-      "seeds": [
-        1,
-        2
-      ],
-      "values": [
-        0.5,
-        0.25
-      ]
-    },
-    "vdd0.7/fit/proton": {
-      "seeds": [
-        3
-      ],
-      "values": null
-    }
-  }
-}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]binState{
-		"vdd0.7/fit/alpha":  {Seeds: []uint64{1, 2}, Values: []float64{0.5, 0.25}},
-		"vdd0.7/fit/proton": {Seeds: []uint64{3}},
-	}
-	check := func(s *Store) {
-		t.Helper()
-		for stage, w := range want {
-			var got binState
-			if ok, err := s.Load(stage, &got); !ok || err != nil || !reflect.DeepEqual(got, w) {
-				t.Fatalf("stage %s = %+v (ok=%v err=%v), want %+v", stage, got, ok, err, w)
-			}
-		}
-		if len(s.Stages()) != len(want) {
-			t.Fatalf("stages = %v, want %d", s.Stages(), len(want))
-		}
-	}
-	s := mustResume(t, path)
-	check(s)
-	want["vdd1.1/fit/alpha"] = binState{Seeds: []uint64{9}}
-	if err := s.Save("vdd1.1/fit/alpha", want["vdd1.1/fit/alpha"]); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
-	if lines[0] != `{"version":2,"config_hash":"h"}` || len(lines) != 1+len(want) {
-		t.Fatalf("first save did not rewrite the document as a log:\n%s", b)
-	}
-	check(mustResume(t, path))
 }
 
 // TestCompactionBoundsTheLog: appends past the bound make Save rewrite

@@ -26,6 +26,10 @@ func TestCorruptCheckpointTyped(t *testing.T) {
 		{"corrupt middle record", "{\"version\":2,\"config_hash\":\"h\"}\n" +
 			`{"stage":"a","state":1}` + "\n" + `{"stage":"b","sta` + "\n" + `{"stage":"c","state":3}` + "\n"},
 		{"version 3", "{\"version\":3,\"config_hash\":\"h\"}\n"},
+		// The single JSON document of version 1, as earlier builds wrote it
+		// indented, and on one line.
+		{"version 1 indented", "{\n  \"version\": 1,\n  \"config_hash\": \"h\",\n  \"stages\": {\n    \"vdd0.7/fit/alpha\": {\n      \"seeds\": [\n        1\n      ]\n    }\n  }\n}"},
+		{"version 1 one line", `{"version":1,"config_hash":"h","stages":{"vdd0.7/fit/alpha":{"seeds":[1]}}}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -160,7 +160,7 @@ func (e *Engine) adaptiveStep(est *BinEstimator, pt POFPoint, itersPerBin int, t
 	conv.RelErr = est.RelErr()
 	conv.Batches = est.Batches()
 	conv.StrikesSaved = itersPerBin - est.Strikes()
-	if m := e.cfg.Metrics; m != nil {
+	if m := e.m; m != nil {
 		if conv.StrikesSaved > 0 {
 			m.AdaptiveEarlyStops.Inc()
 			m.AdaptiveStrikesSaved.Add(int64(conv.StrikesSaved))

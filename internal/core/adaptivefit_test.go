@@ -12,7 +12,6 @@ import (
 	"finser/internal/phys"
 	"finser/internal/spectra"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 // memStore is a minimal in-memory CheckpointStore for resume tests.
@@ -42,7 +41,7 @@ func workerEngine(t *testing.T, workers int) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(), Workers: workers,
+		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)

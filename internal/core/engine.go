@@ -157,8 +157,6 @@ const PhysicsRevision = 3
 type Config struct {
 	Tech       finfet.Technology
 	Rows, Cols int // array dimensions (the paper uses 9×9)
-	// Transport configures the device-level physics.
-	Transport transport.Config
 	// Deposits selects full transport (default) or the paper's
 	// mean-yield-LUT shortcut.
 	Deposits DepositMode
@@ -171,10 +169,11 @@ type Config struct {
 	Incidence *Incidence
 	// Workers bounds MC parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, receives engine counters (particles, hit/miss,
-	// struck-cell multiplicity, worker utilization) and per-stage FIT
-	// spans. Nil (the default) costs one pointer check per strike.
-	Metrics *Metrics
+	// Metrics, when non-nil, receives the engine counters (particles,
+	// hit/miss, struck-cell multiplicity, worker utilization), the
+	// transport counters and per-stage FIT spans. Nil (the default) costs
+	// one pointer check per strike.
+	Metrics *obs.Registry
 	// Progress, when non-nil, receives throttled done/total/ETA reports
 	// while FIT integrates over energy bins.
 	Progress obs.ProgressFunc
@@ -201,7 +200,12 @@ type Config struct {
 // strikes up in (a Characterization, or the paper's serialized GridLUT),
 // so calls on one engine may interleave any models.
 type Engine struct {
-	cfg      Config
+	cfg Config
+	// tr is the device-level physics every engine runs (the flow's one
+	// Geant4 stage), with its counters on Config.Metrics; m is the engine's
+	// own counter bundle there. Without a registry both bundles are nil.
+	tr       transport.Config
+	m        *Metrics
 	arr      *layout.Array
 	boxes    []geom.AABB // every fin's box, by global fin index
 	targets  []finTarget // where each fin's charge lands, by global fin index
@@ -256,7 +260,9 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, arr: arr, boxes: arr.Boxes()}
+	tr := transport.DefaultConfig()
+	tr.Metrics = transport.NewMetrics(cfg.Metrics)
+	e := &Engine{cfg: cfg, tr: tr, m: NewMetrics(cfg.Metrics), arr: arr, boxes: arr.Boxes()}
 	e.slab, e.hasSlab = e.substrateSlab()
 	e.cellFins = make([][]int, arr.NumCells())
 	e.targets = make([]finTarget, len(arr.Fins()))
@@ -322,7 +328,7 @@ func (e *Engine) yieldTable(ctx context.Context, sp phys.Species) (*lut.Table1D,
 	fin := geom.BoxAt(geom.V(0, 0, 0),
 		geom.V(e.cfg.Tech.FinWidthNm, e.cfg.Tech.GateLengthNm, e.cfg.Tech.FinHeightNm))
 	energies := lut.LogSpace(0.05, 1000, 25)
-	t, err := transport.BuildFinYieldLUTCtx(ctx, e.cfg.Transport, sp, energies, fin, iters,
+	t, err := transport.BuildFinYieldLUTCtx(ctx, e.tr, sp, energies, fin, iters,
 		rng.New(0xF14F+uint64(sp)))
 	if err != nil {
 		return nil, fmt.Errorf("core: yield LUT (%v): %w", sp, err)
@@ -398,7 +404,7 @@ func (e *Engine) chargeTrack(src *rng.Source, sp phys.Species, energyMeV float64
 				deps = append(deps, transport.Deposit{Fin: h.Fin, Pairs: yield})
 			}
 		default:
-			deps = transport.TraceAppend(e.cfg.Transport, sp, energyMeV, scr.hits, src, deps)
+			deps = transport.TraceAppend(e.tr, sp, energyMeV, scr.hits, src, deps)
 			if energyMeV > 0 { // else TraceAppend traced nothing
 				scr.tally.countRay(len(scr.hits), len(deps))
 			}
@@ -623,6 +629,9 @@ type POFPoint struct {
 // process. The result is a pure function of the configuration, model and
 // seed, whatever the worker count.
 func (e *Engine) POFAtEnergyCtx(ctx context.Context, m sram.POFProvider, sp phys.Species, energyMeV float64, iters int, seed uint64) (POFPoint, error) {
+	if err := checkEnergy("POFAtEnergyCtx", energyMeV); err != nil {
+		return POFPoint{}, err
+	}
 	k, err := e.directKernel(ctx, sp)
 	if err != nil {
 		return POFPoint{}, err
@@ -632,6 +641,17 @@ func (e *Engine) POFAtEnergyCtx(ctx context.Context, m sram.POFProvider, sp phys
 		return POFPoint{}, err
 	}
 	return pts[0], nil
+}
+
+// checkEnergy refuses an energy transport.CheckEnergy refuses, naming the
+// entry point handed it. Every entry that takes a caller's energy calls it
+// first, so a refused call runs no strike and moves no counter; a FIT's
+// bins carry their spectrum's energies, which are positive and finite.
+func checkEnergy(entry string, energyMeV float64) error {
+	if err := transport.CheckEnergy(energyMeV); err != nil {
+		return fmt.Errorf("core: %s: %w", entry, err)
+	}
+	return nil
 }
 
 // checkPOFPoint runs the guard's probability invariants over one freshly

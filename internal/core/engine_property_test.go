@@ -12,7 +12,6 @@ import (
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 // TestBroadPhaseComplete verifies that the cell-bounds culling never drops
@@ -43,7 +42,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	mk := func(workers int) *Engine {
 		e, err := New(Config{
 			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Transport: transport.DefaultConfig(), Workers: workers,
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +78,6 @@ func TestSubstrateDepthAblation(t *testing.T) {
 	mk := func(depth float64) *Engine {
 		e, err := New(Config{
 			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Transport:               transport.DefaultConfig(),
 			NeutronSubstrateDepthNm: depth,
 		})
 		if err != nil {
@@ -143,7 +141,7 @@ func TestGeometryExitMatchesFullTrace(t *testing.T) {
 		for _, mode := range []DepositMode{DepositTransport, DepositLUT} {
 			e, err := New(Config{
 				Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-				Transport: transport.DefaultConfig(), Deposits: mode, Pattern: pat, LUTIters: 2000,
+				Deposits: mode, Pattern: pat, LUTIters: 2000,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -266,7 +264,6 @@ func TestMultiFinArrayStrikes(t *testing.T) {
 	tech2.FinsPG = 2
 	e2, err := New(Config{
 		Tech: tech2, Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)

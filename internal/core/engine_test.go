@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -11,10 +12,10 @@ import (
 	"finser/internal/finfet"
 	"finser/internal/geom"
 	"finser/internal/neutron"
+	"finser/internal/obs"
 	"finser/internal/phys"
 	"finser/internal/spectra"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 // appendCandidateFins runs the broad phase on a ray alone, inverting its
@@ -65,7 +66,6 @@ func newEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,6 +325,56 @@ func TestStrikeEntryPointsRejectEmptyCount(t *testing.T) {
 	}
 }
 
+// TestStrikeEntriesRejectBadEnergy: every entry that takes a caller's
+// energy refuses one that is not positive and finite, in either deposit
+// mode, with an error naming the entry and the energy. No strike runs, so
+// no panic, and neither core.particles_generated nor transport.rays_traced
+// moves.
+func TestStrikeEntriesRejectBadEnergy(t *testing.T) {
+	ch, _, _ := fixtures(t)
+	ctx := context.Background()
+	rx := neutron.NewReactions()
+	for _, mode := range []DepositMode{DepositTransport, DepositLUT} {
+		reg := obs.NewRegistry()
+		e, err := New(Config{
+			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
+			Deposits: mode, LUTIters: 2000, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		particles, rays := reg.Counter("core.particles_generated"), reg.Counter("transport.rays_traced")
+		for _, en := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+			for _, tc := range []struct {
+				entry string
+				run   func() (any, error)
+			}{
+				{"POFAtEnergyCtx", func() (any, error) { return e.POFAtEnergyCtx(ctx, ch, phys.Alpha, en, 2000, 3) }},
+				{"NeutronPOFAtEnergyCtx", func() (any, error) { return e.NeutronPOFAtEnergyCtx(ctx, ch, rx, en, 2000, 3) }},
+				{"MBUStatsAtEnergyCtx", func() (any, error) { return e.MBUStatsAtEnergyCtx(ctx, ch, phys.Alpha, en, 2000, 6, 3) }},
+				{"SampleTracksCtx", func() (any, error) { return e.SampleTracksCtx(ctx, ch, phys.Alpha, en, 10, 3) }},
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%v %s @%g MeV: panic: %v", mode, tc.entry, en, r)
+						}
+					}()
+					got, err := tc.run()
+					if err == nil {
+						t.Errorf("%v %s @%g MeV: accepted, got %+v", mode, tc.entry, en, got)
+					} else if msg := err.Error(); !strings.Contains(msg, tc.entry) || !strings.Contains(msg, fmt.Sprintf("%g MeV", en)) {
+						t.Errorf("%v %s @%g MeV: error %q names neither the entry nor the energy", mode, tc.entry, en, msg)
+					}
+				}()
+			}
+		}
+		if particles.Value() != 0 || rays.Value() != 0 {
+			t.Errorf("deposit mode %v: refused calls counted %d particles and %d rays", mode, particles.Value(), rays.Value())
+		}
+	}
+}
+
 func TestFITConsistency(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e := newEngine(t)
@@ -376,7 +426,7 @@ func TestPatternSymmetry(t *testing.T) {
 	mk := func(p DataPattern) *Engine {
 		e, err := New(Config{
 			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Transport: transport.DefaultConfig(), Pattern: p,
+			Pattern: p,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -398,7 +448,7 @@ func TestIncidenceOverride(t *testing.T) {
 	iso := IncidenceIsotropic
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(), Incidence: &iso,
+		Incidence: &iso,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +456,7 @@ func TestIncidenceOverride(t *testing.T) {
 	cos := IncidenceCosine
 	e2, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(), Incidence: &cos,
+		Incidence: &cos,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,15 +6,13 @@ import (
 	"finser/internal/finfet"
 	"finser/internal/phys"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 func lutEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(),
-		Deposits:  DepositLUT, LUTIters: 4000,
+		Deposits: DepositLUT, LUTIters: 4000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,6 +52,9 @@ type MBUReport struct {
 // report is a pure function of the configuration, model and seed, whatever
 // the worker count.
 func (e *Engine) MBUStatsAtEnergyCtx(ctx context.Context, m sram.POFProvider, sp phys.Species, energyMeV float64, iters, maxK int, seed uint64) (MBUReport, error) {
+	if err := checkEnergy("MBUStatsAtEnergyCtx", energyMeV); err != nil {
+		return MBUReport{}, err
+	}
 	if maxK < 2 {
 		maxK = 2
 	}
@@ -215,6 +218,9 @@ type TrackInfo struct {
 // Like every other entry point it honours the deposit mode and the guard
 // and checks ctx every cancelCheckEvery tracks.
 func (e *Engine) SampleTracksCtx(ctx context.Context, m sram.POFProvider, sp phys.Species, energyMeV float64, n int, seed uint64) ([]TrackInfo, error) {
+	if err := checkEnergy("SampleTracksCtx", energyMeV); err != nil {
+		return nil, err
+	}
 	if n <= 0 {
 		return nil, fmt.Errorf("core: tracks: need a positive track count, got %d", n)
 	}

@@ -10,7 +10,6 @@ import (
 	"finser/internal/geom"
 	"finser/internal/phys"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 func TestMBUStatsBasics(t *testing.T) {
@@ -117,7 +116,7 @@ func TestSampleTracksGeometry(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	checker, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(), Pattern: PatternCheckerboard,
+		Pattern: PatternCheckerboard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +192,7 @@ func TestMBUStatsBitIdenticalAcrossRuns(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(), Workers: 8,
+		Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

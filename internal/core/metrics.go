@@ -2,11 +2,12 @@ package core
 
 import "finser/internal/obs"
 
-// Metrics is the array engine's observability hook: per-particle statistics
-// (hit/miss, struck-cell multiplicity), per-worker busy time,
-// and — through the owning registry — per-stage spans for the FIT
-// integration. Leave Config.Metrics nil (the default) for the zero-cost
-// uninstrumented engine; the hot strike loop performs a single nil check.
+// Metrics is the array engine's counter bundle: per-particle statistics
+// (hit/miss, struck-cell multiplicity) and per-worker busy time. New
+// builds it from Config.Metrics, and NewMetrics on the same registry hands
+// back the same counters. Leave Config.Metrics nil (the default) for the
+// zero-cost uninstrumented engine; the hot strike loop performs a single
+// nil check.
 type Metrics struct {
 	// Particles counts Monte-Carlo particles generated.
 	Particles *obs.Counter
@@ -33,8 +34,6 @@ type Metrics struct {
 	AdaptiveEarlyStops     *obs.Counter
 	AdaptiveStrikesSaved   *obs.Counter
 	AdaptiveStrikesOverrun *obs.Counter
-
-	reg *obs.Registry // for FIT stage spans; nil disables them
 }
 
 // NewMetrics registers the engine counters on r under the "core." prefix.
@@ -54,7 +53,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		AdaptiveEarlyStops:     r.Counter("core/adaptive/early_stops"),
 		AdaptiveStrikesSaved:   r.Counter("core/adaptive/strikes_saved"),
 		AdaptiveStrikesOverrun: r.Counter("core/adaptive/strikes_overrun"),
-		reg:                    r,
 	}
 }
 
@@ -70,12 +68,4 @@ func (m *Metrics) HitRate() float64 {
 		return 0
 	}
 	return float64(h) / float64(n)
-}
-
-// span starts a named stage span on the owning registry (nil-safe).
-func (m *Metrics) span(name string) *obs.Span {
-	if m == nil {
-		return nil
-	}
-	return m.reg.StartSpan(name)
 }

@@ -18,11 +18,10 @@ import (
 func TestMetricsConservation(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	m := NewMetrics(reg) // the engine's own counters, by name
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(),
-		Metrics:   m,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +57,7 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 	reg := obs.NewRegistry()
 	inst, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(),
-		Metrics:   NewMetrics(reg),
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +80,10 @@ func TestScratchTalliesReachRegistry(t *testing.T) {
 	var want strikeTally
 	for _, workers := range []int{1, 3} {
 		reg := obs.NewRegistry()
-		tc := transport.DefaultConfig()
-		tc.Metrics = transport.NewMetrics(reg)
-		m := NewMetrics(reg)
+		tm, m := transport.NewMetrics(reg), NewMetrics(reg) // the engine's counters, by name
 		e, err := New(Config{
 			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Transport: tc, Metrics: m, Workers: workers,
+			Metrics: reg, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -114,8 +110,8 @@ func TestScratchTalliesReachRegistry(t *testing.T) {
 			}
 		}
 		mustPOF(t, e, ch, phys.Alpha, energy, iters, seed)
-		if got := (strikeTally{rays: tc.Metrics.RaysTraced.Value(), crossings: tc.Metrics.FinIntersections.Value(),
-			segments: tc.Metrics.SegmentsDeposited.Value()}); got.rays != want.rays || got.crossings != want.crossings || got.segments != want.segments {
+		if got := (strikeTally{rays: tm.RaysTraced.Value(), crossings: tm.FinIntersections.Value(),
+			segments: tm.SegmentsDeposited.Value()}); got.rays != want.rays || got.crossings != want.crossings || got.segments != want.segments {
 			t.Errorf("workers %d: registry counts %d rays, %d crossings, %d segments; the strikes tally %d, %d, %d",
 				workers, got.rays, got.crossings, got.segments, want.rays, want.crossings, want.segments)
 		}

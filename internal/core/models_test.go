@@ -9,7 +9,6 @@ import (
 	"finser/internal/neutron"
 	"finser/internal/phys"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 // TestEngineServesAnyCellModel: an engine holds no cell model, so each of
@@ -70,7 +69,7 @@ func TestEngineServesAnyCellModel(t *testing.T) {
 	for _, mode := range []DepositMode{DepositTransport, DepositLUT} {
 		cfg := Config{
 			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Transport: transport.DefaultConfig(), Deposits: mode, LUTIters: 2000,
+			Deposits: mode, LUTIters: 2000,
 		}
 		shared, err := New(cfg)
 		if err != nil {

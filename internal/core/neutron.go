@@ -37,6 +37,9 @@ type NeutronPoint struct {
 // worker fan-out, cancellation, guards, and chunk-order merge as
 // POFAtEnergyCtx.
 func (e *Engine) NeutronPOFAtEnergyCtx(ctx context.Context, m sram.POFProvider, rx *neutron.Reactions, energyMeV float64, iters int, seed uint64) (NeutronPoint, error) {
+	if err := checkEnergy("NeutronPOFAtEnergyCtx", energyMeV); err != nil {
+		return NeutronPoint{}, err
+	}
 	pts, weight, err := e.estimate(ctx, e.neutronKernel(rx), []sram.POFProvider{m}, energyMeV, 0, iters, seed)
 	if err != nil {
 		return NeutronPoint{}, err

@@ -10,7 +10,6 @@ import (
 	"finser/internal/finfet"
 	"finser/internal/neutron"
 	"finser/internal/spectra"
-	"finser/internal/transport"
 )
 
 func TestNeutronPOFBasics(t *testing.T) {
@@ -132,7 +131,6 @@ func TestNeutronMBUOccurs(t *testing.T) {
 	ch, _, _ := fixtures(t)
 	e, err := New(Config{
 		Tech: tech, Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +168,7 @@ func TestNeutronFITBitIdenticalAcrossRuns(t *testing.T) {
 	rx := neutron.NewReactions()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(), Workers: 8,
+		Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +215,7 @@ func TestNeutronFITCheckpointResume(t *testing.T) {
 	rx := neutron.NewReactions()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(), Workers: 2,
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 // TestPOFAtEnergyBitIdentical: the per-strike charge reduction iterates
@@ -55,8 +54,7 @@ func TestStrikeZeroAlloc(t *testing.T) {
 			t.Run(mode.name+"/"+gm.name, func(t *testing.T) {
 				e, err := New(Config{
 					Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-					Transport: transport.DefaultConfig(),
-					Deposits:  mode.deposits, Guard: gm.guard,
+					Deposits: mode.deposits, Guard: gm.guard,
 					LUTIters: 2000,
 				})
 				if err != nil {

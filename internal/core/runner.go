@@ -92,7 +92,7 @@ func fanOut[A any](ctx context.Context, e *Engine, from, to int, seed uint64, ne
 	chunks := chunksIn(from, to)
 	workers := min(e.cfg.Workers, chunks)
 
-	m := e.cfg.Metrics
+	m := e.m
 	var wallStart time.Time
 	if m != nil {
 		wallStart = time.Now()
@@ -458,7 +458,7 @@ func (e *Engine) RunLedgersCtx(ctx context.Context, runs []LedgerRun, rx *neutro
 		return nil, err
 	}
 	p, stage := runs[0].Ledger.Plan(), runs[0].Ledger.stage
-	fitSpan := e.cfg.Metrics.span(stage)
+	fitSpan := e.cfg.Metrics.StartSpan(stage)
 	defer fitSpan.End()
 	tracker := obs.NewTracker(e.cfg.Progress, stage, int64(len(runs)*len(p.Bins)*p.ItersPerBin), 0)
 	defer tracker.Finish()

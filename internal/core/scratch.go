@@ -84,8 +84,8 @@ func (e *Engine) getScratch() *strikeScratch {
 // the registry's counters are whole once an estimate is.
 func (e *Engine) putScratch(s *strikeScratch) {
 	t := &s.tally
-	e.cfg.Transport.Metrics.Add(t.rays, t.crossings, t.segments)
-	if m := e.cfg.Metrics; m != nil {
+	e.tr.Metrics.Add(t.rays, t.crossings, t.segments)
+	if m := e.m; m != nil {
 		for cells, n := range t.struck {
 			m.StruckCellMultiplicity.ObserveN(float64(cells), n)
 		}

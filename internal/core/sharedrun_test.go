@@ -13,7 +13,6 @@ import (
 	"finser/internal/obs"
 	"finser/internal/spectra"
 	"finser/internal/sram"
-	"finser/internal/transport"
 )
 
 var (
@@ -44,8 +43,7 @@ func sweepEngine(t *testing.T, workers int, reg *obs.Registry) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-		Transport: transport.DefaultConfig(),
-		Workers:   workers, Metrics: NewMetrics(reg),
+		Workers: workers, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ type CharConfig struct {
 	Shape PulseShape
 	// Metrics, when non-nil, receives characterization and solver counters.
 	// Nil costs nothing.
-	Metrics *Metrics
+	Metrics *obs.Registry
 	// Progress, when non-nil, receives throttled done/total/ETA reports as
 	// variation samples complete.
 	Progress obs.ProgressFunc
@@ -136,6 +136,7 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 		}
 	}
 
+	metrics := NewMetrics(cfg.Metrics)
 	ch := &Characterization{Vdd: cfg.Vdd, Samples: cfg.Samples, PV: cfg.ProcessVariation, Shifts: shifts}
 	for a := range ch.Axis {
 		ch.Axis[a] = make([]float64, cfg.Samples)
@@ -177,7 +178,7 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 		if err != nil {
 			return err
 		}
-		cell.SetMetrics(cfg.Metrics)
+		cell.SetMetrics(metrics)
 		cell.SetGuard(cfg.Guard)
 		for a := AxisI1; a < NumAxes; a++ {
 			var q float64
@@ -224,8 +225,8 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 				defer wg.Done()
 				for idx := int(next.Add(1)); idx < end && ctx.Err() == nil; idx = int(next.Add(1)) {
 					errs[idx] = sample(idx)
-					if m := cfg.Metrics; m != nil {
-						m.VariationSamples.Inc()
+					if metrics != nil {
+						metrics.VariationSamples.Inc()
 					}
 					tracker.Add(1)
 				}

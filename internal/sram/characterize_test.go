@@ -75,8 +75,8 @@ func isolatedTech(t *testing.T) finfet.Technology {
 // simulated probes per critical charge.
 func characterizeProbes(t *testing.T, cfg CharConfig) (*Characterization, float64) {
 	t.Helper()
-	m := NewMetrics(obs.NewRegistry())
-	cfg.Metrics = m
+	cfg.Metrics = obs.NewRegistry()
+	m := NewMetrics(cfg.Metrics) // the characterization's counters, by name
 	ch, err := CharacterizeCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -377,8 +377,8 @@ func TestGridGuessProbes(t *testing.T) {
 func TestCharacterizeWorkBudget(t *testing.T) {
 	resetFits()
 	cfg := CharConfig{Tech: tech(), Vdd: 0.8, ProcessVariation: true, Samples: 40, Seed: 11}
-	m := NewMetrics(obs.NewRegistry())
-	cfg.Metrics = m
+	cfg.Metrics = obs.NewRegistry()
+	m := NewMetrics(cfg.Metrics) // the characterization's counters, by name
 	if _, err := CharacterizeCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}

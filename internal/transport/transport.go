@@ -351,11 +351,24 @@ type YieldStats struct {
 // within a few hundred microseconds.
 const yieldCancelCheckEvery = 256
 
+// CheckEnergy refuses a particle energy that is not positive and finite:
+// no track can start with it.
+func CheckEnergy(energyMeV float64) error {
+	if energyMeV > 0 && energyMeV <= math.MaxFloat64 {
+		return nil
+	}
+	return fmt.Errorf("transport: energy %g MeV is not positive and finite", energyMeV)
+}
+
 // FinYieldCtx runs iters random secants through a single fin at the given
 // energy and returns the yield statistics — the paper's "10 million MC
-// simulations ... for each particular energy" step. It checks ctx every
+// simulations ... for each particular energy" step. It refuses an energy
+// CheckEnergy refuses before it traces anything, checks ctx every
 // yieldCancelCheckEvery secants and returns its error on cancellation.
 func FinYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV float64, fin geom.AABB, iters int, src *rng.Source) (YieldStats, error) {
+	if err := CheckEnergy(energyMeV); err != nil {
+		return YieldStats{}, err
+	}
 	var w stats.Welford
 	maxPairs := 0.0
 	hits := 0
@@ -373,11 +386,9 @@ func FinYieldCtx(ctx context.Context, cfg Config, sp phys.Species, energyMeV flo
 		ray := SecantThroughBox(src, fin)
 		crossed = Crossings(ray, boxes, idx, crossed[:0])
 		deps = TraceAppend(cfg, sp, energyMeV, crossed, src, deps[:0])
-		if energyMeV > 0 {
-			rays++
-			crossings += int64(len(crossed))
-			segments += int64(len(deps))
-		}
+		rays++
+		crossings += int64(len(crossed))
+		segments += int64(len(deps))
 		pairs := 0.0
 		for _, d := range deps {
 			pairs += d.Pairs
@@ -412,9 +423,6 @@ func BuildFinYieldLUTCtx(ctx context.Context, cfg Config, sp phys.Species, energ
 	}
 	ys := make([]float64, len(energiesMeV))
 	for i, e := range energiesMeV {
-		if e <= 0 {
-			return nil, fmt.Errorf("transport: non-positive energy %g", e)
-		}
 		stat, err := FinYieldCtx(ctx, cfg, sp, e, fin, itersPerEnergy, src)
 		if err != nil {
 			return nil, fmt.Errorf("transport: yield LUT at %g MeV: %w", e, err)

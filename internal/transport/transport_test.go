@@ -2,7 +2,9 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"finser/internal/finfet"
@@ -373,6 +375,32 @@ func TestBuildFinYieldLUTErrors(t *testing.T) {
 	}
 	if _, err := BuildFinYieldLUTCtx(context.Background(), detConfig(), phys.Alpha, []float64{-1, 2}, testFin(), 10, src); err == nil {
 		t.Error("negative energy accepted")
+	}
+}
+
+// TestFinYieldRejectsBadEnergy: FinYieldCtx, and every yield curve and
+// table built on it, refuses an energy that is not positive and finite
+// with an error naming it, before it traces a secant.
+func TestFinYieldRejectsBadEnergy(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Metrics = NewMetrics(obs.NewRegistry())
+	for _, en := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%g MeV: panic: %v", en, r)
+				}
+			}()
+			ys, err := FinYieldCtx(context.Background(), cfg, phys.Alpha, en, testFin(), 100, rng.New(1))
+			if err == nil {
+				t.Errorf("%g MeV: accepted, got %+v", en, ys)
+			} else if !strings.Contains(err.Error(), fmt.Sprintf("%g MeV", en)) {
+				t.Errorf("%g MeV: error %q does not name the energy", en, err)
+			}
+		}()
+	}
+	if n := cfg.Metrics.RaysTraced.Value(); n != 0 {
+		t.Errorf("refused energies traced %d rays", n)
 	}
 }
 
